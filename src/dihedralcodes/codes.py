@@ -1,7 +1,7 @@
 """MDS code constructions in F_q D_2n (n odd) and exact verification.
 
-Three families, each a left ideal realized through its idempotent
-generators (s is the twist index, beta the twist scalar):
+Three families, each a left ideal named by the idempotents that generate
+it (s is the twist index, beta the twist scalar):
 
   "2n-2"        sum of R e_j over j not in {s, n-s}, plus R(e_s + beta b e_(n-s));
                 dimension 2n-2, distance 3; needs ord(beta) > 2n.
@@ -10,6 +10,10 @@ generators (s is the twist index, beta the twist scalar):
   "2n-3-plus"   same with (1+b)/2 e_0; dimension 2n-3, distance 4; needs
                 beta != 0 and beta^n != 1 (2n <= q-1 holds automatically
                 whenever n | q-1 and q is odd).
+
+Under P the twisted generator is [[1, beta], [0, 0]] in block s and zero
+elsewhere, so construct_code builds each family as the Wedderburn spec
+{position 0: full / minus / plus; block s: row(1, beta); other blocks: full}.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized over integer lookup tables) and the parity-check
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import DihedralAlgebra, left_ideal_basis, phi_inv
+from .dihedral import DihedralAlgebra, phi_inv
 from .errors import (
     BadOrderError,
     BetaIsNthRootError,
@@ -36,8 +40,9 @@ from .errors import (
     ZeroElementError,
 )
 from .gf import FieldCtx, FieldElement, arith_tables, element_order
-from .idempotents import cyclic_idempotent
+from .idempotents import _nth_root, cyclic_idempotent
 from .linalg import MatrixGF
+from .wedderburn import IdealSpec, code_from_ideal_spec, full, minus_piece, plus_piece, row
 
 FAMILY_2N_MINUS_2 = "2n-2"
 FAMILY_2N_MINUS_3_MINUS = "2n-3-minus"
@@ -45,6 +50,13 @@ FAMILY_2N_MINUS_3_PLUS = "2n-3-plus"
 FAMILIES = (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS, FAMILY_2N_MINUS_3_PLUS)
 
 DEFAULT_CAP = 10**6
+
+# position-0 summand of each family: the image of R e_0, R((1-b)/2 e_0), R((1+b)/2 e_0)
+_POSITION0 = {
+    FAMILY_2N_MINUS_2: full,
+    FAMILY_2N_MINUS_3_MINUS: minus_piece,
+    FAMILY_2N_MINUS_3_PLUS: plus_piece,
+}
 
 
 @dataclass(frozen=True)
@@ -167,13 +179,13 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
         raise ValueError(f"code constructions require n >= 3, got n={n}")
     if family.tag not in FAMILIES:
         raise ValueError(f"unknown family tag {family.tag!r}")
-    algebra = DihedralAlgebra(ctx, n)
+    DihedralAlgebra(ctx, n)  # raises CharDividesOrderError
     s = family.s
     if not isinstance(s, int) or not 1 <= s <= (n - 1) // 2 or math.gcd(s, n) != 1:
         raise NotCoprimeError(
             f"s={s} must satisfy 1 <= s <= (n-1)/2={(n - 1) // 2} and gcd(s, n) = 1"
         )
-    e = [cyclic_idempotent(ctx, n, i) for i in range(n)]
+    _nth_root(ctx, n)  # the root check precedes the beta checks
     beta = _resolve_beta(ctx, family.beta)
     if family.tag in (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS):
         ord_beta = element_order(beta)
@@ -184,20 +196,11 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
             raise BetaIsNthRootError(
                 f"beta={beta.text()} satisfies beta^{n} = 1; need beta^n != 1"
             )
-    b = algebra.b()
-    one = algebra.one()
-    inv2 = ctx.element(2).inverse()
-    mixed = e[s] + (b * e[n - s]).scale(beta)
-    if family.tag == FAMILY_2N_MINUS_2:
-        gens = [e[j] for j in range(n) if j not in (s, n - s)] + [mixed]
-    else:
-        sign = one - b if family.tag == FAMILY_2N_MINUS_3_MINUS else one + b
-        gens = [e[j] for j in range(1, n) if j not in (s, n - s)]
-        gens.append((sign * e[0]).scale(inv2))
-        gens.append(mixed)
-    generator = left_ideal_basis(gens)
+    blocks = [full()] * ((n - 1) // 2)
+    blocks[s - 1] = row(ctx.one(), beta)
+    spec = IdealSpec((_POSITION0[family.tag](), *blocks))
     prov = Provenance(ctx=ctx, n=n, tag=family.tag, s=s, beta=beta)
-    return LinearCode(generator, provenance=prov)
+    return LinearCode(code_from_ideal_spec(ctx, n, spec), provenance=prov)
 
 
 def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> MatrixGF:

@@ -35,18 +35,32 @@ from .errors import (
 # integer and polynomial helpers (coefficients little-endian, reduced mod p)
 
 
+# Miller-Rabin bases.  No strong pseudoprime to all of them lies below
+# PRIMALITY_LIMIT (Sorenson and Webster, 2015), so is_prime is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Exact primality for n < PRIMALITY_LIMIT; larger n raise NotPrimeError."""
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    if n >= PRIMALITY_LIMIT:
+        raise NotPrimeError(f"primality of {n} is decided only below {PRIMALITY_LIMIT}")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

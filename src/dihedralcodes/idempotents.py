@@ -34,6 +34,7 @@ class IdempotentFamily:
 
 
 def _nth_root(ctx: FieldCtx, n: int) -> FieldElement:
+    """primitive_nth_root, raising RootUnavailableError where n does not divide q-1."""
     try:
         return primitive_nth_root(ctx, n)
     except NoSuchRootError as exc:

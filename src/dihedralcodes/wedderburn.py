@@ -17,25 +17,18 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .dihedral import AlgebraElement, DihedralAlgebra, phi_inv
-from .errors import (
-    EvenNError,
-    InvalidRowSpecError,
-    NoSuchRootError,
-    RootUnavailableError,
-    SingularTransformError,
-)
-from .gf import FieldCtx, FieldElement, primitive_nth_root
+from .errors import EvenNError, InvalidRowSpecError, SingularTransformError
+from .gf import FieldCtx, FieldElement
+from .idempotents import _nth_root
 from .linalg import MatrixGF
 
-
-def _nth_root(ctx: FieldCtx, n: int) -> FieldElement:
-    try:
-        return primitive_nth_root(ctx, n)
-    except NoSuchRootError as exc:
-        raise RootUnavailableError(str(exc)) from exc
+# Each cached (T, T^-1) pair holds 8n^2 field elements, so only the most
+# recently used (field, n) pairs are kept.
+TRANSFORM_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -99,19 +92,6 @@ class WedderburnTuple:
             out.extend([b[0][0], b[0][1], b[1][0], b[1][1]])
         return out
 
-    @classmethod
-    def unflatten(cls, ctx: FieldCtx, n: int, coords) -> "WedderburnTuple":
-        coords = [ctx.element(c) for c in coords]
-        if len(coords) != 2 * n:
-            raise ValueError(f"expected {2 * n} coordinates")
-        blocks = []
-        for j in range((n - 1) // 2):
-            o = 2 + 4 * j
-            blocks.append(
-                ((coords[o], coords[o + 1]), (coords[o + 2], coords[o + 3]))
-            )
-        return cls(gamma=(coords[0], coords[1]), blocks=tuple(blocks))
-
 
 def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
     """Apply P to an algebra element (n odd, n | q-1)."""
@@ -146,15 +126,9 @@ def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
 # ---------------------------------------------------------------------------
 # inverse map via the 2n x 2n transform on the monomial basis
 
-_TRANSFORMS: dict[tuple[FieldCtx, int], tuple[MatrixGF, MatrixGF]] = {}
-
-
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
 def transform_matrices(ctx: FieldCtx, n: int) -> tuple[MatrixGF, MatrixGF]:
     """(T, T^-1) where T maps phi coordinates to flattened tuple coordinates."""
-    key = (ctx, n)
-    cached = _TRANSFORMS.get(key)
-    if cached is not None:
-        return cached
     algebra = DihedralAlgebra(ctx, n)
     cols = [wedderburn_map(m).flatten() for m in algebra.monomials()]
     T = MatrixGF(ctx, [[cols[j][i] for j in range(2 * n)] for i in range(2 * n)])
@@ -164,7 +138,6 @@ def transform_matrices(ctx: FieldCtx, n: int) -> tuple[MatrixGF, MatrixGF]:
         raise SingularTransformError(
             f"decomposition transform is singular for q={ctx.q}, n={n}"
         ) from exc
-    _TRANSFORMS[key] = (T, T_inv)
     return T, T_inv
 
 
@@ -262,42 +235,33 @@ class IdealSpec:
         return len(self.summands)
 
 
-def _basis_tuples(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[WedderburnTuple]:
+def _basis_vectors(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list[FieldElement]]:
+    """Basis of the chosen ideal in WedderburnTuple.flatten coordinates."""
     z, o = ctx.zero(), ctx.one()
     half = (n - 1) // 2
-    out: list[WedderburnTuple] = []
+    out: list[list[FieldElement]] = []
 
-    def with_gamma(g1, g2):
-        t = WedderburnTuple.zero(ctx, n)
-        return WedderburnTuple(gamma=(g1, g2), blocks=t.blocks)
+    def unit(offset, *entries):
+        v = [z] * (2 * n)
+        v[offset:offset + len(entries)] = entries
+        return v
 
-    def with_block(j, entries):
-        t = WedderburnTuple.zero(ctx, n)
-        blocks = list(t.blocks)
-        blocks[j] = entries
-        return WedderburnTuple(gamma=t.gamma, blocks=tuple(blocks))
-
-    pos0 = spec.summands[0]
-    if pos0.kind == FULL:
-        out.append(with_gamma(o, z))
-        out.append(with_gamma(z, o))
-    elif pos0.kind == PLUS_PIECE:
-        out.append(with_gamma(o, z))
-    elif pos0.kind == MINUS_PIECE:
-        out.append(with_gamma(z, o))
+    pos0 = spec.summands[0].kind
+    if pos0 in (FULL, PLUS_PIECE):
+        out.append(unit(0, o))
+    if pos0 in (FULL, MINUS_PIECE):
+        out.append(unit(1, o))
     for j, s in enumerate(spec.summands[1:]):
         if j >= half:
             raise InvalidRowSpecError(
                 f"spec has {len(spec)} summands but n={n} allows {1 + half}"
             )
+        base = 2 + 4 * j  # block j row-major: (0,0), (0,1), (1,0), (1,1)
         if s.kind == FULL:
-            out.append(with_block(j, ((o, z), (z, z))))
-            out.append(with_block(j, ((z, o), (z, z))))
-            out.append(with_block(j, ((z, z), (o, z))))
-            out.append(with_block(j, ((z, z), (z, o))))
+            out.extend(unit(base + t, o) for t in range(4))
         elif s.kind == ROW:
-            out.append(with_block(j, ((s.x, s.y), (z, z))))
-            out.append(with_block(j, ((z, z), (s.x, s.y))))
+            out.append(unit(base, s.x, s.y))
+            out.append(unit(base + 2, s.x, s.y))
     return out
 
 
@@ -309,11 +273,11 @@ def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
         raise InvalidRowSpecError(
             f"spec needs {1 + (n - 1) // 2} summands for n={n}, got {len(spec)}"
         )
-    tuples = _basis_tuples(ctx, n, spec)
-    if not tuples:
+    vectors = _basis_vectors(ctx, n, spec)
+    if not vectors:
         return MatrixGF.zeros(ctx, 0, 2 * n)
-    rows = [wedderburn_inverse(t).phi() for t in tuples]
-    reduced, _, _ = MatrixGF(ctx, rows).rref()
+    _, T_inv = transform_matrices(ctx, n)
+    reduced, _, _ = MatrixGF(ctx, [T_inv.mul_vector(v) for v in vectors]).rref()
     return reduced.nonzero_rows()
 
 

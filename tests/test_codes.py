@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,17 +14,20 @@ from dihedralcodes.codes import (
     left_ideal_closure_ok,
     load_code,
 )
-from dihedralcodes.dihedral import DihedralAlgebra
+from dihedralcodes.dihedral import DihedralAlgebra, left_ideal_basis
 from dihedralcodes.errors import (
     BadOrderError,
     BetaIsNthRootError,
     CapExceededError,
+    CharDividesOrderError,
     EvenNError,
     NotCoprimeError,
+    RootUnavailableError,
     UnsupportedStyleError,
     ZeroElementError,
 )
 from dihedralcodes.gf import make_field
+from dihedralcodes.idempotents import cyclic_idempotent
 from dihedralcodes.linalg import MatrixGF
 from dihedralcodes.wedderburn import code_from_ideal_spec, random_ideal_spec
 
@@ -96,6 +100,93 @@ def test_unknown_family_rejected():
 def test_default_beta_is_canonical_generator():
     code = construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_2))
     assert code.provenance.beta == GF13.element(2)
+
+
+# ---------------------------------------------------------------------------
+# the idempotent route as an oracle for construct_code
+
+FAMILY_TAGS = (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS, FAMILY_2N_MINUS_3_PLUS)
+ACCEPTANCE_PAIRS = [
+    (GF13, 3),
+    (GF25, 3),
+    (make_field(31, [0, 1]), 5),
+    (make_field(41, [0, 1]), 5),
+    (make_field(29, [0, 1]), 7),
+    (make_field(43, [0, 1]), 7),
+]
+
+
+def idempotent_route(ctx, n, tag, s, beta):
+    """left_ideal_basis over the family's idempotent generators.
+
+    The generators are R e_j (j not in {s, n-s}, and j != 0 for the 2n-3
+    families), R((1 -/+ b)/2 e_0) for the 2n-3 families, and
+    R(e_s + beta b e_(n-s)); the gates on beta use a brute-force order.
+    """
+    algebra = DihedralAlgebra(ctx, n)
+    e = [cyclic_idempotent(ctx, n, i) for i in range(n)]
+    beta = ctx.generator() if beta is None else ctx.element(beta)
+    if not beta:
+        raise ZeroElementError("beta = 0")
+    order = next(t for t in range(1, ctx.q) if beta**t == ctx.one())
+    if tag == FAMILY_2N_MINUS_3_PLUS:
+        if beta**n == ctx.one():
+            raise BetaIsNthRootError("beta^n = 1")
+    elif order <= 2 * n:
+        raise BadOrderError("ord(beta) <= 2n")
+    b, one = algebra.b(), algebra.one()
+    gens = [e[s] + (b * e[n - s]).scale(beta)]
+    skip = {s, n - s} if tag == FAMILY_2N_MINUS_2 else {0, s, n - s}
+    gens += [e[j] for j in range(n) if j not in skip]
+    if tag != FAMILY_2N_MINUS_2:
+        sign = one - b if tag == FAMILY_2N_MINUS_3_MINUS else one + b
+        gens.append((sign * e[0]).scale(ctx.element(2).inverse()))
+    return left_ideal_basis(gens)
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+def assert_matches_idempotent_route(ctx, n, tag, s, beta):
+    family = CodeFamily(tag=tag, s=s, beta=beta)
+    built = outcome(lambda: construct_code(ctx, n, family).generator)
+    expected = outcome(lambda: idempotent_route(ctx, n, tag, s, beta))
+    assert built == expected, (ctx.spec(), n, tag, s, beta)
+
+
+@pytest.mark.parametrize(
+    "ctx,n", ACCEPTANCE_PAIRS, ids=[f"q{ctx.q}-n{n}" for ctx, n in ACCEPTANCE_PAIRS]
+)
+def test_construct_matches_idempotent_route(ctx, n):
+    for tag in FAMILY_TAGS:
+        for s in range(1, (n - 1) // 2 + 1):
+            if math.gcd(s, n) == 1:
+                assert_matches_idempotent_route(ctx, n, tag, s, None)
+
+
+@pytest.mark.parametrize("ctx", [GF13, GF25], ids=["GF13", "GF25"])
+def test_construct_matches_idempotent_route_every_beta(ctx):
+    for tag in FAMILY_TAGS:
+        for i in range(ctx.q):
+            assert_matches_idempotent_route(ctx, 3, tag, 1, ctx.from_index(i))
+
+
+@pytest.mark.parametrize(
+    "ctx,n,family,error",
+    [
+        (make_field(5, [0, 1]), 5, CodeFamily(tag=FAMILY_2N_MINUS_2), CharDividesOrderError),
+        (GF13, 9, CodeFamily(tag=FAMILY_2N_MINUS_2, s=3), NotCoprimeError),
+        (GF13, 5, CodeFamily(tag=FAMILY_2N_MINUS_2, beta=0), RootUnavailableError),
+        (GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_2, beta=3), BadOrderError),
+    ],
+)
+def test_validation_precedence(ctx, n, family, error):
+    with pytest.raises(error):
+        construct_code(ctx, n, family)
 
 
 # ---------------------------------------------------------------------------

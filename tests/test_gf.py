@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -11,8 +12,10 @@ from dihedralcodes.errors import (
     ZeroElementError,
 )
 from dihedralcodes.gf import (
+    PRIMALITY_LIMIT,
     arith_tables,
     element_order,
+    is_prime,
     make_field,
     parse_element,
     parse_field_spec,
@@ -109,6 +112,48 @@ def test_make_field_prime_field():
 def test_make_field_rejects_nonprime():
     with pytest.raises(NotPrimeError):
         make_field(12, [0, 1])
+
+
+def within_one_second(fn):
+    """Run fn, failing (not hanging) if it takes more than one second."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 3000) if is_prime(n) != trial(n)] == []
+    # a Carmichael number and strong pseudoprimes to the bases 2..7, 2..23, 2..37
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not within_one_second(lambda: is_prime(n))
+
+
+def test_make_field_rejects_square_of_large_prime_promptly():
+    with pytest.raises(NotPrimeError):
+        within_one_second(lambda: make_field((2**31 - 1) ** 2, [0, 1]))
+
+
+def test_make_field_large_mersenne_prime_promptly():
+    ctx = within_one_second(lambda: make_field(2**61 - 1, [0, 1]))
+    gen = within_one_second(ctx.generator)
+    assert element_order(gen) == ctx.q - 1
+
+
+def test_make_field_refuses_above_exact_primality_limit():
+    with pytest.raises(NotPrimeError) as exc:
+        within_one_second(lambda: make_field(2**89 - 1, [0, 1]))
+    assert str(PRIMALITY_LIMIT) in str(exc.value)
 
 
 def test_make_field_rejects_nonmonic():
