@@ -16,14 +16,16 @@ elsewhere, so construct_code builds each family as the Wedderburn spec
 {position 0: full / minus / plus; block s: row(1, beta); other blocks: full}.
 
 Minimum distance is computed two independent ways: exhaustive codeword
-enumeration (vectorized over integer lookup tables) and the parity-check
-route (least number of linearly dependent columns of a kernel basis,
-found by a depth-first search over column subsets in pure exact
-arithmetic).  Both are exact; the pair serves as a cross-check.
+enumeration (vectorized in numpy) and the parity-check route (least
+number of linearly dependent columns of a kernel basis, found by a
+depth-first search over column subsets).  Both work on integers mod p,
+over the prime-field expansions of gf.prime_expansion, so neither has a
+limit on q.  Both are exact; the pair serves as a cross-check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +41,7 @@ from .errors import (
     UnsupportedStyleError,
     ZeroElementError,
 )
-from .gf import FieldCtx, FieldElement, arith_tables, element_order
+from .gf import FieldCtx, FieldElement, element_order, prime_expansion
 from .idempotents import _nth_root, cyclic_idempotent
 from .linalg import MatrixGF
 from .wedderburn import IdealSpec, code_from_ideal_spec, full, minus_piece, plus_piece, row
@@ -280,74 +282,83 @@ def is_mds(code: LinearCode, method: str = "auto", cap: int = DEFAULT_CAP) -> bo
 
 def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     ctx = gen.ctx
-    q, k, ncols = ctx.q, gen.rows, gen.cols
-    count = q**k - 1
+    p, m, ncols = ctx.p, ctx.m, gen.cols
+    count = ctx.q**gen.rows - 1
     if count > cap:
         raise CapExceededError(f"q^k - 1 = {count} exceeds cap = {cap}")
-    tables = arith_tables(ctx)
-    add_np, mul_np = tables.add_np, tables.mul_np
-    dtype = add_np.dtype
-    words = np.zeros((1, ncols), dtype=dtype)
-    for i in range(k):
-        row = np.array([e.to_index() for e in gen.data[i]], dtype=dtype)
-        multiples = mul_np[:, row]  # (q, ncols): every scalar multiple of the row
-        words = add_np[words[:, None, :], multiples[None, :, :]].reshape(-1, ncols)
-    weights = np.count_nonzero(words, axis=1)
-    return int(weights[weights > 0].min())
+    if (p - 1) ** 2 >= 2**63:
+        raise CapExceededError(f"exhaustive search needs (p-1)^2 < 2^63, got p = {p}")
+    # the codewords are the GF(p)-combinations of the rows' expansions
+    basis = [v for row in gen.data for v in prime_expansion(row)]
+    scalars = np.arange(p, dtype=np.int64)[:, None]
+    dtype = np.uint16 if p <= 2**15 else np.int64  # holds a sum of two residues
+    words = np.zeros((1, m * ncols), dtype=dtype)
+    for v in basis[:-1]:
+        multiples = (scalars * v % p).astype(dtype)
+        words = np.add(words[:, None, :], multiples[None, :, :]).reshape(-1, m * ncols)
+        np.remainder(words, p, out=words)
+    # a + c*v is zero exactly where a == -c*v mod p, so the last sums are never formed;
+    # an entry of GF(q) is nonzero when any of its m coefficient planes is
+    negated = (-scalars * basis[-1] % p).astype(dtype)
+    a, b = words.reshape(-1, 1, m, ncols), negated.reshape(1, p, m, ncols)
+    nonzero = a[:, :, 0] != b[:, :, 0]
+    for t in range(1, m):
+        nonzero |= a[:, :, t] != b[:, :, t]
+    weights = np.count_nonzero(nonzero.reshape(-1, ncols), axis=1)
+    # word 0 is the zero combination; the expansions are independent, so no other is zero
+    return int(weights[1:].min())
 
 
 def _dual_distance(gen: MatrixGF) -> int:
     H = gen.kernel_basis()
     if H.rows == 0:
         return 1
-    tables = arith_tables(gen.ctx)
-    cols = [
-        [H.data[i][j].to_index() for i in range(H.rows)] for j in range(H.cols)
-    ]
-    return _min_dependent_columns(cols, tables.sub, tables.mul, tables.inv)
+    cols = [prime_expansion(col) for col in H.transpose().data]
+    return _min_dependent_columns(cols, gen.ctx.p)
 
 
-def _min_dependent_columns(cols, sub, mul, inv) -> int:
+def _min_dependent_columns(cols, p: int) -> int:
     """Least w such that some w of the given columns are linearly dependent.
 
-    Iterative deepening over the subset size keeps the answer minimal; at
-    each size the subsets are walked depth-first, carrying normalized pivot
-    columns so extending a subset costs one column reduction.
+    Each column over GF(p^m) is given as its prime_expansion: m integer
+    vectors mod p.  Iterative deepening over the subset size keeps the
+    answer minimal; at each size the subsets are walked depth-first,
+    carrying GF(p) pivot vectors so extending a subset costs one reduction
+    of the new column's expansion 0.
     """
-    ncols = len(cols)
-    h = len(cols[0])
-    if any(not any(c) for c in cols):
-        return 1
-    for w in range(2, h + 1):
-        if _has_dependent_subset(cols, w, sub, mul, inv):
-            return w
-    return h + 1  # any h+1 vectors in F_q^h are dependent
-
-
-def _has_dependent_subset(cols, w, sub, mul, inv) -> bool:
-    ncols = len(cols)
-    h = len(cols[0])
+    ncols, h = len(cols), len(cols[0][0]) // len(cols[0])
     pivots: list[tuple[int, list[int]]] = []
 
-    def dfs(start: int, depth: int) -> bool:
-        remaining = w - depth
-        for i in range(start, ncols - remaining + 1):
-            v = list(cols[i])
-            for lead, pvec in pivots:
-                f = v[lead]
-                if f:
-                    mf = mul[f]
-                    v = [sub[a][mf[b]] for a, b in zip(v, pvec)]
-            lead = next((t for t in range(h) if v[t]), None)
+    def dfs(start: int, depth: int, w: int) -> bool:
+        for i in range(start, ncols - (w - depth) + 1):
+            v, lead = _reduce(cols[i][0], pivots, p)
             if lead is None:
                 # smaller subsets were exhausted at earlier sizes
                 return True
             if depth + 1 < w:
-                mi = mul[inv[v[lead]]]
-                pivots.append((lead, [mi[c] for c in v]))
-                if dfs(i + 1, depth + 1):
+                # the span is closed under x, so a column outside it has every
+                # x^j multiple outside it: push all m, negated (-1 at the lead)
+                pushed = len(pivots)
+                for j in range(len(cols[i])):
+                    if j:
+                        v, lead = _reduce(cols[i][j], pivots, p)
+                    inv = pow(v[lead], -1, p)
+                    pivots.append((lead, [-a * inv % p for a in v]))
+                if dfs(i + 1, depth + 1, w):
                     return True
-                pivots.pop()
+                del pivots[pushed:]
         return False
 
-    return dfs(0, 0)
+    for w in range(1, h + 1):
+        if dfs(0, 0, w):
+            return w
+    return h + 1  # any h+1 vectors in F_q^h are dependent
+
+
+def _reduce(v, pivots, p):
+    """v reduced against the pivots mod p, and its leading index (None if zero)."""
+    for lead, pvec in pivots:
+        f = v[lead]
+        if f:
+            v = [(a + f * b) % p for a, b in zip(v, pvec)]
+    return v, next(itertools.compress(itertools.count(), v), None)

@@ -16,11 +16,10 @@ everywhere:
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     MixedContextsError,
@@ -65,31 +64,48 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
+    """Distinct prime factors of n >= 1, ascending.
+
+    The Miller-Rabin bases are divided out first; every composite cofactor
+    left is split by Pollard-Brent rho until is_prime accepts each piece.
+    """
+    out = set()
+    for f in _MR_BASES:
         if n % f == 0:
-            out.append(f)
+            out.add(f)
             while n % f == 0:
                 n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        n = stack.pop()
+        if is_prime(n):
+            out.add(n)
+        else:
+            f = _rho_factor(n)
+            stack += [f, n // f]
+    return sorted(out)
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard rho, Brent's cycle search."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 def _trim(cs):
     while cs and cs[-1] == 0:
         cs = cs[:-1]
     return cs
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _trim([(x + y) % p for x, y in zip(a, b)])
 
 
 def _psub(a, b, p):
@@ -549,47 +565,18 @@ def parse_element(ctx: FieldCtx, s: str) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# integer lookup tables (used by distance search hot loops)
-
-_TABLES_CACHE: dict[FieldCtx, "ArithTables"] = {}
-
-_TABLE_LIMIT = 4096
+# prime-field expansion (the integer input of the distance engines)
 
 
-@dataclass
-class ArithTables:
-    """q x q add/sub/mul tables plus inverses, indexed by element index."""
+def prime_expansion(vec) -> list[list[int]]:
+    """The m vectors x^j * vec (0 <= j < m) over GF(p), as plain ints.
 
-    q: int
-    add: list[list[int]]
-    sub: list[list[int]]
-    mul: list[list[int]]
-    inv: list[int]
-    add_np: np.ndarray
-    mul_np: np.ndarray
-
-
-def arith_tables(ctx: FieldCtx) -> ArithTables:
-    cached = _TABLES_CACHE.get(ctx)
-    if cached is not None:
-        return cached
-    q = ctx.q
-    if q > _TABLE_LIMIT:
-        raise ValueError(f"arithmetic tables limited to q <= {_TABLE_LIMIT}")
-    elems = [ctx.from_index(i) for i in range(q)]
-    add = [[(a + b).to_index() for b in elems] for a in elems]
-    sub = [[(a - b).to_index() for b in elems] for a in elems]
-    mul = [[(a * b).to_index() for b in elems] for a in elems]
-    inv = [0] + [elems[i].inverse().to_index() for i in range(1, q)]
-    dtype = np.uint16 if q <= 65535 else np.uint32
-    tables = ArithTables(
-        q=q,
-        add=add,
-        sub=sub,
-        mul=mul,
-        inv=inv,
-        add_np=np.array(add, dtype=dtype),
-        mul_np=np.array(mul, dtype=dtype),
-    )
-    _TABLES_CACHE[ctx] = tables
-    return tables
+    Coefficient t of entry i lands at index t * len(vec) + i.  Vectors over
+    GF(p^m) have rank r exactly when their expansions span a GF(p)-space of
+    dimension m * r, so rank and span questions need only arithmetic mod p.
+    """
+    vec = list(vec)
+    ctx = vec[0].ctx
+    # x^j (j < m) is the element of index p^j
+    shifted = [[ctx.from_index(ctx.p**j) * e for e in vec] for j in range(ctx.m)]
+    return [[e.coeffs[t] for t in range(ctx.m) for e in row] for row in shifted]

@@ -152,6 +152,14 @@ def test_sweep_json_boundary_field(capsys):
     assert by_family["2n-3-plus"]["mds"] is True
 
 
+def test_sweep_above_former_table_limit(capsys):
+    rc, out, _ = run(capsys, "sweep", "--field", "p=4099;mod=[0,1]", "--n", "3")
+    assert rc == 0
+    lines = [l.split() for l in out.splitlines() if l.startswith("2n-")]
+    assert len(lines) == 3
+    assert all(cells[-2:] == ["yes", "ok"] for cells in lines)
+
+
 def test_example_reports_parameters(capsys):
     rc, out, _ = run(capsys, "example")
     assert rc == 0

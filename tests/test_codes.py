@@ -29,7 +29,16 @@ from dihedralcodes.errors import (
 from dihedralcodes.gf import make_field
 from dihedralcodes.idempotents import cyclic_idempotent
 from dihedralcodes.linalg import MatrixGF
-from dihedralcodes.wedderburn import code_from_ideal_spec, random_ideal_spec
+from dihedralcodes.wedderburn import (
+    IdealSpec,
+    code_from_ideal_spec,
+    full,
+    minus_piece,
+    plus_piece,
+    random_ideal_spec,
+    row,
+    zero,
+)
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -277,6 +286,10 @@ def test_cap_exceeded():
     code = code_13_2n2()
     with pytest.raises(CapExceededError):
         code.min_distance("exhaustive", cap=100)
+    # above p ~ 3.0e9 the int64 products c * v could wrap: refused, whatever the cap
+    wide = LinearCode.from_generator_rows(make_field(4294967311, [0, 1]), [[1, 2, 3]])
+    with pytest.raises(CapExceededError):
+        wide.min_distance("exhaustive", cap=10**12)
 
 
 def test_auto_method_selection():
@@ -338,29 +351,55 @@ def test_json_roundtrip():
 
 
 def test_min_dependent_columns_matches_subset_oracle():
-    # third route: brute-force over all column subsets via columns_rank
+    # third route: brute-force over all column subsets via columns_rank;
+    # GF(25) columns check that all m expansions of a column join the pivots
     from itertools import combinations
 
     from dihedralcodes.codes import _min_dependent_columns
-    from dihedralcodes.gf import arith_tables
+    from dihedralcodes.gf import prime_expansion
 
     rng = random.Random(5)
-    tables = arith_tables(GF13)
-    for _ in range(15):
-        rows = rng.randrange(1, 4)
-        cols = rng.randrange(rows + 1, 7)
-        m = MatrixGF(
-            GF13,
-            [[GF13.random_element(rng) for _ in range(cols)] for _ in range(rows)],
-        )
-        int_cols = [[m[i, j].to_index() for i in range(rows)] for j in range(cols)]
-        got = _min_dependent_columns(int_cols, tables.sub, tables.mul, tables.inv)
-        expected = None
-        for w in range(1, cols + 1):
-            if any(m.columns_rank(c) < w for c in combinations(range(cols), w)):
-                expected = w
-                break
-        assert got == expected
+    for ctx in (GF13, GF25):
+        for _ in range(15):
+            rows = rng.randrange(1, 4)
+            cols = rng.randrange(rows + 1, 7)
+            m = MatrixGF(
+                ctx,
+                [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)],
+            )
+            int_cols = [prime_expansion(col) for col in m.transpose().data]
+            got = _min_dependent_columns(int_cols, ctx.p)
+            expected = None
+            for w in range(1, cols + 1):
+                if any(m.columns_rank(c) < w for c in combinations(range(cols), w)):
+                    expected = w
+                    break
+            assert got == expected
+
+
+def test_paper_families_above_former_table_limit():
+    ctx = make_field(2**31 - 1, [0, 1])
+    for tag in FAMILY_TAGS:
+        code = construct_code(ctx, 9, CodeFamily(tag=tag))
+        k = 16 if tag == FAMILY_2N_MINUS_2 else 15
+        assert code.parameters("dual") == (18, k, 18 - k + 1)
+        assert code.is_mds("dual")
+
+
+def test_methods_agree_on_gf169_ideal_codes():
+    # m = 2: a GF(q) entry is zero only when both coefficient planes are
+    ctx, n = make_field(13, [2, 0, 1]), 7
+    rng = random.Random(6)
+    zeros = (zero(),) * 3
+    specs = [IdealSpec((first(),) + zeros) for first in (full, plus_piece, minus_piece)]
+    for block in (0, 1, 2):
+        blocks = [zero()] * 3
+        blocks[block] = row(ctx.random_nonzero(rng), ctx.random_element(rng))
+        specs.append(IdealSpec((zero(), *blocks)))
+    for spec in specs:
+        code = LinearCode(code_from_ideal_spec(ctx, n, spec))
+        assert code.k <= 2
+        assert code.min_distance("exhaustive") == code.min_distance("dual")
 
 
 def test_gf25_example_codes():

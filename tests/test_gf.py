@@ -13,17 +13,20 @@ from dihedralcodes.errors import (
 )
 from dihedralcodes.gf import (
     PRIMALITY_LIMIT,
-    arith_tables,
     element_order,
+    factorize,
     is_prime,
     make_field,
     parse_element,
     parse_field_spec,
+    prime_expansion,
     primitive_nth_root,
 )
+from dihedralcodes.linalg import MatrixGF
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
+GF169 = make_field(13, [2, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +140,32 @@ def test_is_prime_matches_trial_division():
     # a Carmichael number and strong pseudoprimes to the bases 2..7, 2..23, 2..37
     for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
         assert not within_one_second(lambda: is_prime(n))
+
+
+def test_factorize_matches_trial_division():
+    def trial(n):
+        out, f = [], 2
+        while f * f <= n:
+            if n % f == 0:
+                out.append(f)
+                while n % f == 0:
+                    n //= f
+            f += 1
+        return out + [n] if n > 1 else out
+
+    assert [n for n in range(1, 20000) if factorize(n) != trial(n)] == []
+    # cofactors only Pollard rho can split promptly: two 31-bit primes, a cube
+    semiprime = (2**31 - 1) * 2147483629
+    assert within_one_second(lambda: factorize(semiprime)) == [2147483629, 2**31 - 1]
+    assert within_one_second(lambda: factorize(2 * 1000003**3)) == [2, 1000003]
+
+
+def test_generator_of_safe_prime_field_promptly():
+    # (p - 1) / 2 is prime: trial division of p - 1 ran to 2^30
+    p = 2305843009213699919
+    assert within_one_second(lambda: factorize(p - 1)) == [2, (p - 1) // 2]
+    gen = within_one_second(lambda: make_field(p, [0, 1]).generator())
+    assert element_order(gen) == p - 1
 
 
 def test_make_field_rejects_square_of_large_prime_promptly():
@@ -362,18 +391,31 @@ def test_index_roundtrip():
             assert ctx.from_index(i).to_index() == i
 
 
-def test_arith_tables_match_element_ops():
+def test_prime_expansion_matches_element_ops():
     rng = random.Random(3)
-    for ctx in (GF13, GF25):
-        tables = arith_tables(ctx)
-        for _ in range(50):
-            a = ctx.random_element(rng)
-            b = ctx.random_element(rng)
-            ia, ib = a.to_index(), b.to_index()
-            assert tables.add[ia][ib] == (a + b).to_index()
-            assert tables.sub[ia][ib] == (a - b).to_index()
-            assert tables.mul[ia][ib] == (a * b).to_index()
-            if b:
-                assert tables.inv[ib] == b.inverse().to_index()
-        assert tables.add_np[2, 3] == tables.add[2][3]
-        assert tables.mul_np[2, 3] == tables.mul[2][3]
+    for ctx in (GF13, GF25, GF169):
+        x = ctx.element([0, 1] if ctx.m > 1 else [1])
+        vec = [ctx.random_element(rng) for _ in range(6)]
+        expansion = prime_expansion(vec)
+        assert len(expansion) == ctx.m
+        for j, plane_laid in enumerate(expansion):
+            for i, e in enumerate(vec):
+                coeffs = (e * x**j).coeffs
+                assert [plane_laid[t * len(vec) + i] for t in range(ctx.m)] == list(coeffs)
+
+
+def test_prime_expansion_rank_is_m_times_rank():
+    rng = random.Random(4)
+    for ctx in (GF13, GF25, GF169):
+        prime = make_field(ctx.p, [0, 1])
+        for _ in range(20):
+            rows, cols, rank = rng.randrange(1, 5), rng.randrange(1, 6), rng.randrange(0, 4)
+            basis = [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rank)]
+            # rows drawn from a span of dimension <= rank, so some matrices are singular
+            m = MatrixGF(ctx, [
+                [sum((ctx.random_element(rng) * b[j] for b in basis), ctx.zero()) for j in range(cols)]
+                for _ in range(rows)
+            ], cols=cols)
+            stacked = [v for i in range(m.rows) for v in prime_expansion(m.row(i))]
+            expanded = MatrixGF(prime, [[prime.element(c) for c in v] for v in stacked])
+            assert expanded.rank() == ctx.m * m.rank()
