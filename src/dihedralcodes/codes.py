@@ -14,6 +14,9 @@ it (s is the twist index, beta the twist scalar):
 Under P the twisted generator is [[1, beta], [0, 0]] in block s and zero
 elsewhere, so construct_code builds each family as the Wedderburn spec
 {position 0: full / minus / plus; block s: row(1, beta); other blocks: full}.
+code_from_ideal_spec returns that ideal as the kernel of its closed-form
+constraint rows: 2 rows on block s, plus 1 on gamma for the 2n-3
+families.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) and the parity-check route (least

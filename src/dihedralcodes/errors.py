@@ -63,10 +63,6 @@ class EvenNError(DihedralCodesError, ValueError):
     """Operation is only defined for odd n."""
 
 
-class SingularTransformError(DihedralCodesError, RuntimeError):
-    """Internal error: the block-decomposition transform failed to invert."""
-
-
 class InvalidRowSpecError(DihedralCodesError, ValueError):
     """Ideal summand specification is malformed (e.g. row generator (0,0))."""
 

@@ -41,11 +41,9 @@ PRIMALITY_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality for n < PRIMALITY_LIMIT; larger n raise NotPrimeError."""
+    """Exact below PRIMALITY_LIMIT; above it, n passing every base raises NotPrimeError."""
     if n < 2 or any(n % p == 0 for p in _MR_BASES):
         return n in _MR_BASES
-    if n >= PRIMALITY_LIMIT:
-        raise NotPrimeError(f"primality of {n} is decided only below {PRIMALITY_LIMIT}")
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -60,14 +58,17 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PRIMALITY_LIMIT:
+        raise NotPrimeError(f"primality of {n} is decided only below {PRIMALITY_LIMIT}")
     return True
 
 
 def factorize(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending.
 
-    The Miller-Rabin bases are divided out first; every composite cofactor
-    left is split by Pollard-Brent rho until is_prime accepts each piece.
+    The Miller-Rabin bases are divided out first; every cofactor left that
+    is_prime rejects is split by Pollard-Brent rho, so only a cofactor
+    above PRIMALITY_LIMIT that passes every base is refused.
     """
     out = set()
     for f in _MR_BASES:
@@ -172,40 +173,43 @@ def _ppowmod(base, e, modulus, p):
     return result
 
 
-def _poly_roots(f, p):
-    return [c for c in range(p) if _peval(f, c, p) == 0]
+def _linear_roots(g, p):
+    """Roots of a monic g over GF(p) that is a product of distinct linear factors.
 
-
-def _peval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
+    Over GF(2) g divides x^2 - x and is read off directly; otherwise it is
+    split deterministically by gcd(g, (x+c)^((p-1)/2) - 1) for c = 0, 1, ...
+    """
+    if len(g) == 2:
+        return [-g[0] % p]
+    if p == 2:
+        return [0, 1]
+    for c in itertools.count():
+        h = _pgcd(_psub(_ppowmod([c, 1], (p - 1) // 2, g, p), [1], p), g, p)
+        if 1 < len(h) < len(g):
+            return _linear_roots(h, p) + _linear_roots(_pdivmod(g, h, p)[0], p)
 
 
 def _check_irreducible(modulus, p):
     """Raise ReducibleError if the monic polynomial factors over GF(p).
 
-    Root search settles degree <= 3; degree >= 4 uses the x^(p^k) gcd
-    ladder (f of degree m is irreducible iff x^(p^m) = x mod f and
-    gcd(x^(p^(m/r)) - x, f) = 1 for every prime r | m).
+    gcd(x^p - x, f) is the product of f's linear factors, so it settles
+    roots in GF(p) and with them degree <= 3; degree >= 4 goes on up the
+    x^(p^k) gcd ladder (f of degree m is irreducible iff x^(p^m) = x mod f
+    and gcd(x^(p^(m/r)) - x, f) = 1 for every prime r | m).
     """
     m = len(modulus) - 1
     if m == 1:
         return
-    roots = _poly_roots(modulus, p)
-    if roots:
-        raise ReducibleError(
-            f"modulus has root {roots[0]} in GF({p})", root=roots[0]
-        )
+    x = [0, 1]
+    powers = [x, _ppowmod(x, p, modulus, p)]  # powers[k] = x^(p^k) mod modulus
+    g = _pgcd(_psub(powers[1], x, p), modulus, p)
+    if len(g) > 1:
+        root = min(_linear_roots(g, p))
+        raise ReducibleError(f"modulus has root {root} in GF({p})", root=root)
     if m <= 3:
         return
-    x = [0, 1]
-    powers = [x]  # powers[k] = x^(p^k) mod modulus
-    t = x
-    for _ in range(m):
-        t = _ppowmod(t, p, modulus, p)
-        powers.append(t)
+    for _ in range(m - 1):
+        powers.append(_ppowmod(powers[-1], p, modulus, p))
     if _trim(powers[m]) != x:
         raise ReducibleError(
             f"modulus fails x^(p^{m}) = x over GF({p})"

@@ -41,16 +41,22 @@ def _nth_root(ctx: FieldCtx, n: int) -> FieldElement:
         raise RootUnavailableError(str(exc)) from exc
 
 
+def _xi_powers(ctx: FieldCtx, n: int) -> list[FieldElement]:
+    """xi^0 .. xi^(n-1) for the canonical primitive n-th root xi."""
+    xi = _nth_root(ctx, n)
+    pows = [ctx.one()]
+    for _ in range(n - 1):
+        pows.append(pows[-1] * xi)
+    return pows
+
+
 def cyclic_idempotent(ctx: FieldCtx, n: int, i: int) -> AlgebraElement:
     """e_i of F_q C_n, embedded in F_q D_2n with zero reflected part."""
     if not 0 <= i < n:
         raise IndexError(f"idempotent index {i} out of range for n={n}")
-    xi = _nth_root(ctx, n)
+    xi_pows = _xi_powers(ctx, n)
     algebra = DihedralAlgebra(ctx, n)
     inv_n = ctx.element(n).inverse()
-    xi_pows = [ctx.one()]
-    for _ in range(n - 1):
-        xi_pows.append(xi_pows[-1] * xi)
     alpha = [inv_n * xi_pows[(-i * j) % n] for j in range(n)]
     return algebra.element(alpha)
 

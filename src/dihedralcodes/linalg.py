@@ -72,7 +72,7 @@ class MatrixGF:
             r += 1
             if r == self.rows:
                 break
-        return MatrixGF(self.ctx, data), r, pivots
+        return MatrixGF(self.ctx, data, cols=self.cols), r, pivots
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -160,35 +160,10 @@ class MatrixGF:
             out.append(row)
         return MatrixGF(self.ctx, out)
 
-    def mul_vector(self, vec) -> list[FieldElement]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length differs from column count")
-        z = self.ctx.zero()
-        out = []
-        for i in range(self.rows):
-            acc = z
-            for a, x in zip(self.data[i], vec):
-                if a and x:
-                    acc = acc + a * x
-            out.append(acc)
-        return out
-
     def vstack(self, other: "MatrixGF") -> "MatrixGF":
         if self.ctx != other.ctx or self.cols != other.cols:
             raise ValueError("stack shape/field mismatch")
         return MatrixGF(self.ctx, self.data + other.data)
-
-    def inverse(self) -> "MatrixGF":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        aug = MatrixGF(
-            self.ctx,
-            [row + idr for row, idr in zip(self.data, MatrixGF.identity(self.ctx, self.rows).data)],
-        )
-        R, _, pivots = aug.rref()
-        if pivots[: self.rows] != list(range(self.rows)):
-            raise ValueError("matrix is singular")
-        return MatrixGF(self.ctx, [row[self.rows:] for row in R.data])
 
     # -- row-space queries ------------------------------------------------------
 

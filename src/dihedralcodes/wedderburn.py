@@ -8,27 +8,25 @@ coefficients beta_i, the map P evaluates to
   block j = [[sum alpha_i xi^(ij),  sum beta_i xi^(-ij)],
              [sum beta_i xi^(ij),   sum alpha_i xi^(-ij)]]   j = 1..(n-1)/2
 
-with xi the canonical primitive n-th root of unity.  P is an algebra
+with xi the canonical primitive n-th root of unity.  Each coordinate of P
+is a linear form in phi coordinates whose entries are powers of xi, and
+wedderburn_inverse undoes them as an inverse DFT.  P is an algebra
 isomorphism, so left ideals of F_q D_2n correspond exactly to direct sums
-of one ideal per summand; IdealSpec names such a choice and
-code_from_ideal_spec pulls it back to a generator matrix in phi
-coordinates.
+of one ideal per summand; IdealSpec names such a choice.  Each summand is
+cut out by at most four of those forms, so code_from_ideal_spec pulls the
+ideal back as the null space of the forms its summands keep, without
+inverting P.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .dihedral import AlgebraElement, DihedralAlgebra, phi_inv
-from .errors import EvenNError, InvalidRowSpecError, SingularTransformError
+from .dihedral import AlgebraElement, DihedralAlgebra
+from .errors import EvenNError, InvalidRowSpecError
 from .gf import FieldCtx, FieldElement
-from .idempotents import _nth_root
+from .idempotents import _xi_powers
 from .linalg import MatrixGF
-
-# Each cached (T, T^-1) pair holds 8n^2 field elements, so only the most
-# recently used (field, n) pairs are kept.
-TRANSFORM_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,7 @@ def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
     if n % 2 == 0:
         raise EvenNError(f"block decomposition implemented for odd n, got n={n}")
     ctx = u.ctx
-    xi = _nth_root(ctx, n)
-    xi_pows = [ctx.one()]
-    for _ in range(n - 1):
-        xi_pows.append(xi_pows[-1] * xi)
+    xi_pows = _xi_powers(ctx, n)
     z = ctx.zero()
     sum_a = sum(u.alpha, z)
     sum_b = sum(u.beta, z)
@@ -124,30 +119,34 @@ def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
 
 
 # ---------------------------------------------------------------------------
-# inverse map via the 2n x 2n transform on the monomial basis
-
-@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
-def transform_matrices(ctx: FieldCtx, n: int) -> tuple[MatrixGF, MatrixGF]:
-    """(T, T^-1) where T maps phi coordinates to flattened tuple coordinates."""
-    algebra = DihedralAlgebra(ctx, n)
-    cols = [wedderburn_map(m).flatten() for m in algebra.monomials()]
-    T = MatrixGF(ctx, [[cols[j][i] for j in range(2 * n)] for i in range(2 * n)])
-    try:
-        T_inv = T.inverse()
-    except ValueError as exc:
-        raise SingularTransformError(
-            f"decomposition transform is singular for q={ctx.q}, n={n}"
-        ) from exc
-    return T, T_inv
+# inverse map: the inverse DFT of each half
 
 
 def wedderburn_inverse(t: WedderburnTuple) -> AlgebraElement:
-    """The unique algebra element mapping to t under P."""
-    ctx = t.ctx
-    n = t.n
-    _, T_inv = transform_matrices(ctx, n)
-    coords = T_inv.mul_vector(t.flatten())
-    return phi_inv(DihedralAlgebra(ctx, n), coords)
+    """The unique algebra element mapping to t under P.
+
+    The a-part has DFT A(k) = sum alpha_i xi^(ik) with A(0) = (g1+g2)/2,
+    A(j) = block j (0,0) and A(-j) = block j (1,1); the b-part has
+    B(0) = (g1-g2)/2, B(j) = block j (1,0) and B(-j) = block j (0,1).
+    Each part is recovered as alpha_i = n^-1 sum_k A(k) xi^(-ik).
+    """
+    ctx, n = t.ctx, t.n
+    algebra = DihedralAlgebra(ctx, n)
+    xi_pows = _xi_powers(ctx, n)
+    inv2, inv_n = ctx.element(2).inverse(), ctx.element(n).inverse()
+    g1, g2 = t.gamma
+    a_hat, b_hat = [(g1 + g2) * inv2] * n, [(g1 - g2) * inv2] * n
+    for j, ((a11, a12), (a21, a22)) in enumerate(t.blocks, start=1):
+        a_hat[j], a_hat[n - j] = a11, a22
+        b_hat[j], b_hat[n - j] = a21, a12
+
+    def inverse_dft(hat):
+        return [
+            sum((h * xi_pows[(-i * k) % n] for k, h in enumerate(hat)), ctx.zero()) * inv_n
+            for i in range(n)
+        ]
+
+    return algebra.element(inverse_dft(a_hat), inverse_dft(b_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -235,50 +234,54 @@ class IdealSpec:
         return len(self.summands)
 
 
-def _basis_vectors(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list[FieldElement]]:
-    """Basis of the chosen ideal in WedderburnTuple.flatten coordinates."""
+def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list[FieldElement]]:
+    """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H.
+
+    P's coordinates are the linear forms g1 = (1..1 | 1..1),
+    g2 = (1..1 | -1..-1) and, for block j, a11 = (xi^(ij) | 0),
+    a12 = (0 | xi^(-ij)), a21 = (0 | xi^(ij)), a22 = (xi^(-ij) | 0).
+    """
     z, o = ctx.zero(), ctx.one()
-    half = (n - 1) // 2
     out: list[list[FieldElement]] = []
-
-    def unit(offset, *entries):
-        v = [z] * (2 * n)
-        v[offset:offset + len(entries)] = entries
-        return v
-
     pos0 = spec.summands[0].kind
-    if pos0 in (FULL, PLUS_PIECE):
-        out.append(unit(0, o))
-    if pos0 in (FULL, MINUS_PIECE):
-        out.append(unit(1, o))
-    for j, s in enumerate(spec.summands[1:]):
-        if j >= half:
-            raise InvalidRowSpecError(
-                f"spec has {len(spec)} summands but n={n} allows {1 + half}"
-            )
-        base = 2 + 4 * j  # block j row-major: (0,0), (0,1), (1,0), (1,1)
+    if pos0 in (ZERO, MINUS_PIECE):
+        out.append([o] * (2 * n))
+    if pos0 in (ZERO, PLUS_PIECE):
+        out.append([o] * n + [-o] * n)
+    xi_pows = _xi_powers(ctx, n)
+    for j, s in enumerate(spec.summands[1:], start=1):
         if s.kind == FULL:
-            out.extend(unit(base + t, o) for t in range(4))
-        elif s.kind == ROW:
-            out.append(unit(base, s.x, s.y))
-            out.append(unit(base + 2, s.x, s.y))
+            continue
+        pos = [xi_pows[(i * j) % n] for i in range(n)]
+        neg = [xi_pows[(-i * j) % n] for i in range(n)]
+        if s.kind == ZERO:
+            out += [pos + [z] * n, [z] * n + neg, [z] * n + pos, neg + [z] * n]
+        else:  # row(x, y): y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
+            y_pos = [s.y * w for w in pos]
+            x_neg = [-s.x * w for w in neg]
+            out += [y_pos + x_neg, x_neg + y_pos]
     return out
 
 
 def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
-    """RREF generator matrix (phi coordinates) of P^-1 of the chosen ideal."""
+    """RREF generator matrix (phi coordinates) of P^-1 of the chosen ideal.
+
+    The free columns of H with its columns reversed are the lex-first
+    information set of ker H, so the kernel basis of reversed H, read
+    back in reversed column and row order, is already the unique RREF.
+    """
     if n % 2 == 0:
         raise EvenNError(f"ideal specs are defined for odd n, got n={n}")
     if len(spec) != 1 + (n - 1) // 2:
         raise InvalidRowSpecError(
             f"spec needs {1 + (n - 1) // 2} summands for n={n}, got {len(spec)}"
         )
-    vectors = _basis_vectors(ctx, n, spec)
-    if not vectors:
+    if spec.dim() == 0:
         return MatrixGF.zeros(ctx, 0, 2 * n)
-    _, T_inv = transform_matrices(ctx, n)
-    reduced, _, _ = MatrixGF(ctx, [T_inv.mul_vector(v) for v in vectors]).rref()
-    return reduced.nonzero_rows()
+    DihedralAlgebra(ctx, n)  # raises CharDividesOrderError
+    H = [r[::-1] for r in _constraint_rows(ctx, n, spec)]
+    kernel = MatrixGF(ctx, H, cols=2 * n).kernel_basis()
+    return MatrixGF(ctx, [r[::-1] for r in reversed(kernel.data)], cols=2 * n)
 
 
 def random_ideal_spec(ctx: FieldCtx, n: int, rng, allow_zero: bool = False) -> IdealSpec:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from test_gf import within_one_second
 
 from dihedralcodes.codes import (
     FAMILY_2N_MINUS_2,
@@ -384,6 +385,14 @@ def test_paper_families_above_former_table_limit():
         k = 16 if tag == FAMILY_2N_MINUS_2 else 15
         assert code.parameters("dual") == (18, k, 18 - k + 1)
         assert code.is_mds("dual")
+
+
+def test_paper_families_at_n_101_promptly():
+    # 202 | 606: the kernel of 2 or 3 closed-form constraint rows, no T^-1
+    ctx = make_field(607, [0, 1])
+    for tag, k in zip(FAMILY_TAGS, (200, 199, 199)):
+        code = within_one_second(lambda: construct_code(ctx, 101, CodeFamily(tag=tag)))
+        assert (code.length, code.k) == (202, k)
 
 
 def test_methods_agree_on_gf169_ideal_codes():

@@ -173,6 +173,37 @@ def test_make_field_rejects_square_of_large_prime_promptly():
         within_one_second(lambda: make_field((2**31 - 1) ** 2, [0, 1]))
 
 
+def test_factorize_splits_composite_cofactor_above_primality_limit():
+    # after the bases, p^2 - 1 leaves a 113-bit cofactor with four prime factors
+    p = 2305843009213699919
+    assert within_one_second(lambda: factorize(p * p - 1)) == [
+        2, 3, 5, 79, 823, 147771801299, (p - 1) // 2,
+    ]
+
+
+def test_factorize_refuses_probable_prime_above_limit_by_name():
+    with pytest.raises(NotPrimeError) as exc:
+        within_one_second(lambda: factorize(3 * (2**89 - 1)))
+    assert str(2**89 - 1) in str(exc.value)
+    assert str(PRIMALITY_LIMIT) in str(exc.value)
+
+
+def test_quadratic_over_large_prime_decided_promptly():
+    p = 2305843009213699919  # p = 3 mod 4, so x^2 + 1 has no root
+    ctx = within_one_second(lambda: make_field(p, [1, 0, 1]))
+    assert ctx.q == p * p
+
+
+def test_reducible_over_large_prime_reports_least_root():
+    p = 2305843009213699919
+    # (x - 5)(x - (p - 3)) and (x - 7)(x - 3)(x + 1)
+    for coeffs, least in (([5 * (p - 3) % p, -(p + 2) % p, 1], 5), ([21, 11, p - 9, 1], 3)):
+        with pytest.raises(ReducibleError) as exc:
+            within_one_second(lambda: make_field(p, coeffs))
+        assert exc.value.root == least
+        assert str(exc.value) == f"modulus has root {least} in GF({p})"
+
+
 def test_make_field_large_mersenne_prime_promptly():
     ctx = within_one_second(lambda: make_field(2**61 - 1, [0, 1]))
     gen = within_one_second(ctx.generator)
@@ -215,10 +246,11 @@ def test_irreducibility_matches_root_search_small_degrees():
                     [rng.randrange(p) for _ in range(m)] + [1] for _ in range(40)
                 ]
             for coeffs in candidates:
-                has_root = bool(brute_roots(coeffs, p))
-                if has_root:
-                    with pytest.raises(ReducibleError):
+                roots = brute_roots(coeffs, p)
+                if roots:
+                    with pytest.raises(ReducibleError) as exc:
                         make_field(p, coeffs)
+                    assert exc.value.root == roots[0]
                 else:
                     # degree 2 and 3: no root means irreducible
                     make_field(p, coeffs)

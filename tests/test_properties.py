@@ -1,11 +1,25 @@
-"""Property tests of the integer kernel the distance engines share."""
+"""Property tests: the integer kernel the distance engines share, and the map P."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dihedralcodes.codes import LinearCode
+from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.gf import make_field, prime_expansion
 from dihedralcodes.linalg import MatrixGF
+from dihedralcodes.wedderburn import (
+    FULL,
+    MINUS_PIECE,
+    PLUS_PIECE,
+    ROW,
+    ZERO,
+    IdealSpec,
+    Summand,
+    code_from_ideal_spec,
+    row,
+    wedderburn_inverse,
+    wedderburn_map,
+)
 
 # prime fields and degree-2 extensions, small enough for exhaustive search
 FIELDS = (
@@ -51,3 +65,85 @@ def test_engines_agree_on_random_generator_matrices(m):
     d = code.min_distance("exhaustive")
     assert code.min_distance("dual") == d
     assert 1 <= d <= code.singleton_bound
+
+
+# the (q, n) pairs of the acceptance sweep
+ALGEBRAS = tuple(
+    DihedralAlgebra(make_field(p, mod), n)
+    for p, mod, n in (
+        (13, [0, 1], 3),
+        (5, [2, 0, 1], 3),
+        (31, [0, 1], 5),
+        (41, [0, 1], 5),
+        (29, [0, 1], 7),
+        (43, [0, 1], 7),
+    )
+)
+
+
+def elements(ctx):
+    return st.integers(0, ctx.q - 1).map(ctx.from_index)
+
+
+@st.composite
+def algebra_elements(draw, count):
+    """count random elements of one algebra from ALGEBRAS."""
+    alg = draw(st.sampled_from(ALGEBRAS))
+    coeffs = st.lists(elements(alg.ctx), min_size=alg.n, max_size=alg.n)
+    return [alg.element(draw(coeffs), draw(coeffs)) for _ in range(count)]
+
+
+@st.composite
+def ideal_specs(draw):
+    """An algebra from ALGEBRAS and a spec with every summand kind, zero ideal included."""
+    alg = draw(st.sampled_from(ALGEBRAS))
+    summands = [Summand(draw(st.sampled_from([FULL, ZERO, PLUS_PIECE, MINUS_PIECE])))]
+    for _ in range((alg.n - 1) // 2):
+        kind = draw(st.sampled_from([FULL, ZERO, ROW]))
+        if kind == ROW:
+            x, y = draw(elements(alg.ctx)), draw(elements(alg.ctx))
+            assume(x or y)
+            summands.append(row(x, y))
+        else:
+            summands.append(Summand(kind))
+    return alg, IdealSpec(tuple(summands))
+
+
+def in_summands(t, spec):
+    """Whether the tuple t lies in the direct sum of spec's summands."""
+    g1, g2 = t.gamma
+    ok = {FULL: True, ZERO: not g1 and not g2, PLUS_PIECE: not g2, MINUS_PIECE: not g1}
+    if not ok[spec.summands[0].kind]:
+        return False
+    for s, ((a11, a12), (a21, a22)) in zip(spec.summands[1:], t.blocks):
+        if s.kind == ZERO and (a11 or a12 or a21 or a22):
+            return False
+        # row(x, y): both block rows are multiples of (x, y)
+        if s.kind == ROW and (s.y * a11 - s.x * a12 or s.y * a21 - s.x * a22):
+            return False
+    return True
+
+
+@PROPERTY
+@given(algebra_elements(2))
+def test_map_is_multiplicative(uv):
+    u, v = uv
+    assert wedderburn_map(u * v) == wedderburn_map(u) * wedderburn_map(v)
+
+
+@PROPERTY
+@given(algebra_elements(1))
+def test_inverse_undoes_map(u):
+    assert wedderburn_inverse(wedderburn_map(u[0])) == u[0]
+
+
+@PROPERTY
+@given(ideal_specs())
+def test_spec_code_maps_into_its_summands(alg_spec):
+    alg, spec = alg_spec
+    gen = code_from_ideal_spec(alg.ctx, alg.n, spec)
+    assert gen.rows == gen.rank() == spec.dim()
+    assert gen.rref()[0] == gen
+    for i in range(gen.rows):
+        coords = gen.row(i)
+        assert in_summands(wedderburn_map(alg.element(coords[: alg.n], coords[alg.n:])), spec)
