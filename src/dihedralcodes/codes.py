@@ -16,7 +16,8 @@ elsewhere, so construct_code builds each family as the Wedderburn spec
 {position 0: full / minus / plus; block s: row(1, beta); other blocks: full}.
 code_from_ideal_spec returns that ideal as the kernel of its closed-form
 constraint rows: 2 rows on block s, plus 1 on gamma for the 2n-3
-families.
+families.  The paper-style presentation reads its rows, n e_j and n b e_j,
+straight off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) and the parity-check route (least
@@ -45,9 +46,17 @@ from .errors import (
     ZeroElementError,
 )
 from .gf import FieldCtx, FieldElement, element_order, prime_expansion
-from .idempotents import _nth_root, cyclic_idempotent
+from .idempotents import _nth_root
 from .linalg import MatrixGF
-from .wedderburn import IdealSpec, code_from_ideal_spec, full, minus_piece, plus_piece, row
+from .wedderburn import (
+    IdealSpec,
+    code_from_ideal_spec,
+    coordinate_forms,
+    full,
+    minus_piece,
+    plus_piece,
+    row,
+)
 
 FAMILY_2N_MINUS_2 = "2n-2"
 FAMILY_2N_MINUS_3_MINUS = "2n-3-minus"
@@ -212,9 +221,11 @@ def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> Matr
     """Generator matrix in the requested style.
 
     "rref" is the canonical reduced form.  "paper" lays out one row per
-    ideal generator orbit, scaled so rows read (1, xi^-j, ..., | ...):
-    the constant row(s) first, then the twisted pair, then the remaining
-    idempotent rows in ascending index order.  Only available for codes
+    ideal generator orbit, n e_j and n b e_j, which are P's coordinate
+    forms (a22_j and a12_j for j <= (n-1)/2, a11_(n-j) and a21_(n-j)
+    above): the constant row(s) first, then the twisted pair
+    n (e_s + beta b e_(n-s)) and n (b e_s + beta e_(n-s)), then the
+    remaining orbits in ascending index order.  Only available for codes
     built by construct_code.
     """
     if style == "rref":
@@ -227,27 +238,19 @@ def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> Matr
             "structured presentation requires a code built by construct_code"
         )
     ctx, n, s, beta = prov.ctx, prov.n, prov.s, prov.beta
-    algebra = DihedralAlgebra(ctx, n)
-    e = [cyclic_idempotent(ctx, n, i) for i in range(n)]
-    b = algebra.b()
-    one = algebra.one()
-    n_scalar = ctx.element(n)
-    mixed1 = (e[s] + (b * e[n - s]).scale(beta)).scale(n_scalar)
-    mixed2 = ((b * e[s]) + e[n - s].scale(beta)).scale(n_scalar)
-    rows: list[list[FieldElement]] = []
-    if prov.tag == FAMILY_2N_MINUS_2:
-        rows.append(e[0].scale(n_scalar).phi())
-        rows.append((b * e[0]).scale(n_scalar).phi())
-    else:
-        sign = one - b if prov.tag == FAMILY_2N_MINUS_3_MINUS else one + b
-        rows.append(((sign * e[0]).scale(n_scalar)).phi())
-    rows.append(mixed1.phi())
-    rows.append(mixed2.phi())
+    g1, g2, blocks = coordinate_forms(ctx, n)
+    if prov.tag == FAMILY_2N_MINUS_2:  # n e_0 = (1|0), n b e_0 = (0|1)
+        z, o = ctx.zero(), ctx.one()
+        rows = [[o] * n + [z] * n, [z] * n + [o] * n]
+    else:  # n (1 -+ b) e_0
+        rows = [g2 if prov.tag == FAMILY_2N_MINUS_3_MINUS else g1]
+    a11, a12, a21, a22 = blocks[s - 1]
+    rows.append([u + beta * w for u, w in zip(a22, a21)])
+    rows.append([u + beta * w for u, w in zip(a12, a11)])
     for j in range(1, n):
-        if j in (0, s, n - s):
-            continue
-        rows.append(e[j].scale(n_scalar).phi())
-        rows.append((b * e[j]).scale(n_scalar).phi())
+        if j not in (s, n - s):
+            a11, a12, a21, a22 = blocks[min(j, n - j) - 1]
+            rows += [a22, a12] if j <= (n - 1) // 2 else [a11, a21]
     return MatrixGF(ctx, rows)
 
 

@@ -297,7 +297,8 @@ class FieldCtx:
             q1 = self.q - 1
             primes = factorize(q1) if q1 > 1 else []
             one = self.one()
-            for i in range(1, self.q):
+            # for m > 1 skip the constants, indices 1..p-1: their orders divide p-1 < q-1
+            for i in range(self.p if self.m > 1 else 1, self.q):
                 x = self.from_index(i)
                 if all(x ** (q1 // r) != one for r in primes):
                     self._generator = x

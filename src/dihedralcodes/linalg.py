@@ -7,8 +7,6 @@ operation returns a new matrix.
 
 from __future__ import annotations
 
-import json
-
 from .errors import DuplicateIndexError, MixedContextsError
 from .gf import FieldCtx, FieldElement, parse_field_spec
 
@@ -25,7 +23,7 @@ class MatrixGF:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
             for e in row:
-                if not isinstance(e, FieldElement) or e.ctx != ctx:
+                if not isinstance(e, FieldElement) or (e.ctx is not ctx and e.ctx != ctx):
                     raise MixedContextsError("entry from a different field")
 
     @classmethod
@@ -55,6 +53,7 @@ class MatrixGF:
     def rref(self) -> tuple["MatrixGF", int, list[int]]:
         """Reduced row echelon form; returns (R, rank, pivot columns)."""
         data = [list(row) for row in self.data]
+        one = self.ctx.one()
         pivots = []
         r = 0
         for c in range(self.cols):
@@ -62,8 +61,9 @@ class MatrixGF:
             if pr is None:
                 continue
             data[r], data[pr] = data[pr], data[r]
-            inv = data[r][c].inverse()
-            data[r] = [e * inv for e in data[r]]
+            if data[r][c] != one:
+                inv = data[r][c].inverse()
+                data[r] = [e * inv for e in data[r]]
             for i in range(self.rows):
                 if i != r and data[i][c]:
                     f = data[i][c]
@@ -231,7 +231,3 @@ class MatrixGF:
 
     def __repr__(self):
         return f"MatrixGF({self.rows}x{self.cols} over GF({self.ctx.q}))\n{self.text()}"
-
-
-def dumps_matrix(m: MatrixGF) -> str:
-    return json.dumps(m.to_json(), separators=(",", ":"))

@@ -9,13 +9,14 @@ coefficients beta_i, the map P evaluates to
              [sum beta_i xi^(ij),   sum alpha_i xi^(-ij)]]   j = 1..(n-1)/2
 
 with xi the canonical primitive n-th root of unity.  Each coordinate of P
-is a linear form in phi coordinates whose entries are powers of xi, and
-wedderburn_inverse undoes them as an inverse DFT.  P is an algebra
-isomorphism, so left ideals of F_q D_2n correspond exactly to direct sums
-of one ideal per summand; IdealSpec names such a choice.  Each summand is
-cut out by at most four of those forms, so code_from_ideal_spec pulls the
-ideal back as the null space of the forms its summands keep, without
-inverting P.
+is a linear form in phi coordinates whose entries are powers of xi;
+coordinate_forms is the one table of them.  wedderburn_map takes their dot
+products, and wedderburn_inverse sums them back, since they are orthogonal
+up to n.  P is an algebra isomorphism, so left ideals of F_q D_2n
+correspond exactly to direct sums of one ideal per summand; IdealSpec
+names such a choice.  Each summand is cut out by at most four of the
+forms, so code_from_ideal_spec pulls the ideal back as the null space of
+the forms its summands keep, without inverting P.
 """
 
 from __future__ import annotations
@@ -91,62 +92,67 @@ class WedderburnTuple:
         return out
 
 
+def coordinate_forms(ctx: FieldCtx, n: int):
+    """P's coordinates as linear forms on phi coordinates (a-part | b-part).
+
+    Returns (g1, g2, blocks), with blocks[j-1] = (a11, a12, a21, a22) the
+    forms of block j:
+
+      g1 = (1..1 | 1..1),  g2 = (1..1 | -1..-1),
+      a11 = (xi^(ij) | 0),  a12 = (0 | xi^(-ij)),
+      a21 = (0 | xi^(ij)),  a22 = (xi^(-ij) | 0).
+
+    This is the one statement of P's DFT convention: the map, its inverse,
+    the constraint rows of an ideal spec and the paper-style generator rows
+    all read it.
+    """
+    xi_pows = _xi_powers(ctx, n)
+    o, zeros = ctx.one(), [ctx.zero()] * n
+    blocks = []
+    for j in range(1, (n - 1) // 2 + 1):
+        pos = [xi_pows[(i * j) % n] for i in range(n)]
+        neg = [xi_pows[(-i * j) % n] for i in range(n)]
+        blocks.append((pos + zeros, zeros + neg, zeros + pos, neg + zeros))
+    return [o] * (2 * n), [o] * n + [-o] * n, blocks
+
+
 def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
     """Apply P to an algebra element (n odd, n | q-1)."""
     n = u.n
     if n % 2 == 0:
         raise EvenNError(f"block decomposition implemented for odd n, got n={n}")
-    ctx = u.ctx
-    xi_pows = _xi_powers(ctx, n)
-    z = ctx.zero()
-    sum_a = sum(u.alpha, z)
-    sum_b = sum(u.beta, z)
-    blocks = []
-    for j in range(1, (n - 1) // 2 + 1):
-        a11 = a12 = a21 = a22 = z
-        for i in range(n):
-            ai, bi = u.alpha[i], u.beta[i]
-            w_pos = xi_pows[(i * j) % n]
-            w_neg = xi_pows[(-i * j) % n]
-            if ai:
-                a11 = a11 + ai * w_pos
-                a22 = a22 + ai * w_neg
-            if bi:
-                a12 = a12 + bi * w_neg
-                a21 = a21 + bi * w_pos
-        blocks.append(((a11, a12), (a21, a22)))
-    return WedderburnTuple(gamma=(sum_a + sum_b, sum_a - sum_b), blocks=tuple(blocks))
+    v, z = u.phi(), u.ctx.zero()
 
+    def dot(form):
+        return sum((w * x for w, x in zip(form, v) if w and x), z)
 
-# ---------------------------------------------------------------------------
-# inverse map: the inverse DFT of each half
+    g1, g2, blocks = coordinate_forms(u.ctx, n)
+    return WedderburnTuple(
+        gamma=(dot(g1), dot(g2)),
+        blocks=tuple(((dot(f[0]), dot(f[1])), (dot(f[2]), dot(f[3]))) for f in blocks),
+    )
 
 
 def wedderburn_inverse(t: WedderburnTuple) -> AlgebraElement:
     """The unique algebra element mapping to t under P.
 
-    The a-part has DFT A(k) = sum alpha_i xi^(ik) with A(0) = (g1+g2)/2,
-    A(j) = block j (0,0) and A(-j) = block j (1,1); the b-part has
-    B(0) = (g1-g2)/2, B(j) = block j (1,0) and B(-j) = block j (0,1).
-    Each part is recovered as alpha_i = n^-1 sum_k A(k) xi^(-ik).
+    The forms of coordinate_forms are orthogonal up to n: g1.g1 = g2.g2 = 2n,
+    a11 pairs with a22 and a12 with a21 to n, and every other pair to 0.  So
+    P^-1(t) = n^-1 ((t_g1/2) g1 + (t_g2/2) g2
+                    + sum_j (t11 a22 + t12 a21 + t21 a12 + t22 a11)).
     """
     ctx, n = t.ctx, t.n
-    algebra = DihedralAlgebra(ctx, n)
-    xi_pows = _xi_powers(ctx, n)
     inv2, inv_n = ctx.element(2).inverse(), ctx.element(n).inverse()
-    g1, g2 = t.gamma
-    a_hat, b_hat = [(g1 + g2) * inv2] * n, [(g1 - g2) * inv2] * n
-    for j, ((a11, a12), (a21, a22)) in enumerate(t.blocks, start=1):
-        a_hat[j], a_hat[n - j] = a11, a22
-        b_hat[j], b_hat[n - j] = a21, a12
-
-    def inverse_dft(hat):
-        return [
-            sum((h * xi_pows[(-i * k) % n] for k, h in enumerate(hat)), ctx.zero()) * inv_n
-            for i in range(n)
-        ]
-
-    return algebra.element(inverse_dft(a_hat), inverse_dft(b_hat))
+    g1, g2, blocks = coordinate_forms(ctx, n)
+    terms = [(t.gamma[0] * inv2, g1), (t.gamma[1] * inv2, g2)]
+    for ((t11, t12), (t21, t22)), (a11, a12, a21, a22) in zip(t.blocks, blocks):
+        terms += [(t11, a22), (t12, a21), (t21, a12), (t22, a11)]
+    v = [ctx.zero()] * (2 * n)
+    for c, form in terms:
+        if c:
+            v = [x + c * w if w else x for x, w in zip(v, form)]
+    v = [x * inv_n for x in v]
+    return DihedralAlgebra(ctx, n).element(v[:n], v[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +243,18 @@ class IdealSpec:
 def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list[FieldElement]]:
     """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H.
 
-    P's coordinates are the linear forms g1 = (1..1 | 1..1),
-    g2 = (1..1 | -1..-1) and, for block j, a11 = (xi^(ij) | 0),
-    a12 = (0 | xi^(-ij)), a21 = (0 | xi^(ij)), a22 = (xi^(-ij) | 0).
+    Each summand keeps the forms of coordinate_forms that vanish on it.
     """
-    z, o = ctx.zero(), ctx.one()
-    out: list[list[FieldElement]] = []
-    pos0 = spec.summands[0].kind
-    if pos0 in (ZERO, MINUS_PIECE):
-        out.append([o] * (2 * n))
-    if pos0 in (ZERO, PLUS_PIECE):
-        out.append([o] * n + [-o] * n)
-    xi_pows = _xi_powers(ctx, n)
-    for j, s in enumerate(spec.summands[1:], start=1):
-        if s.kind == FULL:
-            continue
-        pos = [xi_pows[(i * j) % n] for i in range(n)]
-        neg = [xi_pows[(-i * j) % n] for i in range(n)]
+    g1, g2, blocks = coordinate_forms(ctx, n)
+    out = {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2], FULL: []}[spec.summands[0].kind]
+    for s, (a11, a12, a21, a22) in zip(spec.summands[1:], blocks):
         if s.kind == ZERO:
-            out += [pos + [z] * n, [z] * n + neg, [z] * n + pos, neg + [z] * n]
-        else:  # row(x, y): y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
-            y_pos = [s.y * w for w in pos]
-            x_neg = [-s.x * w for w in neg]
-            out += [y_pos + x_neg, x_neg + y_pos]
+            out += [a11, a12, a21, a22]
+        elif s.kind == ROW:  # y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
+            out += [
+                [s.y * u - s.x * w for u, w in zip(a11, a12)],
+                [s.y * u - s.x * w for u, w in zip(a21, a22)],
+            ]
     return out
 
 

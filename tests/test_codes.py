@@ -238,6 +238,45 @@ def test_styles_share_row_space():
         assert paper.vstack(rref).rank() == code.k
 
 
+def idempotent_presentation(code):
+    """The paper-style rows as products of idempotents in the algebra.
+
+    n e_0 and n b e_0 (or n (1 -+ b) e_0), then n (e_s + beta b e_(n-s))
+    and n (b e_s + beta e_(n-s)), then n e_j and n b e_j for the other j.
+    """
+    prov = code.provenance
+    ctx, n, s, beta = prov.ctx, prov.n, prov.s, prov.beta
+    algebra = DihedralAlgebra(ctx, n)
+    e = [cyclic_idempotent(ctx, n, i).scale(ctx.element(n)) for i in range(n)]
+    b, one = algebra.b(), algebra.one()
+    if prov.tag == FAMILY_2N_MINUS_2:
+        gens = [e[0], b * e[0]]
+    else:
+        gens = [(one - b if prov.tag == FAMILY_2N_MINUS_3_MINUS else one + b) * e[0]]
+    gens += [e[s] + (b * e[n - s]).scale(beta), b * e[s] + e[n - s].scale(beta)]
+    for j in range(1, n):
+        if j not in (s, n - s):
+            gens += [e[j], b * e[j]]
+    return [g.phi() for g in gens]
+
+
+@pytest.mark.parametrize(
+    "ctx,n",
+    ACCEPTANCE_PAIRS + [(make_field(13, [2, 0, 1]), 21)],
+    ids=[f"q{ctx.q}-n{n}" for ctx, n in ACCEPTANCE_PAIRS] + ["q169-n21"],
+)
+def test_paper_style_matches_idempotent_products(ctx, n):
+    for tag in FAMILY_TAGS:
+        for s in range(1, (n - 1) // 2 + 1):
+            if math.gcd(s, n) == 1:
+                code = construct_code(ctx, n, CodeFamily(tag=tag, s=s))
+                paper = generator_matrix_presentation(code, "paper")
+                expected = idempotent_presentation(code)
+                assert paper.rows == len(expected) == code.k
+                for i, r in enumerate(expected):
+                    assert paper.row(i) == r, (ctx.spec(), n, tag, s, i)
+
+
 def test_paper_style_needs_provenance():
     hand = LinearCode(MatrixGF.identity(GF13, 6))
     with pytest.raises(UnsupportedStyleError):

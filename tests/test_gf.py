@@ -168,6 +168,12 @@ def test_generator_of_safe_prime_field_promptly():
     assert element_order(gen) == p - 1
 
 
+def test_generator_of_large_quadratic_extension_promptly():
+    # the p - 1 constants cannot have order p^2 - 1, so the search skips them
+    ctx = make_field(2305843009213699919, [1, 0, 1])
+    assert within_one_second(ctx.generator) == ctx.element("x+5")
+
+
 def test_make_field_rejects_square_of_large_prime_promptly():
     with pytest.raises(NotPrimeError):
         within_one_second(lambda: make_field((2**31 - 1) ** 2, [0, 1]))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dihedralcodes.errors import DuplicateIndexError, MixedContextsError
-from dihedralcodes.gf import make_field
+from dihedralcodes.gf import FieldElement, make_field
 from dihedralcodes.linalg import MatrixGF
 
 GF13 = make_field(13, [0, 1])
@@ -29,6 +29,18 @@ def test_rref_identity():
     assert rank == 4
     assert pivots == [0, 1, 2, 3]
     assert reduced == m
+
+
+def test_rref_of_rref_inverts_nothing(monkeypatch):
+    rng = random.Random(1)
+    reduced = [random_matrix(ctx, 4, 7, rng).rref()[0] for ctx in (GF13, GF25)]
+
+    def refuse(self):
+        raise AssertionError("inverse called on a matrix already in RREF")
+
+    monkeypatch.setattr(FieldElement, "inverse", refuse)
+    for m in reduced:
+        assert m.rref()[0] == m
 
 
 def test_rref_is_row_equivalent_and_idempotent():

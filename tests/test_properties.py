@@ -1,4 +1,4 @@
-"""Property tests: the integer kernel the distance engines share, and the map P."""
+"""Property tests: field axioms, RREF, the integer kernel the distance engines share, and P."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -49,6 +49,23 @@ def matrices(draw, max_rows, max_cols):
 
 
 @PROPERTY
+@given(matrices(max_rows=5, max_cols=6))
+def test_rref_invariants(m):
+    reduced, rank, pivots = m.rref()
+    assert reduced.rref() == (reduced, rank, pivots)
+    # same row space: neither matrix adds a dimension to the other
+    assert m.vstack(reduced).rank() == reduced.nonzero_rows().rows == rank
+    assert all(not any(reduced.row(i)) for i in range(rank, reduced.rows))
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        column = [reduced[r, c] for r in range(reduced.rows)]
+        assert column == [m.ctx.one() if r == i else m.ctx.zero() for r in range(reduced.rows)]
+    kernel = m.kernel_basis()
+    assert rank + kernel.rows == m.cols
+    assert not any(any(r) for r in (m @ kernel.transpose()).data)
+
+
+@PROPERTY
 @given(matrices(max_rows=4, max_cols=5))
 def test_expansion_rank_is_m_times_rank(m):
     prime = make_field(m.ctx.p, [0, 1])
@@ -83,6 +100,36 @@ ALGEBRAS = tuple(
 
 def elements(ctx):
     return st.integers(0, ctx.q - 1).map(ctx.from_index)
+
+
+# prime, extension and large prime fields
+AXIOM_FIELDS = (
+    make_field(13, [0, 1]),
+    make_field(5, [2, 0, 1]),
+    make_field(13, [2, 0, 1]),
+    make_field(2**31 - 1, [0, 1]),
+)
+
+
+@st.composite
+def field_triples(draw):
+    ctx = draw(st.sampled_from(AXIOM_FIELDS))
+    return [draw(elements(ctx)) for _ in range(3)]
+
+
+@PROPERTY
+@given(field_triples())
+def test_field_axioms(xyz):
+    x, y, z = xyz
+    zero, one = x.ctx.zero(), x.ctx.one()
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + y == y + x and x * y == y * x
+    assert x + -x == zero and x - y == x + -y
+    if x:
+        assert x * x.inverse() == one
+        assert x ** (x.ctx.q - 1) == one
 
 
 @st.composite
