@@ -22,6 +22,7 @@ from .codes import (
     generator_matrix_presentation,
     left_ideal_closure_ok,
     load_code,
+    require_odd_n,
 )
 from .dihedral import DihedralAlgebra
 from .errors import DihedralCodesError, ReducibleError
@@ -213,6 +214,7 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     ctx = parse_field_spec(args.field)
     n = args.n
+    require_odd_n(n)  # one refusal, not one row per family
     beta = ctx.generator()
     rows = []
     for s in range(1, (n - 1) // 2 + 1):

@@ -21,10 +21,13 @@ straight off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) and the parity-check route (least
-number of linearly dependent columns of a kernel basis, found by a
-depth-first search over column subsets).  Both work on integers mod p,
-over the prime-field expansions of gf.prime_expansion, so neither has a
-limit on q.  Both are exact; the pair serves as a cross-check.
+number of linearly dependent columns of a kernel basis).  The latter
+finds 1, 2 or 3 dependent columns by hashing canonical keys of column and
+column-pair spans, and searches column subsets depth-first only from 4
+columns on; the paper's codes have 2 or 3 parity checks, so they need no
+search.  Both work on integers mod p, over the prime-field expansions of
+gf.prime_expansion, so neither has a limit on q.  Both are exact; the
+pair serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -185,12 +188,17 @@ def _resolve_beta(ctx: FieldCtx, beta) -> FieldElement:
     return beta
 
 
-def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
-    """Build one of the three ideal families as a LinearCode of length 2n."""
+def require_odd_n(n: int) -> None:
+    """Refuse an n that no code construction accepts: even, or below 3."""
     if n % 2 == 0:
         raise EvenNError(f"code constructions require odd n, got n={n}")
     if n < 3:
         raise ValueError(f"code constructions require n >= 3, got n={n}")
+
+
+def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
+    """Build one of the three ideal families as a LinearCode of length 2n."""
+    require_odd_n(n)
     if family.tag not in FAMILIES:
         raise ValueError(f"unknown family tag {family.tag!r}")
     DihedralAlgebra(ctx, n)  # raises CharDividesOrderError
@@ -327,12 +335,32 @@ def _min_dependent_columns(cols, p: int) -> int:
     """Least w such that some w of the given columns are linearly dependent.
 
     Each column over GF(p^m) is given as its prime_expansion: m integer
-    vectors mod p.  Iterative deepening over the subset size keeps the
-    answer minimal; at each size the subsets are walked depth-first,
-    carrying GF(p) pivot vectors so extending a subset costs one reduction
-    of the new column's expansion 0.
+    vectors mod p, whose GF(p)-span is the column's GF(q)-span.  Sizes up
+    to 3 are answered by hashing canonical span keys (_span_key), O(n^2)
+    of them: a zero column has the empty key (w = 1); two proportional
+    columns share a key (w = 2); and three dependent columns i < j < l, no
+    two proportional, have span(i, j) = span(i, l), a repeat among the
+    keys of span(i, j), j > i, kept in one set per i (w = 3).  If none of
+    these hits and h <= 3, any h + 1 columns are dependent, so the paper's
+    codes (h = 2 or 3) need no subset search.  Otherwise iterative
+    deepening goes on from w = 4: at each size the subsets are walked
+    depth-first, carrying GF(p) pivot vectors so extending a subset costs
+    one reduction of the new column's expansion 0.
     """
     ncols, h = len(cols), len(cols[0][0]) // len(cols[0])
+    keys = [_span_key(col, p) for col in cols]
+    if () in keys:
+        return 1
+    if len(set(keys)) < ncols:
+        return 2
+    if h >= 3:
+        for i in range(ncols - 2):
+            seen = set()
+            for j in range(i + 1, ncols):
+                key = _span_key(cols[j], p, keys[i])
+                if key in seen:
+                    return 3
+                seen.add(key)
     pivots: list[tuple[int, list[int]]] = []
 
     def dfs(start: int, depth: int, w: int) -> bool:
@@ -355,10 +383,31 @@ def _min_dependent_columns(cols, p: int) -> int:
                 del pivots[pushed:]
         return False
 
-    for w in range(1, h + 1):
+    for w in range(4, h + 1):
         if dfs(0, 0, w):
             return w
     return h + 1  # any h+1 vectors in F_q^h are dependent
+
+
+def _span_key(vecs, p: int, base=()) -> tuple:
+    """Canonical key of span(vecs) over GF(p): sorted (lead, row) pairs.
+
+    The rows are a reduced echelon basis scaled to -1 at their leads, the
+    pivot form _reduce takes; the zero space has key ().  With the key of
+    some span as base, vecs are reduced against it first, and the key
+    leaves base's rows out: two vecs get one key exactly when they give
+    one span(base, vecs).
+    """
+    rows = []
+    for v in vecs:
+        v, lead = _reduce(v, itertools.chain(base, rows), p)
+        if lead is None:
+            continue
+        inv = -pow(v[lead], -1, p)
+        v = [a * inv % p for a in v]
+        rows = [(i, [(a + r[lead] * b) % p for a, b in zip(r, v)]) for i, r in rows]
+        rows.append((lead, v))
+    return tuple(sorted((lead, tuple(r)) for lead, r in rows))
 
 
 def _reduce(v, pivots, p):

@@ -160,6 +160,22 @@ def test_sweep_above_former_table_limit(capsys):
     assert all(cells[-2:] == ["yes", "ok"] for cells in lines)
 
 
+@pytest.mark.parametrize(
+    "n, code",
+    [("2", "EvenN"), ("4", "EvenN"), ("0", "EvenN"),
+     ("1", "InvalidArgument"), ("-3", "InvalidArgument")],
+)
+def test_sweep_refuses_n_like_construct(capsys, n, code):
+    # one refusal before any row, with construct's diagnostic, not an empty table
+    rc, out, err = run(capsys, "sweep", "--field", "p=13", "--n", n)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error[{code}]")
+    rc, _, construct_err = run(
+        capsys, "construct", "--field", "p=13", "--n", n, "--family", "2n-2"
+    )
+    assert rc == 2 and construct_err == err
+
+
 def test_example_reports_parameters(capsys):
     rc, out, _ = run(capsys, "example")
     assert rc == 0

@@ -391,30 +391,57 @@ def test_json_roundtrip():
 
 
 def test_min_dependent_columns_matches_subset_oracle():
-    # third route: brute-force over all column subsets via columns_rank;
-    # GF(25) columns check that all m expansions of a column join the pivots
+    # third route: brute-force over all column subsets via columns_rank.
+    # GF(25) and GF(13^2) columns check that all m expansions of a column
+    # join the pivots and the span keys; up to 5 rows reach the search from
+    # w = 4.  Planted columns (zero, a scaled copy, a combination of two
+    # others) make each hashed level answer over prime and extension fields.
     from itertools import combinations
 
     from dihedralcodes.codes import _min_dependent_columns
     from dihedralcodes.gf import prime_expansion
 
+    def check(m):
+        int_cols = [prime_expansion(col) for col in m.transpose().data]
+        got = _min_dependent_columns(int_cols, m.ctx.p)
+        expected = None
+        for w in range(1, m.cols + 1):
+            if any(m.columns_rank(c) < w for c in combinations(range(m.cols), w)):
+                expected = w
+                break
+        assert got == expected
+        return got
+
+    def random_matrix(ctx, rows, cols):
+        return [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)]
+
     rng = random.Random(5)
     for ctx in (GF13, GF25):
         for _ in range(15):
             rows = rng.randrange(1, 4)
-            cols = rng.randrange(rows + 1, 7)
-            m = MatrixGF(
-                ctx,
-                [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)],
-            )
-            int_cols = [prime_expansion(col) for col in m.transpose().data]
-            got = _min_dependent_columns(int_cols, ctx.p)
-            expected = None
-            for w in range(1, cols + 1):
-                if any(m.columns_rank(c) < w for c in combinations(range(cols), w)):
-                    expected = w
-                    break
-            assert got == expected
+            check(MatrixGF(ctx, random_matrix(ctx, rows, rng.randrange(rows + 1, 7))))
+
+    planted_hits = set()
+    for ctx in (GF13, GF25, make_field(13, [2, 0, 1])):
+        for trial in range(24):
+            rows = rng.randrange(1, 6)
+            data = random_matrix(ctx, rows, rng.randrange(max(rows + 1, 3), 8))
+            a, b, c = rng.sample(range(len(data[0])), 3)
+            plant = trial % 4
+            # a scalar outside GF(p) when m > 1
+            x = ctx.from_index(rng.randrange(ctx.p if ctx.m > 1 else 2, ctx.q))
+            y = ctx.random_nonzero(rng)
+            for r in data:
+                if plant == 1:
+                    r[c] = ctx.zero()
+                elif plant == 2:
+                    r[c] = x * r[a]
+                elif plant == 3:
+                    r[c] = x * r[a] + y * r[b]
+            got = check(MatrixGF(ctx, data))
+            if plant and got == plant:
+                planted_hits.add((ctx.m, plant))
+    assert planted_hits == {(m, level) for m in (1, 2) for level in (1, 2, 3)}
 
 
 def test_paper_families_above_former_table_limit():
@@ -432,6 +459,8 @@ def test_paper_families_at_n_101_promptly():
     for tag, k in zip(FAMILY_TAGS, (200, 199, 199)):
         code = within_one_second(lambda: construct_code(ctx, 101, CodeFamily(tag=tag)))
         assert (code.length, code.k) == (202, k)
+        # r = 2 or 3 parity checks: the hashed levels decide, no subset search
+        assert within_one_second(lambda: code.is_mds("dual")) is True
 
 
 def test_methods_agree_on_gf169_ideal_codes():

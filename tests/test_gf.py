@@ -127,6 +127,10 @@ def within_one_second(fn):
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
         return fn()
+    except TimeoutError:
+        # raised afresh: a frame the alarm interrupted can have no line
+        # number, and pytest then fails to render the traceback at all
+        raise TimeoutError("took more than 1 s") from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
