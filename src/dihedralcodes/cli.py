@@ -15,6 +15,7 @@ import random
 import sys
 
 from .codes import (
+    DEFAULT_CAP,
     FAMILIES,
     CodeFamily,
     LinearCode,
@@ -31,6 +32,7 @@ from .gf import (
     make_field,
     parse_element,
     parse_field_spec,
+    poly_text,
     primitive_nth_root,
 )
 from .idempotents import central_primitive_idempotents, cyclic_family
@@ -78,24 +80,10 @@ def cmd_field_check(args) -> int:
     }
     text = (
         f"ok: p={ctx.p} m={ctx.m} q={ctx.q} "
-        f"modulus={_modulus_text(ctx)} generator={gen.text()}"
+        f"modulus={poly_text(ctx.modulus)} generator={gen.text()}"
     )
     _emit(doc, args.format == "json", text)
     return 0
-
-
-def _modulus_text(ctx) -> str:
-    parts = []
-    for e in range(ctx.m, -1, -1):
-        c = ctx.modulus[e]
-        if c == 0:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        else:
-            xs = "x" if e == 1 else f"x^{e}"
-            parts.append(xs if c == 1 else f"{c}{xs}")
-    return "+".join(parts)
 
 
 def cmd_idempotents(args) -> int:
@@ -106,14 +94,8 @@ def cmd_idempotents(args) -> int:
         "field": ctx.spec(),
         "n": args.n,
         "xi": cyc.xi.to_list(),
-        "cyclic": [
-            {"alpha": m.to_json()["alpha"], "beta": m.to_json()["beta"], "text": m.text()}
-            for m in cyc
-        ],
-        "central": [
-            {"alpha": m.to_json()["alpha"], "beta": m.to_json()["beta"], "text": m.text()}
-            for m in central
-        ],
+        "cyclic": [{**m.to_json(), "text": m.text()} for m in cyc],
+        "central": [{**m.to_json(), "text": m.text()} for m in central],
     }
     lines = [f"field {ctx.spec()}  n={args.n}  xi={cyc.xi.text()}"]
     for i, m in enumerate(cyc):
@@ -369,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compute [length,k,d] and the MDS verdict of a code JSON")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", choices=("auto", "exhaustive", "dual"), default="auto")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="all coprime twist indices for every family")

@@ -21,7 +21,8 @@ straight off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) and the parity-check route (least
-number of linearly dependent columns of a kernel basis).  The latter
+number of linearly dependent columns of the parity check, read off the
+RREF generator and its pivots with no second reduction).  The latter
 finds 1, 2 or 3 dependent columns by hashing canonical keys of column and
 column-pair spans, and searches column subsets depth-first only from 4
 columns on; the paper's codes have 2 or 3 parity checks, so they need no
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .gf import FieldCtx, FieldElement, element_order, prime_expansion
 from .idempotents import _nth_root
-from .linalg import MatrixGF
+from .linalg import MatrixGF, null_rows
 from .wedderburn import (
     IdealSpec,
     code_from_ideal_spec,
@@ -98,12 +99,15 @@ class Provenance:
 
 
 class LinearCode:
-    """A linear code of length 2n given by an RREF generator matrix."""
+    """A linear code of length 2n given by an RREF generator matrix.
+
+    pivots are the generator's pivot columns, an information set; with
+    them the parity check is read off the generator (linalg.null_rows).
+    """
 
     def __init__(self, generator: MatrixGF, provenance: Provenance | None = None):
-        reduced, rank, _ = generator.rref()
+        reduced, self.k, self.pivots = generator.rref()
         self.generator = reduced.nonzero_rows()
-        self.k = rank
         self.length = generator.cols
         self.provenance = provenance
         self._distance: dict[str, int] = {}
@@ -132,7 +136,7 @@ class LinearCode:
             if method == "exhaustive":
                 self._distance[method] = _exhaustive_distance(self.generator, cap)
             else:
-                self._distance[method] = _dual_distance(self.generator)
+                self._distance[method] = _dual_distance(self.generator, self.pivots)
         return self._distance[method]
 
     def is_mds(self, method: str = "auto", cap: int = DEFAULT_CAP) -> bool:
@@ -263,19 +267,23 @@ def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> Matr
 
 
 def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = None) -> bool:
-    """Check g * row stays in the row space for every group monomial g."""
+    """Check a * row and b * row stay in the row space for every generator row.
+
+    a and b generate D_2n, so a subspace closed under left multiplication
+    by both is closed under every group monomial: it is a left ideal.
+    """
     if algebra is None:
         if code.provenance is None:
             raise ValueError("need an algebra context for a hand-supplied code")
         algebra = DihedralAlgebra(code.provenance.ctx, code.provenance.n)
     if code.length != 2 * algebra.n:
         raise ValueError("code length does not match the algebra")
-    for i in range(code.generator.rows):
-        u = phi_inv(algebra, code.generator.row(i))
-        for g in algebra.monomials():
-            if not code.contains((g * u).phi()):
-                return False
-    return True
+    gens = (algebra.a(), algebra.b())
+    return all(
+        code.contains((g * phi_inv(algebra, r)).phi())
+        for r in code.generator.data
+        for g in gens
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +331,12 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     return int(weights[1:].min())
 
 
-def _dual_distance(gen: MatrixGF) -> int:
-    H = gen.kernel_basis()
-    if H.rows == 0:
+def _dual_distance(gen: MatrixGF, pivots) -> int:
+    """Distance from the parity check of an RREF generator with these pivots."""
+    H = null_rows(gen, pivots)
+    if not H:
         return 1
-    cols = [prime_expansion(col) for col in H.transpose().data]
+    cols = [prime_expansion(col) for col in zip(*H)]
     return _min_dependent_columns(cols, gen.ctx.p)
 
 

@@ -456,17 +456,7 @@ class FieldElement:
 
     def text(self) -> str:
         """Polynomial string, highest power first: "3x+4", "x", "0"."""
-        parts = []
-        for e in range(self.ctx.m - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                xs = "x" if e == 1 else f"x^{e}"
-                parts.append(xs if c == 1 else f"{c}{xs}")
-        return "+".join(parts) if parts else "0"
+        return poly_text(self.coeffs)
 
     def __repr__(self):
         return self.text()
@@ -532,6 +522,21 @@ def parse_field_spec(spec: str) -> FieldCtx:
     p = int(m.group(1))
     modulus = json.loads(m.group(2)) if m.group(2) else [0, 1]
     return make_field(p, modulus)
+
+
+def poly_text(coeffs) -> str:
+    """A little-endian coefficient list as polynomial text: "x^2+3x+4", "0"."""
+    parts = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == 0:
+            continue
+        if e == 0:
+            parts.append(str(c))
+        else:
+            xs = "x" if e == 1 else f"x^{e}"
+            parts.append(xs if c == 1 else f"{c}{xs}")
+    return "+".join(parts) if parts else "0"
 
 
 def parse_element(ctx: FieldCtx, s: str) -> FieldElement:

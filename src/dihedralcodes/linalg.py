@@ -82,22 +82,9 @@ class MatrixGF:
         return MatrixGF(self.ctx, kept, cols=self.cols)
 
     def kernel_basis(self) -> "MatrixGF":
-        """Basis of the right null space {v : M v^T = 0}, one row per free column.
-
-        Emitted in RREF form: the submatrix on free columns is the identity.
-        """
-        R, rank, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        z, o = self.ctx.zero(), self.ctx.one()
-        rows = []
-        for f in free:
-            v = [z] * self.cols
-            v[f] = o
-            for i, pc in enumerate(pivots):
-                v[pc] = -R.data[i][f]
-            rows.append(v)
-        return MatrixGF(self.ctx, rows, cols=self.cols)
+        """Basis of the right null space {v : M v^T = 0}; see null_rows."""
+        R, _, pivots = self.rref()
+        return MatrixGF(self.ctx, null_rows(R, pivots), cols=self.cols)
 
     def columns_rank(self, cols) -> int:
         """Rank of the selected column submatrix, without materializing it.
@@ -167,25 +154,9 @@ class MatrixGF:
 
     # -- row-space queries ------------------------------------------------------
 
-    def reduce_vector(self, vec) -> list[FieldElement]:
-        """Residual of vec after elimination against this matrix's rows.
-
-        Rows are used with their leading entries as pivots, so the result is
-        the zero vector iff vec lies in the row space when self is in RREF.
-        """
-        v = [self.ctx.element(e) for e in vec]
-        if len(v) != self.cols:
-            raise ValueError("vector length differs from column count")
-        for row in self.data:
-            lead = next((j for j in range(self.cols) if row[j]), None)
-            if lead is None or not v[lead]:
-                continue
-            f = v[lead] / row[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-        return v
-
     def row_space_contains(self, vec) -> bool:
-        return not any(self.reduce_vector(vec))
+        """Whether vec lies in the row space: appending it leaves the rank unchanged."""
+        return self.vstack(MatrixGF.from_rows(self.ctx, [vec])).rank() == self.rank()
 
     # -- value semantics and encoding -------------------------------------------
 
@@ -231,3 +202,25 @@ class MatrixGF:
 
     def __repr__(self):
         return f"MatrixGF({self.rows}x{self.cols} over GF({self.ctx.q}))\n{self.text()}"
+
+
+def null_rows(R: MatrixGF, pivots) -> list[list[FieldElement]]:
+    """Basis of the right null space of an RREF matrix R with these pivot columns.
+
+    One row per free column: 1 there, 0 on the other free columns, and
+    minus that column of R on the pivot columns.  For R = [I | A] this is
+    the parity check [-A^T | I]; the rows are the identity on R's free
+    columns and are not otherwise reduced.
+    """
+    pivot_set = set(pivots)
+    z, o = R.ctx.zero(), R.ctx.one()
+    rows = []
+    for f in range(R.cols):
+        if f in pivot_set:
+            continue
+        v = [z] * R.cols
+        v[f] = o
+        for i, pc in enumerate(pivots):
+            v[pc] = -R.data[i][f]
+        rows.append(v)
+    return rows

@@ -5,6 +5,7 @@ import pytest
 from test_gf import within_one_second
 
 from dihedralcodes.codes import (
+    FAMILIES,
     FAMILY_2N_MINUS_2,
     FAMILY_2N_MINUS_3_MINUS,
     FAMILY_2N_MINUS_3_PLUS,
@@ -369,6 +370,29 @@ def test_constructed_codes_are_left_ideals():
     for tag in (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS, FAMILY_2N_MINUS_3_PLUS):
         code = construct_code(GF13, 3, CodeFamily(tag=tag, beta=2))
         assert left_ideal_closure_ok(code)
+
+
+def test_closure_refuses_a_code_that_is_not_a_left_ideal():
+    # span(phi(1)) does not contain phi(a * 1) = phi(a)
+    alg = DihedralAlgebra(GF13, 3)
+    code = LinearCode(MatrixGF(GF13, [alg.one().phi()]))
+    assert not left_ideal_closure_ok(code, alg)
+    # closed under a but not under b: the cyclic part F_13 C_3
+    code = LinearCode(MatrixGF(GF13, [alg.a(i).phi() for i in range(3)]))
+    assert not left_ideal_closure_ok(code, alg)
+
+
+def test_dual_distance_makes_no_row_reduction(monkeypatch):
+    # the parity check is read off the generator and its pivots
+    ctx = make_field(61, [0, 1])
+    codes = [construct_code(ctx, 15, CodeFamily(tag=tag)) for tag in FAMILIES]
+
+    def refuse(*args):
+        raise AssertionError("row reduction in the dual engine")
+
+    monkeypatch.setattr(MatrixGF, "rref", refuse)
+    monkeypatch.setattr(MatrixGF, "kernel_basis", refuse)
+    assert [c.min_distance("dual") for c in codes] == [3, 4, 4]
 
 
 def test_random_ideal_codes_are_left_ideals():

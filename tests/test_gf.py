@@ -19,6 +19,7 @@ from dihedralcodes.gf import (
     make_field,
     parse_element,
     parse_field_spec,
+    poly_text,
     prime_expansion,
     primitive_nth_root,
 )
@@ -401,6 +402,14 @@ def test_element_text_forms():
     assert GF25.zero().text() == "0"
     cubic_ctx = make_field(2, [1, 1, 0, 1])
     assert cubic_ctx.element([1, 1, 1]).text() == "x^2+x+1"
+
+
+def test_poly_text_formats_moduli_and_elements_alike():
+    # one formatter for element text and the modulus that field-check prints
+    assert poly_text(GF25.modulus) == "x^2+2"
+    assert poly_text(make_field(2, [1, 1, 0, 1]).modulus) == "x^3+x+1"
+    assert poly_text((0, 1)) == "x"
+    assert poly_text([0, 0, 0]) == "0"
 
 
 def test_parse_element_both_forms():

@@ -4,7 +4,7 @@ import pytest
 
 from dihedralcodes.errors import DuplicateIndexError, MixedContextsError
 from dihedralcodes.gf import FieldElement, make_field
-from dihedralcodes.linalg import MatrixGF
+from dihedralcodes.linalg import MatrixGF, null_rows
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -134,6 +134,28 @@ def test_row_space_contains():
     m = MatrixGF.from_rows(GF13, [[1, 0, 2], [0, 1, 3]]).rref()[0]
     assert m.row_space_contains([1, 1, 5])
     assert not m.row_space_contains([0, 0, 1])
+
+
+def test_row_space_contains_needs_no_echelon_form():
+    # leading-entry elimination against [1,1] then [1,0] leaves [0,1] nonzero
+    m = MatrixGF.from_rows(GF13, [[1, 1], [1, 0]])
+    assert m.row_space_contains([0, 1])
+    assert not MatrixGF.from_rows(GF13, [[1, 1], [2, 2]]).row_space_contains([0, 1])
+    with pytest.raises(ValueError):
+        m.row_space_contains([0, 1, 0])
+
+
+def test_null_rows_of_rref_is_the_parity_check():
+    # R = [I | A] on its pivots gives [-A^T | I]; no reduction of its own
+    R, _, pivots = MatrixGF.from_rows(GF13, [[1, 0, 2, 5], [0, 1, 3, 7]]).rref()
+    assert null_rows(R, pivots) == MatrixGF.from_rows(
+        GF13, [[-2, -3, 1, 0], [-5, -7, 0, 1]]
+    ).data
+    # pivots need not lead: free columns 0 and 2 carry the identity
+    R, _, pivots = MatrixGF.from_rows(GF13, [[0, 1, 4, 0], [0, 0, 0, 1]]).rref()
+    assert null_rows(R, pivots) == MatrixGF.from_rows(
+        GF13, [[1, 0, 0, 0], [0, -4, 1, 0]]
+    ).data
 
 
 def test_mixed_context_entries_rejected():
