@@ -20,15 +20,18 @@ families.  The paper-style presentation reads its rows, n e_j and n b e_j,
 straight off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
-enumeration (vectorized in numpy) and the parity-check route (least
-number of linearly dependent columns of the parity check, read off the
-RREF generator and its pivots with no second reduction).  The latter
-finds 1, 2 or 3 dependent columns by hashing canonical keys of column and
-column-pair spans, and searches column subsets depth-first only from 4
-columns on; the paper's codes have 2 or 3 parity checks, so they need no
-search.  Both work on integers mod p, over the prime-field expansions of
-gf.prime_expansion, so neither has a limit on q.  Both are exact; the
-pair serves as a cross-check.
+enumeration (vectorized in numpy) and the dual engine, the least number of
+linearly dependent columns of the parity check, read off the RREF
+generator and its pivots with no second reduction.  It finds 1, 2 or 3
+dependent columns by hashing canonical keys of column and column-pair
+spans; the paper's codes have 2 or 3 parity checks, so they need no
+search.  Past that it searches column subsets on the side with fewer
+leaves: the parity check's, depth-first from 4 columns on, or the
+generator's, counting its columns on each hyperplane spanned by k - 1 of
+them, since a minimum-weight codeword is zero on the most columns any
+such hyperplane holds.  Both engines work on integers mod p, over the
+prime-field expansions of gf.prime_expansion, so neither has a limit on
+q.  Both are exact; the pair serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -120,9 +123,14 @@ class LinearCode:
         """Exact minimum weight of a nonzero codeword.
 
         method "exhaustive" enumerates all q^k - 1 codewords (requires
-        q^k - 1 <= cap); "dual" searches for the least number of linearly
-        dependent parity-check columns; "auto" picks exhaustive when it
-        fits under the cap.
+        q^k - 1 <= cap).  "dual" finds the least number of linearly
+        dependent parity-check columns: sizes 1-3 by hashing, then a search
+        visiting at most cap column subsets, on whichever side has fewer
+        leaves: parity-check subsets from size 4 on, or the (k-1)-subsets
+        of the generator's columns, d being the length less the most
+        columns on one hyperplane they span (the zeros of a minimum-weight
+        codeword span a hyperplane).  "auto" picks exhaustive when it fits
+        under the cap.
         """
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
@@ -136,7 +144,7 @@ class LinearCode:
             if method == "exhaustive":
                 self._distance[method] = _exhaustive_distance(self.generator, cap)
             else:
-                self._distance[method] = _dual_distance(self.generator, self.pivots)
+                self._distance[method] = _dual_distance(self.generator, self.pivots, cap)
         return self._distance[method]
 
     def is_mds(self, method: str = "auto", cap: int = DEFAULT_CAP) -> bool:
@@ -331,30 +339,85 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     return int(weights[1:].min())
 
 
-def _dual_distance(gen: MatrixGF, pivots) -> int:
-    """Distance from the parity check of an RREF generator with these pivots."""
+def _dual_distance(gen: MatrixGF, pivots, cap: int) -> int:
+    """Distance of an RREF generator's code: see min_distance."""
     H = null_rows(gen, pivots)
     if not H:
         return 1
     cols = [prime_expansion(col) for col in zip(*H)]
-    return _min_dependent_columns(cols, gen.ctx.p)
+    return _min_dependent_columns(cols, gen.ctx.p, cap, gen.data)
 
 
-def _min_dependent_columns(cols, p: int) -> int:
+def _budget(cap: int, side: str):
+    """One next() per subset visited; past cap it raises CapExceededError."""
+    yield from range(cap)
+    raise CapExceededError(f"dual engine, {side} side: {cap + 1} column subsets > cap = {cap}")
+
+
+def _independent_subsets(cols, p: int, t: int, pivots: list, budget, start: int = 0):
+    """Walk the independent t-subsets S of cols depth-first, in index order.
+
+    Yields one past S's last index while pivots holds span(S) over GF(p) in
+    _reduce's form.  Column i joins S when its expansion 0 does not reduce
+    to zero; the span is closed under x, so then every x^j multiple lies
+    outside it too, and all m expansions are pushed (negated, -1 at the
+    lead).  Each subset reached takes one step of budget.
+    """
+    if t == 0:
+        yield start
+        return
+    for i in range(start, len(cols) - t + 1):
+        v, lead = _reduce(cols[i][0], pivots, p)
+        if lead is None:
+            continue
+        next(budget)
+        pushed = len(pivots)
+        for j in range(len(cols[i])):
+            if j:
+                v, lead = _reduce(cols[i][j], pivots, p)
+            inv = pow(v[lead], -1, p)
+            pivots.append((lead, [-a * inv % p for a in v]))
+        yield from _independent_subsets(cols, p, t - 1, pivots, budget, i + 1)
+        del pivots[pushed:]
+
+
+def _hyperplane_distance(cols, p: int, cap: int = DEFAULT_CAP) -> int:
+    """Minimum distance of the code whose full-rank generator has these columns.
+
+    Columns are prime_expansions, as for _min_dependent_columns.  A
+    codeword hG is zero exactly on the columns in the hyperplane h^perp.
+    The zero columns of a minimum-weight codeword span a hyperplane: were
+    their span smaller, columns outside it would extend it to a hyperplane
+    holding more columns, the zeros of a lighter nonzero codeword.  So d is
+    the length less the most columns (S's own included) in span(S) over the
+    independent (k-1)-subsets S: at most C(2n, k-1) of them.
+    """
+    k, pivots = len(cols[0][0]) // len(cols[0]), []
+    subsets = _independent_subsets(cols, p, k - 1, pivots, _budget(cap, "generator"))
+    in_span = (sum(_reduce(c[0], pivots, p)[1] is None for c in cols) for _ in subsets)
+    return len(cols) - max(in_span)
+
+
+def _min_dependent_columns(cols, p: int, cap: int = DEFAULT_CAP, gen_rows=None) -> int:
     """Least w such that some w of the given columns are linearly dependent.
 
     Each column over GF(p^m) is given as its prime_expansion: m integer
     vectors mod p, whose GF(p)-span is the column's GF(q)-span.  Sizes up
-    to 3 are answered by hashing canonical span keys (_span_key), O(n^2)
-    of them: a zero column has the empty key (w = 1); two proportional
-    columns share a key (w = 2); and three dependent columns i < j < l, no
-    two proportional, have span(i, j) = span(i, l), a repeat among the
-    keys of span(i, j), j > i, kept in one set per i (w = 3).  If none of
-    these hits and h <= 3, any h + 1 columns are dependent, so the paper's
-    codes (h = 2 or 3) need no subset search.  Otherwise iterative
-    deepening goes on from w = 4: at each size the subsets are walked
-    depth-first, carrying GF(p) pivot vectors so extending a subset costs
-    one reduction of the new column's expansion 0.
+    to 3 are answered by hashing canonical span keys (_span_key), O(n^2) of
+    them, which take no budget: a zero column has the empty key (w = 1);
+    two proportional columns share a key (w = 2); and three dependent
+    columns i < j < l, no two proportional, have span(i, j) = span(i, l), a
+    repeat among the keys of span(i, j), j > i, kept in one set per i
+    (w = 3).  If none of these hits and h <= 3, any h + 1 columns are
+    dependent, so the paper's codes (h = 2 or 3) need no subset search.
+
+    Otherwise the subsets are searched on the side with fewer leaves.
+    gen_rows, if given, are the rows of a full-rank generator of the null
+    space of these columns' matrix; when its C(ncols, k-1) subsets are no
+    more than the sum of C(ncols, w-1) over w = 4..h, _hyperplane_distance
+    answers from its columns.  Else iterative deepening goes on from w = 4:
+    at each size the independent (w-1)-subsets are walked, asking whether a
+    later column lies in their span.
     """
     ncols, h = len(cols), len(cols[0][0]) // len(cols[0])
     keys = [_span_key(col, p) for col in cols]
@@ -370,31 +433,15 @@ def _min_dependent_columns(cols, p: int) -> int:
                 if key in seen:
                     return 3
                 seen.add(key)
-    pivots: list[tuple[int, list[int]]] = []
-
-    def dfs(start: int, depth: int, w: int) -> bool:
-        for i in range(start, ncols - (w - depth) + 1):
-            v, lead = _reduce(cols[i][0], pivots, p)
-            if lead is None:
-                # smaller subsets were exhausted at earlier sizes
-                return True
-            if depth + 1 < w:
-                # the span is closed under x, so a column outside it has every
-                # x^j multiple outside it: push all m, negated (-1 at the lead)
-                pushed = len(pivots)
-                for j in range(len(cols[i])):
-                    if j:
-                        v, lead = _reduce(cols[i][j], pivots, p)
-                    inv = pow(v[lead], -1, p)
-                    pivots.append((lead, [-a * inv % p for a in v]))
-                if dfs(i + 1, depth + 1, w):
-                    return True
-                del pivots[pushed:]
-        return False
-
+    parity_leaves = sum(math.comb(ncols, t) for t in range(3, h))
+    if gen_rows and math.comb(ncols, len(gen_rows) - 1) <= parity_leaves:
+        return _hyperplane_distance([prime_expansion(c) for c in zip(*gen_rows)], p, cap)
+    pivots, budget = [], _budget(cap, "parity-check")
     for w in range(4, h + 1):
-        if dfs(0, 0, w):
-            return w
+        # smaller subsets were exhausted at earlier sizes
+        for start in _independent_subsets(cols, p, w - 1, pivots, budget):
+            if any(_reduce(cols[j][0], pivots, p)[1] is None for j in range(start, ncols)):
+                return w
     return h + 1  # any h+1 vectors in F_q^h are dependent
 
 

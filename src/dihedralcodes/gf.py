@@ -334,7 +334,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise MixedContextsError("operands from different fields")
             return other
         if isinstance(other, int):

@@ -92,11 +92,16 @@ class WedderburnTuple:
         return out
 
 
+# (half, sign) of each block form a11, a12, a21, a22: xi^(sign*ij) on that
+# half of the phi coordinates (0: a-part, 1: b-part), zero on the other
+_BLOCK_LAYOUT = ((0, 1), (1, -1), (1, 1), (0, -1))
+
+
 def coordinate_forms(ctx: FieldCtx, n: int):
     """P's coordinates as linear forms on phi coordinates (a-part | b-part).
 
     Returns (g1, g2, blocks), with blocks[j-1] = (a11, a12, a21, a22) the
-    forms of block j:
+    forms of block j, laid out by _BLOCK_LAYOUT:
 
       g1 = (1..1 | 1..1),  g2 = (1..1 | -1..-1),
       a11 = (xi^(ij) | 0),  a12 = (0 | xi^(-ij)),
@@ -110,9 +115,8 @@ def coordinate_forms(ctx: FieldCtx, n: int):
     o, zeros = ctx.one(), [ctx.zero()] * n
     blocks = []
     for j in range(1, (n - 1) // 2 + 1):
-        pos = [xi_pows[(i * j) % n] for i in range(n)]
-        neg = [xi_pows[(-i * j) % n] for i in range(n)]
-        blocks.append((pos + zeros, zeros + neg, zeros + pos, neg + zeros))
+        pows = {sign: [xi_pows[(sign * i * j) % n] for i in range(n)] for sign in (1, -1)}
+        blocks.append(tuple(zeros + pows[s] if h else pows[s] + zeros for h, s in _BLOCK_LAYOUT))
     return [o] * (2 * n), [o] * n + [-o] * n, blocks
 
 
@@ -122,14 +126,17 @@ def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
     if n % 2 == 0:
         raise EvenNError(f"block decomposition implemented for odd n, got n={n}")
     v, z = u.phi(), u.ctx.zero()
+    # each block form is zero off the half _BLOCK_LAYOUT gives it
+    halves = [slice(half * n, (half + 1) * n) for half, _ in _BLOCK_LAYOUT]
 
-    def dot(form):
-        return sum((w * x for w, x in zip(form, v) if w and x), z)
+    def dot(form, half=slice(None)):
+        return sum((w * x for w, x in zip(form[half], v[half]) if x), z)
 
     g1, g2, blocks = coordinate_forms(u.ctx, n)
+    coords = [[dot(f, half) for f, half in zip(forms, halves)] for forms in blocks]
     return WedderburnTuple(
         gamma=(dot(g1), dot(g2)),
-        blocks=tuple(((dot(f[0]), dot(f[1])), (dot(f[2]), dot(f[3]))) for f in blocks),
+        blocks=tuple(((a11, a12), (a21, a22)) for a11, a12, a21, a22 in coords),
     )
 
 

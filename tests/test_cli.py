@@ -3,6 +3,9 @@ import json
 import pytest
 
 from dihedralcodes.cli import main
+from dihedralcodes.codes import LinearCode
+from dihedralcodes.gf import make_field
+from dihedralcodes.wedderburn import IdealSpec, code_from_ideal_spec, plus_piece, row, zero
 
 
 def run(capsys, *argv):
@@ -128,6 +131,21 @@ def test_analyze_paper_style_document(tmp_path, capsys):
     rc, out, _ = run(capsys, "analyze", "--in", str(path), "--method", "dual")
     doc = json.loads(out)
     assert doc == {"length": 6, "k": 3, "d": 4, "mds": True}
+
+
+def test_analyze_cap_exceeded(tmp_path, capsys):
+    # a [14,3] ideal code at n = 7: the dual engine's generator side walks
+    # pairs of columns, more than 10 of them
+    ctx = make_field(29, [0, 1])
+    spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.element(5)), zero(), zero()))
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(LinearCode(code_from_ideal_spec(ctx, 7, spec)).to_json()))
+    rc, out, err = run(capsys, "analyze", "--in", str(path), "--method", "dual", "--cap", "10")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error[CapExceeded]: dual engine, generator side")
+    rc, out, _ = run(capsys, "analyze", "--in", str(path), "--method", "dual")
+    assert rc == 0
+    assert json.loads(out) == {"length": 14, "k": 3, "d": 12, "mds": True}
 
 
 def test_sweep_text(capsys):

@@ -340,6 +340,56 @@ def test_auto_method_selection():
     assert code.min_distance("auto", cap=100) == 3  # falls back to dual
 
 
+def spec_29_7(first, *ys):
+    """An n = 7 ideal code over GF(29): position 0, then one row(1, y) or zero per block."""
+    ctx = make_field(29, [0, 1])
+    blocks = [row(ctx.one(), ctx.element(y)) if y else zero() for y in ys]
+    return LinearCode(code_from_ideal_spec(ctx, 7, IdealSpec((first(), *blocks))))
+
+
+def test_dual_cap_names_the_side():
+    # [14,3] (k <= r): the generator side walks pairs of G's columns
+    low = spec_29_7(plus_piece, 5, 0, 0)
+    message = "dual engine, generator side: 11 column subsets > cap = 10"
+    with pytest.raises(CapExceededError, match=message):
+        low.min_distance("dual", cap=10)
+    assert low.min_distance("dual") == low.min_distance("exhaustive") == 12
+    # [14,8] (k > r = 6, d = 6): the parity-check side walks from w = 4
+    high = spec_29_7(full, 8, 19, 18)
+    message = "dual engine, parity-check side: 11 column subsets > cap = 10"
+    with pytest.raises(CapExceededError, match=message):
+        high.min_distance("dual", cap=10)
+    assert high.min_distance("dual") == 6
+    # the hashed span keys of sizes 1-3 and the r <= 3 shortcut come before
+    # either side and spend no budget: [6,3,4] (k = r) and [6,4,3] answer
+    plus = construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS, beta=2))
+    assert plus.min_distance("dual", cap=0) == 4
+    assert code_13_2n2().min_distance("dual", cap=0) == 3
+    ctx = make_field(607, [0, 1])
+    for tag in FAMILIES:
+        assert construct_code(ctx, 101, CodeFamily(tag=tag)).is_mds("dual", cap=0)
+
+
+def test_dual_finds_two_dependent_columns_before_either_side():
+    # [I | I] at n = 20, a [40,20,2] code with k = r: H = [-I | I] has
+    # proportional columns, where the generator side would walk C(40, 19)
+    # subsets
+    rows = [[int(i == j) for j in range(20)] * 2 for i in range(20)]
+    code = LinearCode.from_generator_rows(GF13, rows)
+    assert within_one_second(lambda: code.min_distance("dual", cap=0)) == 2
+
+
+def test_low_rate_dual_distance_is_prompt():
+    # the [22,3,20] code at (67, 11): the parity-check side walks subsets of
+    # 22 columns up to size 19; the generator side walks C(22, 2) pairs
+    ctx = make_field(67, [0, 1])
+    spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.element(5))) + (zero(),) * 4)
+    code = LinearCode(code_from_ideal_spec(ctx, 11, spec))
+    assert (code.length, code.k) == (22, 3)
+    assert within_one_second(lambda: code.min_distance("dual")) == 20
+    assert code.min_distance("exhaustive") == 20
+
+
 def test_zero_code_distance_undefined():
     zero_code = LinearCode(MatrixGF.zeros(GF13, 1, 6))
     assert zero_code.k == 0

@@ -1,12 +1,15 @@
 """Property tests: field axioms, RREF, the integer kernel the distance engines share, and P."""
 
+import functools
+import itertools
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dihedralcodes.codes import LinearCode
+from dihedralcodes.codes import LinearCode, _hyperplane_distance, _min_dependent_columns
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.gf import make_field, prime_expansion
-from dihedralcodes.linalg import MatrixGF
+from dihedralcodes.linalg import MatrixGF, null_rows
 from dihedralcodes.wedderburn import (
     FULL,
     MINUS_PIECE,
@@ -82,6 +85,94 @@ def test_engines_agree_on_random_generator_matrices(m):
     d = code.min_distance("exhaustive")
     assert code.min_distance("dual") == d
     assert 1 <= d <= code.singleton_bound
+
+
+# (field, least and most parity checks r, most information symbols k): q^k
+# <= 10^4, but GF(9) needs [9,5] to have k > r >= 4.  Smaller r would seldom
+# leave room for k + r columns with no 3 dependent: PG(3,2) holds at most 8
+# such points, PG(3,3) 10, and random greedy choices in PG(4,2) stop early.
+HIGH_RATE_FIELDS = (
+    (make_field(2, [0, 1]), 6, 6, 13),
+    (make_field(3, [0, 1]), 5, 6, 8),
+    (make_field(3, [1, 0, 1]), 4, 4, 5),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def index_tables(ctx):
+    """+, * and inverse of a small field on element indices (index 0 is zero)."""
+    els = list(ctx.elements())
+    add = [[(a + b).to_index() for b in els] for a in els]
+    mul = [[(a * b).to_index() for b in els] for a in els]
+    return add, mul, [0] + [a.inverse().to_index() for a in els[1:]]
+
+
+def projective_point(v, tables):
+    """Index vector v scaled to 1 at its first nonzero entry (None if zero)."""
+    _, mul, inv = tables
+    lead = next((x for x in v if x), None)
+    return lead and tuple(mul[inv[lead]][x] for x in v)
+
+
+@functools.lru_cache(maxsize=None)
+def projective_points(ctx, r):
+    vectors = itertools.product(range(ctx.q), repeat=r)
+    return sorted({projective_point(v, index_tables(ctx)) for v in vectors if any(v)})
+
+
+@st.composite
+def high_rate_codes(draw):
+    """A code with k > r >= 4, the null space of r x (k + r) random columns.
+
+    Each column is drawn off the lines through two earlier ones while any
+    such point is left, so mostly no 3 columns are dependent, d >= 4, and
+    the parity-check side's walk from w = 4 decides the distance.
+    """
+    ctx, r_min, r_max, k_max = draw(st.sampled_from(HIGH_RATE_FIELDS))
+    r = draw(st.integers(r_min, r_max))
+    k = draw(st.integers(r + 1, k_max))
+    tables = index_tables(ctx)
+    add, mul, _ = tables
+    cols, lines = [], set()
+    for _ in range(k + r):
+        free = [pt for pt in projective_points(ctx, r) if pt not in lines]
+        col = draw(st.sampled_from(free) if free else st.tuples(*[st.integers(0, ctx.q - 1)] * r))
+        lines.add(projective_point(col, tables))
+        for c in cols:
+            for s in range(1, ctx.q):
+                lines.add(projective_point([add[a][mul[s][b]] for a, b in zip(c, col)], tables))
+        cols.append(col)
+    H = MatrixGF(ctx, [[ctx.from_index(i) for i in row] for row in zip(*cols)])
+    code = LinearCode(H.kernel_basis())
+    assume(code.length - code.k == r)
+    return code
+
+
+@PROPERTY
+@given(high_rate_codes())
+def test_engines_agree_on_random_high_rate_codes(code):
+    assert code.k > code.length - code.k >= 4
+    d = code.min_distance("exhaustive", cap=10**5)
+    assert code.min_distance("dual") == d
+    # the parity-check walk alone, though the dual engine may take the
+    # generator side where its subsets are fewer
+    h_cols = [prime_expansion(c) for c in zip(*null_rows(code.generator, code.pivots))]
+    assert _min_dependent_columns(h_cols, code.ctx.p) == d
+
+
+@PROPERTY
+@given(matrices(max_rows=4, max_cols=8))
+def test_generator_side_matches_parity_check_side(m):
+    # G counts columns on hyperplanes; its parity check H, read off G's
+    # pivots, finds dependent columns: both give d(C), and swapped, d(C^perp)
+    code = LinearCode(m)
+    assume(0 < code.k < code.length)
+    G, p = code.generator, code.ctx.p
+    H = null_rows(G, code.pivots)
+    g_cols = [prime_expansion(c) for c in zip(*G.data)]
+    h_cols = [prime_expansion(c) for c in zip(*H)]
+    assert _hyperplane_distance(g_cols, p) == _min_dependent_columns(h_cols, p)
+    assert _min_dependent_columns(g_cols, p) == _hyperplane_distance(h_cols, p)
 
 
 # the (q, n) pairs of the acceptance sweep
