@@ -107,11 +107,13 @@ def cmd_idempotents(args) -> int:
 
 
 def cmd_wedderburn(args) -> int:
+    trials = args.check
+    if trials < 0:
+        raise ValueError(f"--check must be a trial count >= 0, got {trials}")
     ctx = parse_field_spec(args.field)
     algebra = DihedralAlgebra(ctx, args.n)
     rng = random.Random(args.seed)
     product_ok = sum_ok = 0
-    trials = args.check
     for _ in range(trials):
         u = algebra.random_element(rng)
         v = algebra.random_element(rng)

@@ -22,22 +22,26 @@ straight off wedderburn.coordinate_forms.
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) and the dual engine, the least number of
 linearly dependent columns of the parity check, read off the RREF
-generator and its pivots with no second reduction.  It finds 1, 2 or 3
-dependent columns by hashing canonical keys of column and column-pair
-spans; the paper's codes have 2 or 3 parity checks, so they need no
-search.  Past that it searches column subsets on the side with fewer
-leaves: the parity check's, depth-first from 4 columns on, or the
-generator's, counting its columns on each hyperplane spanned by k - 1 of
-them, since a minimum-weight codeword is zero on the most columns any
-such hyperplane holds.  Both engines work on integers mod p, over the
-prime-field expansions of gf.prime_expansion, so neither has a limit on
-q.  Both are exact; the pair serves as a cross-check.
+generator and its pivots with no second reduction.  One depth-first
+walk over independent column subsets S answers every size: w dependent
+columns show as two later columns with one span modulo span(S), a
+repeated canonical key (_span_key) at depth w - 2.  Depths 0 and 1 find
+1, 2 or 3 dependent columns; the paper's codes have 2 or 3 parity
+checks, so they need nothing deeper.  Past depth 1 the walk runs on the
+side with fewer subsets: the parity check's, or the generator's at depth
+k - 2, where the columns in span(S) and one class of equal keys are the
+columns on a hyperplane, and d is the length less the most any such
+hyperplane holds, since a minimum-weight codeword is zero on those.
+Both engines work on integers mod p, over the prime-field expansions of
+gf.prime_expansion, so neither has a limit on q.  Both are exact; the
+pair serves as a cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +127,15 @@ class LinearCode:
         """Exact minimum weight of a nonzero codeword.
 
         method "exhaustive" enumerates all q^k - 1 codewords (requires
-        q^k - 1 <= cap).  "dual" finds the least number of linearly
-        dependent parity-check columns: sizes 1-3 by hashing, then a search
-        visiting at most cap column subsets, on whichever side has fewer
-        leaves: parity-check subsets from size 4 on, or the (k-1)-subsets
-        of the generator's columns, d being the length less the most
-        columns on one hyperplane they span (the zeros of a minimum-weight
-        codeword span a hyperplane).  "auto" picks exhaustive when it fits
-        under the cap.
+        q^k - 1 <= cap).  "dual" finds the least number w of linearly
+        dependent parity-check columns, as a repeated key among the later
+        columns modulo the span of an independent (w-2)-subset, on one
+        walk.  Its depths 0 and 1 (w <= 3) are free; past them it visits
+        at most cap column subsets, on whichever side has fewer: the
+        parity check's, or the (k-2)-subsets of the generator's columns,
+        d being the length less the most columns on one hyperplane
+        through their span (the zeros of a minimum-weight codeword span a
+        hyperplane).  "auto" picks exhaustive when it fits under the cap.
         """
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
@@ -358,10 +363,11 @@ def _independent_subsets(cols, p: int, t: int, pivots: list, budget, start: int 
     """Walk the independent t-subsets S of cols depth-first, in index order.
 
     Yields one past S's last index while pivots holds span(S) over GF(p) in
-    _reduce's form.  Column i joins S when its expansion 0 does not reduce
-    to zero; the span is closed under x, so then every x^j multiple lies
-    outside it too, and all m expansions are pushed (negated, -1 at the
-    lead).  Each subset reached takes one step of budget.
+    _reduce's form, the base form _span_key takes.  Column i joins S when
+    its expansion 0 does not reduce to zero; the span is closed under x, so
+    then every x^j multiple lies outside it too, and all m expansions are
+    pushed (negated, -1 at the lead).  Each subset reached takes one step
+    of budget.
     """
     if t == 0:
         yield start
@@ -388,71 +394,68 @@ def _hyperplane_distance(cols, p: int, cap: int = DEFAULT_CAP) -> int:
     codeword hG is zero exactly on the columns in the hyperplane h^perp.
     The zero columns of a minimum-weight codeword span a hyperplane: were
     their span smaller, columns outside it would extend it to a hyperplane
-    holding more columns, the zeros of a lighter nonzero codeword.  So d is
-    the length less the most columns (S's own included) in span(S) over the
-    independent (k-1)-subsets S: at most C(2n, k-1) of them.
+    holding more columns, the zeros of a lighter nonzero codeword.  That
+    hyperplane is span(S, j) for an independent (k-2)-subset S of its
+    columns, and it holds the columns in span(S), whose key modulo span(S)
+    is (), and those whose key is j's.  So d is the length less the most
+    columns in those two classes, over at most C(ncols, k-2) subsets S.
+    With k = 1 the hyperplane is 0, and d counts the nonzero columns.
     """
     k, pivots = len(cols[0][0]) // len(cols[0]), []
-    subsets = _independent_subsets(cols, p, k - 1, pivots, _budget(cap, "generator"))
-    in_span = (sum(_reduce(c[0], pivots, p)[1] is None for c in cols) for _ in subsets)
-    return len(cols) - max(in_span)
+    if k == 1:
+        return sum(any(c[0]) for c in cols)
+    subsets = _independent_subsets(cols, p, k - 2, pivots, _budget(cap, "generator"))
+    classes = (Counter(_span_key(c, p, pivots) for c in cols) for _ in subsets)
+    return len(cols) - max(keys.pop((), 0) + max(keys.values()) for keys in classes)
 
 
 def _min_dependent_columns(cols, p: int, cap: int = DEFAULT_CAP, gen_rows=None) -> int:
     """Least w such that some w of the given columns are linearly dependent.
 
     Each column over GF(p^m) is given as its prime_expansion: m integer
-    vectors mod p, whose GF(p)-span is the column's GF(q)-span.  Sizes up
-    to 3 are answered by hashing canonical span keys (_span_key), O(n^2) of
-    them, which take no budget: a zero column has the empty key (w = 1);
-    two proportional columns share a key (w = 2); and three dependent
-    columns i < j < l, no two proportional, have span(i, j) = span(i, l), a
-    repeat among the keys of span(i, j), j > i, kept in one set per i
-    (w = 3).  If none of these hits and h <= 3, any h + 1 columns are
-    dependent, so the paper's codes (h = 2 or 3) need no subset search.
+    vectors mod p, whose GF(p)-span is the column's GF(q)-span.  One rule
+    answers every size.  In a minimal dependent set, let S be its w - 2
+    first columns and j < l its last two: S is independent and
+    span(S, j) = span(S, l).  So iterative deepening walks the independent
+    subsets S at depth t = w - 2 and keys each later column modulo span(S)
+    (_span_key): a repeat is w dependent columns, and an empty key, met
+    only at depth 0, is a zero column (w = 1).  Depths 0 and 1 (w <= 3)
+    take O(ncols^2) keys and no budget; if they find nothing and h <= 3,
+    any h + 1 columns are dependent, so the paper's codes (h = 2 or 3)
+    need no deeper walk.
 
-    Otherwise the subsets are searched on the side with fewer leaves.
-    gen_rows, if given, are the rows of a full-rank generator of the null
-    space of these columns' matrix; when its C(ncols, k-1) subsets are no
-    more than the sum of C(ncols, w-1) over w = 4..h, _hyperplane_distance
-    answers from its columns.  Else iterative deepening goes on from w = 4:
-    at each size the independent (w-1)-subsets are walked, asking whether a
-    later column lies in their span.
+    From depth 2 on, each subset reached takes one step of the cap, on the
+    side with fewer subsets.  gen_rows, if given, are the rows of a
+    full-rank generator of the null space of these columns' matrix; when
+    its C(ncols, k-2) subsets (1 for k = 1) are no more than the
+    sum of C(ncols, t) over the depths t = 2..h-2 left here,
+    _hyperplane_distance answers from its columns.
     """
     ncols, h = len(cols), len(cols[0][0]) // len(cols[0])
-    keys = [_span_key(col, p) for col in cols]
-    if () in keys:
-        return 1
-    if len(set(keys)) < ncols:
-        return 2
-    if h >= 3:
-        for i in range(ncols - 2):
-            seen = set()
-            for j in range(i + 1, ncols):
-                key = _span_key(cols[j], p, keys[i])
-                if key in seen:
-                    return 3
-                seen.add(key)
-    parity_leaves = sum(math.comb(ncols, t) for t in range(3, h))
-    if gen_rows and math.comb(ncols, len(gen_rows) - 1) <= parity_leaves:
-        return _hyperplane_distance([prime_expansion(c) for c in zip(*gen_rows)], p, cap)
-    pivots, budget = [], _budget(cap, "parity-check")
-    for w in range(4, h + 1):
-        # smaller subsets were exhausted at earlier sizes
-        for start in _independent_subsets(cols, p, w - 1, pivots, budget):
-            if any(_reduce(cols[j][0], pivots, p)[1] is None for j in range(start, ncols)):
-                return w
+    pivots, budget, free = [], _budget(cap, "parity-check"), itertools.repeat(None)
+    for t in range(max(h - 1, 1)):  # depth t finds w = t + 2
+        if t == 2 and gen_rows and math.comb(ncols, max(len(gen_rows) - 2, 0)) <= sum(
+            math.comb(ncols, s) for s in range(2, h - 1)
+        ):
+            return _hyperplane_distance([prime_expansion(c) for c in zip(*gen_rows)], p, cap)
+        for start in _independent_subsets(cols, p, t, pivots, budget if t > 1 else free):
+            keys = [_span_key(c, p, pivots) for c in cols[start:]]
+            if () in keys:
+                return t + 1
+            if len(set(keys)) < len(keys):
+                return t + 2
     return h + 1  # any h+1 vectors in F_q^h are dependent
 
 
 def _span_key(vecs, p: int, base=()) -> tuple:
-    """Canonical key of span(vecs) over GF(p): sorted (lead, row) pairs.
+    """Canonical key of span(base, vecs) modulo span(base) over GF(p).
 
-    The rows are a reduced echelon basis scaled to -1 at their leads, the
-    pivot form _reduce takes; the zero space has key ().  With the key of
-    some span as base, vecs are reduced against it first, and the key
-    leaves base's rows out: two vecs get one key exactly when they give
-    one span(base, vecs).
+    base holds pivots in _reduce's form.  vecs are reduced against them,
+    which leaves the one representative of each coset that is zero at
+    base's leads, and the key is the reduced echelon basis of what is left,
+    rows scaled to -1 at their leads, as sorted (lead, row) pairs.  So two
+    vecs get one key exactly when they give one span(base, vecs), and the
+    key is () exactly when vecs lie in span(base).
     """
     rows = []
     for v in vecs:

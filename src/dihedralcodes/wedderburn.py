@@ -27,7 +27,7 @@ from .dihedral import AlgebraElement, DihedralAlgebra
 from .errors import EvenNError, InvalidRowSpecError
 from .gf import FieldCtx, FieldElement
 from .idempotents import _xi_powers
-from .linalg import MatrixGF
+from .linalg import MatrixGF, null_rows
 
 
 @dataclass(frozen=True)
@@ -269,8 +269,9 @@ def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
     """RREF generator matrix (phi coordinates) of P^-1 of the chosen ideal.
 
     The free columns of H with its columns reversed are the lex-first
-    information set of ker H, so the kernel basis of reversed H, read
-    back in reversed column and row order, is already the unique RREF.
+    information set of ker H, so the kernel basis of reversed H, null_rows
+    of its RREF, read back in reversed column and row order, is already
+    the unique RREF.
     """
     if n % 2 == 0:
         raise EvenNError(f"ideal specs are defined for odd n, got n={n}")
@@ -282,8 +283,8 @@ def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
         return MatrixGF.zeros(ctx, 0, 2 * n)
     DihedralAlgebra(ctx, n)  # raises CharDividesOrderError
     H = [r[::-1] for r in _constraint_rows(ctx, n, spec)]
-    kernel = MatrixGF(ctx, H, cols=2 * n).kernel_basis()
-    return MatrixGF(ctx, [r[::-1] for r in reversed(kernel.data)], cols=2 * n)
+    R, _, pivots = MatrixGF(ctx, H, cols=2 * n).rref()
+    return MatrixGF(ctx, [r[::-1] for r in reversed(null_rows(R, pivots))], cols=2 * n)
 
 
 def random_ideal_spec(ctx: FieldCtx, n: int, rng, allow_zero: bool = False) -> IdealSpec:

@@ -69,6 +69,16 @@ def test_wedderburn_check(capsys):
     assert "result: PASS" in out
 
 
+def test_wedderburn_refuses_a_negative_check(capsys):
+    argv = ("wedderburn", "--field", "p=13", "--n", "3", "--check")
+    rc, out, err = run(capsys, *argv, "-1")
+    assert (rc, out) == (2, "")
+    assert err == "error[InvalidArgument]: --check must be a trial count >= 0, got -1\n"
+    rc, out, _ = run(capsys, *argv, "0")
+    assert rc == 0
+    assert "product: 0/0 ok" in out and "result: PASS" in out
+
+
 def test_construct_stdout_json(capsys):
     rc, out, _ = run(
         capsys, "construct", "--field", "p=13;mod=[0,1]", "--n", "3",
@@ -134,8 +144,8 @@ def test_analyze_paper_style_document(tmp_path, capsys):
 
 
 def test_analyze_cap_exceeded(tmp_path, capsys):
-    # a [14,3] ideal code at n = 7: the dual engine's generator side walks
-    # pairs of columns, more than 10 of them
+    # a [14,3] ideal code at n = 7: the dual engine's generator side keys
+    # the columns modulo each of its 14 columns, more than 10 subsets
     ctx = make_field(29, [0, 1])
     spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.element(5)), zero(), zero()))
     path = tmp_path / "code.json"

@@ -348,19 +348,19 @@ def spec_29_7(first, *ys):
 
 
 def test_dual_cap_names_the_side():
-    # [14,3] (k <= r): the generator side walks pairs of G's columns
+    # [14,3] (k <= r): the generator side walks G's columns singly (depth k - 2)
     low = spec_29_7(plus_piece, 5, 0, 0)
     message = "dual engine, generator side: 11 column subsets > cap = 10"
     with pytest.raises(CapExceededError, match=message):
         low.min_distance("dual", cap=10)
     assert low.min_distance("dual") == low.min_distance("exhaustive") == 12
-    # [14,8] (k > r = 6, d = 6): the parity-check side walks from w = 4
+    # [14,8] (k > r = 6, d = 6): the parity-check side walks from depth 2 (w = 4)
     high = spec_29_7(full, 8, 19, 18)
     message = "dual engine, parity-check side: 11 column subsets > cap = 10"
     with pytest.raises(CapExceededError, match=message):
         high.min_distance("dual", cap=10)
     assert high.min_distance("dual") == 6
-    # the hashed span keys of sizes 1-3 and the r <= 3 shortcut come before
+    # depths 0 and 1 of the walk (sizes 1-3) and the r <= 3 shortcut come before
     # either side and spend no budget: [6,3,4] (k = r) and [6,4,3] answer
     plus = construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS, beta=2))
     assert plus.min_distance("dual", cap=0) == 4
@@ -380,14 +380,26 @@ def test_dual_finds_two_dependent_columns_before_either_side():
 
 
 def test_low_rate_dual_distance_is_prompt():
-    # the [22,3,20] code at (67, 11): the parity-check side walks subsets of
-    # 22 columns up to size 19; the generator side walks C(22, 2) pairs
+    # the [22,3,20] code at (67, 11): the parity-check side would walk subsets
+    # of 22 columns up to size 17; the generator side walks its 22 columns
     ctx = make_field(67, [0, 1])
     spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.element(5))) + (zero(),) * 4)
     code = LinearCode(code_from_ideal_spec(ctx, 11, spec))
     assert (code.length, code.k) == (22, 3)
     assert within_one_second(lambda: code.min_distance("dual")) == 20
     assert code.min_distance("exhaustive") == 20
+    # the walk stops at depth k - 2: 22 single columns, where a walk on to
+    # pairs would pass the cap
+    assert LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=22) == 20
+
+
+def test_parity_check_walk_stops_a_level_above_the_dependent_sets():
+    # w dependent columns show as a repeated key at depth w - 2.  In this
+    # MDS [14,8,7] code (k > r = 6) no 6 columns of H are dependent, so the
+    # walk goes to depth 4, 1,922 subsets; on to depth 5 it visits 4,820
+    mds = spec_29_7(full, 3, 8, 2)
+    assert (mds.length, mds.k) == (14, 8)
+    assert mds.min_distance("dual", cap=2000) == 7
 
 
 def test_zero_code_distance_undefined():
@@ -469,7 +481,7 @@ def test_min_dependent_columns_matches_subset_oracle():
     # GF(25) and GF(13^2) columns check that all m expansions of a column
     # join the pivots and the span keys; up to 5 rows reach the search from
     # w = 4.  Planted columns (zero, a scaled copy, a combination of two
-    # others) make each hashed level answer over prime and extension fields.
+    # others) make depths 0 and 1 answer over prime and extension fields.
     from itertools import combinations
 
     from dihedralcodes.codes import _min_dependent_columns
@@ -533,7 +545,7 @@ def test_paper_families_at_n_101_promptly():
     for tag, k in zip(FAMILY_TAGS, (200, 199, 199)):
         code = within_one_second(lambda: construct_code(ctx, 101, CodeFamily(tag=tag)))
         assert (code.length, code.k) == (202, k)
-        # r = 2 or 3 parity checks: the hashed levels decide, no subset search
+        # r = 2 or 3 parity checks: depths 0 and 1 of the walk decide, unbudgeted
         assert within_one_second(lambda: code.is_mds("dual")) is True
 
 
