@@ -42,6 +42,7 @@ from .wedderburn import wedderburn_inverse, wedderburn_map
 _BUILTIN_CODES = {
     ZeroDivisionError: "DivisionByZero",
     IndexError: "IndexOutOfRange",
+    OSError: "FileAccess",  # reading analyze --in, writing construct --out
 }
 
 

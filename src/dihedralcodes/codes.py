@@ -34,7 +34,8 @@ columns on a hyperplane, and d is the length less the most any such
 hyperplane holds, since a minimum-weight codeword is zero on those.
 Both engines work on integers mod p, over the prime-field expansions of
 gf.prime_expansion, so neither has a limit on q.  Both are exact; the
-pair serves as a cross-check.
+pair serves as a cross-check.  numpy is imported on the first exhaustive
+call, so construction and the dual engine never load it.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dihedral import DihedralAlgebra, phi_inv
 from .errors import (
@@ -136,7 +135,10 @@ class LinearCode:
         d being the length less the most columns on one hyperplane
         through their span (the zeros of a minimum-weight codeword span a
         hyperplane).  "auto" picks exhaustive when it fits under the cap.
+        A negative cap is refused, whatever the method.
         """
+        if cap < 0:
+            raise ValueError(f"cap must be a count >= 0, got {cap}")
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
         if method == "auto":
@@ -316,6 +318,13 @@ def is_mds(code: LinearCode, method: str = "auto", cap: int = DEFAULT_CAP) -> bo
 
 
 def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
+    """Least weight over all q^k - 1 nonzero codewords, enumerated in numpy.
+
+    numpy is imported here, on the first call, and nowhere else in the
+    library: construction and the dual engine run on Python ints alone.
+    """
+    import numpy as np
+
     ctx = gen.ctx
     p, m, ncols = ctx.p, ctx.m, gen.cols
     count = ctx.q**gen.rows - 1

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,62 @@ def test_analyze_cap_exceeded(tmp_path, capsys):
     rc, out, _ = run(capsys, "analyze", "--in", str(path), "--method", "dual")
     assert rc == 0
     assert json.loads(out) == {"length": 14, "k": 3, "d": 12, "mds": True}
+
+
+def test_analyze_refuses_a_negative_cap(tmp_path, capsys):
+    # the [14,11,4] code at (43, 7): its dual walk never leaves depths 0 and 1
+    path = tmp_path / "code.json"
+    run(
+        capsys, "construct", "--field", "p=43", "--n", "7",
+        "--family", "2n-3-plus", "--out", str(path),
+    )
+    for method in ("auto", "exhaustive", "dual"):
+        rc, out, err = run(capsys, "analyze", "--in", str(path), "--method", method, "--cap", "-1")
+        assert (rc, out) == (2, "")
+        assert err == "error[InvalidArgument]: cap must be a count >= 0, got -1\n"
+
+
+def test_file_errors_name_their_stage(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    rc, out, err = run(capsys, "analyze", "--in", str(missing))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error[FileAccess]: ") and str(missing) in err
+    unwritable = tmp_path / "no-such-dir" / "code.json"
+    rc, out, err = run(
+        capsys, "construct", "--field", "p=13", "--n", "3",
+        "--family", "2n-2", "--out", str(unwritable),
+    )
+    assert (rc, out) == (2, "")
+    assert err.startswith("error[FileAccess]: ") and str(unwritable) in err
+
+
+def test_dual_only_commands_never_import_numpy(tmp_path):
+    # a fresh interpreter, since this one may have numpy loaded already;
+    # at (43, 7) q^k - 1 exceeds the default cap, so analyze's auto is dual
+    script = f"""
+import sys
+import dihedralcodes, dihedralcodes.cli as cli
+path = {str(tmp_path / "code.json")!r}
+construct = ["construct", "--field", "p=43", "--n", "7", "--family", "2n-2", "--out", path]
+assert cli.main(construct) == 0
+assert cli.main(["analyze", "--in", path]) == 0
+assert cli.main(["sweep", "--field", "p=43", "--n", "7"]) == 0
+assert "numpy" not in sys.modules, "dual-only work imported numpy"
+from dihedralcodes import CodeFamily, construct_code, make_field
+code = construct_code(make_field(5, [2, 0, 1]), 3, CodeFamily(tag="2n-3-plus"))
+assert code.min_distance("exhaustive") == code.min_distance("dual") == 4
+assert "numpy" in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"d": 3,' in proc.stdout  # analyze's [14,12,3]
 
 
 def test_sweep_text(capsys):

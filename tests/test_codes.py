@@ -333,6 +333,16 @@ def test_cap_exceeded():
         wide.min_distance("exhaustive", cap=10**12)
 
 
+def test_negative_cap_is_refused():
+    # depths 0 and 1 of the dual walk spend no budget, so the refusal comes
+    # before any engine runs; a cached distance does not let it through
+    code = code_13_2n2()
+    assert code.min_distance("dual", cap=0) == 3
+    for method in ("auto", "exhaustive", "dual"):
+        with pytest.raises(ValueError, match="cap must be a count >= 0, got -1"):
+            code.min_distance(method, cap=-1)
+
+
 def test_auto_method_selection():
     code = code_13_2n2()
     # under the default cap q^k - 1 = 28560 fits: auto = exhaustive
