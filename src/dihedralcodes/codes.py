@@ -20,22 +20,23 @@ families.  The paper-style presentation reads its rows, n e_j and n b e_j,
 straight off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
-enumeration (vectorized in numpy) and the dual engine, the least number of
-linearly dependent columns of the parity check, read off the RREF
-generator and its pivots with no second reduction.  One depth-first
-walk over independent column subsets S answers every size: w dependent
-columns show as two later columns with one span modulo span(S), a
-repeated canonical key (_span_key) at depth w - 2.  Depths 0 and 1 find
-1, 2 or 3 dependent columns; the paper's codes have 2 or 3 parity
-checks, so they need nothing deeper.  Past depth 1 the walk runs on the
-side with fewer subsets: the parity check's, or the generator's at depth
-k - 2, where the columns in span(S) and one class of equal keys are the
-columns on a hyperplane, and d is the length less the most any such
-hyperplane holds, since a minimum-weight codeword is zero on those.
-Both engines work on integers mod p, over the prime-field expansions of
-gf.prime_expansion, so neither has a limit on q.  Both are exact; the
-pair serves as a cross-check.  numpy is imported on the first exhaustive
-call, so construction and the dual engine never load it.
+enumeration (vectorized in numpy) of one word per GF(q)-line,
+(q^k-1)/(q-1) in all, still gated at q^k - 1 <= cap; and the dual
+engine, the least number of linearly dependent columns of the parity
+check, read off the RREF generator and its pivots with no second
+reduction.  One depth-first walk over independent column subsets S
+answers every size: w dependent columns show as two later columns with
+one span modulo span(S), a repeated canonical key (_span_key) at depth
+w - 2.  Depths 0 and 1 find 1, 2 or 3 dependent columns; the paper's codes
+have 2 or 3 parity checks, so they need nothing deeper.  Past depth 1 the
+walk runs on the side with fewer subsets: the parity check's, or the
+generator's at depth k - 2, where the columns in span(S) and one class
+of equal keys are the columns on a hyperplane, and d is the length less
+the most any such hyperplane holds, since a minimum-weight codeword is
+zero on those.  Both engines work on integers mod p, over the prime-field
+expansions of gf.prime_expansion, so neither has a limit on q.  Both are
+exact; the pair serves as a cross-check.  numpy is imported on the first
+exhaustive call, so construction and the dual engine never load it.
 """
 
 from __future__ import annotations
@@ -125,17 +126,18 @@ class LinearCode:
     def min_distance(self, method: str = "auto", cap: int = DEFAULT_CAP) -> int:
         """Exact minimum weight of a nonzero codeword.
 
-        method "exhaustive" enumerates all q^k - 1 codewords (requires
-        q^k - 1 <= cap).  "dual" finds the least number w of linearly
-        dependent parity-check columns, as a repeated key among the later
-        columns modulo the span of an independent (w-2)-subset, on one
-        walk.  Its depths 0 and 1 (w <= 3) are free; past them it visits
-        at most cap column subsets, on whichever side has fewer: the
-        parity check's, or the (k-2)-subsets of the generator's columns,
-        d being the length less the most columns on one hyperplane
-        through their span (the zeros of a minimum-weight codeword span a
-        hyperplane).  "auto" picks exhaustive when it fits under the cap.
-        A negative cap is refused, whatever the method.
+        method "exhaustive" enumerates one codeword per GF(q)-line,
+        (q^k-1)/(q-1) in all, since a word's nonzero multiples share its
+        weight (still requires q^k - 1 <= cap).  "dual" finds the least number w of
+        linearly dependent parity-check columns, as a repeated key among
+        the later columns modulo the span of an independent (w-2)-subset,
+        on one walk.  Its depths 0 and 1 (w <= 3) are free; past them it
+        visits at most cap column subsets, on whichever side has fewer:
+        the parity check's, or the (k-2)-subsets of the generator's
+        columns, d being the length less the most columns on one
+        hyperplane through their span (the zeros of a minimum-weight
+        codeword span a hyperplane).  "auto" picks exhaustive when it fits
+        under the cap.  A negative cap is refused, whatever the method.
         """
         if cap < 0:
             raise ValueError(f"cap must be a count >= 0, got {cap}")
@@ -318,7 +320,11 @@ def is_mds(code: LinearCode, method: str = "auto", cap: int = DEFAULT_CAP) -> bo
 
 
 def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
-    """Least weight over all q^k - 1 nonzero codewords, enumerated in numpy.
+    """Least weight over one nonzero codeword per GF(q)-line, in numpy.
+
+    A codeword and its q - 1 nonzero multiples have one weight, so only
+    the words whose first nonzero row coefficient is 1 are enumerated:
+    (q^k - 1)/(q - 1) of them.  The gate stays q^k - 1 <= cap.
 
     numpy is imported here, on the first call, and nowhere else in the
     library: construction and the dual engine run on Python ints alone.
@@ -332,25 +338,26 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
         raise CapExceededError(f"q^k - 1 = {count} exceeds cap = {cap}")
     if (p - 1) ** 2 >= 2**63:
         raise CapExceededError(f"exhaustive search needs (p-1)^2 < 2^63, got p = {p}")
-    # the codewords are the GF(p)-combinations of the rows' expansions
-    basis = [v for row in gen.data for v in prime_expansion(row)]
     scalars = np.arange(p, dtype=np.int64)[:, None]
     dtype = np.uint16 if p <= 2**15 else np.int64  # holds a sum of two residues
-    words = np.zeros((1, m * ncols), dtype=dtype)
-    for v in basis[:-1]:
-        multiples = (scalars * v % p).astype(dtype)
-        words = np.add(words[:, None, :], multiples[None, :, :]).reshape(-1, m * ncols)
-        np.remainder(words, p, out=words)
-    # a + c*v is zero exactly where a == -c*v mod p, so the last sums are never formed;
-    # an entry of GF(q) is nonzero when any of its m coefficient planes is
-    negated = (-scalars * basis[-1] % p).astype(dtype)
-    a, b = words.reshape(-1, 1, m, ncols), negated.reshape(1, p, m, ncols)
-    nonzero = a[:, :, 0] != b[:, :, 0]
-    for t in range(1, m):
-        nonzero |= a[:, :, t] != b[:, :, t]
-    weights = np.count_nonzero(nonzero.reshape(-1, ncols), axis=1)
-    # word 0 is the zero combination; the expansions are independent, so no other is zero
-    return int(weights[1:].min())
+    # lead row i, from the last up: its words are row i (expansion 0, coefficient 1)
+    # plus each word of span, the GF(p)-span of the expansions of rows i+1..k-1
+    span, below, best = np.zeros((1, m * ncols), dtype=dtype), [], ncols
+    for row in reversed(gen.data):
+        for v in below:
+            multiples = (scalars * v % p).astype(dtype)
+            span = np.add(span[:, None, :], multiples[None, :, :]).reshape(-1, m * ncols)
+            np.remainder(span, p, out=span)
+        below = prime_expansion(row)
+        # row + s is zero exactly where s == -row mod p, so the sums are never
+        # formed; an entry of GF(q) is nonzero when any of its m planes is
+        negated = (-np.array(below[0], dtype=np.int64) % p).astype(dtype)
+        a, b = span.reshape(-1, m, ncols), negated.reshape(m, ncols)
+        nonzero = a[:, 0] != b[0]
+        for t in range(1, m):
+            nonzero |= a[:, t] != b[t]
+        best = min(best, int(np.count_nonzero(nonzero, axis=1).min()))
+    return best
 
 
 def _dual_distance(gen: MatrixGF, pivots, cap: int) -> int:

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 from test_gf import within_one_second
 
+import dihedralcodes.codes as codes_module
 from dihedralcodes.codes import (
     FAMILIES,
     FAMILY_2N_MINUS_2,
@@ -43,6 +45,7 @@ from dihedralcodes.wedderburn import (
 )
 
 GF13 = make_field(13, [0, 1])
+GF9 = make_field(3, [1, 0, 1])
 GF25 = make_field(5, [2, 0, 1])
 
 
@@ -348,6 +351,63 @@ def test_auto_method_selection():
     # under the default cap q^k - 1 = 28560 fits: auto = exhaustive
     assert code.min_distance("auto") == 3
     assert code.min_distance("auto", cap=100) == 3  # falls back to dual
+
+
+def test_exhaustive_cap_gate_counts_every_codeword(monkeypatch):
+    # one word per GF(q)-line is enumerated, but the gate stays q^k - 1 = 28560
+    code = code_13_2n2()
+    with pytest.raises(CapExceededError, match="q\\^k - 1 = 28560 exceeds cap = 28559"):
+        code.min_distance("exhaustive", cap=28559)
+    assert code.min_distance("exhaustive", cap=28560) == 3
+
+    def refuse(*args):
+        raise AssertionError("auto ran exhaustive search over the cap")
+
+    monkeypatch.setattr(codes_module, "_exhaustive_distance", refuse)
+    assert code_13_2n2().min_distance("auto", cap=28559) == 3  # the dual engine
+
+
+def brute_force_lead_weights(code):
+    """Least weight of the words led by each row, over all q^k - 1 coefficient vectors.
+
+    Pure Python on FieldElements: row i leads a word when it has the
+    first nonzero coefficient.
+    """
+    ctx, rows = code.ctx, code.generator.data
+    scaled = [{c: [c * e for e in r] for c in ctx.elements()} for r in rows]
+    best = {}
+    for coeffs in itertools.product(list(ctx.elements()), repeat=len(rows)):
+        if not any(coeffs):
+            continue
+        word = [sum(col, ctx.zero()) for col in zip(*(s[c] for s, c in zip(scaled, coeffs)))]
+        lead = next(i for i, c in enumerate(coeffs) if c)
+        best[lead] = min(best.get(lead, code.length), sum(map(bool, word)))
+    return best
+
+
+@pytest.mark.parametrize("ctx", [GF13, GF9, GF25], ids=lambda ctx: f"GF({ctx.q})")
+def test_exhaustive_matches_brute_force(ctx):
+    rng = random.Random(ctx.q)
+    gens = [[[ctx.random_element(rng) for _ in range(5)] for _ in range(k)] for k in (1, 2, 3)]
+    gens.append([[1, 0, 2, 0, 1], [0, 1, 1, 0, 2]])  # column 3 is zero
+    gens.append([[1, 0, 0, 2, 1], [0, 1, 0, 1, 0], [0, 0, 0, 3, 1]])  # column 2 is zero
+    ks = set()
+    for rows in gens:
+        code = LinearCode.from_generator_rows(ctx, rows)
+        ks.add(code.k)
+        assert code.min_distance("exhaustive") == min(brute_force_lead_weights(code).values())
+    assert ks == {1, 2, 3}
+
+
+@pytest.mark.parametrize("ctx", [GF13, GF9, GF25], ids=lambda ctx: f"GF({ctx.q})")
+def test_exhaustive_finds_a_minimum_led_by_the_last_row(ctx):
+    # the last RREF row has weight 1; every word led by an earlier row is heavier
+    code = LinearCode.from_generator_rows(
+        ctx, [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3], [0, 0, 1, 0, 0, 0]]
+    )
+    weights = brute_force_lead_weights(code)
+    assert weights[2] == 1 and min(weights[0], weights[1]) > 1
+    assert code.min_distance("exhaustive") == 1
 
 
 def spec_29_7(first, *ys):
