@@ -14,27 +14,34 @@ it (s is the twist index, beta the twist scalar):
 Under P the twisted generator is [[1, beta], [0, 0]] in block s and zero
 elsewhere, so construct_code builds each family as the Wedderburn spec
 {position 0: full / minus / plus; block s: row(1, beta); other blocks: full}.
-code_from_ideal_spec returns that ideal as the kernel of its closed-form
-constraint rows: 2 rows on block s, plus 1 on gamma for the 2n-3
-families.  The paper-style presentation reads its rows, n e_j and n b e_j,
-straight off wedderburn.coordinate_forms.
+code_from_ideal_spec returns the RREF generator of that ideal, the kernel
+of its closed-form constraint rows: 2 rows on block s, plus 1 on gamma
+for the 2n-3 families.  That RREF enters LinearCode as it is, through the
+private LinearCode._from_rref, so a constructed code is row-reduced once;
+the public constructor, load_code and from_generator_rows reduce what
+they are given.  The paper-style presentation reads its rows, n e_j and
+n b e_j, straight off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) of one word per GF(q)-line,
 (q^k-1)/(q-1) in all, still gated at q^k - 1 <= cap; and the dual
 engine, the least number of linearly dependent columns of the parity
-check, read off the RREF generator and its pivots with no second
-reduction.  One depth-first walk over independent column subsets S
-answers every size: w dependent columns show as two later columns with
-one span modulo span(S), a repeated canonical key (_span_key) at depth
-w - 2.  Depths 0 and 1 find 1, 2 or 3 dependent columns; the paper's codes
+check, read as integers mod p off the RREF generator's coefficients and
+its pivots, with no second reduction.  One depth-first walk over
+independent column subsets S answers every size: w dependent columns
+show as two later columns with one span modulo span(S), a repeated
+canonical key (_span_key) at depth w - 2.  Each level of the walk hands
+the columns down already reduced modulo its part of span(S), so a level
+reduces against the m pivots of one column, not all of span(S).
+Depths 0 and 1 find 1, 2 or 3 dependent columns; the paper's codes
 have 2 or 3 parity checks, so they need nothing deeper.  Past depth 1 the
 walk runs on the side with fewer subsets: the parity check's, or the
 generator's at depth k - 2, where the columns in span(S) and one class
 of equal keys are the columns on a hyperplane, and d is the length less
 the most any such hyperplane holds, since a minimum-weight codeword is
 zero on those.  Both engines work on integers mod p, over the prime-field
-expansions of gf.prime_expansion, so neither has a limit on q.  Both are
+expansions of gf.prime_expansion, formed by _expansions straight from the
+coefficient tuples, so neither has a limit on q.  Both are
 exact; the pair serves as a cross-check.  numpy is imported on the first
 exhaustive call, so construction and the dual engine never load it.
 """
@@ -56,9 +63,9 @@ from .errors import (
     UnsupportedStyleError,
     ZeroElementError,
 )
-from .gf import FieldCtx, FieldElement, element_order, prime_expansion
+from .gf import FieldCtx, FieldElement, element_order
 from .idempotents import _nth_root
-from .linalg import MatrixGF, null_rows
+from .linalg import MatrixGF
 from .wedderburn import (
     IdealSpec,
     code_from_ideal_spec,
@@ -113,8 +120,27 @@ class LinearCode:
     """
 
     def __init__(self, generator: MatrixGF, provenance: Provenance | None = None):
-        reduced, self.k, self.pivots = generator.rref()
-        self.generator = reduced.nonzero_rows()
+        reduced, _, pivots = generator.rref()
+        self._adopt(reduced.nonzero_rows(), pivots, provenance)
+
+    @classmethod
+    def _from_rref(cls, generator: MatrixGF, provenance: Provenance) -> "LinearCode":
+        """Trusted entry for construct_code: generator is an RREF with no zero row.
+
+        code_from_ideal_spec builds it so, and it is not reduced again.  Its
+        pivots are read off the staircase in O(length): column c is the next
+        pivot when row len(pivots) is nonzero there.
+        """
+        pivots = []
+        for c in range(generator.cols):
+            if len(pivots) < generator.rows and generator.data[len(pivots)][c]:
+                pivots.append(c)
+        code = cls.__new__(cls)
+        code._adopt(generator, pivots, provenance)
+        return code
+
+    def _adopt(self, generator: MatrixGF, pivots: list[int], provenance):
+        self.generator, self.pivots, self.k = generator, pivots, len(pivots)
         self.length = generator.cols
         self.provenance = provenance
         self._distance: dict[str, int] = {}
@@ -164,7 +190,19 @@ class LinearCode:
         return self.generator.ctx
 
     def contains(self, vector) -> bool:
-        return self.generator.row_space_contains(vector)
+        """Whether vector is a codeword: v - sum_i v[pivots[i]] * row_i is zero.
+
+        Row i of the RREF generator is 1 at pivots[i] and 0 at the other
+        pivots, so subtracting the rows one at a time leaves that sum.
+        """
+        v = [self.ctx.element(e) for e in vector]
+        if len(v) != self.length:
+            raise ValueError(f"vector of length {len(v)}, code of length {self.length}")
+        for pc, r in zip(self.pivots, self.generator.data):
+            f = v[pc]
+            if f:
+                v = [a - f * b for a, b in zip(v, r)]
+        return not any(v)
 
     def parameters(self, method: str = "auto", cap: int = DEFAULT_CAP):
         return (self.length, self.k, self.min_distance(method, cap))
@@ -193,6 +231,8 @@ class LinearCode:
 
 def load_code(doc: dict) -> LinearCode:
     """Rebuild a code from its JSON document (provenance not required)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"code document must be a JSON object, got {type(doc).__name__}")
     return LinearCode(MatrixGF.from_json(doc["generator"]))
 
 
@@ -243,7 +283,7 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
     blocks[s - 1] = row(ctx.one(), beta)
     spec = IdealSpec((_POSITION0[family.tag](), *blocks))
     prov = Provenance(ctx=ctx, n=n, tag=family.tag, s=s, beta=beta)
-    return LinearCode(code_from_ideal_spec(ctx, n, spec), provenance=prov)
+    return LinearCode._from_rref(code_from_ideal_spec(ctx, n, spec), prov)
 
 
 def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> MatrixGF:
@@ -319,6 +359,25 @@ def is_mds(code: LinearCode, method: str = "auto", cap: int = DEFAULT_CAP) -> bo
 # distance engines
 
 
+def _expansions(vectors, ctx: FieldCtx) -> list:
+    """gf.prime_expansion of each vector, given as coefficient tuples, in ints.
+
+    Both engines expand this way, with no FieldElement arithmetic.  x * c
+    shifts c's coefficients up one place and folds the top one back through
+    the monic modulus: x^m = -(f_0 + f_1 x + ... + f_(m-1) x^(m-1)).
+    """
+    p, m, low = ctx.p, ctx.m, ctx.modulus[:-1]
+    out = []
+    for vec in vectors:
+        planes = [vec]
+        for _ in range(1, m):
+            planes.append(
+                [tuple((a - c[-1] * f) % p for a, f in zip((0, *c[:-1]), low)) for c in planes[-1]]
+            )
+        out.append([[c[t] for t in range(m) for c in plane] for plane in planes])
+    return out
+
+
 def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     """Least weight over one nonzero codeword per GF(q)-line, in numpy.
 
@@ -343,12 +402,12 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     # lead row i, from the last up: its words are row i (expansion 0, coefficient 1)
     # plus each word of span, the GF(p)-span of the expansions of rows i+1..k-1
     span, below, best = np.zeros((1, m * ncols), dtype=dtype), [], ncols
-    for row in reversed(gen.data):
+    for expansion in reversed(_expansions([[e.coeffs for e in r] for r in gen.data], ctx)):
         for v in below:
             multiples = (scalars * v % p).astype(dtype)
             span = np.add(span[:, None, :], multiples[None, :, :]).reshape(-1, m * ncols)
             np.remainder(span, p, out=span)
-        below = prime_expansion(row)
+        below = expansion
         # row + s is zero exactly where s == -row mod p, so the sums are never
         # formed; an entry of GF(q) is nonzero when any of its m planes is
         negated = (-np.array(below[0], dtype=np.int64) % p).astype(dtype)
@@ -361,12 +420,26 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
 
 
 def _dual_distance(gen: MatrixGF, pivots, cap: int) -> int:
-    """Distance of an RREF generator's code: see min_distance."""
-    H = null_rows(gen, pivots)
-    if not H:
+    """Distance of an RREF generator's code: see min_distance.
+
+    On its pivot columns the generator is G = [I | A], so H = [-A^T | I]
+    (linalg.null_rows) is read straight off G's coefficient tuples, with
+    no FieldElement arithmetic.  Column pivots[i] of H is row i of G on the
+    free columns, taken unnegated: scaling a column by -1 changes no span,
+    so no key and no set of dependent columns.
+    """
+    pivot_set = set(pivots)
+    free = [c for c in range(gen.cols) if c not in pivot_set]
+    if not free:
         return 1
-    cols = [prime_expansion(col) for col in zip(*H)]
-    return _min_dependent_columns(cols, gen.ctx.p, cap, gen.data)
+    m = gen.ctx.m
+    zero, one = (0,) * m, (1,) + (0,) * (m - 1)
+    cols = [None] * gen.cols
+    for pc, r in zip(pivots, gen.data):
+        cols[pc] = [r[f].coeffs for f in free]
+    for j, f in enumerate(free):
+        cols[f] = [one if i == j else zero for i in range(len(free))]
+    return _min_dependent_columns(_expansions(cols, gen.ctx), gen.ctx.p, cap, gen)
 
 
 def _budget(cap: int, side: str):
@@ -375,32 +448,40 @@ def _budget(cap: int, side: str):
     raise CapExceededError(f"dual engine, {side} side: {cap + 1} column subsets > cap = {cap}")
 
 
-def _independent_subsets(cols, p: int, t: int, pivots: list, budget, start: int = 0):
+def _independent_subsets(cols, p: int, t: int, budget, every: bool, start: int = 0, base=()):
     """Walk the independent t-subsets S of cols depth-first, in index order.
 
-    Yields one past S's last index while pivots holds span(S) over GF(p) in
-    _reduce's form, the base form _span_key takes.  Column i joins S when
-    its expansion 0 does not reduce to zero; the span is closed under x, so
-    then every x^j multiple lies outside it too, and all m expansions are
-    pushed (negated, -1 at the lead).  Each subset reached takes one step
-    of budget.
+    At each S it yields (start, cols, base): start is one past S's last
+    index, base holds the m pivots of S's last column in _reduce's form,
+    and cols are the columns reduced modulo the span of the rest of S, so
+    _span_key(c, p, base) keys c modulo span(S).  A level gets its columns
+    from the level above, reduced that far, reduces them against base, the
+    pivots it was handed, and hands them down: m pivots per level, not all
+    m t of span(S).  With every it carries every column; without, only the
+    later ones, from start on (the earlier ones stay as they came).
+    Column i joins S when its expansion 0 is not in span(S); the span is
+    closed under x, so then every x^j multiple lies outside it too, and all
+    m expansions become pivots (negated, -1 at the lead, each reduced
+    against those before it).  Each subset reached takes one step of
+    budget.
     """
     if t == 0:
-        yield start
+        yield start, cols, base
         return
+    if base:
+        lo = 0 if every else start
+        cols = cols[:lo] + [[_reduce(v, base, p)[0] for v in c] for c in cols[lo:]]
     for i in range(start, len(cols) - t + 1):
-        v, lead = _reduce(cols[i][0], pivots, p)
-        if lead is None:
-            continue
-        next(budget)
-        pushed = len(pivots)
-        for j in range(len(cols[i])):
-            if j:
-                v, lead = _reduce(cols[i][j], pivots, p)
+        pushed = []
+        for v in cols[i]:
+            v, lead = _reduce(v, pushed, p)
+            if lead is None:  # only expansion 0 can be: column i is in span(S)
+                break
             inv = pow(v[lead], -1, p)
-            pivots.append((lead, [-a * inv % p for a in v]))
-        yield from _independent_subsets(cols, p, t - 1, pivots, budget, i + 1)
-        del pivots[pushed:]
+            pushed.append((lead, [-a * inv % p for a in v]))
+        else:
+            next(budget)
+            yield from _independent_subsets(cols, p, t - 1, budget, every, i + 1, pushed)
 
 
 def _hyperplane_distance(cols, p: int, cap: int = DEFAULT_CAP) -> int:
@@ -414,18 +495,19 @@ def _hyperplane_distance(cols, p: int, cap: int = DEFAULT_CAP) -> int:
     hyperplane is span(S, j) for an independent (k-2)-subset S of its
     columns, and it holds the columns in span(S), whose key modulo span(S)
     is (), and those whose key is j's.  So d is the length less the most
-    columns in those two classes, over at most C(ncols, k-2) subsets S.
+    columns in those two classes, over at most C(ncols, k-2) subsets S;
+    every column is keyed, so the walk carries them all.
     With k = 1 the hyperplane is 0, and d counts the nonzero columns.
     """
-    k, pivots = len(cols[0][0]) // len(cols[0]), []
+    k = len(cols[0][0]) // len(cols[0])
     if k == 1:
         return sum(any(c[0]) for c in cols)
-    subsets = _independent_subsets(cols, p, k - 2, pivots, _budget(cap, "generator"))
-    classes = (Counter(_span_key(c, p, pivots) for c in cols) for _ in subsets)
+    subsets = _independent_subsets(cols, p, k - 2, _budget(cap, "generator"), True)
+    classes = (Counter(_span_key(c, p, base) for c in cs) for _, cs, base in subsets)
     return len(cols) - max(keys.pop((), 0) + max(keys.values()) for keys in classes)
 
 
-def _min_dependent_columns(cols, p: int, cap: int = DEFAULT_CAP, gen_rows=None) -> int:
+def _min_dependent_columns(cols, p: int, cap: int = DEFAULT_CAP, gen: MatrixGF | None = None):
     """Least w such that some w of the given columns are linearly dependent.
 
     Each column over GF(p^m) is given as its prime_expansion: m integer
@@ -441,21 +523,23 @@ def _min_dependent_columns(cols, p: int, cap: int = DEFAULT_CAP, gen_rows=None) 
     need no deeper walk.
 
     From depth 2 on, each subset reached takes one step of the cap, on the
-    side with fewer subsets.  gen_rows, if given, are the rows of a
-    full-rank generator of the null space of these columns' matrix; when
-    its C(ncols, k-2) subsets (1 for k = 1) are no more than the
-    sum of C(ncols, t) over the depths t = 2..h-2 left here,
-    _hyperplane_distance answers from its columns.
+    side with fewer subsets.  gen, if given, is a full-rank generator of
+    the null space of these columns' matrix; when its C(ncols, k-2)
+    subsets (1 for k = 1) are no more than the sum of C(ncols, t) over the
+    depths t = 2..h-2 left here, _hyperplane_distance answers from its
+    columns.
     """
     ncols, h = len(cols), len(cols[0][0]) // len(cols[0])
-    pivots, budget, free = [], _budget(cap, "parity-check"), itertools.repeat(None)
+    budget, free = _budget(cap, "parity-check"), itertools.repeat(None)
     for t in range(max(h - 1, 1)):  # depth t finds w = t + 2
-        if t == 2 and gen_rows and math.comb(ncols, max(len(gen_rows) - 2, 0)) <= sum(
+        if t == 2 and gen is not None and math.comb(ncols, max(gen.rows - 2, 0)) <= sum(
             math.comb(ncols, s) for s in range(2, h - 1)
         ):
-            return _hyperplane_distance([prime_expansion(c) for c in zip(*gen_rows)], p, cap)
-        for start in _independent_subsets(cols, p, t, pivots, budget if t > 1 else free):
-            keys = [_span_key(c, p, pivots) for c in cols[start:]]
+            g_cols = zip(*([e.coeffs for e in r] for r in gen.data))
+            return _hyperplane_distance(_expansions(g_cols, gen.ctx), p, cap)
+        walk = _independent_subsets(cols, p, t, budget if t > 1 else free, False)
+        for start, reduced, base in walk:
+            keys = [_span_key(c, p, base) for c in reduced[start:]]
             if () in keys:
                 return t + 1
             if len(set(keys)) < len(keys):
@@ -469,10 +553,19 @@ def _span_key(vecs, p: int, base=()) -> tuple:
     base holds pivots in _reduce's form.  vecs are reduced against them,
     which leaves the one representative of each coset that is zero at
     base's leads, and the key is the reduced echelon basis of what is left,
-    rows scaled to -1 at their leads, as sorted (lead, row) pairs.  So two
-    vecs get one key exactly when they give one span(base, vecs), and the
-    key is () exactly when vecs lie in span(base).
+    rows scaled to -1 at their leads, as sorted (lead, row) pairs; a single
+    vector's key is that one row alone, as a tuple.  So two vecs of one
+    size get one key exactly when they give one span(base, vecs), and the
+    key is () exactly when vecs lie in span(base).  The walk passes as
+    base only the pivots of S's last column, with vecs already reduced
+    modulo the span of the rest of S: the key is then that modulo span(S).
     """
+    if len(vecs) == 1:
+        v, lead = _reduce(vecs[0], base, p)
+        if lead is None:
+            return ()
+        inv = -pow(v[lead], -1, p)
+        return tuple([a * inv % p for a in v])
     rows = []
     for v in vecs:
         v, lead = _reduce(v, itertools.chain(base, rows), p)

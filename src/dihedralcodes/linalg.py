@@ -7,6 +7,8 @@ operation returns a new matrix.
 
 from __future__ import annotations
 
+import json
+
 from .errors import DuplicateIndexError, MixedContextsError
 from .gf import FieldCtx, FieldElement, parse_field_spec
 
@@ -191,14 +193,22 @@ class MatrixGF:
 
     @classmethod
     def from_json(cls, doc: dict, ctx: FieldCtx | None = None) -> "MatrixGF":
+        if not isinstance(doc, dict):
+            raise ValueError(f"matrix JSON must be an object, got {type(doc).__name__}")
         if ctx is None:
             ctx = parse_field_spec(doc["field"])
         entries = doc["entries"]
-        if len(entries) != doc["rows"] or any(len(r) != doc["cols"] for r in entries):
+        if (
+            not isinstance(entries, list)
+            or any(not isinstance(r, list) for r in entries)
+            or len(entries) != doc["rows"]
+            or any(len(r) != doc["cols"] for r in entries)
+        ):
             raise ValueError("matrix JSON shape mismatch")
         if doc["rows"] == 0:
             return cls.zeros(ctx, 0, doc["cols"])
-        return cls.from_rows(ctx, entries)
+        rows = [[_json_entry(ctx, e, i, j) for j, e in enumerate(r)] for i, r in enumerate(entries)]
+        return cls(ctx, rows)
 
     def __repr__(self):
         return f"MatrixGF({self.rows}x{self.cols} over GF({self.ctx.q}))\n{self.text()}"
@@ -224,3 +234,17 @@ def null_rows(R: MatrixGF, pivots) -> list[list[FieldElement]]:
             v[pc] = -R.data[i][f]
         rows.append(v)
     return rows
+
+
+def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:
+    """Entry [i][j] of a matrix document: an integer, a list of integers or
+    an element's text; a float, a bool or null is refused, not truncated."""
+
+    def integer(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    if integer(e) or isinstance(e, str) or isinstance(e, list) and all(map(integer, e)):
+        return ctx.element(e)
+    raise ValueError(
+        f"matrix entry [{i}][{j}] is {json.dumps(e)}, not an integer or a list of integers"
+    )

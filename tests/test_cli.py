@@ -189,6 +189,36 @@ def test_file_errors_name_their_stage(tmp_path, capsys):
     assert err.startswith("error[FileAccess]: ") and str(unwritable) in err
 
 
+MALFORMED_ENTRIES = [
+    # (entries of a 1 x 2 generator over GF(13), what the diagnostic names)
+    ([[1, 2.5]], "matrix entry [0][1] is 2.5,"),
+    ([[None, 1]], "matrix entry [0][0] is null,"),
+    ([[[2.5], 1]], "matrix entry [0][0] is [2.5],"),
+    ([[True, 1]], "matrix entry [0][0] is true,"),
+]
+
+
+@pytest.mark.parametrize(
+    "entries, named", MALFORMED_ENTRIES, ids=["float", "null", "float-coefficient", "true"]
+)
+def test_analyze_refuses_a_malformed_entry(tmp_path, capsys, entries, named):
+    # no traceback, and no silent int(): 2.5 and true are not read as 2 and 1
+    path = tmp_path / "code.json"
+    generator = {"rows": 1, "cols": 2, "field": "p=13;mod=[0,1]", "entries": entries}
+    path.write_text(json.dumps({"generator": generator}))
+    rc, out, err = run(capsys, "analyze", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error[InvalidArgument]: " + named)
+
+
+def test_analyze_refuses_a_document_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text("[[1, 2]]")
+    rc, out, err = run(capsys, "analyze", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error[InvalidArgument]: code document must be a JSON object, got list\n"
+
+
 def test_dual_only_commands_never_import_numpy(tmp_path):
     # a fresh interpreter, since this one may have numpy loaded already;
     # at (43, 7) q^k - 1 exceeds the default cap, so analyze's auto is dual

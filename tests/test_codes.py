@@ -641,3 +641,148 @@ def test_gf25_example_codes():
     c2 = construct_code(GF25, 3, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS))
     assert c2.parameters("exhaustive") == (6, 3, 4)
     assert c1.is_mds() and c2.is_mds()
+
+
+# ---------------------------------------------------------------------------
+# one reduction per code: the trusted entry, integer parity checks, the carried walk
+
+
+@pytest.mark.parametrize(
+    "ctx, n",
+    [
+        (GF13, 3),
+        (GF25, 3),
+        (make_field(43, [0, 1]), 7),
+        (make_field(61, [0, 1]), 15),
+        (make_field(13, [2, 0, 1]), 21),
+    ],
+)
+def test_trusted_entry_matches_a_fresh_reduction(ctx, n):
+    # construct_code hands code_from_ideal_spec's RREF to LinearCode unreduced;
+    # the public constructor, reducing it again, must find the same code
+    for tag in FAMILIES:
+        for s in range(1, (n - 1) // 2 + 1):
+            if math.gcd(s, n) != 1:
+                continue
+            code = construct_code(ctx, n, CodeFamily(tag=tag, s=s))
+            fresh = LinearCode(code.generator)
+            assert (code.generator, code.k, code.pivots) == (
+                fresh.generator, fresh.k, fresh.pivots
+            )
+
+
+def test_construct_code_reduces_once(monkeypatch):
+    # the one rref is code_from_ideal_spec's, of the reversed constraint rows
+    calls = []
+    rref = MatrixGF.rref
+    monkeypatch.setattr(MatrixGF, "rref", lambda m: calls.append(m.rows) or rref(m))
+    code = construct_code(make_field(61, [0, 1]), 15, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS))
+    assert calls == [3]
+    assert code.k == 27
+
+
+def test_public_constructor_still_reduces():
+    # untrusted rows: scaled, out of order, with a zero row
+    code = code_13_2n2()
+    rows = [[e * 3 for e in r] for r in reversed(code.generator.data)]
+    messy = LinearCode(MatrixGF(GF13, rows + [[GF13.zero()] * 6]))
+    assert (messy.generator, messy.k, messy.pivots) == (code.generator, 4, code.pivots)
+    assert load_code(code.to_json()).pivots == code.pivots
+
+
+def test_contains_agrees_with_row_space_contains():
+    rng = random.Random(7)
+    for ctx, n in ((GF13, 3), (GF25, 3), (make_field(31, [0, 1]), 5)):
+        for _ in range(8):
+            code = LinearCode(code_from_ideal_spec(ctx, n, random_ideal_spec(ctx, n, rng)))
+            G = code.generator
+            member = [ctx.zero()] * code.length
+            for r in G.data:
+                c = ctx.random_element(rng)
+                member = [a + c * b for a, b in zip(member, r)]
+            vectors = [member] + [
+                [ctx.random_element(rng) for _ in range(code.length)] for _ in range(4)
+            ]
+            assert code.contains(member)
+            for v in vectors:
+                assert code.contains(v) == G.row_space_contains(v)
+    with pytest.raises(ValueError):
+        code_13_2n2().contains([0] * 5)
+
+
+def test_expansions_match_prime_expansion():
+    # the dual engine expands coefficient tuples in ints; gf.prime_expansion
+    # multiplies elements by x^j
+    from dihedralcodes.codes import _expansions
+    from dihedralcodes.gf import prime_expansion
+
+    rng = random.Random(8)
+    for ctx in (GF13, GF9, GF25, make_field(13, [2, 0, 1]), make_field(2, [1, 1, 0, 1])):
+        for length in (1, 3, 6):
+            cols = [[ctx.random_element(rng) for _ in range(length)] for _ in range(5)]
+            got = _expansions([[e.coeffs for e in col] for col in cols], ctx)
+            assert got == [prime_expansion(col) for col in cols]
+
+
+def random_columns_with_plants(ctx, rows, ncols, rng):
+    """A random rows x ncols matrix, with one plant or none: a zero column, a
+    scaled copy of a column, a combination of two columns, or of three (four
+    dependent columns, found at depth 2)."""
+    data = [[ctx.random_element(rng) for _ in range(ncols)] for _ in range(rows)]
+    a, b, c, d, e = rng.sample(range(ncols), 5)
+    # a scalar outside GF(p) when m > 1
+    x = ctx.from_index(rng.randrange(ctx.p if ctx.m > 1 else 2, ctx.q))
+    y = ctx.random_nonzero(rng)
+    plant = rng.randrange(5)
+    for r in data:
+        if plant == 1:
+            r[c] = ctx.zero()
+        elif plant == 2:
+            r[c] = x * r[a]
+        elif plant == 3:
+            r[c] = x * r[a] + y * r[b]
+        elif plant == 4:  # four columns in one 3-space: found at depth 2
+            r[e] = x * r[a] + y * r[b] + r[d]
+    return MatrixGF(ctx, data)
+
+
+def test_carried_walk_matches_subset_oracle():
+    # at h >= 5 rows the parity-check walk runs to depth 2 and beyond, and a
+    # k >= 5 generator's hyperplane walk to depth k - 2 >= 3, each level
+    # handing its reduced columns down; the oracle ranks column subsets
+    from itertools import combinations
+
+    from dihedralcodes.codes import _hyperplane_distance, _min_dependent_columns
+    from dihedralcodes.gf import prime_expansion
+
+    def least_dependent(m):
+        return next(
+            w for w in range(1, m.cols + 1)
+            if any(m.columns_rank(c) < w for c in combinations(range(m.cols), w))
+        )
+
+    def most_on_a_hyperplane(m):
+        k = m.rows
+        return max(
+            sum(c in T or m.columns_rank(T + (c,)) == k - 1 for c in range(m.cols))
+            for T in combinations(range(m.cols), k - 1)
+            if m.columns_rank(T) == k - 1
+        )
+
+    rng = random.Random(9)
+    depths, hyperplanes = set(), 0
+    for ctx in (GF13, GF9, GF25):
+        for _ in range(12):
+            rows = rng.randrange(5, 7)
+            m = random_columns_with_plants(ctx, rows, rng.randrange(rows + 1, rows + 4), rng)
+            cols = [prime_expansion(col) for col in m.transpose().data]
+            w = least_dependent(m)
+            assert _min_dependent_columns(cols, ctx.p) == w
+            depths.add((ctx.q, min(w - 2, 2)))
+            if rows == 5 and m.rank() == rows:  # depth 3, C(ncols, 4) subsets
+                assert _hyperplane_distance(cols, ctx.p) == m.cols - most_on_a_hyperplane(m)
+                hyperplanes += 1
+    # every field had a zero column, dependent pairs and triples, and a
+    # walk to depth 2 or deeper (w >= 4)
+    assert depths == {(q, t) for q in (13, 9, 25) for t in (-1, 0, 1, 2)}
+    assert hyperplanes >= 12
