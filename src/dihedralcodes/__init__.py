@@ -9,10 +9,8 @@ from .codes import (
     LinearCode,
     construct_code,
     generator_matrix_presentation,
-    is_mds,
     left_ideal_closure_ok,
     load_code,
-    min_distance,
 )
 from .dihedral import AlgebraElement, DihedralAlgebra, left_ideal_basis, phi_inv
 from .gf import (
@@ -70,12 +68,10 @@ __all__ = [
     "element_order",
     "full",
     "generator_matrix_presentation",
-    "is_mds",
     "left_ideal_basis",
     "left_ideal_closure_ok",
     "load_code",
     "make_field",
-    "min_distance",
     "minus_piece",
     "parse_element",
     "parse_field_spec",

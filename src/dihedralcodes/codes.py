@@ -63,8 +63,7 @@ from .errors import (
     UnsupportedStyleError,
     ZeroElementError,
 )
-from .gf import FieldCtx, FieldElement, element_order
-from .idempotents import _nth_root
+from .gf import FieldCtx, FieldElement, element_order, primitive_nth_root
 from .linalg import MatrixGF
 from .wedderburn import (
     IdealSpec,
@@ -119,9 +118,9 @@ class LinearCode:
     them the parity check is read off the generator (linalg.null_rows).
     """
 
-    def __init__(self, generator: MatrixGF, provenance: Provenance | None = None):
+    def __init__(self, generator: MatrixGF):
         reduced, _, pivots = generator.rref()
-        self._adopt(reduced.nonzero_rows(), pivots, provenance)
+        self._adopt(reduced.nonzero_rows(), pivots, None)
 
     @classmethod
     def _from_rref(cls, generator: MatrixGF, provenance: Provenance) -> "LinearCode":
@@ -268,7 +267,7 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
         raise NotCoprimeError(
             f"s={s} must satisfy 1 <= s <= (n-1)/2={(n - 1) // 2} and gcd(s, n) = 1"
         )
-    _nth_root(ctx, n)  # the root check precedes the beta checks
+    primitive_nth_root(ctx, n)  # the root check precedes the beta checks
     beta = _resolve_beta(ctx, family.beta)
     if family.tag in (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS):
         ord_beta = element_order(beta)
@@ -341,18 +340,6 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
         for r in code.generator.data
         for g in gens
     )
-
-
-# ---------------------------------------------------------------------------
-# module-level wrappers matching the operation names
-
-
-def min_distance(code: LinearCode, method: str = "auto", cap: int = DEFAULT_CAP) -> int:
-    return code.min_distance(method, cap)
-
-
-def is_mds(code: LinearCode, method: str = "auto", cap: int = DEFAULT_CAP) -> bool:
-    return code.is_mds(method, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -138,37 +138,20 @@ class AlgebraElement:
         if isinstance(other, (FieldElement, int)):
             return self.scale(other)
         self._check(other)
-        n = self.n
-        A, B = self.alpha, self.beta
-        C, D = other.alpha, other.beta
-        z = self.ctx.zero()
-        # straightforward double loop; n stays small here
-        alpha = [z] * n
-        beta = [z] * n
-        for i in range(n):
-            ai = A[i]
-            if ai:
-                for j in range(n):
-                    cj = C[j]
-                    if cj:
-                        k = (i + j) % n
-                        alpha[k] = alpha[k] + ai * cj
-                    dj = D[j]
-                    if dj:
-                        k = (j - i) % n
-                        beta[k] = beta[k] + ai * dj
-            bi = B[i]
-            if bi:
-                for j in range(n):
-                    cj = C[j]
-                    if cj:
-                        k = (i + j) % n
-                        beta[k] = beta[k] + bi * cj
-                    dj = D[j]
-                    if dj:
-                        k = (j - i) % n
-                        alpha[k] = alpha[k] + bi * dj
-        return AlgebraElement(self.algebra, tuple(alpha), tuple(beta))
+        n, z = self.n, self.ctx.zero()
+        halves = ([z] * n, [z] * n)  # (alpha, beta) of the product
+        # a^i or b a^i times a^j or b a^j: reflected when exactly one factor
+        # is, at a^(j-i) when the right factor is reflected, else at a^(i+j)
+        for left, xs in enumerate((self.alpha, self.beta)):
+            for right, ys in enumerate((other.alpha, other.beta)):
+                out, sign = halves[left ^ right], -1 if right else 1
+                for i, x in enumerate(xs):
+                    if x:
+                        for j, y in enumerate(ys):
+                            if y:
+                                k = (j + sign * i) % n
+                                out[k] = out[k] + x * y
+        return AlgebraElement(self.algebra, tuple(halves[0]), tuple(halves[1]))
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -216,26 +199,15 @@ class AlgebraElement:
 
     def text(self) -> str:
         """Readable form "c0 + c1*a + ... + d0*b + d1*b*a + ..."."""
+        powers = ["a" * i if i < 2 else f"a^{i}" for i in range(self.n)]  # "", "a", "a^2", ...
+        names = powers + [f"b*{a}" if a else "b" for a in powers]
         parts = []
-        for i, c in enumerate(self.alpha):
-            if not c:
-                continue
-            coef = c.text()
-            if "+" in coef:
-                coef = f"({coef})"
-            if i == 0:
-                parts.append(coef)
-            else:
-                mono = "a" if i == 1 else f"a^{i}"
-                parts.append(f"{coef}*{mono}")
-        for i, c in enumerate(self.beta):
-            if not c:
-                continue
-            coef = c.text()
-            if "+" in coef:
-                coef = f"({coef})"
-            mono = "b" if i == 0 else ("b*a" if i == 1 else f"b*a^{i}")
-            parts.append(f"{coef}*{mono}")
+        for name, c in zip(names, self.phi()):
+            if c:
+                coef = c.text()
+                if "+" in coef:
+                    coef = f"({coef})"
+                parts.append(f"{coef}*{name}" if name else coef)
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:

@@ -39,10 +39,6 @@ class ZeroElementError(DihedralCodesError, ValueError):
     """Operation requires a nonzero field element."""
 
 
-class NoSuchRootError(DihedralCodesError, ValueError):
-    """No element of the requested multiplicative order exists (n does not divide q-1)."""
-
-
 class DuplicateIndexError(DihedralCodesError, ValueError):
     """Column index list contains repeats."""
 
@@ -53,6 +49,9 @@ class LengthMismatchError(DihedralCodesError, ValueError):
 
 class RootUnavailableError(DihedralCodesError, ValueError):
     """A primitive n-th root of unity is required but n does not divide q-1."""
+
+
+NoSuchRootError = RootUnavailableError  # no element of order n exists in GF(q)
 
 
 class CharDividesOrderError(DihedralCodesError, ValueError):

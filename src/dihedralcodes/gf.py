@@ -23,10 +23,10 @@ import re
 
 from .errors import (
     MixedContextsError,
-    NoSuchRootError,
     NotMonicError,
     NotPrimeError,
     ReducibleError,
+    RootUnavailableError,
     ZeroElementError,
 )
 
@@ -101,6 +101,18 @@ def _rho_factor(n: int) -> int:
             r *= 2
         if g != n:
             return g
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _residues(coeffs, p: int) -> list[int]:
+    """Integer coefficients mod p; a bool, float or str is refused, not read as an int."""
+    for c in coeffs:
+        if not _is_int(c):
+            raise ValueError(f"coefficient {c!r} is not an integer")
+    return [c % p for c in coeffs]
 
 
 def _trim(cs):
@@ -254,7 +266,7 @@ class FieldCtx:
             return FieldElement(self, tuple(coeffs))
         if isinstance(value, str):
             return parse_element(self, value)
-        coeffs = [int(c) % self.p for c in value]
+        coeffs = _residues(value, self.p)
         if len(coeffs) > self.m:
             extra = _trim(coeffs[self.m:])
             if extra:
@@ -287,9 +299,6 @@ class FieldCtx:
 
     def random_element(self, rng) -> "FieldElement":
         return self.from_index(rng.randrange(self.q))
-
-    def random_nonzero(self, rng) -> "FieldElement":
-        return self.from_index(rng.randrange(1, self.q))
 
     def generator(self) -> "FieldElement":
         """Canonical primitive element: first of order q-1 in index order."""
@@ -445,12 +454,6 @@ class FieldElement:
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
 
-    def to_index(self) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * self.ctx.p + c
-        return acc
-
     def to_list(self) -> list[int]:
         return list(self.coeffs)
 
@@ -475,7 +478,7 @@ def make_field(p: int, modulus) -> FieldCtx:
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    coeffs = [int(c) % p for c in modulus]
+    coeffs = _residues(modulus, p)
     trimmed = _trim(coeffs)
     if len(trimmed) != len(coeffs) or len(coeffs) < 2 or coeffs[-1] != 1:
         raise NotMonicError(
@@ -503,7 +506,7 @@ def primitive_nth_root(ctx: FieldCtx, n: int) -> FieldElement:
     if n < 1:
         raise ValueError("n must be positive")
     if (ctx.q - 1) % n != 0:
-        raise NoSuchRootError(f"{n} does not divide q-1={ctx.q - 1}")
+        raise RootUnavailableError(f"{n} does not divide q-1={ctx.q - 1}")
     return ctx.generator() ** ((ctx.q - 1) // n)
 
 

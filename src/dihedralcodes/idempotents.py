@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dihedral import AlgebraElement, DihedralAlgebra
-from .errors import NoSuchRootError, RootUnavailableError
 from .gf import FieldCtx, FieldElement, primitive_nth_root
 
 
@@ -33,17 +32,9 @@ class IdempotentFamily:
         return len(self.members)
 
 
-def _nth_root(ctx: FieldCtx, n: int) -> FieldElement:
-    """primitive_nth_root, raising RootUnavailableError where n does not divide q-1."""
-    try:
-        return primitive_nth_root(ctx, n)
-    except NoSuchRootError as exc:
-        raise RootUnavailableError(str(exc)) from exc
-
-
 def _xi_powers(ctx: FieldCtx, n: int) -> list[FieldElement]:
     """xi^0 .. xi^(n-1) for the canonical primitive n-th root xi."""
-    xi = _nth_root(ctx, n)
+    xi = primitive_nth_root(ctx, n)
     pows = [ctx.one()]
     for _ in range(n - 1):
         pows.append(pows[-1] * xi)
@@ -63,7 +54,7 @@ def cyclic_idempotent(ctx: FieldCtx, n: int, i: int) -> AlgebraElement:
 
 def cyclic_family(ctx: FieldCtx, n: int) -> IdempotentFamily:
     """All primitive idempotents e_0 .. e_(n-1) of F_q C_n."""
-    xi = _nth_root(ctx, n)
+    xi = primitive_nth_root(ctx, n)
     members = tuple(cyclic_idempotent(ctx, n, i) for i in range(n))
     return IdempotentFamily(n=n, ctx=ctx, xi=xi, members=members)
 
@@ -74,7 +65,7 @@ def central_primitive_idempotents(ctx: FieldCtx, n: int) -> IdempotentFamily:
     Family size is 2 + (n-1)/2 for odd n and 4 + (n-2)/2 for even n.
     Requires gcd(2n, q) = 1 and n | q-1.
     """
-    xi = _nth_root(ctx, n)
+    xi = primitive_nth_root(ctx, n)
     algebra = DihedralAlgebra(ctx, n)
     e = [cyclic_idempotent(ctx, n, i) for i in range(n)]
     b = algebra.b()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .errors import DuplicateIndexError, MixedContextsError
-from .gf import FieldCtx, FieldElement, parse_field_spec
+from .gf import FieldCtx, FieldElement, _is_int, parse_field_spec
 
 
 class MatrixGF:
@@ -116,38 +116,7 @@ class MatrixGF:
                 pivots.append((lead, [e * inv for e in v]))
         return len(pivots)
 
-    # -- shaping and products --------------------------------------------------
-
-    def submatrix_columns(self, cols) -> "MatrixGF":
-        cols = list(cols)
-        return MatrixGF(
-            self.ctx, [[row[c] for c in cols] for row in self.data], cols=len(cols)
-        )
-
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(
-            self.ctx,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
-    def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
-        if self.ctx != other.ctx:
-            raise MixedContextsError("matrix product across fields")
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        z = self.ctx.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    if a:
-                        acc = acc + a * other.data[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixGF(self.ctx, out)
+    # -- shaping ----------------------------------------------------------------
 
     def vstack(self, other: "MatrixGF") -> "MatrixGF":
         if self.ctx != other.ctx or self.cols != other.cols:
@@ -192,11 +161,15 @@ class MatrixGF:
         }
 
     @classmethod
-    def from_json(cls, doc: dict, ctx: FieldCtx | None = None) -> "MatrixGF":
+    def from_json(cls, doc: dict) -> "MatrixGF":
         if not isinstance(doc, dict):
             raise ValueError(f"matrix JSON must be an object, got {type(doc).__name__}")
-        if ctx is None:
-            ctx = parse_field_spec(doc["field"])
+        if not isinstance(doc["field"], str):
+            raise ValueError(f"matrix field is {json.dumps(doc['field'])}, not a spec string")
+        for key in ("rows", "cols"):
+            if not _is_int(doc[key]) or doc[key] < 0:
+                raise ValueError(f"matrix {key} is {json.dumps(doc[key])}, not an integer >= 0")
+        ctx = parse_field_spec(doc["field"])
         entries = doc["entries"]
         if (
             not isinstance(entries, list)
@@ -238,13 +211,13 @@ def null_rows(R: MatrixGF, pivots) -> list[list[FieldElement]]:
 
 def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:
     """Entry [i][j] of a matrix document: an integer, a list of integers or
-    an element's text; a float, a bool or null is refused, not truncated."""
-
-    def integer(x):
-        return isinstance(x, int) and not isinstance(x, bool)
-
-    if integer(e) or isinstance(e, str) or isinstance(e, list) and all(map(integer, e)):
+    an element's text; a float, a bool or null is refused, not truncated,
+    and so is a list holding one (by ctx.element)."""
+    if not (_is_int(e) or isinstance(e, (str, list))):
+        raise ValueError(
+            f"matrix entry [{i}][{j}] is {json.dumps(e)}, not an integer or a list of integers"
+        )
+    try:
         return ctx.element(e)
-    raise ValueError(
-        f"matrix entry [{i}][{j}] is {json.dumps(e)}, not an integer or a list of integers"
-    )
+    except ValueError as exc:
+        raise ValueError(f"matrix entry [{i}][{j}] is {json.dumps(e)}, {exc}") from None

@@ -84,13 +84,6 @@ class WedderburnTuple:
             )
         return WedderburnTuple(gamma=g, blocks=tuple(blocks))
 
-    def flatten(self) -> list[FieldElement]:
-        """Coordinates (gamma_1, gamma_2, then each block row-major)."""
-        out = [self.gamma[0], self.gamma[1]]
-        for b in self.blocks:
-            out.extend([b[0][0], b[0][1], b[1][0], b[1][1]])
-        return out
-
 
 # (half, sign) of each block form a11, a12, a21, a22: xi^(sign*ij) on that
 # half of the phi coordinates (0: a-part, 1: b-part), zero on the other
@@ -109,15 +102,24 @@ def coordinate_forms(ctx: FieldCtx, n: int):
 
     This is the one statement of P's DFT convention: the map, its inverse,
     the constraint rows of an ideal spec and the paper-style generator rows
-    all read it.
+    all read it, the constraint rows through _summand_forms, one summand
+    at a time.
     """
     xi_pows = _xi_powers(ctx, n)
-    o, zeros = ctx.one(), [ctx.zero()] * n
-    blocks = []
-    for j in range(1, (n - 1) // 2 + 1):
-        pows = {sign: [xi_pows[(sign * i * j) % n] for i in range(n)] for sign in (1, -1)}
-        blocks.append(tuple(zeros + pows[s] if h else pows[s] + zeros for h, s in _BLOCK_LAYOUT))
-    return [o] * (2 * n), [o] * n + [-o] * n, blocks
+    g1, g2 = _summand_forms(xi_pows, 0)
+    return g1, g2, [_summand_forms(xi_pows, j) for j in range(1, (n - 1) // 2 + 1)]
+
+
+def _summand_forms(xi_pows, j: int):
+    """The forms of summand j of coordinate_forms: (g1, g2) of the pair at
+    j = 0, (a11, a12, a21, a22) of block j above.  xi_pows = xi^0 .. xi^(n-1)."""
+    n, ctx = len(xi_pows), xi_pows[0].ctx
+    if j == 0:
+        o = ctx.one()
+        return [o] * (2 * n), [o] * n + [-o] * n
+    zeros = [ctx.zero()] * n
+    pows = {sign: [xi_pows[(sign * i * j) % n] for i in range(n)] for sign in (1, -1)}
+    return tuple(zeros + pows[s] if h else pows[s] + zeros for h, s in _BLOCK_LAYOUT)
 
 
 def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
@@ -250,14 +252,17 @@ class IdealSpec:
 def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list[FieldElement]]:
     """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H.
 
-    Each summand keeps the forms of coordinate_forms that vanish on it.
+    Each summand keeps the forms of coordinate_forms that vanish on it;
+    the forms of a full block are never built.
     """
-    g1, g2, blocks = coordinate_forms(ctx, n)
+    xi_pows = _xi_powers(ctx, n)
+    g1, g2 = _summand_forms(xi_pows, 0)
     out = {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2], FULL: []}[spec.summands[0].kind]
-    for s, (a11, a12, a21, a22) in zip(spec.summands[1:], blocks):
+    for j, s in enumerate(spec.summands[1:], 1):
         if s.kind == ZERO:
-            out += [a11, a12, a21, a22]
+            out += _summand_forms(xi_pows, j)
         elif s.kind == ROW:  # y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
+            a11, a12, a21, a22 = _summand_forms(xi_pows, j)
             out += [
                 [s.y * u - s.x * w for u, w in zip(a11, a12)],
                 [s.y * u - s.x * w for u, w in zip(a21, a22)],
@@ -287,8 +292,8 @@ def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
     return MatrixGF(ctx, [r[::-1] for r in reversed(null_rows(R, pivots))], cols=2 * n)
 
 
-def random_ideal_spec(ctx: FieldCtx, n: int, rng, allow_zero: bool = False) -> IdealSpec:
-    """Uniform-ish random spec; resamples away the zero ideal unless allowed."""
+def random_ideal_spec(ctx: FieldCtx, n: int, rng) -> IdealSpec:
+    """Uniform-ish random spec; resamples away the zero ideal."""
     half = (n - 1) // 2
     while True:
         first = rng.choice([FULL, ZERO, PLUS_PIECE, MINUS_PIECE])
@@ -304,5 +309,5 @@ def random_ideal_spec(ctx: FieldCtx, n: int, rng, allow_zero: bool = False) -> I
             else:
                 summands.append(Summand(kind))
         spec = IdealSpec(tuple(summands))
-        if allow_zero or spec.dim() > 0:
+        if spec.dim() > 0:
             return spec

@@ -211,6 +211,42 @@ def test_analyze_refuses_a_malformed_entry(tmp_path, capsys, entries, named):
     assert err.startswith("error[InvalidArgument]: " + named)
 
 
+@pytest.mark.parametrize(
+    "header, named",
+    [({"field": 13}, "matrix field is 13,"),
+     ({"rows": 0, "cols": "abc", "entries": []}, 'matrix cols is "abc",')],
+    ids=["field-not-a-string", "cols-not-an-integer"],
+)
+def test_analyze_refuses_a_malformed_matrix_header(tmp_path, capsys, header, named):
+    # a diagnostic, not a TypeError traceback
+    path = tmp_path / "code.json"
+    generator = {"rows": 1, "cols": 2, "field": "p=13;mod=[0,1]", "entries": [[1, 2]], **header}
+    path.write_text(json.dumps({"generator": generator}))
+    rc, out, err = run(capsys, "analyze", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error[InvalidArgument]: " + named)
+
+
+@pytest.mark.parametrize(
+    "beta, named", [("[2.5]", "2.5"), ("[true]", "True"), ('["3"]', "'3'")],
+    ids=["float", "true", "string"],
+)
+def test_construct_refuses_a_beta_coefficient_that_is_not_an_integer(capsys, beta, named):
+    # not read as 2, 1 and 3
+    rc, out, err = run(
+        capsys, "construct", "--field", "p=13", "--n", "3", "--family", "2n-3-plus", "--beta", beta
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"error[InvalidArgument]: coefficient {named} is not an integer\n"
+
+
+def test_field_check_refuses_a_modulus_coefficient_that_is_not_an_integer(capsys):
+    # not read as x^2+2
+    rc, out, err = run(capsys, "field-check", "--field", "p=5;mod=[2.5,0,1]")
+    assert (rc, out) == (2, "")
+    assert err == "error[InvalidArgument]: coefficient 2.5 is not an integer\n"
+
+
 def test_analyze_refuses_a_document_that_is_not_an_object(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text("[[1, 2]]")

@@ -65,7 +65,9 @@ def test_rref_invariants(m):
         assert column == [m.ctx.one() if r == i else m.ctx.zero() for r in range(reduced.rows)]
     kernel = m.kernel_basis()
     assert rank + kernel.rows == m.cols
-    assert not any(any(r) for r in (m @ kernel.transpose()).data)
+    # every kernel row is orthogonal to every row of m: M K^T = 0
+    zero = m.ctx.zero()
+    assert not any(sum((a * b for a, b in zip(r, v)), zero) for r in m.data for v in kernel.data)
 
 
 @PROPERTY
@@ -102,9 +104,10 @@ HIGH_RATE_FIELDS = (
 def index_tables(ctx):
     """+, * and inverse of a small field on element indices (index 0 is zero)."""
     els = list(ctx.elements())
-    add = [[(a + b).to_index() for b in els] for a in els]
-    mul = [[(a * b).to_index() for b in els] for a in els]
-    return add, mul, [0] + [a.inverse().to_index() for a in els[1:]]
+    index = {e: i for i, e in enumerate(els)}
+    add = [[index[a + b] for b in els] for a in els]
+    mul = [[index[a * b] for b in els] for a in els]
+    return add, mul, [0] + [index[a.inverse()] for a in els[1:]]
 
 
 def projective_point(v, tables):
