@@ -34,7 +34,13 @@ canonical key (_span_key) at depth w - 2.  Each level of the walk hands
 the columns down already reduced modulo its part of span(S), so a level
 reduces against the m pivots of one column, not all of span(S).
 Depths 0 and 1 find 1, 2 or 3 dependent columns; the paper's codes
-have 2 or 3 parity checks, so they need nothing deeper.  Past depth 1 the
+have 2 or 3 parity checks, so they need nothing deeper.  Those two depths
+are one pass over the columns' projective points in GF(q)
+(_few_dependent_columns): the span of one column is one point, and with
+3 rows the key of a column modulo another is one ratio y/x.  Over GF(p)
+the entries are residues mod p; over GF(p^m) they are discrete logs, with
+Zech logs for sums (gf.FieldCtx.log_tables), unless the field has more
+than 2^16 elements, when the walk keeps depths 0 and 1.  Past depth 1 the
 walk runs on the side with fewer subsets: the parity check's, or the
 generator's at depth k - 2, where the columns in span(S) and one class
 of equal keys are the columns on a hyperplane, and d is the length less
@@ -232,6 +238,8 @@ def load_code(doc: dict) -> LinearCode:
     """Rebuild a code from its JSON document (provenance not required)."""
     if not isinstance(doc, dict):
         raise ValueError(f"code document must be a JSON object, got {type(doc).__name__}")
+    if "generator" not in doc:
+        raise ValueError('code document has no "generator" key')
     return LinearCode(MatrixGF.from_json(doc["generator"]))
 
 
@@ -419,14 +427,150 @@ def _dual_distance(gen: MatrixGF, pivots, cap: int) -> int:
     free = [c for c in range(gen.cols) if c not in pivot_set]
     if not free:
         return 1
-    m = gen.ctx.m
-    zero, one = (0,) * m, (1,) + (0,) * (m - 1)
+    ctx, depth = gen.ctx, 0
+    zero, one = (0,) * ctx.m, (1,) + (0,) * (ctx.m - 1)
     cols = [None] * gen.cols
     for pc, r in zip(pivots, gen.data):
         cols[pc] = [r[f].coeffs for f in free]
     for j, f in enumerate(free):
         cols[f] = [one if i == j else zero for i in range(len(free))]
-    return _min_dependent_columns(_expansions(cols, gen.ctx), gen.ctx.p, cap, gen)
+    # an extension field's log tables take O(q) time and memory to build
+    # (0.25 s at q = 63001): past 2^16 elements the walk keeps depths 0, 1
+    if ctx.m == 1 or ctx.q <= 2**16:
+        w = _few_dependent_columns(cols, ctx)
+        if w is not None:
+            return w
+        if len(free) <= 3:
+            return len(free) + 1  # any h + 1 columns of H are dependent
+        depth = 2
+    return _min_dependent_columns(_expansions(cols, ctx), ctx.p, cap, gen, depth)
+
+
+def _few_dependent_columns(cols, ctx: FieldCtx):
+    """Least w <= 3 such that some w of the columns are dependent, or None.
+
+    Depths 0 and 1 of _min_dependent_columns, on the columns' GF(q) entries
+    (given as coefficient tuples) instead of their prime expansions: the
+    span of one column is one projective point.  Depth 0 keys each column
+    by its point; a zero column has none (w = 1), and a repeated point is
+    two proportional columns.  Depth 1 takes each column c in turn,
+    subtracts from every later column its multiple of c, and keys what is
+    left by its point: a repeat is three dependent columns.  With r = 3
+    rows what is left has two entries (x, y), and its point is the one
+    ratio y/x.  Over GF(p) the entries are residues mod p (_Residues);
+    over GF(p^m) they are logs to ctx.generator() (_Logs).
+    """
+    field = _Residues(ctx) if ctx.m == 1 else _Logs(ctx)
+    cols = [field.entries(col) for col in cols]
+    points = [field.point(v) for v in cols]
+    if None in points:
+        return 1
+    if len(set(points)) < len(points):
+        return 2
+    for i in range(len(cols) - 2):
+        keys = field.pencil(cols[i], cols[i + 1:])
+        if len(set(keys)) < len(keys):
+            return 3
+    return None
+
+
+class _Residues:
+    """GF(p) entries as residues mod p, for _few_dependent_columns."""
+
+    def __init__(self, ctx: FieldCtx):
+        self.p = ctx.p
+
+    def entries(self, col):
+        return [c[0] for c in col]
+
+    def point(self, v):
+        """v's projective point: its lead (first nonzero index) and v/v[lead]
+        past it; None for v = 0."""
+        p = self.p
+        for lead, a in enumerate(v):
+            if a:
+                inv = pow(a, -1, p)
+                return lead, *[b * inv % p for b in v[lead + 1:]]
+        return None
+
+    def pencil(self, c, later):
+        """Keys of the later vectors v modulo c: the point of v - (v[lead]/c[lead]) c
+        off c's lead, which names the line through c and v."""
+        p = self.p
+        lead, *tail = self.point(c)
+        unit = [0] * lead + [1] + tail
+        rest = [t for t in range(len(c)) if t != lead]
+        if len(rest) == 2:  # the ratio y/x, p for x = 0
+            (s, t), a, b = rest, unit[rest[0]], unit[rest[1]]
+            xs = [(v[s] - v[lead] * a) % p for v in later]
+            # Montgomery's batch inversion: one pow for all the x, then
+            # 1/x_k = (x_0 ... x_(k-1)) / (x_0 ... x_k), skipping x = 0
+            prefix, acc = [], 1
+            for x in xs:
+                prefix.append(acc)
+                if x:
+                    acc = acc * x % p
+            inv, keys = pow(acc, -1, p), [p] * len(xs)
+            for k in range(len(xs) - 1, -1, -1):
+                if xs[k]:
+                    v = later[k]
+                    keys[k] = (v[t] - v[lead] * b) * inv * prefix[k] % p
+                    inv = inv * xs[k] % p
+            return keys
+        return [self.point([(v[t] - v[lead] * unit[t]) % p for t in rest]) for v in later]
+
+
+class _Logs:
+    """GF(p^m) entries as logs to ctx.generator(), None for 0, for _few_dependent_columns.
+
+    A product is a sum of logs mod q - 1, and g^u + g^e = g^(u + zech[e - u])
+    (FieldCtx.log_tables); -1 is the constant p - 1, whose index is p - 1.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        self.p, self.o = ctx.p, ctx.q - 1
+        self.logs, self.zech = ctx.log_tables()
+        self.minus_one = self.logs[ctx.p - 1]
+
+    def entries(self, col):
+        p, logs = self.p, self.logs
+        return [logs[sum(a * p**t for t, a in enumerate(c))] for c in col]
+
+    def point(self, v):
+        """v's projective point: its lead and v/v[lead] past it; None for v = 0."""
+        o = self.o
+        for lead, a in enumerate(v):
+            if a is not None:
+                return lead, *[None if b is None else (b - a) % o for b in v[lead + 1:]]
+        return None
+
+    def pencil(self, c, later):
+        """Keys of the later vectors v modulo c: the point of v - (v[lead]/c[lead]) c
+        off c's lead, which names the line through c and v."""
+        o, zech = self.o, self.zech
+        lead = next(t for t, a in enumerate(c) if a is not None)
+        # logs of -c / c[lead]: v less f c / c[lead] is v plus f times these
+        minus = [None if a is None else (a - c[lead] + self.minus_one) % o for a in c]
+
+        def reduced(v, t):
+            f, u, e = v[lead], v[t], minus[t]
+            if f is None or e is None:
+                return u
+            e += f
+            if u is None:
+                return e % o
+            z = zech[(e - u) % o]
+            return None if z is None else (u + z) % o
+
+        rest = [t for t in range(len(c)) if t != lead]
+        if len(rest) == 2:  # the ratio y/x: -1 for x = 0, None for y = 0
+            s, t = rest
+            keys = []
+            for v in later:
+                x, y = reduced(v, s), reduced(v, t)
+                keys.append(-1 if x is None else None if y is None else (y - x) % o)
+            return keys
+        return [self.point([reduced(v, t) for t in rest]) for v in later]
 
 
 def _budget(cap: int, side: str):
@@ -494,7 +638,9 @@ def _hyperplane_distance(cols, p: int, cap: int = DEFAULT_CAP) -> int:
     return len(cols) - max(keys.pop((), 0) + max(keys.values()) for keys in classes)
 
 
-def _min_dependent_columns(cols, p: int, cap: int = DEFAULT_CAP, gen: MatrixGF | None = None):
+def _min_dependent_columns(
+    cols, p: int, cap: int = DEFAULT_CAP, gen: MatrixGF | None = None, depth: int = 0
+):
     """Least w such that some w of the given columns are linearly dependent.
 
     Each column over GF(p^m) is given as its prime_expansion: m integer
@@ -507,7 +653,8 @@ def _min_dependent_columns(cols, p: int, cap: int = DEFAULT_CAP, gen: MatrixGF |
     only at depth 0, is a zero column (w = 1).  Depths 0 and 1 (w <= 3)
     take O(ncols^2) keys and no budget; if they find nothing and h <= 3,
     any h + 1 columns are dependent, so the paper's codes (h = 2 or 3)
-    need no deeper walk.
+    need no deeper walk.  The walk starts at the given depth: 2 once
+    _few_dependent_columns has answered depths 0 and 1.
 
     From depth 2 on, each subset reached takes one step of the cap, on the
     side with fewer subsets.  gen, if given, is a full-rank generator of
@@ -518,7 +665,7 @@ def _min_dependent_columns(cols, p: int, cap: int = DEFAULT_CAP, gen: MatrixGF |
     """
     ncols, h = len(cols), len(cols[0][0]) // len(cols[0])
     budget, free = _budget(cap, "parity-check"), itertools.repeat(None)
-    for t in range(max(h - 1, 1)):  # depth t finds w = t + 2
+    for t in range(depth, max(h - 1, 1)):  # depth t finds w = t + 2
         if t == 2 and gen is not None and math.comb(ncols, max(gen.rows - 2, 0)) <= sum(
             math.comb(ncols, s) for s in range(2, h - 1)
         ):

@@ -243,7 +243,7 @@ def _check_irreducible(modulus, p):
 class FieldCtx:
     """Immutable description of GF(p^m): prime, modulus, cardinality."""
 
-    __slots__ = ("p", "m", "modulus", "q", "_generator")
+    __slots__ = ("p", "m", "modulus", "q", "_generator", "_log_tables")
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
         # use make_field(); this constructor assumes validated input
@@ -252,6 +252,7 @@ class FieldCtx:
         self.m = len(modulus) - 1
         self.q = p ** self.m
         self._generator = None
+        self._log_tables = None
 
     # -- construction of elements ------------------------------------------
 
@@ -261,6 +262,8 @@ class FieldCtx:
             if value.ctx != self:
                 raise MixedContextsError("element belongs to a different field")
             return value
+        if isinstance(value, bool):
+            raise ValueError(f"coefficient {value!r} is not an integer")
         if isinstance(value, int):
             coeffs = [value % self.p] + [0] * (self.m - 1)
             return FieldElement(self, tuple(coeffs))
@@ -314,6 +317,32 @@ class FieldCtx:
                     break
         return self._generator
 
+    def log_tables(self) -> tuple[list, list]:
+        """Discrete logs to generator() and Zech logs, built once in O(q).
+
+        logs[i] is the k < q - 1 with generator()^k the element of index i,
+        None for zero.  zech[k] is the log of 1 + generator()^k, None where
+        that sum is zero: k = (q - 1)/2 for odd q, k = 0 for p = 2.  A
+        product is then a sum of logs mod q - 1, and a sum one lookup:
+        g^a + g^b = g^(a + zech[b - a]).  No q x q table is built.
+        """
+        if self._log_tables is None:
+            p, m, q = self.p, self.m, self.q
+            # c -> g c is GF(p)-linear; g_cols[t] is g x^t, x^t having index p^t
+            g_cols = [(self.generator() * self.from_index(p**t)).coeffs for t in range(m)]
+            logs, powers, c = [None] * q, [], self.one().coeffs
+            for k in range(q - 1):
+                i = 0
+                for a in reversed(c):
+                    i = i * p + a
+                logs[i] = k
+                powers.append(i)
+                c = tuple(sum(a * g[s] for a, g in zip(c, g_cols)) % p for s in range(m))
+            # 1 + g^k raises the constant coefficient, i % p, by one
+            zech = [logs[i + 1 if i % p != p - 1 else i + 1 - p] for i in powers]
+            self._log_tables = logs, zech
+        return self._log_tables
+
     # -- encoding ------------------------------------------------------------
 
     def spec(self) -> str:
@@ -346,7 +375,7 @@ class FieldElement:
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise MixedContextsError("operands from different fields")
             return other
-        if isinstance(other, int):
+        if _is_int(other):  # a bool is not read as 0 or 1
             return self.ctx.element(other)
         return None
 
@@ -447,7 +476,7 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.ctx == other.ctx and self.coeffs == other.coeffs
-        if isinstance(other, int):
+        if _is_int(other):
             return self == self.ctx.element(other)
         return NotImplemented
 

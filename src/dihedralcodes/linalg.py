@@ -164,6 +164,9 @@ class MatrixGF:
     def from_json(cls, doc: dict) -> "MatrixGF":
         if not isinstance(doc, dict):
             raise ValueError(f"matrix JSON must be an object, got {type(doc).__name__}")
+        for key in ("field", "rows", "cols", "entries"):
+            if key not in doc:
+                raise ValueError(f'matrix JSON has no "{key}" key')
         if not isinstance(doc["field"], str):
             raise ValueError(f"matrix field is {json.dumps(doc['field'])}, not a spec string")
         for key in ("rows", "cols"):

@@ -255,6 +255,20 @@ def test_analyze_refuses_a_document_that_is_not_an_object(tmp_path, capsys):
     assert err == "error[InvalidArgument]: code document must be a JSON object, got list\n"
 
 
+@pytest.mark.parametrize(
+    "doc, named",
+    [({}, 'code document has no "generator" key'),
+     ({"generator": {"field": "p=13", "rows": 1, "cols": 2}}, 'matrix JSON has no "entries" key')],
+    ids=["no-generator", "no-entries"],
+)
+def test_analyze_names_a_missing_key(tmp_path, capsys, doc, named):
+    # not the bare KeyError text, 'generator' or 'entries'
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "analyze", "--in", str(path))
+    assert (rc, out, err) == (2, "", f"error[InvalidArgument]: {named}\n")
+
+
 def test_dual_only_commands_never_import_numpy(tmp_path):
     # a fresh interpreter, since this one may have numpy loaded already;
     # at (43, 7) q^k - 1 exceeds the default cap, so analyze's auto is dual

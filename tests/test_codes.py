@@ -556,10 +556,13 @@ def test_min_dependent_columns_matches_subset_oracle():
     # others) make depths 0 and 1 answer over prime and extension fields.
     from itertools import combinations
 
-    from dihedralcodes.codes import _min_dependent_columns
+    from dihedralcodes.codes import _few_dependent_columns, _min_dependent_columns
     from dihedralcodes.gf import prime_expansion
 
     def check(m):
+        # the expansion walk from depth 0, the GF(q)-point kernel, which
+        # answers w <= 3 or None, and the dual engine on the code whose
+        # parity check is m, which picks one of them by the table limit
         int_cols = [prime_expansion(col) for col in zip(*m.data)]
         got = _min_dependent_columns(int_cols, m.ctx.p)
         expected = None
@@ -568,6 +571,9 @@ def test_min_dependent_columns_matches_subset_oracle():
                 expected = w
                 break
         assert got == expected
+        few = _few_dependent_columns([[e.coeffs for e in col] for col in zip(*m.data)], m.ctx)
+        assert few == (got if got <= 3 else None)
+        assert LinearCode(m.kernel_basis()).min_distance("dual") == got
         return got
 
     def random_matrix(ctx, rows, cols):
@@ -600,6 +606,27 @@ def test_min_dependent_columns_matches_subset_oracle():
             if plant and got == plant:
                 planted_hits.add((ctx.m, plant))
     assert planted_hits == {(m, level) for m in (1, 2) for level in (1, 2, 3)}
+
+    # the kernel over GF(2), GF(4), GF(9), GF(13), GF(25), GF(13^2), GF(2^31-1)
+    # and GF(257^2), which is above the table limit, with r = 1 to 5 rows
+    # and columns that lead in rows 1 and 2
+    fields = (
+        make_field(2, [0, 1]), make_field(2, [1, 1, 1]), GF9, GF13, GF25,
+        make_field(13, [2, 0, 1]), make_field(2**31 - 1, [0, 1]), make_field(257, [3, 0, 1]),
+    )
+    answers, leads = set(), set()
+    for ctx in fields:
+        for trial in range(25):
+            rows = trial % 5 + 1
+            ncols = rng.randrange(max(5, rows + 1), rows + 6)
+            m = random_columns_with_plants(ctx, rows, ncols, rng, sparse=True)
+            answers.add((ctx.q, min(check(m), 4)))
+            leads |= {
+                (ctx.q, next(i for i, e in enumerate(col) if e)) for col in zip(*m.data) if any(col)
+            }
+    assert answers >= {(ctx.q, w) for ctx in fields for w in (1, 2, 3)}
+    assert {w for _, w in answers} == {1, 2, 3, 4}
+    assert leads >= {(ctx.q, lead) for ctx in fields for lead in (1, 2)}
 
 
 def test_paper_families_above_former_table_limit():
@@ -726,14 +753,19 @@ def test_expansions_match_prime_expansion():
             assert got == [prime_expansion(col) for col in cols]
 
 
-def random_columns_with_plants(ctx, rows, ncols, rng):
+def random_columns_with_plants(ctx, rows, ncols, rng, sparse=False):
     """A random rows x ncols matrix, with one plant or none: a zero column, a
     scaled copy of a column, a combination of two columns, or of three (four
-    dependent columns, found at depth 2)."""
-    data = [[ctx.random_element(rng) for _ in range(ncols)] for _ in range(rows)]
+    dependent columns, found at depth 2).  With sparse, an entry of row 0 or
+    1 is zero one time in three, so some columns lead in row 1 or 2."""
+    data = [
+        [ctx.zero() if sparse and i < 2 and rng.randrange(3) == 0 else ctx.random_element(rng)
+         for _ in range(ncols)]
+        for i in range(rows)
+    ]
     a, b, c, d, e = rng.sample(range(ncols), 5)
-    # a scalar outside GF(p) when m > 1
-    x = ctx.from_index(rng.randrange(ctx.p if ctx.m > 1 else 2, ctx.q))
+    # a scalar outside GF(p) when m > 1, and not 1 unless q = 2
+    x = ctx.from_index(rng.randrange(ctx.p if ctx.m > 1 else min(2, ctx.q - 1), ctx.q))
     y = ctx.from_index(rng.randrange(1, ctx.q))
     plant = rng.randrange(5)
     for r in data:
@@ -754,7 +786,11 @@ def test_carried_walk_matches_subset_oracle():
     # handing its reduced columns down; the oracle ranks column subsets
     from itertools import combinations
 
-    from dihedralcodes.codes import _hyperplane_distance, _min_dependent_columns
+    from dihedralcodes.codes import (
+        _few_dependent_columns,
+        _hyperplane_distance,
+        _min_dependent_columns,
+    )
     from dihedralcodes.gf import prime_expansion
 
     def least_dependent(m):
@@ -780,6 +816,8 @@ def test_carried_walk_matches_subset_oracle():
             cols = [prime_expansion(col) for col in zip(*m.data)]
             w = least_dependent(m)
             assert _min_dependent_columns(cols, ctx.p) == w
+            few = _few_dependent_columns([[e.coeffs for e in col] for col in zip(*m.data)], ctx)
+            assert few == (w if w <= 3 else None)
             depths.add((ctx.q, min(w - 2, 2)))
             if rows == 5 and m.rank() == rows:  # depth 3, C(ncols, 4) subsets
                 assert _hyperplane_distance(cols, ctx.p) == m.cols - most_on_a_hyperplane(m)

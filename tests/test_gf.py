@@ -322,6 +322,22 @@ def test_int_coercion_in_arithmetic():
     assert GF13.element(1) / 2 == GF13.element(7)
 
 
+def test_bool_is_not_read_as_an_integer():
+    # the scalar branch refuses True as the list branch refuses [True]
+    for value in (True, False, [True]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            GF13.element(value)
+    # a bool operand is foreign: == is False, arithmetic raises TypeError
+    one = GF13.element(1)
+    assert not one == True
+    assert one != True
+    assert True not in [one] and one not in [True, False]
+    with pytest.raises(TypeError):
+        one + True
+    with pytest.raises(TypeError):
+        False * one
+
+
 def test_field_axioms_random():
     rng = random.Random(1)
     cubic = _find_irreducible(7, 3, rng)
@@ -368,6 +384,24 @@ def test_element_order_matches_iteration_oracle():
 def test_canonical_generator():
     assert GF13.generator() == GF13.element(2)
     assert GF25.generator() == GF25.element([1, 1])  # x+1, order 24
+
+
+@pytest.mark.parametrize(
+    "ctx", [make_field(2, [1, 1, 1]), make_field(3, [1, 0, 1]), GF25], ids=["GF4", "GF9", "GF25"]
+)
+def test_log_tables_agree_with_element_arithmetic(ctx):
+    logs, zech = ctx.log_tables()
+    o, index = ctx.q - 1, {e: i for i, e in enumerate(ctx.elements())}
+    power = [ctx.generator() ** k for k in range(o)]
+    assert logs[0] is None and [logs[index[x]] for x in power] == list(range(o))
+    for a in ctx.elements():
+        for b in ctx.elements():
+            if not (a and b):
+                continue
+            la, lb = logs[index[a]], logs[index[b]]
+            assert power[(la + lb) % o] == a * b
+            z = zech[(lb - la) % o]
+            assert not a + b if z is None else power[(la + z) % o] == a + b
 
 
 def test_extension_field_orders():
