@@ -36,7 +36,6 @@ from .gf import (
     primitive_nth_root,
 )
 from .idempotents import central_primitive_idempotents, cyclic_family
-from .linalg import MatrixGF
 from .wedderburn import wedderburn_inverse, wedderburn_map
 
 _BUILTIN_CODES = {
@@ -183,7 +182,10 @@ def cmd_construct(args) -> int:
 
 def cmd_analyze(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{args.infile} is not JSON: {exc}") from None
     code = load_code(doc)
     d = code.min_distance(method=args.method, cap=args.cap)
     out = {
@@ -264,11 +266,12 @@ def cmd_example(args) -> int:
     eta = ctx.generator()
     xi = primitive_nth_root(ctx, n)
     variants = ["I1", "I2"] if args.variant == "both" else [args.variant]
-    results = []
+    results, matrices = [], []
     for name in variants:
         family = _EXAMPLE_FAMILY[name]
         code = construct_code(ctx, n, CodeFamily(tag=family))
         d = code.min_distance(method="exhaustive")
+        matrices.append(generator_matrix_presentation(code, "paper"))
         results.append(
             {
                 "variant": name,
@@ -278,7 +281,7 @@ def cmd_example(args) -> int:
                 "d": d,
                 "mds": d == code.singleton_bound,
                 "ideal_closure": left_ideal_closure_ok(code),
-                "generator": generator_matrix_presentation(code, "paper").to_json(),
+                "generator": matrices[-1].to_json(),
             }
         )
     doc = {
@@ -295,7 +298,7 @@ def cmd_example(args) -> int:
     lines.append(
         f"n={n}, eta={eta.text()} (order {doc['eta_order']}), xi={xi.text()}"
     )
-    for r in results:
+    for r, matrix in zip(results, matrices):
         lines.append(
             f"variant {r['variant']}: family={r['family']} "
             f"parameters=[{r['length']},{r['k']},{r['d']}] "
@@ -303,7 +306,7 @@ def cmd_example(args) -> int:
             f"ideal_closure={'ok' if r['ideal_closure'] else 'FAIL'}"
         )
         lines.append("generator (style=paper):")
-        lines.append(MatrixGF.from_json(r["generator"]).text())
+        lines.append(matrix.text())
     _emit(doc, args.format == "json", "\n".join(lines))
     return 0
 

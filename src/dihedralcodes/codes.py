@@ -24,32 +24,30 @@ n b e_j, straight off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) of one word per GF(q)-line,
-(q^k-1)/(q-1) in all, still gated at q^k - 1 <= cap; and the dual
-engine, the least number of linearly dependent columns of the parity
-check, read as integers mod p off the RREF generator's coefficients and
-its pivots, with no second reduction.  One depth-first walk over
-independent column subsets S answers every size: w dependent columns
-show as two later columns with one span modulo span(S), a repeated
-canonical key (_span_key) at depth w - 2.  Each level of the walk hands
-the columns down already reduced modulo its part of span(S), so a level
-reduces against the m pivots of one column, not all of span(S).
-Depths 0 and 1 find 1, 2 or 3 dependent columns; the paper's codes
-have 2 or 3 parity checks, so they need nothing deeper.  Those two depths
-are one pass over the columns' projective points in GF(q)
-(_few_dependent_columns): the span of one column is one point, and with
-3 rows the key of a column modulo another is one ratio y/x.  Over GF(p)
-the entries are residues mod p; over GF(p^m) they are discrete logs, with
-Zech logs for sums (gf.FieldCtx.log_tables), unless the field has more
-than 2^16 elements, when the walk keeps depths 0 and 1.  Past depth 1 the
-walk runs on the side with fewer subsets: the parity check's, or the
-generator's at depth k - 2, where the columns in span(S) and one class
-of equal keys are the columns on a hyperplane, and d is the length less
-the most any such hyperplane holds, since a minimum-weight codeword is
-zero on those.  Both engines work on integers mod p, over the prime-field
-expansions of gf.prime_expansion, formed by _expansions straight from the
-coefficient tuples, so neither has a limit on q.  Both are
-exact; the pair serves as a cross-check.  numpy is imported on the first
-exhaustive call, so construction and the dual engine never load it.
+(q^k-1)/(q-1) in all, still gated at q^k - 1 <= cap, on integers mod p
+over the prime-field expansions of gf.prime_expansion (_expansions); and
+the dual engine, the least number of linearly dependent columns of the
+parity check, read off the RREF generator's entries and its pivots, with
+no second reduction.  One depth-first walk over independent column
+subsets S answers every size: w dependent columns show as two later
+columns with one projective point modulo span(S) at depth w - 2.  Each
+level of the walk reduces the columns against one column of S and drops
+that column's lead coordinate, so it hands shorter columns down, and a
+column's point modulo span(S) is the point of what is left of it; with
+two coordinates left, that is one ratio y/x.  Depths 0 and 1 find 1, 2
+or 3 dependent columns; the paper's codes have 2 or 3 parity checks, so
+they need nothing deeper.  Past depth 1 the walk runs on the side with
+fewer subsets: the parity check's, or the generator's at depth k - 2,
+where the columns in span(S) and one class of equal points are the
+columns on a hyperplane, and d is the length less the most any such
+hyperplane holds, since a minimum-weight codeword is zero on those.  The
+walk keeps the GF(q) entries in one of three forms, each with the same
+point and reduce: residues mod p over GF(p) (_Residues), discrete logs
+with Zech logs for sums over GF(p^m) up to 2^16 elements (_Logs,
+gf.FieldCtx.log_tables), and FieldElements past that (_Elements).  So
+neither engine has a limit on q.  Both are exact; the pair serves as a
+cross-check.  numpy is imported on the first exhaustive call, so
+construction and the dual engine never load it.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from .errors import (
     UnsupportedStyleError,
     ZeroElementError,
 )
-from .gf import FieldCtx, FieldElement, element_order, primitive_nth_root
+from .gf import FieldCtx, FieldElement, _is_int, element_order, primitive_nth_root
 from .linalg import MatrixGF
 from .wedderburn import (
     IdealSpec,
@@ -159,18 +157,20 @@ class LinearCode:
 
         method "exhaustive" enumerates one codeword per GF(q)-line,
         (q^k-1)/(q-1) in all, since a word's nonzero multiples share its
-        weight (still requires q^k - 1 <= cap).  "dual" finds the least number w of
-        linearly dependent parity-check columns, as a repeated key among
-        the later columns modulo the span of an independent (w-2)-subset,
-        on one walk.  Its depths 0 and 1 (w <= 3) are free; past them it
-        visits at most cap column subsets, on whichever side has fewer:
-        the parity check's, or the (k-2)-subsets of the generator's
-        columns, d being the length less the most columns on one
-        hyperplane through their span (the zeros of a minimum-weight
-        codeword span a hyperplane).  "auto" picks exhaustive when it fits
-        under the cap.  A negative cap is refused, whatever the method.
+        weight (still requires q^k - 1 <= cap).  "dual" finds the least
+        number w of linearly dependent parity-check columns, as two later
+        columns with one projective point modulo the span of an
+        independent (w-2)-subset, on one walk over the columns' GF(q)
+        entries (residues, logs or elements, by the field).  Its depths 0
+        and 1 (w <= 3) are free; past them it visits at most cap column
+        subsets, on whichever side has fewer: the parity check's, or the
+        (k-2)-subsets of the generator's columns, d being the length less
+        the most columns on one hyperplane through their span (the zeros
+        of a minimum-weight codeword span a hyperplane).  "auto" picks
+        exhaustive when it fits under the cap.  A negative or bool cap is
+        refused, whatever the method.
         """
-        if cap < 0:
+        if not _is_int(cap) or cap < 0:
             raise ValueError(f"cap must be a count >= 0, got {cap}")
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
@@ -271,7 +271,7 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
         raise ValueError(f"unknown family tag {family.tag!r}")
     DihedralAlgebra(ctx, n)  # raises CharDividesOrderError
     s = family.s
-    if not isinstance(s, int) or not 1 <= s <= (n - 1) // 2 or math.gcd(s, n) != 1:
+    if not _is_int(s) or not 1 <= s <= (n - 1) // 2 or math.gcd(s, n) != 1:
         raise NotCoprimeError(
             f"s={s} must satisfy 1 <= s <= (n-1)/2={(n - 1) // 2} and gcd(s, n) = 1"
         )
@@ -357,9 +357,10 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
 def _expansions(vectors, ctx: FieldCtx) -> list:
     """gf.prime_expansion of each vector, given as coefficient tuples, in ints.
 
-    Both engines expand this way, with no FieldElement arithmetic.  x * c
-    shifts c's coefficients up one place and folds the top one back through
-    the monic modulus: x^m = -(f_0 + f_1 x + ... + f_(m-1) x^(m-1)).
+    The exhaustive engine expands this way, with no FieldElement
+    arithmetic.  x * c shifts c's coefficients up one place and folds the
+    top one back through the monic modulus:
+    x^m = -(f_0 + f_1 x + ... + f_(m-1) x^(m-1)).
     """
     p, m, low = ctx.p, ctx.m, ctx.modulus[:-1]
     out = []
@@ -418,70 +419,41 @@ def _dual_distance(gen: MatrixGF, pivots, cap: int) -> int:
     """Distance of an RREF generator's code: see min_distance.
 
     On its pivot columns the generator is G = [I | A], so H = [-A^T | I]
-    (linalg.null_rows) is read straight off G's coefficient tuples, with
-    no FieldElement arithmetic.  Column pivots[i] of H is row i of G on the
-    free columns, taken unnegated: scaling a column by -1 changes no span,
-    so no key and no set of dependent columns.
+    (linalg.null_rows) is read straight off G's entries, with no row
+    reduction.  Column pivots[i] of H is row i of G on the free columns,
+    taken unnegated: scaling a column by -1 changes no span, so no key and
+    no set of dependent columns.
     """
     pivot_set = set(pivots)
     free = [c for c in range(gen.cols) if c not in pivot_set]
     if not free:
         return 1
-    ctx, depth = gen.ctx, 0
-    zero, one = (0,) * ctx.m, (1,) + (0,) * (ctx.m - 1)
+    ctx = gen.ctx
+    field, zero, one = _entry_form(ctx), ctx.zero(), ctx.one()
     cols = [None] * gen.cols
     for pc, r in zip(pivots, gen.data):
-        cols[pc] = [r[f].coeffs for f in free]
+        cols[pc] = field.entries([r[f] for f in free])
     for j, f in enumerate(free):
-        cols[f] = [one if i == j else zero for i in range(len(free))]
-    # an extension field's log tables take O(q) time and memory to build
-    # (0.25 s at q = 63001): past 2^16 elements the walk keeps depths 0, 1
-    if ctx.m == 1 or ctx.q <= 2**16:
-        w = _few_dependent_columns(cols, ctx)
-        if w is not None:
-            return w
-        if len(free) <= 3:
-            return len(free) + 1  # any h + 1 columns of H are dependent
-        depth = 2
-    return _min_dependent_columns(_expansions(cols, ctx), ctx.p, cap, gen, depth)
+        cols[f] = field.entries([one if i == j else zero for i in range(len(free))])
+    return _min_dependent_columns(cols, field, cap, gen)
 
 
-def _few_dependent_columns(cols, ctx: FieldCtx):
-    """Least w <= 3 such that some w of the columns are dependent, or None.
-
-    Depths 0 and 1 of _min_dependent_columns, on the columns' GF(q) entries
-    (given as coefficient tuples) instead of their prime expansions: the
-    span of one column is one projective point.  Depth 0 keys each column
-    by its point; a zero column has none (w = 1), and a repeated point is
-    two proportional columns.  Depth 1 takes each column c in turn,
-    subtracts from every later column its multiple of c, and keys what is
-    left by its point: a repeat is three dependent columns.  With r = 3
-    rows what is left has two entries (x, y), and its point is the one
-    ratio y/x.  Over GF(p) the entries are residues mod p (_Residues);
-    over GF(p^m) they are logs to ctx.generator() (_Logs).
-    """
-    field = _Residues(ctx) if ctx.m == 1 else _Logs(ctx)
-    cols = [field.entries(col) for col in cols]
-    points = [field.point(v) for v in cols]
-    if None in points:
-        return 1
-    if len(set(points)) < len(points):
-        return 2
-    for i in range(len(cols) - 2):
-        keys = field.pencil(cols[i], cols[i + 1:])
-        if len(set(keys)) < len(keys):
-            return 3
-    return None
+def _entry_form(ctx: FieldCtx):
+    """The form the walk keeps ctx's entries in: residues, logs or elements."""
+    if ctx.m == 1:
+        return _Residues(ctx)
+    # log tables take O(q) time and memory to build (0.25 s at q = 63001)
+    return _Logs(ctx) if ctx.q <= 2**16 else _Elements()
 
 
 class _Residues:
-    """GF(p) entries as residues mod p, for _few_dependent_columns."""
+    """GF(p) entries as residues mod p."""
 
     def __init__(self, ctx: FieldCtx):
         self.p = ctx.p
 
     def entries(self, col):
-        return [c[0] for c in col]
+        return [e.coeffs[0] for e in col]
 
     def point(self, v):
         """v's projective point: its lead (first nonzero index) and v/v[lead]
@@ -493,16 +465,17 @@ class _Residues:
                 return lead, *[b * inv % p for b in v[lead + 1:]]
         return None
 
-    def pencil(self, c, later):
-        """Keys of the later vectors v modulo c: the point of v - (v[lead]/c[lead]) c
-        off c's lead, which names the line through c and v."""
+    def reduce(self, c, vs, keys=False):
+        """Each v less v[lead] c, off c's lead, for c given as its point; with
+        keys, their points instead.  Two coordinates (x, y) left have the
+        point y/x: p for x = 0, None for x = y = 0."""
         p = self.p
-        lead, *tail = self.point(c)
+        lead, *tail = c
         unit = [0] * lead + [1] + tail
-        rest = [t for t in range(len(c)) if t != lead]
-        if len(rest) == 2:  # the ratio y/x, p for x = 0
+        rest = [t for t in range(len(unit)) if t != lead]
+        if keys and len(rest) == 2:
             (s, t), a, b = rest, unit[rest[0]], unit[rest[1]]
-            xs = [(v[s] - v[lead] * a) % p for v in later]
+            xs = [(v[s] - v[lead] * a) % p for v in vs]
             # Montgomery's batch inversion: one pow for all the x, then
             # 1/x_k = (x_0 ... x_(k-1)) / (x_0 ... x_k), skipping x = 0
             prefix, acc = [], 1
@@ -510,18 +483,22 @@ class _Residues:
                 prefix.append(acc)
                 if x:
                     acc = acc * x % p
-            inv, keys = pow(acc, -1, p), [p] * len(xs)
+            inv, points = pow(acc, -1, p), [p] * len(xs)
             for k in range(len(xs) - 1, -1, -1):
+                v = vs[k]
+                y = v[t] - v[lead] * b
                 if xs[k]:
-                    v = later[k]
-                    keys[k] = (v[t] - v[lead] * b) * inv * prefix[k] % p
+                    points[k] = y * inv * prefix[k] % p
                     inv = inv * xs[k] % p
-            return keys
-        return [self.point([(v[t] - v[lead] * unit[t]) % p for t in rest]) for v in later]
+                elif y % p == 0:
+                    points[k] = None
+            return points
+        out = [[(v[t] - v[lead] * unit[t]) % p for t in rest] for v in vs]
+        return [self.point(v) for v in out] if keys else out
 
 
 class _Logs:
-    """GF(p^m) entries as logs to ctx.generator(), None for 0, for _few_dependent_columns.
+    """GF(p^m) entries as logs to ctx.generator(), None for 0.
 
     A product is a sum of logs mod q - 1, and g^u + g^e = g^(u + zech[e - u])
     (FieldCtx.log_tables); -1 is the constant p - 1, whose index is p - 1.
@@ -534,7 +511,7 @@ class _Logs:
 
     def entries(self, col):
         p, logs = self.p, self.logs
-        return [logs[sum(a * p**t for t, a in enumerate(c))] for c in col]
+        return [logs[sum(a * p**t for t, a in enumerate(e.coeffs))] for e in col]
 
     def point(self, v):
         """v's projective point: its lead and v/v[lead] past it; None for v = 0."""
@@ -544,13 +521,15 @@ class _Logs:
                 return lead, *[None if b is None else (b - a) % o for b in v[lead + 1:]]
         return None
 
-    def pencil(self, c, later):
-        """Keys of the later vectors v modulo c: the point of v - (v[lead]/c[lead]) c
-        off c's lead, which names the line through c and v."""
+    def reduce(self, c, vs, keys=False):
+        """Each v less v[lead] c, off c's lead, for c given as its point; with
+        keys, their points instead.  Two coordinates (x, y) left have the
+        point y/x: o = q - 1 for x = 0, -1 for y = 0, None for x = y = 0."""
         o, zech = self.o, self.zech
-        lead = next(t for t, a in enumerate(c) if a is not None)
-        # logs of -c / c[lead]: v less f c / c[lead] is v plus f times these
-        minus = [None if a is None else (a - c[lead] + self.minus_one) % o for a in c]
+        lead, *tail = c
+        # logs of -c: v less f c is v plus f times these
+        minus = [None] * lead + [self.minus_one]
+        minus += [None if a is None else (a + self.minus_one) % o for a in tail]
 
         def reduced(v, t):
             f, u, e = v[lead], v[t], minus[t]
@@ -562,15 +541,41 @@ class _Logs:
             z = zech[(e - u) % o]
             return None if z is None else (u + z) % o
 
-        rest = [t for t in range(len(c)) if t != lead]
-        if len(rest) == 2:  # the ratio y/x: -1 for x = 0, None for y = 0
+        rest = [t for t in range(len(minus)) if t != lead]
+        if keys and len(rest) == 2:
             s, t = rest
-            keys = []
-            for v in later:
+            points = []
+            for v in vs:
                 x, y = reduced(v, s), reduced(v, t)
-                keys.append(-1 if x is None else None if y is None else (y - x) % o)
-            return keys
-        return [self.point([reduced(v, t) for t in rest]) for v in later]
+                if x is None:
+                    points.append(None if y is None else o)
+                else:
+                    points.append(-1 if y is None else (y - x) % o)
+            return points
+        out = [[reduced(v, t) for t in rest] for v in vs]
+        return [self.point(v) for v in out] if keys else out
+
+
+class _Elements:
+    """GF(p^m) entries as FieldElements, for fields past the log tables' 2^16."""
+
+    def entries(self, col):
+        return list(col)
+
+    def point(self, v):
+        """v's projective point: its lead and v/v[lead] past it; None for v = 0."""
+        for lead, a in enumerate(v):
+            if a:
+                inv = a.inverse()
+                return lead, *[b * inv for b in v[lead + 1:]]
+        return None
+
+    def reduce(self, c, vs, keys=False):
+        """Each v less v[lead] c, off c's lead, for c given as its point; with
+        keys, their points instead."""
+        lead, *tail = c
+        out = [v[:lead] + [b - v[lead] * a for a, b in zip(tail, v[lead + 1:])] for v in vs]
+        return [self.point(v) for v in out] if keys else out
 
 
 def _budget(cap: int, side: str):
@@ -579,82 +584,72 @@ def _budget(cap: int, side: str):
     raise CapExceededError(f"dual engine, {side} side: {cap + 1} column subsets > cap = {cap}")
 
 
-def _independent_subsets(cols, p: int, t: int, budget, every: bool, start: int = 0, base=()):
+def _independent_subsets(cols, field, t: int, budget, every: bool, start: int = 0, c=None):
     """Walk the independent t-subsets S of cols depth-first, in index order.
 
-    At each S it yields (start, cols, base): start is one past S's last
-    index, base holds the m pivots of S's last column in _reduce's form,
-    and cols are the columns reduced modulo the span of the rest of S, so
-    _span_key(c, p, base) keys c modulo span(S).  A level gets its columns
-    from the level above, reduced that far, reduces them against base, the
-    pivots it was handed, and hands them down: m pivots per level, not all
-    m t of span(S).  With every it carries every column; without, only the
-    later ones, from start on (the earlier ones stay as they came).
-    Column i joins S when its expansion 0 is not in span(S); the span is
-    closed under x, so then every x^j multiple lies outside it too, and all
-    m expansions become pivots (negated, -1 at the lead, each reduced
-    against those before it).  Each subset reached takes one step of
-    budget.
+    At each S it yields the keys of the columns modulo span(S): the
+    projective points of what is left of them once reduced modulo S, None
+    for a column in span(S).  With every it keys every column; without,
+    only the later ones, from one past S's last index on (the earlier ones
+    stay as they came).  A level is handed the columns reduced modulo the
+    part of S found above it, and c, the point of S's newest column,
+    reduced as far.  It reduces the columns against c (field.reduce),
+    which drops c's lead coordinate, and hands them down one entry
+    shorter.  The last level asks field.reduce for their points straight
+    away: with two coordinates left, one ratio each.  Column i joins S
+    when what is left of it has a point, that is, when it is not in
+    span(S).  Each subset reached takes one step of budget.
     """
+    lo = 0 if every else start
     if t == 0:
-        yield start, cols, base
+        later = cols[lo:]
+        yield [field.point(v) for v in later] if c is None else field.reduce(c, later, True)
         return
-    if base:
-        lo = 0 if every else start
-        cols = cols[:lo] + [[_reduce(v, base, p)[0] for v in c] for c in cols[lo:]]
+    if c is not None:
+        cols = cols[:lo] + field.reduce(c, cols[lo:])
     for i in range(start, len(cols) - t + 1):
-        pushed = []
-        for v in cols[i]:
-            v, lead = _reduce(v, pushed, p)
-            if lead is None:  # only expansion 0 can be: column i is in span(S)
-                break
-            inv = pow(v[lead], -1, p)
-            pushed.append((lead, [-a * inv % p for a in v]))
-        else:
+        point = field.point(cols[i])
+        if point is not None:  # column i is not in span(S)
             next(budget)
-            yield from _independent_subsets(cols, p, t - 1, budget, every, i + 1, pushed)
+            yield from _independent_subsets(cols, field, t - 1, budget, every, i + 1, point)
 
 
-def _hyperplane_distance(cols, p: int, cap: int = DEFAULT_CAP) -> int:
+def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP) -> int:
     """Minimum distance of the code whose full-rank generator has these columns.
 
-    Columns are prime_expansions, as for _min_dependent_columns.  A
+    Columns hold field's entries, as for _min_dependent_columns.  A
     codeword hG is zero exactly on the columns in the hyperplane h^perp.
     The zero columns of a minimum-weight codeword span a hyperplane: were
     their span smaller, columns outside it would extend it to a hyperplane
     holding more columns, the zeros of a lighter nonzero codeword.  That
     hyperplane is span(S, j) for an independent (k-2)-subset S of its
     columns, and it holds the columns in span(S), whose key modulo span(S)
-    is (), and those whose key is j's.  So d is the length less the most
+    is None, and those whose key is j's.  So d is the length less the most
     columns in those two classes, over at most C(ncols, k-2) subsets S;
     every column is keyed, so the walk carries them all.
     With k = 1 the hyperplane is 0, and d counts the nonzero columns.
     """
-    k = len(cols[0][0]) // len(cols[0])
+    k = len(cols[0])
     if k == 1:
-        return sum(any(c[0]) for c in cols)
-    subsets = _independent_subsets(cols, p, k - 2, _budget(cap, "generator"), True)
-    classes = (Counter(_span_key(c, p, base) for c in cs) for _, cs, base in subsets)
-    return len(cols) - max(keys.pop((), 0) + max(keys.values()) for keys in classes)
+        return sum(field.point(c) is not None for c in cols)
+    subsets = _independent_subsets(cols, field, k - 2, _budget(cap, "generator"), True)
+    classes = (Counter(keys) for keys in subsets)
+    return len(cols) - max(keys.pop(None, 0) + max(keys.values()) for keys in classes)
 
 
-def _min_dependent_columns(
-    cols, p: int, cap: int = DEFAULT_CAP, gen: MatrixGF | None = None, depth: int = 0
-):
+def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, gen: MatrixGF | None = None):
     """Least w such that some w of the given columns are linearly dependent.
 
-    Each column over GF(p^m) is given as its prime_expansion: m integer
-    vectors mod p, whose GF(p)-span is the column's GF(q)-span.  One rule
-    answers every size.  In a minimal dependent set, let S be its w - 2
-    first columns and j < l its last two: S is independent and
+    Each column is a list of its GF(q) entries in field's form (_entry_form).
+    One rule answers every size.  In a minimal dependent set, let S be its
+    w - 2 first columns and j < l its last two: S is independent and
     span(S, j) = span(S, l).  So iterative deepening walks the independent
     subsets S at depth t = w - 2 and keys each later column modulo span(S)
-    (_span_key): a repeat is w dependent columns, and an empty key, met
-    only at depth 0, is a zero column (w = 1).  Depths 0 and 1 (w <= 3)
-    take O(ncols^2) keys and no budget; if they find nothing and h <= 3,
-    any h + 1 columns are dependent, so the paper's codes (h = 2 or 3)
-    need no deeper walk.  The walk starts at the given depth: 2 once
-    _few_dependent_columns has answered depths 0 and 1.
+    (_independent_subsets): a repeat is w dependent columns, and the key
+    None, met only at depth 0, is a zero column (w = 1).  Depths 0 and 1
+    (w <= 3) take O(ncols^2) keys and no budget; if they find nothing and
+    h <= 3, any h + 1 columns are dependent, so the paper's codes (h = 2
+    or 3) need no deeper walk.
 
     From depth 2 on, each subset reached takes one step of the cap, on the
     side with fewer subsets.  gen, if given, is a full-rank generator of
@@ -663,59 +658,16 @@ def _min_dependent_columns(
     depths t = 2..h-2 left here, _hyperplane_distance answers from its
     columns.
     """
-    ncols, h = len(cols), len(cols[0][0]) // len(cols[0])
+    ncols, h = len(cols), len(cols[0])
     budget, free = _budget(cap, "parity-check"), itertools.repeat(None)
-    for t in range(depth, max(h - 1, 1)):  # depth t finds w = t + 2
+    for t in range(max(h - 1, 1)):  # depth t finds w = t + 2
         if t == 2 and gen is not None and math.comb(ncols, max(gen.rows - 2, 0)) <= sum(
             math.comb(ncols, s) for s in range(2, h - 1)
         ):
-            g_cols = zip(*([e.coeffs for e in r] for r in gen.data))
-            return _hyperplane_distance(_expansions(g_cols, gen.ctx), p, cap)
-        walk = _independent_subsets(cols, p, t, budget if t > 1 else free, False)
-        for start, reduced, base in walk:
-            keys = [_span_key(c, p, base) for c in reduced[start:]]
-            if () in keys:
+            return _hyperplane_distance([field.entries(c) for c in zip(*gen.data)], field, cap)
+        for keys in _independent_subsets(cols, field, t, budget if t > 1 else free, False):
+            if None in keys:
                 return t + 1
             if len(set(keys)) < len(keys):
                 return t + 2
     return h + 1  # any h+1 vectors in F_q^h are dependent
-
-
-def _span_key(vecs, p: int, base=()) -> tuple:
-    """Canonical key of span(base, vecs) modulo span(base) over GF(p).
-
-    base holds pivots in _reduce's form.  vecs are reduced against them,
-    which leaves the one representative of each coset that is zero at
-    base's leads, and the key is the reduced echelon basis of what is left,
-    rows scaled to -1 at their leads, as sorted (lead, row) pairs; a single
-    vector's key is that one row alone, as a tuple.  So two vecs of one
-    size get one key exactly when they give one span(base, vecs), and the
-    key is () exactly when vecs lie in span(base).  The walk passes as
-    base only the pivots of S's last column, with vecs already reduced
-    modulo the span of the rest of S: the key is then that modulo span(S).
-    """
-    if len(vecs) == 1:
-        v, lead = _reduce(vecs[0], base, p)
-        if lead is None:
-            return ()
-        inv = -pow(v[lead], -1, p)
-        return tuple([a * inv % p for a in v])
-    rows = []
-    for v in vecs:
-        v, lead = _reduce(v, itertools.chain(base, rows), p)
-        if lead is None:
-            continue
-        inv = -pow(v[lead], -1, p)
-        v = [a * inv % p for a in v]
-        rows = [(i, [(a + r[lead] * b) % p for a, b in zip(r, v)]) for i, r in rows]
-        rows.append((lead, v))
-    return tuple(sorted((lead, tuple(r)) for lead, r in rows))
-
-
-def _reduce(v, pivots, p):
-    """v reduced against the pivots mod p, and its leading index (None if zero)."""
-    for lead, pvec in pivots:
-        f = v[lead]
-        if f:
-            v = [(a + f * b) % p for a, b in zip(v, pvec)]
-    return v, next(itertools.compress(itertools.count(), v), None)

@@ -189,6 +189,17 @@ def test_file_errors_name_their_stage(tmp_path, capsys):
     assert err.startswith("error[FileAccess]: ") and str(unwritable) in err
 
 
+
+def test_analyze_names_a_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    path.write_text("not a code\n")
+    rc, out, err = run(capsys, "analyze", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error[InvalidArgument]: {path} is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+    )
+
+
 MALFORMED_ENTRIES = [
     # (entries of a 1 x 2 generator over GF(13), what the diagnostic names)
     ([[1, 2.5]], "matrix entry [0][1] is 2.5,"),

@@ -99,6 +99,13 @@ def test_twist_index_gate():
         construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_2, s=0))
 
 
+def test_bool_twist_index_is_refused():
+    # True is not read as s = 1
+    message = r"s=True must satisfy 1 <= s <= \(n-1\)/2=1 and gcd\(s, n\) = 1"
+    with pytest.raises(NotCoprimeError, match=message):
+        construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_2, s=True))
+
+
 def test_even_n_rejected():
     with pytest.raises(EvenNError):
         construct_code(GF13, 4, CodeFamily(tag=FAMILY_2N_MINUS_2))
@@ -348,6 +355,14 @@ def test_negative_cap_is_refused():
             code.min_distance(method, cap=-1)
 
 
+def test_bool_cap_is_refused():
+    # True is not read as cap = 1
+    code = code_13_2n2()
+    for method in ("auto", "exhaustive", "dual"):
+        with pytest.raises(ValueError, match="cap must be a count >= 0, got True"):
+            code.min_distance(method, cap=True)
+
+
 def test_auto_method_selection():
     code = code_13_2n2()
     # under the default cap q^k - 1 = 28560 fits: auto = exhaustive
@@ -550,31 +565,28 @@ def test_json_roundtrip():
 
 def test_min_dependent_columns_matches_subset_oracle():
     # third route: brute-force over all column subsets via columns_rank.
-    # GF(25) and GF(13^2) columns check that all m expansions of a column
-    # join the pivots and the span keys; up to 5 rows reach the search from
-    # w = 4.  Planted columns (zero, a scaled copy, a combination of two
-    # others) make depths 0 and 1 answer over prime and extension fields.
+    # GF(25) and GF(13^2) columns check the walk on logs; up to 5 rows
+    # reach the search from w = 4.  Planted columns (zero, a scaled copy, a
+    # combination of two others) make depths 0 and 1 answer over prime and
+    # extension fields.
     from itertools import combinations
 
-    from dihedralcodes.codes import _few_dependent_columns, _min_dependent_columns
-    from dihedralcodes.gf import prime_expansion
+    from dihedralcodes.codes import _Elements, _entry_form, _min_dependent_columns
 
     def check(m):
-        # the expansion walk from depth 0, the GF(q)-point kernel, which
-        # answers w <= 3 or None, and the dual engine on the code whose
-        # parity check is m, which picks one of them by the table limit
-        int_cols = [prime_expansion(col) for col in zip(*m.data)]
-        got = _min_dependent_columns(int_cols, m.ctx.p)
+        # the walk on the entry form the dual engine picks for the field,
+        # and on FieldElements, and the dual engine on the code whose
+        # parity check is m
         expected = None
         for w in range(1, m.cols + 1):
             if any(m.columns_rank(c) < w for c in combinations(range(m.cols), w)):
                 expected = w
                 break
-        assert got == expected
-        few = _few_dependent_columns([[e.coeffs for e in col] for col in zip(*m.data)], m.ctx)
-        assert few == (got if got <= 3 else None)
-        assert LinearCode(m.kernel_basis()).min_distance("dual") == got
-        return got
+        for field in (_entry_form(m.ctx), _Elements()):
+            cols = [field.entries(col) for col in zip(*m.data)]
+            assert _min_dependent_columns(cols, field) == expected
+        assert LinearCode(m.kernel_basis()).min_distance("dual") == expected
+        return expected
 
     def random_matrix(ctx, rows, cols):
         return [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)]
@@ -607,9 +619,9 @@ def test_min_dependent_columns_matches_subset_oracle():
                 planted_hits.add((ctx.m, plant))
     assert planted_hits == {(m, level) for m in (1, 2) for level in (1, 2, 3)}
 
-    # the kernel over GF(2), GF(4), GF(9), GF(13), GF(25), GF(13^2), GF(2^31-1)
-    # and GF(257^2), which is above the table limit, with r = 1 to 5 rows
-    # and columns that lead in rows 1 and 2
+    # the walk over GF(2), GF(4), GF(9), GF(13), GF(25), GF(13^2), GF(2^31-1)
+    # and GF(257^2), which is above the log tables' limit, with r = 1 to 5
+    # rows and columns that lead in rows 1 and 2
     fields = (
         make_field(2, [0, 1]), make_field(2, [1, 1, 1]), GF9, GF13, GF25,
         make_field(13, [2, 0, 1]), make_field(2**31 - 1, [0, 1]), make_field(257, [3, 0, 1]),
@@ -740,8 +752,8 @@ def test_contains_agrees_with_row_space_contains():
 
 
 def test_expansions_match_prime_expansion():
-    # the dual engine expands coefficient tuples in ints; gf.prime_expansion
-    # multiplies elements by x^j
+    # the exhaustive engine expands coefficient tuples in ints;
+    # gf.prime_expansion multiplies elements by x^j
     from dihedralcodes.codes import _expansions
     from dihedralcodes.gf import prime_expansion
 
@@ -783,15 +795,18 @@ def random_columns_with_plants(ctx, rows, ncols, rng, sparse=False):
 def test_carried_walk_matches_subset_oracle():
     # at h >= 5 rows the parity-check walk runs to depth 2 and beyond, and a
     # k >= 5 generator's hyperplane walk to depth k - 2 >= 3, each level
-    # handing its reduced columns down; the oracle ranks column subsets
+    # handing its reduced columns down; the oracle ranks column subsets.
+    # Each field's walk runs on residues (GF(13)) or logs (GF(9), GF(25)),
+    # and over GF(9) and GF(25) on FieldElements too, which no workload
+    # reaches: only fields past 2^16 elements take them.
     from itertools import combinations
 
     from dihedralcodes.codes import (
-        _few_dependent_columns,
+        _Elements,
+        _entry_form,
         _hyperplane_distance,
         _min_dependent_columns,
     )
-    from dihedralcodes.gf import prime_expansion
 
     def least_dependent(m):
         return next(
@@ -808,21 +823,27 @@ def test_carried_walk_matches_subset_oracle():
         )
 
     rng = random.Random(9)
-    depths, hyperplanes = set(), 0
+    depths, hyperplanes, forms = set(), 0, set()
     for ctx in (GF13, GF9, GF25):
+        fields = (_entry_form(ctx), _Elements()) if ctx.m > 1 else (_entry_form(ctx),)
         for _ in range(12):
             rows = rng.randrange(5, 7)
             m = random_columns_with_plants(ctx, rows, rng.randrange(rows + 1, rows + 4), rng)
-            cols = [prime_expansion(col) for col in zip(*m.data)]
             w = least_dependent(m)
-            assert _min_dependent_columns(cols, ctx.p) == w
-            few = _few_dependent_columns([[e.coeffs for e in col] for col in zip(*m.data)], ctx)
-            assert few == (w if w <= 3 else None)
             depths.add((ctx.q, min(w - 2, 2)))
-            if rows == 5 and m.rank() == rows:  # depth 3, C(ncols, 4) subsets
-                assert _hyperplane_distance(cols, ctx.p) == m.cols - most_on_a_hyperplane(m)
-                hyperplanes += 1
+            full_rank = rows == 5 and m.rank() == rows  # depth 3, C(ncols, 4) subsets
+            d = m.cols - most_on_a_hyperplane(m) if full_rank else None
+            for field in fields:
+                cols = [field.entries(col) for col in zip(*m.data)]
+                assert _min_dependent_columns(cols, field) == w
+                if full_rank:
+                    assert _hyperplane_distance(cols, field) == d
+                    forms.add((ctx.q, type(field).__name__))
+            hyperplanes += full_rank
     # every field had a zero column, dependent pairs and triples, and a
     # walk to depth 2 or deeper (w >= 4)
     assert depths == {(q, t) for q in (13, 9, 25) for t in (-1, 0, 1, 2)}
     assert hyperplanes >= 12
+    assert forms == {
+        (13, "_Residues"), (9, "_Logs"), (9, "_Elements"), (25, "_Logs"), (25, "_Elements")
+    }

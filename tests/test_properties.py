@@ -1,4 +1,4 @@
-"""Property tests: field axioms, RREF, the integer kernel the distance engines share, and P."""
+"""Property tests: field axioms, RREF, prime expansions, the dual engine's two walks, and P."""
 
 import functools
 import itertools
@@ -6,7 +6,12 @@ import itertools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dihedralcodes.codes import LinearCode, _hyperplane_distance, _min_dependent_columns
+from dihedralcodes.codes import (
+    LinearCode,
+    _entry_form,
+    _hyperplane_distance,
+    _min_dependent_columns,
+)
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.gf import make_field, prime_expansion
 from dihedralcodes.linalg import MatrixGF, null_rows
@@ -159,8 +164,9 @@ def test_engines_agree_on_random_high_rate_codes(code):
     assert code.min_distance("dual") == d
     # the parity-check walk alone, though the dual engine may take the
     # generator side where its subsets are fewer
-    h_cols = [prime_expansion(c) for c in zip(*null_rows(code.generator, code.pivots))]
-    assert _min_dependent_columns(h_cols, code.ctx.p) == d
+    field = _entry_form(code.ctx)
+    h_cols = [field.entries(c) for c in zip(*null_rows(code.generator, code.pivots))]
+    assert _min_dependent_columns(h_cols, field) == d
 
 
 @PROPERTY
@@ -170,12 +176,12 @@ def test_generator_side_matches_parity_check_side(m):
     # pivots, finds dependent columns: both give d(C), and swapped, d(C^perp)
     code = LinearCode(m)
     assume(0 < code.k < code.length)
-    G, p = code.generator, code.ctx.p
+    G, field = code.generator, _entry_form(code.ctx)
     H = null_rows(G, code.pivots)
-    g_cols = [prime_expansion(c) for c in zip(*G.data)]
-    h_cols = [prime_expansion(c) for c in zip(*H)]
-    assert _hyperplane_distance(g_cols, p) == _min_dependent_columns(h_cols, p)
-    assert _min_dependent_columns(g_cols, p) == _hyperplane_distance(h_cols, p)
+    g_cols = [field.entries(c) for c in zip(*G.data)]
+    h_cols = [field.entries(c) for c in zip(*H)]
+    assert _hyperplane_distance(g_cols, field) == _min_dependent_columns(h_cols, field)
+    assert _min_dependent_columns(g_cols, field) == _hyperplane_distance(h_cols, field)
 
 
 # the (q, n) pairs of the acceptance sweep
