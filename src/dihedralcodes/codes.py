@@ -14,36 +14,39 @@ it (s is the twist index, beta the twist scalar):
 Under P the twisted generator is [[1, beta], [0, 0]] in block s and zero
 elsewhere, so construct_code builds each family as the Wedderburn spec
 {position 0: full / minus / plus; block s: row(1, beta); other blocks: full}.
-code_from_ideal_spec returns the RREF generator of that ideal, the kernel
-of its closed-form constraint rows: 2 rows on block s, plus 1 on gamma
-for the 2n-3 families.  That RREF enters LinearCode as it is, through the
-private LinearCode._from_rref, so a constructed code is row-reduced once;
-the public constructor, load_code and from_generator_rows reduce what
-they are given.  The paper-style presentation reads its rows, n e_j and
-n b e_j, straight off wedderburn.coordinate_forms.
+That ideal is the kernel of its closed-form constraint rows H: 2 rows on
+block s, plus 1 on gamma for the 2n-3 families.  construct_code keeps H
+and enters LinearCode through the private LinearCode._from_parity_check:
+k = 2n - rank H, found on H's entries, and the RREF generator is built
+from H only when something asks for it (linalg.kernel_rref, the one
+reduction that code_from_ideal_spec also runs).  The public constructor,
+load_code and from_generator_rows reduce the generator they are given.
+The paper-style presentation reads its rows, n e_j and n b e_j, straight
+off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) of one word per GF(q)-line,
 (q^k-1)/(q-1) in all, still gated at q^k - 1 <= cap, on integers mod p
 over the prime-field expansions of gf.prime_expansion (_expansions); and
 the dual engine, the least number of linearly dependent columns of the
-parity check, read off the RREF generator's entries and its pivots, with
-no second reduction.  One depth-first walk over independent column
-subsets S answers every size: w dependent columns show as two later
-columns with one projective point modulo span(S) at depth w - 2.  Each
-level of the walk reduces the columns against one column of S and drops
-that column's lead coordinate, so it hands shorter columns down, and a
-column's point modulo span(S) is the point of what is left of it; with
-two coordinates left, that is one ratio y/x.  Depths 0 and 1 find 1, 2
-or 3 dependent columns; the paper's codes have 2 or 3 parity checks, so
-they need nothing deeper.  Past depth 1 the walk runs on the side with
-fewer subsets: the parity check's, or the generator's at depth k - 2,
-where the columns in span(S) and one class of equal points are the
-columns on a hyperplane, and d is the length less the most any such
-hyperplane holds, since a minimum-weight codeword is zero on those.  The
-walk keeps the GF(q) entries in one of three forms, each with the same
-point and reduce: residues mod p over GF(p) (_Residues), discrete logs
-with Zech logs for sums over GF(p^m) up to 2^16 elements (_Logs,
+parity check: H itself for a constructed code, else read off the RREF
+generator's entries and its pivots, with no second reduction.  One
+depth-first walk over independent column subsets S answers every size: w
+dependent columns show as two later columns with one projective point
+modulo span(S) at depth w - 2.  Each level of the walk reduces the
+columns against one column of S and drops that column's lead coordinate,
+so it hands shorter columns down, and a column's point modulo span(S) is
+the point of what is left of it; with two coordinates left, that is one
+ratio y/x.  Depths 0 and 1 find 1, 2 or 3 dependent columns; the paper's
+codes have 2 or 3 parity checks, so they need nothing deeper, and a dual
+check of one never builds its generator.  Past depth 1 the walk runs on
+the side with fewer subsets: the parity check's, or the generator's at
+depth k - 2, where the columns in span(S) and one class of equal points
+are the columns on a hyperplane, and d is the length less the most any
+such hyperplane holds, since a minimum-weight codeword is zero on those.
+The walk keeps the GF(q) entries in one of three forms, each with the
+same point and reduce: residues mod p over GF(p) (_Residues), discrete
+logs with Zech logs for sums over GF(p^m) up to 2^16 elements (_Logs,
 gf.FieldCtx.log_tables), and FieldElements past that (_Elements).  So
 neither engine has a limit on q.  Both are exact; the pair serves as a
 cross-check.  numpy is imported on the first exhaustive call, so
@@ -68,10 +71,10 @@ from .errors import (
     ZeroElementError,
 )
 from .gf import FieldCtx, FieldElement, _is_int, element_order, primitive_nth_root
-from .linalg import MatrixGF
+from .linalg import MatrixGF, kernel_rref
 from .wedderburn import (
     IdealSpec,
-    code_from_ideal_spec,
+    _constraint_rows,
     coordinate_forms,
     full,
     minus_piece,
@@ -116,37 +119,55 @@ class Provenance:
 
 
 class LinearCode:
-    """A linear code of length 2n given by an RREF generator matrix.
+    """A linear code of length 2n.
 
-    pivots are the generator's pivot columns, an information set; with
-    them the parity check is read off the generator (linalg.null_rows).
+    generator is its RREF generator matrix and pivots its pivot columns,
+    an information set.  LinearCode(G) reduces G.  construct_code enters
+    through _from_parity_check with H, the spec's constraint rows, whose
+    kernel the code is: k = 2n - rank H, and the dual engine walks H's
+    columns.  A constructed code builds generator and pivots from H on
+    first use (linalg.kernel_rref); a dual check never does.
     """
 
     def __init__(self, generator: MatrixGF):
         reduced, _, pivots = generator.rref()
-        self._adopt(reduced.nonzero_rows(), pivots, None)
+        self._start(generator.ctx, generator.cols, len(pivots), None)
+        self._reduced = reduced.nonzero_rows(), pivots
 
     @classmethod
-    def _from_rref(cls, generator: MatrixGF, provenance: Provenance) -> "LinearCode":
-        """Trusted entry for construct_code: generator is an RREF with no zero row.
+    def _from_parity_check(cls, ctx: FieldCtx, rows, provenance) -> "LinearCode":
+        """Trusted entry for construct_code: the code is ker H, H given by its
+        rows of ctx's elements.
 
-        code_from_ideal_spec builds it so, and it is not reduced again.  Its
-        pivots are read off the staircase in O(length): column c is the next
-        pivot when row len(pivots) is nonzero there.
+        H is converted once to the dual walk's entry form, and k is the
+        length less its rank, found by elimination in that form (_rank).
         """
-        pivots = []
-        for c in range(generator.cols):
-            if len(pivots) < generator.rows and generator.data[len(pivots)][c]:
-                pivots.append(c)
+        field = _entry_form(ctx)
+        entries = [field.entries(r) for r in rows]
+        cols = [list(c) for c in zip(*entries)]
         code = cls.__new__(cls)
-        code._adopt(generator, pivots, provenance)
+        code._start(ctx, len(cols), len(cols) - _rank(entries, field), provenance)
+        code._rows, code._parity = rows, (field, cols)
         return code
 
-    def _adopt(self, generator: MatrixGF, pivots: list[int], provenance):
-        self.generator, self.pivots, self.k = generator, pivots, len(pivots)
-        self.length = generator.cols
+    def _start(self, ctx: FieldCtx, length: int, k: int, provenance):
+        self.ctx, self.length, self.k = ctx, length, k
         self.provenance = provenance
+        self._reduced = self._parity = None
         self._distance: dict[str, int] = {}
+
+    def _rref(self) -> tuple[MatrixGF, list[int]]:
+        if self._reduced is None:
+            self._reduced = kernel_rref(self.ctx, self._rows, self.length)
+        return self._reduced
+
+    @property
+    def generator(self) -> MatrixGF:
+        return self._rref()[0]
+
+    @property
+    def pivots(self) -> list[int]:
+        return self._rref()[1]
 
     @property
     def singleton_bound(self) -> int:
@@ -184,15 +205,11 @@ class LinearCode:
             if method == "exhaustive":
                 self._distance[method] = _exhaustive_distance(self.generator, cap)
             else:
-                self._distance[method] = _dual_distance(self.generator, self.pivots, cap)
+                self._distance[method] = _dual_distance(self, cap)
         return self._distance[method]
 
     def is_mds(self, method: str = "auto", cap: int = DEFAULT_CAP) -> bool:
         return self.min_distance(method, cap) == self.singleton_bound
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.generator.ctx
 
     def contains(self, vector) -> bool:
         """Whether vector is a codeword: v - sum_i v[pivots[i]] * row_i is zero.
@@ -290,7 +307,7 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
     blocks[s - 1] = row(ctx.one(), beta)
     spec = IdealSpec((_POSITION0[family.tag](), *blocks))
     prov = Provenance(ctx=ctx, n=n, tag=family.tag, s=s, beta=beta)
-    return LinearCode._from_rref(code_from_ideal_spec(ctx, n, spec), prov)
+    return LinearCode._from_parity_check(ctx, _constraint_rows(ctx, n, spec), prov)
 
 
 def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> MatrixGF:
@@ -415,27 +432,45 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     return best
 
 
-def _dual_distance(gen: MatrixGF, pivots, cap: int) -> int:
-    """Distance of an RREF generator's code: see min_distance.
+def _dual_distance(code: LinearCode, cap: int) -> int:
+    """Distance of code from its parity-check columns: see min_distance.
 
-    On its pivot columns the generator is G = [I | A], so H = [-A^T | I]
-    (linalg.null_rows) is read straight off G's entries, with no row
-    reduction.  Column pivots[i] of H is row i of G on the free columns,
-    taken unnegated: scaling a column by -1 changes no span, so no key and
-    no set of dependent columns.
+    A constructed code keeps H's columns in the walk's entry form.  For
+    any other code the RREF generator is G = [I | A] on its pivot columns,
+    so H = [-A^T | I] (linalg.null_rows) is read straight off G's entries,
+    with no row reduction.  Column pivots[i] of H is row i of G on the
+    free columns, taken unnegated: scaling a column by -1 changes no span,
+    so no key and no set of dependent columns.
     """
-    pivot_set = set(pivots)
-    free = [c for c in range(gen.cols) if c not in pivot_set]
-    if not free:
-        return 1
-    ctx = gen.ctx
-    field, zero, one = _entry_form(ctx), ctx.zero(), ctx.one()
-    cols = [None] * gen.cols
-    for pc, r in zip(pivots, gen.data):
-        cols[pc] = field.entries([r[f] for f in free])
-    for j, f in enumerate(free):
-        cols[f] = field.entries([one if i == j else zero for i in range(len(free))])
-    return _min_dependent_columns(cols, field, cap, gen)
+    if code._parity is not None:
+        field, cols = code._parity
+    else:
+        gen, pivots, ctx = code.generator, code.pivots, code.ctx
+        pivot_set = set(pivots)
+        free = [c for c in range(gen.cols) if c not in pivot_set]
+        field, zero, one = _entry_form(ctx), ctx.zero(), ctx.one()
+        cols = [None] * gen.cols
+        for pc, r in zip(pivots, gen.data):
+            cols[pc] = field.entries([r[f] for f in free])
+        for j, f in enumerate(free):
+            cols[f] = field.entries([one if i == j else zero for i in range(len(free))])
+    return _min_dependent_columns(cols, field, cap, code)
+
+
+def _rank(vs, field) -> int:
+    """Dimension of the span of these vectors, held in field's entry form.
+
+    Elimination: each vector with a point (field.point) is independent of
+    those before it; it reduces the later vectors and drops its lead
+    coordinate from them (field.reduce).
+    """
+    rank, i = 0, 0
+    while i < len(vs):
+        c = field.point(vs[i])
+        i += 1
+        if c is not None:
+            rank, vs, i = rank + 1, field.reduce(c, vs[i:]), 0
+    return rank
 
 
 def _entry_form(ctx: FieldCtx):
@@ -637,7 +672,7 @@ def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP) -> int:
     return len(cols) - max(keys.pop(None, 0) + max(keys.values()) for keys in classes)
 
 
-def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, gen: MatrixGF | None = None):
+def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode | None = None):
     """Least w such that some w of the given columns are linearly dependent.
 
     Each column is a list of its GF(q) entries in field's form (_entry_form).
@@ -652,19 +687,20 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, gen: MatrixGF | 
     or 3) need no deeper walk.
 
     From depth 2 on, each subset reached takes one step of the cap, on the
-    side with fewer subsets.  gen, if given, is a full-rank generator of
-    the null space of these columns' matrix; when its C(ncols, k-2)
-    subsets (1 for k = 1) are no more than the sum of C(ncols, t) over the
-    depths t = 2..h-2 left here, _hyperplane_distance answers from its
-    columns.
+    side with fewer subsets.  code, if given, is the null space of these
+    columns' matrix; when the C(ncols, k-2) subsets of its dimension k (1
+    for k = 1) are no more than the sum of C(ncols, t) over the depths
+    t = 2..h-2 left here, _hyperplane_distance answers from the columns of
+    its generator, which is built then if it was not before.
     """
     ncols, h = len(cols), len(cols[0])
     budget, free = _budget(cap, "parity-check"), itertools.repeat(None)
     for t in range(max(h - 1, 1)):  # depth t finds w = t + 2
-        if t == 2 and gen is not None and math.comb(ncols, max(gen.rows - 2, 0)) <= sum(
+        if t == 2 and code is not None and math.comb(ncols, max(code.k - 2, 0)) <= sum(
             math.comb(ncols, s) for s in range(2, h - 1)
         ):
-            return _hyperplane_distance([field.entries(c) for c in zip(*gen.data)], field, cap)
+            gen = code.generator.data
+            return _hyperplane_distance([field.entries(c) for c in zip(*gen)], field, cap)
         for keys in _independent_subsets(cols, field, t, budget if t > 1 else free, False):
             if None in keys:
                 return t + 1

@@ -346,8 +346,7 @@ class FieldCtx:
     # -- encoding ------------------------------------------------------------
 
     def spec(self) -> str:
-        mod = json.dumps(list(self.modulus), separators=(",", ":"))
-        return f"p={self.p};mod={mod}"
+        return f"p={self.p};mod=[{','.join(map(str, self.modulus))}]"
 
     def __eq__(self, other):
         if not isinstance(other, FieldCtx):
@@ -383,10 +382,11 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        ctx = self.ctx
+        if ctx.m == 1:
+            return FieldElement(ctx, ((self.coeffs[0] + o.coeffs[0]) % ctx.p,))
+        p = ctx.p
+        return FieldElement(ctx, tuple([(a + b) % p for a, b in zip(self.coeffs, o.coeffs)]))
 
     __radd__ = __add__
 
@@ -394,10 +394,11 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        ctx = self.ctx
+        if ctx.m == 1:
+            return FieldElement(ctx, ((self.coeffs[0] - o.coeffs[0]) % ctx.p,))
+        p = ctx.p
+        return FieldElement(ctx, tuple([(a - b) % p for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -406,8 +407,11 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        if ctx.m == 1:
+            return FieldElement(ctx, (-self.coeffs[0] % ctx.p,))
+        p = ctx.p
+        return FieldElement(ctx, tuple([-a % p for a in self.coeffs]))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -416,6 +420,10 @@ class FieldElement:
         ctx = self.ctx
         if ctx.m == 1:
             return FieldElement(ctx, ((self.coeffs[0] * o.coeffs[0]) % ctx.p,))
+        if ctx.m == 2:  # t^2 = -c1 t - c0 for the modulus t^2 + c1 t + c0
+            (a0, a1), (b0, b1), (c0, c1, _), p = self.coeffs, o.coeffs, ctx.modulus, ctx.p
+            top = a1 * b1
+            return FieldElement(ctx, ((a0 * b0 - top * c0) % p, (a0 * b1 + a1 * b0 - top * c1) % p))
         prod = _pmod(_pmul(self.coeffs, o.coeffs, ctx.p), ctx.modulus, ctx.p)
         prod = list(prod) + [0] * (ctx.m - len(prod))
         return FieldElement(ctx, tuple(prod))
@@ -455,10 +463,16 @@ class FieldElement:
         ctx = self.ctx
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        if ctx.m == 1:
-            return FieldElement(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
-        # extended Euclid over GF(p)[x]
         p = ctx.p
+        if ctx.m == 1:
+            return FieldElement(ctx, (pow(self.coeffs[0], p - 2, p),))
+        if ctx.m == 2:
+            # the norm map: for modulus t^2 + c1 t + c0,
+            # (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0, a nonzero element of GF(p)
+            (a, b), (c0, c1, _) = self.coeffs, ctx.modulus
+            inv = pow((a * a - a * b * c1 + b * b * c0) % p, p - 2, p)
+            return FieldElement(ctx, ((a - b * c1) * inv % p, -b * inv % p))
+        # extended Euclid over GF(p)[x]
         r0, r1 = list(ctx.modulus), _trim(list(self.coeffs))
         s0, s1 = [], [1]
         while r1:

@@ -29,6 +29,14 @@ class MatrixGF:
                     raise MixedContextsError("entry from a different field")
 
     @classmethod
+    def _trusted(cls, ctx: FieldCtx, data: list, cols: int) -> "MatrixGF":
+        """A matrix on data as it is, unchecked: data must be fresh lists of
+        cols elements of ctx each, as elimination and kernel_rref build them."""
+        m = cls.__new__(cls)
+        m.ctx, m.data, m.rows, m.cols = ctx, data, len(data), cols
+        return m
+
+    @classmethod
     def from_rows(cls, ctx: FieldCtx, rows) -> "MatrixGF":
         """Build from rows of ints / lists / elements, coerced into ctx."""
         return cls(ctx, [[ctx.element(e) for e in row] for row in rows])
@@ -68,20 +76,18 @@ class MatrixGF:
                 data[r] = [e * inv for e in data[r]]
             for i in range(self.rows):
                 if i != r and data[i][c]:
-                    f = data[i][c]
-                    data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+                    data[i] = _less_multiple(data[i], data[i][c], data[r])
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return MatrixGF(self.ctx, data, cols=self.cols), r, pivots
+        return MatrixGF._trusted(self.ctx, data, self.cols), r, pivots
 
     def rank(self) -> int:
         return self.rref()[1]
 
     def nonzero_rows(self) -> "MatrixGF":
-        kept = [row for row in self.data if any(row)]
-        return MatrixGF(self.ctx, kept, cols=self.cols)
+        return MatrixGF._trusted(self.ctx, [list(r) for r in self.data if any(r)], self.cols)
 
     def kernel_basis(self) -> "MatrixGF":
         """Basis of the right null space {v : M v^T = 0}; see null_rows."""
@@ -157,7 +163,7 @@ class MatrixGF:
             "rows": self.rows,
             "cols": self.cols,
             "field": self.ctx.spec(),
-            "entries": [[e.to_list() for e in row] for row in self.data],
+            "entries": [[list(e.coeffs) for e in row] for row in self.data],
         }
 
     @classmethod
@@ -190,6 +196,19 @@ class MatrixGF:
         return f"MatrixGF({self.rows}x{self.cols} over GF({self.ctx.q}))\n{self.text()}"
 
 
+def _less_multiple(u, f, v) -> list[FieldElement]:
+    """u - f v, for rows u and v of f's field: elimination's row operation.
+
+    Over GF(p) it is one residue expression per entry, not two element
+    operations.
+    """
+    ctx = f.ctx
+    if ctx.m > 1:
+        return [a - f * b for a, b in zip(u, v)]
+    p, c = ctx.p, f.coeffs[0]
+    return [FieldElement(ctx, ((a.coeffs[0] - c * b.coeffs[0]) % p,)) for a, b in zip(u, v)]
+
+
 def null_rows(R: MatrixGF, pivots) -> list[list[FieldElement]]:
     """Basis of the right null space of an RREF matrix R with these pivot columns.
 
@@ -210,6 +229,20 @@ def null_rows(R: MatrixGF, pivots) -> list[list[FieldElement]]:
             v[pc] = -R.data[i][f]
         rows.append(v)
     return rows
+
+
+def kernel_rref(ctx: FieldCtx, rows, cols: int) -> tuple[MatrixGF, list[int]]:
+    """The RREF basis of {v : H v^T = 0}, H given by its rows, and its pivots.
+
+    The free columns of H with its columns reversed are the lex-first
+    information set of ker H, so the kernel basis of reversed H, null_rows
+    of its RREF, read back in reversed column and row order, is already
+    the unique RREF.  Its pivots are reversed H's free columns, read back.
+    """
+    R, _, pivots = MatrixGF(ctx, [r[::-1] for r in rows], cols=cols).rref()
+    pivot_set = set(pivots)
+    basis = MatrixGF._trusted(ctx, [r[::-1] for r in reversed(null_rows(R, pivots))], cols)
+    return basis, [cols - 1 - f for f in reversed(range(cols)) if f not in pivot_set]
 
 
 def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:

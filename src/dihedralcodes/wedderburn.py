@@ -27,7 +27,7 @@ from .dihedral import AlgebraElement, DihedralAlgebra
 from .errors import EvenNError, InvalidRowSpecError
 from .gf import FieldCtx, FieldElement
 from .idempotents import _xi_powers
-from .linalg import MatrixGF, null_rows
+from .linalg import MatrixGF, kernel_rref
 
 
 @dataclass(frozen=True)
@@ -262,22 +262,17 @@ def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list[FieldE
         if s.kind == ZERO:
             out += _summand_forms(xi_pows, j)
         elif s.kind == ROW:  # y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
-            a11, a12, a21, a22 = _summand_forms(xi_pows, j)
-            out += [
-                [s.y * u - s.x * w for u, w in zip(a11, a12)],
-                [s.y * u - s.x * w for u, w in zip(a21, a22)],
-            ]
+            # a11 = (xi^(ij) | 0) and a12 = (0 | xi^(-ij)); a21, a22 swap the halves
+            a11, a12, _, _ = _summand_forms(xi_pows, j)
+            minus_x = -s.x
+            ya, xb = [s.y * u for u in a11[:n]], [minus_x * w for w in a12[n:]]
+            out += [ya + xb, xb + ya]
     return out
 
 
 def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
-    """RREF generator matrix (phi coordinates) of P^-1 of the chosen ideal.
-
-    The free columns of H with its columns reversed are the lex-first
-    information set of ker H, so the kernel basis of reversed H, null_rows
-    of its RREF, read back in reversed column and row order, is already
-    the unique RREF.
-    """
+    """RREF generator matrix (phi coordinates) of P^-1 of the chosen ideal:
+    the kernel of its constraint rows, by linalg.kernel_rref."""
     if n % 2 == 0:
         raise EvenNError(f"ideal specs are defined for odd n, got n={n}")
     if len(spec) != 1 + (n - 1) // 2:
@@ -287,9 +282,7 @@ def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
     if spec.dim() == 0:
         return MatrixGF.zeros(ctx, 0, 2 * n)
     DihedralAlgebra(ctx, n)  # raises CharDividesOrderError
-    H = [r[::-1] for r in _constraint_rows(ctx, n, spec)]
-    R, _, pivots = MatrixGF(ctx, H, cols=2 * n).rref()
-    return MatrixGF(ctx, [r[::-1] for r in reversed(null_rows(R, pivots))], cols=2 * n)
+    return kernel_rref(ctx, _constraint_rows(ctx, n, spec), 2 * n)[0]
 
 
 def random_ideal_spec(ctx: FieldCtx, n: int, rng) -> IdealSpec:

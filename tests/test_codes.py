@@ -688,6 +688,24 @@ def test_gf25_example_codes():
 # one reduction per code: the trusted entry, integer parity checks, the carried walk
 
 
+# position-0 summand of each family's spec, as construct_code builds it
+FAMILY_POSITION0 = {
+    FAMILY_2N_MINUS_2: full,
+    FAMILY_2N_MINUS_3_MINUS: minus_piece,
+    FAMILY_2N_MINUS_3_PLUS: plus_piece,
+}
+
+
+def family_spec(ctx, n, tag, s, beta):
+    blocks = [full()] * ((n - 1) // 2)
+    blocks[s - 1] = row(ctx.one(), beta)
+    return IdealSpec((FAMILY_POSITION0[tag](), *blocks))
+
+
+def public_keys(doc):
+    return {key: doc[key] for key in ("field", "length", "k", "generator")}
+
+
 @pytest.mark.parametrize(
     "ctx, n",
     [
@@ -696,30 +714,95 @@ def test_gf25_example_codes():
         (make_field(43, [0, 1]), 7),
         (make_field(61, [0, 1]), 15),
         (make_field(13, [2, 0, 1]), 21),
+        (make_field(13, [2, 0, 1]), 7),
+        (make_field(257, [3, 0, 1]), 3),  # past 2^16: the walk's entries are FieldElements
     ],
 )
 def test_trusted_entry_matches_a_fresh_reduction(ctx, n):
-    # construct_code hands code_from_ideal_spec's RREF to LinearCode unreduced;
-    # the public constructor, reducing it again, must find the same code
+    # construct_code starts from the constraint rows H; the public route,
+    # LinearCode of code_from_ideal_spec's generator for the same spec, reduces
+    # that generator again and reads H off it: both must find the same code
     for tag in FAMILIES:
         for s in range(1, (n - 1) // 2 + 1):
             if math.gcd(s, n) != 1:
                 continue
             code = construct_code(ctx, n, CodeFamily(tag=tag, s=s))
+            spec = family_spec(ctx, n, tag, s, code.provenance.beta)
+            public = LinearCode(code_from_ideal_spec(ctx, n, spec))
+            assert (code.k, code.min_distance("dual")) == (public.k, public.min_distance("dual"))
+            assert (code.generator, code.pivots) == (public.generator, public.pivots)
+            assert public_keys(code.to_json()) == public.to_json()
             fresh = LinearCode(code.generator)
             assert (code.generator, code.k, code.pivots) == (
                 fresh.generator, fresh.k, fresh.pivots
             )
 
 
+@pytest.mark.parametrize("ctx", [GF13, GF25, make_field(257, [3, 0, 1])])
+def test_parity_check_rank_is_computed(ctx):
+    # k = length - rank H on hand-made H: dependent rows, a zero row, all zeros.
+    # One field per entry form: residues, logs and FieldElements.
+    rng = random.Random(ctx.q)
+    r1, r2 = ([ctx.random_element(rng) for _ in range(6)] for _ in range(2))
+    r1[0], r2[0], r2[1] = ctx.one(), ctx.zero(), ctx.one()  # independent rows
+    zeros = [ctx.zero()] * 6
+    two = ctx.element(2)
+    cases = [
+        ([r1, r2, [a + two * b for a, b in zip(r1, r2)]], 4),
+        ([r1, r1], 5),
+        ([r1, zeros, r2], 4),
+        ([zeros, zeros], 6),
+    ]
+    for rows, k in cases:
+        code = LinearCode._from_parity_check(ctx, rows, None)
+        assert code.k == k == 6 - MatrixGF(ctx, rows).rank()
+        public = LinearCode(code.generator)
+        assert code.generator.rows == k and public.k == k
+        # every generator row is in ker H
+        for g in code.generator.data:
+            assert all(not sum((a * b for a, b in zip(h, g)), ctx.zero()) for h in rows)
+        assert code.min_distance("dual") == public.min_distance("dual")
+
+
+def test_dual_check_leaves_generator_unbuilt(monkeypatch):
+    builds = []
+    kernel_rref = codes_module.kernel_rref
+    monkeypatch.setattr(
+        codes_module, "kernel_rref", lambda *args: builds.append(1) or kernel_rref(*args)
+    )
+    family = CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS, beta=2)
+    for ctx, n, tag in ((GF13, 3, FAMILY_2N_MINUS_3_PLUS), (GF25, 3, FAMILY_2N_MINUS_2),
+                        (make_field(43, [0, 1]), 7, FAMILY_2N_MINUS_3_MINUS)):
+        code = construct_code(ctx, n, CodeFamily(tag))
+        assert code.is_mds("dual") and code.min_distance("dual") == code.singleton_bound
+        assert builds == []
+    # each use of the generator builds it once, and gives the public route's values
+    spec = family_spec(GF13, 3, family.tag, 1, GF13.element(2))
+    public = LinearCode(code_from_ideal_spec(GF13, 3, spec))
+    member = public.generator.data[0]
+    uses = {
+        "to_json": lambda c: public_keys(c.to_json()),
+        "contains": lambda c: (c.contains(member), c.contains([1] * 6)),
+        "exhaustive": lambda c: c.min_distance("exhaustive"),
+        "auto": lambda c: c.min_distance("auto"),
+    }
+    for name, use in uses.items():
+        builds.clear()
+        code = construct_code(GF13, 3, family)
+        assert use(code) == use(public) == use(code), name
+        assert builds == [1], name
+
+
 def test_construct_code_reduces_once(monkeypatch):
-    # the one rref is code_from_ideal_spec's, of the reversed constraint rows
+    # construction reduces nothing: k is the rank of H, in the walk's entry
+    # form; the one rref is the generator's, of the 3 reversed constraint rows
     calls = []
     rref = MatrixGF.rref
     monkeypatch.setattr(MatrixGF, "rref", lambda m: calls.append(m.rows) or rref(m))
     code = construct_code(make_field(61, [0, 1]), 15, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS))
+    assert (calls, code.k) == ([], 27)
+    assert (code.generator.rows, len(code.pivots)) == (27, 27)
     assert calls == [3]
-    assert code.k == 27
 
 
 def test_public_constructor_still_reduces():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import signal
 
@@ -13,6 +14,8 @@ from dihedralcodes.errors import (
 )
 from dihedralcodes.gf import (
     PRIMALITY_LIMIT,
+    _pmod,
+    _pmul,
     element_order,
     factorize,
     is_prime,
@@ -291,6 +294,25 @@ def test_extension_square_reduces():
 def test_inverse_in_prime_field():
     assert GF13.element(3).inverse() == GF13.element(9)
     assert GF13.element(2) ** -1 == GF13.element(7)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [make_field(2, [1, 1, 1]), make_field(3, [1, 0, 1]), make_field(3, [2, 1, 1]), GF25, GF169],
+    ids=["GF4", "GF9", "GF9-linear-term", "GF25", "GF169"],
+)
+def test_quadratic_extension_inverse_and_product(ctx):
+    # m = 2 takes the norm map for inverses and a closed form for products:
+    # x * x^-1 = 1 for every nonzero x, and products of the first 30 elements
+    # equal the polynomial product reduced by the modulus
+    one = ctx.one()
+    for x in itertools.islice(ctx.elements(), 1, None):
+        assert x * x.inverse() == one
+    for x, y in itertools.product(list(ctx.elements())[:30], repeat=2):
+        prod = _pmod(_pmul(x.coeffs, y.coeffs, ctx.p), ctx.modulus, ctx.p)
+        assert (x * y).coeffs == tuple(prod + [0] * (2 - len(prod)))
+    with pytest.raises(ZeroDivisionError):
+        ctx.zero().inverse()
 
 
 def test_pow_signs():
