@@ -20,17 +20,19 @@ and enters LinearCode through the private LinearCode._from_parity_check:
 k = 2n - rank H, found on H's entries, and the RREF generator is built
 from H only when something asks for it (linalg.kernel_rref, the one
 reduction that code_from_ideal_spec also runs).  The public constructor,
-load_code and from_generator_rows reduce the generator they are given.
+load_code and from_generator_rows reduce the generator they are given,
+and take H = [-A^T | I] off the result G = [I | A] (linalg.null_rows)
+when something asks for it.  Either way H is the one parity check:
+contains tests H v^T = 0, and the dual engine walks H's columns.
 The paper-style presentation reads its rows, n e_j and n b e_j, straight
 off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) of one word per GF(q)-line,
 (q^k-1)/(q-1) in all, still gated at q^k - 1 <= cap, on integers mod p
-over the prime-field expansions of gf.prime_expansion (_expansions); and
-the dual engine, the least number of linearly dependent columns of the
-parity check: H itself for a constructed code, else read off the RREF
-generator's entries and its pivots, with no second reduction.  One
+over the generator rows' prime-field expansions (gf.prime_expansion); and
+the dual engine, the least number of linearly dependent columns of H,
+converted once to the walk's entry form (LinearCode._parity_check).  One
 depth-first walk over independent column subsets S answers every size: w
 dependent columns show as two later columns with one projective point
 modulo span(S) at depth w - 2.  Each level of the walk reduces the
@@ -70,8 +72,8 @@ from .errors import (
     UnsupportedStyleError,
     ZeroElementError,
 )
-from .gf import FieldCtx, FieldElement, _is_int, element_order, primitive_nth_root
-from .linalg import MatrixGF, kernel_rref
+from .gf import FieldCtx, FieldElement, _is_int, element_order, prime_expansion, primitive_nth_root
+from .linalg import MatrixGF, kernel_rref, null_rows
 from .wedderburn import (
     IdealSpec,
     _constraint_rows,
@@ -119,47 +121,56 @@ class Provenance:
 
 
 class LinearCode:
-    """A linear code of length 2n.
+    """A linear code of length 2n, held by its parity check H and its RREF
+    generator, each derived from the other on first use.
 
-    generator is its RREF generator matrix and pivots its pivot columns,
-    an information set.  LinearCode(G) reduces G.  construct_code enters
+    LinearCode(G) reduces G to its RREF generator, with its pivot columns
+    (pivots, an information set), and takes H = [-A^T | I] off G = [I | A]
+    (linalg.null_rows) when something asks for it.  construct_code enters
     through _from_parity_check with H, the spec's constraint rows, whose
-    kernel the code is: k = 2n - rank H, and the dual engine walks H's
-    columns.  A constructed code builds generator and pivots from H on
-    first use (linalg.kernel_rref); a dual check never does.
+    kernel the code is: k = 2n - rank H, and the generator is built from H
+    on first use (linalg.kernel_rref).  The dual engine and contains read
+    only H, so a dual check or a membership test of a constructed code
+    never builds its generator.
     """
 
     def __init__(self, generator: MatrixGF):
         reduced, _, pivots = generator.rref()
-        self._start(generator.ctx, generator.cols, len(pivots), None)
-        self._reduced = reduced.nonzero_rows(), pivots
+        self._start(generator.ctx, generator.cols, None, reduced=(reduced.nonzero_rows(), pivots))
 
     @classmethod
     def _from_parity_check(cls, ctx: FieldCtx, rows, provenance) -> "LinearCode":
         """Trusted entry for construct_code: the code is ker H, H given by its
-        rows of ctx's elements.
-
-        H is converted once to the dual walk's entry form, and k is the
-        length less its rank, found by elimination in that form (_rank).
-        """
-        field = _entry_form(ctx)
-        entries = [field.entries(r) for r in rows]
-        cols = [list(c) for c in zip(*entries)]
+        rows of ctx's elements."""
         code = cls.__new__(cls)
-        code._start(ctx, len(cols), len(cols) - _rank(entries, field), provenance)
-        code._rows, code._parity = rows, (field, cols)
+        code._start(ctx, len(rows[0]), provenance, rows=rows)
         return code
 
-    def _start(self, ctx: FieldCtx, length: int, k: int, provenance):
-        self.ctx, self.length, self.k = ctx, length, k
-        self.provenance = provenance
-        self._reduced = self._parity = None
+    def _start(self, ctx: FieldCtx, length: int, provenance, rows=None, reduced=None):
+        self.ctx, self.length, self.provenance = ctx, length, provenance
+        self._rows, self._reduced, self._parity = rows, reduced, None
         self._distance: dict[str, int] = {}
+        # the generator's rank, else the length less H's, found on the walk's entries
+        self.k = len(reduced[1]) if reduced else length - _rank(*self._parity_check())
 
     def _rref(self) -> tuple[MatrixGF, list[int]]:
         if self._reduced is None:
             self._reduced = kernel_rref(self.ctx, self._rows, self.length)
         return self._reduced
+
+    def _parity_rows(self) -> list:
+        """H's rows: a constructed code's constraint rows, else [-A^T | I]
+        read off the RREF generator [I | A] (linalg.null_rows)."""
+        if self._rows is None:
+            self._rows = null_rows(*self._rref())
+        return self._rows
+
+    def _parity_check(self):
+        """H's rows in the dual walk's entry form, and that form; built once."""
+        if self._parity is None:
+            field = _entry_form(self.ctx)
+            self._parity = [field.entries(r) for r in self._parity_rows()], field
+        return self._parity
 
     @property
     def generator(self) -> MatrixGF:
@@ -212,19 +223,12 @@ class LinearCode:
         return self.min_distance(method, cap) == self.singleton_bound
 
     def contains(self, vector) -> bool:
-        """Whether vector is a codeword: v - sum_i v[pivots[i]] * row_i is zero.
-
-        Row i of the RREF generator is 1 at pivots[i] and 0 at the other
-        pivots, so subtracting the rows one at a time leaves that sum.
-        """
+        """Whether vector is a codeword: H v^T = 0, H the parity check."""
         v = [self.ctx.element(e) for e in vector]
         if len(v) != self.length:
             raise ValueError(f"vector of length {len(v)}, code of length {self.length}")
-        for pc, r in zip(self.pivots, self.generator.data):
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, r)]
-        return not any(v)
+        zero = self.ctx.zero()
+        return not any(sum((a * b for a, b in zip(h, v)), zero) for h in self._parity_rows())
 
     def parameters(self, method: str = "auto", cap: int = DEFAULT_CAP):
         return (self.length, self.k, self.min_distance(method, cap))
@@ -371,26 +375,6 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
 # distance engines
 
 
-def _expansions(vectors, ctx: FieldCtx) -> list:
-    """gf.prime_expansion of each vector, given as coefficient tuples, in ints.
-
-    The exhaustive engine expands this way, with no FieldElement
-    arithmetic.  x * c shifts c's coefficients up one place and folds the
-    top one back through the monic modulus:
-    x^m = -(f_0 + f_1 x + ... + f_(m-1) x^(m-1)).
-    """
-    p, m, low = ctx.p, ctx.m, ctx.modulus[:-1]
-    out = []
-    for vec in vectors:
-        planes = [vec]
-        for _ in range(1, m):
-            planes.append(
-                [tuple((a - c[-1] * f) % p for a, f in zip((0, *c[:-1]), low)) for c in planes[-1]]
-            )
-        out.append([[c[t] for t in range(m) for c in plane] for plane in planes])
-    return out
-
-
 def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     """Least weight over one nonzero codeword per GF(q)-line, in numpy.
 
@@ -415,7 +399,7 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     # lead row i, from the last up: its words are row i (expansion 0, coefficient 1)
     # plus each word of span, the GF(p)-span of the expansions of rows i+1..k-1
     span, below, best = np.zeros((1, m * ncols), dtype=dtype), [], ncols
-    for expansion in reversed(_expansions([[e.coeffs for e in r] for r in gen.data], ctx)):
+    for expansion in reversed([prime_expansion(r) for r in gen.data]):
         for v in below:
             multiples = (scalars * v % p).astype(dtype)
             span = np.add(span[:, None, :], multiples[None, :, :]).reshape(-1, m * ncols)
@@ -433,27 +417,11 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
 
 
 def _dual_distance(code: LinearCode, cap: int) -> int:
-    """Distance of code from its parity-check columns: see min_distance.
-
-    A constructed code keeps H's columns in the walk's entry form.  For
-    any other code the RREF generator is G = [I | A] on its pivot columns,
-    so H = [-A^T | I] (linalg.null_rows) is read straight off G's entries,
-    with no row reduction.  Column pivots[i] of H is row i of G on the
-    free columns, taken unnegated: scaling a column by -1 changes no span,
-    so no key and no set of dependent columns.
-    """
-    if code._parity is not None:
-        field, cols = code._parity
-    else:
-        gen, pivots, ctx = code.generator, code.pivots, code.ctx
-        pivot_set = set(pivots)
-        free = [c for c in range(gen.cols) if c not in pivot_set]
-        field, zero, one = _entry_form(ctx), ctx.zero(), ctx.one()
-        cols = [None] * gen.cols
-        for pc, r in zip(pivots, gen.data):
-            cols[pc] = field.entries([r[f] for f in free])
-        for j, f in enumerate(free):
-            cols[f] = field.entries([one if i == j else zero for i in range(len(free))])
+    """Distance of code from the columns of its parity check H, in the
+    walk's entry form (LinearCode._parity_check): see min_distance."""
+    rows, field = code._parity_check()
+    # zip drops every column of an H with no rows (k = length): those are empty
+    cols = [list(c) for c in zip(*rows)] or [[] for _ in range(code.length)]
     return _min_dependent_columns(cols, field, cap, code)
 
 

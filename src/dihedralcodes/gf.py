@@ -621,7 +621,7 @@ def parse_element(ctx: FieldCtx, s: str) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# prime-field expansion (the integer input of the distance engines)
+# prime-field expansion (the exhaustive engine's integer input)
 
 
 def prime_expansion(vec) -> list[list[int]]:
@@ -629,10 +629,13 @@ def prime_expansion(vec) -> list[list[int]]:
 
     Coefficient t of entry i lands at index t * len(vec) + i.  Vectors over
     GF(p^m) have rank r exactly when their expansions span a GF(p)-space of
-    dimension m * r, so rank and span questions need only arithmetic mod p.
+    dimension m * r, so rank and span questions need only arithmetic mod p;
+    codes._exhaustive_distance enumerates codewords on these ints.  The
+    x^0 vector is vec's own coefficients, so over GF(p) nothing is
+    multiplied.
     """
     vec = list(vec)
     ctx = vec[0].ctx
     # x^j (j < m) is the element of index p^j
-    shifted = [[ctx.from_index(ctx.p**j) * e for e in vec] for j in range(ctx.m)]
+    shifted = [vec] + [[ctx.from_index(ctx.p**j) * e for e in vec] for j in range(1, ctx.m)]
     return [[e.coeffs[t] for t in range(ctx.m) for e in row] for row in shifted]

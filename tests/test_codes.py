@@ -47,6 +47,7 @@ from dihedralcodes.wedderburn import (
 GF13 = make_field(13, [0, 1])
 GF9 = make_field(3, [1, 0, 1])
 GF25 = make_field(5, [2, 0, 1])
+GF8 = make_field(2, [1, 1, 0, 1])
 
 
 def code_13_2n2():
@@ -402,7 +403,7 @@ def brute_force_lead_weights(code):
     return best
 
 
-@pytest.mark.parametrize("ctx", [GF13, GF9, GF25], ids=lambda ctx: f"GF({ctx.q})")
+@pytest.mark.parametrize("ctx", [GF13, GF9, GF25, GF8], ids=lambda ctx: f"GF({ctx.q})")
 def test_exhaustive_matches_brute_force(ctx):
     rng = random.Random(ctx.q)
     gens = [[[ctx.random_element(rng) for _ in range(5)] for _ in range(k)] for k in (1, 2, 3)]
@@ -780,17 +781,18 @@ def test_dual_check_leaves_generator_unbuilt(monkeypatch):
     spec = family_spec(GF13, 3, family.tag, 1, GF13.element(2))
     public = LinearCode(code_from_ideal_spec(GF13, 3, spec))
     member = public.generator.data[0]
+    # contains tests H v^T = 0, so it builds nothing either
     uses = {
-        "to_json": lambda c: public_keys(c.to_json()),
-        "contains": lambda c: (c.contains(member), c.contains([1] * 6)),
-        "exhaustive": lambda c: c.min_distance("exhaustive"),
-        "auto": lambda c: c.min_distance("auto"),
+        "to_json": (lambda c: public_keys(c.to_json()), [1]),
+        "contains": (lambda c: (c.contains(member), c.contains([1] * 6)), []),
+        "exhaustive": (lambda c: c.min_distance("exhaustive"), [1]),
+        "auto": (lambda c: c.min_distance("auto"), [1]),
     }
-    for name, use in uses.items():
+    for name, (use, expected) in uses.items():
         builds.clear()
         code = construct_code(GF13, 3, family)
         assert use(code) == use(public) == use(code), name
-        assert builds == [1], name
+        assert builds == expected, name
 
 
 def test_construct_code_reduces_once(monkeypatch):
@@ -815,37 +817,34 @@ def test_public_constructor_still_reduces():
 
 
 def test_contains_agrees_with_row_space_contains():
+    # generator codes reach H by null_rows of their RREF, constructed codes keep
+    # their constraint rows.  Each code is asked about a member of every code of
+    # its (field, n): those satisfy some of its checks and not others.
     rng = random.Random(7)
-    for ctx, n in ((GF13, 3), (GF25, 3), (make_field(31, [0, 1]), 5)):
-        for _ in range(8):
-            code = LinearCode(code_from_ideal_spec(ctx, n, random_ideal_spec(ctx, n, rng)))
-            G = code.generator
+    for ctx, n in ((GF13, 3), (GF25, 3), (make_field(31, [0, 1]), 5), (make_field(43, [0, 1]), 7)):
+        codes = [
+            LinearCode(code_from_ideal_spec(ctx, n, random_ideal_spec(ctx, n, rng)))
+            for _ in range(8)
+        ] + [
+            construct_code(ctx, n, CodeFamily(tag, s=s))
+            for tag in FAMILIES
+            for s in range(1, (n + 1) // 2)
+            if math.gcd(s, n) == 1
+        ]
+        members = []
+        for code in codes:
             member = [ctx.zero()] * code.length
-            for r in G.data:
+            for r in code.generator.data:
                 c = ctx.random_element(rng)
                 member = [a + c * b for a, b in zip(member, r)]
-            vectors = [member] + [
-                [ctx.random_element(rng) for _ in range(code.length)] for _ in range(4)
-            ]
             assert code.contains(member)
+            members.append(member)
+        vectors = members + [[ctx.random_element(rng) for _ in range(2 * n)] for _ in range(4)]
+        for code in codes:
             for v in vectors:
-                assert code.contains(v) == G.row_space_contains(v)
+                assert code.contains(v) == code.generator.row_space_contains(v)
     with pytest.raises(ValueError):
         code_13_2n2().contains([0] * 5)
-
-
-def test_expansions_match_prime_expansion():
-    # the exhaustive engine expands coefficient tuples in ints;
-    # gf.prime_expansion multiplies elements by x^j
-    from dihedralcodes.codes import _expansions
-    from dihedralcodes.gf import prime_expansion
-
-    rng = random.Random(8)
-    for ctx in (GF13, GF9, GF25, make_field(13, [2, 0, 1]), make_field(2, [1, 1, 0, 1])):
-        for length in (1, 3, 6):
-            cols = [[ctx.random_element(rng) for _ in range(length)] for _ in range(5)]
-            got = _expansions([[e.coeffs for e in col] for col in cols], ctx)
-            assert got == [prime_expansion(col) for col in cols]
 
 
 def random_columns_with_plants(ctx, rows, ncols, rng, sparse=False):

@@ -501,7 +501,7 @@ def test_index_roundtrip():
 
 def test_prime_expansion_matches_element_ops():
     rng = random.Random(3)
-    for ctx in (GF13, GF25, GF169):
+    for ctx in (GF13, GF25, GF169, make_field(2, [1, 1, 0, 1]), make_field(3, [1, 2, 0, 1])):
         x = ctx.element([0, 1] if ctx.m > 1 else [1])
         vec = [ctx.random_element(rng) for _ in range(6)]
         expansion = prime_expansion(vec)
