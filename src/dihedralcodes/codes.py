@@ -41,18 +41,20 @@ so it hands shorter columns down, and a column's point modulo span(S) is
 the point of what is left of it; with two coordinates left, that is one
 ratio y/x.  Depths 0 and 1 find 1, 2 or 3 dependent columns; the paper's
 codes have 2 or 3 parity checks, so they need nothing deeper, and a dual
-check of one never builds its generator.  Past depth 1 the walk runs on
-the side with fewer subsets: the parity check's, or the generator's at
-depth k - 2, where the columns in span(S) and one class of equal points
-are the columns on a hyperplane, and d is the length less the most any
-such hyperplane holds, since a minimum-weight codeword is zero on those.
-The walk keeps the GF(q) entries in one of three forms, each with the
-same point and reduce: residues mod p over GF(p) (_Residues), discrete
-logs with Zech logs for sums over GF(p^m) up to 2^16 elements (_Logs,
-gf.FieldCtx.log_tables), and FieldElements past that (_Elements).  So
-neither engine has a limit on q.  Both are exact; the pair serves as a
-cross-check.  numpy is imported on the first exhaustive call, so
-construction and the dual engine never load it.
+check of one never builds its generator.  With 3 parity checks, columns
+that are distinct points on one nondegenerate conic form an arc, no three
+collinear, so d = 4 with no depth-1 walk (_on_a_conic): the paper's 2n-3
+codes all take this certificate.  Past depth 1 the walk runs on the side
+with fewer subsets: the parity check's, or the generator's at depth
+k - 2, where the columns in span(S) and one class of equal points are the
+columns on a hyperplane, and d is the length less the most any such
+hyperplane holds, since a minimum-weight codeword is zero on those.  The
+walk keeps the GF(q) entries in one of two forms, each with the same
+point, reduce and is_zero: residues mod p over GF(p) (_Residues), and
+FieldElements over GF(p^m) (_Elements).  So neither engine has a limit
+on q.  Both are exact; the pair serves as a cross-check.  numpy is
+imported on the first exhaustive call, so construction and the dual
+engine never load it.
 """
 
 from __future__ import annotations
@@ -158,18 +160,14 @@ class LinearCode:
             self._reduced = kernel_rref(self.ctx, self._rows, self.length)
         return self._reduced
 
-    def _parity_rows(self) -> list:
-        """H's rows: a constructed code's constraint rows, else [-A^T | I]
-        read off the RREF generator [I | A] (linalg.null_rows)."""
-        if self._rows is None:
-            self._rows = null_rows(*self._rref())
-        return self._rows
-
     def _parity_check(self):
-        """H's rows in the dual walk's entry form, and that form; built once."""
+        """H's rows in the dual walk's entry form, and that form; built once.
+        H is a constructed code's constraint rows, else [-A^T | I] read off
+        the RREF generator [I | A] (linalg.null_rows)."""
         if self._parity is None:
+            rows = null_rows(*self._rref()) if self._rows is None else self._rows
             field = _entry_form(self.ctx)
-            self._parity = [field.entries(r) for r in self._parity_rows()], field
+            self._parity = [field.entries(r) for r in rows], field
         return self._parity
 
     @property
@@ -193,7 +191,7 @@ class LinearCode:
         number w of linearly dependent parity-check columns, as two later
         columns with one projective point modulo the span of an
         independent (w-2)-subset, on one walk over the columns' GF(q)
-        entries (residues, logs or elements, by the field).  Its depths 0
+        entries (residues or elements, by the field).  Its depths 0
         and 1 (w <= 3) are free; past them it visits at most cap column
         subsets, on whichever side has fewer: the parity check's, or the
         (k-2)-subsets of the generator's columns, d being the length less
@@ -223,12 +221,14 @@ class LinearCode:
         return self.min_distance(method, cap) == self.singleton_bound
 
     def contains(self, vector) -> bool:
-        """Whether vector is a codeword: H v^T = 0, H the parity check."""
+        """Whether vector is a codeword: H v^T = 0, H the parity check, on
+        the walk's entry form."""
         v = [self.ctx.element(e) for e in vector]
         if len(v) != self.length:
             raise ValueError(f"vector of length {len(v)}, code of length {self.length}")
-        zero = self.ctx.zero()
-        return not any(sum((a * b for a, b in zip(h, v)), zero) for h in self._parity_rows())
+        rows, field = self._parity_check()
+        v = field.entries(v)
+        return all(field.is_zero(sum(a * b for a, b in zip(h, v))) for h in rows)
 
     def parameters(self, method: str = "auto", cap: int = DEFAULT_CAP):
         return (self.length, self.k, self.min_distance(method, cap))
@@ -442,11 +442,8 @@ def _rank(vs, field) -> int:
 
 
 def _entry_form(ctx: FieldCtx):
-    """The form the walk keeps ctx's entries in: residues, logs or elements."""
-    if ctx.m == 1:
-        return _Residues(ctx)
-    # log tables take O(q) time and memory to build (0.25 s at q = 63001)
-    return _Logs(ctx) if ctx.q <= 2**16 else _Elements()
+    """The form the walk keeps ctx's entries in: residues over GF(p), else elements."""
+    return _Residues(ctx) if ctx.m == 1 else _Elements()
 
 
 class _Residues:
@@ -457,6 +454,10 @@ class _Residues:
 
     def entries(self, col):
         return [e.coeffs[0] for e in col]
+
+    def is_zero(self, a) -> bool:
+        """Whether a, an integer built from entries by + - *, is 0 in GF(p)."""
+        return a % self.p == 0
 
     def point(self, v):
         """v's projective point: its lead (first nonzero index) and v/v[lead]
@@ -500,70 +501,14 @@ class _Residues:
         return [self.point(v) for v in out] if keys else out
 
 
-class _Logs:
-    """GF(p^m) entries as logs to ctx.generator(), None for 0.
-
-    A product is a sum of logs mod q - 1, and g^u + g^e = g^(u + zech[e - u])
-    (FieldCtx.log_tables); -1 is the constant p - 1, whose index is p - 1.
-    """
-
-    def __init__(self, ctx: FieldCtx):
-        self.p, self.o = ctx.p, ctx.q - 1
-        self.logs, self.zech = ctx.log_tables()
-        self.minus_one = self.logs[ctx.p - 1]
-
-    def entries(self, col):
-        p, logs = self.p, self.logs
-        return [logs[sum(a * p**t for t, a in enumerate(e.coeffs))] for e in col]
-
-    def point(self, v):
-        """v's projective point: its lead and v/v[lead] past it; None for v = 0."""
-        o = self.o
-        for lead, a in enumerate(v):
-            if a is not None:
-                return lead, *[None if b is None else (b - a) % o for b in v[lead + 1:]]
-        return None
-
-    def reduce(self, c, vs, keys=False):
-        """Each v less v[lead] c, off c's lead, for c given as its point; with
-        keys, their points instead.  Two coordinates (x, y) left have the
-        point y/x: o = q - 1 for x = 0, -1 for y = 0, None for x = y = 0."""
-        o, zech = self.o, self.zech
-        lead, *tail = c
-        # logs of -c: v less f c is v plus f times these
-        minus = [None] * lead + [self.minus_one]
-        minus += [None if a is None else (a + self.minus_one) % o for a in tail]
-
-        def reduced(v, t):
-            f, u, e = v[lead], v[t], minus[t]
-            if f is None or e is None:
-                return u
-            e += f
-            if u is None:
-                return e % o
-            z = zech[(e - u) % o]
-            return None if z is None else (u + z) % o
-
-        rest = [t for t in range(len(minus)) if t != lead]
-        if keys and len(rest) == 2:
-            s, t = rest
-            points = []
-            for v in vs:
-                x, y = reduced(v, s), reduced(v, t)
-                if x is None:
-                    points.append(None if y is None else o)
-                else:
-                    points.append(-1 if y is None else (y - x) % o)
-            return points
-        out = [[reduced(v, t) for t in rest] for v in vs]
-        return [self.point(v) for v in out] if keys else out
-
-
 class _Elements:
-    """GF(p^m) entries as FieldElements, for fields past the log tables' 2^16."""
+    """GF(p^m) entries as FieldElements, with their own arithmetic."""
 
     def entries(self, col):
         return list(col)
+
+    def is_zero(self, a) -> bool:
+        return not a
 
     def point(self, v):
         """v's projective point: its lead and v/v[lead] past it; None for v = 0."""
@@ -652,7 +597,8 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
     None, met only at depth 0, is a zero column (w = 1).  Depths 0 and 1
     (w <= 3) take O(ncols^2) keys and no budget; if they find nothing and
     h <= 3, any h + 1 columns are dependent, so the paper's codes (h = 2
-    or 3) need no deeper walk.
+    or 3) need no deeper walk.  With h = 3, a conic through the columns
+    (_on_a_conic) answers 4 in place of depth 1; without one, depth 1 runs.
 
     From depth 2 on, each subset reached takes one step of the cap, on the
     side with fewer subsets.  code, if given, is the null space of these
@@ -664,6 +610,8 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
     ncols, h = len(cols), len(cols[0])
     budget, free = _budget(cap, "parity-check"), itertools.repeat(None)
     for t in range(max(h - 1, 1)):  # depth t finds w = t + 2
+        if t == 1 and h == 3 and _on_a_conic(cols, field):
+            return 4
         if t == 2 and code is not None and math.comb(ncols, max(code.k - 2, 0)) <= sum(
             math.comb(ncols, s) for s in range(2, h - 1)
         ):
@@ -675,3 +623,37 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
             if len(set(keys)) < len(keys):
                 return t + 2
     return h + 1  # any h+1 vectors in F_q^h are dependent
+
+
+def _on_a_conic(cols, field) -> bool:
+    """Whether these columns of 3 entries, six or more and pairwise distinct
+    points, lie on one nondegenerate conic; then no three are collinear.
+
+    A line meets a nondegenerate conic in at most 2 points (Segre 1955), so
+    such columns form an arc in PG(2, q): any 3 are independent, and the
+    least number of dependent ones is 4 (MacWilliams-Sloane, ch. 11).  When
+    no three of the first five points P1..P5 are collinear (the walk, on
+    those five alone), exactly one conic passes through them, and it is not
+    a line pair.  With lij = Pi x Pj the line through Pi and Pj, the conics
+    through P1..P4 are the pencil spanned by l12 l34 and l13 l24, and the
+    one through P5 is Q = l13(P5) l24(P5) l12 l34 - l12(P5) l34(P5) l13 l24.
+    Every other column must satisfy Q(x) = 0.  The test takes only + - * on
+    field's entries and no division, so it holds in every characteristic.
+    False is never wrong, only slower: the caller then walks depth 1.
+    """
+    if len(cols) < 6 or _min_dependent_columns(cols[:5], field) != 4:
+        return False
+
+    def line(u, v):
+        return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+    def at(h, x):
+        return h[0] * x[0] + h[1] * x[1] + h[2] * x[2]
+
+    p1, p2, p3, p4, p5 = cols[:5]
+    l12, l34, l13, l24 = line(p1, p2), line(p3, p4), line(p1, p3), line(p2, p4)
+    a, b = at(l13, p5) * at(l24, p5), at(l12, p5) * at(l34, p5)
+    return all(
+        field.is_zero(a * at(l12, x) * at(l34, x) - b * at(l13, x) * at(l24, x))
+        for x in cols[5:]
+    )

@@ -243,7 +243,7 @@ def _check_irreducible(modulus, p):
 class FieldCtx:
     """Immutable description of GF(p^m): prime, modulus, cardinality."""
 
-    __slots__ = ("p", "m", "modulus", "q", "_generator", "_log_tables")
+    __slots__ = ("p", "m", "modulus", "q", "_generator")
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
         # use make_field(); this constructor assumes validated input
@@ -252,7 +252,6 @@ class FieldCtx:
         self.m = len(modulus) - 1
         self.q = p ** self.m
         self._generator = None
-        self._log_tables = None
 
     # -- construction of elements ------------------------------------------
 
@@ -316,32 +315,6 @@ class FieldCtx:
                     self._generator = x
                     break
         return self._generator
-
-    def log_tables(self) -> tuple[list, list]:
-        """Discrete logs to generator() and Zech logs, built once in O(q).
-
-        logs[i] is the k < q - 1 with generator()^k the element of index i,
-        None for zero.  zech[k] is the log of 1 + generator()^k, None where
-        that sum is zero: k = (q - 1)/2 for odd q, k = 0 for p = 2.  A
-        product is then a sum of logs mod q - 1, and a sum one lookup:
-        g^a + g^b = g^(a + zech[b - a]).  No q x q table is built.
-        """
-        if self._log_tables is None:
-            p, m, q = self.p, self.m, self.q
-            # c -> g c is GF(p)-linear; g_cols[t] is g x^t, x^t having index p^t
-            g_cols = [(self.generator() * self.from_index(p**t)).coeffs for t in range(m)]
-            logs, powers, c = [None] * q, [], self.one().coeffs
-            for k in range(q - 1):
-                i = 0
-                for a in reversed(c):
-                    i = i * p + a
-                logs[i] = k
-                powers.append(i)
-                c = tuple(sum(a * g[s] for a, g in zip(c, g_cols)) % p for s in range(m))
-            # 1 + g^k raises the constant coefficient, i % p, by one
-            zech = [logs[i + 1 if i % p != p - 1 else i + 1 - p] for i in powers]
-            self._log_tables = logs, zech
-        return self._log_tables
 
     # -- encoding ------------------------------------------------------------
 

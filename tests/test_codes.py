@@ -566,7 +566,7 @@ def test_json_roundtrip():
 
 def test_min_dependent_columns_matches_subset_oracle():
     # third route: brute-force over all column subsets via columns_rank.
-    # GF(25) and GF(13^2) columns check the walk on logs; up to 5 rows
+    # GF(25) and GF(13^2) columns check the walk on FieldElements; up to 5 rows
     # reach the search from w = 4.  Planted columns (zero, a scaled copy, a
     # combination of two others) make depths 0 and 1 answer over prime and
     # extension fields.
@@ -576,8 +576,8 @@ def test_min_dependent_columns_matches_subset_oracle():
 
     def check(m):
         # the walk on the entry form the dual engine picks for the field,
-        # and on FieldElements, and the dual engine on the code whose
-        # parity check is m
+        # and on FieldElements (the same form over an extension field), and
+        # the dual engine on the code whose parity check is m
         expected = None
         for w in range(1, m.cols + 1):
             if any(m.columns_rank(c) < w for c in combinations(range(m.cols), w)):
@@ -621,8 +621,7 @@ def test_min_dependent_columns_matches_subset_oracle():
     assert planted_hits == {(m, level) for m in (1, 2) for level in (1, 2, 3)}
 
     # the walk over GF(2), GF(4), GF(9), GF(13), GF(25), GF(13^2), GF(2^31-1)
-    # and GF(257^2), which is above the log tables' limit, with r = 1 to 5
-    # rows and columns that lead in rows 1 and 2
+    # and GF(257^2), with r = 1 to 5 rows and columns that lead in rows 1 and 2
     fields = (
         make_field(2, [0, 1]), make_field(2, [1, 1, 1]), GF9, GF13, GF25,
         make_field(13, [2, 0, 1]), make_field(2**31 - 1, [0, 1]), make_field(257, [3, 0, 1]),
@@ -819,13 +818,20 @@ def test_public_constructor_still_reduces():
 def test_contains_agrees_with_row_space_contains():
     # generator codes reach H by null_rows of their RREF, constructed codes keep
     # their constraint rows.  Each code is asked about a member of every code of
-    # its (field, n): those satisfy some of its checks and not others.
+    # its (field, n): those satisfy some of its checks and not others.  Over
+    # GF(67) the generator code is the README's low-rate [22,3], 19 checks.
     rng = random.Random(7)
-    for ctx, n in ((GF13, 3), (GF25, 3), (make_field(31, [0, 1]), 5), (make_field(43, [0, 1]), 7)):
-        codes = [
-            LinearCode(code_from_ideal_spec(ctx, n, random_ideal_spec(ctx, n, rng)))
-            for _ in range(8)
-        ] + [
+    F67 = make_field(67, [0, 1])
+    low_rate = IdealSpec((plus_piece(), row(F67.one(), F67.element(5))) + (zero(),) * 4)
+    for ctx, n, specs in (
+        (GF13, 3, None),
+        (GF25, 3, None),
+        (make_field(31, [0, 1]), 5, None),
+        (make_field(43, [0, 1]), 7, None),
+        (F67, 11, [low_rate]),
+    ):
+        specs = specs or [random_ideal_spec(ctx, n, rng) for _ in range(8)]
+        codes = [LinearCode(code_from_ideal_spec(ctx, n, spec)) for spec in specs] + [
             construct_code(ctx, n, CodeFamily(tag, s=s))
             for tag in FAMILIES
             for s in range(1, (n + 1) // 2)
@@ -843,6 +849,7 @@ def test_contains_agrees_with_row_space_contains():
         for code in codes:
             for v in vectors:
                 assert code.contains(v) == code.generator.row_space_contains(v)
+    assert codes[0].k == 3  # the last pair's generator code is the [22,3]
     with pytest.raises(ValueError):
         code_13_2n2().contains([0] * 5)
 
@@ -878,17 +885,11 @@ def test_carried_walk_matches_subset_oracle():
     # at h >= 5 rows the parity-check walk runs to depth 2 and beyond, and a
     # k >= 5 generator's hyperplane walk to depth k - 2 >= 3, each level
     # handing its reduced columns down; the oracle ranks column subsets.
-    # Each field's walk runs on residues (GF(13)) or logs (GF(9), GF(25)),
-    # and over GF(9) and GF(25) on FieldElements too, which no workload
-    # reaches: only fields past 2^16 elements take them.
+    # Each field's walk runs on residues (GF(13)) or FieldElements (GF(9),
+    # GF(25)).
     from itertools import combinations
 
-    from dihedralcodes.codes import (
-        _Elements,
-        _entry_form,
-        _hyperplane_distance,
-        _min_dependent_columns,
-    )
+    from dihedralcodes.codes import _entry_form, _hyperplane_distance, _min_dependent_columns
 
     def least_dependent(m):
         return next(
@@ -907,7 +908,7 @@ def test_carried_walk_matches_subset_oracle():
     rng = random.Random(9)
     depths, hyperplanes, forms = set(), 0, set()
     for ctx in (GF13, GF9, GF25):
-        fields = (_entry_form(ctx), _Elements()) if ctx.m > 1 else (_entry_form(ctx),)
+        field = _entry_form(ctx)
         for _ in range(12):
             rows = rng.randrange(5, 7)
             m = random_columns_with_plants(ctx, rows, rng.randrange(rows + 1, rows + 4), rng)
@@ -915,17 +916,150 @@ def test_carried_walk_matches_subset_oracle():
             depths.add((ctx.q, min(w - 2, 2)))
             full_rank = rows == 5 and m.rank() == rows  # depth 3, C(ncols, 4) subsets
             d = m.cols - most_on_a_hyperplane(m) if full_rank else None
-            for field in fields:
-                cols = [field.entries(col) for col in zip(*m.data)]
-                assert _min_dependent_columns(cols, field) == w
-                if full_rank:
-                    assert _hyperplane_distance(cols, field) == d
-                    forms.add((ctx.q, type(field).__name__))
+            cols = [field.entries(col) for col in zip(*m.data)]
+            assert _min_dependent_columns(cols, field) == w
+            if full_rank:
+                assert _hyperplane_distance(cols, field) == d
+                forms.add((ctx.q, type(field).__name__))
             hyperplanes += full_rank
     # every field had a zero column, dependent pairs and triples, and a
     # walk to depth 2 or deeper (w >= 4)
     assert depths == {(q, t) for q in (13, 9, 25) for t in (-1, 0, 1, 2)}
     assert hyperplanes >= 12
-    assert forms == {
-        (13, "_Residues"), (9, "_Logs"), (9, "_Elements"), (25, "_Logs"), (25, "_Elements")
-    }
+    assert forms == {(13, "_Residues"), (9, "_Elements"), (25, "_Elements")}
+
+
+# ---------------------------------------------------------------------------
+# the conic certificate of r = 3 parity checks, and twist equivalence
+
+
+def conic_cases(ctx, rng):
+    """Columns of 3 entries, each a kind with the certificate's verdict on it:
+    points of the conic y^2 = xz, of two lines, of the conic with one column
+    moved off it, and over GF(2^m) of the conic plus its nucleus (0, 1, 0),
+    an arc on no conic; each under a random invertible transform, every column
+    scaled by a random nonzero element."""
+    el = ctx.from_index
+    on_conic = [(ctx.one(), t, t * t) for t in ctx.elements()] + [(el(0), el(0), ctx.one())]
+    on_lines = [(el(0), ctx.one(), t) for t in ctx.elements()]
+    on_lines += [(ctx.one(), el(0), t) for t in ctx.elements() if t]
+    kinds = [("conic", True), ("lines", False), ("moved", False)]
+    if ctx.p == 2:
+        kinds.append(("hyperoval", False))
+    for kind, verdict in kinds:
+        points = on_lines if kind == "lines" else on_conic
+        cols = rng.sample(points, rng.randrange(min(6, len(points)), min(len(points), 9) + 1))
+        if kind == "moved":
+            v = on_conic[0]
+            while v[1] * v[1] == v[0] * v[2]:
+                v = [ctx.random_element(rng) for _ in range(3)]
+            cols[rng.randrange(len(cols))] = v
+        elif kind == "hyperoval":
+            cols.append((el(0), ctx.one(), el(0)))
+        while True:
+            t = [[ctx.random_element(rng) for _ in range(3)] for _ in range(3)]
+            if MatrixGF(ctx, t).rank() == 3:
+                break
+        scales = [el(rng.randrange(1, ctx.q)) for _ in cols]
+        cols = [
+            [c * sum((a * b for a, b in zip(r, v)), ctx.zero()) for r in t]
+            for c, v in zip(scales, cols)
+        ]
+        yield kind, verdict, MatrixGF(ctx, [list(r) for r in zip(*cols)])
+
+
+def test_conic_certificate_matches_walk_and_subset_oracle(monkeypatch):
+    # the certificate answers d = 4 only where the brute-force oracle does,
+    # and with it or without it (the plain depth-1 walk) the walk's d is the
+    # oracle's.  A conic over GF(4) has 5 points, too few for the certificate.
+    from itertools import combinations
+
+    from dihedralcodes.codes import _entry_form, _min_dependent_columns, _on_a_conic
+
+    rng = random.Random(18)
+    taken = set()
+    for ctx in (make_field(2, [1, 1, 1]), GF8, GF9, GF13, GF25):
+        field = _entry_form(ctx)
+        for _ in range(8):
+            for kind, verdict, m in conic_cases(ctx, rng):
+                d = next(
+                    w for w in range(1, 5)
+                    if w == 4 or any(m.columns_rank(c) < w for c in combinations(range(m.cols), w))
+                )
+                cols = [field.entries(c) for c in zip(*m.data)]
+                took = _on_a_conic(cols, field)
+                assert took == (verdict and ctx.q > 4)
+                assert _min_dependent_columns(cols, field) == d
+                if kind == "lines":
+                    assert d == 3
+                elif kind in ("conic", "hyperoval"):
+                    assert d == 4
+                taken.add((ctx.q, kind, took))
+                with monkeypatch.context() as patch:
+                    patch.setattr(codes_module, "_on_a_conic", lambda cols, field: False)
+                    assert _min_dependent_columns(cols, field) == d
+    assert {(q, "conic", True) for q in (8, 9, 13, 25)} <= taken
+    assert (4, "conic", False) in taken
+
+
+def test_paper_2n_minus_3_codes_take_the_conic_certificate(monkeypatch):
+    # every 2n-3 code over every coprime twist: its 3 parity checks' columns
+    # lie on one nondegenerate conic, so the dual engine walks depth 1 only
+    # on the certificate's first five columns
+    from dihedralcodes.codes import _on_a_conic
+
+    walk, depth_1 = codes_module._independent_subsets, []
+
+    def recorded(cols, field, t, *rest):
+        if t == 1:
+            depth_1.append(len(cols))
+        return walk(cols, field, t, *rest)
+
+    monkeypatch.setattr(codes_module, "_independent_subsets", recorded)
+
+    points = [
+        (make_field(p, mod), n)
+        for p, mod, n in (
+            (13, [0, 1], 3), (43, [0, 1], 7), (61, [0, 1], 15), (211, [0, 1], 21),
+            (1009, [0, 1], 9), (13, [2, 0, 1], 21), (2**31 - 1, [0, 1], 9),
+            (5, [2, 0, 1], 3), (101, [2, 0, 1], 25), (31, [0, 1], 5), (607, [0, 1], 101),
+        )
+    ]
+    taken = 0
+    for ctx, n in points:
+        for tag in (FAMILY_2N_MINUS_3_MINUS, FAMILY_2N_MINUS_3_PLUS):
+            for s in range(1, (n + 1) // 2):
+                if math.gcd(s, n) == 1:
+                    code = construct_code(ctx, n, CodeFamily(tag, s=s))
+                    rows, field = code._parity_check()
+                    assert _on_a_conic([list(c) for c in zip(*rows)], field)
+                    assert code.min_distance("dual") == 4
+                    taken += 1
+    assert taken == 178 and set(depth_1) == {5}
+
+
+def test_twists_are_coordinate_permutations_of_twist_one():
+    # the twist-s code is the twist-1 code, same beta, under a^i -> a^(u i),
+    # b a^i -> b a^(u i) with u = s^-1 mod n; with u = s it is not, for s > 1
+    def moved(code, u, n):
+        rows = []
+        for r in code.generator.data:
+            w = list(r)
+            for i in range(n):
+                w[u * i % n], w[n + u * i % n] = r[i], r[n + i]
+            rows.append(w)
+        return MatrixGF(code.ctx, rows).rref()[0]
+
+    points = [
+        (make_field(43, [0, 1]), 7), (make_field(61, [0, 1]), 15), (make_field(211, [0, 1]), 21),
+        (make_field(13, [2, 0, 1]), 21), (make_field(31, [0, 1]), 5),
+    ]
+    for ctx, n in points:
+        for tag in FAMILIES:
+            one = construct_code(ctx, n, CodeFamily(tag))
+            for s in range(2, (n + 1) // 2):
+                if math.gcd(s, n) == 1:
+                    twisted = construct_code(ctx, n, CodeFamily(tag, s=s, beta=one.provenance.beta))
+                    assert moved(one, pow(s, -1, n), n) == twisted.generator
+                    if n == 7:
+                        assert moved(one, s, n) != twisted.generator

@@ -408,24 +408,6 @@ def test_canonical_generator():
     assert GF25.generator() == GF25.element([1, 1])  # x+1, order 24
 
 
-@pytest.mark.parametrize(
-    "ctx", [make_field(2, [1, 1, 1]), make_field(3, [1, 0, 1]), GF25], ids=["GF4", "GF9", "GF25"]
-)
-def test_log_tables_agree_with_element_arithmetic(ctx):
-    logs, zech = ctx.log_tables()
-    o, index = ctx.q - 1, {e: i for i, e in enumerate(ctx.elements())}
-    power = [ctx.generator() ** k for k in range(o)]
-    assert logs[0] is None and [logs[index[x]] for x in power] == list(range(o))
-    for a in ctx.elements():
-        for b in ctx.elements():
-            if not (a and b):
-                continue
-            la, lb = logs[index[a]], logs[index[b]]
-            assert power[(la + lb) % o] == a * b
-            z = zech[(lb - la) % o]
-            assert not a + b if z is None else power[(la + z) % o] == a + b
-
-
 def test_extension_field_orders():
     assert element_order(GF25.element([1, 1])) == 24  # x+1
     assert element_order(GF25.element([2, 1])) == 3  # x+2 = (x+1)^8
