@@ -17,44 +17,35 @@ elsewhere, so construct_code builds each family as the Wedderburn spec
 That ideal is the kernel of its closed-form constraint rows H: 2 rows on
 block s, plus 1 on gamma for the 2n-3 families.  construct_code keeps H
 and enters LinearCode through the private LinearCode._from_parity_check:
-k = 2n - rank H, found on H's entries, and the RREF generator is built
-from H only when something asks for it (linalg.kernel_rref, the one
-reduction that code_from_ideal_spec also runs).  The public constructor,
-load_code and from_generator_rows reduce the generator they are given,
-and take H = [-A^T | I] off the result G = [I | A] (linalg.null_rows)
-when something asks for it.  Either way H is the one parity check:
-contains tests H v^T = 0, and the dual engine walks H's columns.
-The paper-style presentation reads its rows, n e_j and n b e_j, straight
-off wedderburn.coordinate_forms.
+k = 2n - rank H, and the RREF generator is built from H only when
+something asks for it (linalg.kernel_rref, the one reduction that
+code_from_ideal_spec also runs).  The public constructor, load_code and
+from_generator_rows reduce the generator they are given, and take
+H = [-A^T | I] off G = [I | A] (linalg.null_rows) on first use.  Either
+way H is the one parity check: contains tests H v^T = 0, and the dual
+engine walks H's columns.  H, like every matrix, holds its entries in the
+field's entry form (linalg._entry_form): residues mod p over GF(p)
+(_Residues), FieldElements over GF(p^m) (_Elements), each with the same
+point, reduce and is_zero.  The paper-style presentation reads its rows,
+n e_j and n b e_j, straight off wedderburn.coordinate_forms.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) of one word per GF(q)-line,
 (q^k-1)/(q-1) in all, still gated at q^k - 1 <= cap, on integers mod p
 over the generator rows' prime-field expansions (gf.prime_expansion); and
-the dual engine, the least number of linearly dependent columns of H,
-converted once to the walk's entry form (LinearCode._parity_check).  One
-depth-first walk over independent column subsets S answers every size: w
-dependent columns show as two later columns with one projective point
-modulo span(S) at depth w - 2.  Each level of the walk reduces the
-columns against one column of S and drops that column's lead coordinate,
-so it hands shorter columns down, and a column's point modulo span(S) is
-the point of what is left of it; with two coordinates left, that is one
-ratio y/x.  Depths 0 and 1 find 1, 2 or 3 dependent columns; the paper's
-codes have 2 or 3 parity checks, so they need nothing deeper, and a dual
-check of one never builds its generator.  With 3 parity checks, columns
-that are distinct points on one nondegenerate conic form an arc, no three
-collinear, so d = 4 with no depth-1 walk (_on_a_conic): the paper's 2n-3
-codes all take this certificate.  Past depth 1 the walk runs on the side
-with fewer subsets: the parity check's, or the generator's at depth
-k - 2, where the columns in span(S) and one class of equal points are the
-columns on a hyperplane, and d is the length less the most any such
-hyperplane holds, since a minimum-weight codeword is zero on those.  The
-walk keeps the GF(q) entries in one of two forms, each with the same
-point, reduce and is_zero: residues mod p over GF(p) (_Residues), and
-FieldElements over GF(p^m) (_Elements).  So neither engine has a limit
-on q.  Both are exact; the pair serves as a cross-check.  numpy is
-imported on the first exhaustive call, so construction and the dual
-engine never load it.
+the dual engine, the least number of linearly dependent columns of H, by
+one depth-first walk over independent column subsets S: w dependent
+columns show as two later columns with one projective point modulo
+span(S) at depth w - 2 (_min_dependent_columns).  Depths 0 and 1 find 1,
+2 or 3 dependent columns; the paper's codes have 2 or 3 parity checks, so
+they need nothing deeper, and a dual check of one never builds its
+generator.  The 2n-3 codes' columns lie on one nondegenerate conic, an
+arc, so d = 4 with no depth-1 walk (_on_a_conic).  Past depth 1 the walk
+runs on the side with fewer subsets: the parity check's, or the
+generator's, counting columns on hyperplanes (_hyperplane_distance).
+Neither engine has a limit on q.  Both are exact; the pair serves as a
+cross-check.  numpy is imported on the first exhaustive call, so
+construction and the dual engine never load it.
 """
 
 from __future__ import annotations
@@ -75,7 +66,7 @@ from .errors import (
     ZeroElementError,
 )
 from .gf import FieldCtx, FieldElement, _is_int, element_order, prime_expansion, primitive_nth_root
-from .linalg import MatrixGF, kernel_rref, null_rows
+from .linalg import MatrixGF, _Elements, _entry_form, _Residues, kernel_rref, null_rows  # noqa: F401
 from .wedderburn import (
     IdealSpec,
     _constraint_rows,
@@ -143,7 +134,7 @@ class LinearCode:
     @classmethod
     def _from_parity_check(cls, ctx: FieldCtx, rows, provenance) -> "LinearCode":
         """Trusted entry for construct_code: the code is ker H, H given by its
-        rows of ctx's elements."""
+        rows in ctx's entry form (linalg._entry_form)."""
         code = cls.__new__(cls)
         code._start(ctx, len(rows[0]), provenance, rows=rows)
         return code
@@ -161,13 +152,12 @@ class LinearCode:
         return self._reduced
 
     def _parity_check(self):
-        """H's rows in the dual walk's entry form, and that form; built once.
-        H is a constructed code's constraint rows, else [-A^T | I] read off
-        the RREF generator [I | A] (linalg.null_rows)."""
+        """H's rows in the entry form, and that form; built once.  H is a
+        constructed code's constraint rows, else [-A^T | I] read off the RREF
+        generator [I | A] (linalg.null_rows); both come in the entry form."""
         if self._parity is None:
             rows = null_rows(*self._rref()) if self._rows is None else self._rows
-            field = _entry_form(self.ctx)
-            self._parity = [field.entries(r) for r in rows], field
+            self._parity = rows, _entry_form(self.ctx)
         return self._parity
 
     @property
@@ -299,7 +289,8 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
     primitive_nth_root(ctx, n)  # the root check precedes the beta checks
     beta = _resolve_beta(ctx, family.beta)
     if family.tag in (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS):
-        ord_beta = element_order(beta)
+        # the default beta is the canonical generator, of order q - 1
+        ord_beta = ctx.q - 1 if family.beta is None else element_order(beta)
         if ord_beta <= 2 * n:
             raise BadOrderError(f"ord(beta)={ord_beta} <= 2n={2 * n}")
     else:
@@ -363,10 +354,10 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
         algebra = DihedralAlgebra(code.provenance.ctx, code.provenance.n)
     if code.length != 2 * algebra.n:
         raise ValueError("code length does not match the algebra")
-    gens = (algebra.a(), algebra.b())
+    gens, G = (algebra.a(), algebra.b()), code.generator
     return all(
-        code.contains((g * phi_inv(algebra, r)).phi())
-        for r in code.generator.data
+        code.contains((g * phi_inv(algebra, G.row(i))).phi())
+        for i in range(G.rows)
         for g in gens
     )
 
@@ -399,7 +390,7 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     # lead row i, from the last up: its words are row i (expansion 0, coefficient 1)
     # plus each word of span, the GF(p)-span of the expansions of rows i+1..k-1
     span, below, best = np.zeros((1, m * ncols), dtype=dtype), [], ncols
-    for expansion in reversed([prime_expansion(r) for r in gen.data]):
+    for expansion in reversed([prime_expansion(r) for r in gen.entries]):
         for v in below:
             multiples = (scalars * v % p).astype(dtype)
             span = np.add(span[:, None, :], multiples[None, :, :]).reshape(-1, m * ncols)
@@ -441,98 +432,13 @@ def _rank(vs, field) -> int:
     return rank
 
 
-def _entry_form(ctx: FieldCtx):
-    """The form the walk keeps ctx's entries in: residues over GF(p), else elements."""
-    return _Residues(ctx) if ctx.m == 1 else _Elements()
-
-
-class _Residues:
-    """GF(p) entries as residues mod p."""
-
-    def __init__(self, ctx: FieldCtx):
-        self.p = ctx.p
-
-    def entries(self, col):
-        return [e.coeffs[0] for e in col]
-
-    def is_zero(self, a) -> bool:
-        """Whether a, an integer built from entries by + - *, is 0 in GF(p)."""
-        return a % self.p == 0
-
-    def point(self, v):
-        """v's projective point: its lead (first nonzero index) and v/v[lead]
-        past it; None for v = 0."""
-        p = self.p
-        for lead, a in enumerate(v):
-            if a:
-                inv = pow(a, -1, p)
-                return lead, *[b * inv % p for b in v[lead + 1:]]
-        return None
-
-    def reduce(self, c, vs, keys=False):
-        """Each v less v[lead] c, off c's lead, for c given as its point; with
-        keys, their points instead.  Two coordinates (x, y) left have the
-        point y/x: p for x = 0, None for x = y = 0."""
-        p = self.p
-        lead, *tail = c
-        unit = [0] * lead + [1] + tail
-        rest = [t for t in range(len(unit)) if t != lead]
-        if keys and len(rest) == 2:
-            (s, t), a, b = rest, unit[rest[0]], unit[rest[1]]
-            xs = [(v[s] - v[lead] * a) % p for v in vs]
-            # Montgomery's batch inversion: one pow for all the x, then
-            # 1/x_k = (x_0 ... x_(k-1)) / (x_0 ... x_k), skipping x = 0
-            prefix, acc = [], 1
-            for x in xs:
-                prefix.append(acc)
-                if x:
-                    acc = acc * x % p
-            inv, points = pow(acc, -1, p), [p] * len(xs)
-            for k in range(len(xs) - 1, -1, -1):
-                v = vs[k]
-                y = v[t] - v[lead] * b
-                if xs[k]:
-                    points[k] = y * inv * prefix[k] % p
-                    inv = inv * xs[k] % p
-                elif y % p == 0:
-                    points[k] = None
-            return points
-        out = [[(v[t] - v[lead] * unit[t]) % p for t in rest] for v in vs]
-        return [self.point(v) for v in out] if keys else out
-
-
-class _Elements:
-    """GF(p^m) entries as FieldElements, with their own arithmetic."""
-
-    def entries(self, col):
-        return list(col)
-
-    def is_zero(self, a) -> bool:
-        return not a
-
-    def point(self, v):
-        """v's projective point: its lead and v/v[lead] past it; None for v = 0."""
-        for lead, a in enumerate(v):
-            if a:
-                inv = a.inverse()
-                return lead, *[b * inv for b in v[lead + 1:]]
-        return None
-
-    def reduce(self, c, vs, keys=False):
-        """Each v less v[lead] c, off c's lead, for c given as its point; with
-        keys, their points instead."""
-        lead, *tail = c
-        out = [v[:lead] + [b - v[lead] * a for a, b in zip(tail, v[lead + 1:])] for v in vs]
-        return [self.point(v) for v in out] if keys else out
-
-
 def _budget(cap: int, side: str):
     """One next() per subset visited; past cap it raises CapExceededError."""
     yield from range(cap)
     raise CapExceededError(f"dual engine, {side} side: {cap + 1} column subsets > cap = {cap}")
 
 
-def _independent_subsets(cols, field, t: int, budget, every: bool, start: int = 0, c=None):
+def _independent_subsets(cols, field, t: int, budget, every: bool, points=None, start=0, c=None):
     """Walk the independent t-subsets S of cols depth-first, in index order.
 
     At each S it yields the keys of the columns modulo span(S): the
@@ -546,7 +452,8 @@ def _independent_subsets(cols, field, t: int, budget, every: bool, start: int = 
     shorter.  The last level asks field.reduce for their points straight
     away: with two coordinates left, one ratio each.  Column i joins S
     when what is left of it has a point, that is, when it is not in
-    span(S).  Each subset reached takes one step of budget.
+    span(S).  Each subset reached takes one step of budget.  The first
+    level takes the columns' points from points, depth 0's keys, if given.
     """
     lo = 0 if every else start
     if t == 0:
@@ -556,10 +463,10 @@ def _independent_subsets(cols, field, t: int, budget, every: bool, start: int = 
     if c is not None:
         cols = cols[:lo] + field.reduce(c, cols[lo:])
     for i in range(start, len(cols) - t + 1):
-        point = field.point(cols[i])
+        point = field.point(cols[i]) if points is None else points[i]
         if point is not None:  # column i is not in span(S)
             next(budget)
-            yield from _independent_subsets(cols, field, t - 1, budget, every, i + 1, point)
+            yield from _independent_subsets(cols, field, t - 1, budget, every, None, i + 1, point)
 
 
 def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP) -> int:
@@ -609,19 +516,22 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
     """
     ncols, h = len(cols), len(cols[0])
     budget, free = _budget(cap, "parity-check"), itertools.repeat(None)
+    points = None  # every column's point: depth 0's keys, reused by each deeper first level
     for t in range(max(h - 1, 1)):  # depth t finds w = t + 2
         if t == 1 and h == 3 and _on_a_conic(cols, field):
             return 4
         if t == 2 and code is not None and math.comb(ncols, max(code.k - 2, 0)) <= sum(
             math.comb(ncols, s) for s in range(2, h - 1)
         ):
-            gen = code.generator.data
-            return _hyperplane_distance([field.entries(c) for c in zip(*gen)], field, cap)
-        for keys in _independent_subsets(cols, field, t, budget if t > 1 else free, False):
+            gen = code.generator.entries
+            return _hyperplane_distance([list(c) for c in zip(*gen)], field, cap)
+        for keys in _independent_subsets(cols, field, t, budget if t > 1 else free, False, points):
             if None in keys:
                 return t + 1
             if len(set(keys)) < len(keys):
                 return t + 2
+            if t == 0:
+                points = keys
     return h + 1  # any h+1 vectors in F_q^h are dependent
 
 

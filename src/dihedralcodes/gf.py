@@ -223,9 +223,7 @@ def _check_irreducible(modulus, p):
     for _ in range(m - 1):
         powers.append(_ppowmod(powers[-1], p, modulus, p))
     if _trim(powers[m]) != x:
-        raise ReducibleError(
-            f"modulus fails x^(p^{m}) = x over GF({p})"
-        )
+        raise ReducibleError(f"modulus fails x^(p^{m}) = x over GF({p})")
     for r in factorize(m):
         g = _pgcd(_psub(powers[m // r], x, p), modulus, p)
         if len(g) - 1 > 0:
@@ -272,9 +270,7 @@ class FieldCtx:
         if len(coeffs) > self.m:
             extra = _trim(coeffs[self.m:])
             if extra:
-                raise ValueError(
-                    f"coefficient list longer than extension degree {self.m}"
-                )
+                raise ValueError(f"coefficient list longer than extension degree {self.m}")
             coeffs = coeffs[: self.m]
         coeffs += [0] * (self.m - len(coeffs))
         return FieldElement(self, tuple(coeffs))
@@ -497,9 +493,7 @@ def make_field(p: int, modulus) -> FieldCtx:
     coeffs = _residues(modulus, p)
     trimmed = _trim(coeffs)
     if len(trimmed) != len(coeffs) or len(coeffs) < 2 or coeffs[-1] != 1:
-        raise NotMonicError(
-            f"modulus {coeffs} is not monic of degree >= 1 over GF({p})"
-        )
+        raise NotMonicError(f"modulus {coeffs} is not monic of degree >= 1 over GF({p})")
     _check_irreducible(coeffs, p)
     return FieldCtx(p, tuple(coeffs))
 
@@ -586,9 +580,7 @@ def parse_element(ctx: FieldCtx, s: str) -> FieldElement:
         else:
             raise ValueError(f"cannot parse element term {term!r}")
         if e >= ctx.m:
-            raise ValueError(
-                f"term {term!r} has degree {e} >= extension degree {ctx.m}"
-            )
+            raise ValueError(f"term {term!r} has degree {e} >= extension degree {ctx.m}")
         coeffs[e] = (coeffs[e] + sign * c) % ctx.p
     return ctx.element(coeffs)
 
@@ -600,14 +592,17 @@ def parse_element(ctx: FieldCtx, s: str) -> FieldElement:
 def prime_expansion(vec) -> list[list[int]]:
     """The m vectors x^j * vec (0 <= j < m) over GF(p), as plain ints.
 
-    Coefficient t of entry i lands at index t * len(vec) + i.  Vectors over
-    GF(p^m) have rank r exactly when their expansions span a GF(p)-space of
-    dimension m * r, so rank and span questions need only arithmetic mod p;
-    codes._exhaustive_distance enumerates codewords on these ints.  The
-    x^0 vector is vec's own coefficients, so over GF(p) nothing is
-    multiplied.
+    vec is a row of GF(p^m) entries in a matrix's entry form: FieldElements,
+    or over GF(p) residues mod p.  Coefficient t of entry i lands at index
+    t * len(vec) + i.  Vectors over GF(p^m) have rank r exactly when their
+    expansions span a GF(p)-space of dimension m * r, so rank and span
+    questions need only arithmetic mod p; codes._exhaustive_distance
+    enumerates codewords on these ints.  Over GF(p) the one plane, x^0, is
+    the residue row itself, so nothing is multiplied.
     """
     vec = list(vec)
+    if not isinstance(vec[0], FieldElement):
+        return [vec]
     ctx = vec[0].ctx
     # x^j (j < m) is the element of index p^j
     shifted = [vec] + [[ctx.from_index(ctx.p**j) * e for e in vec] for j in range(1, ctx.m)]

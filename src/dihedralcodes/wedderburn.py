@@ -27,7 +27,7 @@ from .dihedral import AlgebraElement, DihedralAlgebra
 from .errors import EvenNError, InvalidRowSpecError
 from .gf import FieldCtx, FieldElement
 from .idempotents import _xi_powers
-from .linalg import MatrixGF, kernel_rref
+from .linalg import MatrixGF, _entry_form, kernel_rref
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,11 @@ class WedderburnTuple:
     def __mul__(self, other: "WedderburnTuple") -> "WedderburnTuple":
         """Componentwise product: pairwise on gamma, 2x2 matrix product on blocks."""
         g = (self.gamma[0] * other.gamma[0], self.gamma[1] * other.gamma[1])
-        blocks = []
-        for X, Y in zip(self.blocks, other.blocks):
-            blocks.append(
-                (
-                    (
-                        X[0][0] * Y[0][0] + X[0][1] * Y[1][0],
-                        X[0][0] * Y[0][1] + X[0][1] * Y[1][1],
-                    ),
-                    (
-                        X[1][0] * Y[0][0] + X[1][1] * Y[1][0],
-                        X[1][0] * Y[0][1] + X[1][1] * Y[1][1],
-                    ),
-                )
-            )
-        return WedderburnTuple(gamma=g, blocks=tuple(blocks))
+        blocks = tuple(
+            tuple(tuple(X[i][0] * Y[0][j] + X[i][1] * Y[1][j] for j in (0, 1)) for i in (0, 1))
+            for X, Y in zip(self.blocks, other.blocks)
+        )
+        return WedderburnTuple(gamma=g, blocks=blocks)
 
 
 # (half, sign) of each block form a11, a12, a21, a22: xi^(sign*ij) on that
@@ -105,19 +95,19 @@ def coordinate_forms(ctx: FieldCtx, n: int):
     all read it, the constraint rows through _summand_forms, one summand
     at a time.
     """
-    xi_pows = _xi_powers(ctx, n)
-    g1, g2 = _summand_forms(xi_pows, 0)
-    return g1, g2, [_summand_forms(xi_pows, j) for j in range(1, (n - 1) // 2 + 1)]
+    xi_pows, units = _xi_powers(ctx, n), [ctx.zero(), ctx.one(), -ctx.one()]
+    g1, g2 = _summand_forms(xi_pows, 0, units)
+    return g1, g2, [_summand_forms(xi_pows, j, units) for j in range(1, (n - 1) // 2 + 1)]
 
 
-def _summand_forms(xi_pows, j: int):
+def _summand_forms(xi_pows, j: int, units):
     """The forms of summand j of coordinate_forms: (g1, g2) of the pair at
-    j = 0, (a11, a12, a21, a22) of block j above.  xi_pows = xi^0 .. xi^(n-1)."""
-    n, ctx = len(xi_pows), xi_pows[0].ctx
+    j = 0, (a11, a12, a21, a22) of block j above.  xi_pows = xi^0 .. xi^(n-1)
+    and units = (0, 1, -1), in one form: FieldElements, or the entry form."""
+    n, (z, o, minus_o) = len(xi_pows), units
     if j == 0:
-        o = ctx.one()
-        return [o] * (2 * n), [o] * n + [-o] * n
-    zeros = [ctx.zero()] * n
+        return [o] * (2 * n), [o] * n + [minus_o] * n
+    zeros = [z] * n
     pows = {sign: [xi_pows[(sign * i * j) % n] for i in range(n)] for sign in (1, -1)}
     return tuple(zeros + pows[s] if h else pows[s] + zeros for h, s in _BLOCK_LAYOUT)
 
@@ -235,9 +225,7 @@ class IdealSpec:
             )
         for s in self.summands[1:]:
             if s.kind not in _BLOCK_KINDS:
-                raise InvalidRowSpecError(
-                    f"summand kind {s.kind!r} not allowed at a matrix block"
-                )
+                raise InvalidRowSpecError(f"summand kind {s.kind!r} not allowed at a matrix block")
 
     def dim(self) -> int:
         total = _DIMS_POSITION0[self.summands[0].kind]
@@ -249,23 +237,27 @@ class IdealSpec:
         return len(self.summands)
 
 
-def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list[FieldElement]]:
-    """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H.
+def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
+    """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H, in
+    ctx's entry form (linalg._entry_form): residues over GF(p).
 
     Each summand keeps the forms of coordinate_forms that vanish on it;
     the forms of a full block are never built.
     """
-    xi_pows = _xi_powers(ctx, n)
-    g1, g2 = _summand_forms(xi_pows, 0)
+    form = _entry_form(ctx)
+    xi_pows = form.entries(_xi_powers(ctx, n))
+    units = form.entries([ctx.zero(), ctx.one(), -ctx.one()])
+    g1, g2 = _summand_forms(xi_pows, 0, units)
     out = {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2], FULL: []}[spec.summands[0].kind]
     for j, s in enumerate(spec.summands[1:], 1):
         if s.kind == ZERO:
-            out += _summand_forms(xi_pows, j)
+            out += _summand_forms(xi_pows, j, units)
         elif s.kind == ROW:  # y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
             # a11 = (xi^(ij) | 0) and a12 = (0 | xi^(-ij)); a21, a22 swap the halves
-            a11, a12, _, _ = _summand_forms(xi_pows, j)
-            minus_x = -s.x
-            ya, xb = [s.y * u for u in a11[:n]], [minus_x * w for w in a12[n:]]
+            a11, a12, _, _ = _summand_forms(xi_pows, j, units)
+            y, minus_x = form.entries([s.y, -s.x])
+            ya = form.canon([y * u for u in a11[:n]])
+            xb = form.canon([minus_x * w for w in a12[n:]])
             out += [ya + xb, xb + ya]
     return out
 

@@ -124,6 +124,25 @@ def test_default_beta_is_canonical_generator():
     assert code.provenance.beta == GF13.element(2)
 
 
+def test_explicit_generator_beta_matches_the_default():
+    # the default beta's order is q - 1 by definition and is not computed; the
+    # same generator passed explicitly goes through element_order: same codes,
+    # same refusals (q = 7, n = 3: ord = 6 <= 2n)
+    refused = []
+    for ctx, n in ((GF13, 3), (GF25, 3), (make_field(43, [0, 1]), 7), (make_field(7, [0, 1]), 3)):
+        for tag in FAMILIES:
+            outcomes = []
+            for beta in (None, ctx.generator()):
+                try:
+                    outcomes.append(construct_code(ctx, n, CodeFamily(tag, beta=beta)).to_json())
+                except BadOrderError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            if isinstance(outcomes[0], str):
+                refused.append(outcomes[0])
+    assert refused == ["ord(beta)=6 <= 2n=6"] * 2
+
+
 # ---------------------------------------------------------------------------
 # the idempotent route as an oracle for construct_code
 
@@ -741,12 +760,12 @@ def test_trusted_entry_matches_a_fresh_reduction(ctx, n):
 @pytest.mark.parametrize("ctx", [GF13, GF25, make_field(257, [3, 0, 1])])
 def test_parity_check_rank_is_computed(ctx):
     # k = length - rank H on hand-made H: dependent rows, a zero row, all zeros.
-    # One field per entry form: residues, logs and FieldElements.
+    # One prime field, two extension fields: residues and FieldElements.
     rng = random.Random(ctx.q)
     r1, r2 = ([ctx.random_element(rng) for _ in range(6)] for _ in range(2))
     r1[0], r2[0], r2[1] = ctx.one(), ctx.zero(), ctx.one()  # independent rows
     zeros = [ctx.zero()] * 6
-    two = ctx.element(2)
+    two, field = ctx.element(2), codes_module._entry_form(ctx)
     cases = [
         ([r1, r2, [a + two * b for a, b in zip(r1, r2)]], 4),
         ([r1, r1], 5),
@@ -754,7 +773,8 @@ def test_parity_check_rank_is_computed(ctx):
         ([zeros, zeros], 6),
     ]
     for rows, k in cases:
-        code = LinearCode._from_parity_check(ctx, rows, None)
+        # the trusted entry takes H in the entry form, as _constraint_rows makes it
+        code = LinearCode._from_parity_check(ctx, [field.entries(r) for r in rows], None)
         assert code.k == k == 6 - MatrixGF(ctx, rows).rank()
         public = LinearCode(code.generator)
         assert code.generator.rows == k and public.k == k

@@ -4,7 +4,7 @@ import pytest
 
 from dihedralcodes.errors import DuplicateIndexError, MixedContextsError
 from dihedralcodes.gf import FieldElement, make_field
-from dihedralcodes.linalg import MatrixGF, null_rows
+from dihedralcodes.linalg import MatrixGF, _Residues, null_rows
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -35,10 +35,13 @@ def test_rref_of_rref_inverts_nothing(monkeypatch):
     rng = random.Random(1)
     reduced = [random_matrix(ctx, 4, 7, rng).rref()[0] for ctx in (GF13, GF25)]
 
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("inverse called on a matrix already in RREF")
 
+    # GF(25) rows are FieldElements; GF(13) rows are residues, scaled by the
+    # form's point, which inverts their lead
     monkeypatch.setattr(FieldElement, "inverse", refuse)
+    monkeypatch.setattr(_Residues, "point", refuse)
     for m in reduced:
         assert m.rref()[0] == m
 
@@ -168,3 +171,48 @@ def test_json_roundtrip():
 def test_text_grid():
     m = MatrixGF.from_rows(GF13, [[1, 10], [0, 2]])
     assert m.text().splitlines() == ["1 10", "0  2"]
+
+
+GF8 = make_field(2, [1, 1, 0, 1])
+
+
+@pytest.mark.parametrize("ctx", [GF13, GF25, GF8])
+def test_views_are_field_elements_of_the_matrix_field(ctx):
+    # entries are held in the field's entry form; data, m[i, j] and row(i)
+    # build FieldElements of m.ctx, equal to the ones the matrix was given
+    rng = random.Random(ctx.q)
+    rows = [[ctx.random_element(rng) for _ in range(5)] for _ in range(3)]
+    for m in (MatrixGF(ctx, rows), MatrixGF(ctx, rows).rref()[0]):
+        views = [e for r in m.data for e in r]
+        views += [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+        views += [e for i in range(m.rows) for e in m.row(i)]
+        assert all(isinstance(e, FieldElement) and e.ctx is ctx for e in views)
+    m = MatrixGF(ctx, rows)
+    assert m.data == rows
+    assert [m.row(i) for i in range(3)] == rows
+    assert all(m[i, j] == rows[i][j] for i in range(3) for j in range(5))
+
+
+def test_constructors_refuse_foreign_and_ragged_rows():
+    with pytest.raises(MixedContextsError):
+        MatrixGF(GF13, [[GF25.one()]])
+    with pytest.raises(MixedContextsError):
+        MatrixGF(GF13, [[1, 2]])  # plain ints are coerced by from_rows only
+    with pytest.raises(ValueError):
+        MatrixGF(GF13, [[GF13.one()], [GF13.one(), GF13.zero()]])
+    with pytest.raises(ValueError):
+        MatrixGF.from_rows(GF25, [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("ctx", [GF13, GF25, GF8])
+def test_to_json_entries_are_the_elements_coefficients(ctx):
+    rng = random.Random(ctx.q + 1)
+    rows = [[ctx.random_element(rng) for _ in range(4)] for _ in range(3)]
+    for m in (MatrixGF(ctx, rows), MatrixGF(ctx, rows).rref()[0]):
+        assert m.to_json() == {
+            "rows": m.rows,
+            "cols": m.cols,
+            "field": ctx.spec(),
+            "entries": [[list(e.coeffs) for e in r] for r in m.data],
+        }
+    assert MatrixGF(ctx, rows).to_json()["entries"] == [[list(e.coeffs) for e in r] for r in rows]

@@ -75,6 +75,58 @@ def test_rref_invariants(m):
     assert not any(sum((a * b for a, b in zip(r, v)), zero) for r in m.data for v in kernel.data)
 
 
+# one field per shape of entry: small and 31-bit residues, GF(p^2) in closed
+# form, GF(2^3) by extended Euclid on coefficient lists
+STORE_FIELDS = (
+    make_field(13, [0, 1]),
+    make_field(2**31 - 1, [0, 1]),
+    make_field(3, [1, 0, 1]),
+    make_field(2, [1, 1, 0, 1]),
+)
+
+
+@st.composite
+def element_rows(draw):
+    """A field of STORE_FIELDS and random rows of its FieldElements, some
+    dependent: each row is a random combination of a few drawn ones."""
+    ctx = draw(st.sampled_from(STORE_FIELDS))
+    cols = draw(st.integers(1, 7))
+    element = st.integers(0, ctx.q - 1).map(ctx.from_index)
+    # entries of the combinations are mostly small indices, so zeros and
+    # repeated columns are common even over GF(2^31 - 1)
+    small = st.one_of(st.integers(0, 3), st.integers(0, ctx.q - 1)).map(ctx.from_index)
+    basis = draw(st.lists(st.lists(element, min_size=cols, max_size=cols), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        scalars = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+        rows.append([sum((c * b[j] for c, b in zip(scalars, basis)), ctx.zero()) for j in range(cols)])
+    return ctx, rows
+
+
+@PROPERTY
+@given(element_rows())
+def test_rref_staircase_rank_and_null_rows_on_the_entry_store(ctx_rows):
+    # checked through the FieldElement view and FieldElement arithmetic, so
+    # that nothing here rests on how the matrix stores its entries
+    ctx, rows = ctx_rows
+    m = MatrixGF(ctx, rows)
+    R, rank, pivots = m.rref()
+    zero, one = ctx.zero(), ctx.one()
+    assert rank == len(pivots) == m.columns_rank(range(m.cols))
+    assert pivots == sorted(set(pivots))
+    for i in range(R.rows):
+        row = R.row(i)
+        lead = next((j for j, e in enumerate(row) if e), None)
+        assert lead == (pivots[i] if i < rank else None)  # zero rows last
+        if i < rank:
+            column = [R[r, lead] for r in range(R.rows)]
+            assert column == [one if r == i else zero for r in range(R.rows)]
+    kernel = null_rows(R, pivots)
+    assert len(kernel) == m.cols - rank
+    for v in MatrixGF._trusted(ctx, kernel, m.cols).data:
+        assert all(sum((a * b for a, b in zip(r, v)), zero) == zero for r in rows)
+
+
 @PROPERTY
 @given(matrices(max_rows=4, max_cols=5))
 def test_expansion_rank_is_m_times_rank(m):
@@ -164,8 +216,9 @@ def test_engines_agree_on_random_high_rate_codes(code):
     assert code.min_distance("dual") == d
     # the parity-check walk alone, though the dual engine may take the
     # generator side where its subsets are fewer
+    # null_rows gives H in the entry form already
     field = _entry_form(code.ctx)
-    h_cols = [field.entries(c) for c in zip(*null_rows(code.generator, code.pivots))]
+    h_cols = [list(c) for c in zip(*null_rows(code.generator, code.pivots))]
     assert _min_dependent_columns(h_cols, field) == d
 
 
@@ -179,7 +232,7 @@ def test_generator_side_matches_parity_check_side(m):
     G, field = code.generator, _entry_form(code.ctx)
     H = null_rows(G, code.pivots)
     g_cols = [field.entries(c) for c in zip(*G.data)]
-    h_cols = [field.entries(c) for c in zip(*H)]
+    h_cols = [list(c) for c in zip(*H)]  # null_rows gives the entry form
     assert _hyperplane_distance(g_cols, field) == _min_dependent_columns(h_cols, field)
     assert _min_dependent_columns(g_cols, field) == _hyperplane_distance(h_cols, field)
 
