@@ -498,6 +498,55 @@ def test_low_rate_dual_distance_is_prompt():
     # the walk stops at depth k - 2: 22 single columns, where a walk on to
     # pairs would pass the cap
     assert LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=22) == 20
+    # one short of the generator walk, the parity check's free depths 0 and 1
+    # run first, and the generator side still names itself past the cap
+    message = "dual engine, generator side: 22 column subsets > cap = 21"
+    with pytest.raises(CapExceededError, match=message):
+        LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=21)
+
+
+def test_low_rate_dual_check_leaves_parity_check_unbuilt():
+    # the side is chosen before H: a low-rate code walks its generator's
+    # hyperplanes and never reads H = [-A^T | I] off it
+    ctx = make_field(67, [0, 1])
+    spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.element(5))) + (zero(),) * 4)
+    for code, d in ((spec_29_7(plus_piece, 5, 0, 0), 12),
+                    (LinearCode(code_from_ideal_spec(ctx, 11, spec)), 20)):
+        assert code.k == 3
+        assert code.min_distance("dual") == d
+        assert code._parity is None
+
+
+def test_generator_side_goes_first_only_within_its_whole_walk():
+    # an [8,4,2] code over GF(13): a weight-2 row over the rows x, x^2, x^3
+    # at x = 1..8.  Its generator walk to depth 2 steps at both levels,
+    # 7 + 28 = 35 = C(9, 2) - 1 times, past C(8, 2) = 28; at cap 28 the
+    # parity check's free depth 0 answers
+    rows = [[1, 1] + [0] * 6] + [[x**i for x in range(1, 9)] for i in (1, 2, 3)]
+    code = LinearCode.from_generator_rows(GF13, rows)
+    assert (code.length, code.k, code.min_distance("dual", cap=28)) == (8, 4, 2)
+    assert code._parity is not None and code.min_distance("exhaustive") == 2
+    code = LinearCode.from_generator_rows(GF13, rows)
+    assert code.min_distance("dual", cap=35) == 2 and code._parity is None
+    with pytest.raises(CapExceededError, match="generator side: 35 column subsets > cap = 34"):
+        codes_module._hyperplane_distance([list(c) for c in zip(*code.generator.entries)],
+                                          codes_module._entry_form(GF13), 34)
+
+
+def test_side_rule_sums_few_binomials_at_length_2002(monkeypatch):
+    # a [2002,3] code: the generator walk takes C(2003, 1) - 1 = 2002 steps,
+    # and the parity-check side's count would sum 1,997 binomials; the sum
+    # stops at depth 2, the first to pass 2002
+    comb = math.comb
+    ks = []
+    monkeypatch.setattr(math, "comb", lambda n, t: ks.append(t) or comb(n, t))
+    assert codes_module._subsets_over(2002, range(1, 2002 - 3 - 1), comb(2003, 1) - 1)
+    assert ks == [1, 2]
+    # a paper code of length 2002 has h = 3: one depth, C(2002, 1), against
+    # the C(2002, 1997) of its generator, so H's side is kept
+    ks.clear()
+    assert not codes_module._subsets_over(2002, range(1, 2), comb(2002, 1997))
+    assert ks == [1]
 
 
 def test_parity_check_walk_stops_a_level_above_the_dependent_sets():

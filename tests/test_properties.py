@@ -2,17 +2,20 @@
 
 import functools
 import itertools
+import math
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dihedralcodes.codes import (
+    DEFAULT_CAP,
     LinearCode,
     _entry_form,
     _hyperplane_distance,
     _min_dependent_columns,
 )
 from dihedralcodes.dihedral import DihedralAlgebra
+from dihedralcodes.errors import CapExceededError
 from dihedralcodes.gf import make_field, prime_expansion
 from dihedralcodes.linalg import MatrixGF, null_rows
 from dihedralcodes.wedderburn import (
@@ -144,6 +147,50 @@ def test_engines_agree_on_random_generator_matrices(m):
     d = code.min_distance("exhaustive")
     assert code.min_distance("dual") == d
     assert 1 <= d <= code.singleton_bound
+
+
+LOW_RATE_FIELDS = (make_field(13, [0, 1]), make_field(3, [1, 0, 1]), make_field(2, [1, 1, 0, 1]))
+
+
+@st.composite
+def low_rate_generators(draw):
+    """A k x ncols generator over GF(13), GF(9) or GF(2^3), k <= 3 and
+    ncols <= 14; mostly small entries, so zero and repeated columns (d <= 3
+    on the parity-check side) are common."""
+    ctx = draw(st.sampled_from(LOW_RATE_FIELDS))
+    k = draw(st.integers(1, 3))
+    ncols = draw(st.integers(k, 14))
+    entry = st.one_of(st.integers(0, 2), st.integers(0, ctx.q - 1)).map(ctx.from_index)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    return MatrixGF(ctx, rows)
+
+
+@PROPERTY
+@given(low_rate_generators())
+def test_dual_cap_outcomes_on_low_rate_codes(m):
+    # the side is chosen before depth 0, the generator side first only where
+    # its whole walk fits under cap: no answer of the parity-check walk (walk,
+    # with its free depths 0 and 1 and its depth-2 switch) is lost, and a cap
+    # of C(ncols, k-2) or more always answers
+    code = LinearCode(m)
+    assume(code.k > 0)
+    d, k = code.min_distance("exhaustive"), code.k
+    gen_subsets = math.comb(code.length, max(k - 2, 0))
+    field = _entry_form(code.ctx)
+    h_cols = [list(c) for c in zip(*null_rows(code.generator, code.pivots))]
+    for cap in (0, gen_subsets - 1, gen_subsets, DEFAULT_CAP):
+        cap = max(cap, 0)
+        try:
+            walk = _min_dependent_columns(h_cols or [[]] * code.length, field, cap, LinearCode(m))
+        except CapExceededError:
+            walk = None
+        try:
+            dual = LinearCode(m).min_distance("dual", cap=cap)
+        except CapExceededError:
+            dual = None
+        assert dual in (d, None) and walk in (d, None)
+        assert dual == d or walk is None
+        assert dual == d or (cap < gen_subsets and not (cap == 0 and d <= 3))
 
 
 # (field, least and most parity checks r, most information symbols k): q^k
