@@ -18,8 +18,10 @@ That ideal is the kernel of its closed-form constraint rows H: 2 rows on
 block s, plus 1 on gamma for the 2n-3 families.  construct_code keeps H
 and enters LinearCode through the private LinearCode._from_parity_check:
 k = 2n - rank H, and the RREF generator is built from H only when
-something asks for it (linalg.kernel_rref, the one reduction that
-code_from_ideal_spec also runs).  The public constructor, load_code and
+something asks for it (linalg.kernel_rref, the reduction that
+code_from_ideal_spec runs on every ideal of dim > n, as the paper's codes
+are; one of dim <= n it reduces from its span rows).  The public
+constructor, load_code and
 from_generator_rows reduce the generator they are given, and take
 H = [-A^T | I] off G = [I | A] (linalg.null_rows) on first use.  Either
 way H is the one parity check: contains tests H v^T = 0, and the dual

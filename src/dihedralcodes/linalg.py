@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import DuplicateIndexError, MixedContextsError
+from .errors import MixedContextsError
 from .gf import FieldCtx, FieldElement, _is_int, parse_field_spec
 
 
@@ -107,46 +107,12 @@ class MatrixGF:
         R, _, pivots = self.rref()
         return MatrixGF._trusted(self.ctx, null_rows(R, pivots), self.cols)
 
-    def columns_rank(self, cols) -> int:
-        """Rank of the selected column submatrix, without materializing it.
-
-        Incrementally reduces each selected column against the pivot columns
-        accumulated so far, on FieldElements: a different code path from
-        rref, usable as a cross-check.
-        """
-        cols = list(cols)
-        seen = set()
-        for c in cols:
-            if not isinstance(c, int) or not 0 <= c < self.cols:
-                raise IndexError(f"column index {c} out of range")
-            if c in seen:
-                raise DuplicateIndexError(f"duplicate column index {c}")
-            seen.add(c)
-        pivots: list[tuple[int, list[FieldElement]]] = []
-        for c in cols:
-            v = [self[i, c] for i in range(self.rows)]
-            for lead, pvec in pivots:
-                f = v[lead]
-                if f:
-                    v = [a - f * b for a, b in zip(v, pvec)]
-            lead = next((i for i in range(self.rows) if v[i]), None)
-            if lead is not None:
-                inv = v[lead].inverse()
-                pivots.append((lead, [e * inv for e in v]))
-        return len(pivots)
-
     # -- shaping ----------------------------------------------------------------
 
     def vstack(self, other: "MatrixGF") -> "MatrixGF":
         if self.ctx != other.ctx or self.cols != other.cols:
             raise ValueError("stack shape/field mismatch")
         return MatrixGF._trusted(self.ctx, self.entries + other.entries, self.cols)
-
-    # -- row-space queries ------------------------------------------------------
-
-    def row_space_contains(self, vec) -> bool:
-        """Whether vec lies in the row space: appending it leaves the rank unchanged."""
-        return self.vstack(MatrixGF.from_rows(self.ctx, [vec])).rank() == self.rank()
 
     # -- value semantics and encoding -------------------------------------------
 

@@ -15,8 +15,10 @@ products, and wedderburn_inverse sums them back, since they are orthogonal
 up to n.  P is an algebra isomorphism, so left ideals of F_q D_2n
 correspond exactly to direct sums of one ideal per summand; IdealSpec
 names such a choice.  Each summand is cut out by at most four of the
-forms, so code_from_ideal_spec pulls the ideal back as the null space of
-the forms its summands keep, without inverting P.
+forms and, by that orthogonality, spanned by the dual forms of the
+coordinates it keeps.  So code_from_ideal_spec pulls the ideal back from
+its smaller side, without inverting P: the RREF of its dim span rows
+when dim <= n, else the null space of its 2n - dim constraint rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dihedral import AlgebraElement, DihedralAlgebra
-from .errors import EvenNError, InvalidRowSpecError
+from .errors import EvenNError, InvalidRowSpecError, MixedContextsError
 from .gf import FieldCtx, FieldElement
 from .idempotents import _xi_powers
 from .linalg import MatrixGF, _entry_form, kernel_rref
@@ -262,18 +264,48 @@ def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
     return out
 
 
+_COMPLEMENT = {FULL: ZERO, ZERO: FULL, PLUS_PIECE: MINUS_PIECE, MINUS_PIECE: PLUS_PIECE}
+
+
+def _span_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
+    """spec.dim() independent rows spanning P^-1 of the chosen ideal, in
+    ctx's entry form: the constraint rows of its complementary spec.
+
+    P^-1 sends the coordinates g1, g2, a11, a12, a21, a22 to the forms g1,
+    g2, a22, a21, a12, a11 up to scalars (wedderburn_inverse), so each
+    summand is spanned by the forms that cut out its complement: full and
+    zero swap, plus and minus swap, and row(x, y) is spanned by
+    x a22 + y a21 and x a12 + y a11, the constraint rows of row(-x, y).
+    """
+    complement = tuple(
+        Summand(ROW, -s.x, s.y) if s.kind == ROW else Summand(_COMPLEMENT[s.kind])
+        for s in spec.summands
+    )
+    return _constraint_rows(ctx, n, IdealSpec(complement))
+
+
 def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
-    """RREF generator matrix (phi coordinates) of P^-1 of the chosen ideal:
-    the kernel of its constraint rows, by linalg.kernel_rref."""
+    """RREF generator matrix (phi coordinates) of P^-1 of the chosen ideal,
+    reduced from its smaller side: the RREF of its dim span rows
+    (_span_rows) when dim <= n, else the kernel of its 2n - dim constraint
+    rows (_constraint_rows), by linalg.kernel_rref.  A row space has one
+    RREF, so both sides give the same matrix.
+    """
     if n % 2 == 0:
         raise EvenNError(f"ideal specs are defined for odd n, got n={n}")
     if len(spec) != 1 + (n - 1) // 2:
         raise InvalidRowSpecError(
             f"spec needs {1 + (n - 1) // 2} summands for n={n}, got {len(spec)}"
         )
-    if spec.dim() == 0:
+    other = next((s.x.ctx for s in spec.summands[1:] if s.kind == ROW and s.x.ctx != ctx), None)
+    if other is not None:
+        raise MixedContextsError(f"row summand over {other.spec()} in a spec over {ctx.spec()}")
+    dim = spec.dim()
+    if dim == 0:
         return MatrixGF.zeros(ctx, 0, 2 * n)
     DihedralAlgebra(ctx, n)  # raises CharDividesOrderError
+    if dim <= n:
+        return MatrixGF._trusted(ctx, _span_rows(ctx, n, spec), 2 * n).rref()[0]
     return kernel_rref(ctx, _constraint_rows(ctx, n, spec), 2 * n)[0]
 
 

@@ -1,0 +1,39 @@
+"""Rank queries the tests check the library against, apart from its elimination."""
+
+from dihedralcodes.errors import DuplicateIndexError
+from dihedralcodes.linalg import MatrixGF
+
+
+def columns_rank(m: MatrixGF, cols) -> int:
+    """Rank of m's column submatrix at cols, without materializing it.
+
+    Incrementally reduces each selected column against the pivot columns
+    accumulated so far, on FieldElements: a different code path from
+    MatrixGF.rref, usable as a cross-check.
+    """
+    cols = list(cols)
+    seen = set()
+    for c in cols:
+        if not isinstance(c, int) or not 0 <= c < m.cols:
+            raise IndexError(f"column index {c} out of range")
+        if c in seen:
+            raise DuplicateIndexError(f"duplicate column index {c}")
+        seen.add(c)
+    data = m.data
+    pivots = []
+    for c in cols:
+        v = [r[c] for r in data]
+        for lead, pvec in pivots:
+            f = v[lead]
+            if f:
+                v = [a - f * b for a, b in zip(v, pvec)]
+        lead = next((i for i in range(m.rows) if v[i]), None)
+        if lead is not None:
+            inv = v[lead].inverse()
+            pivots.append((lead, [e * inv for e in v]))
+    return len(pivots)
+
+
+def row_space_contains(m: MatrixGF, vec) -> bool:
+    """Whether vec lies in m's row space: appending it leaves the rank unchanged."""
+    return m.vstack(MatrixGF.from_rows(m.ctx, [vec])).rank() == m.rank()

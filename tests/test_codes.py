@@ -43,6 +43,7 @@ from dihedralcodes.wedderburn import (
     row,
     zero,
 )
+from rank_oracle import columns_rank, row_space_contains
 
 GF13 = make_field(13, [0, 1])
 GF9 = make_field(3, [1, 0, 1])
@@ -352,7 +353,7 @@ def test_parity_check_columns_of_mds_code():
         for h in H.data
     )
     for pair in combinations(range(6), 2):
-        assert H.columns_rank(pair) == 2
+        assert columns_rank(H, pair) == 2
 
 
 def test_cap_exceeded():
@@ -648,7 +649,7 @@ def test_min_dependent_columns_matches_subset_oracle():
         # the dual engine on the code whose parity check is m
         expected = None
         for w in range(1, m.cols + 1):
-            if any(m.columns_rank(c) < w for c in combinations(range(m.cols), w)):
+            if any(columns_rank(m, c) < w for c in combinations(range(m.cols), w)):
                 expected = w
                 break
         for field in (_entry_form(m.ctx), _Elements()):
@@ -917,7 +918,7 @@ def test_contains_agrees_with_row_space_contains():
         vectors = members + [[ctx.random_element(rng) for _ in range(2 * n)] for _ in range(4)]
         for code in codes:
             for v in vectors:
-                assert code.contains(v) == code.generator.row_space_contains(v)
+                assert code.contains(v) == row_space_contains(code.generator, v)
     assert codes[0].k == 3  # the last pair's generator code is the [22,3]
     with pytest.raises(ValueError):
         code_13_2n2().contains([0] * 5)
@@ -963,15 +964,15 @@ def test_carried_walk_matches_subset_oracle():
     def least_dependent(m):
         return next(
             w for w in range(1, m.cols + 1)
-            if any(m.columns_rank(c) < w for c in combinations(range(m.cols), w))
+            if any(columns_rank(m, c) < w for c in combinations(range(m.cols), w))
         )
 
     def most_on_a_hyperplane(m):
         k = m.rows
         return max(
-            sum(c in T or m.columns_rank(T + (c,)) == k - 1 for c in range(m.cols))
+            sum(c in T or columns_rank(m, T + (c,)) == k - 1 for c in range(m.cols))
             for T in combinations(range(m.cols), k - 1)
-            if m.columns_rank(T) == k - 1
+            if columns_rank(m, T) == k - 1
         )
 
     rng = random.Random(9)
@@ -1053,7 +1054,7 @@ def test_conic_certificate_matches_walk_and_subset_oracle(monkeypatch):
             for kind, verdict, m in conic_cases(ctx, rng):
                 d = next(
                     w for w in range(1, 5)
-                    if w == 4 or any(m.columns_rank(c) < w for c in combinations(range(m.cols), w))
+                    if w == 4 or any(columns_rank(m, c) < w for c in combinations(range(m.cols), w))
                 )
                 cols = [field.entries(c) for c in zip(*m.data)]
                 took = _on_a_conic(cols, field)

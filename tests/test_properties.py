@@ -1,4 +1,5 @@
-"""Property tests: field axioms, RREF, prime expansions, the dual engine's two walks, and P."""
+"""Property tests: field axioms, RREF, prime expansions, the dual engine's two walks, P,
+and the two sides an ideal is reduced from."""
 
 import functools
 import itertools
@@ -17,7 +18,7 @@ from dihedralcodes.codes import (
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.errors import CapExceededError
 from dihedralcodes.gf import make_field, prime_expansion
-from dihedralcodes.linalg import MatrixGF, null_rows
+from dihedralcodes.linalg import MatrixGF, kernel_rref, null_rows
 from dihedralcodes.wedderburn import (
     FULL,
     MINUS_PIECE,
@@ -26,11 +27,14 @@ from dihedralcodes.wedderburn import (
     ZERO,
     IdealSpec,
     Summand,
+    _constraint_rows,
+    _span_rows,
     code_from_ideal_spec,
     row,
     wedderburn_inverse,
     wedderburn_map,
 )
+from rank_oracle import columns_rank
 
 # prime fields and degree-2 extensions, small enough for exhaustive search
 FIELDS = (
@@ -115,7 +119,7 @@ def test_rref_staircase_rank_and_null_rows_on_the_entry_store(ctx_rows):
     m = MatrixGF(ctx, rows)
     R, rank, pivots = m.rref()
     zero, one = ctx.zero(), ctx.one()
-    assert rank == len(pivots) == m.columns_rank(range(m.cols))
+    assert rank == len(pivots) == columns_rank(m, range(m.cols))
     assert pivots == sorted(set(pivots))
     for i in range(R.rows):
         row = R.row(i)
@@ -394,3 +398,57 @@ def test_spec_code_maps_into_its_summands(alg_spec):
     for i in range(gen.rows):
         coords = gen.row(i)
         assert in_summands(wedderburn_map(alg.element(coords[: alg.n], coords[alg.n:])), spec)
+
+
+# GF(p), GF(p^2) and GF(3^3), the three entry forms' arithmetic
+SIDE_ALGEBRAS = tuple(
+    DihedralAlgebra(make_field(p, mod), n)
+    for p, mod, n in (
+        (43, [0, 1], 7),
+        (13, [2, 0, 1], 7),
+        (5, [2, 0, 1], 3),
+        (3, [1, 2, 0, 1], 13),
+    )
+)
+
+
+@st.composite
+def crossover_specs(draw):
+    """An algebra from SIDE_ALGEBRAS and a spec of dim n - 1, n or n + 1, where
+    code_from_ideal_spec changes sides, or of any dim."""
+    alg = draw(st.sampled_from(SIDE_ALGEBRAS))
+    n, half = alg.n, (alg.n - 1) // 2
+    target = draw(st.sampled_from([n - 1, n, n + 1, None]))
+    if target is None:
+        first = draw(st.sampled_from([FULL, ZERO, PLUS_PIECE, MINUS_PIECE]))
+        kinds = draw(st.lists(st.sampled_from([FULL, ZERO, ROW]), min_size=half, max_size=half))
+    else:
+        # position 0 gives the odd part; the blocks give 4 per full and 2 per row
+        first = draw(st.sampled_from([PLUS_PIECE, MINUS_PIECE] if target % 2 else [FULL, ZERO]))
+        pairs = (target - {FULL: 2, ZERO: 0}.get(first, 1)) // 2
+        fulls = draw(st.integers(max(0, pairs - half), pairs // 2))
+        rows, zeros = pairs - 2 * fulls, half - pairs + fulls
+        kinds = draw(st.permutations([FULL] * fulls + [ROW] * rows + [ZERO] * zeros))
+    summands = [Summand(first)]
+    for kind in kinds:
+        if kind == ROW:
+            x, y = draw(elements(alg.ctx)), draw(elements(alg.ctx))
+            assume(x or y)
+            summands.append(row(x, y))
+        else:
+            summands.append(Summand(kind))
+    spec = IdealSpec(tuple(summands))
+    assert target in (None, spec.dim())
+    return alg, spec
+
+
+@PROPERTY
+@given(crossover_specs())
+def test_span_side_and_constraint_side_give_one_rref(alg_spec):
+    alg, spec = alg_spec
+    ctx, n = alg.ctx, alg.n
+    span = _span_rows(ctx, n, spec)
+    R, rank, _ = MatrixGF._trusted(ctx, span, 2 * n).rref()
+    assert len(span) == rank == spec.dim()
+    assert R == kernel_rref(ctx, _constraint_rows(ctx, n, spec), 2 * n)[0]
+    assert code_from_ideal_spec(ctx, n, spec) == R

@@ -1,15 +1,19 @@
 import random
+import re
 
 import pytest
 
 from dihedralcodes.dihedral import DihedralAlgebra, left_ideal_basis
 from dihedralcodes.errors import (
+    CharDividesOrderError,
     EvenNError,
     InvalidRowSpecError,
+    MixedContextsError,
     RootUnavailableError,
 )
 from dihedralcodes.gf import make_field
 from dihedralcodes.idempotents import cyclic_idempotent
+from dihedralcodes.linalg import MatrixGF
 from dihedralcodes.wedderburn import (
     FULL,
     ZERO,
@@ -26,6 +30,7 @@ from dihedralcodes.wedderburn import (
     wedderburn_map,
     zero,
 )
+from rank_oracle import row_space_contains
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -169,6 +174,41 @@ def test_spec_validation():
         code_from_ideal_spec(GF13, 4, IdealSpec((full(), full())))
 
 
+def test_spec_refusals_keep_their_order_and_messages():
+    # each case but the last two also fails a later check, so the order shows;
+    # specs of dim <= n and dim > n take the two sides, and are refused alike
+    GF3 = make_field(3, [0, 1])
+    cases = (
+        (GF13, 4, (full(),), EvenNError, "ideal specs are defined for odd n, got n=4"),
+        (GF3, 3, (full(),), InvalidRowSpecError, "spec needs 2 summands for n=3, got 1"),
+        (GF3, 3, (plus_piece(), zero()), CharDividesOrderError, "char 3 divides group order 2n=6"),
+        (GF3, 3, (full(), full()), CharDividesOrderError, "char 3 divides group order 2n=6"),
+        (GF13, 5, (plus_piece(), zero(), zero()), RootUnavailableError, "5 does not divide q-1=12"),
+        (GF13, 5, (full(), full(), full()), RootUnavailableError, "5 does not divide q-1=12"),
+    )
+    for ctx, n, summands, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            code_from_ideal_spec(ctx, n, IdealSpec(summands))
+    # the zero ideal is answered before the algebra or its root is checked
+    for ctx, n in ((GF3, 3), (GF13, 5)):
+        spec = IdealSpec((zero(),) * (1 + (n - 1) // 2))
+        assert code_from_ideal_spec(ctx, n, spec) == MatrixGF.zeros(ctx, 0, 2 * n)
+
+
+def test_spec_with_a_row_from_another_field_is_refused():
+    # over GF(p) the residue form would read the row's coefficients unchecked
+    foreign = row(GF13.one(), GF13.element(5))
+    for ctx in (make_field(43, [0, 1]), make_field(13, [2, 0, 1])):
+        # dim 2 enters from the span rows, dim 12 from the constraint rows
+        for first, other in ((zero(), zero()), (full(), full())):
+            spec = IdealSpec((first, foreign, other, other))
+            message = f"row summand over p=13;mod=[0,1] in a spec over {ctx.spec()}"
+            with pytest.raises(MixedContextsError, match=f"^{re.escape(message)}$"):
+                code_from_ideal_spec(ctx, 7, spec)
+        own = row(ctx.one(), ctx.element(5))
+        assert code_from_ideal_spec(ctx, 7, IdealSpec((zero(), own, zero(), zero()))).rows == 2
+
+
 def test_spec_dims():
     assert IdealSpec((full(), full())).dim() == 6
     assert IdealSpec((plus_piece(), zero())).dim() == 1
@@ -217,7 +257,7 @@ def test_resulting_basis_spans_a_left_ideal():
         for i in range(basis.rows):
             u = phi_inv(D6, basis.row(i))
             for g in D6.monomials():
-                assert basis.row_space_contains((g * u).phi())
+                assert row_space_contains(basis, (g * u).phi())
 
 
 def test_summand_kinds_exported():
