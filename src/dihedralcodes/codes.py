@@ -27,10 +27,10 @@ H = [-A^T | I] off G = [I | A] (linalg.null_rows) on first use.  Either
 way H is the one parity check: contains tests H v^T = 0, and the dual
 engine walks H's columns, or a low-rate code's generator columns (below).
 H, like every matrix, holds its entries in the field's entry form
-(linalg._entry_form): residues mod p over GF(p) (_Residues),
-FieldElements over GF(p^m) (_Elements), each with the same point, reduce
-and is_zero.  The paper-style presentation reads its rows, n e_j and
-n b e_j, straight off wedderburn.coordinate_forms.
+(linalg._entry_form): residues mod p over GF(p), FieldElements over
+GF(p^m), each with the same point, reduce and is_zero.  The paper-style
+presentation reads its rows, n e_j and n b e_j, straight off P's forms
+(wedderburn._summand_forms) on that form.
 
 Minimum distance is computed two independent ways: exhaustive codeword
 enumeration (vectorized in numpy) of one word per GF(q)-line,
@@ -75,11 +75,12 @@ from .errors import (
     ZeroElementError,
 )
 from .gf import FieldCtx, FieldElement, _is_int, element_order, prime_expansion, primitive_nth_root
-from .linalg import MatrixGF, _Elements, _entry_form, _Residues, kernel_rref, null_rows  # noqa: F401
+from .linalg import MatrixGF, _entry_form, kernel_rref, null_rows
 from .wedderburn import (
     IdealSpec,
     _constraint_rows,
-    coordinate_forms,
+    _summand_forms,
+    _xi_entries,
     full,
     minus_piece,
     plus_piece,
@@ -340,21 +341,23 @@ def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> Matr
         raise UnsupportedStyleError(
             "structured presentation requires a code built by construct_code"
         )
-    ctx, n, s, beta = prov.ctx, prov.n, prov.s, prov.beta
-    g1, g2, blocks = coordinate_forms(ctx, n)
+    ctx, n, s = prov.ctx, prov.n, prov.s
+    form, xi_pows, units = _xi_entries(ctx, n)
     if prov.tag == FAMILY_2N_MINUS_2:  # n e_0 = (1|0), n b e_0 = (0|1)
-        z, o = ctx.zero(), ctx.one()
+        z, o, _ = units
         rows = [[o] * n + [z] * n, [z] * n + [o] * n]
     else:  # n (1 -+ b) e_0
+        g1, g2 = _summand_forms(xi_pows, 0, units)
         rows = [g2 if prov.tag == FAMILY_2N_MINUS_3_MINUS else g1]
-    a11, a12, a21, a22 = blocks[s - 1]
-    rows.append([u + beta * w for u, w in zip(a22, a21)])
-    rows.append([u + beta * w for u, w in zip(a12, a11)])
+    a11, a12, a21, a22 = _summand_forms(xi_pows, s, units)
+    beta = form.entries([prov.beta])[0]
+    rows += [form.canon([u + beta * w for u, w in zip(a22, a21)]),
+             form.canon([u + beta * w for u, w in zip(a12, a11)])]
     for j in range(1, n):
         if j not in (s, n - s):
-            a11, a12, a21, a22 = blocks[min(j, n - j) - 1]
+            a11, a12, a21, a22 = _summand_forms(xi_pows, min(j, n - j), units)
             rows += [a22, a12] if j <= (n - 1) // 2 else [a11, a21]
-    return MatrixGF(ctx, rows)
+    return MatrixGF._trusted(ctx, rows, 2 * n)
 
 
 def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = None) -> bool:

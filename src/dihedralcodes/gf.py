@@ -259,13 +259,13 @@ class FieldCtx:
             if value.ctx != self:
                 raise MixedContextsError("element belongs to a different field")
             return value
-        if isinstance(value, bool):
-            raise ValueError(f"coefficient {value!r} is not an integer")
-        if isinstance(value, int):
+        if _is_int(value):
             coeffs = [value % self.p] + [0] * (self.m - 1)
             return FieldElement(self, tuple(coeffs))
         if isinstance(value, str):
             return parse_element(self, value)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{value!r} is not an integer, a coefficient list, text or an element")
         coeffs = _residues(value, self.p)
         if len(coeffs) > self.m:
             extra = _trim(coeffs[self.m:])

@@ -8,17 +8,20 @@ coefficients beta_i, the map P evaluates to
   block j = [[sum alpha_i xi^(ij),  sum beta_i xi^(-ij)],
              [sum beta_i xi^(ij),   sum alpha_i xi^(-ij)]]   j = 1..(n-1)/2
 
-with xi the canonical primitive n-th root of unity.  Each coordinate of P
-is a linear form in phi coordinates whose entries are powers of xi;
-coordinate_forms is the one table of them.  wedderburn_map takes their dot
-products, and wedderburn_inverse sums them back, since they are orthogonal
-up to n.  P is an algebra isomorphism, so left ideals of F_q D_2n
-correspond exactly to direct sums of one ideal per summand; IdealSpec
-names such a choice.  Each summand is cut out by at most four of the
-forms and, by that orthogonality, spanned by the dual forms of the
-coordinates it keeps.  So code_from_ideal_spec pulls the ideal back from
-its smaller side, without inverting P: the RREF of its dim span rows
-when dim <= n, else the null space of its 2n - dim constraint rows.
+with xi the canonical primitive n-th root of unity.  So P is one DFT per
+half: with A and B the DFTs of the a-part and the b-part, gamma is
+(A_0 + B_0, A_0 - B_0) and block j reads its coordinates at +-j mod n of
+A and B, as _BLOCK_LAYOUT lists them.  wedderburn_map computes the two
+DFTs on the field's entry form, and wedderburn_inverse fills the spectra
+back and takes the inverse DFTs.  Each coordinate is also a linear form
+in phi coordinates (_summand_forms), and the forms are orthogonal up to
+n.  P is an algebra isomorphism, so left ideals of F_q D_2n correspond
+exactly to direct sums of one ideal per summand; IdealSpec names such a
+choice.  Each summand is cut out by at most four of the forms and, by
+that orthogonality, spanned by the dual forms of the coordinates it
+keeps.  So code_from_ideal_spec pulls the ideal back from its smaller
+side, without inverting P: the RREF of its dim span rows when dim <= n,
+else the null space of its 2n - dim constraint rows.
 """
 
 from __future__ import annotations
@@ -77,35 +80,38 @@ class WedderburnTuple:
         return WedderburnTuple(gamma=g, blocks=blocks)
 
 
-# (half, sign) of each block form a11, a12, a21, a22: xi^(sign*ij) on that
-# half of the phi coordinates (0: a-part, 1: b-part), zero on the other
+# (half, sign) of each block coordinate a11, a12, a21, a22: block j's
+# coordinate is entry sign*j mod n of that half's DFT (0: a-part, 1:
+# b-part); as a form, xi^(sign*ij) on that half of the phi coordinates
 _BLOCK_LAYOUT = ((0, 1), (1, -1), (1, 1), (0, -1))
 
 
-def coordinate_forms(ctx: FieldCtx, n: int):
-    """P's coordinates as linear forms on phi coordinates (a-part | b-part).
+def _xi_entries(ctx: FieldCtx, n: int):
+    """ctx's entry form (linalg._entry_form), xi^0 .. xi^(n-1) in it, and
+    its 0, 1 and -1."""
+    form, units = _entry_form(ctx), [ctx.zero(), ctx.one(), -ctx.one()]
+    return form, form.entries(_xi_powers(ctx, n)), form.entries(units)
 
-    Returns (g1, g2, blocks), with blocks[j-1] = (a11, a12, a21, a22) the
-    forms of block j, laid out by _BLOCK_LAYOUT:
 
-      g1 = (1..1 | 1..1),  g2 = (1..1 | -1..-1),
-      a11 = (xi^(ij) | 0),  a12 = (0 | xi^(-ij)),
-      a21 = (0 | xi^(ij)),  a22 = (xi^(-ij) | 0).
-
-    This is the one statement of P's DFT convention: the map, its inverse,
-    the constraint rows of an ideal spec and the paper-style generator rows
-    all read it, the constraint rows through _summand_forms, one summand
-    at a time.
-    """
-    xi_pows, units = _xi_powers(ctx, n), [ctx.zero(), ctx.one(), -ctx.one()]
-    g1, g2 = _summand_forms(xi_pows, 0, units)
-    return g1, g2, [_summand_forms(xi_pows, j, units) for j in range(1, (n - 1) // 2 + 1)]
+def _dft(form, xi_pows, v, z, sign=1):
+    """sum_i v_i xi^(sign*ik) for k = 0..n-1, on v's entry form, whose zero is z."""
+    n, support = len(xi_pows), [(i, x) for i, x in enumerate(v) if x]
+    return form.canon([sum((x * xi_pows[sign * i * k % n] for i, x in support), z)
+                       for k in range(n)])
 
 
 def _summand_forms(xi_pows, j: int, units):
-    """The forms of summand j of coordinate_forms: (g1, g2) of the pair at
-    j = 0, (a11, a12, a21, a22) of block j above.  xi_pows = xi^0 .. xi^(n-1)
-    and units = (0, 1, -1), in one form: FieldElements, or the entry form."""
+    """P's coordinates on summand j as linear forms on phi coordinates
+    (a-part | b-part), in the entry form of xi_pows = xi^0 .. xi^(n-1) and
+    units = (0, 1, -1): at j = 0 the pair's
+
+      g1 = (1..1 | 1..1),  g2 = (1..1 | -1..-1),
+
+    else block j's, laid out by _BLOCK_LAYOUT:
+
+      a11 = (xi^(ij) | 0),  a12 = (0 | xi^(-ij)),
+      a21 = (0 | xi^(ij)),  a22 = (xi^(-ij) | 0).
+    """
     n, (z, o, minus_o) = len(xi_pows), units
     if j == 0:
         return [o] * (2 * n), [o] * n + [minus_o] * n
@@ -115,45 +121,38 @@ def _summand_forms(xi_pows, j: int, units):
 
 
 def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
-    """Apply P to an algebra element (n odd, n | q-1)."""
+    """Apply P to an algebra element (n odd, n | q-1): the DFTs A and B of
+    its halves give gamma = (A_0 + B_0, A_0 - B_0), and block j reads its
+    coordinates off them by _BLOCK_LAYOUT."""
     n = u.n
     if n % 2 == 0:
         raise EvenNError(f"block decomposition implemented for odd n, got n={n}")
-    v, z = u.phi(), u.ctx.zero()
-    # each block form is zero off the half _BLOCK_LAYOUT gives it
-    halves = [slice(half * n, (half + 1) * n) for half, _ in _BLOCK_LAYOUT]
-
-    def dot(form, half=slice(None)):
-        return sum((w * x for w, x in zip(form[half], v[half]) if x), z)
-
-    g1, g2, blocks = coordinate_forms(u.ctx, n)
-    coords = [[dot(f, half) for f, half in zip(forms, halves)] for forms in blocks]
+    form, xi_pows, (z, _, _) = _xi_entries(u.ctx, n)
+    A, B = spectra = [form.elements(_dft(form, xi_pows, form.entries(h), z))
+                      for h in (u.alpha, u.beta)]
+    coords = ([spectra[h][s * j % n] for h, s in _BLOCK_LAYOUT] for j in range(1, (n + 1) // 2))
     return WedderburnTuple(
-        gamma=(dot(g1), dot(g2)),
+        gamma=(A[0] + B[0], A[0] - B[0]),
         blocks=tuple(((a11, a12), (a21, a22)) for a11, a12, a21, a22 in coords),
     )
 
 
 def wedderburn_inverse(t: WedderburnTuple) -> AlgebraElement:
-    """The unique algebra element mapping to t under P.
-
-    The forms of coordinate_forms are orthogonal up to n: g1.g1 = g2.g2 = 2n,
-    a11 pairs with a22 and a12 with a21 to n, and every other pair to 0.  So
-    P^-1(t) = n^-1 ((t_g1/2) g1 + (t_g2/2) g2
-                    + sum_j (t11 a22 + t12 a21 + t21 a12 + t22 a11)).
+    """The unique algebra element mapping to t under P: the spectra A and B
+    filled back from A_0, B_0 = (g1 + g2)/2, (g1 - g2)/2 and, by
+    _BLOCK_LAYOUT, the blocks, then each half's inverse DFT, scaled by n^-1.
     """
     ctx, n = t.ctx, t.n
     inv2, inv_n = ctx.element(2).inverse(), ctx.element(n).inverse()
-    g1, g2, blocks = coordinate_forms(ctx, n)
-    terms = [(t.gamma[0] * inv2, g1), (t.gamma[1] * inv2, g2)]
-    for ((t11, t12), (t21, t22)), (a11, a12, a21, a22) in zip(t.blocks, blocks):
-        terms += [(t11, a22), (t12, a21), (t21, a12), (t22, a11)]
-    v = [ctx.zero()] * (2 * n)
-    for c, form in terms:
-        if c:
-            v = [x + c * w if w else x for x, w in zip(v, form)]
-    v = [x * inv_n for x in v]
-    return DihedralAlgebra(ctx, n).element(v[:n], v[n:])
+    form, xi_pows, (z, _, _) = _xi_entries(ctx, n)
+    g1, g2 = t.gamma
+    spectra = [[(g1 + g2) * inv2] + [None] * (n - 1), [(g1 - g2) * inv2] + [None] * (n - 1)]
+    for j, ((t11, t12), (t21, t22)) in enumerate(t.blocks, 1):
+        for (h, s), c in zip(_BLOCK_LAYOUT, (t11, t12, t21, t22)):
+            spectra[h][s * j % n] = c
+    alpha, beta = (form.elements(_dft(form, xi_pows, form.entries([c * inv_n for c in S]), z, -1))
+                   for S in spectra)
+    return AlgebraElement(DihedralAlgebra(ctx, n), alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +204,7 @@ def row(x, y) -> Summand:
     return Summand(ROW, ctx.zero(), ctx.one())
 
 
-_POSITION0_KINDS = {FULL, ZERO, PLUS_PIECE, MINUS_PIECE}
-_BLOCK_KINDS = {FULL, ZERO, ROW}
-
+# the kinds allowed at position 0 and at a block, with their dimensions
 _DIMS_POSITION0 = {FULL: 2, ZERO: 0, PLUS_PIECE: 1, MINUS_PIECE: 1}
 _DIMS_BLOCK = {FULL: 4, ZERO: 0, ROW: 2}
 
@@ -221,19 +218,21 @@ class IdealSpec:
     def __post_init__(self):
         if not self.summands:
             raise InvalidRowSpecError("empty ideal spec")
-        if self.summands[0].kind not in _POSITION0_KINDS:
+        if self.summands[0].kind not in _DIMS_POSITION0:
             raise InvalidRowSpecError(
                 f"summand kind {self.summands[0].kind!r} not allowed at position 0"
             )
         for s in self.summands[1:]:
-            if s.kind not in _BLOCK_KINDS:
+            if s.kind not in _DIMS_BLOCK:
                 raise InvalidRowSpecError(f"summand kind {s.kind!r} not allowed at a matrix block")
+        # Summand is public: a row summand built by hand is checked and
+        # canonicalized as row() does, so its entries are elements of one field
+        summands = tuple(row(s.x, s.y) if s.kind == ROW else s for s in self.summands)
+        object.__setattr__(self, "summands", summands)
 
     def dim(self) -> int:
-        total = _DIMS_POSITION0[self.summands[0].kind]
-        for s in self.summands[1:]:
-            total += _DIMS_BLOCK[s.kind]
-        return total
+        first, *blocks = self.summands
+        return _DIMS_POSITION0[first.kind] + sum(_DIMS_BLOCK[s.kind] for s in blocks)
 
     def __len__(self):
         return len(self.summands)
@@ -243,12 +242,10 @@ def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
     """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H, in
     ctx's entry form (linalg._entry_form): residues over GF(p).
 
-    Each summand keeps the forms of coordinate_forms that vanish on it;
+    Each summand keeps the forms of _summand_forms that vanish on it;
     the forms of a full block are never built.
     """
-    form = _entry_form(ctx)
-    xi_pows = form.entries(_xi_powers(ctx, n))
-    units = form.entries([ctx.zero(), ctx.one(), -ctx.one()])
+    form, xi_pows, units = _xi_entries(ctx, n)
     g1, g2 = _summand_forms(xi_pows, 0, units)
     out = {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2], FULL: []}[spec.summands[0].kind]
     for j, s in enumerate(spec.summands[1:], 1):

@@ -225,8 +225,9 @@ def test_analyze_refuses_a_malformed_entry(tmp_path, capsys, entries, named):
 @pytest.mark.parametrize(
     "header, named",
     [({"field": 13}, "matrix field is 13,"),
-     ({"rows": 0, "cols": "abc", "entries": []}, 'matrix cols is "abc",')],
-    ids=["field-not-a-string", "cols-not-an-integer"],
+     ({"rows": 0, "cols": "abc", "entries": []}, 'matrix cols is "abc",'),
+     ({"rows": 2}, "matrix JSON shape mismatch")],
+    ids=["field-not-a-string", "cols-not-an-integer", "rows-not-the-entries"],
 )
 def test_analyze_refuses_a_malformed_matrix_header(tmp_path, capsys, header, named):
     # a diagnostic, not a TypeError traceback
@@ -269,11 +270,13 @@ def test_analyze_refuses_a_document_that_is_not_an_object(tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc, named",
     [({}, 'code document has no "generator" key'),
-     ({"generator": {"field": "p=13", "rows": 1, "cols": 2}}, 'matrix JSON has no "entries" key')],
-    ids=["no-generator", "no-entries"],
+     ({"generator": {"field": "p=13", "rows": 1, "cols": 2}}, 'matrix JSON has no "entries" key'),
+     ({"generator": [[1, 2]]}, "matrix JSON must be an object, got list")],
+    ids=["no-generator", "no-entries", "generator-not-an-object"],
 )
 def test_analyze_names_a_missing_key(tmp_path, capsys, doc, named):
-    # not the bare KeyError text, 'generator' or 'entries'
+    # not the bare KeyError text, 'generator' or 'entries', nor a TypeError
+    # on a generator that is not an object
     path = tmp_path / "code.json"
     path.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "analyze", "--in", str(path))

@@ -231,6 +231,16 @@ def test_validation_precedence(ctx, n, family, error):
         construct_code(ctx, n, family)
 
 
+def test_entries_that_are_not_field_values_are_refused_by_name():
+    # a ValueError naming the value, where ctx.element used to raise a TypeError
+    with pytest.raises(ValueError, match=r"^2\.5 is not an integer"):
+        construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS, beta=2.5))
+    with pytest.raises(ValueError, match=r"^2\.5 is not an integer"):
+        LinearCode.from_generator_rows(GF13, [[1, 2.5, 3]])
+    with pytest.raises(ValueError, match="^None is not an integer"):
+        code_13_2n2().contains([1, 2, None, 0, 0, 0])
+
+
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -601,6 +611,14 @@ def test_closure_refuses_a_code_that_is_not_a_left_ideal():
     assert not left_ideal_closure_ok(code, alg)
 
 
+def test_closure_refuses_a_code_it_cannot_place_in_an_algebra():
+    code = LinearCode(MatrixGF(GF13, [DihedralAlgebra(GF13, 3).one().phi()]))
+    with pytest.raises(ValueError, match="^need an algebra context for a hand-supplied code$"):
+        left_ideal_closure_ok(code)
+    with pytest.raises(ValueError, match="^code length does not match the algebra$"):
+        left_ideal_closure_ok(code, DihedralAlgebra(GF13, 5))
+
+
 def test_dual_distance_makes_no_row_reduction(monkeypatch):
     # the parity check is read off the generator and its pivots
     ctx = make_field(61, [0, 1])
@@ -641,7 +659,8 @@ def test_min_dependent_columns_matches_subset_oracle():
     # extension fields.
     from itertools import combinations
 
-    from dihedralcodes.codes import _Elements, _entry_form, _min_dependent_columns
+    from dihedralcodes.codes import _min_dependent_columns
+    from dihedralcodes.linalg import _Elements, _entry_form
 
     def check(m):
         # the walk on the entry form the dual engine picks for the field,

@@ -459,6 +459,28 @@ def test_parse_element_both_forms():
     assert parse_element(GF25, "-x+1") == GF25.element([1, 4])
 
 
+@pytest.mark.parametrize(
+    "ctx, value, named",
+    [
+        (GF13, 2.5, "2.5 is not an integer, a coefficient list, text or an element"),
+        (GF13, None, "None is not an integer"),
+        (GF13, object(), "<object object at 0x[0-9a-f]+> is not an integer"),
+        (GF13, b"1", "b'1' is not an integer"),  # not read as the coefficient 49
+        (GF25, [1, 2, 3], "coefficient list longer than extension degree 2"),
+    ],
+    ids=["float", "none", "object", "bytes", "extra-coefficient"],
+)
+def test_element_refuses_what_it_cannot_read_by_name(ctx, value, named):
+    # a ValueError naming the value, not "TypeError: 'float' object is not iterable"
+    with pytest.raises(ValueError, match=f"^{named}"):
+        ctx.element(value)
+
+
+def test_element_reads_a_coefficient_tuple_and_trims_zero_extras():
+    assert GF25.element((4, 3)) == GF25.element([4, 3])
+    assert GF25.element([4, 3, 0, 0]) == GF25.element([4, 3])
+
+
 def test_parse_element_rejects_garbage():
     with pytest.raises(ValueError):
         parse_element(GF13, "x")  # degree 1 term in a prime field

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from dihedralcodes.dihedral import DihedralAlgebra, left_ideal_basis
+from dihedralcodes.dihedral import DihedralAlgebra, left_ideal_basis, phi_inv
 from dihedralcodes.errors import (
     CharDividesOrderError,
     EvenNError,
@@ -11,11 +11,12 @@ from dihedralcodes.errors import (
     MixedContextsError,
     RootUnavailableError,
 )
-from dihedralcodes.gf import make_field
+from dihedralcodes.gf import make_field, primitive_nth_root
 from dihedralcodes.idempotents import cyclic_idempotent
 from dihedralcodes.linalg import MatrixGF
 from dihedralcodes.wedderburn import (
     FULL,
+    ROW,
     ZERO,
     IdealSpec,
     Summand,
@@ -105,6 +106,39 @@ def test_roundtrip_on_monomials_and_randoms():
             assert wedderburn_inverse(wedderburn_map(u)) == u
 
 
+def formula_map(u):
+    """P(u) straight from the formula in wedderburn.py's module docstring,
+    on plain FieldElement sums: an oracle independent of the DFT layout."""
+    ctx, n = u.ctx, u.n
+    xi = primitive_nth_root(ctx, n)
+
+    def total(coeffs, sign, j):
+        return sum((c * xi ** (sign * i * j % n) for i, c in enumerate(coeffs)), ctx.zero())
+
+    alpha, beta = u.alpha, u.beta
+    gamma = (total(alpha, 1, 0) + total(beta, 1, 0), total(alpha, 1, 0) - total(beta, 1, 0))
+    blocks = tuple(
+        ((total(alpha, 1, j), total(beta, -1, j)), (total(beta, 1, j), total(alpha, -1, j)))
+        for j in range(1, (n - 1) // 2 + 1)
+    )
+    return WedderburnTuple(gamma=gamma, blocks=blocks)
+
+
+@pytest.mark.parametrize(
+    "ctx, n",
+    [(make_field(43, [0, 1]), 7), (make_field(13, [2, 0, 1]), 7),
+     (make_field(3, [1, 2, 0, 1]), 13)],
+    ids=["GF43-n7", "GF169-n7", "GF27-n13"],
+)
+def test_map_matches_the_docstring_formula_and_inverts(ctx, n):
+    rng = random.Random(ctx.q + n)
+    alg = DihedralAlgebra(ctx, n)
+    for u in alg.monomials() + [alg.random_element(rng) for _ in range(10)]:
+        t = wedderburn_map(u)
+        assert t == formula_map(u)
+        assert wedderburn_inverse(t) == u
+
+
 def test_inverse_of_gamma_unit_is_e0():
     t = WedderburnTuple.zero(GF13, 3)
     t = WedderburnTuple(gamma=(GF13.one(), GF13.one()), blocks=t.blocks)
@@ -161,6 +195,8 @@ def test_row_canonicalization():
     assert (r.x, r.y) == (GF13.zero(), GF13.one())
     with pytest.raises(InvalidRowSpecError):
         row(GF13.zero(), GF13.zero())
+    with pytest.raises(InvalidRowSpecError, match="^row spec needs at least one field element$"):
+        row(1, 5)
 
 
 def test_spec_validation():
@@ -209,6 +245,40 @@ def test_spec_with_a_row_from_another_field_is_refused():
         assert code_from_ideal_spec(ctx, 7, IdealSpec((zero(), own, zero(), zero()))).rows == 2
 
 
+GF43 = make_field(43, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "x, y, error, message",
+    [
+        (1, 5, InvalidRowSpecError, "row spec needs at least one field element"),
+        (GF43.zero(), GF43.zero(), InvalidRowSpecError, "row spec (0,0) does not define an ideal"),
+        (GF43.one(), GF13.one(), MixedContextsError, "element belongs to a different field"),
+    ],
+    ids=["ints", "zero-row", "two-fields"],
+)
+def test_spec_refuses_a_hand_built_row_summand(x, y, error, message):
+    # Summand is public: the spec checks a row summand as row() does.  A (0,0)
+    # row used to give a 2 x 14 zero generator on the span side for a spec of
+    # dim 2, and the 14 x 14 identity on the constraint side for dim 12.
+    for other in (zero(), full()):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            IdealSpec((other, Summand(ROW, x, y), other, other))
+
+
+def test_hand_built_row_summand_gives_the_row_ideal_on_both_sides():
+    # the spec canonicalizes a hand-built row summand as row() does, and its
+    # complement on the span side, Summand(ROW, -x, y), is checked the same way
+    alg = DihedralAlgebra(GF43, 7)
+    for x, y in ((GF43.element(3), GF43.element(6)), (GF43.one(), 5), (GF43.zero(), 7)):
+        for other in (zero(), full()):  # dim 2 and dim 12: the span and constraint sides
+            spec = IdealSpec((other, Summand(ROW, x, y), other, other))
+            assert spec == IdealSpec((other, row(x, y), other, other))
+            basis = code_from_ideal_spec(GF43, 7, spec)
+            rows = [phi_inv(alg, basis.row(i)) for i in range(basis.rows)]
+            assert basis.rows == spec.dim() and left_ideal_basis(rows) == basis
+
+
 def test_spec_dims():
     assert IdealSpec((full(), full())).dim() == 6
     assert IdealSpec((plus_piece(), zero())).dim() == 1
@@ -248,8 +318,6 @@ def test_spec_dimension_matches_basis_rank_random():
 
 
 def test_resulting_basis_spans_a_left_ideal():
-    from dihedralcodes.dihedral import phi_inv
-
     rng = random.Random(3)
     for _ in range(10):
         spec = random_ideal_spec(GF13, 3, rng)
