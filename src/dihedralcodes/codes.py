@@ -11,50 +11,31 @@ it (s is the twist index, beta the twist scalar):
                 beta != 0 and beta^n != 1 (2n <= q-1 holds automatically
                 whenever n | q-1 and q is odd).
 
-Under P the twisted generator is [[1, beta], [0, 0]] in block s and zero
-elsewhere, so construct_code builds each family as the Wedderburn spec
-{position 0: full / minus / plus; block s: row(1, beta); other blocks: full}.
-That ideal is the kernel of its closed-form constraint rows H: 2 rows on
-block s, plus 1 on gamma for the 2n-3 families.  construct_code keeps H
-and enters LinearCode through the private LinearCode._from_parity_check:
-k = 2n - rank H, and the RREF generator is built from H only when
-something asks for it (linalg.kernel_rref, the reduction that
-code_from_ideal_spec runs on every ideal of dim > n, as the paper's codes
-are; one of dim <= n it reduces from its span rows).  The public
-constructor, load_code and
-from_generator_rows reduce the generator they are given, and take
-H = [-A^T | I] off G = [I | A] (linalg.null_rows) on first use.  Either
-way H is the one parity check: contains tests H v^T = 0, and the dual
-engine walks H's columns, or a low-rate code's generator columns (below).
-H, like every matrix, holds its entries in the field's entry form
-(linalg._entry_form): residues mod p over GF(p), FieldElements over
-GF(p^m), each with the same point, reduce and is_zero.  The paper-style
-presentation reads its rows, n e_j and n b e_j, straight off P's forms
-(wedderburn._summand_forms) on that form.
+Under P each family is the Wedderburn spec {position 0: full / minus /
+plus; block s: row(1, beta); other blocks: full}, the kernel of its 2 or 3
+closed-form constraint rows H.  construct_code keeps H
+(LinearCode._from_parity_check) and builds the RREF generator from it only
+on first use (linalg.kernel_rref); the public constructor, load_code and
+from_generator_rows reduce the generator they are given and take
+H = [-A^T | I] off G = [I | A] (linalg.null_rows).  Either way H is the one
+parity check: contains tests H v^T = 0.  H, like every matrix, holds the
+field's entry form (linalg._entry_form): residues over GF(p), packed pairs
+over GF(p^2), FieldElements above, each with the same canon, submul, point and
+reduce.  The paper-style presentation reads its rows, n e_j and n b e_j,
+off P's forms (wedderburn._summand_forms) on that form.
 
-Minimum distance is computed two independent ways: exhaustive codeword
-enumeration (vectorized in numpy) of one word per GF(q)-line,
-(q^k-1)/(q-1) in all, still gated at q^k - 1 <= cap, on integers mod p
-over the generator rows' prime-field expansions (gf.prime_expansion); and
-the dual engine, the least number of linearly dependent columns of H, by
-one depth-first walk over independent column subsets S: w dependent
-columns show as two later columns with one projective point modulo
-span(S) at depth w - 2 (_min_dependent_columns).  Depths 0 and 1 find 1,
-2 or 3 dependent columns; the paper's codes have 2 or 3 parity checks, so
-they need nothing deeper, and a dual check of one never builds its
-generator.  The 2n-3 codes' columns lie on one nondegenerate conic, an
-arc, so d = 4 with no depth-1 walk (_on_a_conic).  The side is chosen
-before depth 0 (_dual_distance): a low-rate code whose generator walk,
-counting columns on hyperplanes to depth k - 2 (_hyperplane_distance),
-takes fewer subsets than the parity check's from depth 1 on and fits under
-cap walks the generator alone and never builds H; the [602,3,600] ideal
-at (3011, 301) takes 0.20 s there, against 15.0 s through H (one run,
-Python 3.11, a 2-core Xeon container).  Otherwise the parity-check walk
-runs, depths 0 and 1 free, and past depth 1 it switches to the generator
-side where that has fewer subsets.
-Neither engine has a limit on q.  Both are exact; the pair serves as a
-cross-check.  numpy is imported on the first exhaustive call, so
-construction and the dual engine never load it.
+Minimum distance is computed two independent ways, both exact, with no
+limit on q: exhaustive enumeration, in numpy, of one codeword per
+GF(q)-line on the generator rows' prime-field expansions
+(gf.prime_expansion), gated at q^k - 1 <= cap; and the dual engine, the
+least number of dependent columns of H by one depth-first walk over
+independent column subsets (_min_dependent_columns), or, for a low-rate
+code, the most generator columns on one hyperplane (_hyperplane_distance),
+the side chosen before depth 0 (_dual_distance).  The paper's codes have
+2 or 3 parity checks, so depths 0 and 1 settle them and never build the
+generator; the 2n-3 codes' columns lie on one conic, an arc, so d = 4 with
+no depth-1 walk (_on_a_conic).  numpy is imported on the first exhaustive
+call only.
 """
 
 from __future__ import annotations
@@ -125,18 +106,13 @@ class Provenance:
 
 class LinearCode:
     """A linear code of length 2n, held by its parity check H and its RREF
-    generator, each derived from the other on first use.
+    generator (with its pivot columns, an information set), each derived
+    from the other on first use.
 
-    LinearCode(G) reduces G to its RREF generator, with its pivot columns
-    (pivots, an information set), and takes H = [-A^T | I] off G = [I | A]
-    (linalg.null_rows) when something asks for it.  construct_code enters
-    through _from_parity_check with H, the spec's constraint rows, whose
-    kernel the code is: k = 2n - rank H, and the generator is built from H
-    on first use (linalg.kernel_rref).  contains reads only H, and so does
-    the dual engine unless the code's rate is low enough for the generator
-    side (_dual_distance); a dual check or a membership test of a
-    constructed code never builds its generator, and a low-rate code's dual
-    check never builds H.
+    LinearCode(G) reduces G; construct_code enters through
+    _from_parity_check with H, the spec's constraint rows, and k = 2n -
+    rank H.  contains reads only H, and so does the dual engine unless the
+    code's rate is low enough for the generator side (_dual_distance).
     """
 
     def __init__(self, generator: MatrixGF):
@@ -189,20 +165,11 @@ class LinearCode:
 
         method "exhaustive" enumerates one codeword per GF(q)-line,
         (q^k-1)/(q-1) in all, since a word's nonzero multiples share its
-        weight (still requires q^k - 1 <= cap).  "dual" finds the least
-        number w of linearly dependent parity-check columns, as two later
-        columns with one projective point modulo the span of an
-        independent (w-2)-subset, on one walk over the columns' GF(q)
-        entries (residues or elements, by the field).  It visits at most
-        cap column subsets, on one of two sides: the (k-2)-subsets of the
-        generator's columns, d being the length less the most columns on
-        one hyperplane through their span (the zeros of a minimum-weight
-        codeword span a hyperplane), or the parity check's.  The generator
-        side goes first, before H is built, when its whole walk has fewer
-        subsets than the parity check's from depth 1 on and fits under
-        cap.  Otherwise the parity check's depths 0 and 1 (w <= 3) run
-        free, and past them the walk takes the side with fewer subsets
-        (_min_dependent_columns).  "auto" picks
+        weight (still requires q^k - 1 <= cap).  "dual" visits at most cap
+        column subsets, on one side (_dual_distance): the least number of
+        dependent parity-check columns (_min_dependent_columns, whose depths
+        0 and 1, w <= 3, are free), or the length less the most generator
+        columns on one hyperplane (_hyperplane_distance).  "auto" picks
         exhaustive when it fits under the cap.  A negative or bool cap is
         refused, whatever the method.
         """
@@ -211,9 +178,7 @@ class LinearCode:
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
         if method == "auto":
-            method = (
-                "exhaustive" if self.ctx.q**self.k - 1 <= cap else "dual"
-            )
+            method = "exhaustive" if self.ctx.q**self.k - 1 <= cap else "dual"
         if method not in ("exhaustive", "dual"):
             raise ValueError(f"unknown distance method {method!r}")
         if method not in self._distance:
@@ -350,9 +315,8 @@ def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> Matr
         g1, g2 = _summand_forms(xi_pows, 0, units)
         rows = [g2 if prov.tag == FAMILY_2N_MINUS_3_MINUS else g1]
     a11, a12, a21, a22 = _summand_forms(xi_pows, s, units)
-    beta = form.entries([prov.beta])[0]
-    rows += [form.canon([u + beta * w for u, w in zip(a22, a21)]),
-             form.canon([u + beta * w for u, w in zip(a12, a11)])]
+    minus_beta = form.entries([-prov.beta])[0]
+    rows += [form.submul(a22, minus_beta, a21), form.submul(a12, minus_beta, a11)]
     for j in range(1, n):
         if j not in (s, n - s):
             a11, a12, a21, a22 = _summand_forms(xi_pows, min(j, n - j), units)
@@ -408,7 +372,7 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     # lead row i, from the last up: its words are row i (expansion 0, coefficient 1)
     # plus each word of span, the GF(p)-span of the expansions of rows i+1..k-1
     span, below, best = np.zeros((1, m * ncols), dtype=dtype), [], ncols
-    for expansion in reversed([prime_expansion(r) for r in gen.entries]):
+    for expansion in reversed([prime_expansion(gen.form.coeffs(r), ctx) for r in gen.entries]):
         for v in below:
             multiples = (scalars * v % p).astype(dtype)
             span = np.add(span[:, None, :], multiples[None, :, :]).reshape(-1, m * ncols)
@@ -427,17 +391,14 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
 
 def _dual_distance(code: LinearCode, cap: int) -> int:
     """Distance of code from the columns of its generator or of its parity
-    check H, in the walk's entry form: see min_distance.
+    check H, the side chosen before H is built.
 
-    The side is chosen here, before H is built.  The generator side goes
-    first when its walk to depth k - 2 takes fewer subsets than the parity
-    check's from depth 1 on, and cannot pass cap.  That walk takes one step
-    per independent s-subset it reaches, s = 1..k-2, and reaches one only
-    with its last index below ncols - (k-2-s): at most the sum over s of
-    C(ncols - (k-2) + s, s) = C(ncols + 1, k - 2) - 1 steps, every one of
-    them for columns in general position.  Otherwise the parity-check walk
-    runs as before, its depths 0 and 1 free, so no call that it answers is
-    refused here.
+    The generator side goes first when its walk to depth k - 2 takes fewer
+    subsets than the parity check's from depth 1 on, and cannot pass cap:
+    it steps once per independent s-subset it reaches, s = 1..k-2, each
+    with its last index below ncols - (k-2-s), so at most
+    C(ncols + 1, k - 2) - 1 times.  Otherwise the parity-check walk runs,
+    its depths 0 and 1 free, so no call that it answers is refused here.
     """
     ncols, k = code.length, code.k
     steps = math.comb(ncols + 1, max(k - 2, 0)) - 1
@@ -450,20 +411,24 @@ def _dual_distance(code: LinearCode, cap: int) -> int:
     return _min_dependent_columns(cols, field, cap, code)
 
 
-def _rank(vs, field) -> int:
-    """Dimension of the span of these vectors, held in field's entry form.
-
-    Elimination: each vector with a point (field.point) is independent of
-    those before it; it reduces the later vectors and drops its lead
-    coordinate from them (field.reduce).
+def _rank(rows, field) -> int:
+    """Rank of the matrix with these rows, held in field's entry form, found
+    on its columns: each column, reduced modulo the independent ones before
+    it (field.reduce, which drops their leads), is independent when it has
+    a point (field.point).  The walk stops at as many as there are rows, so
+    a paper code's H, of 2 or 3 rows, takes a few columns.
     """
-    rank, i = 0, 0
-    while i < len(vs):
-        c = field.point(vs[i])
-        i += 1
+    basis = []
+    for v in zip(*rows):
+        if len(basis) == len(rows):
+            break
+        v = list(v)
+        for c in basis:
+            v = field.reduce(c, [v])[0]
+        c = field.point(v)
         if c is not None:
-            rank, vs, i = rank + 1, field.reduce(c, vs[i:]), 0
-    return rank
+            basis.append(c)
+    return len(basis)
 
 
 def _subsets_over(ncols: int, depths, count: int) -> bool:
@@ -489,22 +454,18 @@ def _independent_subsets(cols, field, t: int, budget, every: bool, points=None, 
 
     At each S it yields the keys of the columns modulo span(S): the
     projective points of what is left of them once reduced modulo S, None
-    for a column in span(S).  With every it keys every column; without,
-    only the later ones, from one past S's last index on (the earlier ones
-    stay as they came).  A level is handed the columns reduced modulo the
-    part of S found above it, and c, the point of S's newest column,
-    reduced as far.  It reduces the columns against c (field.reduce),
-    which drops c's lead coordinate, and hands them down one entry
-    shorter.  The last level asks field.reduce for their points straight
-    away: with two coordinates left, one ratio each.  Column i joins S
-    when what is left of it has a point, that is, when it is not in
-    span(S).  Each subset reached takes one step of budget.  The first
-    level takes the columns' points from points, depth 0's keys, if given.
+    for a column in span(S); with every, of every column, else of those
+    past S's last index.  A level reduces the columns it is handed against
+    c, the point of S's newest column (field.reduce, which drops c's lead),
+    and the last level asks field.reduce for their keys straight away.
+    Column i joins S when what is left of it has a point.  Each subset
+    reached takes one step of budget.  The first level takes the columns'
+    points from points, depth 0's keys, if given.
     """
     lo = 0 if every else start
     if t == 0:
         later = cols[lo:]
-        yield [field.point(v) for v in later] if c is None else field.reduce(c, later, True)
+        yield field.points(later) if c is None else field.reduce(c, later, True)
         return
     if c is not None:
         cols = cols[:lo] + field.reduce(c, cols[lo:])
@@ -518,17 +479,14 @@ def _independent_subsets(cols, field, t: int, budget, every: bool, points=None, 
 def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP) -> int:
     """Minimum distance of the code whose full-rank generator has these columns.
 
-    Columns hold field's entries, as for _min_dependent_columns.  A
-    codeword hG is zero exactly on the columns in the hyperplane h^perp.
-    The zero columns of a minimum-weight codeword span a hyperplane: were
-    their span smaller, columns outside it would extend it to a hyperplane
-    holding more columns, the zeros of a lighter nonzero codeword.  That
-    hyperplane is span(S, j) for an independent (k-2)-subset S of its
-    columns, and it holds the columns in span(S), whose key modulo span(S)
-    is None, and those whose key is j's.  So d is the length less the most
-    columns in those two classes, over at most C(ncols, k-2) subsets S;
-    every column is keyed, so the walk carries them all.
-    With k = 1 the hyperplane is 0, and d counts the nonzero columns.
+    A codeword hG is zero exactly on the columns in the hyperplane h^perp,
+    and the zero columns of a minimum-weight codeword span a hyperplane
+    (were their span smaller, columns outside it would extend it to a
+    hyperplane holding more columns).  That hyperplane is span(S, j) for an
+    independent (k-2)-subset S of its columns, and it holds the columns
+    keyed None modulo span(S) and those keyed as j.  So d is the length
+    less the most columns in those two classes, over at most C(ncols, k-2)
+    subsets S.  With k = 1 the hyperplane is 0: d counts nonzero columns.
     """
     k = len(cols[0])
     if k == 1:
@@ -554,16 +512,12 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
     (_on_a_conic) answers 4 in place of depth 1; without one, depth 1 runs.
 
     From depth 2 on, each subset reached takes one step of the cap, on the
-    side with fewer subsets.  code, if given, is the null space of these
-    columns' matrix; when the C(ncols, k-2) subsets of its dimension k (1
-    for k = 1) are no more than the sum of C(ncols, t) over the depths
-    t = 2..h-2 left here, _hyperplane_distance answers from the columns of
-    its generator, which is built then if it was not before.  A code whose
-    generator walk has fewer subsets than depths 1..h-2 and fits under cap
-    never gets here: _dual_distance sends it to that side before depth 0.
-    This switch serves the codes left: a generator walk that may pass cap,
-    so that CapExceededError names the side that ran out, and one longer
-    than depths 1..h-2 but no longer than depths 2..h-2.
+    side with fewer subsets: code, if given, is the null space of these
+    columns' matrix, and when the C(ncols, k-2) subsets of its dimension k
+    are no more than those of depths 2..h-2, _hyperplane_distance answers
+    from its generator's columns.  (_dual_distance sends a code whose
+    generator walk is shorter than depths 1..h-2 and fits under cap there
+    before depth 0.)
     """
     ncols, h = len(cols), len(cols[0])
     budget, free = _budget(cap, "parity-check"), itertools.repeat(None)
@@ -598,23 +552,32 @@ def _on_a_conic(cols, field) -> bool:
     a line pair.  With lij = Pi x Pj the line through Pi and Pj, the conics
     through P1..P4 are the pencil spanned by l12 l34 and l13 l24, and the
     one through P5 is Q = l13(P5) l24(P5) l12 l34 - l12(P5) l34(P5) l13 l24.
-    Every other column must satisfy Q(x) = 0.  The test takes only + - * on
-    field's entries and no division, so it holds in every characteristic.
-    False is never wrong, only slower: the caller then walks depth 1.
+    Its coefficients q_ij on x_i x_j are found once, and every other column
+    must satisfy x0 (q00 x0 + q01 x1 + q02 x2) + x1 (q11 x1 + q12 x2) +
+    q22 x2^2 = 0: 9 products, the deepest expression the entry forms hold
+    unreduced.  Only + - *, no division, so it holds in every
+    characteristic.  False is never wrong, only slower: depth 1 then runs.
     """
     if len(cols) < 6 or _min_dependent_columns(cols[:5], field) != 4:
         return False
+    canon = field.canon
 
     def line(u, v):
-        return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+        return canon([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]])
 
     def at(h, x):
         return h[0] * x[0] + h[1] * x[1] + h[2] * x[2]
 
+    def times(h, g):  # h(x) g(x) on the monomials x_i x_j, i <= j
+        pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+        return [h[i] * g[i] if i == j else h[i] * g[j] + h[j] * g[i] for i, j in pairs]
+
     p1, p2, p3, p4, p5 = cols[:5]
     l12, l34, l13, l24 = line(p1, p2), line(p3, p4), line(p1, p3), line(p2, p4)
-    a, b = at(l13, p5) * at(l24, p5), at(l12, p5) * at(l34, p5)
-    return all(
-        field.is_zero(a * at(l12, x) * at(l34, x) - b * at(l13, x) * at(l24, x))
-        for x in cols[5:]
+    v13, v24, v12, v34 = canon([at(h, p5) for h in (l13, l24, l12, l34)])
+    a, b = canon([v13 * v24, v12 * v34])
+    q00, q01, q02, q11, q12, q22 = canon(
+        [a * u - b * w for u, w in zip(times(l12, l34), times(l13, l24))]
     )
+    return not any(canon([x0 * (q00 * x0 + q01 * x1 + q02 * x2) + x1 * (q11 * x1 + q12 * x2)
+                          + q22 * x2 * x2 for x0, x1, x2 in cols[5:]]))

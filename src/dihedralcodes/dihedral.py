@@ -15,7 +15,7 @@ import math
 
 from .errors import CharDividesOrderError, LengthMismatchError, MixedContextsError
 from .gf import FieldCtx, FieldElement
-from .linalg import MatrixGF
+from .linalg import MatrixGF, _entry_form
 
 
 class DihedralAlgebra:
@@ -138,20 +138,22 @@ class AlgebraElement:
         if isinstance(other, (FieldElement, int)):
             return self.scale(other)
         self._check(other)
-        n, z = self.n, self.ctx.zero()
-        halves = ([z] * n, [z] * n)  # (alpha, beta) of the product
+        n, form = self.n, _entry_form(self.ctx)
+        (xa, xb), (ya, yb) = ([form.entries(h) for h in (u.alpha, u.beta)] for u in (self, other))
+        z = form.entries([self.ctx.zero()])[0]
+        halves = ([z] * n, [z] * n)  # (alpha, beta) of the product, unreduced
         # a^i or b a^i times a^j or b a^j: reflected when exactly one factor
-        # is, at a^(j-i) when the right factor is reflected, else at a^(i+j)
-        for left, xs in enumerate((self.alpha, self.beta)):
-            for right, ys in enumerate((other.alpha, other.beta)):
-                out, sign = halves[left ^ right], -1 if right else 1
+        # is, at a^(j-i) when the right factor is reflected, else at a^(i+j):
+        # coordinate k gains x_i y_(k+s), s = i if reflected, else -i
+        for left, xs in enumerate((xa, xb)):
+            for right, ys in enumerate((ya, yb)):
+                out = halves[left ^ right]
                 for i, x in enumerate(xs):
                     if x:
-                        for j, y in enumerate(ys):
-                            if y:
-                                k = (j + sign * i) % n
-                                out[k] = out[k] + x * y
-        return AlgebraElement(self.algebra, tuple(halves[0]), tuple(halves[1]))
+                        s = i if right else -i % n
+                        out[:] = [a + x * y for a, y in zip(out, ys[s:] + ys[:s])]
+        alpha, beta = (tuple(form.elements(form.canon(h))) for h in halves)
+        return AlgebraElement(self.algebra, alpha, beta)
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):

@@ -351,11 +351,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        if ctx.m == 1:
-            return FieldElement(ctx, ((self.coeffs[0] + o.coeffs[0]) % ctx.p,))
-        p = ctx.p
-        return FieldElement(ctx, tuple([(a + b) % p for a, b in zip(self.coeffs, o.coeffs)]))
+        p = self.ctx.p
+        return FieldElement(self.ctx, tuple([(a + b) % p for a, b in zip(self.coeffs, o.coeffs)]))
 
     __radd__ = __add__
 
@@ -363,11 +360,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        if ctx.m == 1:
-            return FieldElement(ctx, ((self.coeffs[0] - o.coeffs[0]) % ctx.p,))
-        p = ctx.p
-        return FieldElement(ctx, tuple([(a - b) % p for a, b in zip(self.coeffs, o.coeffs)]))
+        p = self.ctx.p
+        return FieldElement(self.ctx, tuple([(a - b) % p for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -376,11 +370,8 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        ctx = self.ctx
-        if ctx.m == 1:
-            return FieldElement(ctx, (-self.coeffs[0] % ctx.p,))
-        p = ctx.p
-        return FieldElement(ctx, tuple([-a % p for a in self.coeffs]))
+        p = self.ctx.p
+        return FieldElement(self.ctx, tuple([-a % p for a in self.coeffs]))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -589,21 +580,24 @@ def parse_element(ctx: FieldCtx, s: str) -> FieldElement:
 # prime-field expansion (the exhaustive engine's integer input)
 
 
-def prime_expansion(vec) -> list[list[int]]:
+def prime_expansion(vec, ctx: FieldCtx | None = None) -> list[list[int]]:
     """The m vectors x^j * vec (0 <= j < m) over GF(p), as plain ints.
 
-    vec is a row of GF(p^m) entries in a matrix's entry form: FieldElements,
-    or over GF(p) residues mod p.  Coefficient t of entry i lands at index
-    t * len(vec) + i.  Vectors over GF(p^m) have rank r exactly when their
-    expansions span a GF(p)-space of dimension m * r, so rank and span
-    questions need only arithmetic mod p; codes._exhaustive_distance
-    enumerates codewords on these ints.  Over GF(p) the one plane, x^0, is
-    the residue row itself, so nothing is multiplied.
+    vec is a row of FieldElements, or, given their field ctx, of their
+    coefficient lists (a matrix's form.coeffs).  Coefficient t of entry i
+    lands at index t * len(vec) + i.  Vectors over GF(p^m) have rank r
+    exactly when their expansions span a GF(p)-space of dimension m * r, so
+    codes._exhaustive_distance enumerates codewords on these ints.  Over
+    GF(p^2), x (a + b x) = -c0 b + (a - c1 b) x for the modulus
+    x^2 + c1 x + c0; from m = 3 on, FieldElements multiply.
     """
-    vec = list(vec)
-    if not isinstance(vec[0], FieldElement):
-        return [vec]
-    ctx = vec[0].ctx
-    # x^j (j < m) is the element of index p^j
-    shifted = [vec] + [[ctx.from_index(ctx.p**j) * e for e in vec] for j in range(1, ctx.m)]
-    return [[e.coeffs[t] for t in range(ctx.m) for e in row] for row in shifted]
+    if ctx is None:
+        ctx, vec = vec[0].ctx, [e.coeffs for e in vec]
+    p, m = ctx.p, ctx.m
+    if m == 2:
+        c0, c1, _ = ctx.modulus
+        vec = [vec, [(-c0 * b % p, (a - c1 * b) % p) for a, b in vec]]
+    else:
+        vec = [vec] + [[(ctx.from_index(p**j) * FieldElement(ctx, tuple(c))).coeffs for c in vec]
+                       for j in range(1, m)]
+    return [[c[t] for t in range(m) for c in row] for row in vec]

@@ -3,11 +3,11 @@
 Gaussian elimination with first-nonzero pivoting; no floating point, no
 sparsity.  Matrices are plain values: every operation returns a new matrix.
 A matrix holds its rows in its field's entry form (_entry_form), the form
-the dual walk keeps its columns in too: residues mod p over GF(p)
-(_Residues), FieldElements over GF(p^m) (_Elements).  Elimination is
-written once, on either form.  FieldElements are the API view: data,
-m[i, j], row(i), text() and to_json() build them on access, and the
-constructors take them, refusing entries from another field.
+the dual walk keeps its columns in too: integers over GF(p) (_Residues) and
+GF(p^2) (_Packed), FieldElements from GF(p^3) on (_Elements).  Elimination
+is written once, on any form's submul and point.  FieldElements are the API
+view: data, m[i, j], row(i), text() and to_json() build them on access, and
+the constructors take them, refusing entries from another field.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class MatrixGF:
             for i in range(self.rows):
                 f = data[i][c]
                 if i != r and f:
-                    data[i] = form.canon([a - f * b for a, b in zip(data[i], v)])
+                    data[i] = form.submul(data[i], f, v)
             pivots.append(c)
             if len(pivots) == self.rows:
                 break
@@ -178,15 +178,16 @@ def null_rows(R: MatrixGF, pivots) -> list[list]:
     the parity check [-A^T | I]; the rows are the identity on R's free
     columns and are not otherwise reduced.
     """
-    pivot_set = set(pivots)
+    pivot_set, r = set(pivots), len(pivots)
     z, o = R.form.entries([R.ctx.zero(), R.ctx.one()])
+    free = [f for f in range(R.cols) if f not in pivot_set]
+    # the free columns of R, negated by one submul: 0 - 1 R[i][f]
+    minus = R.form.submul([z] * (len(free) * r), o, [row[f] for f in free for row in R.entries[:r]])
     rows = []
-    for f in range(R.cols):
-        if f in pivot_set:
-            continue
+    for i, f in enumerate(free):
         v = [z] * R.cols
         v[f] = o
-        for pc, e in zip(pivots, R.form.canon([-r[f] for r in R.entries[: len(pivots)]])):
+        for pc, e in zip(pivots, minus[i * r:(i + 1) * r]):
             v[pc] = e
         rows.append(v)
     return rows
@@ -222,8 +223,36 @@ def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:
 
 
 def _entry_form(ctx: FieldCtx):
-    """The form ctx's entries are held in: residues over GF(p), else elements."""
-    return _Residues(ctx) if ctx.m == 1 else _Elements()
+    """The form ctx's entries are held in: residues over GF(p), packed pairs
+    over GF(p^2), else elements."""
+    if ctx.m == 1:
+        return _Residues(ctx)
+    return _Packed(ctx) if ctx.m == 2 else _Elements()
+
+
+def _inverses(xs, p: int) -> list[int]:
+    """x^-1 mod p for each residue x in xs, 0 for x = 0, by one pow:
+    Montgomery's batch inversion, 1/x_k = (x_0 ... x_(k-1)) / (x_0 ... x_k)."""
+    prefix, acc = [], 1
+    for x in xs:
+        prefix.append(acc)
+        if x:
+            acc = acc * x % p
+    inv, out = pow(acc, -1, p), [0] * len(xs)
+    for k in range(len(xs) - 1, -1, -1):
+        if xs[k]:
+            out[k] = inv * prefix[k] % p
+            inv = inv * xs[k] % p
+    return out
+
+
+def _reduce(form, c, vs, keys=False):
+    """Each v less v[lead] c, off c's lead, for c given as its point; with
+    keys, their points (form.points).  _Packed and _Elements reduce so;
+    _Residues fuses the two-coordinate keys into one pass."""
+    lead, *tail = c
+    out = [v[:lead] + form.submul(v[lead + 1:], v[lead], tail) for v in vs]
+    return form.points(out) if keys else out
 
 
 class _Residues:
@@ -250,6 +279,11 @@ class _Residues:
         """Whether a, an integer built from entries by + - *, is 0 in GF(p)."""
         return a % self.p == 0
 
+    def submul(self, xs, f, ys) -> list[int]:
+        """xs - f ys, entrywise."""
+        p = self.p
+        return [(a - f * b) % p for a, b in zip(xs, ys)]
+
     def point(self, v):
         """v's projective point: its lead (first nonzero index) and v/v[lead]
         past it; None for v = 0."""
@@ -259,6 +293,9 @@ class _Residues:
                 inv = pow(a, -1, p)
                 return lead, *[b * inv % p for b in v[lead + 1:]]
         return None
+
+    def points(self, vs):
+        return [self.point(v) for v in vs]
 
     def reduce(self, c, vs, keys=False):
         """Each v less v[lead] c, off c's lead, for c given as its point; with
@@ -292,6 +329,89 @@ class _Residues:
         return [self.point(v) for v in out] if keys else out
 
 
+class _Packed:
+    """GF(p^2) entries a + b t, for the modulus t^2 + c1 t + c0, as the
+    integers a + b X, X = 2^w, canonical with 0 <= a, b < p.
+
+    + - * act on them as on polynomials in X, exact and unreduced until
+    canon reads the signed slots s0..s3 (biased by a multiple of p near
+    2^(w-1) each) and folds t^2 = -c1 t - c0 and t^3 = (c1^2 - c0) t + c0 c1
+    back in.  w holds the deepest expression the library forms, a cubic
+    (_on_a_conic, under 2^(3 bits(p) + 5)), and sums of under 2^32
+    products.  submul, point and reduce work on the pairs in closed form,
+    inverting by the norm map (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        p, (c0, c1, _), bits = ctx.p, ctx.modulus, ctx.p.bit_length()
+        self.ctx, self.p, self.c0, self.c1 = ctx, p, c0, c1
+        self.w = w = max(3 * bits + 7, 2 * bits + 35)
+        self.mask = (1 << w) - 1
+        self.bias = (1 << w - 1) // p * p * (1 + (1 << w) + (1 << 2 * w))
+
+    def entries(self, elements) -> list[int]:
+        w = self.w
+        return [a | b << w for a, b in (e.coeffs for e in elements)]
+
+    def elements(self, entries) -> list[FieldElement]:
+        ctx, m, w = self.ctx, self.mask, self.w
+        return [FieldElement(ctx, (e & m, e >> w)) for e in entries]
+
+    def coeffs(self, entries) -> list[list[int]]:
+        m, w = self.mask, self.w
+        return [[e & m, e >> w] if e else [0, 0] for e in entries]
+
+    def canon(self, values) -> list[int]:
+        p, c0, c1, w, m, bias = self.p, self.c0, self.c1, self.w, self.mask, self.bias
+        c01, c11, w2 = c0 * c1, c1 * c1 - c0, 2 * w
+        out = []
+        for e in values:
+            e += bias
+            s2, s3 = e >> w2 & m, e >> w2 + w
+            out.append(((e & m) - c0 * s2 + c01 * s3) % p
+                       | ((e >> w & m) - c1 * s2 + c11 * s3) % p << w)
+        return out
+
+    def is_zero(self, a) -> bool:
+        return not self.canon([a])[0]
+
+    def submul(self, xs, f, ys) -> list[int]:
+        # f b = (f0 b0 - g0 b1) + (f1 b0 + g1 b1) t, g0 = f1 c0, g1 = f0 - f1 c1
+        p, w, m = self.p, self.w, self.mask
+        f0, f1 = f & m, f >> w
+        g0, g1 = f1 * self.c0, f0 - f1 * self.c1
+        return [((a & m) - f0 * (b & m) + g0 * (b >> w)) % p
+                | ((a >> w) - f1 * (b & m) - g1 * (b >> w)) % p << w for a, b in zip(xs, ys)]
+
+    def point(self, v):
+        return self.points([v])[0]
+
+    def points(self, vs):
+        """The point of each v, by one batched inversion of their leads' norms."""
+        p, c0, c1, w, m = self.p, self.c0, self.c1, self.w, self.mask
+        leads, norms = [], []
+        for v in vs:
+            lead = 0
+            while lead < len(v) and not v[lead]:
+                lead += 1
+            a0, a1 = (v[lead] & m, v[lead] >> w) if lead < len(v) else (0, 0)
+            leads.append(lead)
+            norms.append((a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0) % p)
+        out = []
+        for v, lead, n in zip(vs, leads, _inverses(norms, p)):
+            if not n:
+                out.append(None)
+                continue
+            a0, a1 = v[lead] & m, v[lead] >> w
+            f0, f1 = (a0 - a1 * c1) * n % p, -a1 * n % p  # 1/a, as submul multiplies
+            g0, g1 = f1 * c0, f0 - f1 * c1
+            out.append((lead, *[(f0 * (b & m) - g0 * (b >> w)) % p
+                                | (f1 * (b & m) + g1 * (b >> w)) % p << w for b in v[lead + 1:]]))
+        return out
+
+    reduce = _reduce
+
+
 class _Elements:
     """GF(p^m) entries as FieldElements, with their own arithmetic."""
 
@@ -306,20 +426,20 @@ class _Elements:
     def canon(self, values) -> list[FieldElement]:  # already canonical
         return values
 
+    def submul(self, xs, f, ys) -> list[FieldElement]:
+        return [a - f * b for a, b in zip(xs, ys)]
+
     def is_zero(self, a) -> bool:
         return not a
 
     def point(self, v):
-        """v's projective point: its lead and v/v[lead] past it; None for v = 0."""
         for lead, a in enumerate(v):
             if a:
                 inv = a.inverse()
                 return lead, *[b * inv for b in v[lead + 1:]]
         return None
 
-    def reduce(self, c, vs, keys=False):
-        """Each v less v[lead] c, off c's lead, for c given as its point; with
-        keys, their points instead."""
-        lead, *tail = c
-        out = [v[:lead] + [b - v[lead] * a for a, b in zip(tail, v[lead + 1:])] for v in vs]
-        return [self.point(v) for v in out] if keys else out
+    def points(self, vs):
+        return [self.point(v) for v in vs]
+
+    reduce = _reduce

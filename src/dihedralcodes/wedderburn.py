@@ -26,6 +26,7 @@ else the null space of its 2n - dim constraint rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .dihedral import AlgebraElement, DihedralAlgebra
@@ -86,11 +87,13 @@ class WedderburnTuple:
 _BLOCK_LAYOUT = ((0, 1), (1, -1), (1, 1), (0, -1))
 
 
+@functools.lru_cache(maxsize=8)
 def _xi_entries(ctx: FieldCtx, n: int):
     """ctx's entry form (linalg._entry_form), xi^0 .. xi^(n-1) in it, and
-    its 0, 1 and -1."""
+    its 0, 1 and -1, as tuples: kept for the last few (field, n), since
+    every code of one (field, n) reads the same powers."""
     form, units = _entry_form(ctx), [ctx.zero(), ctx.one(), -ctx.one()]
-    return form, form.entries(_xi_powers(ctx, n)), form.entries(units)
+    return form, tuple(form.entries(_xi_powers(ctx, n))), tuple(form.entries(units))
 
 
 def _dft(form, xi_pows, v, z, sign=1):
@@ -254,9 +257,9 @@ def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
         elif s.kind == ROW:  # y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
             # a11 = (xi^(ij) | 0) and a12 = (0 | xi^(-ij)); a21, a22 swap the halves
             a11, a12, _, _ = _summand_forms(xi_pows, j, units)
-            y, minus_x = form.entries([s.y, -s.x])
-            ya = form.canon([y * u for u in a11[:n]])
-            xb = form.canon([minus_x * w for w in a12[n:]])
+            minus_y, x = form.entries([-s.y, s.x])
+            ya = form.submul([units[0]] * n, minus_y, a11[:n])
+            xb = form.submul([units[0]] * n, x, a12[n:])
             out += [ya + xb, xb + ya]
     return out
 

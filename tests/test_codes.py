@@ -974,7 +974,7 @@ def test_carried_walk_matches_subset_oracle():
     # at h >= 5 rows the parity-check walk runs to depth 2 and beyond, and a
     # k >= 5 generator's hyperplane walk to depth k - 2 >= 3, each level
     # handing its reduced columns down; the oracle ranks column subsets.
-    # Each field's walk runs on residues (GF(13)) or FieldElements (GF(9),
+    # Each field's walk runs on residues (GF(13)) or packed pairs (GF(9),
     # GF(25)).
     from itertools import combinations
 
@@ -1015,7 +1015,7 @@ def test_carried_walk_matches_subset_oracle():
     # walk to depth 2 or deeper (w >= 4)
     assert depths == {(q, t) for q in (13, 9, 25) for t in (-1, 0, 1, 2)}
     assert hyperplanes >= 12
-    assert forms == {(13, "_Residues"), (9, "_Elements"), (25, "_Elements")}
+    assert forms == {(13, "_Residues"), (9, "_Packed"), (25, "_Packed")}
 
 
 # ---------------------------------------------------------------------------
@@ -1089,6 +1089,22 @@ def test_conic_certificate_matches_walk_and_subset_oracle(monkeypatch):
                     assert _min_dependent_columns(cols, field) == d
     assert {(q, "conic", True) for q in (8, 9, 13, 25)} <= taken
     assert (4, "conic", False) in taken
+
+
+def test_conic_certificate_refuses_a_sixth_column_off_the_conic():
+    # five points (1, t, t^2) of the conic y^2 = xz fix it; a sixth column
+    # off it is refused, after the five or after a sixth on it, on every
+    # entry form: residues, packed pairs, and FieldElements over GF(2^3)
+    from dihedralcodes.codes import _entry_form, _on_a_conic
+
+    for ctx in (GF13, GF25, GF8, make_field(13, [2, 0, 1]), make_field(2003, [1, 0, 1])):
+        field = _entry_form(ctx)
+        ts = [ctx.from_index(i) for i in range(1, 8)]
+        on = [[ctx.one(), t, t * t] for t in ts]
+        off = [ctx.one(), ts[0], ts[0] * ts[0] + ctx.one()]
+        assert _on_a_conic([field.entries(c) for c in on], field)
+        for cols in (on[:5] + [off], on[:6] + [off], on[:5] + [off] + on[5:]):
+            assert not _on_a_conic([field.entries(c) for c in cols], field)
 
 
 def test_paper_2n_minus_3_codes_take_the_conic_certificate(monkeypatch):

@@ -61,6 +61,22 @@ def test_multiplication_table_against_group_law():
                     assert product == D6.monomial(rz, k)
 
 
+def test_product_matches_the_monomial_expansion():
+    # u v = sum over monomials g, h of u_g v_h (g h), summed in FieldElements;
+    # the product runs on each field's entry form: residues, packed pairs over
+    # GF(13^2), FieldElements over GF(3^3); n = 4 is even
+    rng = random.Random(7)
+    for ctx, n in ((GF13, 4), (make_field(13, [2, 0, 1]), 5), (make_field(3, [1, 2, 0, 1]), 5)):
+        alg = DihedralAlgebra(ctx, n)
+        for _ in range(3):
+            u, v = alg.random_element(rng), alg.random_element(rng)
+            want = alg.zero()
+            for g, x in zip(alg.monomials(), u.phi()):
+                for h, y in zip(alg.monomials(), v.phi()):
+                    want = want + (g * h).scale(x * y)
+            assert u * v == want
+
+
 def test_associativity_and_identity_random():
     rng = random.Random(0)
     for _ in range(40):

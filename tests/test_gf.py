@@ -510,6 +510,7 @@ def test_prime_expansion_matches_element_ops():
         vec = [ctx.random_element(rng) for _ in range(6)]
         expansion = prime_expansion(vec)
         assert len(expansion) == ctx.m
+        assert prime_expansion([e.to_list() for e in vec], ctx) == expansion
         for j, plane_laid in enumerate(expansion):
             for i, e in enumerate(vec):
                 coeffs = (e * x**j).coeffs

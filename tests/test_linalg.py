@@ -4,7 +4,7 @@ import pytest
 
 from dihedralcodes.errors import DuplicateIndexError, MixedContextsError
 from dihedralcodes.gf import FieldElement, make_field
-from dihedralcodes.linalg import MatrixGF, _Residues, null_rows
+from dihedralcodes.linalg import MatrixGF, _Packed, _Residues, null_rows
 from rank_oracle import columns_rank, row_space_contains
 
 GF13 = make_field(13, [0, 1])
@@ -39,10 +39,11 @@ def test_rref_of_rref_inverts_nothing(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("inverse called on a matrix already in RREF")
 
-    # GF(25) rows are FieldElements; GF(13) rows are residues, scaled by the
-    # form's point, which inverts their lead
+    # GF(13) rows are residues and GF(25) rows packed pairs, each scaled by
+    # its form's point, which inverts their lead
     monkeypatch.setattr(FieldElement, "inverse", refuse)
     monkeypatch.setattr(_Residues, "point", refuse)
+    monkeypatch.setattr(_Packed, "point", refuse)
     for m in reduced:
         assert m.rref()[0] == m
 

@@ -452,3 +452,107 @@ def test_span_side_and_constraint_side_give_one_rref(alg_spec):
     assert len(span) == rank == spec.dim()
     assert R == kernel_rref(ctx, _constraint_rows(ctx, n, spec), 2 * n)[0]
     assert code_from_ideal_spec(ctx, n, spec) == R
+
+
+# ---------------------------------------------------------------------------
+# the GF(p^2) entry form against FieldElement arithmetic
+
+PACKED_FIELDS = (
+    make_field(2, [1, 1, 1]),  # p = 2, and c1 != 0
+    make_field(3, [1, 0, 1]),
+    make_field(5, [2, 0, 1]),
+    make_field(7, [3, 1, 1]),  # a linear term
+    make_field(13, [2, 0, 1]),
+    make_field(2003, [1, 0, 1]),
+    make_field(2**31 - 1, [1, 0, 1]),
+)
+
+
+def field_elements(ctx, size):
+    pair = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    return st.lists(pair.map(lambda c: ctx.element(list(c))), min_size=size, max_size=size)
+
+
+@st.composite
+def packed_cases(draw, size):
+    """A field of PACKED_FIELDS, its entry form, and size of its elements,
+    zero and small ones drawn often."""
+    ctx = draw(st.sampled_from(PACKED_FIELDS))
+    small = st.sampled_from([ctx.zero(), ctx.one(), -ctx.one(), ctx.element([0, 1])])
+    els = [draw(st.one_of(small, field_elements(ctx, 1).map(lambda v: v[0]))) for _ in range(size)]
+    return ctx, _entry_form(ctx), els
+
+
+# expressions in + - * as the library forms them, each on 9 values
+EXPRESSIONS = (
+    lambda a, b, c, d, e, f, g, h, i: a - f * b,  # elimination
+    lambda a, b, c, d, e, f, g, h, i: -a,  # null_rows
+    lambda a, b, c, d, e, f, g, h, i: a * b - c * d,  # a line through two points
+    lambda a, b, c, d, e, f, g, h, i: a * (b * c + d * e) - f * (g * h + i * i),  # a conic's coefficient
+    lambda a, b, c, d, e, f, g, h, i: a * (d * a + e * b + f * c) + b * (g * b + h * c) + i * c * c,
+    lambda a, b, c, d, e, f, g, h, i: -(a * b * c) - d * e * f - g * h * i,
+    lambda a, b, c, d, e, f, g, h, i: (a * b + c * d + e * f + g * h) * 64 - i * i * 255,  # long sums
+)
+
+
+@PROPERTY
+@given(packed_cases(9), st.integers(0, len(EXPRESSIONS) - 1))
+def test_packed_form_canon_and_is_zero_match_field_elements(case, k):
+    ctx, form, els = case
+    assert type(form).__name__ == "_Packed"
+    entries = form.entries(els)
+    assert form.elements(entries) == els
+    assert form.coeffs(entries) == [e.to_list() for e in els]
+    assert all(0 <= c < ctx.p for pair in form.coeffs(entries) for c in pair)
+    want = EXPRESSIONS[k](*els)
+    got = EXPRESSIONS[k](*entries)  # unreduced
+    assert form.elements(form.canon([got])) == [want]
+    assert form.is_zero(got) == (not want)
+    assert form.is_zero(got - form.canon([got])[0])
+    # submul, the closed form of a - f b
+    a, f, b = entries[:3]
+    assert form.elements(form.submul([a], f, [b])) == [els[0] - els[1] * els[2]]
+
+
+@PROPERTY
+@given(packed_cases(4))
+def test_packed_form_point_matches_field_elements(case):
+    ctx, form, v = case
+    point = form.point(form.entries(v))
+    lead = next((i for i, e in enumerate(v) if e), None)
+    if lead is None:
+        assert point is None
+    else:
+        inv = v[lead].inverse()
+        assert point == (lead, *form.entries([e * inv for e in v[lead + 1:]]))
+
+
+@PROPERTY
+@given(packed_cases(3), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6),
+       st.integers(2, 4))
+def test_packed_form_reduce_matches_field_elements(case, picks, length):
+    ctx, form, seed = case
+    pool = seed + [ctx.element([3, 1]), ctx.zero(), ctx.one()]
+    u = (pool * 2)[:length]
+    assume(any(u))
+    c = form.point(form.entries(u))
+    lead, unit = c[0], [ctx.zero()] * c[0] + [ctx.one(), *form.elements(c[1:])]
+    # vs: drawn vectors, a multiple of u (x = y = 0), and, with two
+    # coordinates left, one with x = 0 and y != 0
+    vs = [[pool[(i + k) % len(pool)] * pool[(j + k) % len(pool)] for k in range(length)]
+          for i, j in picks]
+    vs.append([pool[0] * e for e in u])
+    if length == 3:
+        s, t = [k for k in range(3) if k != lead]
+        v = [ctx.zero()] * 3
+        v[lead], v[s], v[t] = ctx.one(), unit[s], unit[t] + ctx.one()
+        vs.append(v)
+    less = [[v[k] - v[lead] * unit[k] for k in range(length) if k != lead] for v in vs]
+    out = form.reduce(c, [form.entries(v) for v in vs])
+    assert [form.elements(r) for r in out] == less
+    keys = form.reduce(c, [form.entries(v) for v in vs], keys=True)
+    assert keys == [form.point(form.entries(r)) for r in less]
+    if length == 3:  # two coordinates (x, y) left: the key is y/x, by one batched inversion
+        want = [(0, *form.entries([y / x])) if x else ((1,) if y else None) for x, y in less]
+        assert keys == want
+        assert None in keys and (1,) in keys
