@@ -26,8 +26,10 @@ off P's forms (wedderburn._summand_forms) on that form.
 
 Minimum distance is computed two independent ways, both exact, with no
 limit on q: exhaustive enumeration, in numpy, of one codeword per
-GF(q)-line on the generator rows' prime-field expansions
-(gf.prime_expansion), gated at q^k - 1 <= cap; and the dual engine, the
+GF(q)-line, gated at q^k - 1 <= cap, which forms only the RREF
+generator's free columns, on their prime-field expansions
+(gf.prime_expansion), and counts the pivot columns as the word's nonzero
+message coefficients; and the dual engine, the
 least number of dependent columns of H by one depth-first walk over
 independent column subsets (_min_dependent_columns), or, for a low-rate
 code, the most generator columns on one hyperplane (_hyperplane_distance),
@@ -165,13 +167,14 @@ class LinearCode:
 
         method "exhaustive" enumerates one codeword per GF(q)-line,
         (q^k-1)/(q-1) in all, since a word's nonzero multiples share its
-        weight (still requires q^k - 1 <= cap).  "dual" visits at most cap
-        column subsets, on one side (_dual_distance): the least number of
-        dependent parity-check columns (_min_dependent_columns, whose depths
-        0 and 1, w <= 3, are free), or the length less the most generator
-        columns on one hyperplane (_hyperplane_distance).  "auto" picks
-        exhaustive when it fits under the cap.  A negative or bool cap is
-        refused, whatever the method.
+        weight (still requires q^k - 1 <= cap); it forms each word on the
+        free columns only, as a word is its message on the pivots.  "dual"
+        visits at most cap column subsets, on one side (_dual_distance): the
+        least number of dependent parity-check columns
+        (_min_dependent_columns, whose depths 0 and 1, w <= 3, are free), or
+        the length less the most generator columns on one hyperplane
+        (_hyperplane_distance).  "auto" picks exhaustive when it fits under
+        the cap.  A negative or bool cap is refused, whatever the method.
         """
         if not _is_int(cap) or cap < 0:
             raise ValueError(f"cap must be a count >= 0, got {cap}")
@@ -183,7 +186,7 @@ class LinearCode:
             raise ValueError(f"unknown distance method {method!r}")
         if method not in self._distance:
             if method == "exhaustive":
-                self._distance[method] = _exhaustive_distance(self.generator, cap)
+                self._distance[method] = _exhaustive_distance(self.generator, cap, self.pivots)
             else:
                 self._distance[method] = _dual_distance(self, cap)
         return self._distance[method]
@@ -348,12 +351,18 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
 # distance engines
 
 
-def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
+def _exhaustive_distance(gen: MatrixGF, cap: int, pivots: list[int]) -> int:
     """Least weight over one nonzero codeword per GF(q)-line, in numpy.
 
     A codeword and its q - 1 nonzero multiples have one weight, so only
     the words whose first nonzero row coefficient is 1 are enumerated:
     (q^k - 1)/(q - 1) of them.  The gate stays q^k - 1 <= cap.
+
+    gen is in RREF with these pivot columns, so a word u gen is u itself
+    on them and weighs wt(u) + wt(u A), A the free columns
+    (MacWilliams-Sloane, ch. 1).  Only the free columns are enumerated, on
+    the rows' prime-field expansions (gf.prime_expansion); each word's
+    count of nonzero coefficients rides along with it.
 
     numpy is imported here, on the first call, and nowhere else in the
     library: construction and the dual engine run on Python ints alone.
@@ -361,31 +370,50 @@ def _exhaustive_distance(gen: MatrixGF, cap: int) -> int:
     import numpy as np
 
     ctx = gen.ctx
-    p, m, ncols = ctx.p, ctx.m, gen.cols
+    p, m = ctx.p, ctx.m
     count = ctx.q**gen.rows - 1
     if count > cap:
         raise CapExceededError(f"q^k - 1 = {count} exceeds cap = {cap}")
     if (p - 1) ** 2 >= 2**63:
         raise CapExceededError(f"exhaustive search needs (p-1)^2 < 2^63, got p = {p}")
-    scalars = np.arange(p, dtype=np.int64)[:, None]
-    dtype = np.uint16 if p <= 2**15 else np.int64  # holds a sum of two residues
+    taken = set(pivots)
+    free = [c for c in range(gen.cols) if c not in taken]
+    if not free:  # k = length: the code is the whole space
+        return 1
+    # the multiples 0..p-1 of a vector, which a single row (k = 1) never takes
+    f, scalars = len(free), np.arange(p if gen.rows > 1 else 0, dtype=np.int64)
+    dtype = np.uint16 if p <= 2**15 else np.uint64  # holds a sum of two residues
+    wtype = np.min_scalar_type(gen.cols)  # holds any weight
+
+    def fold(span, v):  # word w, multiple s of v -> word s * words + w
+        multiples = (v[:, None] * scalars % p).astype(dtype)
+        span = np.add(span[:, None, :], multiples[:, :, None]).reshape(m * f, -1)
+        # a sum s of two residues is below 2p; unsigned, s - p wraps past s when s < p
+        return np.minimum(span, span - dtype(p), out=span)
+
     # lead row i, from the last up: its words are row i (expansion 0, coefficient 1)
-    # plus each word of span, the GF(p)-span of the expansions of rows i+1..k-1
-    span, below, best = np.zeros((1, m * ncols), dtype=dtype), [], ncols
-    for expansion in reversed([prime_expansion(gen.form.coeffs(r), ctx) for r in gen.entries]):
-        for v in below:
-            multiples = (scalars * v % p).astype(dtype)
-            span = np.add(span[:, None, :], multiples[None, :, :]).reshape(-1, m * ncols)
-            np.remainder(span, p, out=span)
-        below = expansion
-        # row + s is zero exactly where s == -row mod p, so the sums are never
-        # formed; an entry of GF(q) is nonzero when any of its m planes is
-        negated = (-np.array(below[0], dtype=np.int64) % p).astype(dtype)
-        a, b = span.reshape(-1, m, ncols), negated.reshape(m, ncols)
-        nonzero = a[:, 0] != b[0]
+    # plus each word of the GF(p)-span of the expansions of rows i+1..k-1.  span is
+    # that span without its last vector, unfolded[-1], held plane-major (entry
+    # t * f + c is plane t of free column c), one word per column; cw counts each
+    # word's nonzero row coefficients, its weight on the pivot columns
+    span, cw, unfolded, best = np.zeros((m * f, 1), dtype=dtype), np.zeros(1, dtype=wtype), [], gen.cols
+    for row in reversed(gen.entries):
+        expansion = np.array(prime_expansion(gen.form.coeffs([row[c] for c in free]), ctx))
+        # row + w + s last is zero exactly where w == -row - s last mod p, so the
+        # sums are never formed; a GF(q) entry is nonzero when any of its m planes is
+        targets = (-expansion[0] % p)[:, None]
+        if unfolded:
+            for v in unfolded[:-1]:
+                span = fold(span, v)
+            # combination 0 of row i+1's m expansions, and only it, is its coefficient 0
+            cw = np.add((np.arange(p**m) != 0)[:, None], cw, dtype=wtype).reshape(-1)
+            targets = (targets - unfolded[-1][:, None] * scalars) % p
+        planes, targets = span.reshape(m, f, 1, -1), targets.astype(dtype).reshape(m, f, -1, 1)
+        nonzero = planes[0] != targets[0]
         for t in range(1, m):
-            nonzero |= a[:, t] != b[t]
-        best = min(best, int(np.count_nonzero(nonzero, axis=1).min()))
+            nonzero |= planes[t] != targets[t]
+        best = min(best, 1 + int((cw + nonzero.sum(axis=0, dtype=wtype).reshape(-1)).min()))
+        unfolded = unfolded[-1:] + list(expansion)
     return best
 
 

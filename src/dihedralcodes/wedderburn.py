@@ -207,6 +207,15 @@ def row(x, y) -> Summand:
     return Summand(ROW, ctx.zero(), ctx.one())
 
 
+def _canonical_row(s: Summand) -> bool:
+    """Whether row summand s is (1, y) or (0, 1) over one field, as row() gives it."""
+    x, y = s.x, s.y
+    if not (isinstance(x, FieldElement) and isinstance(y, FieldElement) and x.ctx == y.ctx):
+        return False
+    one = x.ctx.one()
+    return x == one or (not x and y == one)
+
+
 # the kinds allowed at position 0 and at a block, with their dimensions
 _DIMS_POSITION0 = {FULL: 2, ZERO: 0, PLUS_PIECE: 1, MINUS_PIECE: 1}
 _DIMS_BLOCK = {FULL: 4, ZERO: 0, ROW: 2}
@@ -229,8 +238,10 @@ class IdealSpec:
             if s.kind not in _DIMS_BLOCK:
                 raise InvalidRowSpecError(f"summand kind {s.kind!r} not allowed at a matrix block")
         # Summand is public: a row summand built by hand is checked and
-        # canonicalized as row() does, so its entries are elements of one field
-        summands = tuple(row(s.x, s.y) if s.kind == ROW else s for s in self.summands)
+        # canonicalized as row() does, so its entries are elements of one field;
+        # one row() returned is passed as it is, with no division
+        summands = tuple(row(s.x, s.y) if s.kind == ROW and not _canonical_row(s) else s
+                         for s in self.summands)
         object.__setattr__(self, "summands", summands)
 
     def dim(self) -> int:

@@ -458,6 +458,64 @@ def test_exhaustive_finds_a_minimum_led_by_the_last_row(ctx):
     assert code.min_distance("exhaustive") == 1
 
 
+# exhaustive search forms the free columns alone and counts the pivot
+# columns from each word's message; these codes reach its edges
+
+
+def test_exhaustive_counts_weights_above_255():
+    # the [300,1,300] repetition code and a [300,2,225] code over GF(3)
+    GF3 = make_field(3, [0, 1])
+    repetition = LinearCode.from_generator_rows(GF3, [[1] * 300])
+    assert repetition.min_distance("exhaustive") == 300
+    assert min(brute_force_lead_weights(repetition).values()) == 300
+    # columns (1,0), (0,1), (1,1), (1,2), 75 times each: each nonzero word
+    # vanishes on exactly one of the four
+    code = LinearCode.from_generator_rows(GF3, [[1, 0, 1, 1] * 75, [0, 1, 1, 2] * 75])
+    assert code.min_distance("exhaustive") == code.min_distance("dual") == 225
+    assert min(brute_force_lead_weights(code).values()) == 225
+
+
+@pytest.mark.parametrize("p", [32749, 65537], ids=["uint16-top", "uint64"])
+def test_exhaustive_on_large_primes(p):
+    # p = 32749 puts the sums of two residues near 2^16; p = 65537 takes the
+    # uint64 dtype.  q^2 - 1 words pass a raised cap, (q^2 - 1)/(q - 1) are formed
+    ctx = make_field(p, [0, 1])
+    rows = [[1, 0, 5, p - 1, 3, 0], [0, 1, 7, 2, p - 2, 0]]  # no two columns proportional
+    code = LinearCode.from_generator_rows(ctx, rows)
+    assert code.min_distance("exhaustive", cap=p * p) == code.min_distance("dual") == 4
+    rs = LinearCode.from_generator_rows(ctx, [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]])  # [5,2,4]
+    assert rs.min_distance("exhaustive", cap=p * p) == rs.min_distance("dual") == 4
+
+
+@pytest.mark.parametrize(
+    "ctx", [make_field(3, [1, 2, 0, 1]), GF8], ids=lambda ctx: f"GF({ctx.q})"
+)
+def test_exhaustive_matches_brute_force_at_degree_three(ctx):
+    rng = random.Random(ctx.q)
+    for k in (1, 2, 3 if ctx.q == 8 else 2):
+        for _ in range(3):
+            rows = [[ctx.random_element(rng) for _ in range(6)] for _ in range(k)]
+            code = LinearCode.from_generator_rows(ctx, rows)
+            assert code.min_distance("exhaustive") == min(brute_force_lead_weights(code).values())
+
+
+def test_exhaustive_with_pivots_off_the_front_and_a_zero_column():
+    rows = [[0, 1, 2, 0, 0, 3, 0], [0, 0, 0, 1, 0, 4, 5], [0, 0, 0, 0, 1, 5, 7]]
+    for ctx in (GF13, GF9):
+        code = LinearCode.from_generator_rows(ctx, rows)
+        assert code.pivots == [1, 3, 4]
+        d = code.min_distance("exhaustive")
+        assert d == min(brute_force_lead_weights(code).values()) == code.min_distance("dual")
+
+
+def test_exhaustive_with_no_free_columns():
+    # k = length: the whole space, whose least weight is 1
+    for ctx in (GF13, GF9, GF8):
+        code = LinearCode.from_generator_rows(ctx, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+        assert code.k == code.length == 3
+        assert code.min_distance("exhaustive") == 1 == min(brute_force_lead_weights(code).values())
+
+
 def spec_29_7(first, *ys):
     """An n = 7 ideal code over GF(29): position 0, then one row(1, y) or zero per block."""
     ctx = make_field(29, [0, 1])

@@ -153,6 +153,38 @@ def test_engines_agree_on_random_generator_matrices(m):
     assert 1 <= d <= code.singleton_bound
 
 
+# GF(p), GF(p^2) and GF(3^3): exhaustive search with m = 1, 2 and 3 planes
+EXHAUSTIVE_FIELDS = (
+    make_field(2, [0, 1]),
+    make_field(7, [0, 1]),
+    make_field(5, [2, 0, 1]),
+    make_field(3, [1, 2, 0, 1]),
+)
+
+
+@st.composite
+def exhaustive_generators(draw):
+    """A k x ncols generator with q^k - 1 <= 10^4 and ncols <= 14; zero
+    entries are common, so pivots off the front, zero columns and k = ncols
+    all occur."""
+    ctx = draw(st.sampled_from(EXHAUSTIVE_FIELDS))
+    k = draw(st.integers(1, max(t for t in range(1, 14) if ctx.q**t - 1 <= 10**4)))
+    ncols = draw(st.integers(k, 14))
+    entry = st.one_of(st.just(0), st.integers(0, ctx.q - 1)).map(ctx.from_index)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    return MatrixGF(ctx, rows)
+
+
+@PROPERTY
+@given(exhaustive_generators())
+def test_exhaustive_matches_dual_on_generators(m):
+    # exhaustive search forms only the free columns; the dual engine reads
+    # the parity check or the generator's hyperplanes
+    code = LinearCode(m)
+    assume(code.k > 0)
+    assert code.min_distance("exhaustive", cap=10**4) == code.min_distance("dual")
+
+
 LOW_RATE_FIELDS = (make_field(13, [0, 1]), make_field(3, [1, 0, 1]), make_field(2, [1, 1, 0, 1]))
 
 

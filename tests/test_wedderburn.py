@@ -11,7 +11,7 @@ from dihedralcodes.errors import (
     MixedContextsError,
     RootUnavailableError,
 )
-from dihedralcodes.gf import make_field, primitive_nth_root
+from dihedralcodes.gf import FieldElement, make_field, primitive_nth_root
 from dihedralcodes.idempotents import cyclic_idempotent
 from dihedralcodes.linalg import MatrixGF
 from dihedralcodes.wedderburn import (
@@ -277,6 +277,25 @@ def test_hand_built_row_summand_gives_the_row_ideal_on_both_sides():
             basis = code_from_ideal_spec(GF43, 7, spec)
             rows = [phi_inv(alg, basis.row(i)) for i in range(basis.rows)]
             assert basis.rows == spec.dim() and left_ideal_basis(rows) == basis
+
+
+def test_spec_passes_a_canonical_row_summand_without_division(monkeypatch):
+    # row() already divided: (1, y) and (0, 1) are kept as they are, while a
+    # hand-built (3, 6) is still divided down to (1, 2)
+    canonical = [row(GF43.element(3), GF43.element(6)), row(GF43.zero(), GF43.element(7))]
+    assert [(s.x, s.y) for s in canonical] == [(1, 2), (0, 1)]
+    hand_built = Summand(ROW, GF43.element(3), GF43.element(6))
+
+    def refuse(*args):
+        raise AssertionError("a canonical row summand was divided again")
+
+    monkeypatch.setattr(FieldElement, "__truediv__", refuse)
+    spec = IdealSpec((full(), *canonical, Summand(ROW, GF43.one(), GF43.element(2))))
+    assert spec.summands[1:3] == tuple(canonical)
+    with pytest.raises(AssertionError, match="divided again"):
+        IdealSpec((full(), hand_built))
+    monkeypatch.undo()
+    assert IdealSpec((full(), hand_built)).summands[1] == canonical[0]
 
 
 def test_spec_dims():
