@@ -27,9 +27,9 @@ off P's forms (wedderburn._summand_forms) on that form.
 Minimum distance is computed two independent ways, both exact, with no
 limit on q: exhaustive enumeration, in numpy, of one codeword per
 GF(q)-line, gated at q^k - 1 <= cap, which forms only the RREF
-generator's free columns, on their prime-field expansions
-(gf.prime_expansion), and counts the pivot columns as the word's nonzero
-message coefficients; and the dual engine, the
+generator's free columns, on their prime-field expansions (each row
+times x^j, on the entry form: _expansion_planes), and counts the pivot
+columns as the word's nonzero message coefficients; and the dual engine, the
 least number of dependent columns of H by one depth-first walk over
 independent column subsets (_min_dependent_columns), or, for a low-rate
 code, the most generator columns on one hyperplane (_hyperplane_distance),
@@ -57,7 +57,7 @@ from .errors import (
     UnsupportedStyleError,
     ZeroElementError,
 )
-from .gf import FieldCtx, FieldElement, _is_int, element_order, prime_expansion, primitive_nth_root
+from .gf import FieldCtx, FieldElement, _is_int, element_order, primitive_nth_root
 from .linalg import MatrixGF, _entry_form, kernel_rref, null_rows
 from .wedderburn import (
     IdealSpec,
@@ -351,6 +351,20 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
 # distance engines
 
 
+def _expansion_planes(ctx: FieldCtx, form, entries) -> list[list[list[int]]]:
+    """The m planes x^j * entries (0 <= j < m) over GF(p): plane j holds the
+    coefficient list of each entry times x^j.
+
+    The entries are GF(q) entries in form, ctx's entry form
+    (linalg._entry_form); plane j is form.canon of their native products by
+    x^j, read out by form.coeffs.  Vectors over GF(p^m) have rank r exactly
+    when their planes span a GF(p)-space of dimension m * r, so
+    _exhaustive_distance enumerates codewords on these ints.
+    """
+    xs = form.entries([ctx.from_index(ctx.p**j) for j in range(1, ctx.m)])
+    return [form.coeffs(entries)] + [form.coeffs(form.canon([x * e for e in entries])) for x in xs]
+
+
 def _exhaustive_distance(gen: MatrixGF, cap: int, pivots: list[int]) -> int:
     """Least weight over one nonzero codeword per GF(q)-line, in numpy.
 
@@ -361,8 +375,9 @@ def _exhaustive_distance(gen: MatrixGF, cap: int, pivots: list[int]) -> int:
     gen is in RREF with these pivot columns, so a word u gen is u itself
     on them and weighs wt(u) + wt(u A), A the free columns
     (MacWilliams-Sloane, ch. 1).  Only the free columns are enumerated, on
-    the rows' prime-field expansions (gf.prime_expansion); each word's
-    count of nonzero coefficients rides along with it.
+    the rows' prime-field expansions, built on gen's entry form by one path
+    for every degree m (_expansion_planes); each word's count of nonzero
+    coefficients rides along with it.
 
     numpy is imported here, on the first call, and nowhere else in the
     library: construction and the dual engine run on Python ints alone.
@@ -397,8 +412,10 @@ def _exhaustive_distance(gen: MatrixGF, cap: int, pivots: list[int]) -> int:
     # t * f + c is plane t of free column c), one word per column; cw counts each
     # word's nonzero row coefficients, its weight on the pivot columns
     span, cw, unfolded, best = np.zeros((m * f, 1), dtype=dtype), np.zeros(1, dtype=wtype), [], gen.cols
-    for row in reversed(gen.entries):
-        expansion = np.array(prime_expansion(gen.form.coeffs([row[c] for c in free]), ctx))
+    # row r's expansion j, plane-major: entry t * f + c is coefficient t of x^j A[r][c]
+    planes = _expansion_planes(ctx, gen.form, [row[c] for row in gen.entries for c in free])
+    expansions = np.array(planes).reshape(m, gen.rows, f, m).transpose(1, 0, 3, 2)
+    for expansion in expansions.reshape(gen.rows, m, m * f)[::-1]:
         # row + w + s last is zero exactly where w == -row - s last mod p, so the
         # sums are never formed; a GF(q) entry is nonzero when any of its m planes is
         targets = (-expansion[0] % p)[:, None]

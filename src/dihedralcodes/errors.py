@@ -39,10 +39,6 @@ class ZeroElementError(DihedralCodesError, ValueError):
     """Operation requires a nonzero field element."""
 
 
-class DuplicateIndexError(DihedralCodesError, ValueError):
-    """Column index list contains repeats."""
-
-
 class LengthMismatchError(DihedralCodesError, ValueError):
     """Coordinate vector has the wrong length."""
 
@@ -79,7 +75,8 @@ class NotCoprimeError(DihedralCodesError, ValueError):
 
 
 class CapExceededError(DihedralCodesError, ValueError):
-    """Exhaustive codeword enumeration would exceed the configured cap."""
+    """A distance engine would pass its cap: exhaustive enumeration's q^k - 1
+    words, or the dual engine's column subsets on either side."""
 
 
 class UnsupportedStyleError(DihedralCodesError, ValueError):

@@ -515,7 +515,8 @@ def primitive_nth_root(ctx: FieldCtx, n: int) -> FieldElement:
 # text / spec parsing
 
 _FIELD_SPEC_RE = re.compile(r"^\s*p\s*=\s*(\d+)\s*(?:;\s*mod\s*=\s*(\[[^\]]*\])\s*)?$")
-_TERM_RE = re.compile(r"^(\d+)?x(?:\^(\d+))?$")
+# one term of polynomial text: [c][*]x[^e], or a constant c
+_TERM_RE = re.compile(r"(?:(\d+)\s*(?:\*\s*)?)?x(?:\^(\d+))?|(\d+)", re.ASCII)
 
 
 def parse_field_spec(spec: str) -> FieldCtx:
@@ -544,60 +545,35 @@ def poly_text(coeffs) -> str:
 
 
 def parse_element(ctx: FieldCtx, s: str) -> FieldElement:
-    """Parse "[4,3]" (little-endian list) or "3x+4" (polynomial text)."""
+    """Parse "[4,3]" (little-endian list) or "3x+4" (polynomial text).
+
+    Polynomial text is terms joined by + or -, with an optional sign before
+    the first; a term is an integer, or x or x^e after an optional integer
+    coefficient (3x, 3*x, 3 x).  Spaces may also stand around the signs,
+    but a sign joins every two terms: "4 + 3x" is read, while "3 4", "3-"
+    and "x--3" are refused.
+    """
     s = s.strip()
     if s.startswith("["):
         coeffs = json.loads(s)
         if not isinstance(coeffs, list):
             raise ValueError(f"cannot parse element {s!r}")
         return ctx.element(coeffs)
-    compact = s.replace(" ", "").replace("*", "")
-    if not compact:
+    if not s:
         raise ValueError("empty element string")
+    # "", sign, term, sign, term, ...: every sign is followed by one term
+    parts = re.split(r"([+-])", s if s[0] in "+-" else "+" + s)
     coeffs = [0] * ctx.m
-    for term in re.findall(r"[+-]?[^+-]+", compact):
-        sign = 1
-        if term[0] == "+":
-            term = term[1:]
-        elif term[0] == "-":
-            sign = -1
-            term = term[1:]
-        tm = _TERM_RE.match(term)
-        if tm:
+    for sign, term in zip(parts[1::2], parts[2::2]):
+        tm = _TERM_RE.fullmatch(term.strip())
+        if not tm:
+            raise ValueError(f"cannot parse element {s!r}")
+        if tm.group(3):
+            c, e = int(tm.group(3)), 0
+        else:
             c = int(tm.group(1)) if tm.group(1) else 1
             e = int(tm.group(2)) if tm.group(2) else 1
-        elif term.isdigit():
-            c, e = int(term), 0
-        else:
-            raise ValueError(f"cannot parse element term {term!r}")
         if e >= ctx.m:
-            raise ValueError(f"term {term!r} has degree {e} >= extension degree {ctx.m}")
-        coeffs[e] = (coeffs[e] + sign * c) % ctx.p
+            raise ValueError(f"term {term.strip()!r} has degree {e} >= extension degree {ctx.m}")
+        coeffs[e] = (coeffs[e] + (c if sign == "+" else -c)) % ctx.p
     return ctx.element(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# prime-field expansion (the exhaustive engine's integer input)
-
-
-def prime_expansion(vec, ctx: FieldCtx | None = None) -> list[list[int]]:
-    """The m vectors x^j * vec (0 <= j < m) over GF(p), as plain ints.
-
-    vec is a row of FieldElements, or, given their field ctx, of their
-    coefficient lists (a matrix's form.coeffs).  Coefficient t of entry i
-    lands at index t * len(vec) + i.  Vectors over GF(p^m) have rank r
-    exactly when their expansions span a GF(p)-space of dimension m * r, so
-    codes._exhaustive_distance enumerates codewords on these ints.  Over
-    GF(p^2), x (a + b x) = -c0 b + (a - c1 b) x for the modulus
-    x^2 + c1 x + c0; from m = 3 on, FieldElements multiply.
-    """
-    if ctx is None:
-        ctx, vec = vec[0].ctx, [e.coeffs for e in vec]
-    p, m = ctx.p, ctx.m
-    if m == 2:
-        c0, c1, _ = ctx.modulus
-        vec = [vec, [(-c0 * b % p, (a - c1 * b) % p) for a, b in vec]]
-    else:
-        vec = [vec] + [[(ctx.from_index(p**j) * FieldElement(ctx, tuple(c))).coeffs for c in vec]
-                       for j in range(1, m)]
-    return [[c[t] for t in range(m) for c in row] for row in vec]

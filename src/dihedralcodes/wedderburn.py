@@ -254,7 +254,7 @@ class IdealSpec:
 
 def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
     """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H, in
-    ctx's entry form (linalg._entry_form): residues over GF(p).
+    ctx's entry form (linalg._entry_form), whatever the field.
 
     Each summand keeps the forms of _summand_forms that vanish on it;
     the forms of a full block are never built.

@@ -1,7 +1,10 @@
 """Rank queries the tests check the library against, apart from its elimination."""
 
-from dihedralcodes.errors import DuplicateIndexError
 from dihedralcodes.linalg import MatrixGF
+
+
+class DuplicateIndexError(ValueError):
+    """Column index list contains repeats."""
 
 
 def columns_rank(m: MatrixGF, cols) -> int:

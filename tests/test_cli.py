@@ -252,6 +252,24 @@ def test_construct_refuses_a_beta_coefficient_that_is_not_an_integer(capsys, bet
     assert err == f"error[InvalidArgument]: coefficient {named} is not an integer\n"
 
 
+def test_construct_refuses_a_malformed_beta_text(capsys):
+    # not read as beta = 3
+    rc, out, err = run(
+        capsys, "construct", "--field", "p=13", "--n", "3", "--family", "2n-3-plus", "--beta", "3-"
+    )
+    assert (rc, out, err) == (2, "", "error[InvalidArgument]: cannot parse element '3-'\n")
+
+
+def test_analyze_refuses_a_malformed_text_entry(tmp_path, capsys):
+    # not read as x
+    path = tmp_path / "code.json"
+    generator = {"rows": 1, "cols": 2, "field": "p=5;mod=[2,0,1]", "entries": [["x+", 1]]}
+    path.write_text(json.dumps({"generator": generator}))
+    rc, out, err = run(capsys, "analyze", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err == 'error[InvalidArgument]: matrix entry [0][0] is "x+", cannot parse element \'x+\'\n'
+
+
 def test_field_check_refuses_a_modulus_coefficient_that_is_not_an_integer(capsys):
     # not read as x^2+2
     rc, out, err = run(capsys, "field-check", "--field", "p=5;mod=[2.5,0,1]")

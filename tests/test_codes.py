@@ -13,6 +13,7 @@ from dihedralcodes.codes import (
     FAMILY_2N_MINUS_3_PLUS,
     CodeFamily,
     LinearCode,
+    _expansion_planes,
     construct_code,
     generator_matrix_presentation,
     left_ideal_closure_ok,
@@ -514,6 +515,39 @@ def test_exhaustive_with_no_free_columns():
         code = LinearCode.from_generator_rows(ctx, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
         assert code.k == code.length == 3
         assert code.min_distance("exhaustive") == 1 == min(brute_force_lead_weights(code).values())
+
+
+# every entry form: residues, packed pairs (p = 5, 13) and elements (p = 2, 3)
+EXPANSION_FIELDS = (GF13, GF25, make_field(13, [2, 0, 1]), GF8, make_field(3, [1, 2, 0, 1]))
+
+
+def test_expansion_planes_match_element_ops():
+    rng = random.Random(3)
+    for ctx in EXPANSION_FIELDS:
+        x = ctx.element([0, 1] if ctx.m > 1 else [1])
+        vec = [ctx.random_element(rng) for _ in range(6)]
+        m = MatrixGF(ctx, [vec])
+        planes = _expansion_planes(ctx, m.form, m.entries[0])
+        assert len(planes) == ctx.m
+        for j, plane in enumerate(planes):
+            assert plane == [(e * x**j).to_list() for e in vec]
+
+
+def test_expansion_planes_rank_is_m_times_rank():
+    rng = random.Random(4)
+    for ctx in EXPANSION_FIELDS:
+        prime = make_field(ctx.p, [0, 1])
+        for _ in range(20):
+            rows, cols, rank = rng.randrange(1, 5), rng.randrange(1, 6), rng.randrange(0, 4)
+            basis = [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rank)]
+            # rows drawn from a span of dimension <= rank, so some matrices are singular
+            m = MatrixGF(ctx, [
+                [sum((ctx.random_element(rng) * b[j] for b in basis), ctx.zero()) for j in range(cols)]
+                for _ in range(rows)
+            ], cols=cols)
+            planes = [plane for row in m.entries for plane in _expansion_planes(ctx, m.form, row)]
+            expanded = MatrixGF.from_rows(prime, [sum(plane, []) for plane in planes])
+            assert expanded.rank() == ctx.m * m.rank()
 
 
 def spec_29_7(first, *ys):

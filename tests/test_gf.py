@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import signal
 
 import pytest
@@ -23,10 +24,8 @@ from dihedralcodes.gf import (
     parse_element,
     parse_field_spec,
     poly_text,
-    prime_expansion,
     primitive_nth_root,
 )
-from dihedralcodes.linalg import MatrixGF
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -457,6 +456,7 @@ def test_parse_element_both_forms():
     assert parse_element(GF25, "x") == GF25.element([0, 1])
     assert parse_element(GF13, "7") == GF13.element(7)
     assert parse_element(GF25, "-x+1") == GF25.element([1, 4])
+    assert parse_element(GF25, "3 * x - 1") == GF25.element([4, 3])
 
 
 @pytest.mark.parametrize(
@@ -481,6 +481,19 @@ def test_element_reads_a_coefficient_tuple_and_trims_zero_extras():
     assert GF25.element([4, 3, 0, 0]) == GF25.element([4, 3])
 
 
+@pytest.mark.parametrize(
+    "ctx, text",
+    [(GF13, "+"), (GF13, "-"), (GF13, "3-"), (GF25, "x+"), (GF25, "x--3"), (GF25, "3++x"),
+     (GF25, "3 4"), (GF13, "3*4")],
+    ids=["plus", "minus", "trailing-sign", "trailing-plus", "double-minus", "double-plus",
+         "two-terms-no-sign", "star-between-digits"],
+)
+def test_parse_element_refuses_malformed_text_by_name(ctx, text):
+    # not read as 0, 0, 3, x, x+2, x+3, 34 = 4 and 34 = 8
+    with pytest.raises(ValueError, match=f"^cannot parse element {re.escape(repr(text))}$"):
+        parse_element(ctx, text)
+
+
 def test_parse_element_rejects_garbage():
     with pytest.raises(ValueError):
         parse_element(GF13, "x")  # degree 1 term in a prime field
@@ -502,33 +515,3 @@ def test_index_roundtrip():
             coeffs = ctx.from_index(i).coeffs
             assert sum(c * ctx.p**t for t, c in enumerate(coeffs)) == i
 
-
-def test_prime_expansion_matches_element_ops():
-    rng = random.Random(3)
-    for ctx in (GF13, GF25, GF169, make_field(2, [1, 1, 0, 1]), make_field(3, [1, 2, 0, 1])):
-        x = ctx.element([0, 1] if ctx.m > 1 else [1])
-        vec = [ctx.random_element(rng) for _ in range(6)]
-        expansion = prime_expansion(vec)
-        assert len(expansion) == ctx.m
-        assert prime_expansion([e.to_list() for e in vec], ctx) == expansion
-        for j, plane_laid in enumerate(expansion):
-            for i, e in enumerate(vec):
-                coeffs = (e * x**j).coeffs
-                assert [plane_laid[t * len(vec) + i] for t in range(ctx.m)] == list(coeffs)
-
-
-def test_prime_expansion_rank_is_m_times_rank():
-    rng = random.Random(4)
-    for ctx in (GF13, GF25, GF169):
-        prime = make_field(ctx.p, [0, 1])
-        for _ in range(20):
-            rows, cols, rank = rng.randrange(1, 5), rng.randrange(1, 6), rng.randrange(0, 4)
-            basis = [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rank)]
-            # rows drawn from a span of dimension <= rank, so some matrices are singular
-            m = MatrixGF(ctx, [
-                [sum((ctx.random_element(rng) * b[j] for b in basis), ctx.zero()) for j in range(cols)]
-                for _ in range(rows)
-            ], cols=cols)
-            stacked = [v for i in range(m.rows) for v in prime_expansion(m.row(i))]
-            expanded = MatrixGF(prime, [[prime.element(c) for c in v] for v in stacked])
-            assert expanded.rank() == ctx.m * m.rank()

@@ -12,12 +12,13 @@ from dihedralcodes.codes import (
     DEFAULT_CAP,
     LinearCode,
     _entry_form,
+    _expansion_planes,
     _hyperplane_distance,
     _min_dependent_columns,
 )
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.errors import CapExceededError
-from dihedralcodes.gf import make_field, prime_expansion
+from dihedralcodes.gf import make_field
 from dihedralcodes.linalg import MatrixGF, kernel_rref, null_rows
 from dihedralcodes.wedderburn import (
     FULL,
@@ -44,13 +45,20 @@ FIELDS = (
     make_field(5, [2, 0, 1]),
 )
 
+# FIELDS, a packed field at a larger p, and the elements form at p = 2 and 3
+EXPANSION_FIELDS = FIELDS + (
+    make_field(13, [2, 0, 1]),
+    make_field(2, [1, 1, 0, 1]),
+    make_field(3, [1, 2, 0, 1]),
+)
+
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 
 @st.composite
-def matrices(draw, max_rows, max_cols):
-    """A matrix over one of FIELDS, rows drawn from a span of random dimension."""
-    ctx = draw(st.sampled_from(FIELDS))
+def matrices(draw, max_rows, max_cols, fields=FIELDS):
+    """A matrix over one of fields, rows drawn from a span of random dimension."""
+    ctx = draw(st.sampled_from(fields))
     rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(1, max_cols))
     rank = draw(st.integers(0, rows))
@@ -135,11 +143,11 @@ def test_rref_staircase_rank_and_null_rows_on_the_entry_store(ctx_rows):
 
 
 @PROPERTY
-@given(matrices(max_rows=4, max_cols=5))
+@given(matrices(max_rows=4, max_cols=5, fields=EXPANSION_FIELDS))
 def test_expansion_rank_is_m_times_rank(m):
     prime = make_field(m.ctx.p, [0, 1])
-    stacked = [v for i in range(m.rows) for v in prime_expansion(m.row(i))]
-    expanded = MatrixGF(prime, [[prime.element(c) for c in v] for v in stacked])
+    planes = [plane for row in m.entries for plane in _expansion_planes(m.ctx, m.form, row)]
+    expanded = MatrixGF.from_rows(prime, [sum(plane, []) for plane in planes])
     assert expanded.rank() == m.ctx.m * m.rank()
 
 
