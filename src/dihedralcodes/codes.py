@@ -33,11 +33,13 @@ columns as the word's nonzero message coefficients; and the dual engine, the
 least number of dependent columns of H by one depth-first walk over
 independent column subsets (_min_dependent_columns), or, for a low-rate
 code, the most generator columns on one hyperplane (_hyperplane_distance),
-the side chosen before depth 0 (_dual_distance).  The paper's codes have
-2 or 3 parity checks, so depths 0 and 1 settle them and never build the
-generator; the 2n-3 codes' columns lie on one conic, an arc, so d = 4 with
-no depth-1 walk (_on_a_conic).  numpy is imported on the first exhaustive
-call only.
+each hyperplane counted once, from its index-first basis, the side chosen
+before depth 0 (_dual_distance).  The paper's codes have 2 or 3 parity
+checks, so depths 0 and 1 settle them and never build the generator; the
+2n-3 codes' columns lie on one conic, an arc, so d = 4 with no depth-1
+walk (_on_a_conic).  Their duals, [2n,3,2n-2] ideals, are arcs on the
+generator side in turn: d = 2n - 2 with no walk.  numpy is imported on
+the first exhaustive call only.
 """
 
 from __future__ import annotations
@@ -442,8 +444,10 @@ def _dual_distance(code: LinearCode, cap: int) -> int:
     subsets than the parity check's from depth 1 on, and cannot pass cap:
     it steps once per independent s-subset it reaches, s = 1..k-2, each
     with its last index below ncols - (k-2-s), so at most
-    C(ncols + 1, k - 2) - 1 times.  Otherwise the parity-check walk runs,
-    its depths 0 and 1 free, so no call that it answers is refused here.
+    C(ncols + 1, k - 2) - 1 times.  That is an upper bound: the subsets
+    its bound passes over, and the arc certificate, take no step.
+    Otherwise the parity-check walk runs, its depths 0 and 1 free, so no
+    call that it answers is refused here.
     """
     ncols, k = code.length, code.k
     steps = math.comb(ncols + 1, max(k - 2, 0)) - 1
@@ -494,31 +498,40 @@ def _budget(cap: int, side: str):
     raise CapExceededError(f"dual engine, {side} side: {cap + 1} column subsets > cap = {cap}")
 
 
-def _independent_subsets(cols, field, t: int, budget, every: bool, points=None, start=0, c=None):
+def _independent_subsets(cols, field, t: int, budget, points=None, c=None, held=0, best=None):
     """Walk the independent t-subsets S of cols depth-first, in index order.
 
-    At each S it yields the keys of the columns modulo span(S): the
-    projective points of what is left of them once reduced modulo S, None
-    for a column in span(S); with every, of every column, else of those
-    past S's last index.  A level reduces the columns it is handed against
-    c, the point of S's newest column (field.reduce, which drops c's lead),
-    and the last level asks field.reduce for their keys straight away.
-    Column i joins S when what is left of it has a point.  Each subset
-    reached takes one step of budget.  The first level takes the columns'
-    points from points, depth 0's keys, if given.
+    At each S it yields held and the keys of the columns past S's last
+    index modulo span(S): the projective points of what is left of them
+    once reduced modulo S, None for a column in span(S).  held counts the
+    columns up to that index known to lie in span(S): S's own, and each
+    column whose point was None as a level passed over it.  A level hands
+    the next the columns past the one it adds to S, reduced against c, the
+    point of S's newest column (field.reduce, which drops c's lead), and
+    the last level asks field.reduce for their keys straight away.  Column
+    i joins S when what is left of it has a point.  Each subset reached
+    takes one step of budget.  The first level takes the columns' points
+    from points, depth 0's keys, if given.  With best, a one-item list of
+    the most columns found on one hyperplane so far, a level stops at the
+    first i where held and the columns from i on are no more than that:
+    no subset past i can count more, so none is reached.
     """
-    lo = 0 if every else start
     if t == 0:
-        later = cols[lo:]
-        yield field.points(later) if c is None else field.reduce(c, later, True)
+        if c is not None:
+            points = field.reduce(c, cols, True)
+        yield held, field.points(cols) if points is None else points
         return
     if c is not None:
-        cols = cols[:lo] + field.reduce(c, cols[lo:])
-    for i in range(start, len(cols) - t + 1):
+        cols = field.reduce(c, cols)
+    for i in range(len(cols) - t + 1):
+        if best is not None and held + len(cols) - i <= best[0]:
+            return
         point = field.point(cols[i]) if points is None else points[i]
-        if point is not None:  # column i is not in span(S)
+        if point is None:  # column i is in span(S)
+            held += 1
+        else:
             next(budget)
-            yield from _independent_subsets(cols, field, t - 1, budget, every, None, i + 1, point)
+            yield from _independent_subsets(cols[i + 1:], field, t - 1, budget, None, point, held + 1, best)
 
 
 def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP) -> int:
@@ -527,18 +540,32 @@ def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP) -> int:
     A codeword hG is zero exactly on the columns in the hyperplane h^perp,
     and the zero columns of a minimum-weight codeword span a hyperplane
     (were their span smaller, columns outside it would extend it to a
-    hyperplane holding more columns).  That hyperplane is span(S, j) for an
-    independent (k-2)-subset S of its columns, and it holds the columns
-    keyed None modulo span(S) and those keyed as j.  So d is the length
-    less the most columns in those two classes, over at most C(ncols, k-2)
-    subsets S.  With k = 1 the hyperplane is 0: d counts nonzero columns.
+    hyperplane holding more columns).  So d is the length less the most
+    columns on one hyperplane, each counted once, from its index-first
+    basis: its first nonzero column, then each next one outside the span
+    of those before, k - 1 in all, the first k - 2 of them S.  Its columns
+    before S's last are then each in S or in the span of S's columns
+    before it, held as the walk passes them (_independent_subsets), and
+    those after are keyed None modulo span(S) or as its last basis column.
+    So held, the key None and the largest other class at an S never count
+    more columns than lie on one hyperplane, and at the index-first S of
+    the fullest they count them all.  A level stops once it cannot pass
+    the best count found, and only the subsets reached take budget.  With
+    k = 3, columns that are nonzero, pairwise distinct points of one conic
+    are an arc (_on_a_conic): a line holds at most 2 of them, so d is the
+    length less 2, with no walk.  With k = 1 the hyperplane is 0: d counts
+    nonzero columns.
     """
-    k = len(cols[0])
+    k, points = len(cols[0]), field.points(cols)
     if k == 1:
-        return sum(field.point(c) is not None for c in cols)
-    subsets = _independent_subsets(cols, field, k - 2, _budget(cap, "generator"), True)
-    classes = (Counter(keys) for keys in subsets)
-    return len(cols) - max(keys.pop(None, 0) + max(keys.values()) for keys in classes)
+        return sum(point is not None for point in points)
+    if k == 3 and None not in points and len(set(points)) == len(points) and _on_a_conic(cols, field):
+        return len(cols) - 2
+    best = [0]
+    for held, keys in _independent_subsets(cols, field, k - 2, _budget(cap, "generator"), points, best=best):
+        classes = Counter(keys)
+        best[0] = max(best[0], held + classes.pop(None, 0) + max(classes.values(), default=0))
+    return len(cols) - best[0]
 
 
 def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode | None = None):
@@ -575,7 +602,7 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
         ):
             gen = code.generator.entries
             return _hyperplane_distance([list(c) for c in zip(*gen)], field, cap)
-        for keys in _independent_subsets(cols, field, t, budget if t > 1 else free, False, points):
+        for _, keys in _independent_subsets(cols, field, t, budget if t > 1 else free, points):
             if None in keys:
                 return t + 1
             if len(set(keys)) < len(keys):

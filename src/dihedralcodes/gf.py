@@ -555,9 +555,10 @@ def parse_element(ctx: FieldCtx, s: str) -> FieldElement:
     """
     s = s.strip()
     if s.startswith("["):
-        coeffs = json.loads(s)
-        if not isinstance(coeffs, list):
-            raise ValueError(f"cannot parse element {s!r}")
+        try:
+            coeffs = json.loads(s)
+        except ValueError as exc:  # json.JSONDecodeError: "[4,", "[4,3] x"
+            raise ValueError(f"{s!r} is not a field element: {exc.msg}") from None
         return ctx.element(coeffs)
     if not s:
         raise ValueError("empty element string")

@@ -249,7 +249,7 @@ def _inverses(xs, p: int) -> list[int]:
 def _reduce(form, c, vs, keys=False):
     """Each v less v[lead] c, off c's lead, for c given as its point; with
     keys, their points (form.points).  _Packed and _Elements reduce so;
-    _Residues fuses the two-coordinate keys into one pass."""
+    _Residues keys two coordinates left by one ratio, never forming them."""
     lead, *tail = c
     out = [v[:lead] + form.submul(v[lead + 1:], v[lead], tail) for v in vs]
     return form.points(out) if keys else out
@@ -295,7 +295,16 @@ class _Residues:
         return None
 
     def points(self, vs):
-        return [self.point(v) for v in vs]
+        """The point of each v, by one batched inversion of their leads."""
+        p, leads = self.p, []
+        for v in vs:
+            lead = 0
+            while lead < len(v) and not v[lead]:
+                lead += 1
+            leads.append(lead)
+        invs = _inverses([v[lead] if lead < len(v) else 0 for v, lead in zip(vs, leads)], p)
+        return [(lead, *[b * inv % p for b in v[lead + 1:]]) if inv else None
+                for v, lead, inv in zip(vs, leads, invs)]
 
     def reduce(self, c, vs, keys=False):
         """Each v less v[lead] c, off c's lead, for c given as its point; with
@@ -308,25 +317,10 @@ class _Residues:
         if keys and len(rest) == 2:
             (s, t), a, b = rest, unit[rest[0]], unit[rest[1]]
             xs = [(v[s] - v[lead] * a) % p for v in vs]
-            # Montgomery's batch inversion: one pow for all the x, then
-            # 1/x_k = (x_0 ... x_(k-1)) / (x_0 ... x_k), skipping x = 0
-            prefix, acc = [], 1
-            for x in xs:
-                prefix.append(acc)
-                if x:
-                    acc = acc * x % p
-            inv, points = pow(acc, -1, p), [p] * len(xs)
-            for k in range(len(xs) - 1, -1, -1):
-                v = vs[k]
-                y = v[t] - v[lead] * b
-                if xs[k]:
-                    points[k] = y * inv * prefix[k] % p
-                    inv = inv * xs[k] % p
-                elif y % p == 0:
-                    points[k] = None
-            return points
+            return [(v[t] - v[lead] * b) * inv % p if x else (p if (v[t] - v[lead] * b) % p else None)
+                    for v, x, inv in zip(vs, xs, _inverses(xs, p))]
         out = [[(v[t] - v[lead] * unit[t]) % p for t in rest] for v in vs]
-        return [self.point(v) for v in out] if keys else out
+        return self.points(out) if keys else out
 
 
 class _Packed:

@@ -148,18 +148,19 @@ def test_analyze_paper_style_document(tmp_path, capsys):
 
 
 def test_analyze_cap_exceeded(tmp_path, capsys):
-    # a [14,3] ideal code at n = 7: the dual engine's generator side keys
-    # the columns modulo each of its 14 columns, more than 10 subsets
+    # a [14,3,10] ideal code at n = 7, beta = 1, so no arc: the dual
+    # engine's generator side keys the columns modulo 10 of its 14 columns,
+    # more than 9 subsets
     ctx = make_field(29, [0, 1])
-    spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.element(5)), zero(), zero()))
+    spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.one()), zero(), zero()))
     path = tmp_path / "code.json"
     path.write_text(json.dumps(LinearCode(code_from_ideal_spec(ctx, 7, spec)).to_json()))
-    rc, out, err = run(capsys, "analyze", "--in", str(path), "--method", "dual", "--cap", "10")
+    rc, out, err = run(capsys, "analyze", "--in", str(path), "--method", "dual", "--cap", "9")
     assert (rc, out) == (2, "")
     assert err.startswith("error[CapExceeded]: dual engine, generator side")
     rc, out, _ = run(capsys, "analyze", "--in", str(path), "--method", "dual")
     assert rc == 0
-    assert json.loads(out) == {"length": 14, "k": 3, "d": 12, "mds": True}
+    assert json.loads(out) == {"length": 14, "k": 3, "d": 10, "mds": False}
 
 
 def test_analyze_refuses_a_negative_cap(tmp_path, capsys):
@@ -258,6 +259,33 @@ def test_construct_refuses_a_malformed_beta_text(capsys):
         capsys, "construct", "--field", "p=13", "--n", "3", "--family", "2n-3-plus", "--beta", "3-"
     )
     assert (rc, out, err) == (2, "", "error[InvalidArgument]: cannot parse element '3-'\n")
+
+
+@pytest.mark.parametrize(
+    "beta, why", [("[4,", "Expecting value"), ("[4,3] x", "Extra data")], ids=["open", "trailing"]
+)
+def test_construct_names_a_beta_list_that_is_not_json(capsys, beta, why):
+    # json's own message alone named neither the text nor what it was read as
+    rc, out, err = run(
+        capsys, "construct", "--field", "p=13", "--n", "3", "--family", "2n-3-plus", "--beta", beta
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"error[InvalidArgument]: {beta!r} is not a field element: {why}\n"
+
+
+@pytest.mark.parametrize(
+    "text, why", [("[4,", "Expecting value"), ("[4,3] x", "Extra data")], ids=["open", "trailing"]
+)
+def test_analyze_names_a_list_entry_that_is_not_json(tmp_path, capsys, text, why):
+    path = tmp_path / "code.json"
+    generator = {"rows": 1, "cols": 2, "field": "p=5;mod=[2,0,1]", "entries": [[1, text]]}
+    path.write_text(json.dumps({"generator": generator}))
+    rc, out, err = run(capsys, "analyze", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error[InvalidArgument]: matrix entry [0][1] is {json.dumps(text)}, "
+        f"{text!r} is not a field element: {why}\n"
+    )
 
 
 def test_analyze_refuses_a_malformed_text_entry(tmp_path, capsys):

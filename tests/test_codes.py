@@ -558,12 +558,15 @@ def spec_29_7(first, *ys):
 
 
 def test_dual_cap_names_the_side():
-    # [14,3] (k <= r): the generator side walks G's columns singly (depth k - 2)
-    low = spec_29_7(plus_piece, 5, 0, 0)
-    message = "dual engine, generator side: 11 column subsets > cap = 10"
+    # [14,3,10] (k <= r), beta = 1, so not an arc: the generator side walks
+    # G's columns singly (depth k - 2), 10 of them before its bound stops it
+    low = spec_29_7(plus_piece, 1, 0, 0)
+    message = "dual engine, generator side: 10 column subsets > cap = 9"
     with pytest.raises(CapExceededError, match=message):
-        low.min_distance("dual", cap=10)
-    assert low.min_distance("dual") == low.min_distance("exhaustive") == 12
+        low.min_distance("dual", cap=9)
+    assert low.min_distance("dual", cap=10) == low.min_distance("exhaustive") == 10
+    # the [14,3,12] arc takes the conic certificate, which visits no subset
+    assert spec_29_7(plus_piece, 5, 0, 0).min_distance("dual", cap=0) == 12
     # [14,8] (k > r = 6, d = 6): the parity-check side walks from depth 2 (w = 4)
     high = spec_29_7(full, 8, 19, 18)
     message = "dual engine, parity-check side: 11 column subsets > cap = 10"
@@ -598,14 +601,47 @@ def test_low_rate_dual_distance_is_prompt():
     assert (code.length, code.k) == (22, 3)
     assert within_one_second(lambda: code.min_distance("dual")) == 20
     assert code.min_distance("exhaustive") == 20
-    # the walk stops at depth k - 2: 22 single columns, where a walk on to
-    # pairs would pass the cap
-    assert LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=22) == 20
+    # its columns are an arc on a conic: the certificate visits no subset
+    assert LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=0) == 20
+    # with beta = 1 the [22,3,18] ideal is no arc: the walk stops at depth
+    # k - 2, at 18 single columns, where a walk on to pairs would pass the cap
+    spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.one())) + (zero(),) * 4)
+    assert LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=18) == 18
     # one short of the generator walk, the parity check's free depths 0 and 1
     # run first, and the generator side still names itself past the cap
-    message = "dual engine, generator side: 22 column subsets > cap = 21"
+    message = "dual engine, generator side: 18 column subsets > cap = 17"
     with pytest.raises(CapExceededError, match=message):
-        LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=21)
+        LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=17)
+
+
+def test_dual_check_of_a_length_2002_ideal_is_prompt():
+    # the [2002,3,2000] ideal at (6007, 1001): its generator's columns are an
+    # arc, so the conic certificate answers, where a walk would key 2002
+    # columns modulo each of them
+    ctx = make_field(6007, [0, 1])
+    spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.element(5))) + (zero(),) * 499)
+    code = LinearCode(code_from_ideal_spec(ctx, 1001, spec))
+    assert (code.length, code.k) == (2002, 3)
+    assert within_one_second(lambda: code.min_distance("dual")) == 2000
+    assert code._parity is None
+
+
+def test_arc_certificate_needs_every_column_on_the_conic():
+    # the columns (1, t, t^2), t = 1..10, lie on the conic X0 X2 = X1^2: no
+    # line holds three, so d = 10 - 2 with no subset visited.  Put in place of
+    # one of them, among the certificate's first five or after, the point
+    # (2, 3, 5) = P1 + P2, on the line through P1 and P2 and off the conic; or
+    # after them a zero column or a second P1, which satisfy the conic's
+    # equation: a line then holds three columns, and d = 10 - 3, by the walk
+    field = codes_module._entry_form(GF13)
+    on = [[1, t, t * t % 13] for t in range(1, 11)]
+    assert codes_module._hyperplane_distance(on, field, 0) == 8
+    for at, col in ((2, [2, 3, 5]), (7, [2, 3, 5]), (7, [0, 0, 0]), (7, [3, 3, 3])):
+        cols = on[:at] + [col] + on[at + 1:]
+        code = LinearCode.from_generator_rows(GF13, [list(r) for r in zip(*cols)])
+        assert codes_module._hyperplane_distance(cols, field) == 7 == code.min_distance("exhaustive")
+        with pytest.raises(CapExceededError, match="generator side"):
+            codes_module._hyperplane_distance(cols, field, 0)
 
 
 def test_low_rate_dual_check_leaves_parity_check_unbuilt():
@@ -622,8 +658,8 @@ def test_low_rate_dual_check_leaves_parity_check_unbuilt():
 
 def test_generator_side_goes_first_only_within_its_whole_walk():
     # an [8,4,2] code over GF(13): a weight-2 row over the rows x, x^2, x^3
-    # at x = 1..8.  Its generator walk to depth 2 steps at both levels,
-    # 7 + 28 = 35 = C(9, 2) - 1 times, past C(8, 2) = 28; at cap 28 the
+    # at x = 1..8.  Its generator walk to depth 2 steps at both levels at
+    # most 7 + 28 = 35 = C(9, 2) - 1 times, past C(8, 2) = 28; at cap 28 the
     # parity check's free depth 0 answers
     rows = [[1, 1] + [0] * 6] + [[x**i for x in range(1, 9)] for i in (1, 2, 3)]
     code = LinearCode.from_generator_rows(GF13, rows)
@@ -631,9 +667,11 @@ def test_generator_side_goes_first_only_within_its_whole_walk():
     assert code._parity is not None and code.min_distance("exhaustive") == 2
     code = LinearCode.from_generator_rows(GF13, rows)
     assert code.min_distance("dual", cap=35) == 2 and code._parity is None
-    with pytest.raises(CapExceededError, match="generator side: 35 column subsets > cap = 34"):
-        codes_module._hyperplane_distance([list(c) for c in zip(*code.generator.entries)],
-                                          codes_module._entry_form(GF13), 34)
+    # the side rule counts that bound; the walk's own bound stops it after 11
+    cols = [list(c) for c in zip(*code.generator.entries)]
+    assert codes_module._hyperplane_distance(cols, codes_module._entry_form(GF13), 11) == 2
+    with pytest.raises(CapExceededError, match="generator side: 11 column subsets > cap = 10"):
+        codes_module._hyperplane_distance(cols, codes_module._entry_form(GF13), 10)
 
 
 def test_side_rule_sums_few_binomials_at_length_2002(monkeypatch):

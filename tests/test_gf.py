@@ -494,6 +494,12 @@ def test_parse_element_refuses_malformed_text_by_name(ctx, text):
         parse_element(ctx, text)
 
 
+@pytest.mark.parametrize("text", ["[4,", "[4,3] x", "[", "[4]]"])
+def test_parse_element_names_a_list_that_is_not_json(text):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(text))} is not a field element: "):
+        parse_element(GF25, text)
+
+
 def test_parse_element_rejects_garbage():
     with pytest.raises(ValueError):
         parse_element(GF13, "x")  # degree 1 term in a prime field

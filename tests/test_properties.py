@@ -4,6 +4,7 @@ and the two sides an ideal is reduced from."""
 import functools
 import itertools
 import math
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -326,6 +327,53 @@ def test_generator_side_matches_parity_check_side(m):
     h_cols = [list(c) for c in zip(*H)]  # null_rows gives the entry form
     assert _hyperplane_distance(g_cols, field) == _min_dependent_columns(h_cols, field)
     assert _min_dependent_columns(g_cols, field) == _hyperplane_distance(h_cols, field)
+
+
+# GF(p) at p = 2, 3, 5 and 7, and GF(2^3) and GF(3^3) on the elements form
+WALK_FIELDS = (
+    make_field(2, [0, 1]),
+    make_field(3, [0, 1]),
+    make_field(5, [0, 1]),
+    make_field(7, [0, 1]),
+    make_field(2, [1, 1, 0, 1]),
+    make_field(3, [1, 2, 0, 1]),
+)
+
+
+@st.composite
+def planted_generators(draw):
+    """A full-rank k x ncols generator, k <= 5 and ncols <= 11, drawn column
+    by column: half of them random, the rest zero, a copy or a nonzero
+    multiple of an earlier one.  Drawn afresh until its rank is k."""
+    ctx = draw(st.sampled_from(WALK_FIELDS))
+    k = draw(st.integers(1, 5))
+    ncols = draw(st.integers(k, 11))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while True:
+        cols = []
+        for _ in range(ncols):
+            kind = rng.randrange(6) if cols else 0
+            if kind < 3:
+                cols.append([ctx.random_element(rng) for _ in range(k)])
+            elif kind == 3:
+                cols.append([ctx.zero()] * k)
+            else:
+                x = ctx.one() if kind == 4 else ctx.from_index(rng.randrange(1, ctx.q))
+                cols.append([x * e for e in rng.choice(cols)])
+        m = MatrixGF(ctx, [list(r) for r in zip(*cols)])
+        if m.rank() == k:
+            return m
+
+
+@settings(PROPERTY, max_examples=300)
+@given(planted_generators())
+def test_hyperplane_walk_matches_exhaustive_search(m):
+    # the walk counts each hyperplane once, from its index-first basis, stops
+    # a level once it cannot pass the best count, and takes the conic
+    # certificate at k = 3; it reads G's columns as they are, not in RREF
+    field = _entry_form(m.ctx)
+    cols = [list(c) for c in zip(*m.entries)]
+    assert _hyperplane_distance(cols, field) == LinearCode(m).min_distance("exhaustive", cap=m.ctx.q**m.rows)
 
 
 # the (q, n) pairs of the acceptance sweep
