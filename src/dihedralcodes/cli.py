@@ -270,7 +270,9 @@ def cmd_example(args) -> int:
     for name in variants:
         family = _EXAMPLE_FAMILY[name]
         code = construct_code(ctx, n, CodeFamily(tag=family))
-        d = code.min_distance(method="exhaustive")
+        # the dual engine answers, so example never imports numpy; criterion 1
+        # of tests/test_acceptance.py keeps the exhaustive check of both codes
+        d = code.min_distance(method="dual")
         matrices.append(generator_matrix_presentation(code, "paper"))
         results.append(
             {

@@ -47,7 +47,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .dihedral import DihedralAlgebra, phi_inv
 from .errors import (
@@ -58,6 +57,7 @@ from .errors import (
     NotCoprimeError,
     UnsupportedStyleError,
     ZeroElementError,
+    _Record,
 )
 from .gf import FieldCtx, FieldElement, _is_int, element_order, primitive_nth_root
 from .linalg import MatrixGF, _entry_form, kernel_rref, null_rows
@@ -87,8 +87,7 @@ _POSITION0 = {
 }
 
 
-@dataclass(frozen=True)
-class CodeFamily:
+class CodeFamily(_Record):
     """Which construction to run: family tag, twist index s, twist scalar beta.
 
     beta=None selects the canonical primitive element of F_q (order q-1).
@@ -99,8 +98,7 @@ class CodeFamily:
     beta: object = None
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(_Record):
     ctx: FieldCtx
     n: int
     tag: str

@@ -1,9 +1,54 @@
-"""Exception types shared across the package.
+"""Exception types and the immutable record base shared across the package.
 
 Plain division by zero raises the builtin ZeroDivisionError; out-of-range
 indices raise the builtin IndexError.  Everything else gets a named type so
 callers (and the CLI) can map failures to stable diagnostic codes.
+
+_Record, the base of CodeFamily, Provenance, WedderburnTuple, Summand,
+IdealSpec and IdempotentFamily, stands in for a frozen dataclass: importing
+dataclasses pulls in inspect, about 10 ms of every CLI command's start-up.
 """
+
+
+class _Record:
+    """A frozen dataclass's behaviour for the fields a subclass annotates, in
+    order, with the defaults it assigns: positional or keyword construction,
+    == and hash by value within one type, Name(field=value, ...) as repr, and
+    AttributeError on assignment or deletion."""
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        if "__init__" in cls.__dict__:
+            return
+        # compiled once per class, as dataclasses does: a generic *args __init__
+        # took 3x as long, and construct_code builds a record per summand
+        defaults = {f"_{f}": cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        params = ", ".join(f"{f}=_{f}" if f"_{f}" in defaults else f for f in cls._fields)
+        body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+        namespace = {"_set": object.__setattr__, **defaults}
+        exec(f"def __init__(self, {params}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
 
 
 class DihedralCodesError(Exception):

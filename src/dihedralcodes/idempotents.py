@@ -12,14 +12,12 @@ The central family of F_q D_2n is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dihedral import AlgebraElement, DihedralAlgebra
+from .errors import _Record
 from .gf import FieldCtx, FieldElement, primitive_nth_root
 
 
-@dataclass(frozen=True)
-class IdempotentFamily:
+class IdempotentFamily(_Record):
     n: int
     ctx: FieldCtx
     xi: FieldElement

@@ -27,17 +27,15 @@ else the null space of its 2n - dim constraint rows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .dihedral import AlgebraElement, DihedralAlgebra
-from .errors import EvenNError, InvalidRowSpecError, MixedContextsError
+from .errors import EvenNError, InvalidRowSpecError, MixedContextsError, _Record
 from .gf import FieldCtx, FieldElement
 from .idempotents import _xi_powers
 from .linalg import MatrixGF, _entry_form, kernel_rref
 
 
-@dataclass(frozen=True)
-class WedderburnTuple:
+class WedderburnTuple(_Record):
     """Image of an algebra element: a pair in F_q^2 plus 2x2 blocks."""
 
     gamma: tuple[FieldElement, FieldElement]
@@ -168,8 +166,7 @@ PLUS_PIECE = "plus"    # F_q x {0}, the image of R((1+b)/2 e_0)
 MINUS_PIECE = "minus"  # {0} x F_q, the image of R((1-b)/2 e_0)
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(_Record):
     kind: str
     x: FieldElement | None = None
     y: FieldElement | None = None
@@ -221,27 +218,26 @@ _DIMS_POSITION0 = {FULL: 2, ZERO: 0, PLUS_PIECE: 1, MINUS_PIECE: 1}
 _DIMS_BLOCK = {FULL: 4, ZERO: 0, ROW: 2}
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(_Record):
     """One summand tag per factor: position 0 for the pair, then the blocks."""
 
     summands: tuple[Summand, ...]
 
-    def __post_init__(self):
-        if not self.summands:
+    def __init__(self, summands):
+        if not summands:
             raise InvalidRowSpecError("empty ideal spec")
-        if self.summands[0].kind not in _DIMS_POSITION0:
+        if summands[0].kind not in _DIMS_POSITION0:
             raise InvalidRowSpecError(
-                f"summand kind {self.summands[0].kind!r} not allowed at position 0"
+                f"summand kind {summands[0].kind!r} not allowed at position 0"
             )
-        for s in self.summands[1:]:
+        for s in summands[1:]:
             if s.kind not in _DIMS_BLOCK:
                 raise InvalidRowSpecError(f"summand kind {s.kind!r} not allowed at a matrix block")
         # Summand is public: a row summand built by hand is checked and
         # canonicalized as row() does, so its entries are elements of one field;
         # one row() returned is passed as it is, with no division
         summands = tuple(row(s.x, s.y) if s.kind == ROW and not _canonical_row(s) else s
-                         for s in self.summands)
+                         for s in summands)
         object.__setattr__(self, "summands", summands)
 
     def dim(self) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dihedralcodes.cli import main
-from dihedralcodes.codes import LinearCode
+from dihedralcodes.codes import CodeFamily, LinearCode, construct_code
 from dihedralcodes.gf import make_field
 from dihedralcodes.wedderburn import IdealSpec, code_from_ideal_spec, plus_piece, row, zero
 
@@ -330,8 +331,9 @@ def test_analyze_names_a_missing_key(tmp_path, capsys, doc, named):
 
 
 def test_dual_only_commands_never_import_numpy(tmp_path):
-    # a fresh interpreter, since this one may have numpy loaded already;
-    # at (43, 7) q^k - 1 exceeds the default cap, so analyze's auto is dual
+    # a fresh interpreter, since this one may have numpy or dataclasses loaded
+    # already; at (43, 7) q^k - 1 exceeds the default cap, so analyze's auto
+    # is dual, and example answers with the dual engine
     script = f"""
 import sys
 import dihedralcodes, dihedralcodes.cli as cli
@@ -340,7 +342,10 @@ construct = ["construct", "--field", "p=43", "--n", "7", "--family", "2n-2", "--
 assert cli.main(construct) == 0
 assert cli.main(["analyze", "--in", path]) == 0
 assert cli.main(["sweep", "--field", "p=43", "--n", "7"]) == 0
+assert cli.main(["example"]) == 0
+assert cli.main(["example", "--format", "json"]) == 0
 assert "numpy" not in sys.modules, "dual-only work imported numpy"
+assert "dataclasses" not in sys.modules, "a command imported dataclasses"
 from dihedralcodes import CodeFamily, construct_code, make_field
 code = construct_code(make_field(5, [2, 0, 1]), 3, CodeFamily(tag="2n-3-plus"))
 assert code.min_distance("exhaustive") == code.min_distance("dual") == 4
@@ -423,6 +428,26 @@ def test_example_single_variant_json(capsys):
     assert len(doc["variants"]) == 1
     v = doc["variants"][0]
     assert (v["length"], v["k"], v["d"], v["mds"]) == (6, 3, 4, True)
+
+
+def test_example_bytes_match_the_benchmark_digest(capsys):
+    # the dual engine answers example; its bytes are those the benchmark recorded
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    rc, out, _ = run(capsys, "example")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == json.loads(digests.read_text())["cli"]["example"]
+    ctx = make_field(5, [2, 0, 1])
+    exhaustive = {
+        name: construct_code(ctx, 3, CodeFamily(tag=family)).min_distance("exhaustive")
+        for name, family in (("I1", "2n-2"), ("I2", "2n-3-plus"))
+    }
+    for variant in ("both", "I1", "I2"):
+        rc, out, _ = run(capsys, "example", "--variant", variant, "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert {v["variant"]: v["d"] for v in doc["variants"]} == {
+            name: d for name, d in exhaustive.items() if variant in ("both", name)
+        }
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 import re
 
 import pytest
 
+from dihedralcodes.codes import CodeFamily, Provenance, construct_code
 from dihedralcodes.dihedral import DihedralAlgebra, left_ideal_basis, phi_inv
 from dihedralcodes.errors import (
     CharDividesOrderError,
@@ -12,7 +15,12 @@ from dihedralcodes.errors import (
     RootUnavailableError,
 )
 from dihedralcodes.gf import FieldElement, make_field, primitive_nth_root
-from dihedralcodes.idempotents import cyclic_idempotent
+from dihedralcodes.idempotents import (
+    IdempotentFamily,
+    central_primitive_idempotents,
+    cyclic_family,
+    cyclic_idempotent,
+)
 from dihedralcodes.linalg import MatrixGF
 from dihedralcodes.wedderburn import (
     FULL,
@@ -350,3 +358,66 @@ def test_resulting_basis_spans_a_left_ideal():
 def test_summand_kinds_exported():
     assert Summand(FULL).kind == "full"
     assert Summand(ZERO).kind == "zero"
+
+
+def _records():
+    """(record, an equal one built by keyword, a different one, field names,
+    repr as a frozen dataclass printed it) for each of the six value records."""
+    GF7 = make_field(7, [0, 1])
+    prov = construct_code(GF25, 3, CodeFamily(tag="2n-3-plus")).provenance
+    cyclic = cyclic_family(GF7, 3)
+    spec = IdealSpec((plus_piece(), row(GF25.one(), GF25.element(3))))
+    return [
+        (CodeFamily("2n-2"), CodeFamily(tag="2n-2", s=1, beta=None), CodeFamily("2n-2", 2),
+         ("tag", "s", "beta"), "CodeFamily(tag='2n-2', s=1, beta=None)"),
+        (Provenance(GF25, 3, "2n-3-plus", 1, GF25.element([1, 1])), prov,
+         Provenance(GF25, 3, "2n-3-minus", 1, prov.beta), ("ctx", "n", "tag", "s", "beta"),
+         "Provenance(ctx=FieldCtx(GF(25), p=5;mod=[2,0,1]), n=3, tag='2n-3-plus', s=1, beta=x+1)"),
+        (WedderburnTuple.one(GF7, 3),
+         WedderburnTuple(gamma=(GF7.one(),) * 2, blocks=(((GF7.one(), GF7.zero()), (GF7.zero(), GF7.one())),)),
+         WedderburnTuple.zero(GF7, 3), ("gamma", "blocks"),
+         "WedderburnTuple(gamma=(1, 1), blocks=(((1, 0), (0, 1)),))"),
+        (Summand(ROW, GF25.one(), GF25.element(3)), row(GF25.one(), GF25.element(3)), Summand(ROW),
+         ("kind", "x", "y"), "Summand(kind='row', x=1, y=3)"),
+        (spec, IdealSpec(summands=(Summand(kind="plus"), Summand(kind=ROW, x=GF25.one(), y=GF25.element(3)))),
+         IdealSpec((plus_piece(), row(GF25.one(), GF25.element(4)))), ("summands",),
+         "IdealSpec(summands=(Summand(kind='plus', x=None, y=None), Summand(kind='row', x=1, y=3)))"),
+        (cyclic, IdempotentFamily(n=3, ctx=GF7, xi=cyclic.xi, members=cyclic_family(GF7, 3).members),
+         central_primitive_idempotents(GF7, 3), ("n", "ctx", "xi", "members"),
+         "IdempotentFamily(n=3, ctx=FieldCtx(GF(7), p=7;mod=[0,1]), xi=2, "
+         "members=(5 + 5*a + 5*a^2, 5 + 6*a + 3*a^2, 5 + 3*a + 6*a^2))"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_records_are_frozen_values(case):
+    record, same, other, fields, text = _records()[case]
+    values = tuple(getattr(record, f) for f in fields)
+    assert type(record).__match_args__ == fields
+    assert record == same and not record != same and record is not same
+    assert record != other and not record == other
+    assert record != values and record.__eq__(values) is NotImplemented
+    assert hash(record) == hash(same)
+    assert len({record, same, other}) == 2 and {record: case}[same] == case
+    assert repr(record) == repr(same) == text
+    assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, f, None)
+        with pytest.raises(AttributeError):
+            delattr(record, f)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert tuple(getattr(record, f) for f in fields) == values
+
+
+def test_records_take_defaults_and_refuse_wrong_fields():
+    assert (CodeFamily("2n-2").s, CodeFamily("2n-2").beta) == (1, None)
+    assert (Summand(FULL).x, Summand(FULL).y) == (None, None)
+    assert CodeFamily("2n-2", beta=3) == CodeFamily(tag="2n-2", s=1, beta=3)
+    for args, kwargs in [((), {}), (("2n-2", 1, None, 4), {}), (("2n-2",), {"tag": "2n-2"}),
+                         ((), {"tag": "2n-2", "t": 1})]:
+        with pytest.raises(TypeError):
+            CodeFamily(*args, **kwargs)
+    with pytest.raises(TypeError):
+        Provenance(GF25, 3, "2n-2", 1)  # no default for beta
