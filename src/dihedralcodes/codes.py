@@ -20,9 +20,10 @@ from_generator_rows reduce the generator they are given and take
 H = [-A^T | I] off G = [I | A] (linalg.null_rows).  Either way H is the one
 parity check: contains tests H v^T = 0.  H, like every matrix, holds the
 field's entry form (linalg._entry_form): residues over GF(p), packed pairs
-over GF(p^2), FieldElements above, each with the same canon, submul, point and
-reduce.  The paper-style presentation reads its rows, n e_j and n b e_j,
-off P's forms (wedderburn._summand_forms) on that form.
+over GF(p^2), FieldElements above, each a linalg._Form with the same canon,
+is_zero, submul, point, points and reduce.  The paper-style presentation
+reads its rows, n e_j and n b e_j, off P's forms (wedderburn._summand_forms)
+on that form.
 
 Minimum distance is computed two independent ways, both exact, with no
 limit on q: exhaustive enumeration, in numpy, of one codeword per
@@ -131,24 +132,23 @@ class LinearCode:
 
     def _start(self, ctx: FieldCtx, length: int, provenance, rows=None, reduced=None):
         self.ctx, self.length, self.provenance = ctx, length, provenance
-        self._rows, self._reduced, self._parity = rows, reduced, None
+        self._parity, self._reduced = rows, reduced
         self._distance: dict[str, int] = {}
         # the generator's rank, else the length less H's, found on the walk's entries
         self.k = len(reduced[1]) if reduced else length - _rank(*self._parity_check())
 
     def _rref(self) -> tuple[MatrixGF, list[int]]:
         if self._reduced is None:
-            self._reduced = kernel_rref(self.ctx, self._rows, self.length)
+            self._reduced = kernel_rref(self.ctx, self._parity, self.length)
         return self._reduced
 
     def _parity_check(self):
-        """H's rows in the entry form, and that form; built once.  H is a
-        constructed code's constraint rows, else [-A^T | I] read off the RREF
-        generator [I | A] (linalg.null_rows); both come in the entry form."""
+        """H's rows in the field's entry form, and that form; H is built
+        once.  It is a constructed code's constraint rows, else [-A^T | I]
+        read off the RREF generator [I | A] (linalg.null_rows)."""
         if self._parity is None:
-            rows = null_rows(*self._rref()) if self._rows is None else self._rows
-            self._parity = rows, _entry_form(self.ctx)
-        return self._parity
+            self._parity = null_rows(*self._rref())
+        return self._parity, _entry_form(self.ctx)
 
     @property
     def generator(self) -> MatrixGF:

@@ -4,8 +4,9 @@ Gaussian elimination with first-nonzero pivoting; no floating point, no
 sparsity.  Matrices are plain values: every operation returns a new matrix.
 A matrix holds its rows in its field's entry form (_entry_form), the form
 the dual walk keeps its columns in too: integers over GF(p) (_Residues) and
-GF(p^2) (_Packed), FieldElements from GF(p^3) on (_Elements).  Elimination
-is written once, on any form's submul and point.  FieldElements are the API
+GF(p^2) (_Packed), FieldElements from GF(p^3) on (_Elements).  Each is a
+_Form, written once on the closed forms a form supplies.  Elimination is
+written once, on any form's submul and point.  FieldElements are the API
 view: data, m[i, j], row(i), text() and to_json() build them on access, and
 the constructors take them, refusing entries from another field.
 """
@@ -162,8 +163,10 @@ class MatrixGF:
             or any(len(r) != doc["cols"] for r in entries)
         ):
             raise ValueError("matrix JSON shape mismatch")
-        rows = [[_json_entry(ctx, e, i, j) for j, e in enumerate(r)] for i, r in enumerate(entries)]
-        return cls(ctx, rows, cols=doc["cols"])
+        form = _entry_form(ctx)  # every entry passes ctx.element: the rows enter unchecked
+        rows = [form.entries([_json_entry(ctx, e, i, j) for j, e in enumerate(r)])
+                for i, r in enumerate(entries)]
+        return cls._trusted(ctx, rows, doc["cols"])
 
     def __repr__(self):
         return f"MatrixGF({self.rows}x{self.cols} over GF({self.ctx.q}))\n{self.text()}"
@@ -222,12 +225,12 @@ def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:
         raise ValueError(f"matrix entry [{i}][{j}] is {json.dumps(e)}, {exc}") from None
 
 
-def _entry_form(ctx: FieldCtx):
+def _entry_form(ctx: FieldCtx) -> _Form:
     """The form ctx's entries are held in: residues over GF(p), packed pairs
     over GF(p^2), else elements."""
     if ctx.m == 1:
         return _Residues(ctx)
-    return _Packed(ctx) if ctx.m == 2 else _Elements()
+    return _Packed(ctx) if ctx.m == 2 else _Elements(ctx)
 
 
 def _inverses(xs, p: int) -> list[int]:
@@ -246,27 +249,52 @@ def _inverses(xs, p: int) -> list[int]:
     return out
 
 
-def _reduce(form, c, vs, keys=False):
-    """Each v less v[lead] c, off c's lead, for c given as its point; with
-    keys, their points (form.points).  _Packed and _Elements reduce so;
-    _Residues keys two coordinates left by one ratio, never forming them."""
-    lead, *tail = c
-    out = [v[:lead] + form.submul(v[lead + 1:], v[lead], tail) for v in vs]
-    return form.points(out) if keys else out
-
-
-class _Residues:
-    """GF(p) entries as residues mod p, canonical in [0, p)."""
+class _Form:
+    """An entry form's generic operations, elements, is_zero, point, reduce
+    and the lead scan, written once on what each form supplies: entries,
+    coeffs, canon (a value built by + - * back to an entry), submul, points.
+    """
 
     def __init__(self, ctx: FieldCtx):
         self.ctx, self.p = ctx, ctx.p
 
-    def entries(self, elements) -> list[int]:
-        return [e.coeffs[0] for e in elements]
-
     def elements(self, entries) -> list[FieldElement]:
         ctx = self.ctx
-        return [FieldElement(ctx, (a,)) for a in entries]
+        return [FieldElement(ctx, tuple(c)) for c in self.coeffs(entries)]
+
+    def is_zero(self, a) -> bool:
+        """Whether a, a value built from entries by + - *, is 0."""
+        return not self.canon([a])[0]
+
+    def point(self, v):
+        """v's projective point: its lead (first nonzero index) and v/v[lead]
+        past it; None for v = 0."""
+        return self.points([v])[0]
+
+    def reduce(self, c, vs, keys=False):
+        """Each v less v[lead] c, off c's lead, for c given as its point; with
+        keys, their points."""
+        (lead, *tail), submul = c, self.submul
+        out = [v[:lead] + submul(v[lead + 1:], v[lead], tail) for v in vs]
+        return self.points(out) if keys else out
+
+    @staticmethod
+    def _leads(vs) -> list[int]:
+        """Each v's first nonzero index, len(v) for v = 0."""
+        leads = []
+        for v in vs:
+            lead = 0
+            while lead < len(v) and not v[lead]:
+                lead += 1
+            leads.append(lead)
+        return leads
+
+
+class _Residues(_Form):
+    """GF(p) entries as residues mod p, canonical in [0, p)."""
+
+    def entries(self, elements) -> list[int]:
+        return [e.coeffs[0] for e in elements]
 
     def coeffs(self, entries) -> list[list[int]]:  # as FieldElement.to_list gives them
         return [[a] for a in entries]
@@ -275,18 +303,12 @@ class _Residues:
         p = self.p
         return [a % p for a in values]
 
-    def is_zero(self, a) -> bool:
-        """Whether a, an integer built from entries by + - *, is 0 in GF(p)."""
-        return a % self.p == 0
-
     def submul(self, xs, f, ys) -> list[int]:
         """xs - f ys, entrywise."""
         p = self.p
         return [(a - f * b) % p for a, b in zip(xs, ys)]
 
-    def point(self, v):
-        """v's projective point: its lead (first nonzero index) and v/v[lead]
-        past it; None for v = 0."""
+    def point(self, v):  # one pow, no batch
         p = self.p
         for lead, a in enumerate(v):
             if a:
@@ -296,34 +318,25 @@ class _Residues:
 
     def points(self, vs):
         """The point of each v, by one batched inversion of their leads."""
-        p, leads = self.p, []
-        for v in vs:
-            lead = 0
-            while lead < len(v) and not v[lead]:
-                lead += 1
-            leads.append(lead)
+        p, leads = self.p, self._leads(vs)
         invs = _inverses([v[lead] if lead < len(v) else 0 for v, lead in zip(vs, leads)], p)
         return [(lead, *[b * inv % p for b in v[lead + 1:]]) if inv else None
                 for v, lead, inv in zip(vs, leads, invs)]
 
     def reduce(self, c, vs, keys=False):
-        """Each v less v[lead] c, off c's lead, for c given as its point; with
-        keys, their points instead.  Two coordinates (x, y) left have the
-        point y/x: p for x = 0, None for x = y = 0."""
-        p = self.p
-        lead, *tail = c
-        unit = [0] * lead + [1] + tail
-        rest = [t for t in range(len(unit)) if t != lead]
-        if keys and len(rest) == 2:
-            (s, t), a, b = rest, unit[rest[0]], unit[rest[1]]
-            xs = [(v[s] - v[lead] * a) % p for v in vs]
-            return [(v[t] - v[lead] * b) * inv % p if x else (p if (v[t] - v[lead] * b) % p else None)
-                    for v, x, inv in zip(vs, xs, _inverses(xs, p))]
-        out = [[(v[t] - v[lead] * unit[t]) % p for t in rest] for v in vs]
-        return self.points(out) if keys else out
+        """As _Form.reduce, but the keys of vectors of length 3, two
+        coordinates (x, y) left, are y/x by one batched inversion, never
+        forming them: p for x = 0, None for x = y = 0."""
+        p, lead = self.p, c[0]
+        if not keys or lead + len(c) != 3:
+            return super().reduce(c, vs, keys)
+        (s, a), (t, b) = [(i, u) for i, u in enumerate([0] * lead + [1, *c[1:]]) if i != lead]
+        xs = [(v[s] - v[lead] * a) % p for v in vs]
+        return [(v[t] - v[lead] * b) * inv % p if x else (p if (v[t] - v[lead] * b) % p else None)
+                for v, x, inv in zip(vs, xs, _inverses(xs, p))]
 
 
-class _Packed:
+class _Packed(_Form):
     """GF(p^2) entries a + b t, for the modulus t^2 + c1 t + c0, as the
     integers a + b X, X = 2^w, canonical with 0 <= a, b < p.
 
@@ -332,13 +345,13 @@ class _Packed:
     2^(w-1) each) and folds t^2 = -c1 t - c0 and t^3 = (c1^2 - c0) t + c0 c1
     back in.  w holds the deepest expression the library forms, a cubic
     (_on_a_conic, under 2^(3 bits(p) + 5)), and sums of under 2^32
-    products.  submul, point and reduce work on the pairs in closed form,
+    products.  submul and points work on the pairs in closed form,
     inverting by the norm map (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0.
     """
 
     def __init__(self, ctx: FieldCtx):
-        p, (c0, c1, _), bits = ctx.p, ctx.modulus, ctx.p.bit_length()
-        self.ctx, self.p, self.c0, self.c1 = ctx, p, c0, c1
+        super().__init__(ctx)
+        p, (self.c0, self.c1, _), bits = ctx.p, ctx.modulus, ctx.p.bit_length()
         self.w = w = max(3 * bits + 7, 2 * bits + 35)
         self.mask = (1 << w) - 1
         self.bias = (1 << w - 1) // p * p * (1 + (1 << w) + (1 << 2 * w))
@@ -346,10 +359,6 @@ class _Packed:
     def entries(self, elements) -> list[int]:
         w = self.w
         return [a | b << w for a, b in (e.coeffs for e in elements)]
-
-    def elements(self, entries) -> list[FieldElement]:
-        ctx, m, w = self.ctx, self.mask, self.w
-        return [FieldElement(ctx, (e & m, e >> w)) for e in entries]
 
     def coeffs(self, entries) -> list[list[int]]:
         m, w = self.mask, self.w
@@ -366,9 +375,6 @@ class _Packed:
                        | ((e >> w & m) - c1 * s2 + c11 * s3) % p << w)
         return out
 
-    def is_zero(self, a) -> bool:
-        return not self.canon([a])[0]
-
     def submul(self, xs, f, ys) -> list[int]:
         # f b = (f0 b0 - g0 b1) + (f1 b0 + g1 b1) t, g0 = f1 c0, g1 = f0 - f1 c1
         p, w, m = self.p, self.w, self.mask
@@ -377,19 +383,12 @@ class _Packed:
         return [((a & m) - f0 * (b & m) + g0 * (b >> w)) % p
                 | ((a >> w) - f1 * (b & m) - g1 * (b >> w)) % p << w for a, b in zip(xs, ys)]
 
-    def point(self, v):
-        return self.points([v])[0]
-
     def points(self, vs):
         """The point of each v, by one batched inversion of their leads' norms."""
         p, c0, c1, w, m = self.p, self.c0, self.c1, self.w, self.mask
-        leads, norms = [], []
-        for v in vs:
-            lead = 0
-            while lead < len(v) and not v[lead]:
-                lead += 1
+        leads, norms = self._leads(vs), []
+        for v, lead in zip(vs, leads):
             a0, a1 = (v[lead] & m, v[lead] >> w) if lead < len(v) else (0, 0)
-            leads.append(lead)
             norms.append((a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0) % p)
         out = []
         for v, lead, n in zip(vs, leads, _inverses(norms, p)):
@@ -403,10 +402,8 @@ class _Packed:
                                 | (f1 * (b & m) + g1 * (b >> w)) % p << w for b in v[lead + 1:]]))
         return out
 
-    reduce = _reduce
 
-
-class _Elements:
+class _Elements(_Form):
     """GF(p^m) entries as FieldElements, with their own arithmetic."""
 
     def entries(self, elements) -> list[FieldElement]:
@@ -423,17 +420,8 @@ class _Elements:
     def submul(self, xs, f, ys) -> list[FieldElement]:
         return [a - f * b for a, b in zip(xs, ys)]
 
-    def is_zero(self, a) -> bool:
-        return not a
-
-    def point(self, v):
-        for lead, a in enumerate(v):
-            if a:
-                inv = a.inverse()
-                return lead, *[b * inv for b in v[lead + 1:]]
-        return None
-
     def points(self, vs):
-        return [self.point(v) for v in vs]
-
-    reduce = _reduce
+        leads = self._leads(vs)
+        invs = [v[lead].inverse() if lead < len(v) else None for v, lead in zip(vs, leads)]
+        return [(lead, *[b * inv for b in v[lead + 1:]]) if inv else None
+                for v, lead, inv in zip(vs, leads, invs)]

@@ -801,7 +801,7 @@ def test_min_dependent_columns_matches_subset_oracle():
             if any(columns_rank(m, c) < w for c in combinations(range(m.cols), w)):
                 expected = w
                 break
-        for field in (_entry_form(m.ctx), _Elements()):
+        for field in (_entry_form(m.ctx), _Elements(m.ctx)):
             cols = [field.entries(col) for col in zip(*m.data)]
             assert _min_dependent_columns(cols, field) == expected
         assert LinearCode(m.kernel_basis()).min_distance("dual") == expected

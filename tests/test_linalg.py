@@ -218,3 +218,21 @@ def test_to_json_entries_are_the_elements_coefficients(ctx):
             "entries": [[list(e.coeffs) for e in r] for r in m.data],
         }
     assert MatrixGF(ctx, rows).to_json()["entries"] == [[list(e.coeffs) for e in r] for r in rows]
+
+
+@pytest.mark.parametrize("ctx", [GF13, GF25, GF8])
+def test_from_json_enters_its_rows_in_the_entry_form(ctx, monkeypatch):
+    # from_json has checked the shape and passed every entry through
+    # ctx.element, so its rows enter through _trusted, never __init__
+    rng = random.Random(ctx.q + 2)
+    m = random_matrix(ctx, 3, 4, rng)
+    doc = m.to_json()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("from_json checked its entries twice")
+
+    monkeypatch.setattr(MatrixGF, "__init__", refuse)
+    loaded = MatrixGF.from_json(doc)
+    assert loaded == m and loaded.entries == m.entries and type(loaded.form) is type(m.form)
+    empty = MatrixGF.from_json({**doc, "rows": 0, "entries": []})
+    assert (empty.rows, empty.cols, empty.entries) == (0, 4, [])

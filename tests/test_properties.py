@@ -543,7 +543,7 @@ def test_span_side_and_constraint_side_give_one_rref(alg_spec):
 
 
 # ---------------------------------------------------------------------------
-# the GF(p^2) entry form against FieldElement arithmetic
+# the three entry forms against FieldElement arithmetic
 
 PACKED_FIELDS = (
     make_field(2, [1, 1, 1]),  # p = 2, and c1 != 0
@@ -555,18 +555,30 @@ PACKED_FIELDS = (
     make_field(2**31 - 1, [1, 0, 1]),
 )
 
+# residues at a small and a 31-bit p, the packed fields, and elements at m = 3
+FORM_FIELDS = (
+    (make_field(13, [0, 1]), make_field(2**31 - 1, [0, 1]))
+    + PACKED_FIELDS
+    + (make_field(2, [1, 1, 0, 1]), make_field(3, [1, 2, 0, 1]), make_field(7, [1, 1, 0, 1]))
+)
+
 
 def field_elements(ctx, size):
-    pair = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
-    return st.lists(pair.map(lambda c: ctx.element(list(c))), min_size=size, max_size=size)
+    coeffs = st.lists(st.integers(0, ctx.p - 1), min_size=ctx.m, max_size=ctx.m)
+    return st.lists(coeffs.map(ctx.element), min_size=size, max_size=size)
+
+
+def three_plus_t(ctx):
+    """3 + t over an extension field, 3 over GF(p)."""
+    return ctx.element([3, 1] if ctx.m > 1 else 3)
 
 
 @st.composite
-def packed_cases(draw, size):
-    """A field of PACKED_FIELDS, its entry form, and size of its elements,
+def form_cases(draw, size):
+    """A field of FORM_FIELDS, its entry form, and size of its elements,
     zero and small ones drawn often."""
-    ctx = draw(st.sampled_from(PACKED_FIELDS))
-    small = st.sampled_from([ctx.zero(), ctx.one(), -ctx.one(), ctx.element([0, 1])])
+    ctx = draw(st.sampled_from(FORM_FIELDS))
+    small = st.sampled_from([ctx.zero(), ctx.one(), -ctx.one(), three_plus_t(ctx)])
     els = [draw(st.one_of(small, field_elements(ctx, 1).map(lambda v: v[0]))) for _ in range(size)]
     return ctx, _entry_form(ctx), els
 
@@ -584,43 +596,49 @@ EXPRESSIONS = (
 
 
 @PROPERTY
-@given(packed_cases(9), st.integers(0, len(EXPRESSIONS) - 1))
-def test_packed_form_canon_and_is_zero_match_field_elements(case, k):
+@given(form_cases(9), st.integers(0, len(EXPRESSIONS) - 1))
+def test_entry_form_canon_and_is_zero_match_field_elements(case, k):
     ctx, form, els = case
-    assert type(form).__name__ == "_Packed"
     entries = form.entries(els)
     assert form.elements(entries) == els
+    assert form.entries(form.elements(entries)) == entries
     assert form.coeffs(entries) == [e.to_list() for e in els]
-    assert all(0 <= c < ctx.p for pair in form.coeffs(entries) for c in pair)
+    assert all(0 <= c < ctx.p for cs in form.coeffs(entries) for c in cs)
+    assert [form.is_zero(a) for a in entries] == [not e for e in els]
     want = EXPRESSIONS[k](*els)
     got = EXPRESSIONS[k](*entries)  # unreduced
     assert form.elements(form.canon([got])) == [want]
     assert form.is_zero(got) == (not want)
     assert form.is_zero(got - form.canon([got])[0])
-    # submul, the closed form of a - f b
+    # submul, each form's closed form of a - f b
     a, f, b = entries[:3]
     assert form.elements(form.submul([a], f, [b])) == [els[0] - els[1] * els[2]]
 
 
 @PROPERTY
-@given(packed_cases(4))
-def test_packed_form_point_matches_field_elements(case):
+@given(form_cases(4))
+def test_entry_form_point_matches_field_elements(case):
     ctx, form, v = case
-    point = form.point(form.entries(v))
-    lead = next((i for i, e in enumerate(v) if e), None)
-    if lead is None:
-        assert point is None
-    else:
-        inv = v[lead].inverse()
-        assert point == (lead, *form.entries([e * inv for e in v[lead + 1:]]))
+    vs = [v, v[1:], v[2:], [ctx.zero()] * 2, []]
+
+    def want(u):
+        lead = next((i for i, e in enumerate(u) if e), None)
+        if lead is None:
+            return None
+        inv = u[lead].inverse()
+        return (lead, *form.entries([e * inv for e in u[lead + 1:]]))
+
+    entries = [form.entries(u) for u in vs]
+    assert [form.point(u) for u in entries] == [want(u) for u in vs]
+    assert form.points(entries) == [want(u) for u in vs]  # one batch
 
 
 @PROPERTY
-@given(packed_cases(3), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6),
+@given(form_cases(3), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6),
        st.integers(2, 4))
-def test_packed_form_reduce_matches_field_elements(case, picks, length):
+def test_entry_form_reduce_matches_field_elements(case, picks, length):
     ctx, form, seed = case
-    pool = seed + [ctx.element([3, 1]), ctx.zero(), ctx.one()]
+    pool = seed + [three_plus_t(ctx), ctx.zero(), ctx.one()]
     u = (pool * 2)[:length]
     assume(any(u))
     c = form.point(form.entries(u))
@@ -639,8 +657,16 @@ def test_packed_form_reduce_matches_field_elements(case, picks, length):
     out = form.reduce(c, [form.entries(v) for v in vs])
     assert [form.elements(r) for r in out] == less
     keys = form.reduce(c, [form.entries(v) for v in vs], keys=True)
-    assert keys == [form.point(form.entries(r)) for r in less]
-    if length == 3:  # two coordinates (x, y) left: the key is y/x, by one batched inversion
-        want = [(0, *form.entries([y / x])) if x else ((1,) if y else None) for x, y in less]
-        assert keys == want
-        assert None in keys and (1,) in keys
+    points = [form.point(form.entries(r)) for r in less]
+    if length == 3 and type(form).__name__ == "_Residues":
+        # two coordinates (x, y) left: the key is y/x, by one batched
+        # inversion, p for x = 0 and y != 0
+        assert keys == [(y / x).coeffs[0] if x else (ctx.p if y else None) for x, y in less]
+        assert None in keys and ctx.p in keys
+    else:
+        assert keys == points
+        if length == 3:
+            assert None in keys and (1,) in keys
+    # keys name points: equal exactly where the points are, None where they are
+    assert [keys.index(key) for key in keys] == [points.index(point) for point in points]
+    assert [key is None for key in keys] == [point is None for point in points]
