@@ -19,9 +19,9 @@ on first use (linalg.kernel_rref); the public constructor, load_code and
 from_generator_rows reduce the generator they are given and take
 H = [-A^T | I] off G = [I | A] (linalg.null_rows).  Either way H is the one
 parity check: contains tests H v^T = 0.  H, like every matrix, holds the
-field's entry form (linalg._entry_form): residues over GF(p), packed pairs
-over GF(p^2), FieldElements above, each a linalg._Form with the same canon,
-is_zero, submul, point, points and reduce.  The paper-style presentation
+field's entry form (linalg._entry_form): residues over GF(p), packed
+integers over GF(p^m), each a linalg._Form with the same canon, is_zero,
+submul, point, points and reduce.  The paper-style presentation
 reads its rows, n e_j and n b e_j, off P's forms (wedderburn._summand_forms)
 on that form.
 
@@ -312,8 +312,7 @@ def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> Matr
     ctx, n, s = prov.ctx, prov.n, prov.s
     form, xi_pows, units = _xi_entries(ctx, n)
     if prov.tag == FAMILY_2N_MINUS_2:  # n e_0 = (1|0), n b e_0 = (0|1)
-        z, o, _ = units
-        rows = [[o] * n + [z] * n, [z] * n + [o] * n]
+        rows = [[1] * n + [0] * n, [0] * n + [1] * n]
     else:  # n (1 -+ b) e_0
         g1, g2 = _summand_forms(xi_pows, 0, units)
         rows = [g2 if prov.tag == FAMILY_2N_MINUS_3_MINUS else g1]

@@ -140,8 +140,7 @@ class AlgebraElement:
         self._check(other)
         n, form = self.n, _entry_form(self.ctx)
         (xa, xb), (ya, yb) = ([form.entries(h) for h in (u.alpha, u.beta)] for u in (self, other))
-        z = form.entries([self.ctx.zero()])[0]
-        halves = ([z] * n, [z] * n)  # (alpha, beta) of the product, unreduced
+        halves = ([0] * n, [0] * n)  # (alpha, beta) of the product, unreduced
         # a^i or b a^i times a^j or b a^j: reflected when exactly one factor
         # is, at a^(j-i) when the right factor is reflected, else at a^(i+j):
         # coordinate k gains x_i y_(k+s), s = i if reflected, else -i

@@ -241,7 +241,7 @@ def _check_irreducible(modulus, p):
 class FieldCtx:
     """Immutable description of GF(p^m): prime, modulus, cardinality."""
 
-    __slots__ = ("p", "m", "modulus", "q", "_generator")
+    __slots__ = ("p", "m", "modulus", "q", "_generator", "_form")
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
         # use make_field(); this constructor assumes validated input
@@ -250,6 +250,7 @@ class FieldCtx:
         self.m = len(modulus) - 1
         self.q = p ** self.m
         self._generator = None
+        self._form = None  # its entry form, linalg._entry_form's to fill
 
     # -- construction of elements ------------------------------------------
 
@@ -380,10 +381,6 @@ class FieldElement:
         ctx = self.ctx
         if ctx.m == 1:
             return FieldElement(ctx, ((self.coeffs[0] * o.coeffs[0]) % ctx.p,))
-        if ctx.m == 2:  # t^2 = -c1 t - c0 for the modulus t^2 + c1 t + c0
-            (a0, a1), (b0, b1), (c0, c1, _), p = self.coeffs, o.coeffs, ctx.modulus, ctx.p
-            top = a1 * b1
-            return FieldElement(ctx, ((a0 * b0 - top * c0) % p, (a0 * b1 + a1 * b0 - top * c1) % p))
         prod = _pmod(_pmul(self.coeffs, o.coeffs, ctx.p), ctx.modulus, ctx.p)
         prod = list(prod) + [0] * (ctx.m - len(prod))
         return FieldElement(ctx, tuple(prod))
@@ -426,12 +423,6 @@ class FieldElement:
         p = ctx.p
         if ctx.m == 1:
             return FieldElement(ctx, (pow(self.coeffs[0], p - 2, p),))
-        if ctx.m == 2:
-            # the norm map: for modulus t^2 + c1 t + c0,
-            # (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0, a nonzero element of GF(p)
-            (a, b), (c0, c1, _) = self.coeffs, ctx.modulus
-            inv = pow((a * a - a * b * c1 + b * b * c0) % p, p - 2, p)
-            return FieldElement(ctx, ((a - b * c1) * inv % p, -b * inv % p))
         # extended Euclid over GF(p)[x]
         r0, r1 = list(ctx.modulus), _trim(list(self.coeffs))
         s0, s1 = [], [1]

@@ -2,13 +2,15 @@
 
 Gaussian elimination with first-nonzero pivoting; no floating point, no
 sparsity.  Matrices are plain values: every operation returns a new matrix.
-A matrix holds its rows in its field's entry form (_entry_form), the form
-the dual walk keeps its columns in too: integers over GF(p) (_Residues) and
-GF(p^2) (_Packed), FieldElements from GF(p^3) on (_Elements).  Each is a
-_Form, written once on the closed forms a form supplies.  Elimination is
-written once, on any form's submul and point.  FieldElements are the API
-view: data, m[i, j], row(i), text() and to_json() build them on access, and
-the constructors take them, refusing entries from another field.
+A matrix holds its rows in its field's entry form (_entry_form, one per
+field), the form the dual walk keeps its columns in too: integers always,
+residues over GF(p) (_Residues), and over GF(p^m), m >= 2, coefficients
+packed into one integer (_Packed), with closed forms at m = 2 (_Pairs).
+Each is a _Form, written once on the closed forms a form supplies.
+Elimination is written once, on any form's submul and point.
+FieldElements are the API view: data, m[i, j], row(i), text() and to_json()
+build them on access, and the constructors take them, refusing entries
+from another field.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .errors import MixedContextsError
-from .gf import FieldCtx, FieldElement, _is_int, parse_field_spec
+from .gf import FieldCtx, FieldElement, _is_int, _pmod, parse_field_spec
 
 
 class MatrixGF:
@@ -77,7 +79,6 @@ class MatrixGF:
         Rows are replaced, never changed in place, so they may be shared.
         """
         form, data = self.form, list(self.entries)
-        one = form.entries([self.ctx.one()])[0]
         pivots = []
         for c in range(self.cols):
             r = len(pivots)
@@ -85,8 +86,8 @@ class MatrixGF:
             if pr is None:
                 continue
             data[r], data[pr] = data[pr], data[r]
-            if data[r][c] != one:  # scale it by its point: zero before c, so c is its lead
-                data[r] = data[r][:c] + [one, *form.point(data[r])[1:]]
+            if data[r][c] != 1:  # scale it by its point: zero before c, so c is its lead
+                data[r] = data[r][:c] + [1, *form.point(data[r])[1:]]
             v = data[r]
             for i in range(self.rows):
                 f = data[i][c]
@@ -182,14 +183,13 @@ def null_rows(R: MatrixGF, pivots) -> list[list]:
     columns and are not otherwise reduced.
     """
     pivot_set, r = set(pivots), len(pivots)
-    z, o = R.form.entries([R.ctx.zero(), R.ctx.one()])
     free = [f for f in range(R.cols) if f not in pivot_set]
     # the free columns of R, negated by one submul: 0 - 1 R[i][f]
-    minus = R.form.submul([z] * (len(free) * r), o, [row[f] for f in free for row in R.entries[:r]])
+    minus = R.form.submul([0] * (len(free) * r), 1, [row[f] for f in free for row in R.entries[:r]])
     rows = []
     for i, f in enumerate(free):
-        v = [z] * R.cols
-        v[f] = o
+        v = [0] * R.cols
+        v[f] = 1
         for pc, e in zip(pivots, minus[i * r:(i + 1) * r]):
             v[pc] = e
         rows.append(v)
@@ -227,10 +227,11 @@ def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:
 
 def _entry_form(ctx: FieldCtx) -> _Form:
     """The form ctx's entries are held in: residues over GF(p), packed pairs
-    over GF(p^2), else elements."""
-    if ctx.m == 1:
-        return _Residues(ctx)
-    return _Packed(ctx) if ctx.m == 2 else _Elements(ctx)
+    over GF(p^2), else packed coefficients.  One per ctx, built on first use
+    and kept on it (FieldCtx._form)."""
+    if ctx._form is None:
+        ctx._form = (_Residues if ctx.m == 1 else _Pairs if ctx.m == 2 else _Packed)(ctx)
+    return ctx._form
 
 
 def _inverses(xs, p: int) -> list[int]:
@@ -253,6 +254,8 @@ class _Form:
     """An entry form's generic operations, elements, is_zero, point, reduce
     and the lead scan, written once on what each form supplies: entries,
     coeffs, canon (a value built by + - * back to an entry), submul, points.
+    Every form holds an element of GF(p) as its residue: 0 and 1 are the
+    entries 0 and 1.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -337,35 +340,64 @@ class _Residues(_Form):
 
 
 class _Packed(_Form):
-    """GF(p^2) entries a + b t, for the modulus t^2 + c1 t + c0, as the
-    integers a + b X, X = 2^w, canonical with 0 <= a, b < p.
+    """GF(p^m) entries, m >= 2, sum c_i t^i as the integers sum c_i X^i,
+    X = 2^w (Kronecker substitution), canonical with 0 <= c_i < p.
 
     + - * act on them as on polynomials in X, exact and unreduced until
-    canon reads the signed slots s0..s3 (biased by a multiple of p near
-    2^(w-1) each) and folds t^2 = -c1 t - c0 and t^3 = (c1^2 - c0) t + c0 c1
-    back in.  w holds the deepest expression the library forms, a cubic
-    (_on_a_conic, under 2^(3 bits(p) + 5)), and sums of under 2^32
-    products.  submul and points work on the pairs in closed form,
-    inverting by the norm map (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0.
+    canon reads back slots 0..3m-3, each biased by a multiple of p near
+    2^(w-1), reduces each mod p and folds them by the modulus (gf._pmod).
+    w holds the deepest expression the library forms, six cubic products
+    summed (_on_a_conic, slots under 6 m^2 p^3), and sums of under 2^32
+    products (slots under m p^2), with a sign bit to spare.
     """
 
     def __init__(self, ctx: FieldCtx):
         super().__init__(ctx)
-        p, (self.c0, self.c1, _), bits = ctx.p, ctx.modulus, ctx.p.bit_length()
-        self.w = w = max(3 * bits + 7, 2 * bits + 35)
-        self.mask = (1 << w) - 1
-        self.bias = (1 << w - 1) // p * p * (1 + (1 << w) + (1 << 2 * w))
+        m, b = ctx.m, ctx.p.bit_length()
+        self.w = w = max(3 * b + (6 * m * m - 1).bit_length(), 2 * b + (m - 1).bit_length() + 32) + 2
+        self.slots = range(0, (3 * m - 2) * w, w)
+        self.mask, self.shifts = (1 << w) - 1, self.slots[:m]
+        self.bias = (1 << w - 1) // ctx.p * ctx.p * sum(1 << s for s in self.slots)
 
     def entries(self, elements) -> list[int]:
-        w = self.w
-        return [a | b << w for a, b in (e.coeffs for e in elements)]
+        shifts = self.shifts
+        return [sum(c << s for c, s in zip(e.coeffs, shifts)) for e in elements]
+
+    def coeffs(self, entries) -> list[list[int]]:
+        mask, shifts = self.mask, self.shifts
+        return [[e >> s & mask for s in shifts] for e in entries]
+
+    def canon(self, values) -> list[int]:
+        p, f, mask, slots, shifts = self.p, self.ctx.modulus, self.mask, self.slots, self.shifts
+        return [sum(c << s for c, s in zip(_pmod([(e >> s & mask) % p for s in slots], f, p), shifts))
+                for e in map(self.bias.__add__, values)]  # each slot biased into [0, 2^w)
+
+    def submul(self, xs, f, ys) -> list[int]:
+        return self.canon([a - f * b for a, b in zip(xs, ys)])
+
+    def points(self, vs):
+        """The point of each v, its lead inverted as a FieldElement."""
+        out = []
+        for v, lead in zip(vs, self._leads(vs)):
+            inv = self.entries([x.inverse() for x in self.elements(v[lead:lead + 1])])
+            out.append((lead, *self.canon([b * inv[0] for b in v[lead + 1:]])) if inv else None)
+        return out
+
+
+class _Pairs(_Packed):
+    """GF(p^2) entries a + b t, for the modulus t^2 + c1 t + c0, on _Packed's
+    layout, in closed form: canon folds t^2 = -c1 t - c0 and
+    t^3 = (c1^2 - c0) t + c0 c1 into the slots, and submul and points work
+    on the pairs, inverting by the norm map
+    (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0.
+    """
 
     def coeffs(self, entries) -> list[list[int]]:
         m, w = self.mask, self.w
         return [[e & m, e >> w] if e else [0, 0] for e in entries]
 
     def canon(self, values) -> list[int]:
-        p, c0, c1, w, m, bias = self.p, self.c0, self.c1, self.w, self.mask, self.bias
+        (c0, c1, _), p, w, m, bias = self.ctx.modulus, self.p, self.w, self.mask, self.bias
         c01, c11, w2 = c0 * c1, c1 * c1 - c0, 2 * w
         out = []
         for e in values:
@@ -377,15 +409,15 @@ class _Packed(_Form):
 
     def submul(self, xs, f, ys) -> list[int]:
         # f b = (f0 b0 - g0 b1) + (f1 b0 + g1 b1) t, g0 = f1 c0, g1 = f0 - f1 c1
-        p, w, m = self.p, self.w, self.mask
+        (c0, c1, _), p, w, m = self.ctx.modulus, self.p, self.w, self.mask
         f0, f1 = f & m, f >> w
-        g0, g1 = f1 * self.c0, f0 - f1 * self.c1
+        g0, g1 = f1 * c0, f0 - f1 * c1
         return [((a & m) - f0 * (b & m) + g0 * (b >> w)) % p
                 | ((a >> w) - f1 * (b & m) - g1 * (b >> w)) % p << w for a, b in zip(xs, ys)]
 
     def points(self, vs):
         """The point of each v, by one batched inversion of their leads' norms."""
-        p, c0, c1, w, m = self.p, self.c0, self.c1, self.w, self.mask
+        (c0, c1, _), p, w, m = self.ctx.modulus, self.p, self.w, self.mask
         leads, norms = self._leads(vs), []
         for v, lead in zip(vs, leads):
             a0, a1 = (v[lead] & m, v[lead] >> w) if lead < len(v) else (0, 0)
@@ -401,27 +433,3 @@ class _Packed(_Form):
             out.append((lead, *[(f0 * (b & m) - g0 * (b >> w)) % p
                                 | (f1 * (b & m) + g1 * (b >> w)) % p << w for b in v[lead + 1:]]))
         return out
-
-
-class _Elements(_Form):
-    """GF(p^m) entries as FieldElements, with their own arithmetic."""
-
-    def entries(self, elements) -> list[FieldElement]:
-        return list(elements)
-
-    elements = entries
-
-    def coeffs(self, entries) -> list[list[int]]:
-        return [e.to_list() for e in entries]
-
-    def canon(self, values) -> list[FieldElement]:  # already canonical
-        return values
-
-    def submul(self, xs, f, ys) -> list[FieldElement]:
-        return [a - f * b for a, b in zip(xs, ys)]
-
-    def points(self, vs):
-        leads = self._leads(vs)
-        invs = [v[lead].inverse() if lead < len(v) else None for v, lead in zip(vs, leads)]
-        return [(lead, *[b * inv for b in v[lead + 1:]]) if inv else None
-                for v, lead, inv in zip(vs, leads, invs)]

@@ -90,15 +90,14 @@ def _xi_entries(ctx: FieldCtx, n: int):
     """ctx's entry form (linalg._entry_form), xi^0 .. xi^(n-1) in it, and
     its 0, 1 and -1, as tuples: kept for the last few (field, n), since
     every code of one (field, n) reads the same powers."""
-    form, units = _entry_form(ctx), [ctx.zero(), ctx.one(), -ctx.one()]
-    return form, tuple(form.entries(_xi_powers(ctx, n))), tuple(form.entries(units))
+    form = _entry_form(ctx)  # GF(p) elements are their residues in every form
+    return form, tuple(form.entries(_xi_powers(ctx, n))), (0, 1, ctx.p - 1)
 
 
-def _dft(form, xi_pows, v, z, sign=1):
-    """sum_i v_i xi^(sign*ik) for k = 0..n-1, on v's entry form, whose zero is z."""
+def _dft(form, xi_pows, v, sign=1):
+    """sum_i v_i xi^(sign*ik) for k = 0..n-1, on v's entry form."""
     n, support = len(xi_pows), [(i, x) for i, x in enumerate(v) if x]
-    return form.canon([sum((x * xi_pows[sign * i * k % n] for i, x in support), z)
-                       for k in range(n)])
+    return form.canon([sum(x * xi_pows[sign * i * k % n] for i, x in support) for k in range(n)])
 
 
 def _summand_forms(xi_pows, j: int, units):
@@ -128,8 +127,8 @@ def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
     n = u.n
     if n % 2 == 0:
         raise EvenNError(f"block decomposition implemented for odd n, got n={n}")
-    form, xi_pows, (z, _, _) = _xi_entries(u.ctx, n)
-    A, B = spectra = [form.elements(_dft(form, xi_pows, form.entries(h), z))
+    form, xi_pows, _ = _xi_entries(u.ctx, n)
+    A, B = spectra = [form.elements(_dft(form, xi_pows, form.entries(h)))
                       for h in (u.alpha, u.beta)]
     coords = ([spectra[h][s * j % n] for h, s in _BLOCK_LAYOUT] for j in range(1, (n + 1) // 2))
     return WedderburnTuple(
@@ -145,13 +144,13 @@ def wedderburn_inverse(t: WedderburnTuple) -> AlgebraElement:
     """
     ctx, n = t.ctx, t.n
     inv2, inv_n = ctx.element(2).inverse(), ctx.element(n).inverse()
-    form, xi_pows, (z, _, _) = _xi_entries(ctx, n)
+    form, xi_pows, _ = _xi_entries(ctx, n)
     g1, g2 = t.gamma
     spectra = [[(g1 + g2) * inv2] + [None] * (n - 1), [(g1 - g2) * inv2] + [None] * (n - 1)]
     for j, ((t11, t12), (t21, t22)) in enumerate(t.blocks, 1):
         for (h, s), c in zip(_BLOCK_LAYOUT, (t11, t12, t21, t22)):
             spectra[h][s * j % n] = c
-    alpha, beta = (form.elements(_dft(form, xi_pows, form.entries([c * inv_n for c in S]), z, -1))
+    alpha, beta = (form.elements(_dft(form, xi_pows, form.entries([c * inv_n for c in S]), -1))
                    for S in spectra)
     return AlgebraElement(DihedralAlgebra(ctx, n), alpha, beta)
 
@@ -265,8 +264,8 @@ def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
             # a11 = (xi^(ij) | 0) and a12 = (0 | xi^(-ij)); a21, a22 swap the halves
             a11, a12, _, _ = _summand_forms(xi_pows, j, units)
             minus_y, x = form.entries([-s.y, s.x])
-            ya = form.submul([units[0]] * n, minus_y, a11[:n])
-            xb = form.submul([units[0]] * n, x, a12[n:])
+            ya = form.submul([0] * n, minus_y, a11[:n])
+            xb = form.submul([0] * n, x, a12[n:])
             out += [ya + xb, xb + ya]
     return out
 

@@ -33,7 +33,7 @@ from dihedralcodes.errors import (
 )
 from dihedralcodes.gf import make_field
 from dihedralcodes.idempotents import cyclic_idempotent
-from dihedralcodes.linalg import MatrixGF
+from dihedralcodes.linalg import MatrixGF, _Packed
 from dihedralcodes.wedderburn import (
     IdealSpec,
     code_from_ideal_spec,
@@ -781,27 +781,47 @@ def test_json_roundtrip():
     assert loaded.parameters() == code.parameters()
 
 
+def test_gf27_matrices_and_dual_walk_hold_integers(monkeypatch):
+    # m = 3 entries are packed integers (linalg._Packed), in every matrix and
+    # in the columns the dual engine walks
+    F = make_field(3, [1, 2, 0, 1])
+    code = construct_code(F, 13, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS, s=1))
+    walked, walk = [], codes_module._min_dependent_columns
+
+    def spy(cols, field, *args):
+        walked.extend(cols)
+        return walk(cols, field, *args)
+
+    monkeypatch.setattr(codes_module, "_min_dependent_columns", spy)
+    assert code.min_distance("dual") == 4
+    G = code.generator
+    assert type(G.form) is _Packed and type(G.rref()[0].form) is _Packed
+    assert walked and all(type(e) is int for col in walked for e in col)
+    assert all(type(e) is int for row in G.entries + code._parity_check()[0] for e in row)
+
+
 def test_min_dependent_columns_matches_subset_oracle():
     # third route: brute-force over all column subsets via columns_rank.
-    # GF(25) and GF(13^2) columns check the walk on FieldElements; up to 5 rows
+    # GF(25) and GF(13^2) columns check the walk on both packed forms; up to 5 rows
     # reach the search from w = 4.  Planted columns (zero, a scaled copy, a
     # combination of two others) make depths 0 and 1 answer over prime and
     # extension fields.
     from itertools import combinations
 
     from dihedralcodes.codes import _min_dependent_columns
-    from dihedralcodes.linalg import _Elements, _entry_form
+    from dihedralcodes.linalg import _entry_form
 
     def check(m):
         # the walk on the entry form the dual engine picks for the field,
-        # and on FieldElements (the same form over an extension field), and
-        # the dual engine on the code whose parity check is m
+        # over an extension field also on the generic packed form, without
+        # the GF(p^2) closed forms, and the dual engine on the code whose
+        # parity check is m
         expected = None
         for w in range(1, m.cols + 1):
             if any(columns_rank(m, c) < w for c in combinations(range(m.cols), w)):
                 expected = w
                 break
-        for field in (_entry_form(m.ctx), _Elements(m.ctx)):
+        for field in (_entry_form(m.ctx),) + ((_Packed(m.ctx),) if m.ctx.m > 1 else ()):
             cols = [field.entries(col) for col in zip(*m.data)]
             assert _min_dependent_columns(cols, field) == expected
         assert LinearCode(m.kernel_basis()).min_distance("dual") == expected
@@ -1145,7 +1165,7 @@ def test_carried_walk_matches_subset_oracle():
     # walk to depth 2 or deeper (w >= 4)
     assert depths == {(q, t) for q in (13, 9, 25) for t in (-1, 0, 1, 2)}
     assert hyperplanes >= 12
-    assert forms == {(13, "_Residues"), (9, "_Packed"), (25, "_Packed")}
+    assert forms == {(13, "_Residues"), (9, "_Pairs"), (25, "_Pairs")}
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from dihedralcodes.errors import (
 )
 from dihedralcodes.gf import (
     PRIMALITY_LIMIT,
-    _pmod,
-    _pmul,
     element_order,
     factorize,
     is_prime,
@@ -26,6 +24,7 @@ from dihedralcodes.gf import (
     poly_text,
     primitive_nth_root,
 )
+from dihedralcodes.linalg import _entry_form, _Pairs
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -301,15 +300,20 @@ def test_inverse_in_prime_field():
     ids=["GF4", "GF9", "GF9-linear-term", "GF25", "GF169"],
 )
 def test_quadratic_extension_inverse_and_product(ctx):
-    # m = 2 takes the norm map for inverses and a closed form for products:
-    # x * x^-1 = 1 for every nonzero x, and products of the first 30 elements
-    # equal the polynomial product reduced by the modulus
-    one = ctx.one()
-    for x in itertools.islice(ctx.elements(), 1, None):
-        assert x * x.inverse() == one
-    for x, y in itertools.product(list(ctx.elements())[:30], repeat=2):
-        prod = _pmod(_pmul(x.coeffs, y.coeffs, ctx.p), ctx.modulus, ctx.p)
-        assert (x * y).coeffs == tuple(prod + [0] * (2 - len(prod)))
+    # the GF(p^2) entry form's closed forms (linalg._Pairs) against
+    # FieldElement's polynomial route: canon of packed products and submul
+    # for the first 30 elements, and the norm-map inverses of one batched
+    # points call for every nonzero x, as the point (0, 1/x) of (x, 1)
+    form = _entry_form(ctx)
+    assert type(form) is _Pairs
+    els = list(ctx.elements())
+    entries, one = form.entries(els), form.entries([ctx.one()])[0]
+    for (x, a), (y, b) in itertools.product(list(zip(els, entries))[:30], repeat=2):
+        assert form.elements(form.canon([a * b])) == [x * y]
+        assert form.elements(form.submul([a], b, [a])) == [x - y * x]
+    points = form.points([[a, one] for a in entries])
+    assert points == [(1,)] + [(0, *form.entries([x.inverse()])) for x in els[1:]]
+    assert all(x * x.inverse() == ctx.one() for x in els[1:])
     with pytest.raises(ZeroDivisionError):
         ctx.zero().inverse()
 

@@ -4,7 +4,7 @@ import pytest
 
 from dihedralcodes.errors import MixedContextsError
 from dihedralcodes.gf import FieldElement, make_field
-from dihedralcodes.linalg import MatrixGF, _Packed, _Residues, null_rows
+from dihedralcodes.linalg import MatrixGF, _entry_form, _Form, _Packed, _Residues, kernel_rref, null_rows
 from rank_oracle import DuplicateIndexError, columns_rank, row_space_contains
 
 GF13 = make_field(13, [0, 1])
@@ -236,3 +236,23 @@ def test_from_json_enters_its_rows_in_the_entry_form(ctx, monkeypatch):
     assert loaded == m and loaded.entries == m.entries and type(loaded.form) is type(m.form)
     empty = MatrixGF.from_json({**doc, "rows": 0, "entries": []})
     assert (empty.rows, empty.cols, empty.entries) == (0, 4, [])
+
+
+@pytest.mark.parametrize("ctx", [GF13, GF25, GF8])
+def test_one_entry_form_per_field(ctx, monkeypatch):
+    # the form is built once and kept on ctx itself, not shared between
+    # equal fields: each matrix's elements name its own ctx
+    form = _entry_form(ctx)
+    assert _entry_form(ctx) is form and form.ctx is ctx
+    twin = make_field(ctx.p, list(ctx.modulus))
+    assert _entry_form(twin) is not form and _entry_form(twin).ctx is twin
+    m = random_matrix(ctx, 3, 5, random.Random(ctx.q + 5))
+
+    def refuse(self, *args):
+        raise AssertionError("a second entry form was built")
+
+    monkeypatch.setattr(_Form, "__init__", refuse)
+    R, _, _ = m.rref()
+    basis, _ = kernel_rref(ctx, m.entries, m.cols)
+    assert m.form is form and R.form is form and basis.form is form
+    assert R.nonzero_rows().form is form

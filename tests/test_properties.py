@@ -20,7 +20,7 @@ from dihedralcodes.codes import (
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.errors import CapExceededError
 from dihedralcodes.gf import make_field
-from dihedralcodes.linalg import MatrixGF, kernel_rref, null_rows
+from dihedralcodes.linalg import MatrixGF, _Packed, _Pairs, kernel_rref, null_rows
 from dihedralcodes.wedderburn import (
     FULL,
     MINUS_PIECE,
@@ -46,7 +46,7 @@ FIELDS = (
     make_field(5, [2, 0, 1]),
 )
 
-# FIELDS, a packed field at a larger p, and the elements form at p = 2 and 3
+# FIELDS, a GF(p^2) field at a larger p, and the generic packed form at p = 2 and 3
 EXPANSION_FIELDS = FIELDS + (
     make_field(13, [2, 0, 1]),
     make_field(2, [1, 1, 0, 1]),
@@ -329,7 +329,7 @@ def test_generator_side_matches_parity_check_side(m):
     assert _min_dependent_columns(g_cols, field) == _hyperplane_distance(h_cols, field)
 
 
-# GF(p) at p = 2, 3, 5 and 7, and GF(2^3) and GF(3^3) on the elements form
+# GF(p) at p = 2, 3, 5 and 7, and GF(2^3) and GF(3^3) on the generic packed form
 WALK_FIELDS = (
     make_field(2, [0, 1]),
     make_field(3, [0, 1]),
@@ -543,7 +543,8 @@ def test_span_side_and_constraint_side_give_one_rref(alg_spec):
 
 
 # ---------------------------------------------------------------------------
-# the three entry forms against FieldElement arithmetic
+# the entry forms against FieldElement arithmetic, and the GF(p^2) closed forms
+# against the generic packed form
 
 PACKED_FIELDS = (
     make_field(2, [1, 1, 1]),  # p = 2, and c1 != 0
@@ -555,11 +556,15 @@ PACKED_FIELDS = (
     make_field(2**31 - 1, [1, 0, 1]),
 )
 
-# residues at a small and a 31-bit p, the packed fields, and elements at m = 3
+# residues at a small and a 31-bit p, the GF(p^2) fields, and the generic
+# packed form at m = 3, 7 and 8; at a 31-bit p and m = 3 the conic's cubic and
+# the long sums fill the widest slots
 FORM_FIELDS = (
     (make_field(13, [0, 1]), make_field(2**31 - 1, [0, 1]))
     + PACKED_FIELDS
     + (make_field(2, [1, 1, 0, 1]), make_field(3, [1, 2, 0, 1]), make_field(7, [1, 1, 0, 1]))
+    + (make_field(3, [1, 0, 2, 0, 0, 0, 0, 1]), make_field(2, [1, 0, 0, 0, 1, 1, 1, 0, 1]))
+    + (make_field(2**31 - 1, [5, 0, 0, 1]),)
 )
 
 
@@ -574,10 +579,10 @@ def three_plus_t(ctx):
 
 
 @st.composite
-def form_cases(draw, size):
-    """A field of FORM_FIELDS, its entry form, and size of its elements,
-    zero and small ones drawn often."""
-    ctx = draw(st.sampled_from(FORM_FIELDS))
+def form_cases(draw, size, fields=FORM_FIELDS):
+    """A field of fields, its entry form, and size of its elements, zero
+    and small ones drawn often."""
+    ctx = draw(st.sampled_from(fields))
     small = st.sampled_from([ctx.zero(), ctx.one(), -ctx.one(), three_plus_t(ctx)])
     els = [draw(st.one_of(small, field_elements(ctx, 1).map(lambda v: v[0]))) for _ in range(size)]
     return ctx, _entry_form(ctx), els
@@ -619,7 +624,7 @@ def test_entry_form_canon_and_is_zero_match_field_elements(case, k):
 @given(form_cases(4))
 def test_entry_form_point_matches_field_elements(case):
     ctx, form, v = case
-    vs = [v, v[1:], v[2:], [ctx.zero()] * 2, []]
+    vs = [v, v[1:], v[2:], [ctx.zero()] * 2 + v, [ctx.zero()] * 2, []]  # leads 0.., 2.., none
 
     def want(u):
         lead = next((i for i, e in enumerate(u) if e), None)
@@ -635,11 +640,11 @@ def test_entry_form_point_matches_field_elements(case):
 
 @PROPERTY
 @given(form_cases(3), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6),
-       st.integers(2, 4))
-def test_entry_form_reduce_matches_field_elements(case, picks, length):
+       st.integers(2, 4), st.integers(0, 2))
+def test_entry_form_reduce_matches_field_elements(case, picks, length, shift):
     ctx, form, seed = case
     pool = seed + [three_plus_t(ctx), ctx.zero(), ctx.one()]
-    u = (pool * 2)[:length]
+    u = ([ctx.zero()] * shift + pool * 2)[:length]  # c's lead past shift zeros
     assume(any(u))
     c = form.point(form.entries(u))
     lead, unit = c[0], [ctx.zero()] * c[0] + [ctx.one(), *form.elements(c[1:])]
@@ -648,6 +653,7 @@ def test_entry_form_reduce_matches_field_elements(case, picks, length):
     vs = [[pool[(i + k) % len(pool)] * pool[(j + k) % len(pool)] for k in range(length)]
           for i, j in picks]
     vs.append([pool[0] * e for e in u])
+    vs.append([ctx.zero() if k <= lead else pool[k] for k in range(length)])  # v[lead] = 0
     if length == 3:
         s, t = [k for k in range(3) if k != lead]
         v = [ctx.zero()] * 3
@@ -670,3 +676,23 @@ def test_entry_form_reduce_matches_field_elements(case, picks, length):
     # keys name points: equal exactly where the points are, None where they are
     assert [keys.index(key) for key in keys] == [points.index(point) for point in points]
     assert [key is None for key in keys] == [point is None for point in points]
+
+
+@PROPERTY
+@given(form_cases(9, PACKED_FIELDS), st.integers(0, len(EXPRESSIONS) - 1))
+def test_pair_closed_forms_match_the_generic_packed_form(case, k):
+    # _Pairs keeps closed forms of _Packed's canon, submul, points and coeffs
+    # at m = 2, on the same layout, whose slot width there is the closed
+    # forms' own: a cubic under 2^(3b + 5) and sums of under 2^32 products
+    ctx, pairs, els = case
+    generic, b = _Packed(ctx), ctx.p.bit_length()
+    assert type(pairs) is _Pairs and pairs.w == generic.w == max(3 * b + 7, 2 * b + 35)
+    entries = generic.entries(els)
+    assert pairs.entries(els) == entries
+    assert pairs.coeffs(entries) == generic.coeffs(entries)
+    got = EXPRESSIONS[k](*entries)
+    assert pairs.canon([got, -got]) == generic.canon([got, -got])
+    f = entries[0]
+    assert pairs.submul(entries, f, entries[::-1]) == generic.submul(entries, f, entries[::-1])
+    vs = [entries, entries[3:], [0, 0] + entries[:4], [0, 0], []]  # 0 is the packed zero
+    assert pairs.points(vs) == generic.points(vs)
