@@ -38,7 +38,9 @@ each hyperplane counted once, from its index-first basis, the side chosen
 before depth 0 (_dual_distance).  The paper's codes have 2 or 3 parity
 checks, so depths 0 and 1 settle them and never build the generator; the
 2n-3 codes' columns lie on one conic, an arc, so d = 4 with no depth-1
-walk (_on_a_conic).  Their duals, [2n,3,2n-2] ideals, are arcs on the
+walk: ten 3x3 determinants show no three of the first five collinear,
+and every other column lies on the conic through those five
+(_on_a_conic).  Their duals, [2n,3,2n-2] ideals, are arcs on the
 generator side in turn: d = 2n - 2 with no walk.  numpy is imported on
 the first exhaustive call only.
 """
@@ -60,7 +62,7 @@ from .errors import (
     ZeroElementError,
     _Record,
 )
-from .gf import FieldCtx, FieldElement, _is_int, element_order, primitive_nth_root
+from .gf import FieldCtx, FieldElement, _is_int, element_order
 from .linalg import MatrixGF, _entry_form, kernel_rref, null_rows
 from .wedderburn import (
     IdealSpec,
@@ -270,7 +272,7 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
         raise NotCoprimeError(
             f"s={s} must satisfy 1 <= s <= (n-1)/2={(n - 1) // 2} and gcd(s, n) = 1"
         )
-    primitive_nth_root(ctx, n)  # the root check precedes the beta checks
+    _xi_entries(ctx, n)  # the root check precedes the beta checks; H reads these powers
     beta = _resolve_beta(ctx, family.beta)
     if family.tag in (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS):
         # the default beta is the canonical generator, of order q - 1
@@ -615,24 +617,28 @@ def _on_a_conic(cols, field) -> bool:
 
     A line meets a nondegenerate conic in at most 2 points (Segre 1955), so
     such columns form an arc in PG(2, q): any 3 are independent, and the
-    least number of dependent ones is 4 (MacWilliams-Sloane, ch. 11).  When
-    no three of the first five points P1..P5 are collinear (the walk, on
-    those five alone), exactly one conic passes through them, and it is not
-    a line pair.  With lij = Pi x Pj the line through Pi and Pj, the conics
-    through P1..P4 are the pencil spanned by l12 l34 and l13 l24, and the
-    one through P5 is Q = l13(P5) l24(P5) l12 l34 - l12(P5) l34(P5) l13 l24.
+    least number of dependent ones is 4 (MacWilliams-Sloane, ch. 11).  With
+    lij = Pi x Pj the line through Pi and Pj, det(Pi, Pj, Pk) = lij(Pk).
+    The ten of the first five points P1..P5, i < j < k, are all nonzero
+    exactly when no column among them is zero, no two are proportional and
+    no three are collinear; then exactly one conic passes through them, and
+    it is not a line pair.  The conics through P1..P4 are the pencil spanned
+    by l12 l34 and l13 l24, and the one through P5 is Q = l13(P5) l24(P5)
+    l12 l34 - l12(P5) l34(P5) l13 l24, whose four values are four of the ten.
     Its coefficients q_ij on x_i x_j are found once, and every other column
     must satisfy x0 (q00 x0 + q01 x1 + q02 x2) + x1 (q11 x1 + q12 x2) +
-    q22 x2^2 = 0: 9 products, the deepest expression the entry forms hold
-    unreduced.  Only + - *, no division, so it holds in every
-    characteristic.  False is never wrong, only slower: depth 1 then runs.
+    q22 x2^2 = 0.  Two of the ten, l14(P5) and l23(P5), are taken on
+    unreduced lines: six cubic products each, as in that test, the deepest
+    expressions the entry forms hold unreduced.  Only + - *, no division,
+    so it holds in every characteristic.  False is never wrong, only
+    slower: depth 1 then runs.
     """
-    if len(cols) < 6 or _min_dependent_columns(cols[:5], field) != 4:
+    if len(cols) < 6:
         return False
     canon = field.canon
 
-    def line(u, v):
-        return canon([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]])
+    def line(u, v):  # Pi x Pj, unreduced
+        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
 
     def at(h, x):
         return h[0] * x[0] + h[1] * x[1] + h[2] * x[2]
@@ -642,8 +648,16 @@ def _on_a_conic(cols, field) -> bool:
         return [h[i] * g[i] if i == j else h[i] * g[j] + h[j] * g[i] for i, j in pairs]
 
     p1, p2, p3, p4, p5 = cols[:5]
-    l12, l34, l13, l24 = line(p1, p2), line(p3, p4), line(p1, p3), line(p2, p4)
-    v13, v24, v12, v34 = canon([at(h, p5) for h in (l13, l24, l12, l34)])
+    lines = canon(line(p1, p2) + line(p3, p4) + line(p1, p3) + line(p2, p4))
+    l12, l34, l13, l24 = lines[:3], lines[3:6], lines[6:9], lines[9:]
+    dets = canon([
+        at(l13, p5), at(l24, p5), at(l12, p5), at(l34, p5),  # 135, 245, 125, 345
+        at(l12, p3), at(l12, p4), at(l34, p1), at(l34, p2),  # 123, 124, 134, 234
+        at(line(p1, p4), p5), at(line(p2, p3), p5),  # 145, 235
+    ])
+    if not all(dets):
+        return False
+    v13, v24, v12, v34 = dets[:4]
     a, b = canon([v13 * v24, v12 * v34])
     q00, q01, q02, q11, q12, q22 = canon(
         [a * u - b * w for u, w in zip(times(l12, l34), times(l13, l24))]

@@ -85,13 +85,20 @@ class WedderburnTuple(_Record):
 _BLOCK_LAYOUT = ((0, 1), (1, -1), (1, 1), (0, -1))
 
 
-@functools.lru_cache(maxsize=8)
 def _xi_entries(ctx: FieldCtx, n: int):
-    """ctx's entry form (linalg._entry_form), xi^0 .. xi^(n-1) in it, and
-    its 0, 1 and -1, as tuples: kept for the last few (field, n), since
-    every code of one (field, n) reads the same powers."""
-    form = _entry_form(ctx)  # GF(p) elements are their residues in every form
-    return form, tuple(form.entries(_xi_powers(ctx, n))), (0, 1, ctx.p - 1)
+    """ctx's own entry form (linalg._entry_form), xi^0 .. xi^(n-1) in it,
+    and its 0, 1 and -1, as tuples; RootUnavailableError unless n | q-1."""
+    return _entry_form(ctx), *_xi_cache(ctx, n)
+
+
+@functools.lru_cache(maxsize=8)
+def _xi_cache(ctx: FieldCtx, n: int):
+    """_xi_entries' powers and units, kept for the last few (field, n), since
+    every code of one (field, n) reads the same powers.  The cache is keyed
+    by field equality, so it holds no form: an equal field's entries are
+    the same integers, but its elements name their own field."""
+    # GF(p) elements are their residues in every form
+    return tuple(_entry_form(ctx).entries(_xi_powers(ctx, n))), (0, 1, ctx.p - 1)
 
 
 def _dft(form, xi_pows, v, sign=1):

@@ -232,6 +232,28 @@ def test_validation_precedence(ctx, n, family, error):
         construct_code(ctx, n, family)
 
 
+def test_construct_code_names_the_missing_root():
+    # n | q-1 is checked before beta, here 0
+    with pytest.raises(RootUnavailableError, match=r"^5 does not divide q-1=12$"):
+        construct_code(GF13, 5, CodeFamily(tag=FAMILY_2N_MINUS_2, beta=0))
+
+
+def test_construct_code_forms_no_root_of_its_own(monkeypatch):
+    # the root check reads the xi powers wedderburn caches for H, so once
+    # they are cached for (field, n) construct_code forms no root
+    import dihedralcodes.idempotents as idempotents_module
+
+    construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_2))
+
+    def refuse(ctx, n):
+        raise AssertionError("a root was formed")
+
+    for module in (codes_module, idempotents_module):
+        monkeypatch.setattr(module, "primitive_nth_root", refuse, raising=False)
+    for tag in FAMILIES:
+        assert construct_code(GF13, 3, CodeFamily(tag=tag, beta=2)).length == 6
+
+
 def test_entries_that_are_not_field_values_are_refused_by_name():
     # a ValueError naming the value, where ctx.element used to raise a TypeError
     with pytest.raises(ValueError, match=r"^2\.5 is not an integer"):
@@ -1244,7 +1266,8 @@ def test_conic_certificate_matches_walk_and_subset_oracle(monkeypatch):
 def test_conic_certificate_refuses_a_sixth_column_off_the_conic():
     # five points (1, t, t^2) of the conic y^2 = xz fix it; a sixth column
     # off it is refused, after the five or after a sixth on it, on every
-    # entry form: residues, packed pairs, and FieldElements over GF(2^3)
+    # entry form: residues, and packed integers over GF(5^2), GF(2^3),
+    # GF(13^2) and GF(2003^2)
     from dihedralcodes.codes import _entry_form, _on_a_conic
 
     for ctx in (GF13, GF25, GF8, make_field(13, [2, 0, 1]), make_field(2003, [1, 0, 1])):
@@ -1259,8 +1282,8 @@ def test_conic_certificate_refuses_a_sixth_column_off_the_conic():
 
 def test_paper_2n_minus_3_codes_take_the_conic_certificate(monkeypatch):
     # every 2n-3 code over every coprime twist: its 3 parity checks' columns
-    # lie on one nondegenerate conic, so the dual engine walks depth 1 only
-    # on the certificate's first five columns
+    # lie on one nondegenerate conic, so the dual engine walks no depth 1 at
+    # all, the certificate's own first five columns included
     from dihedralcodes.codes import _on_a_conic
 
     walk, depth_1 = codes_module._independent_subsets, []
@@ -1290,7 +1313,7 @@ def test_paper_2n_minus_3_codes_take_the_conic_certificate(monkeypatch):
                     assert _on_a_conic([list(c) for c in zip(*rows)], field)
                     assert code.min_distance("dual") == 4
                     taken += 1
-    assert taken == 178 and set(depth_1) == {5}
+    assert taken == 178 and depth_1 == []
 
 
 def test_twists_are_coordinate_permutations_of_twist_one():

@@ -16,6 +16,7 @@ from dihedralcodes.codes import (
     _expansion_planes,
     _hyperplane_distance,
     _min_dependent_columns,
+    _on_a_conic,
 )
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.errors import CapExceededError
@@ -596,6 +597,7 @@ EXPRESSIONS = (
     lambda a, b, c, d, e, f, g, h, i: a * (b * c + d * e) - f * (g * h + i * i),  # a conic's coefficient
     lambda a, b, c, d, e, f, g, h, i: a * (d * a + e * b + f * c) + b * (g * b + h * c) + i * c * c,
     lambda a, b, c, d, e, f, g, h, i: -(a * b * c) - d * e * f - g * h * i,
+    lambda a, b, c, d, e, f, g, h, i: (b * f - c * e) * g + (c * d - a * f) * h + (a * e - b * d) * i,
     lambda a, b, c, d, e, f, g, h, i: (a * b + c * d + e * f + g * h) * 64 - i * i * 255,  # long sums
 )
 
@@ -696,3 +698,102 @@ def test_pair_closed_forms_match_the_generic_packed_form(case, k):
     assert pairs.submul(entries, f, entries[::-1]) == generic.submul(entries, f, entries[::-1])
     vs = [entries, entries[3:], [0, 0] + entries[:4], [0, 0], []]  # 0 is the packed zero
     assert pairs.points(vs) == generic.points(vs)
+
+
+# ---------------------------------------------------------------------------
+# the conic certificate: its five-point test and its conic, against the rank
+# oracle, over every entry form
+
+
+def nonzero_elements(ctx):
+    return st.integers(1, ctx.q - 1).map(ctx.from_index)
+
+
+@st.composite
+def conic_columns(draw):
+    """A field of FORM_FIELDS, its entry form, and nine columns as
+    FieldElements: points of the conic y^2 = xz, the first five distinct,
+    under a random invertible transform, each column scaled by a nonzero
+    element.  Parameter q is the conic's point (0, 0, 1)."""
+    ctx = draw(st.sampled_from(FORM_FIELDS))
+    params = st.integers(0, ctx.q)
+    ts = draw(st.lists(params, min_size=5, max_size=5, unique=True))
+    ts += draw(st.lists(params, min_size=4, max_size=4))
+    points = [[ctx.zero(), ctx.zero(), ctx.one()] if t == ctx.q
+              else [ctx.one(), ctx.from_index(t), ctx.from_index(t) ** 2] for t in ts]
+    transform = [draw(field_elements(ctx, 3)) for _ in range(3)]
+    assume(MatrixGF(ctx, transform).rank() == 3)
+    scales = [draw(nonzero_elements(ctx)) for _ in points]
+    cols = [[c * sum((a * b for a, b in zip(r, v)), ctx.zero()) for r in transform]
+            for c, v in zip(scales, points)]
+    return ctx, _entry_form(ctx), cols
+
+
+def plant(data, ctx, five, kind, i):
+    """five with column i made zero, s times another column j, or s P_j +
+    r P_k, with j, k and the nonzero s, r drawn."""
+    j, k = data.draw(st.permutations([x for x in range(5) if x != i]))[:2]
+    s, r = data.draw(nonzero_elements(ctx)), data.draw(nonzero_elements(ctx))
+    five = list(five)
+    if kind == "zero":
+        five[i] = [ctx.zero()] * 3
+    elif kind == "repeat":
+        five[i] = [s * a for a in five[j]]
+    elif kind == "collinear":
+        five[i] = [s * a + r * b for a, b in zip(five[j], five[k])]
+    return five
+
+
+PLANTS = [(None, 0)] + [(kind, i) for kind in ("zero", "repeat", "collinear") for i in range(5)]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(conic_columns(), st.data())
+def test_five_point_test_matches_the_rank_oracle(case, data):
+    # the certificate's ten determinants of P1..P5 are all nonzero exactly
+    # when the rank oracle finds every three of them independent: with no
+    # plant, and with a zero column, a scaled repeat or a point on the line
+    # through two others planted at each of the five positions.  A sixth
+    # column P1 lies on every conic through P1..P5, so the verdict is the
+    # five-point test's; the walk on the five agrees with it.
+    ctx, form, cols = case
+    for kind, i in PLANTS:
+        five = plant(data, ctx, cols[:5], kind, i)
+        m = MatrixGF(ctx, [list(row) for row in zip(*five)])
+        arc = all(columns_rank(m, T) == 3 for T in itertools.combinations(range(5), 3))
+        assert arc == (kind is None)
+        entries = [form.entries(c) for c in five]
+        assert _on_a_conic(entries + entries[:1], form) == arc
+        assert (_min_dependent_columns(entries, form) == 4) == arc
+
+
+@PROPERTY
+@given(conic_columns(), st.sampled_from(PLANTS), st.data())
+def test_conic_certificate_is_the_walk_and_the_conic_through_five(case, planted, data):
+    # _on_a_conic holds exactly when the walk finds no three of the first
+    # five columns dependent and every later column lies on the conic
+    # through them, that is, the six points' quadratic monomials are
+    # dependent (rank oracle).  Later columns are kept on the conic, moved
+    # to a drawn column, or zero (on every conic).
+    ctx, form, cols = case
+    five = plant(data, ctx, cols[:5], *planted)
+    later = []
+    for col in cols[5:]:
+        move = data.draw(st.sampled_from(["on", "on", "off", "zero"]))
+        if move == "off":
+            col = data.draw(field_elements(ctx, 3))
+        elif move == "zero":
+            col = [ctx.zero()] * 3
+        later.append(col)
+    entries = [form.entries(c) for c in five + later]
+
+    def monomials(x):
+        return [x[0] * x[0], x[0] * x[1], x[0] * x[2], x[1] * x[1], x[1] * x[2], x[2] * x[2]]
+
+    def on_the_conic(y):
+        m = MatrixGF(ctx, [list(row) for row in zip(*map(monomials, five + [y]))])
+        return columns_rank(m, range(6)) < 6
+
+    walk = _min_dependent_columns(entries[:5], form) == 4
+    assert walk == (planted[0] is None)
+    assert _on_a_conic(entries, form) == (walk and all(map(on_the_conic, later)))

@@ -147,6 +147,19 @@ def test_map_matches_the_docstring_formula_and_inverts(ctx, n):
         assert wedderburn_inverse(t) == u
 
 
+@pytest.mark.parametrize("p, modulus", [(13, [0, 1]), (13, [2, 0, 1])], ids=["GF13", "GF169"])
+def test_map_and_inverse_name_their_own_field(p, modulus):
+    # the xi powers are cached by field equality; the elements P and P^-1
+    # build name the field they were given, not an equal one mapped first
+    F1, F2 = make_field(p, modulus), make_field(p, modulus)
+    assert F1 == F2 and F1 is not F2
+    wedderburn_map(DihedralAlgebra(F1, 3).a())
+    t = wedderburn_map(DihedralAlgebra(F2, 3).a())
+    u = wedderburn_inverse(t)
+    entries = [*t.gamma, *(e for block in t.blocks for r in block for e in r), *u.alpha, *u.beta]
+    assert len(entries) == 12 and all(e.ctx is F2 for e in entries)
+
+
 def test_inverse_of_gamma_unit_is_e0():
     t = WedderburnTuple.zero(GF13, 3)
     t = WedderburnTuple(gamma=(GF13.one(), GF13.one()), blocks=t.blocks)
