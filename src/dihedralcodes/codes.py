@@ -43,6 +43,17 @@ and every other column lies on the conic through those five
 (_on_a_conic).  Their duals, [2n,3,2n-2] ideals, are arcs on the
 generator side in turn: d = 2n - 2 with no walk.  numpy is imported on
 the first exhaustive call only.
+
+Left multiplication by a and by b maps a left ideal to itself and
+permutes its 2n phi coordinates, and the group they generate acts
+regularly on them (Bernal, del Rio and Simon 2009): some minimum-weight
+word holds column 0, and some fullest hyperplane passes through it.  So
+once a code is certified a left ideal (LinearCode._is_left_ideal: each
+row's images under a and b reduce to 0 against the smaller echelon
+basis, _closed), each dual walk's top level stops after column 0
+(_independent_subsets).  The certificate is found when a top level is
+about to take column 1, so a walk settled at column 0, and a paper code,
+never pays for it; left_ideal_closure_ok answers from it too.
 """
 
 from __future__ import annotations
@@ -51,12 +62,13 @@ import itertools
 import math
 from collections import Counter
 
-from .dihedral import DihedralAlgebra, phi_inv
+from .dihedral import DihedralAlgebra
 from .errors import (
     BadOrderError,
     BetaIsNthRootError,
     CapExceededError,
     EvenNError,
+    MixedContextsError,
     NotCoprimeError,
     UnsupportedStyleError,
     ZeroElementError,
@@ -134,7 +146,7 @@ class LinearCode:
 
     def _start(self, ctx: FieldCtx, length: int, provenance, rows=None, reduced=None):
         self.ctx, self.length, self.provenance = ctx, length, provenance
-        self._parity, self._reduced = rows, reduced
+        self._parity, self._reduced, self._left_ideal = rows, reduced, None
         self._distance: dict[str, int] = {}
         # the generator's rank, else the length less H's, found on the walk's entries
         self.k = len(reduced[1]) if reduced else length - _rank(*self._parity_check())
@@ -151,6 +163,22 @@ class LinearCode:
         if self._parity is None:
             self._parity = null_rows(*self._rref())
         return self._parity, _entry_form(self.ctx)
+
+    def _is_left_ideal(self) -> bool:
+        """Whether left multiplication by a and by b maps the code to
+        itself (_closed), found once, on the smaller echelon basis: the RREF
+        generator, or the RREF of H when H has fewer rows (C is invariant
+        under a coordinate permutation exactly when its dual is)."""
+        if self._left_ideal is None:
+            if 2 * self.k > self.length:
+                R, rank, pivots = MatrixGF._trusted(self.ctx, self._parity_check()[0], self.length).rref()
+                basis = R.entries[:rank]
+            else:
+                R, pivots = self._rref()
+                basis = R.entries
+            n, odd = divmod(self.length, 2)
+            self._left_ideal = not odd and _closed(basis, pivots, _entry_form(self.ctx), n)
+        return self._left_ideal
 
     @property
     def generator(self) -> MatrixGF:
@@ -332,7 +360,8 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
     """Check a * row and b * row stay in the row space for every generator row.
 
     a and b generate D_2n, so a subspace closed under left multiplication
-    by both is closed under every group monomial: it is a left ideal.
+    by both is closed under every group monomial: it is a left ideal.  The
+    answer is the dual engine's certificate (LinearCode._is_left_ideal).
     """
     if algebra is None:
         if code.provenance is None:
@@ -340,12 +369,33 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
         algebra = DihedralAlgebra(code.provenance.ctx, code.provenance.n)
     if code.length != 2 * algebra.n:
         raise ValueError("code length does not match the algebra")
-    gens, G = (algebra.a(), algebra.b()), code.generator
-    return all(
-        code.contains((g * phi_inv(algebra, G.row(i))).phi())
-        for i in range(G.rows)
-        for g in gens
-    )
+    if algebra.ctx != code.ctx:
+        raise MixedContextsError("element belongs to a different field")
+    return code._is_left_ideal()
+
+
+def _closed(basis, pivots, field, n: int) -> bool:
+    """Whether the span of basis, vectors of length 2n in phi coordinates
+    held in field's entry form, echelon with 1 at their own pivot column
+    and 0 at the others', is closed under left multiplication by a and b.
+
+    On phi coordinates a moves a^i to a^(i+1) and b a^j to b a^(j-1), and
+    b swaps the halves a^i and b a^i (dihedral.py).  Each row's two images
+    are reduced against the basis by their entries at its pivots; the span
+    is closed when every image leaves 0 on the free columns.
+    """
+    taken = set(pivots)
+    free = [j for j in range(2 * n) if j not in taken]
+    rest = [[r[j] for j in free] for r in basis]
+    for r in basis:
+        for v in (r[n - 1:n] + r[:n - 1] + r[n + 1:] + r[n:n + 1], r[n:] + r[:n]):  # a r, b r
+            left = [v[j] for j in free]
+            for c, w in zip(pivots, rest):
+                if v[c]:
+                    left = [x - v[c] * y for x, y in zip(left, w)]
+            if any(field.canon(left)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +494,8 @@ def _dual_distance(code: LinearCode, cap: int) -> int:
     it steps once per independent s-subset it reaches, s = 1..k-2, each
     with its last index below ncols - (k-2-s), so at most
     C(ncols + 1, k - 2) - 1 times.  That is an upper bound: the subsets
-    its bound passes over, and the arc certificate, take no step.
+    its bound passes over, those a left ideal's walk skips past column 0,
+    and the arc certificate take no step.
     Otherwise the parity-check walk runs, its depths 0 and 1 free, so no
     call that it answers is refused here.
     """
@@ -452,7 +503,7 @@ def _dual_distance(code: LinearCode, cap: int) -> int:
     steps = math.comb(ncols + 1, max(k - 2, 0)) - 1
     if steps <= cap and _subsets_over(ncols, range(1, ncols - k - 1), steps):
         columns = [list(c) for c in zip(*code.generator.entries)]
-        return _hyperplane_distance(columns, _entry_form(code.ctx), cap)
+        return _hyperplane_distance(columns, _entry_form(code.ctx), cap, code._is_left_ideal)
     rows, field = code._parity_check()
     # zip drops every column of an H with no rows (k = length): those are empty
     cols = [list(c) for c in zip(*rows)] or [[] for _ in range(code.length)]
@@ -497,7 +548,8 @@ def _budget(cap: int, side: str):
     raise CapExceededError(f"dual engine, {side} side: {cap + 1} column subsets > cap = {cap}")
 
 
-def _independent_subsets(cols, field, t: int, budget, points=None, c=None, held=0, best=None):
+def _independent_subsets(cols, field, t: int, budget, points=None, c=None, held=0, best=None,
+                         symmetric=None):
     """Walk the independent t-subsets S of cols depth-first, in index order.
 
     At each S it yields held and the keys of the columns past S's last
@@ -513,7 +565,11 @@ def _independent_subsets(cols, field, t: int, budget, points=None, c=None, held=
     from points, depth 0's keys, if given.  With best, a one-item list of
     the most columns found on one hyperplane so far, a level stops at the
     first i where held and the columns from i on are no more than that:
-    no subset past i can count more, so none is reached.
+    no subset past i can count more, so none is reached.  With symmetric,
+    the certificate that the columns' code is a left ideal
+    (LinearCode._is_left_ideal), the first level stops after column 0
+    once it holds, so every S starts there; it is asked only when that
+    level is about to take column 1.
     """
     if t == 0:
         if c is not None:
@@ -525,6 +581,8 @@ def _independent_subsets(cols, field, t: int, budget, points=None, c=None, held=
     for i in range(len(cols) - t + 1):
         if best is not None and held + len(cols) - i <= best[0]:
             return
+        if i == 1 and symmetric is not None and symmetric():
+            return
         point = field.point(cols[i]) if points is None else points[i]
         if point is None:  # column i is in span(S)
             held += 1
@@ -533,7 +591,7 @@ def _independent_subsets(cols, field, t: int, budget, points=None, c=None, held=
             yield from _independent_subsets(cols[i + 1:], field, t - 1, budget, None, point, held + 1, best)
 
 
-def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP) -> int:
+def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP, symmetric=None) -> int:
     """Minimum distance of the code whose full-rank generator has these columns.
 
     A codeword hG is zero exactly on the columns in the hyperplane h^perp,
@@ -553,7 +611,11 @@ def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP) -> int:
     k = 3, columns that are nonzero, pairwise distinct points of one conic
     are an arc (_on_a_conic): a line holds at most 2 of them, so d is the
     length less 2, with no walk.  With k = 1 the hyperplane is 0: d counts
-    nonzero columns.
+    nonzero columns.  With symmetric, the certificate that the code is a
+    left ideal, whose a/b symmetry moves column 0 onto some fullest
+    hyperplane, where it is its first basis column (no column of an ideal
+    of k >= 1 is zero), only the S that start at column 0 are walked once
+    it holds.
     """
     k, points = len(cols[0]), field.points(cols)
     if k == 1:
@@ -561,7 +623,8 @@ def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP) -> int:
     if k == 3 and None not in points and len(set(points)) == len(points) and _on_a_conic(cols, field):
         return len(cols) - 2
     best = [0]
-    for held, keys in _independent_subsets(cols, field, k - 2, _budget(cap, "generator"), points, best=best):
+    budget = _budget(cap, "generator")
+    for held, keys in _independent_subsets(cols, field, k - 2, budget, points, best=best, symmetric=symmetric):
         classes = Counter(keys)
         best[0] = max(best[0], held + classes.pop(None, 0) + max(classes.values(), default=0))
     return len(cols) - best[0]
@@ -588,10 +651,14 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
     are no more than those of depths 2..h-2, _hyperplane_distance answers
     from its generator's columns.  (_dual_distance sends a code whose
     generator walk is shorter than depths 1..h-2 and fits under cap there
-    before depth 0.)
+    before depth 0.)  When code is a certified left ideal
+    (LinearCode._is_left_ideal), its a/b symmetry moves some minimum-weight
+    word onto column 0, the first of its dependent columns, so from depth
+    1 on only the S that start at column 0 are walked, on either side.
     """
     ncols, h = len(cols), len(cols[0])
     budget, free = _budget(cap, "parity-check"), itertools.repeat(None)
+    symmetric = None if code is None else code._is_left_ideal
     points = None  # every column's point: depth 0's keys, reused by each deeper first level
     for t in range(max(h - 1, 1)):  # depth t finds w = t + 2
         if t == 1 and h == 3 and _on_a_conic(cols, field):
@@ -600,8 +667,9 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
             ncols, range(2, h - 1), math.comb(ncols, max(code.k - 2, 0)) - 1
         ):
             gen = code.generator.entries
-            return _hyperplane_distance([list(c) for c in zip(*gen)], field, cap)
-        for _, keys in _independent_subsets(cols, field, t, budget if t > 1 else free, points):
+            return _hyperplane_distance([list(c) for c in zip(*gen)], field, cap, symmetric)
+        walk = _independent_subsets(cols, field, t, budget if t > 1 else free, points, symmetric=symmetric)
+        for _, keys in walk:
             if None in keys:
                 return t + 1
             if len(set(keys)) < len(keys):

@@ -1,5 +1,8 @@
-"""Rank queries the tests check the library against, apart from its elimination."""
+"""Queries the tests check the library against, apart from its own routes:
+ranks apart from its elimination, and left-ideal closure by group algebra
+products apart from the dual engine's certificate."""
 
+from dihedralcodes.dihedral import phi_inv
 from dihedralcodes.linalg import MatrixGF
 
 
@@ -40,3 +43,14 @@ def columns_rank(m: MatrixGF, cols) -> int:
 def row_space_contains(m: MatrixGF, vec) -> bool:
     """Whether vec lies in m's row space: appending it leaves the rank unchanged."""
     return m.vstack(MatrixGF.from_rows(m.ctx, [vec])).rank() == m.rank()
+
+
+def closed_by_products(code, algebra) -> bool:
+    """Whether a * row and b * row lie in code's row space for every
+    generator row, by AlgebraElement products and row_space_contains."""
+    G = code.generator
+    return all(
+        row_space_contains(G, (g * phi_inv(algebra, G.row(i))).phi())
+        for i in range(G.rows)
+        for g in (algebra.a(), algebra.b())
+    )

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from dihedralcodes.cli import main
-from dihedralcodes.codes import CodeFamily, LinearCode, construct_code
+from dihedralcodes.codes import CodeFamily, LinearCode, construct_code, left_ideal_closure_ok, load_code
+from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.gf import make_field
 from dihedralcodes.wedderburn import IdealSpec, code_from_ideal_spec, plus_piece, row, zero
 
@@ -149,19 +150,26 @@ def test_analyze_paper_style_document(tmp_path, capsys):
 
 
 def test_analyze_cap_exceeded(tmp_path, capsys):
-    # a [14,3,10] ideal code at n = 7, beta = 1, so no arc: the dual
-    # engine's generator side keys the columns modulo 10 of its 14 columns,
-    # more than 9 subsets
+    # a [14,3,10] ideal code at n = 7, beta = 1, so no arc.  Its a/b
+    # symmetry lets the dual engine key the columns modulo column 0 alone;
+    # with columns 0 and 1 swapped it is no ideal, and the generator side
+    # keys them modulo 10 of the 14 columns, more than 9 subsets
     ctx = make_field(29, [0, 1])
     spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.one()), zero(), zero()))
-    path = tmp_path / "code.json"
-    path.write_text(json.dumps(LinearCode(code_from_ideal_spec(ctx, 7, spec)).to_json()))
-    rc, out, err = run(capsys, "analyze", "--in", str(path), "--method", "dual", "--cap", "9")
+    doc = LinearCode(code_from_ideal_spec(ctx, 7, spec)).to_json()
+    ideal, swapped = tmp_path / "ideal.json", tmp_path / "swapped.json"
+    ideal.write_text(json.dumps(doc))
+    for r in doc["generator"]["entries"]:
+        r[0], r[1] = r[1], r[0]
+    assert not left_ideal_closure_ok(load_code(doc), DihedralAlgebra(ctx, 7))
+    swapped.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "analyze", "--in", str(swapped), "--method", "dual", "--cap", "9")
     assert (rc, out) == (2, "")
     assert err.startswith("error[CapExceeded]: dual engine, generator side")
-    rc, out, _ = run(capsys, "analyze", "--in", str(path), "--method", "dual")
-    assert rc == 0
-    assert json.loads(out) == {"length": 14, "k": 3, "d": 10, "mds": False}
+    for path, cap in ((swapped, ()), (ideal, ("--cap", "9"))):
+        rc, out, _ = run(capsys, "analyze", "--in", str(path), "--method", "dual", *cap)
+        assert rc == 0
+        assert json.loads(out) == {"length": 14, "k": 3, "d": 10, "mds": False}
 
 
 def test_analyze_refuses_a_negative_cap(tmp_path, capsys):

@@ -26,6 +26,7 @@ from dihedralcodes.errors import (
     CapExceededError,
     CharDividesOrderError,
     EvenNError,
+    MixedContextsError,
     NotCoprimeError,
     RootUnavailableError,
     UnsupportedStyleError,
@@ -579,22 +580,46 @@ def spec_29_7(first, *ys):
     return LinearCode(code_from_ideal_spec(ctx, 7, IdealSpec((first(), *blocks))))
 
 
+def swap_columns(code, i=0, j=1):
+    """code with its columns i and j swapped: an equivalent code, the same
+    distance, that is no left ideal unless the swap is an automorphism."""
+    rows = code.generator.data
+    for r in rows:
+        r[i], r[j] = r[j], r[i]
+    return LinearCode(MatrixGF(code.ctx, rows))
+
+
 def test_dual_cap_names_the_side():
-    # [14,3,10] (k <= r), beta = 1, so not an arc: the generator side walks
-    # G's columns singly (depth k - 2), 10 of them before its bound stops it
+    # [14,3,10] (k <= r), beta = 1, so not an arc.  The ideal's generator
+    # side walks column 0 alone, its a/b symmetry certified; with columns 0
+    # and 1 swapped no certificate holds, and the walk keys the columns
+    # modulo 10 of the 14 before its bound stops it
     low = spec_29_7(plus_piece, 1, 0, 0)
+    assert low.min_distance("dual", cap=1) == 10
+    alg = DihedralAlgebra(low.ctx, 7)
+    swapped = swap_columns(spec_29_7(plus_piece, 1, 0, 0))
+    assert not left_ideal_closure_ok(swapped, alg)
     message = "dual engine, generator side: 10 column subsets > cap = 9"
     with pytest.raises(CapExceededError, match=message):
-        low.min_distance("dual", cap=9)
-    assert low.min_distance("dual", cap=10) == low.min_distance("exhaustive") == 10
+        swapped.min_distance("dual", cap=9)
+    assert swapped.min_distance("dual", cap=10) == swapped.min_distance("exhaustive") == 10
     # the [14,3,12] arc takes the conic certificate, which visits no subset
     assert spec_29_7(plus_piece, 5, 0, 0).min_distance("dual", cap=0) == 12
-    # [14,8] (k > r = 6, d = 6): the parity-check side walks from depth 2 (w = 4)
+    # [14,8] (k > r = 6, d = 6): the parity-check side walks from depth 2
+    # (w = 4).  The ideal walks subsets that start at column 0, 109 of them;
+    # its column-swapped copy walks them all, 562
     high = spec_29_7(full, 8, 19, 18)
     message = "dual engine, parity-check side: 11 column subsets > cap = 10"
     with pytest.raises(CapExceededError, match=message):
         high.min_distance("dual", cap=10)
-    assert high.min_distance("dual") == 6
+    with pytest.raises(CapExceededError, match="parity-check side: 109 column subsets > cap = 108"):
+        spec_29_7(full, 8, 19, 18).min_distance("dual", cap=108)
+    assert spec_29_7(full, 8, 19, 18).min_distance("dual", cap=109) == 6
+    swapped = swap_columns(spec_29_7(full, 8, 19, 18))
+    assert not left_ideal_closure_ok(swapped, alg)
+    with pytest.raises(CapExceededError, match="parity-check side: 562 column subsets > cap = 561"):
+        swapped.min_distance("dual", cap=561)
+    assert swapped.min_distance("dual", cap=562) == 6
     # depths 0 and 1 of the walk (sizes 1-3) and the r <= 3 shortcut come before
     # either side and spend no budget: [6,3,4] (k = r) and [6,4,3] answer
     plus = construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS, beta=2))
@@ -625,15 +650,20 @@ def test_low_rate_dual_distance_is_prompt():
     assert code.min_distance("exhaustive") == 20
     # its columns are an arc on a conic: the certificate visits no subset
     assert LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=0) == 20
-    # with beta = 1 the [22,3,18] ideal is no arc: the walk stops at depth
-    # k - 2, at 18 single columns, where a walk on to pairs would pass the cap
+    # with beta = 1 the [22,3,18] ideal is no arc, but its a/b symmetry is
+    # certified: the walk keys the columns modulo column 0 alone
     spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.one())) + (zero(),) * 4)
-    assert LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=18) == 18
-    # one short of the generator walk, the parity check's free depths 0 and 1
-    # run first, and the generator side still names itself past the cap
+    assert LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=1) == 18
+    # its copy with columns 0 and 1 swapped is no ideal: the walk stops at
+    # depth k - 2, at 18 single columns, where a walk on to pairs would pass
+    # the cap.  One short of it, the parity check's free depths 0 and 1 run
+    # first, and the generator side still names itself past the cap
+    swapped = swap_columns(LinearCode(code_from_ideal_spec(ctx, 11, spec)))
+    assert not left_ideal_closure_ok(swapped, DihedralAlgebra(ctx, 11))
+    assert swapped.min_distance("dual", cap=18) == 18
     message = "dual engine, generator side: 18 column subsets > cap = 17"
     with pytest.raises(CapExceededError, match=message):
-        LinearCode(code_from_ideal_spec(ctx, 11, spec)).min_distance("dual", cap=17)
+        swap_columns(LinearCode(code_from_ideal_spec(ctx, 11, spec))).min_distance("dual", cap=17)
 
 
 def test_dual_check_of_a_length_2002_ideal_is_prompt():
@@ -646,6 +676,27 @@ def test_dual_check_of_a_length_2002_ideal_is_prompt():
     assert (code.length, code.k) == (2002, 3)
     assert within_one_second(lambda: code.min_distance("dual")) == 2000
     assert code._parity is None
+
+
+def test_dual_check_of_a_length_2002_ideal_that_is_no_arc_is_prompt():
+    # the [2002,3,1998] ideal at (6007, 1001), beta = 1, is no arc, but its
+    # a/b symmetry is certified: its generator walk keys the columns modulo
+    # column 0 alone, where a walk from every column took about 1.2 s
+    F = make_field(6007, [0, 1])
+    spec = IdealSpec((plus_piece(), row(F.one(), F.one())) + (zero(),) * 499)
+    code = LinearCode(code_from_ideal_spec(F, 1001, spec))
+    assert (code.length, code.k) == (2002, 3)
+    assert within_one_second(lambda: code.min_distance("dual")) == 1998
+
+
+def test_dual_check_of_a_202_4_ideal_is_prompt():
+    # a [202,4,196] ideal at (607, 101): its generator walk to depth 2 starts
+    # at column 0 alone, where a walk from every column took about 1.3 s
+    F = make_field(607, [0, 1])
+    spec = IdealSpec((zero(), row(F.one(), F.element(5)), row(F.one(), F.element(7))) + (zero(),) * 48)
+    code = LinearCode(code_from_ideal_spec(F, 101, spec))
+    assert (code.length, code.k) == (202, 4)
+    assert within_one_second(lambda: code.min_distance("dual")) == 196
 
 
 def test_arc_certificate_needs_every_column_on_the_conic():
@@ -769,6 +820,10 @@ def test_closure_refuses_a_code_it_cannot_place_in_an_algebra():
         left_ideal_closure_ok(code)
     with pytest.raises(ValueError, match="^code length does not match the algebra$"):
         left_ideal_closure_ok(code, DihedralAlgebra(GF13, 5))
+    for ctx in (make_field(7, [0, 1]), make_field(13, [2, 0, 1])):
+        with pytest.raises(MixedContextsError, match="^element belongs to a different field$"):
+            left_ideal_closure_ok(code, DihedralAlgebra(ctx, 3))
+    assert not left_ideal_closure_ok(code, DihedralAlgebra(make_field(13, [0, 1]), 3))
 
 
 def test_dual_distance_makes_no_row_reduction(monkeypatch):
@@ -1288,10 +1343,10 @@ def test_paper_2n_minus_3_codes_take_the_conic_certificate(monkeypatch):
 
     walk, depth_1 = codes_module._independent_subsets, []
 
-    def recorded(cols, field, t, *rest):
+    def recorded(cols, field, t, *rest, **options):
         if t == 1:
             depth_1.append(len(cols))
-        return walk(cols, field, t, *rest)
+        return walk(cols, field, t, *rest, **options)
 
     monkeypatch.setattr(codes_module, "_independent_subsets", recorded)
 

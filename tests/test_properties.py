@@ -1,14 +1,17 @@
 """Property tests: field axioms, RREF, prime expansions, the dual engine's two walks, P,
-and the two sides an ideal is reduced from."""
+the two sides an ideal is reduced from, the entry forms, the conic certificate and the
+left-ideal certificate."""
 
 import functools
 import itertools
 import math
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dihedralcodes.codes as codes_module
 from dihedralcodes.codes import (
     DEFAULT_CAP,
     LinearCode,
@@ -37,7 +40,8 @@ from dihedralcodes.wedderburn import (
     wedderburn_inverse,
     wedderburn_map,
 )
-from rank_oracle import columns_rank
+from rank_oracle import closed_by_products, columns_rank
+from test_codes import swap_columns
 
 # prime fields and degree-2 extensions, small enough for exhaustive search
 FIELDS = (
@@ -797,3 +801,92 @@ def test_conic_certificate_is_the_walk_and_the_conic_through_five(case, planted,
     walk = _min_dependent_columns(entries[:5], form) == 4
     assert walk == (planted[0] is None)
     assert _on_a_conic(entries, form) == (walk and all(map(on_the_conic, later)))
+
+
+# ---------------------------------------------------------------------------
+# the left-ideal certificate (a/b symmetry) against algebra products, and the
+# walk from column 0 it allows against the walk from every column
+
+# for each odd-characteristic field of FORM_FIELDS with an odd n <= 7 dividing
+# q - 1, the algebra of the largest: residues, GF(p^2) and packed m = 3
+SYMMETRY_ALGEBRAS = tuple(
+    DihedralAlgebra(ctx, n)
+    for ctx in FORM_FIELDS if ctx.p > 2
+    for n in [next((n for n in (7, 5, 3) if (ctx.q - 1) % n == 0), 0)] if n
+)
+# those whose codes of dimension 2 fit under the exhaustive engine's cap
+SMALL_ALGEBRAS = tuple(alg for alg in SYMMETRY_ALGEBRAS if alg.ctx.q**2 - 1 <= DEFAULT_CAP)
+DIMS = {FULL: 2, ZERO: 0, PLUS_PIECE: 1, MINUS_PIECE: 1}
+BLOCK_DIMS = {FULL: 4, ZERO: 0, ROW: 2}
+
+
+def exhaustive_room(ctx) -> int:
+    """The largest k with q^k - 1 <= DEFAULT_CAP."""
+    k = 0
+    while ctx.q ** (k + 1) - 1 <= DEFAULT_CAP:
+        k += 1
+    return k
+
+
+@st.composite
+def symmetric_codes(draw, algebras=SYMMETRY_ALGEBRAS, exhaustive=False):
+    """An algebra of algebras and the code of a nonzero ideal spec over it,
+    with exhaustive of a dimension the exhaustive engine takes."""
+    alg = draw(st.sampled_from(algebras))
+    ctx = alg.ctx
+    room = exhaustive_room(ctx) if exhaustive else 2 * alg.n
+    first = draw(st.sampled_from([kind for kind, dim in DIMS.items() if dim <= room]))
+    summands, room = [Summand(first)], room - DIMS[first]
+    for _ in range((alg.n - 1) // 2):
+        kind = draw(st.sampled_from([kind for kind, dim in BLOCK_DIMS.items() if dim <= room]))
+        room -= BLOCK_DIMS[kind]
+        if kind == ROW:
+            x, y = draw(elements(ctx)), draw(elements(ctx))
+            assume(x or y)
+            summands.append(row(x, y))
+        else:
+            summands.append(Summand(kind))
+    spec = IdealSpec(tuple(summands))
+    assume(spec.dim() > 0)
+    return alg, LinearCode(code_from_ideal_spec(ctx, alg.n, spec))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(symmetric_codes())
+def test_certified_walk_from_column_0_matches_the_walk_from_every_column(case):
+    # a left ideal's a/b symmetry is certified, as the products show, and its
+    # dual distance, walked from column 0 alone, is the walk's from every
+    # column (the certificate forced off) and, where it fits, exhaustive search
+    alg, code = case
+    assert code._is_left_ideal() and closed_by_products(code, alg)
+    d = code.min_distance("dual")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes_module, "_closed", lambda *args: False)
+        assert LinearCode(code.generator).min_distance("dual") == d
+    if code.ctx.q**code.k - 1 <= DEFAULT_CAP:
+        assert code.min_distance("exhaustive") == d
+
+
+@settings(PROPERTY, max_examples=100)
+@given(symmetric_codes(SMALL_ALGEBRAS, exhaustive=True), st.data())
+def test_certificate_refuses_column_swapped_ideals(case, data):
+    # swapping two columns keeps the distance but, unless the swap is an
+    # automorphism, breaks the symmetry: the certificate says so exactly when
+    # the products do, and the dual engine still finds exhaustive search's d
+    alg, code = case
+    i, j = data.draw(st.permutations(range(code.length)))[:2]
+    swapped = swap_columns(code, i, j)
+    assert swapped._is_left_ideal() == closed_by_products(swapped, alg)
+    assert swapped.min_distance("dual") == swapped.min_distance("exhaustive") == code.min_distance("dual")
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.sampled_from(SMALL_ALGEBRAS), st.data())
+def test_certificate_matches_products_on_random_generators(alg, data):
+    ctx = alg.ctx
+    k = data.draw(st.integers(1, exhaustive_room(ctx)))
+    rows = [data.draw(field_elements(ctx, 2 * alg.n)) for _ in range(k)]
+    code = LinearCode(MatrixGF(ctx, rows))
+    assume(code.k > 0)
+    assert code._is_left_ideal() == closed_by_products(code, alg)
+    assert code.min_distance("dual") == code.min_distance("exhaustive")
