@@ -19,9 +19,9 @@ on first use (linalg.kernel_rref); the public constructor, load_code and
 from_generator_rows reduce the generator they are given and take
 H = [-A^T | I] off G = [I | A] (linalg.null_rows).  Either way H is the one
 parity check: contains tests H v^T = 0.  H, like every matrix, holds the
-field's entry form (linalg._entry_form): residues over GF(p), packed
-integers over GF(p^m), each a linalg._Form with the same canon, is_zero,
-submul, point, points and reduce.  The paper-style presentation
+field's entry form (FieldCtx.form): residues over GF(p), packed integers
+over GF(p^m), each a gf._Form with the same canon, is_zero, submul,
+point, points and reduce.  The paper-style presentation
 reads its rows, n e_j and n b e_j, off P's forms (wedderburn._summand_forms)
 on that form.
 
@@ -75,7 +75,7 @@ from .errors import (
     _Record,
 )
 from .gf import FieldCtx, FieldElement, _is_int, element_order
-from .linalg import MatrixGF, _entry_form, kernel_rref, null_rows
+from .linalg import MatrixGF, kernel_rref, null_rows
 from .wedderburn import (
     IdealSpec,
     _constraint_rows,
@@ -139,7 +139,7 @@ class LinearCode:
     @classmethod
     def _from_parity_check(cls, ctx: FieldCtx, rows, provenance) -> "LinearCode":
         """Trusted entry for construct_code: the code is ker H, H given by its
-        rows in ctx's entry form (linalg._entry_form)."""
+        rows in ctx's entry form (FieldCtx.form)."""
         code = cls.__new__(cls)
         code._start(ctx, len(rows[0]), provenance, rows=rows)
         return code
@@ -149,20 +149,20 @@ class LinearCode:
         self._parity, self._reduced, self._left_ideal = rows, reduced, None
         self._distance: dict[str, int] = {}
         # the generator's rank, else the length less H's, found on the walk's entries
-        self.k = len(reduced[1]) if reduced else length - _rank(*self._parity_check())
+        self.k = len(reduced[1]) if reduced else length - _rank(self._parity_check(), ctx.form)
 
     def _rref(self) -> tuple[MatrixGF, list[int]]:
         if self._reduced is None:
             self._reduced = kernel_rref(self.ctx, self._parity, self.length)
         return self._reduced
 
-    def _parity_check(self):
-        """H's rows in the field's entry form, and that form; H is built
-        once.  It is a constructed code's constraint rows, else [-A^T | I]
-        read off the RREF generator [I | A] (linalg.null_rows)."""
+    def _parity_check(self) -> list[list]:
+        """H's rows in the field's entry form; H is built once.  It is a
+        constructed code's constraint rows, else [-A^T | I] read off the
+        RREF generator [I | A] (linalg.null_rows)."""
         if self._parity is None:
             self._parity = null_rows(*self._rref())
-        return self._parity, _entry_form(self.ctx)
+        return self._parity
 
     def _is_left_ideal(self) -> bool:
         """Whether left multiplication by a and by b maps the code to
@@ -171,13 +171,13 @@ class LinearCode:
         under a coordinate permutation exactly when its dual is)."""
         if self._left_ideal is None:
             if 2 * self.k > self.length:
-                R, rank, pivots = MatrixGF._trusted(self.ctx, self._parity_check()[0], self.length).rref()
+                R, rank, pivots = MatrixGF._trusted(self.ctx, self._parity_check(), self.length).rref()
                 basis = R.entries[:rank]
             else:
                 R, pivots = self._rref()
                 basis = R.entries
             n, odd = divmod(self.length, 2)
-            self._left_ideal = not odd and _closed(basis, pivots, _entry_form(self.ctx), n)
+            self._left_ideal = not odd and _closed(basis, pivots, self.ctx.form, n)
         return self._left_ideal
 
     @property
@@ -230,7 +230,7 @@ class LinearCode:
         v = [self.ctx.element(e) for e in vector]
         if len(v) != self.length:
             raise ValueError(f"vector of length {len(v)}, code of length {self.length}")
-        rows, field = self._parity_check()
+        rows, field = self._parity_check(), self.ctx.form
         v = field.entries(v)
         return all(field.is_zero(sum(a * b for a, b in zip(h, v))) for h in rows)
 
@@ -340,18 +340,18 @@ def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> Matr
             "structured presentation requires a code built by construct_code"
         )
     ctx, n, s = prov.ctx, prov.n, prov.s
-    form, xi_pows, units = _xi_entries(ctx, n)
+    form = ctx.form
     if prov.tag == FAMILY_2N_MINUS_2:  # n e_0 = (1|0), n b e_0 = (0|1)
         rows = [[1] * n + [0] * n, [0] * n + [1] * n]
     else:  # n (1 -+ b) e_0
-        g1, g2 = _summand_forms(xi_pows, 0, units)
+        g1, g2 = _summand_forms(ctx, n, 0)
         rows = [g2 if prov.tag == FAMILY_2N_MINUS_3_MINUS else g1]
-    a11, a12, a21, a22 = _summand_forms(xi_pows, s, units)
+    a11, a12, a21, a22 = _summand_forms(ctx, n, s)
     minus_beta = form.entries([-prov.beta])[0]
     rows += [form.submul(a22, minus_beta, a21), form.submul(a12, minus_beta, a11)]
     for j in range(1, n):
         if j not in (s, n - s):
-            a11, a12, a21, a22 = _summand_forms(xi_pows, min(j, n - j), units)
+            a11, a12, a21, a22 = _summand_forms(ctx, n, min(j, n - j))
             rows += [a22, a12] if j <= (n - 1) // 2 else [a11, a21]
     return MatrixGF._trusted(ctx, rows, 2 * n)
 
@@ -402,16 +402,17 @@ def _closed(basis, pivots, field, n: int) -> bool:
 # distance engines
 
 
-def _expansion_planes(ctx: FieldCtx, form, entries) -> list[list[list[int]]]:
+def _expansion_planes(ctx: FieldCtx, entries) -> list[list[list[int]]]:
     """The m planes x^j * entries (0 <= j < m) over GF(p): plane j holds the
     coefficient list of each entry times x^j.
 
-    The entries are GF(q) entries in form, ctx's entry form
-    (linalg._entry_form); plane j is form.canon of their native products by
-    x^j, read out by form.coeffs.  Vectors over GF(p^m) have rank r exactly
-    when their planes span a GF(p)-space of dimension m * r, so
-    _exhaustive_distance enumerates codewords on these ints.
+    The entries are GF(q) entries in ctx's entry form (FieldCtx.form);
+    plane j is form.canon of their native products by x^j, read out by
+    form.coeffs.  Vectors over GF(p^m) have rank r exactly when their
+    planes span a GF(p)-space of dimension m * r, so _exhaustive_distance
+    enumerates codewords on these ints.
     """
+    form = ctx.form
     xs = form.entries([ctx.from_index(ctx.p**j) for j in range(1, ctx.m)])
     return [form.coeffs(entries)] + [form.coeffs(form.canon([x * e for e in entries])) for x in xs]
 
@@ -464,7 +465,7 @@ def _exhaustive_distance(gen: MatrixGF, cap: int, pivots: list[int]) -> int:
     # word's nonzero row coefficients, its weight on the pivot columns
     span, cw, unfolded, best = np.zeros((m * f, 1), dtype=dtype), np.zeros(1, dtype=wtype), [], gen.cols
     # row r's expansion j, plane-major: entry t * f + c is coefficient t of x^j A[r][c]
-    planes = _expansion_planes(ctx, gen.form, [row[c] for row in gen.entries for c in free])
+    planes = _expansion_planes(ctx, [row[c] for row in gen.entries for c in free])
     expansions = np.array(planes).reshape(m, gen.rows, f, m).transpose(1, 0, 3, 2)
     for expansion in expansions.reshape(gen.rows, m, m * f)[::-1]:
         # row + w + s last is zero exactly where w == -row - s last mod p, so the
@@ -503,11 +504,10 @@ def _dual_distance(code: LinearCode, cap: int) -> int:
     steps = math.comb(ncols + 1, max(k - 2, 0)) - 1
     if steps <= cap and _subsets_over(ncols, range(1, ncols - k - 1), steps):
         columns = [list(c) for c in zip(*code.generator.entries)]
-        return _hyperplane_distance(columns, _entry_form(code.ctx), cap, code._is_left_ideal)
-    rows, field = code._parity_check()
+        return _hyperplane_distance(columns, code.ctx.form, cap, code._is_left_ideal)
     # zip drops every column of an H with no rows (k = length): those are empty
-    cols = [list(c) for c in zip(*rows)] or [[] for _ in range(code.length)]
-    return _min_dependent_columns(cols, field, cap, code)
+    cols = [list(c) for c in zip(*code._parity_check())] or [[] for _ in range(code.length)]
+    return _min_dependent_columns(cols, code.ctx.form, cap, code)
 
 
 def _rank(rows, field) -> int:
@@ -633,7 +633,8 @@ def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP, symmetric=None) ->
 def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode | None = None):
     """Least w such that some w of the given columns are linearly dependent.
 
-    Each column is a list of its GF(q) entries in field's form (_entry_form).
+    Each column is a list of its GF(q) entries in field, their field's
+    entry form (FieldCtx.form).
     One rule answers every size.  In a minimal dependent set, let S be its
     w - 2 first columns and j < l its last two: S is independent and
     span(S, j) = span(S, l).  So iterative deepening walks the independent

@@ -15,7 +15,7 @@ import math
 
 from .errors import CharDividesOrderError, LengthMismatchError, MixedContextsError
 from .gf import FieldCtx, FieldElement
-from .linalg import MatrixGF, _entry_form
+from .linalg import MatrixGF
 
 
 class DihedralAlgebra:
@@ -138,7 +138,7 @@ class AlgebraElement:
         if isinstance(other, (FieldElement, int)):
             return self.scale(other)
         self._check(other)
-        n, form = self.n, _entry_form(self.ctx)
+        n, form = self.n, self.ctx.form
         (xa, xb), (ya, yb) = ([form.entries(h) for h in (u.alpha, u.beta)] for u in (self, other))
         halves = ([0] * n, [0] * n)  # (alpha, beta) of the product, unreduced
         # a^i or b a^i times a^j or b a^j: reflected when exactly one factor
@@ -234,8 +234,9 @@ def phi_inv(algebra: DihedralAlgebra, coords) -> AlgebraElement:
 def left_ideal_basis(gens) -> MatrixGF:
     """RREF basis, in phi coordinates, of the left ideal generated by gens.
 
-    Spans {g * gen : g a group monomial, gen in gens} and row-reduces, so a
-    single code path covers every ideal construction.
+    Spans {g * gen : g a group monomial, gen in gens} by AlgebraElement
+    products and row-reduces: the orbit route, apart from P's forms, that
+    the tests check code_from_ideal_spec and construct_code against.
     """
     gens = list(gens)
     if not gens:

@@ -12,6 +12,13 @@ everywhere:
 * the canonical multiplicative generator is the first element of order
   q-1 in that enumeration;
 * the canonical primitive n-th root of unity is generator^((q-1)/n).
+
+Each FieldCtx builds one entry form, ctx.form, the integers every matrix
+and distance walk holds its entries as: residues over GF(p) (_Residues),
+and over GF(p^m), m >= 2, coefficients packed into one integer (_Packed),
+with closed forms at m = 2 (_Pairs).  Each is a _Form, written once on the
+closed forms a form supplies.  FieldElement's polynomial route is their
+reference.
 """
 
 from __future__ import annotations
@@ -239,9 +246,10 @@ def _check_irreducible(modulus, p):
 
 
 class FieldCtx:
-    """Immutable description of GF(p^m): prime, modulus, cardinality."""
+    """Immutable description of GF(p^m): prime, modulus, cardinality and
+    entry form (form, built here and nowhere else)."""
 
-    __slots__ = ("p", "m", "modulus", "q", "_generator", "_form")
+    __slots__ = ("p", "m", "modulus", "q", "_generator", "form")
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
         # use make_field(); this constructor assumes validated input
@@ -250,7 +258,7 @@ class FieldCtx:
         self.m = len(modulus) - 1
         self.q = p ** self.m
         self._generator = None
-        self._form = None  # its entry form, linalg._entry_form's to fill
+        self.form = (_Residues if self.m == 1 else _Pairs if self.m == 2 else _Packed)(self)
 
     # -- construction of elements ------------------------------------------
 
@@ -457,6 +465,211 @@ class FieldElement:
 
     def __repr__(self):
         return self.text()
+
+
+# ---------------------------------------------------------------------------
+# entry forms: a field's elements as integers, FieldCtx.form
+
+
+def _inverses(xs, p: int) -> list[int]:
+    """x^-1 mod p for each residue x in xs, 0 for x = 0, by one pow:
+    Montgomery's batch inversion, 1/x_k = (x_0 ... x_(k-1)) / (x_0 ... x_k)."""
+    prefix, acc = [], 1
+    for x in xs:
+        prefix.append(acc)
+        if x:
+            acc = acc * x % p
+    inv, out = pow(acc, -1, p), [0] * len(xs)
+    for k in range(len(xs) - 1, -1, -1):
+        if xs[k]:
+            out[k] = inv * prefix[k] % p
+            inv = inv * xs[k] % p
+    return out
+
+
+class _Form:
+    """An entry form's generic operations, elements, is_zero, point, reduce
+    and the lead scan, written once on what each form supplies: entries,
+    coeffs, canon (a value built by + - * back to an entry), submul, points.
+    Every form holds an element of GF(p) as its residue: 0 and 1 are the
+    entries 0 and 1.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx, self.p = ctx, ctx.p
+
+    def elements(self, entries) -> list[FieldElement]:
+        ctx = self.ctx
+        return [FieldElement(ctx, tuple(c)) for c in self.coeffs(entries)]
+
+    def is_zero(self, a) -> bool:
+        """Whether a, a value built from entries by + - *, is 0."""
+        return not self.canon([a])[0]
+
+    def point(self, v):
+        """v's projective point: its lead (first nonzero index) and v/v[lead]
+        past it; None for v = 0."""
+        return self.points([v])[0]
+
+    def reduce(self, c, vs, keys=False):
+        """Each v less v[lead] c, off c's lead, for c given as its point; with
+        keys, their points."""
+        (lead, *tail), submul = c, self.submul
+        out = [v[:lead] + submul(v[lead + 1:], v[lead], tail) for v in vs]
+        return self.points(out) if keys else out
+
+    @staticmethod
+    def _leads(vs) -> list[int]:
+        """Each v's first nonzero index, len(v) for v = 0."""
+        leads = []
+        for v in vs:
+            lead = 0
+            while lead < len(v) and not v[lead]:
+                lead += 1
+            leads.append(lead)
+        return leads
+
+
+class _Residues(_Form):
+    """GF(p) entries as residues mod p, canonical in [0, p)."""
+
+    def entries(self, elements) -> list[int]:
+        return [e.coeffs[0] for e in elements]
+
+    def coeffs(self, entries) -> list[list[int]]:  # as FieldElement.to_list gives them
+        return [[a] for a in entries]
+
+    def canon(self, values) -> list[int]:  # integers built from entries by + - *
+        p = self.p
+        return [a % p for a in values]
+
+    def submul(self, xs, f, ys) -> list[int]:
+        """xs - f ys, entrywise."""
+        p = self.p
+        return [(a - f * b) % p for a, b in zip(xs, ys)]
+
+    def point(self, v):  # one pow, no batch
+        p = self.p
+        for lead, a in enumerate(v):
+            if a:
+                inv = pow(a, -1, p)
+                return lead, *[b * inv % p for b in v[lead + 1:]]
+        return None
+
+    def points(self, vs):
+        """The point of each v, by one batched inversion of their leads."""
+        p, leads = self.p, self._leads(vs)
+        invs = _inverses([v[lead] if lead < len(v) else 0 for v, lead in zip(vs, leads)], p)
+        return [(lead, *[b * inv % p for b in v[lead + 1:]]) if inv else None
+                for v, lead, inv in zip(vs, leads, invs)]
+
+    def reduce(self, c, vs, keys=False):
+        """As _Form.reduce, but the keys of vectors of length 3, two
+        coordinates (x, y) left, are y/x by one batched inversion, never
+        forming them: p for x = 0, None for x = y = 0."""
+        p, lead = self.p, c[0]
+        if not keys or lead + len(c) != 3:
+            return super().reduce(c, vs, keys)
+        (s, a), (t, b) = [(i, u) for i, u in enumerate([0] * lead + [1, *c[1:]]) if i != lead]
+        xs = [(v[s] - v[lead] * a) % p for v in vs]
+        return [(v[t] - v[lead] * b) * inv % p if x else (p if (v[t] - v[lead] * b) % p else None)
+                for v, x, inv in zip(vs, xs, _inverses(xs, p))]
+
+
+class _Packed(_Form):
+    """GF(p^m) entries, m >= 2, sum c_i t^i as the integers sum c_i X^i,
+    X = 2^w (Kronecker substitution), canonical with 0 <= c_i < p.
+
+    + - * act on them as on polynomials in X, exact and unreduced until
+    canon reads back slots 0..3m-3, each biased by a multiple of p near
+    2^(w-1), reduces each mod p and folds them by the modulus (_pmod).
+    w holds the deepest expression the library forms, six cubic products
+    summed (_on_a_conic, slots under 6 m^2 p^3), and sums of under 2^32
+    products (slots under m p^2), with a sign bit to spare.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        super().__init__(ctx)
+        m, b = ctx.m, ctx.p.bit_length()
+        self.w = w = max(3 * b + (6 * m * m - 1).bit_length(), 2 * b + (m - 1).bit_length() + 32) + 2
+        self.slots = range(0, (3 * m - 2) * w, w)
+        self.mask, self.shifts = (1 << w) - 1, self.slots[:m]
+        self.bias = (1 << w - 1) // ctx.p * ctx.p * sum(1 << s for s in self.slots)
+
+    def entries(self, elements) -> list[int]:
+        shifts = self.shifts
+        return [sum(c << s for c, s in zip(e.coeffs, shifts)) for e in elements]
+
+    def coeffs(self, entries) -> list[list[int]]:
+        mask, shifts = self.mask, self.shifts
+        return [[e >> s & mask for s in shifts] for e in entries]
+
+    def canon(self, values) -> list[int]:
+        p, f, mask, slots, shifts = self.p, self.ctx.modulus, self.mask, self.slots, self.shifts
+        return [sum(c << s for c, s in zip(_pmod([(e >> s & mask) % p for s in slots], f, p), shifts))
+                for e in map(self.bias.__add__, values)]  # each slot biased into [0, 2^w)
+
+    def submul(self, xs, f, ys) -> list[int]:
+        return self.canon([a - f * b for a, b in zip(xs, ys)])
+
+    def points(self, vs):
+        """The point of each v, its lead inverted as a FieldElement."""
+        out = []
+        for v, lead in zip(vs, self._leads(vs)):
+            inv = self.entries([x.inverse() for x in self.elements(v[lead:lead + 1])])
+            out.append((lead, *self.canon([b * inv[0] for b in v[lead + 1:]])) if inv else None)
+        return out
+
+
+class _Pairs(_Packed):
+    """GF(p^2) entries a + b t, for the modulus t^2 + c1 t + c0, on _Packed's
+    layout, in closed form: canon folds t^2 = -c1 t - c0 and
+    t^3 = (c1^2 - c0) t + c0 c1 into the slots, and submul and points work
+    on the pairs, inverting by the norm map
+    (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0.
+    """
+
+    def coeffs(self, entries) -> list[list[int]]:
+        m, w = self.mask, self.w
+        return [[e & m, e >> w] if e else [0, 0] for e in entries]
+
+    def canon(self, values) -> list[int]:
+        (c0, c1, _), p, w, m, bias = self.ctx.modulus, self.p, self.w, self.mask, self.bias
+        c01, c11, w2 = c0 * c1, c1 * c1 - c0, 2 * w
+        out = []
+        for e in values:
+            e += bias
+            s2, s3 = e >> w2 & m, e >> w2 + w
+            out.append(((e & m) - c0 * s2 + c01 * s3) % p
+                       | ((e >> w & m) - c1 * s2 + c11 * s3) % p << w)
+        return out
+
+    def submul(self, xs, f, ys) -> list[int]:
+        # f b = (f0 b0 - g0 b1) + (f1 b0 + g1 b1) t, g0 = f1 c0, g1 = f0 - f1 c1
+        (c0, c1, _), p, w, m = self.ctx.modulus, self.p, self.w, self.mask
+        f0, f1 = f & m, f >> w
+        g0, g1 = f1 * c0, f0 - f1 * c1
+        return [((a & m) - f0 * (b & m) + g0 * (b >> w)) % p
+                | ((a >> w) - f1 * (b & m) - g1 * (b >> w)) % p << w for a, b in zip(xs, ys)]
+
+    def points(self, vs):
+        """The point of each v, by one batched inversion of their leads' norms."""
+        (c0, c1, _), p, w, m = self.ctx.modulus, self.p, self.w, self.mask
+        leads, norms = self._leads(vs), []
+        for v, lead in zip(vs, leads):
+            a0, a1 = (v[lead] & m, v[lead] >> w) if lead < len(v) else (0, 0)
+            norms.append((a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0) % p)
+        out = []
+        for v, lead, n in zip(vs, leads, _inverses(norms, p)):
+            if not n:
+                out.append(None)
+                continue
+            a0, a1 = v[lead] & m, v[lead] >> w
+            f0, f1 = (a0 - a1 * c1) * n % p, -a1 * n % p  # 1/a, as submul multiplies
+            g0, g1 = f1 * c0, f0 - f1 * c1
+            out.append((lead, *[(f0 * (b & m) - g0 * (b >> w)) % p
+                                | (f1 * (b & m) + g1 * (b >> w)) % p << w for b in v[lead + 1:]]))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .dihedral import AlgebraElement, DihedralAlgebra
 from .errors import EvenNError, InvalidRowSpecError, MixedContextsError, _Record
 from .gf import FieldCtx, FieldElement
 from .idempotents import _xi_powers
-from .linalg import MatrixGF, _entry_form, kernel_rref
+from .linalg import MatrixGF, kernel_rref
 
 
 class WedderburnTuple(_Record):
@@ -85,20 +85,14 @@ class WedderburnTuple(_Record):
 _BLOCK_LAYOUT = ((0, 1), (1, -1), (1, 1), (0, -1))
 
 
-def _xi_entries(ctx: FieldCtx, n: int):
-    """ctx's own entry form (linalg._entry_form), xi^0 .. xi^(n-1) in it,
-    and its 0, 1 and -1, as tuples; RootUnavailableError unless n | q-1."""
-    return _entry_form(ctx), *_xi_cache(ctx, n)
-
-
 @functools.lru_cache(maxsize=8)
-def _xi_cache(ctx: FieldCtx, n: int):
-    """_xi_entries' powers and units, kept for the last few (field, n), since
-    every code of one (field, n) reads the same powers.  The cache is keyed
-    by field equality, so it holds no form: an equal field's entries are
-    the same integers, but its elements name their own field."""
-    # GF(p) elements are their residues in every form
-    return tuple(_entry_form(ctx).entries(_xi_powers(ctx, n))), (0, 1, ctx.p - 1)
+def _xi_entries(ctx: FieldCtx, n: int) -> tuple[int, ...]:
+    """xi^0 .. xi^(n-1) in ctx's entry form (FieldCtx.form), kept for the
+    last few (field, n), since every code of one (field, n) reads the same
+    powers; RootUnavailableError unless n | q-1.  The cache is keyed by
+    field equality, so it holds entries, the same integers in an equal
+    field, and no element, which names its own field."""
+    return tuple(ctx.form.entries(_xi_powers(ctx, n)))
 
 
 def _dft(form, xi_pows, v, sign=1):
@@ -107,10 +101,11 @@ def _dft(form, xi_pows, v, sign=1):
     return form.canon([sum(x * xi_pows[sign * i * k % n] for i, x in support) for k in range(n)])
 
 
-def _summand_forms(xi_pows, j: int, units):
+def _summand_forms(ctx: FieldCtx, n: int, j: int):
     """P's coordinates on summand j as linear forms on phi coordinates
-    (a-part | b-part), in the entry form of xi_pows = xi^0 .. xi^(n-1) and
-    units = (0, 1, -1): at j = 0 the pair's
+    (a-part | b-part), in ctx's entry form, where xi^i is _xi_entries' and
+    1 and -1 are the residues 1 and p - 1 (RootUnavailableError unless
+    n | q-1, at j = 0 too): at j = 0 the pair's
 
       g1 = (1..1 | 1..1),  g2 = (1..1 | -1..-1),
 
@@ -119,10 +114,9 @@ def _summand_forms(xi_pows, j: int, units):
       a11 = (xi^(ij) | 0),  a12 = (0 | xi^(-ij)),
       a21 = (0 | xi^(ij)),  a22 = (xi^(-ij) | 0).
     """
-    n, (z, o, minus_o) = len(xi_pows), units
+    xi_pows, zeros = _xi_entries(ctx, n), [0] * n
     if j == 0:
-        return [o] * (2 * n), [o] * n + [minus_o] * n
-    zeros = [z] * n
+        return [1] * (2 * n), [1] * n + [ctx.p - 1] * n
     pows = {sign: [xi_pows[(sign * i * j) % n] for i in range(n)] for sign in (1, -1)}
     return tuple(zeros + pows[s] if h else pows[s] + zeros for h, s in _BLOCK_LAYOUT)
 
@@ -134,7 +128,7 @@ def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
     n = u.n
     if n % 2 == 0:
         raise EvenNError(f"block decomposition implemented for odd n, got n={n}")
-    form, xi_pows, _ = _xi_entries(u.ctx, n)
+    form, xi_pows = u.ctx.form, _xi_entries(u.ctx, n)
     A, B = spectra = [form.elements(_dft(form, xi_pows, form.entries(h)))
                       for h in (u.alpha, u.beta)]
     coords = ([spectra[h][s * j % n] for h, s in _BLOCK_LAYOUT] for j in range(1, (n + 1) // 2))
@@ -151,7 +145,7 @@ def wedderburn_inverse(t: WedderburnTuple) -> AlgebraElement:
     """
     ctx, n = t.ctx, t.n
     inv2, inv_n = ctx.element(2).inverse(), ctx.element(n).inverse()
-    form, xi_pows, _ = _xi_entries(ctx, n)
+    form, xi_pows = ctx.form, _xi_entries(ctx, n)
     g1, g2 = t.gamma
     spectra = [[(g1 + g2) * inv2] + [None] * (n - 1), [(g1 - g2) * inv2] + [None] * (n - 1)]
     for j, ((t11, t12), (t21, t22)) in enumerate(t.blocks, 1):
@@ -256,23 +250,22 @@ class IdealSpec(_Record):
 
 def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
     """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H, in
-    ctx's entry form (linalg._entry_form), whatever the field.
+    ctx's entry form (FieldCtx.form), whatever the field.
 
     Each summand keeps the forms of _summand_forms that vanish on it;
     the forms of a full block are never built.
     """
-    form, xi_pows, units = _xi_entries(ctx, n)
-    g1, g2 = _summand_forms(xi_pows, 0, units)
+    g1, g2 = _summand_forms(ctx, n, 0)
     out = {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2], FULL: []}[spec.summands[0].kind]
     for j, s in enumerate(spec.summands[1:], 1):
         if s.kind == ZERO:
-            out += _summand_forms(xi_pows, j, units)
+            out += _summand_forms(ctx, n, j)
         elif s.kind == ROW:  # y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
             # a11 = (xi^(ij) | 0) and a12 = (0 | xi^(-ij)); a21, a22 swap the halves
-            a11, a12, _, _ = _summand_forms(xi_pows, j, units)
-            minus_y, x = form.entries([-s.y, s.x])
-            ya = form.submul([0] * n, minus_y, a11[:n])
-            xb = form.submul([0] * n, x, a12[n:])
+            a11, a12, _, _ = _summand_forms(ctx, n, j)
+            minus_y, x = ctx.form.entries([-s.y, s.x])
+            ya = ctx.form.submul([0] * n, minus_y, a11[:n])
+            xb = ctx.form.submul([0] * n, x, a12[n:])
             out += [ya + xb, xb + ya]
     return out
 

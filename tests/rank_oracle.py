@@ -1,9 +1,28 @@
 """Queries the tests check the library against, apart from its own routes:
 ranks apart from its elimination, and left-ideal closure by group algebra
-products apart from the dual engine's certificate."""
+products apart from the dual engine's certificate; and the matrices only
+the tests build: identities, stacks and kernel bases."""
 
 from dihedralcodes.dihedral import phi_inv
-from dihedralcodes.linalg import MatrixGF
+from dihedralcodes.linalg import MatrixGF, null_rows
+
+
+def identity(ctx, n: int) -> MatrixGF:
+    z, o = ctx.zero(), ctx.one()
+    return MatrixGF(ctx, [[o if i == j else z for j in range(n)] for i in range(n)])
+
+
+def vstack(m: MatrixGF, other: MatrixGF) -> MatrixGF:
+    """m's rows, then other's."""
+    if m.ctx != other.ctx or m.cols != other.cols:
+        raise ValueError("stack shape/field mismatch")
+    return MatrixGF._trusted(m.ctx, m.entries + other.entries, m.cols)
+
+
+def kernel_basis(m: MatrixGF) -> MatrixGF:
+    """Basis of the right null space {v : m v^T = 0}, null_rows of m's RREF."""
+    R, _, pivots = m.rref()
+    return MatrixGF._trusted(m.ctx, null_rows(R, pivots), m.cols)
 
 
 class DuplicateIndexError(ValueError):
@@ -42,7 +61,7 @@ def columns_rank(m: MatrixGF, cols) -> int:
 
 def row_space_contains(m: MatrixGF, vec) -> bool:
     """Whether vec lies in m's row space: appending it leaves the rank unchanged."""
-    return m.vstack(MatrixGF.from_rows(m.ctx, [vec])).rank() == m.rank()
+    return vstack(m, MatrixGF.from_rows(m.ctx, [vec])).rank() == m.rank()
 
 
 def closed_by_products(code, algebra) -> bool:

@@ -24,7 +24,7 @@ from dihedralcodes.gf import (
     poly_text,
     primitive_nth_root,
 )
-from dihedralcodes.linalg import _entry_form, _Pairs
+from dihedralcodes.gf import _Pairs
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -300,11 +300,11 @@ def test_inverse_in_prime_field():
     ids=["GF4", "GF9", "GF9-linear-term", "GF25", "GF169"],
 )
 def test_quadratic_extension_inverse_and_product(ctx):
-    # the GF(p^2) entry form's closed forms (linalg._Pairs) against
+    # the GF(p^2) entry form's closed forms (_Pairs) against
     # FieldElement's polynomial route: canon of packed products and submul
     # for the first 30 elements, and the norm-map inverses of one batched
     # points call for every nonzero x, as the point (0, 1/x) of (x, 1)
-    form = _entry_form(ctx)
+    form = ctx.form
     assert type(form) is _Pairs
     els = list(ctx.elements())
     entries, one = form.entries(els), form.entries([ctx.one()])[0]

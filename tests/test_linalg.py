@@ -1,11 +1,13 @@
+import json
 import random
 
 import pytest
 
+from dihedralcodes.codes import FAMILY_2N_MINUS_3_PLUS, CodeFamily, LinearCode, construct_code, load_code
 from dihedralcodes.errors import MixedContextsError
-from dihedralcodes.gf import FieldElement, make_field
-from dihedralcodes.linalg import MatrixGF, _entry_form, _Form, _Packed, _Residues, kernel_rref, null_rows
-from rank_oracle import DuplicateIndexError, columns_rank, row_space_contains
+from dihedralcodes.gf import FieldElement, _Form, _Packed, _Residues, make_field
+from dihedralcodes.linalg import MatrixGF, null_rows
+from rank_oracle import DuplicateIndexError, columns_rank, identity, kernel_basis, row_space_contains, vstack
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -25,7 +27,7 @@ def test_rref_proportional_rows():
 
 
 def test_rref_identity():
-    m = MatrixGF.identity(GF13, 4)
+    m = identity(GF13, 4)
     reduced, rank, pivots = m.rref()
     assert rank == 4
     assert pivots == [0, 1, 2, 3]
@@ -57,12 +59,12 @@ def test_rref_is_row_equivalent_and_idempotent():
         assert again == reduced
         assert rank == rank2
         # same row space: stacking does not increase the rank
-        assert m.vstack(reduced).rank() == rank
+        assert vstack(m, reduced).rank() == rank
 
 
 def test_kernel_of_all_ones_row():
     m = MatrixGF.from_rows(GF13, [[1, 1, 1]])
-    ker = m.kernel_basis()
+    ker = kernel_basis(m)
     assert ker.rows == 2
     for i in range(ker.rows):
         row = ker.row(i)
@@ -70,14 +72,14 @@ def test_kernel_of_all_ones_row():
 
 
 def test_kernel_of_identity_is_empty():
-    ker = MatrixGF.identity(GF13, 5).kernel_basis()
+    ker = kernel_basis(identity(GF13, 5))
     assert ker.rows == 0
     assert ker.cols == 5
 
 
 def test_kernel_identity_block_on_free_columns():
     m = MatrixGF.from_rows(GF13, [[1, 2, 3, 4], [0, 0, 1, 5]])
-    ker = m.kernel_basis()
+    ker = kernel_basis(m)
     reduced, rank, pivots = m.rref()
     free = [c for c in range(4) if c not in pivots]
     assert ker.rows == len(free)
@@ -94,7 +96,7 @@ def test_rank_nullity_and_annihilation_random():
             rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 7)
             m = random_matrix(ctx, rows, cols, rng)
-            ker = m.kernel_basis()
+            ker = kernel_basis(m)
             assert m.rank() + ker.rows == cols
             # every kernel row is orthogonal to every row of m: M K^T = 0
             assert all(
@@ -105,14 +107,14 @@ def test_rank_nullity_and_annihilation_random():
 
 
 def test_columns_rank_examples():
-    ident = MatrixGF.identity(GF13, 3)
+    ident = identity(GF13, 3)
     assert columns_rank(ident, [0, 1]) == 2
     prop = MatrixGF.from_rows(GF13, [[1, 2], [2, 4]])
     assert columns_rank(prop, [0, 1]) == 1
 
 
 def test_columns_rank_errors():
-    m = MatrixGF.identity(GF13, 3)
+    m = identity(GF13, 3)
     with pytest.raises(IndexError):
         columns_rank(m, [0, 3])
     with pytest.raises(DuplicateIndexError):
@@ -233,26 +235,35 @@ def test_from_json_enters_its_rows_in_the_entry_form(ctx, monkeypatch):
 
     monkeypatch.setattr(MatrixGF, "__init__", refuse)
     loaded = MatrixGF.from_json(doc)
-    assert loaded == m and loaded.entries == m.entries and type(loaded.form) is type(m.form)
+    assert loaded == m and loaded.entries == m.entries and type(loaded.ctx.form) is type(m.ctx.form)
     empty = MatrixGF.from_json({**doc, "rows": 0, "entries": []})
     assert (empty.rows, empty.cols, empty.entries) == (0, 4, [])
 
 
 @pytest.mark.parametrize("ctx", [GF13, GF25, GF8])
 def test_one_entry_form_per_field(ctx, monkeypatch):
-    # the form is built once and kept on ctx itself, not shared between
-    # equal fields: each matrix's elements name its own ctx
-    form = _entry_form(ctx)
-    assert _entry_form(ctx) is form and form.ctx is ctx
+    # make_field builds one form, kept on ctx itself and not shared between
+    # equal fields: each matrix's elements name its own ctx.  A code's round
+    # trip builds no other: only the field its document names gets one.
+    built, init = [], _Form.__init__
+
+    def spy(self, field):
+        built.append(self)
+        init(self, field)
+
+    monkeypatch.setattr(_Form, "__init__", spy)
     twin = make_field(ctx.p, list(ctx.modulus))
-    assert _entry_form(twin) is not form and _entry_form(twin).ctx is twin
-    m = random_matrix(ctx, 3, 5, random.Random(ctx.q + 5))
-
-    def refuse(self, *args):
-        raise AssertionError("a second entry form was built")
-
-    monkeypatch.setattr(_Form, "__init__", refuse)
-    R, _, _ = m.rref()
-    basis, _ = kernel_rref(ctx, m.entries, m.cols)
-    assert m.form is form and R.form is form and basis.form is form
-    assert R.nonzero_rows().form is form
+    assert built == [twin.form] and twin.form.ctx is twin and twin.form is not ctx.form
+    assert type(twin.form) is type(ctx.form)
+    built.clear()
+    if ctx.p == 2:  # no D_2n code over GF(2^m): a generator of its own
+        code = LinearCode(random_matrix(ctx, 3, 7, random.Random(ctx.q + 5)))
+    else:
+        code = construct_code(ctx, 3, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS))
+    d = code.min_distance("dual")
+    doc = json.loads(json.dumps(code.to_json()))
+    assert built == []
+    loaded = load_code(doc)
+    assert loaded.min_distance("exhaustive") == loaded.min_distance("dual") == d
+    assert loaded.generator == code.generator and loaded.generator.ctx is loaded.ctx
+    assert built == [loaded.ctx.form] and loaded.ctx.form.ctx is loaded.ctx

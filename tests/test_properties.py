@@ -15,7 +15,6 @@ import dihedralcodes.codes as codes_module
 from dihedralcodes.codes import (
     DEFAULT_CAP,
     LinearCode,
-    _entry_form,
     _expansion_planes,
     _hyperplane_distance,
     _min_dependent_columns,
@@ -23,8 +22,8 @@ from dihedralcodes.codes import (
 )
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.errors import CapExceededError
-from dihedralcodes.gf import make_field
-from dihedralcodes.linalg import MatrixGF, _Packed, _Pairs, kernel_rref, null_rows
+from dihedralcodes.gf import _Packed, _Pairs, make_field
+from dihedralcodes.linalg import MatrixGF, kernel_rref, null_rows
 from dihedralcodes.wedderburn import (
     FULL,
     MINUS_PIECE,
@@ -40,7 +39,7 @@ from dihedralcodes.wedderburn import (
     wedderburn_inverse,
     wedderburn_map,
 )
-from rank_oracle import closed_by_products, columns_rank
+from rank_oracle import closed_by_products, columns_rank, kernel_basis, vstack
 from test_codes import swap_columns
 
 # prime fields and degree-2 extensions, small enough for exhaustive search
@@ -83,13 +82,13 @@ def test_rref_invariants(m):
     reduced, rank, pivots = m.rref()
     assert reduced.rref() == (reduced, rank, pivots)
     # same row space: neither matrix adds a dimension to the other
-    assert m.vstack(reduced).rank() == reduced.nonzero_rows().rows == rank
+    assert vstack(m, reduced).rank() == reduced.nonzero_rows().rows == rank
     assert all(not any(reduced.row(i)) for i in range(rank, reduced.rows))
     assert pivots == sorted(set(pivots))
     for i, c in enumerate(pivots):
         column = [reduced[r, c] for r in range(reduced.rows)]
         assert column == [m.ctx.one() if r == i else m.ctx.zero() for r in range(reduced.rows)]
-    kernel = m.kernel_basis()
+    kernel = kernel_basis(m)
     assert rank + kernel.rows == m.cols
     # every kernel row is orthogonal to every row of m: M K^T = 0
     zero = m.ctx.zero()
@@ -152,7 +151,7 @@ def test_rref_staircase_rank_and_null_rows_on_the_entry_store(ctx_rows):
 @given(matrices(max_rows=4, max_cols=5, fields=EXPANSION_FIELDS))
 def test_expansion_rank_is_m_times_rank(m):
     prime = make_field(m.ctx.p, [0, 1])
-    planes = [plane for row in m.entries for plane in _expansion_planes(m.ctx, m.form, row)]
+    planes = [plane for row in m.entries for plane in _expansion_planes(m.ctx, row)]
     expanded = MatrixGF.from_rows(prime, [sum(plane, []) for plane in planes])
     assert expanded.rank() == m.ctx.m * m.rank()
 
@@ -226,7 +225,7 @@ def test_dual_cap_outcomes_on_low_rate_codes(m):
     assume(code.k > 0)
     d, k = code.min_distance("exhaustive"), code.k
     gen_subsets = math.comb(code.length, max(k - 2, 0))
-    field = _entry_form(code.ctx)
+    field = code.ctx.form
     h_cols = [list(c) for c in zip(*null_rows(code.generator, code.pivots))]
     for cap in (0, gen_subsets - 1, gen_subsets, DEFAULT_CAP):
         cap = max(cap, 0)
@@ -300,7 +299,7 @@ def high_rate_codes(draw):
                 lines.add(projective_point([add[a][mul[s][b]] for a, b in zip(c, col)], tables))
         cols.append(col)
     H = MatrixGF(ctx, [[ctx.from_index(i) for i in row] for row in zip(*cols)])
-    code = LinearCode(H.kernel_basis())
+    code = LinearCode(kernel_basis(H))
     assume(code.length - code.k == r)
     return code
 
@@ -314,7 +313,7 @@ def test_engines_agree_on_random_high_rate_codes(code):
     # the parity-check walk alone, though the dual engine may take the
     # generator side where its subsets are fewer
     # null_rows gives H in the entry form already
-    field = _entry_form(code.ctx)
+    field = code.ctx.form
     h_cols = [list(c) for c in zip(*null_rows(code.generator, code.pivots))]
     assert _min_dependent_columns(h_cols, field) == d
 
@@ -326,7 +325,7 @@ def test_generator_side_matches_parity_check_side(m):
     # pivots, finds dependent columns: both give d(C), and swapped, d(C^perp)
     code = LinearCode(m)
     assume(0 < code.k < code.length)
-    G, field = code.generator, _entry_form(code.ctx)
+    G, field = code.generator, code.ctx.form
     H = null_rows(G, code.pivots)
     g_cols = [field.entries(c) for c in zip(*G.data)]
     h_cols = [list(c) for c in zip(*H)]  # null_rows gives the entry form
@@ -376,7 +375,7 @@ def test_hyperplane_walk_matches_exhaustive_search(m):
     # the walk counts each hyperplane once, from its index-first basis, stops
     # a level once it cannot pass the best count, and takes the conic
     # certificate at k = 3; it reads G's columns as they are, not in RREF
-    field = _entry_form(m.ctx)
+    field = m.ctx.form
     cols = [list(c) for c in zip(*m.entries)]
     assert _hyperplane_distance(cols, field) == LinearCode(m).min_distance("exhaustive", cap=m.ctx.q**m.rows)
 
@@ -590,7 +589,7 @@ def form_cases(draw, size, fields=FORM_FIELDS):
     ctx = draw(st.sampled_from(fields))
     small = st.sampled_from([ctx.zero(), ctx.one(), -ctx.one(), three_plus_t(ctx)])
     els = [draw(st.one_of(small, field_elements(ctx, 1).map(lambda v: v[0]))) for _ in range(size)]
-    return ctx, _entry_form(ctx), els
+    return ctx, ctx.form, els
 
 
 # expressions in + - * as the library forms them, each on 9 values
@@ -730,7 +729,7 @@ def conic_columns(draw):
     scales = [draw(nonzero_elements(ctx)) for _ in points]
     cols = [[c * sum((a * b for a, b in zip(r, v)), ctx.zero()) for r in transform]
             for c, v in zip(scales, points)]
-    return ctx, _entry_form(ctx), cols
+    return ctx, ctx.form, cols
 
 
 def plant(data, ctx, five, kind, i):
