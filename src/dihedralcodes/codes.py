@@ -75,12 +75,12 @@ from .errors import (
     _Record,
 )
 from .gf import FieldCtx, FieldElement, _is_int, element_order
+from .idempotents import _xi_entries
 from .linalg import MatrixGF, kernel_rref, null_rows
 from .wedderburn import (
     IdealSpec,
     _constraint_rows,
     _summand_forms,
-    _xi_entries,
     full,
     minus_piece,
     plus_piece,

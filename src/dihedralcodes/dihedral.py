@@ -1,7 +1,10 @@
 """The group algebra F_q D_2n for the dihedral group <a, b | a^n, b^2, ab=ba^-1>.
 
 Elements carry 2n coefficients in the monomial basis
-(a^0, ..., a^(n-1), b a^0, ..., b a^(n-1)).  Multiplication follows the
+(a^0, ..., a^(n-1), b a^0, ..., b a^(n-1)), held as integers in the
+field's entry form (FieldCtx.form): + - * and scale work on them and
+each ends in one form.canon, and FieldElements are built only where
+alpha, beta, phi() or text() hand them out.  Multiplication follows the
 relations a^i a^j = a^(i+j), a^i (b a^j) = b a^(j-i), (b a^i) a^j = b a^(i+j),
 (b a^i)(b a^j) = a^(j-i), all exponents mod n.
 
@@ -40,11 +43,10 @@ class DihedralAlgebra:
         beta = [self.ctx.element(c) for c in beta]
         if len(alpha) != self.n or len(beta) != self.n:
             raise LengthMismatchError(f"coefficient lists must have length {self.n}")
-        return AlgebraElement(self, tuple(alpha), tuple(beta))
+        return AlgebraElement(self, self.ctx.form.entries(alpha + beta))
 
     def zero(self) -> "AlgebraElement":
-        z = self.ctx.zero()
-        return AlgebraElement(self, (z,) * self.n, (z,) * self.n)
+        return AlgebraElement(self, (0,) * (2 * self.n))
 
     def one(self) -> "AlgebraElement":
         return self.monomial(False, 0)
@@ -57,12 +59,9 @@ class DihedralAlgebra:
         return self.monomial(True, i)
 
     def monomial(self, reflected: bool, i: int) -> "AlgebraElement":
-        z, o = self.ctx.zero(), self.ctx.one()
-        coeffs = [z] * self.n
-        coeffs[i % self.n] = o
-        if reflected:
-            return AlgebraElement(self, (z,) * self.n, tuple(coeffs))
-        return AlgebraElement(self, tuple(coeffs), (z,) * self.n)
+        coords = [0] * (2 * self.n)  # 1 is the entry 1 in every form
+        coords[(self.n if reflected else 0) + i % self.n] = 1
+        return AlgebraElement(self, coords)
 
     def monomials(self) -> list["AlgebraElement"]:
         """All 2n basis monomials in phi coordinate order."""
@@ -71,11 +70,8 @@ class DihedralAlgebra:
         ]
 
     def random_element(self, rng) -> "AlgebraElement":
-        return AlgebraElement(
-            self,
-            tuple(self.ctx.random_element(rng) for _ in range(self.n)),
-            tuple(self.ctx.random_element(rng) for _ in range(self.n)),
-        )
+        draws = [self.ctx.random_element(rng) for _ in range(2 * self.n)]
+        return AlgebraElement(self, self.ctx.form.entries(draws))
 
     def __eq__(self, other):
         if not isinstance(other, DihedralAlgebra):
@@ -90,12 +86,15 @@ class DihedralAlgebra:
 
 
 class AlgebraElement:
-    __slots__ = ("algebra", "alpha", "beta")
+    """An element of F_q D_2n held as its 2n phi coordinates in the field's
+    entry form (FieldCtx.form), like a MatrixGF row; alpha, beta and phi()
+    build FieldElements on access."""
 
-    def __init__(self, algebra: DihedralAlgebra, alpha, beta):
+    __slots__ = ("algebra", "coords")
+
+    def __init__(self, algebra: DihedralAlgebra, coords):
         self.algebra = algebra
-        self.alpha = tuple(alpha)
-        self.beta = tuple(beta)
+        self.coords = tuple(coords)
 
     @property
     def n(self) -> int:
@@ -105,41 +104,44 @@ class AlgebraElement:
     def ctx(self) -> FieldCtx:
         return self.algebra.ctx
 
+    @property
+    def alpha(self) -> tuple[FieldElement, ...]:
+        """Coefficients of a^0 .. a^(n-1)."""
+        return tuple(self.ctx.form.elements(self.coords[: self.n]))
+
+    @property
+    def beta(self) -> tuple[FieldElement, ...]:
+        """Coefficients of b a^0 .. b a^(n-1)."""
+        return tuple(self.ctx.form.elements(self.coords[self.n:]))
+
     def _check(self, other: "AlgebraElement"):
         if not isinstance(other, AlgebraElement):
             raise TypeError("expected an AlgebraElement")
         if other.algebra != self.algebra:
             raise MixedContextsError("operands from different group algebras")
 
+    def _canon(self, values) -> "AlgebraElement":
+        """The element of this algebra whose coordinates are values, built
+        from entries by + - *, brought back to entries."""
+        return AlgebraElement(self.algebra, self.ctx.form.canon(values))
+
     def __add__(self, other):
         self._check(other)
-        return AlgebraElement(
-            self.algebra,
-            tuple(a + b for a, b in zip(self.alpha, other.alpha)),
-            tuple(a + b for a, b in zip(self.beta, other.beta)),
-        )
+        return self._canon([x + y for x, y in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._check(other)
-        return AlgebraElement(
-            self.algebra,
-            tuple(a - b for a, b in zip(self.alpha, other.alpha)),
-            tuple(a - b for a, b in zip(self.beta, other.beta)),
-        )
+        return self._canon([x - y for x, y in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        return AlgebraElement(
-            self.algebra,
-            tuple(-a for a in self.alpha),
-            tuple(-b for b in self.beta),
-        )
+        return self._canon([-x for x in self.coords])
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
             return self.scale(other)
         self._check(other)
-        n, form = self.n, self.ctx.form
-        (xa, xb), (ya, yb) = ([form.entries(h) for h in (u.alpha, u.beta)] for u in (self, other))
+        n = self.n
+        (xa, xb), (ya, yb) = ((u.coords[:n], u.coords[n:]) for u in (self, other))
         halves = ([0] * n, [0] * n)  # (alpha, beta) of the product, unreduced
         # a^i or b a^i times a^j or b a^j: reflected when exactly one factor
         # is, at a^(j-i) when the right factor is reflected, else at a^(i+j):
@@ -151,8 +153,7 @@ class AlgebraElement:
                     if x:
                         s = i if right else -i % n
                         out[:] = [a + x * y for a, y in zip(out, ys[s:] + ys[:s])]
-        alpha, beta = (tuple(form.elements(form.canon(h))) for h in halves)
-        return AlgebraElement(self.algebra, alpha, beta)
+        return self._canon(halves[0] + halves[1])
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -160,43 +161,31 @@ class AlgebraElement:
         return NotImplemented
 
     def scale(self, c) -> "AlgebraElement":
-        c = self.ctx.element(c)
-        return AlgebraElement(
-            self.algebra,
-            tuple(c * a for a in self.alpha),
-            tuple(c * b for b in self.beta),
-        )
+        (f,) = self.ctx.form.entries([self.ctx.element(c)])
+        return self._canon([f * x for x in self.coords])
 
     def involution(self) -> "AlgebraElement":
         """Coefficient of g moves to g^-1: a^i -> a^(n-i), b a^i fixed."""
-        n = self.n
-        return AlgebraElement(
-            self.algebra,
-            tuple(self.alpha[(n - i) % n] for i in range(n)),
-            self.beta,
-        )
+        n, coords = self.n, self.coords
+        return AlgebraElement(self.algebra, [coords[-i % n] for i in range(n)] + list(coords[n:]))
 
     def phi(self) -> list[FieldElement]:
         """Coordinates (a^0..a^(n-1), b a^0..b a^(n-1)), length 2n."""
-        return list(self.alpha) + list(self.beta)
+        return self.ctx.form.elements(self.coords)
 
     def weight(self) -> int:
-        return sum(1 for c in self.alpha if c) + sum(1 for c in self.beta if c)
+        return sum(1 for x in self.coords if x)
 
     def __bool__(self):
-        return any(self.alpha) or any(self.beta)
+        return any(self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-        )
+        return self.algebra == other.algebra and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.algebra, self.alpha, self.beta))
+        return hash((self.algebra, self.coords))
 
     def text(self) -> str:
         """Readable form "c0 + c1*a + ... + d0*b + d1*b*a + ..."."""
@@ -212,10 +201,8 @@ class AlgebraElement:
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
-        return {
-            "alpha": [c.to_list() for c in self.alpha],
-            "beta": [c.to_list() for c in self.beta],
-        }
+        coeffs = self.ctx.form.coeffs(self.coords)
+        return {"alpha": coeffs[: self.n], "beta": coeffs[self.n:]}
 
     def __repr__(self):
         return self.text()
@@ -245,10 +232,6 @@ def left_ideal_basis(gens) -> MatrixGF:
     for g in gens:
         if g.algebra != algebra:
             raise MixedContextsError("generators from different group algebras")
-    rows = []
-    for gen in gens:
-        for mono in algebra.monomials():
-            rows.append((mono * gen).phi())
-    matrix = MatrixGF(algebra.ctx, rows)
-    reduced, _, _ = matrix.rref()
+    rows = [list((mono * gen).coords) for gen in gens for mono in algebra.monomials()]
+    reduced, _, _ = MatrixGF._trusted(algebra.ctx, rows, 2 * algebra.n).rref()
     return reduced.nonzero_rows()

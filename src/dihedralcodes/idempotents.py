@@ -12,6 +12,8 @@ The central family of F_q D_2n is
 
 from __future__ import annotations
 
+import functools
+
 from .dihedral import AlgebraElement, DihedralAlgebra
 from .errors import _Record
 from .gf import FieldCtx, FieldElement, primitive_nth_root
@@ -30,24 +32,31 @@ class IdempotentFamily(_Record):
         return len(self.members)
 
 
-def _xi_powers(ctx: FieldCtx, n: int) -> list[FieldElement]:
-    """xi^0 .. xi^(n-1) for the canonical primitive n-th root xi."""
-    xi = primitive_nth_root(ctx, n)
-    pows = [ctx.one()]
+@functools.lru_cache(maxsize=8)
+def _xi_entries(ctx: FieldCtx, n: int) -> tuple[int, ...]:
+    """xi^0 .. xi^(n-1) for the canonical primitive n-th root xi, in ctx's
+    entry form (FieldCtx.form); RootUnavailableError unless n | q-1.  Kept
+    for the last few (field, n), since the idempotents of one (field, n), P
+    and every code of it read the same powers.  The cache is keyed by field
+    equality, so it holds entries, the same integers in an equal field, and
+    no element, which names its own field."""
+    form = ctx.form
+    (xi,) = form.entries([primitive_nth_root(ctx, n)])
+    pows = [1]
     for _ in range(n - 1):
-        pows.append(pows[-1] * xi)
-    return pows
+        pows += form.canon([pows[-1] * xi])
+    return tuple(pows)
 
 
 def cyclic_idempotent(ctx: FieldCtx, n: int, i: int) -> AlgebraElement:
     """e_i of F_q C_n, embedded in F_q D_2n with zero reflected part."""
     if not 0 <= i < n:
         raise IndexError(f"idempotent index {i} out of range for n={n}")
-    xi_pows = _xi_powers(ctx, n)
+    xi_pows = _xi_entries(ctx, n)
     algebra = DihedralAlgebra(ctx, n)
-    inv_n = ctx.element(n).inverse()
-    alpha = [inv_n * xi_pows[(-i * j) % n] for j in range(n)]
-    return algebra.element(alpha)
+    (inv_n,) = ctx.form.entries([ctx.element(n).inverse()])
+    alpha = ctx.form.canon([inv_n * xi_pows[(-i * j) % n] for j in range(n)])
+    return AlgebraElement(algebra, alpha + [0] * n)
 
 
 def cyclic_family(ctx: FieldCtx, n: int) -> IdempotentFamily:

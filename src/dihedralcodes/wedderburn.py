@@ -26,12 +26,10 @@ else the null space of its 2n - dim constraint rows.
 
 from __future__ import annotations
 
-import functools
-
 from .dihedral import AlgebraElement, DihedralAlgebra
 from .errors import EvenNError, InvalidRowSpecError, MixedContextsError, _Record
 from .gf import FieldCtx, FieldElement
-from .idempotents import _xi_powers
+from .idempotents import _xi_entries
 from .linalg import MatrixGF, kernel_rref
 
 
@@ -85,16 +83,6 @@ class WedderburnTuple(_Record):
 _BLOCK_LAYOUT = ((0, 1), (1, -1), (1, 1), (0, -1))
 
 
-@functools.lru_cache(maxsize=8)
-def _xi_entries(ctx: FieldCtx, n: int) -> tuple[int, ...]:
-    """xi^0 .. xi^(n-1) in ctx's entry form (FieldCtx.form), kept for the
-    last few (field, n), since every code of one (field, n) reads the same
-    powers; RootUnavailableError unless n | q-1.  The cache is keyed by
-    field equality, so it holds entries, the same integers in an equal
-    field, and no element, which names its own field."""
-    return tuple(ctx.form.entries(_xi_powers(ctx, n)))
-
-
 def _dft(form, xi_pows, v, sign=1):
     """sum_i v_i xi^(sign*ik) for k = 0..n-1, on v's entry form."""
     n, support = len(xi_pows), [(i, x) for i, x in enumerate(v) if x]
@@ -129,8 +117,7 @@ def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
     if n % 2 == 0:
         raise EvenNError(f"block decomposition implemented for odd n, got n={n}")
     form, xi_pows = u.ctx.form, _xi_entries(u.ctx, n)
-    A, B = spectra = [form.elements(_dft(form, xi_pows, form.entries(h)))
-                      for h in (u.alpha, u.beta)]
+    A, B = spectra = [form.elements(_dft(form, xi_pows, h)) for h in (u.coords[:n], u.coords[n:])]
     coords = ([spectra[h][s * j % n] for h, s in _BLOCK_LAYOUT] for j in range(1, (n + 1) // 2))
     return WedderburnTuple(
         gamma=(A[0] + B[0], A[0] - B[0]),
@@ -144,6 +131,7 @@ def wedderburn_inverse(t: WedderburnTuple) -> AlgebraElement:
     _BLOCK_LAYOUT, the blocks, then each half's inverse DFT, scaled by n^-1.
     """
     ctx, n = t.ctx, t.n
+    algebra = DihedralAlgebra(ctx, n)  # raises CharDividesOrderError before 2 is inverted
     inv2, inv_n = ctx.element(2).inverse(), ctx.element(n).inverse()
     form, xi_pows = ctx.form, _xi_entries(ctx, n)
     g1, g2 = t.gamma
@@ -151,9 +139,8 @@ def wedderburn_inverse(t: WedderburnTuple) -> AlgebraElement:
     for j, ((t11, t12), (t21, t22)) in enumerate(t.blocks, 1):
         for (h, s), c in zip(_BLOCK_LAYOUT, (t11, t12, t21, t22)):
             spectra[h][s * j % n] = c
-    alpha, beta = (form.elements(_dft(form, xi_pows, form.entries([c * inv_n for c in S]), -1))
-                   for S in spectra)
-    return AlgebraElement(DihedralAlgebra(ctx, n), alpha, beta)
+    alpha, beta = (_dft(form, xi_pows, form.entries([c * inv_n for c in S]), -1) for S in spectra)
+    return AlgebraElement(algebra, alpha + beta)
 
 
 # ---------------------------------------------------------------------------

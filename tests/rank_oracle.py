@@ -1,7 +1,7 @@
 """Queries the tests check the library against, apart from its own routes:
 ranks apart from its elimination, and left-ideal closure by group algebra
 products apart from the dual engine's certificate; and the matrices only
-the tests build: identities, stacks and kernel bases."""
+the tests build: identities, stacks, kernel bases and twisted copies."""
 
 from dihedralcodes.dihedral import phi_inv
 from dihedralcodes.linalg import MatrixGF, null_rows
@@ -23,6 +23,15 @@ def kernel_basis(m: MatrixGF) -> MatrixGF:
     """Basis of the right null space {v : m v^T = 0}, null_rows of m's RREF."""
     R, _, pivots = m.rref()
     return MatrixGF._trusted(m.ctx, null_rows(R, pivots), m.cols)
+
+
+def twisted(m: MatrixGF, s: int, n: int) -> MatrixGF:
+    """The RREF of m, a matrix on phi coordinates, after sigma_s: a -> a^s,
+    b -> b, which moves column i of each half to column s i mod n, for
+    gcd(s, n) = 1."""
+    t = pow(s, -1, n)  # column j of a half takes column t j of m's
+    rows = [[r[h + t * j % n] for h in (0, n) for j in range(n)] for r in map(m.row, range(m.rows))]
+    return MatrixGF(m.ctx, rows, cols=m.cols).rref()[0]
 
 
 class DuplicateIndexError(ValueError):

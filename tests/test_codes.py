@@ -45,7 +45,7 @@ from dihedralcodes.wedderburn import (
     row,
     zero,
 )
-from rank_oracle import columns_rank, identity, kernel_basis, row_space_contains, vstack
+from rank_oracle import columns_rank, identity, kernel_basis, row_space_contains, twisted, vstack
 
 GF13 = make_field(13, [0, 1])
 GF9 = make_field(3, [1, 0, 1])
@@ -1370,17 +1370,9 @@ def test_paper_2n_minus_3_codes_take_the_conic_certificate(monkeypatch):
 
 
 def test_twists_are_coordinate_permutations_of_twist_one():
-    # the twist-s code is the twist-1 code, same beta, under a^i -> a^(u i),
-    # b a^i -> b a^(u i) with u = s^-1 mod n; with u = s it is not, for s > 1
-    def moved(code, u, n):
-        rows = []
-        for r in code.generator.data:
-            w = list(r)
-            for i in range(n):
-                w[u * i % n], w[n + u * i % n] = r[i], r[n + i]
-            rows.append(w)
-        return MatrixGF(code.ctx, rows).rref()[0]
-
+    # sigma_s: a^i -> a^(s i), b a^i -> b a^(s i) (rank_oracle.twisted) moves
+    # the twist-s code onto the twist-1 code, same beta; for s > 1 it does
+    # not move the twist-1 code onto the twist-s code
     points = [
         (make_field(43, [0, 1]), 7), (make_field(61, [0, 1]), 15), (make_field(211, [0, 1]), 21),
         (make_field(13, [2, 0, 1]), 21), (make_field(31, [0, 1]), 5),
@@ -1390,7 +1382,7 @@ def test_twists_are_coordinate_permutations_of_twist_one():
             one = construct_code(ctx, n, CodeFamily(tag))
             for s in range(2, (n + 1) // 2):
                 if math.gcd(s, n) == 1:
-                    twisted = construct_code(ctx, n, CodeFamily(tag, s=s, beta=one.provenance.beta))
-                    assert moved(one, pow(s, -1, n), n) == twisted.generator
+                    code = construct_code(ctx, n, CodeFamily(tag, s=s, beta=one.provenance.beta))
+                    assert twisted(code.generator, s, n) == one.generator
                     if n == 7:
-                        assert moved(one, s, n) != twisted.generator
+                        assert twisted(one.generator, s, n) != code.generator

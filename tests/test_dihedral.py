@@ -63,19 +63,22 @@ def test_multiplication_table_against_group_law():
 
 
 def test_product_matches_the_monomial_expansion():
-    # u v = sum over monomials g, h of u_g v_h (g h), summed in FieldElements;
-    # the product runs on each field's entry form: residues, packed pairs over
-    # GF(13^2), FieldElements over GF(3^3); n = 4 is even
+    # u v = sum over monomials g, h of u_g v_h (g h), summed in FieldElements
+    # at the position of the monomial g h; the product runs on each field's
+    # entry form: residues, packed pairs over GF(13^2), packed integers over
+    # GF(3^3); n = 4 is even
     rng = random.Random(7)
     for ctx, n in ((GF13, 4), (make_field(13, [2, 0, 1]), 5), (make_field(3, [1, 2, 0, 1]), 5)):
         alg = DihedralAlgebra(ctx, n)
+        monos = alg.monomials()
         for _ in range(3):
             u, v = alg.random_element(rng), alg.random_element(rng)
-            want = alg.zero()
-            for g, x in zip(alg.monomials(), u.phi()):
-                for h, y in zip(alg.monomials(), v.phi()):
-                    want = want + (g * h).scale(x * y)
-            assert u * v == want
+            want = [ctx.zero()] * (2 * n)
+            for g, x in zip(monos, u.phi()):
+                for h, y in zip(monos, v.phi()):
+                    k = monos.index(g * h)
+                    want[k] = want[k] + x * y
+            assert (u * v).phi() == want
 
 
 def test_associativity_and_identity_random():
@@ -114,12 +117,20 @@ def test_phi_unit_positions():
 
 
 def test_phi_linear_and_weight_preserving():
+    # + - negation and scale against FieldElement operations on phi(), on
+    # residues, packed pairs over GF(13^2) and packed integers over GF(3^3)
     rng = random.Random(2)
-    for _ in range(30):
-        u = D6.random_element(rng)
-        v = D6.random_element(rng)
-        assert (u + v).phi() == [x + y for x, y in zip(u.phi(), v.phi())]
-        assert sum(1 for c in u.phi() if c) == u.weight()
+    for alg in (D6, DihedralAlgebra(make_field(13, [2, 0, 1]), 5),
+                DihedralAlgebra(make_field(3, [1, 2, 0, 1]), 5)):
+        for _ in range(30):
+            u = alg.random_element(rng)
+            v = alg.random_element(rng)
+            c = alg.ctx.random_element(rng)
+            assert (u + v).phi() == [x + y for x, y in zip(u.phi(), v.phi())]
+            assert (u - v).phi() == [x - y for x, y in zip(u.phi(), v.phi())]
+            assert (-u).phi() == [-x for x in u.phi()]
+            assert u.scale(c).phi() == [c * x for x in u.phi()]
+            assert sum(1 for x in u.phi() if x) == u.weight()
 
 
 def test_phi_inv_roundtrip():

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,14 +15,17 @@ from hypothesis import strategies as st
 import dihedralcodes.codes as codes_module
 from dihedralcodes.codes import (
     DEFAULT_CAP,
+    FAMILIES,
+    CodeFamily,
     LinearCode,
     _expansion_planes,
     _hyperplane_distance,
     _min_dependent_columns,
     _on_a_conic,
+    construct_code,
 )
 from dihedralcodes.dihedral import DihedralAlgebra
-from dihedralcodes.errors import CapExceededError
+from dihedralcodes.errors import CapExceededError, DihedralCodesError
 from dihedralcodes.gf import _Packed, _Pairs, make_field
 from dihedralcodes.linalg import MatrixGF, kernel_rref, null_rows
 from dihedralcodes.wedderburn import (
@@ -39,7 +43,7 @@ from dihedralcodes.wedderburn import (
     wedderburn_inverse,
     wedderburn_map,
 )
-from rank_oracle import closed_by_products, columns_rank, kernel_basis, vstack
+from rank_oracle import closed_by_products, columns_rank, kernel_basis, twisted, vstack
 from test_codes import swap_columns
 
 # prime fields and degree-2 extensions, small enough for exhaustive search
@@ -889,3 +893,31 @@ def test_certificate_matches_products_on_random_generators(alg, data):
     assume(code.k > 0)
     assert code._is_left_ideal() == closed_by_products(code, alg)
     assert code.min_distance("dual") == code.min_distance("exhaustive")
+
+
+# (field, n) of the twist test: prime fields, GF(13^2) and GF(7^3)
+TWIST_CASES = tuple(
+    (make_field(p, mod), n)
+    for p, mod, n in (
+        (61, [0, 1], 15), (31, [0, 1], 15), (43, [0, 1], 21), (13, [0, 1], 3), (29, [0, 1], 7),
+        (13, [2, 0, 1], 7), (13, [2, 0, 1], 21), (7, [1, 1, 0, 1], 19),
+    )
+)
+
+
+@PROPERTY
+@given(st.sampled_from(TWIST_CASES), st.sampled_from(FAMILIES), st.data())
+def test_twist_sends_each_code_to_its_s_1_sibling(case, tag, data):
+    # sigma_s: a -> a^s, b -> b is an automorphism of D_2n for gcd(s, n) = 1,
+    # and it carries code(family, s, beta) onto code(family, 1, beta), as
+    # RREF generators; a beta refused at s is refused at 1 with the same words
+    ctx, n = case
+    s = data.draw(st.sampled_from([s for s in range(1, (n + 1) // 2) if math.gcd(s, n) == 1]))
+    beta = data.draw(elements(ctx).filter(bool))
+    try:
+        code = construct_code(ctx, n, CodeFamily(tag, s=s, beta=beta))
+    except DihedralCodesError as refusal:
+        with pytest.raises(type(refusal), match=f"^{re.escape(str(refusal))}$"):
+            construct_code(ctx, n, CodeFamily(tag, beta=beta))
+        return
+    assert twisted(code.generator, s, n) == construct_code(ctx, n, CodeFamily(tag, beta=beta)).generator

@@ -160,6 +160,17 @@ def test_map_and_inverse_name_their_own_field(p, modulus):
     assert len(entries) == 12 and all(e.ctx is F2 for e in entries)
 
 
+def test_inverse_refuses_a_characteristic_dividing_2n_before_inverting_2():
+    # over GF(8), 7 | q-1 gives xi, but 2 has no inverse: P^-1 names the
+    # algebra that cannot exist, as DihedralAlgebra(GF(8), 7) does
+    gf8 = make_field(2, [1, 1, 0, 1])
+    message = "^char 2 divides group order 2n=14$"
+    with pytest.raises(CharDividesOrderError, match=message):
+        DihedralAlgebra(gf8, 7)
+    with pytest.raises(CharDividesOrderError, match=message):
+        wedderburn_inverse(WedderburnTuple.one(gf8, 7))
+
+
 def test_inverse_of_gamma_unit_is_e0():
     t = WedderburnTuple.zero(GF13, 3)
     t = WedderburnTuple(gamma=(GF13.one(), GF13.one()), blocks=t.blocks)
