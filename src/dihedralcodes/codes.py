@@ -26,11 +26,14 @@ reads its rows, n e_j and n b e_j, off P's forms (wedderburn._summand_forms)
 on that form.
 
 Minimum distance is computed two independent ways, both exact, with no
-limit on q: exhaustive enumeration, in numpy, of one codeword per
-GF(q)-line, gated at q^k - 1 <= cap, which forms only the RREF
+limit on q: exhaustive enumeration, in numpy, of every codeword up to a
+nonzero multiple, gated at q^k - 1 <= cap, which forms only the RREF
 generator's free columns, on their prime-field expansions (each row
 times x^j, on the entry form: _expansion_planes), and counts the pivot
-columns as the word's nonzero message coefficients; and the dual engine, the
+columns as the word's nonzero message coefficients: the span of rows
+2..k-1 is compared once against a table of q + 2 targets, one per kind of
+lead (row 0 with each coefficient of row 1, row 1, a row below), so
+q^(k-1) + 2 q^(k-2) words are formed; and the dual engine, the
 least number of dependent columns of H by one depth-first walk over
 independent column subsets (_min_dependent_columns), or, for a low-rate
 code, the most generator columns on one hyperplane (_hyperplane_distance),
@@ -195,28 +198,37 @@ class LinearCode:
     def min_distance(self, method: str = "auto", cap: int = DEFAULT_CAP) -> int:
         """Exact minimum weight of a nonzero codeword.
 
-        method "exhaustive" enumerates one codeword per GF(q)-line,
-        (q^k-1)/(q-1) in all, since a word's nonzero multiples share its
-        weight (still requires q^k - 1 <= cap); it forms each word on the
-        free columns only, as a word is its message on the pivots.  "dual"
+        method "exhaustive" weighs every codeword up to a nonzero multiple,
+        which shares its weight (still requires q^k - 1 <= cap): the span of
+        rows 2..k-1 against a table of q + 2 targets, q^(k-1) + 2 q^(k-2)
+        words (_exhaustive_distance), each formed on the free columns only,
+        as a word is its message on the pivots.  "dual"
         visits at most cap column subsets, on one side (_dual_distance): the
         least number of dependent parity-check columns
         (_min_dependent_columns, whose depths 0 and 1, w <= 3, are free), or
         the length less the most generator columns on one hyperplane
         (_hyperplane_distance).  "auto" picks exhaustive when it fits under
-        the cap.  A negative or bool cap is refused, whatever the method.
+        the cap.  A negative or bool cap is refused, whatever the method,
+        and so is an exhaustive call over the cap, even once an answer is
+        cached.  A cached dual answer is returned whatever the cap, since the
+        dual cap bounds the subsets a walk visits, and a cached answer
+        visits none.
         """
         if not _is_int(cap) or cap < 0:
             raise ValueError(f"cap must be a count >= 0, got {cap}")
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
-        if method == "auto":
-            method = "exhaustive" if self.ctx.q**self.k - 1 <= cap else "dual"
-        if method not in ("exhaustive", "dual"):
+        if method not in ("auto", "exhaustive", "dual"):
             raise ValueError(f"unknown distance method {method!r}")
+        if method != "dual":  # the exhaustive gate, checked before the cache
+            count = self.ctx.q**self.k - 1
+            if method == "auto":
+                method = "exhaustive" if count <= cap else "dual"
+            elif count > cap:
+                raise CapExceededError(f"q^k - 1 = {count} exceeds cap = {cap}")
         if method not in self._distance:
             if method == "exhaustive":
-                self._distance[method] = _exhaustive_distance(self.generator, cap, self.pivots)
+                self._distance[method] = _exhaustive_distance(self.generator, self.pivots)
             else:
                 self._distance[method] = _dual_distance(self, cap)
         return self._distance[method]
@@ -417,19 +429,29 @@ def _expansion_planes(ctx: FieldCtx, entries) -> list[list[list[int]]]:
     return [form.coeffs(entries)] + [form.coeffs(form.canon([x * e for e in entries])) for x in xs]
 
 
-def _exhaustive_distance(gen: MatrixGF, cap: int, pivots: list[int]) -> int:
+def _exhaustive_distance(gen: MatrixGF, pivots: list[int]) -> int:
     """Least weight over one nonzero codeword per GF(q)-line, in numpy.
 
     A codeword and its q - 1 nonzero multiples have one weight, so only
-    the words whose first nonzero row coefficient is 1 are enumerated:
-    (q^k - 1)/(q - 1) of them.  The gate stays q^k - 1 <= cap.
+    the words whose first nonzero row coefficient is 1 need weighing.  The
+    caller gates q^k - 1 <= cap (LinearCode.min_distance).
 
     gen is in RREF with these pivot columns, so a word u gen is u itself
     on them and weighs wt(u) + wt(u A), A the free columns
-    (MacWilliams-Sloane, ch. 1).  Only the free columns are enumerated, on
+    (MacWilliams-Sloane, ch. 1).  Only the free columns are formed, on
     the rows' prime-field expansions, built on gen's entry form by one path
-    for every degree m (_expansion_planes); each word's count of nonzero
-    coefficients rides along with it.
+    for every degree m (_expansion_planes).  The span of the expansions of
+    rows 2..k-1 is folded once, q^(k-2) words w, each with its count of
+    nonzero coefficients, and compared once against a table of q + 2
+    targets t: row 0 + c row 1, one per c in GF(q), for the words led by
+    row 0; row 1, for those led by row 1; and 0, for those led by a row
+    below, the zero word left out.  Against t, w stands for the codeword
+    t - w, zero exactly where w equals t (the span is its own negative, and
+    w and -w have one count), which weighs t's offset (1 + [c != 0], 1 or
+    0) plus w's count plus its nonzero free entries.  So q^(k-1) + 2 q^(k-2)
+    words are formed, for (q^k - 1)/(q - 1) lines, in a fixed number of
+    numpy calls plus one fold per expansion of rows 2..k-1.  With k = 1
+    there is no span: d is 1 plus row 0's nonzero free entries.
 
     numpy is imported here, on the first call, and nowhere else in the
     library: construction and the dual engine run on Python ints alone.
@@ -437,18 +459,16 @@ def _exhaustive_distance(gen: MatrixGF, cap: int, pivots: list[int]) -> int:
     import numpy as np
 
     ctx = gen.ctx
-    p, m = ctx.p, ctx.m
-    count = ctx.q**gen.rows - 1
-    if count > cap:
-        raise CapExceededError(f"q^k - 1 = {count} exceeds cap = {cap}")
+    p, m, q, k = ctx.p, ctx.m, ctx.q, gen.rows
     if (p - 1) ** 2 >= 2**63:
         raise CapExceededError(f"exhaustive search needs (p-1)^2 < 2^63, got p = {p}")
     taken = set(pivots)
     free = [c for c in range(gen.cols) if c not in taken]
     if not free:  # k = length: the code is the whole space
         return 1
-    # the multiples 0..p-1 of a vector, which a single row (k = 1) never takes
-    f, scalars = len(free), np.arange(p if gen.rows > 1 else 0, dtype=np.int64)
+    if k == 1:  # entries are canonical, so 0 is the only zero
+        return 1 + sum(1 for c in free if gen.entries[0][c])
+    f, scalars = len(free), np.arange(p, dtype=np.int64)  # the multiples 0..p-1 of a vector
     dtype = np.uint16 if p <= 2**15 else np.uint64  # holds a sum of two residues
     wtype = np.min_scalar_type(gen.cols)  # holds any weight
 
@@ -458,32 +478,38 @@ def _exhaustive_distance(gen: MatrixGF, cap: int, pivots: list[int]) -> int:
         # a sum s of two residues is below 2p; unsigned, s - p wraps past s when s < p
         return np.minimum(span, span - dtype(p), out=span)
 
-    # lead row i, from the last up: its words are row i (expansion 0, coefficient 1)
-    # plus each word of the GF(p)-span of the expansions of rows i+1..k-1.  span is
-    # that span without its last vector, unfolded[-1], held plane-major (entry
-    # t * f + c is plane t of free column c), one word per column; cw counts each
-    # word's nonzero row coefficients, its weight on the pivot columns
-    span, cw, unfolded, best = np.zeros((m * f, 1), dtype=dtype), np.zeros(1, dtype=wtype), [], gen.cols
     # row r's expansion j, plane-major: entry t * f + c is coefficient t of x^j A[r][c]
     planes = _expansion_planes(ctx, [row[c] for row in gen.entries for c in free])
-    expansions = np.array(planes).reshape(m, gen.rows, f, m).transpose(1, 0, 3, 2)
-    for expansion in expansions.reshape(gen.rows, m, m * f)[::-1]:
-        # row + w + s last is zero exactly where w == -row - s last mod p, so the
-        # sums are never formed; a GF(q) entry is nonzero when any of its m planes is
-        targets = (-expansion[0] % p)[:, None]
-        if unfolded:
-            for v in unfolded[:-1]:
-                span = fold(span, v)
-            # combination 0 of row i+1's m expansions, and only it, is its coefficient 0
-            cw = np.add((np.arange(p**m) != 0)[:, None], cw, dtype=wtype).reshape(-1)
-            targets = (targets - unfolded[-1][:, None] * scalars) % p
-        planes, targets = span.reshape(m, f, 1, -1), targets.astype(dtype).reshape(m, f, -1, 1)
-        nonzero = planes[0] != targets[0]
-        for t in range(1, m):
-            nonzero |= planes[t] != targets[t]
-        best = min(best, 1 + int((cw + nonzero.sum(axis=0, dtype=wtype).reshape(-1)).min()))
-        unfolded = unfolded[-1:] + list(expansion)
-    return best
+    flat = [c for plane in planes for coeffs in plane for c in coeffs]
+    expansions = np.array(flat).reshape(m, k, f, m).transpose(1, 0, 3, 2).reshape(k, m, m * f)
+    # the GF(p)-span of rows 2..k-1's expansions, one word per column; cw counts
+    # each word's nonzero row coefficients, its weight on the pivot columns
+    span, cw = np.zeros((m * f, 1), dtype=dtype), np.zeros(1, dtype=wtype)
+    for expansion in expansions[2:]:
+        for v in expansion:
+            span = fold(span, v)
+        # combination 0 of a row's m expansions, and only it, is its coefficient 0
+        cw = np.add((np.arange(q) != 0)[:, None], cw, dtype=wtype).reshape(-1)
+    # targets: row 0 + c row 1 for each c (folded one product at a time, so no
+    # int64 passes (p-1)^2), then row 1, then 0
+    targets = np.zeros((m * f, q + 2), dtype=dtype)
+    led = expansions[0, 0][:, None].astype(dtype)
+    for v in expansions[1]:
+        led = fold(led, v)
+    targets[:, :q], targets[:, q] = led, expansions[1, 0]
+    offsets = np.full(q + 2, 2, dtype=wtype)  # rows 0 and 1's nonzero coefficients
+    offsets[0] = offsets[q] = 1
+    offsets[-1] = 0
+    # a GF(q) entry is nonzero when any of its m planes is
+    planes, targets = span.reshape(m, f, 1, -1), targets.reshape(m, f, -1, 1)
+    nonzero = planes[0] != targets[0]
+    for t in range(1, m):
+        nonzero |= planes[t] != targets[t]
+    weights = nonzero.sum(axis=0, dtype=wtype)
+    weights += cw
+    weights += offsets[:, None]
+    weights[-1, 0] = gen.cols  # the zero word, which no row leads
+    return int(weights.min())
 
 
 def _dual_distance(code: LinearCode, cap: int) -> int:

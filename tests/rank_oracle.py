@@ -1,7 +1,8 @@
 """Queries the tests check the library against, apart from its own routes:
 ranks apart from its elimination, and left-ideal closure by group algebra
 products apart from the dual engine's certificate; and the matrices only
-the tests build: identities, stacks, kernel bases and twisted copies."""
+the tests build: identities, stacks, kernel bases, and twisted and
+Frobenius copies."""
 
 from dihedralcodes.dihedral import phi_inv
 from dihedralcodes.linalg import MatrixGF, null_rows
@@ -32,6 +33,13 @@ def twisted(m: MatrixGF, s: int, n: int) -> MatrixGF:
     t = pow(s, -1, n)  # column j of a half takes column t j of m's
     rows = [[r[h + t * j % n] for h in (0, n) for j in range(n)] for r in map(m.row, range(m.rows))]
     return MatrixGF(m.ctx, rows, cols=m.cols).rref()[0]
+
+
+def frobenius(m: MatrixGF) -> MatrixGF:
+    """m with x -> x^p applied to each entry.  That is a field automorphism,
+    fixing 0 and 1, so the copy of an RREF matrix is in RREF."""
+    p = m.ctx.p
+    return MatrixGF(m.ctx, [[e**p for e in m.row(i)] for i in range(m.rows)], cols=m.cols)
 
 
 class DuplicateIndexError(ValueError):

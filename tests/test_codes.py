@@ -426,7 +426,7 @@ def test_auto_method_selection():
 
 
 def test_exhaustive_cap_gate_counts_every_codeword(monkeypatch):
-    # one word per GF(q)-line is enumerated, but the gate stays q^k - 1 = 28560
+    # q^(k-1) + 2 q^(k-2) = 2535 words are formed, but the gate stays q^k - 1 = 28560
     code = code_13_2n2()
     with pytest.raises(CapExceededError, match="q\\^k - 1 = 28560 exceeds cap = 28559"):
         code.min_distance("exhaustive", cap=28559)
@@ -437,6 +437,16 @@ def test_exhaustive_cap_gate_counts_every_codeword(monkeypatch):
 
     monkeypatch.setattr(codes_module, "_exhaustive_distance", refuse)
     assert code_13_2n2().min_distance("auto", cap=28559) == 3  # the dual engine
+
+
+def test_exhaustive_gate_holds_after_an_answer_is_cached():
+    # the gate is on q and k alone, so a cached answer does not let cap = 1 through
+    code = construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS))
+    assert code.min_distance("exhaustive") == 4
+    with pytest.raises(CapExceededError, match="^q\\^k - 1 = 2196 exceeds cap = 1$"):
+        code.min_distance("exhaustive", cap=1)
+    assert code.min_distance("auto", cap=1) == 4  # the dual engine, from depth 1
+    assert code.min_distance("dual", cap=0) == 4
 
 
 def brute_force_lead_weights(code):
@@ -480,6 +490,48 @@ def test_exhaustive_finds_a_minimum_led_by_the_last_row(ctx):
     weights = brute_force_lead_weights(code)
     assert weights[2] == 1 and min(weights[0], weights[1]) > 1
     assert code.min_distance("exhaustive") == 1
+
+
+def light_row_code(ctx, k: int, light: int, rng):
+    """An RREF [I | A | 0] code of length 2k + 1, A square, whose row light
+    has one free entry, on A's column 0, and each other row i two, on A's
+    columns i and i + 1 mod k, all random and nonzero; the last column is
+    zero.  Row light's words weigh 2.  The other rows' supports differ, so
+    no two are proportional, and every other word weighs 3 or more."""
+    rows = []
+    for i in range(k):
+        support = {0} if i == light else {i, (i + 1) % k}
+        free = [ctx.from_index(rng.randrange(1, ctx.q)) if j in support else 0 for j in range(k)]
+        rows.append([int(j == i) for j in range(k)] + free + [0])
+    return LinearCode.from_generator_rows(ctx, rows)
+
+
+@pytest.mark.parametrize(
+    "ctx, k",
+    [(make_field(3, [0, 1]), 4), (make_field(3, [0, 1]), 5), (make_field(2, [1, 1, 1]), 4),
+     (make_field(2, [1, 1, 1]), 5), (make_field(5, [0, 1]), 4), (make_field(5, [0, 1]), 5),
+     (make_field(3, [1, 2, 0, 1]), 3)],
+    ids=lambda x: f"GF({x.q})" if hasattr(x, "q") else f"k={x}",
+)
+def test_exhaustive_finds_a_minimum_led_by_row_1_or_a_row_below_alone(ctx, k):
+    # the engine weighs the words led by row 0, by row 1 and by rows 2..k-1
+    # against separate targets; each kind holds the one lightest word in turn
+    for light in sorted({1, 2, k - 1}):
+        code = light_row_code(ctx, k, light, random.Random(f"{ctx.q}:{k}:{light}"))
+        weights = brute_force_lead_weights(code)
+        kind = {0: weights[0], 1: weights[1], 2: min(weights[i] for i in range(2, k))}
+        lightest = kind.pop(min(light, 2))
+        assert lightest == 2 < min(kind.values()), (light, weights)
+        assert code.min_distance("exhaustive") == 2 == code.min_distance("dual")
+
+
+def test_exhaustive_on_the_largest_k_under_the_default_cap():
+    # the [20,19,2] even-weight code over GF(2): 2^19 - 1 = 524,287 words
+    # pass the default cap, and 19 rows are the most any code takes there
+    GF2 = make_field(2, [0, 1])
+    code = LinearCode.from_generator_rows(GF2, [[int(j in (i, 19)) for j in range(20)] for i in range(19)])
+    assert (code.length, code.k) == (20, 19)
+    assert code.min_distance("exhaustive") == 2 == code.min_distance("dual")
 
 
 # exhaustive search forms the free columns alone and counts the pivot

@@ -43,7 +43,7 @@ from dihedralcodes.wedderburn import (
     wedderburn_inverse,
     wedderburn_map,
 )
-from rank_oracle import closed_by_products, columns_rank, kernel_basis, twisted, vstack
+from rank_oracle import closed_by_products, columns_rank, frobenius, kernel_basis, twisted, vstack
 from test_codes import swap_columns
 
 # prime fields and degree-2 extensions, small enough for exhaustive search
@@ -921,3 +921,29 @@ def test_twist_sends_each_code_to_its_s_1_sibling(case, tag, data):
             construct_code(ctx, n, CodeFamily(tag, beta=beta))
         return
     assert twisted(code.generator, s, n) == construct_code(ctx, n, CodeFamily(tag, beta=beta)).generator
+
+
+GF169 = make_field(13, [2, 0, 1])
+
+
+@pytest.mark.parametrize("n", [3, 7, 21])
+@pytest.mark.parametrize("tag", FAMILIES)
+@settings(PROPERTY, max_examples=12)
+@given(st.data())
+def test_frobenius_sends_each_code_to_its_conjugate_sibling(tag, n, data):
+    # x -> x^p entrywise carries code(family, s, beta) over GF(13^2) onto
+    # code(family, s', beta'), as RREF generators: s' = s p mod n, folded
+    # into 1..(n-1)/2, and beta' = beta^p, or beta^-p when s p folds; a beta
+    # refused at s is refused at s' the same way
+    ctx, p = GF169, GF169.p
+    s = data.draw(st.sampled_from([s for s in range(1, (n + 1) // 2) if math.gcd(s, n) == 1]))
+    beta = data.draw(elements(ctx).filter(bool))
+    t = s * p % n
+    sibling = CodeFamily(tag, s=t, beta=beta**p) if 2 * t < n else CodeFamily(tag, s=n - t, beta=beta**-p)
+    try:
+        code = construct_code(ctx, n, CodeFamily(tag, s=s, beta=beta))
+    except DihedralCodesError as refusal:
+        with pytest.raises(type(refusal)):
+            construct_code(ctx, n, sibling)
+        return
+    assert frobenius(code.generator) == construct_code(ctx, n, sibling).generator
