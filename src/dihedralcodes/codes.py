@@ -77,8 +77,7 @@ from .errors import (
     ZeroElementError,
     _Record,
 )
-from .gf import FieldCtx, FieldElement, _is_int, element_order
-from .idempotents import _xi_entries
+from .gf import FieldCtx, FieldElement, _is_int, _xi_entries, element_order
 from .linalg import MatrixGF, kernel_rref, null_rows
 from .wedderburn import (
     IdealSpec,
@@ -312,7 +311,7 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
         raise NotCoprimeError(
             f"s={s} must satisfy 1 <= s <= (n-1)/2={(n - 1) // 2} and gcd(s, n) = 1"
         )
-    _xi_entries(ctx, n)  # the root check precedes the beta checks; H reads these powers
+    _xi_entries(ctx, n)  # the root check precedes the beta checks; ctx keeps the powers H reads
     beta = _resolve_beta(ctx, family.beta)
     if family.tag in (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS):
         # the default beta is the canonical generator, of order q - 1

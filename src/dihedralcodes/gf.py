@@ -3,7 +3,8 @@
 Elements are polynomial residues with coefficients stored little-endian
 (constant term first).  A :class:`FieldCtx` fixes the prime p, the monic
 irreducible modulus and the cardinality q = p^m; contexts are immutable
-and safe to share between threads.  All operations are pure.
+and safe to share between threads.  All operations are pure.  One Euclid
+(_pxgcd) serves gcds and inverses, one square-and-multiply (_ppowmod) powers.
 
 Canonical choices, so that identical inputs reproduce identical outputs
 everywhere:
@@ -11,7 +12,8 @@ everywhere:
 * elements are enumerated by their index sum(c_i * p^i), ascending;
 * the canonical multiplicative generator is the first element of order
   q-1 in that enumeration;
-* the canonical primitive n-th root of unity is generator^((q-1)/n).
+* the canonical primitive n-th root of unity is generator^((q-1)/n); a
+  FieldCtx keeps its powers for the last n asked (_xi_entries).
 
 Each FieldCtx builds one entry form, ctx.form, the integers every matrix
 and distance walk holds its entries as: residues over GF(p) (_Residues),
@@ -152,17 +154,17 @@ def _pdivmod(a, b, p):
     b = _trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = _trim(list(a))
+    r = _trim(list(a))
     inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and r:
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
         shift = len(r) - len(b)
         c = (r[-1] * inv_lead) % p
         q[shift] = c
         for i, bc in enumerate(b):
             r[shift + i] = (r[shift + i] - c * bc) % p
-        r = _trim(r)
+        while r and not r[-1]:
+            r.pop()
     return _trim(q), r
 
 
@@ -170,25 +172,31 @@ def _pmod(a, b, p):
     return _pdivmod(a, b, p)[1]
 
 
+def _pxgcd(a, b, p):
+    """Monic g = gcd(a, b) over GF(p) and s with s b = g (mod a), by
+    extended Euclid; both [] for a = b = 0."""
+    r0, r1 = _trim(list(a)), _trim(list(b))
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+    inv_lead = pow(r0[-1], p - 2, p) if r0 else 0
+    return [c * inv_lead % p for c in r0], [c * inv_lead % p for c in s0]
+
+
 def _pgcd(a, b, p):
     """Monic gcd over GF(p)."""
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
+    return _pxgcd(a, b, p)[0]
 
 
 def _ppowmod(base, e, modulus, p):
-    result = [1]
-    base = _pmod(base, modulus, p)
-    while e > 0:
-        if e & 1:
+    """base^e mod modulus over GF(p), e >= 0, squaring from e's top bit."""
+    result, base = [1], _pmod(base, modulus, p)
+    for bit in bin(e)[2:]:
+        result = _pmod(_pmul(result, result, p), modulus, p)
+        if bit == "1":
             result = _pmod(_pmul(result, base, p), modulus, p)
-        base = _pmod(_pmul(base, base, p), modulus, p)
-        e >>= 1
     return result
 
 
@@ -249,7 +257,7 @@ class FieldCtx:
     """Immutable description of GF(p^m): prime, modulus, cardinality and
     entry form (form, built here and nowhere else)."""
 
-    __slots__ = ("p", "m", "modulus", "q", "_generator", "form")
+    __slots__ = ("p", "m", "modulus", "q", "_generator", "_xi", "form")
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
         # use make_field(); this constructor assumes validated input
@@ -258,6 +266,9 @@ class FieldCtx:
         self.m = len(modulus) - 1
         self.q = p ** self.m
         self._generator = None
+        # (n, xi^0 .. xi^(n-1)) for the last n asked (_xi_entries), replaced
+        # whole, so a thread never reads one n's powers under another n
+        self._xi = None
         self.form = (_Residues if self.m == 1 else _Pairs if self.m == 2 else _Packed)(self)
 
     # -- construction of elements ------------------------------------------
@@ -389,9 +400,7 @@ class FieldElement:
         ctx = self.ctx
         if ctx.m == 1:
             return FieldElement(ctx, ((self.coeffs[0] * o.coeffs[0]) % ctx.p,))
-        prod = _pmod(_pmul(self.coeffs, o.coeffs, ctx.p), ctx.modulus, ctx.p)
-        prod = list(prod) + [0] * (ctx.m - len(prod))
-        return FieldElement(ctx, tuple(prod))
+        return _padded(ctx, _pmod(_pmul(self.coeffs, o.coeffs, ctx.p), ctx.modulus, ctx.p))
 
     __rmul__ = __mul__
 
@@ -409,20 +418,11 @@ class FieldElement:
 
     def __pow__(self, e: int):
         ctx = self.ctx
-        if e == 0:
-            return ctx.one()
         if e < 0:
             return self.inverse() ** (-e)
         if ctx.m == 1:
             return FieldElement(ctx, (pow(self.coeffs[0], e, ctx.p),))
-        result = ctx.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _padded(ctx, _ppowmod(self.coeffs, e, ctx.modulus, ctx.p))
 
     def inverse(self) -> "FieldElement":
         ctx = self.ctx
@@ -431,17 +431,7 @@ class FieldElement:
         p = ctx.p
         if ctx.m == 1:
             return FieldElement(ctx, (pow(self.coeffs[0], p - 2, p),))
-        # extended Euclid over GF(p)[x]
-        r0, r1 = list(ctx.modulus), _trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        inv_lead = pow(r0[-1], p - 2, p)
-        inv = [(c * inv_lead) % p for c in s0]
-        inv = inv + [0] * (ctx.m - len(inv))
-        return FieldElement(ctx, tuple(inv[: ctx.m]))
+        return _padded(ctx, _pxgcd(ctx.modulus, self.coeffs, p)[1])
 
     def __bool__(self):
         return any(self.coeffs)
@@ -465,6 +455,11 @@ class FieldElement:
 
     def __repr__(self):
         return self.text()
+
+
+def _padded(ctx: FieldCtx, cs) -> FieldElement:
+    """The element of ctx with the coefficients cs, a residue of degree < m."""
+    return FieldElement(ctx, tuple(cs) + (0,) * (ctx.m - len(cs)))
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +708,23 @@ def primitive_nth_root(ctx: FieldCtx, n: int) -> FieldElement:
     if (ctx.q - 1) % n != 0:
         raise RootUnavailableError(f"{n} does not divide q-1={ctx.q - 1}")
     return ctx.generator() ** ((ctx.q - 1) // n)
+
+
+def _xi_entries(ctx: FieldCtx, n: int) -> tuple[int, ...]:
+    """xi^0 .. xi^(n-1) for the canonical primitive n-th root xi, in ctx's
+    entry form (FieldCtx.form); ValueError for n < 1 and RootUnavailableError
+    unless n | q-1, as primitive_nth_root.  ctx keeps them for the last n
+    asked, since the idempotents of one (field, n), P and every code of it
+    read the same powers."""
+    cached = ctx._xi
+    if cached is None or cached[0] != n:
+        form = ctx.form
+        (xi,) = form.entries([primitive_nth_root(ctx, n)])
+        pows = [1]
+        for _ in range(n - 1):
+            pows += form.canon([pows[-1] * xi])
+        cached = ctx._xi = (n, tuple(pows))
+    return cached[1]
 
 
 # ---------------------------------------------------------------------------

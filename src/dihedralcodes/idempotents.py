@@ -8,15 +8,16 @@ The central family of F_q D_2n is
   n odd:  (1+b)/2 e_0, (1-b)/2 e_0, e_1+e_(n-1), ..., e_((n-1)/2)+e_((n+1)/2)
   n even: additionally (1+b)/2 e_(n/2) and (1-b)/2 e_(n/2), with the paired
           sums stopping at e_(n/2-1)+e_(n/2+1).
+
+The powers of xi are the field's (gf._xi_entries).  The idempotents are the
+tests' oracle for P and the constructions, which do not import this module.
 """
 
 from __future__ import annotations
 
-import functools
-
 from .dihedral import AlgebraElement, DihedralAlgebra
 from .errors import _Record
-from .gf import FieldCtx, FieldElement, primitive_nth_root
+from .gf import FieldCtx, FieldElement, _xi_entries, primitive_nth_root
 
 
 class IdempotentFamily(_Record):
@@ -30,22 +31,6 @@ class IdempotentFamily(_Record):
 
     def __len__(self):
         return len(self.members)
-
-
-@functools.lru_cache(maxsize=8)
-def _xi_entries(ctx: FieldCtx, n: int) -> tuple[int, ...]:
-    """xi^0 .. xi^(n-1) for the canonical primitive n-th root xi, in ctx's
-    entry form (FieldCtx.form); RootUnavailableError unless n | q-1.  Kept
-    for the last few (field, n), since the idempotents of one (field, n), P
-    and every code of it read the same powers.  The cache is keyed by field
-    equality, so it holds entries, the same integers in an equal field, and
-    no element, which names its own field."""
-    form = ctx.form
-    (xi,) = form.entries([primitive_nth_root(ctx, n)])
-    pows = [1]
-    for _ in range(n - 1):
-        pows += form.canon([pows[-1] * xi])
-    return tuple(pows)
 
 
 def cyclic_idempotent(ctx: FieldCtx, n: int, i: int) -> AlgebraElement:

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from .dihedral import AlgebraElement, DihedralAlgebra
 from .errors import EvenNError, InvalidRowSpecError, MixedContextsError, _Record
-from .gf import FieldCtx, FieldElement
-from .idempotents import _xi_entries
+from .gf import FieldCtx, FieldElement, _xi_entries
 from .linalg import MatrixGF, kernel_rref
 
 
@@ -91,9 +90,9 @@ def _dft(form, xi_pows, v, sign=1):
 
 def _summand_forms(ctx: FieldCtx, n: int, j: int):
     """P's coordinates on summand j as linear forms on phi coordinates
-    (a-part | b-part), in ctx's entry form, where xi^i is _xi_entries' and
-    1 and -1 are the residues 1 and p - 1 (RootUnavailableError unless
-    n | q-1, at j = 0 too): at j = 0 the pair's
+    (a-part | b-part), in ctx's entry form, where xi^i is the power the
+    field keeps (gf._xi_entries) and 1 and -1 are the residues 1 and p - 1
+    (RootUnavailableError unless n | q-1, at j = 0 too): at j = 0 the pair's
 
       g1 = (1..1 | 1..1),  g2 = (1..1 | -1..-1),
 

@@ -11,6 +11,7 @@ from dihedralcodes.errors import (
     NotMonicError,
     NotPrimeError,
     ReducibleError,
+    RootUnavailableError,
     ZeroElementError,
 )
 from dihedralcodes.gf import (
@@ -24,7 +25,7 @@ from dihedralcodes.gf import (
     poly_text,
     primitive_nth_root,
 )
-from dihedralcodes.gf import _Pairs
+from dihedralcodes.gf import _Pairs, _pxgcd, _xi_entries
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -60,6 +61,20 @@ def _poly_mod(a, b, p):
         while a and a[-1] == 0:
             a.pop()
     return a
+
+
+def _poly_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+        out[i + j] = (out[i + j] + x * y) % p
+    return _poly_trim(out)
 
 
 def _all_monic(degree, p):
@@ -323,6 +338,46 @@ def test_pow_signs():
     assert x**0 == GF13.one()
     assert x**-3 == (x**3).inverse()
     assert GF25.element([1, 1]) ** 24 == GF25.one()
+    rng = random.Random(5)
+    for ctx in (GF13, GF25, make_field(3, [1, 2, 0, 1])):
+        assert ctx.zero() ** 0 == ctx.one()
+        for _ in range(10):
+            x, e = ctx.from_index(rng.randrange(1, ctx.q)), rng.randrange(1, 3 * ctx.q)
+            assert x**-e == (x**e).inverse()
+
+
+def test_pxgcd_is_a_monic_common_divisor_with_a_bezout_coefficient():
+    # s b = g (mod a), g monic and dividing a and b, so every common divisor
+    # of a and b divides g; zero arguments and trailing zeros included
+    rng = random.Random(3)
+    for p in (2, 3, 7, 13, 2**31 - 1):
+        for _ in range(150):
+            a, b = ([rng.randrange(p) for _ in range(rng.randrange(0, 7))] for _ in range(2))
+            if rng.random() < 0.3:  # a shared factor
+                f = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+                a, b = _poly_mul(a, f, p), _poly_mul(b, f, p)
+            g, s = _pxgcd(a, b, p)
+            a, b = _poly_trim(a), _poly_trim(b)
+            if not a and not b:
+                assert (g, s) == ([], [])
+                continue
+            assert g[-1] == 1
+            assert not _poly_mod(a, g, p) and not _poly_mod(b, g, p)
+            sb = _poly_mul(s, b, p)
+            sb_less_g = _poly_trim([(x - y) % p for x, y in itertools.zip_longest(sb, g, fillvalue=0)])
+            assert not (_poly_mod(sb_less_g, a, p) if a else sb_less_g)
+
+
+@pytest.mark.parametrize("ctx", [make_field(3, [1, 2, 0, 1]), make_field(7, [1, 1, 0, 1])],
+                         ids=["GF27", "GF343"])
+def test_pow_matches_repeated_products(ctx):
+    rng = random.Random(4)
+    xs = [ctx.zero(), ctx.one()] + [ctx.random_element(rng) for _ in range(25)]
+    for x in xs:
+        acc = ctx.one()
+        for e in range(31):
+            assert x**e == acc
+            acc = acc * x
 
 
 def test_division_by_zero():
@@ -430,6 +485,32 @@ def test_primitive_nth_root_has_exact_order():
         assert xi**n == ctx.one()
         for k in range(1, n):
             assert xi**k != ctx.one()
+
+
+def test_xi_entries_refuses_what_primitive_nth_root_refuses():
+    # the slot answers only an n it computed: n = 0 and a non-divisor raise,
+    # on a fresh field and with another n kept, and leave the kept n
+    ctx = make_field(13, [0, 1])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="n must be positive") as refusal:
+            _xi_entries(ctx, 0)
+        assert type(refusal.value) is ValueError
+        with pytest.raises(RootUnavailableError):
+            _xi_entries(ctx, 5)
+        assert _xi_entries(ctx, 3) == (1, 3, 9)
+    assert ctx._xi == (3, (1, 3, 9))
+    assert _xi_entries(ctx, 4) == (1, 8, 12, 5)
+    assert _xi_entries(GF169, 7) == tuple(GF169.form.entries(
+        [primitive_nth_root(GF169, 7) ** i for i in range(7)]))
+
+
+def test_equal_fields_each_keep_their_own_roots():
+    f, g = make_field(13, [0, 1]), make_field(13, [0, 1])
+    assert f == g and f is not g
+    assert _xi_entries(f, 3) == (1, 3, 9)
+    assert g._xi is None
+    assert _xi_entries(g, 3) == _xi_entries(f, 3)
+    assert g._xi == f._xi == (3, (1, 3, 9))
 
 
 # ---------------------------------------------------------------------------

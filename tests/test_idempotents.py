@@ -1,5 +1,9 @@
+import ast
+import pathlib
+
 import pytest
 
+import dihedralcodes
 from dihedralcodes.dihedral import DihedralAlgebra, left_ideal_basis
 from dihedralcodes.errors import RootUnavailableError
 from dihedralcodes.gf import make_field, primitive_nth_root
@@ -122,3 +126,18 @@ def test_index_range():
         cyclic_idempotent(GF13, 3, 3)
     with pytest.raises(IndexError):
         cyclic_idempotent(GF13, 3, -1)
+
+
+def test_the_library_path_never_imports_the_idempotents():
+    # the idempotents are the tests' oracle for P and the constructions, so
+    # the modules below them import nothing from idempotents.py; read from
+    # the source, since the package __init__ imports every module at run time
+    src = pathlib.Path(dihedralcodes.__file__).parent
+    for name in ("gf", "linalg", "dihedral", "wedderburn", "codes"):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        imported += [f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert imported and not [m for m in imported if "idempotents" in m.split(".")], name

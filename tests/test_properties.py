@@ -947,3 +947,36 @@ def test_frobenius_sends_each_code_to_its_conjugate_sibling(tag, n, data):
             construct_code(ctx, n, sibling)
         return
     assert frobenius(code.generator) == construct_code(ctx, n, sibling).generator
+
+
+# (field, n) of the exact-condition test: q - 1 = 2n at (7, 3), (11, 5) and (23, 11)
+EXACT_CONDITION_CASES = tuple(
+    (make_field(p, mod), n)
+    for p, mod, n in (
+        (13, [0, 1], 3), (7, [0, 1], 3), (11, [0, 1], 5), (23, [0, 1], 11),
+        (31, [0, 1], 5), (61, [0, 1], 15), (5, [2, 0, 1], 3), (13, [2, 0, 1], 7),
+    )
+)
+# position 0 of each family's spec, and when its code is MDS: its GRS evaluation
+# points are distinct exactly when this holds
+EXACT_CONDITIONS = {
+    "2n-2": (FULL, lambda beta, n: beta ** (2 * n) != 1),
+    "2n-3-minus": (MINUS_PIECE, lambda beta, n: beta**n != -1),
+    "2n-3-plus": (PLUS_PIECE, lambda beta, n: beta**n != 1),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_CONDITION_CASES, ids=lambda c: f"q{c[0].q}-n{c[1]}")
+def test_each_family_is_mds_exactly_under_its_point_condition(case):
+    # the ideal behind construct_code's family, built from its spec so that codes
+    # the gate refuses are covered too, for every nonzero beta and coprime s
+    ctx, n = case
+    assert set(EXACT_CONDITIONS) == set(FAMILIES)
+    for (tag, (kind, mds)), s in itertools.product(
+        EXACT_CONDITIONS.items(), [s for s in range(1, (n + 1) // 2) if math.gcd(s, n) == 1]
+    ):
+        for beta in list(ctx.elements())[1:]:
+            blocks = [Summand(FULL)] * ((n - 1) // 2)
+            blocks[s - 1] = row(ctx.one(), beta)
+            code = LinearCode(code_from_ideal_spec(ctx, n, IdealSpec((Summand(kind), *blocks))))
+            assert code.is_mds("dual") == mds(beta, n), (tag, s, beta)
