@@ -552,11 +552,33 @@ class _Residues(_Form):
         return None
 
     def points(self, vs):
-        """The point of each v, by one batched inversion of their leads."""
-        p, leads = self.p, self._leads(vs)
-        invs = _inverses([v[lead] if lead < len(v) else 0 for v, lead in zip(vs, leads)], p)
-        return [(lead, *[b * inv % p for b in v[lead + 1:]]) if inv else None
-                for v, lead, inv in zip(vs, leads, invs)]
+        """The point of each v, by one batched inversion of their leads.
+        The lead is index 0 unless v[0] is 0, and only then is v scanned for
+        it.  A key of 2 or 3 entries, as a column of a paper code's H gives,
+        is built as one tuple; longer keys entry by entry."""
+        p, leads, xs = self.p, [], []
+        for v in vs:
+            if v and v[0]:
+                leads.append(0)
+                xs.append(v[0])
+            else:
+                lead = 1
+                while lead < len(v) and not v[lead]:
+                    lead += 1
+                leads.append(lead)
+                xs.append(v[lead] if lead < len(v) else 0)
+        out = []
+        for v, lead, inv in zip(vs, leads, _inverses(xs, p)):
+            k = len(v) - lead
+            if not inv:
+                out.append(None)
+            elif k == 3:
+                out.append((lead, v[lead + 1] * inv % p, v[lead + 2] * inv % p))
+            elif k == 2:
+                out.append((lead, v[lead + 1] * inv % p))
+            else:
+                out.append((lead, *[b * inv % p for b in v[lead + 1:]]))
+        return out
 
     def reduce(self, c, vs, keys=False):
         """As _Form.reduce, but the keys of vectors of length 3, two

@@ -238,20 +238,23 @@ def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
     """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H, in
     ctx's entry form (FieldCtx.form), whatever the field.
 
-    Each summand keeps the forms of _summand_forms that vanish on it;
-    the forms of a full block are never built.
+    Each summand keeps the forms of _summand_forms that vanish on it; a
+    row block's two are built from the powers of xi the field keeps
+    (gf._xi_entries), not from its four forms, and the forms of a full
+    block are never built.
     """
     g1, g2 = _summand_forms(ctx, n, 0)
     out = {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2], FULL: []}[spec.summands[0].kind]
+    form, xi_pows, zeros = ctx.form, _xi_entries(ctx, n), [0] * n
     for j, s in enumerate(spec.summands[1:], 1):
         if s.kind == ZERO:
             out += _summand_forms(ctx, n, j)
         elif s.kind == ROW:  # y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
             # a11 = (xi^(ij) | 0) and a12 = (0 | xi^(-ij)); a21, a22 swap the halves
-            a11, a12, _, _ = _summand_forms(ctx, n, j)
-            minus_y, x = ctx.form.entries([-s.y, s.x])
-            ya = ctx.form.submul([0] * n, minus_y, a11[:n])
-            xb = ctx.form.submul([0] * n, x, a12[n:])
+            plus = [xi_pows[i * j % n] for i in range(n)]
+            minus = plus[:1] + plus[:0:-1]  # xi^(-ij) = xi^((n-i)j)
+            minus_y, x = form.entries([-s.y, s.x])
+            ya, xb = form.submul(zeros, minus_y, plus), form.submul(zeros, x, minus)
             out += [ya + xb, xb + ya]
     return out
 

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +27,7 @@ from dihedralcodes.codes import (
 )
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.errors import CapExceededError, DihedralCodesError
-from dihedralcodes.gf import _Packed, _Pairs, make_field
+from dihedralcodes.gf import _Packed, _Pairs, make_field, primitive_nth_root
 from dihedralcodes.linalg import MatrixGF, kernel_rref, null_rows
 from dihedralcodes.wedderburn import (
     FULL,
@@ -629,22 +630,42 @@ def test_entry_form_canon_and_is_zero_match_field_elements(case, k):
     assert form.elements(form.submul([a], f, [b])) == [els[0] - els[1] * els[2]]
 
 
+def field_point(form, u):
+    """The point of u, a list of FieldElements, by FieldElement.inverse: its
+    lead and u/u[lead] past it, in form's entries; None for u = 0."""
+    lead = next((i for i, e in enumerate(u) if e), None)
+    if lead is None:
+        return None
+    inv = u[lead].inverse()
+    return (lead, *form.entries([e * inv for e in u[lead + 1:]]))
+
+
 @PROPERTY
 @given(form_cases(4))
 def test_entry_form_point_matches_field_elements(case):
     ctx, form, v = case
     vs = [v, v[1:], v[2:], [ctx.zero()] * 2 + v, [ctx.zero()] * 2, []]  # leads 0.., 2.., none
-
-    def want(u):
-        lead = next((i for i, e in enumerate(u) if e), None)
-        if lead is None:
-            return None
-        inv = u[lead].inverse()
-        return (lead, *form.entries([e * inv for e in u[lead + 1:]]))
-
+    want = [field_point(form, u) for u in vs]
     entries = [form.entries(u) for u in vs]
-    assert [form.point(u) for u in entries] == [want(u) for u in vs]
-    assert form.points(entries) == [want(u) for u in vs]  # one batch
+    assert [form.point(u) for u in entries] == want
+    assert form.points(entries) == want  # one batch
+
+
+@PROPERTY
+@given(form_cases(4))
+def test_entry_form_points_of_batches_led_at_index_0(case):
+    # every vector of the batch led at index 0, so no lead is scanned for:
+    # lengths 1 to 5, leads 1 and p - 1 each repeated; then the same batch
+    # with one zero vector among them
+    ctx, form, v = case
+    one = ctx.one()
+    batch = [[lead] + v[:length - 1] for length in range(1, 6) for lead in (one, -one, one, -one)]
+    for vs in (batch, batch[:9] + [[ctx.zero()] * 3] + batch[9:]):
+        want = [field_point(form, u) for u in vs]
+        assert [key[0] for key in want if key is not None] == [0] * len(batch)
+        entries = [form.entries(u) for u in vs]
+        assert form.points(entries) == want
+        assert [form.point(u) for u in entries] == want
 
 
 @PROPERTY
@@ -980,3 +1001,29 @@ def test_each_family_is_mds_exactly_under_its_point_condition(case):
             blocks[s - 1] = row(ctx.one(), beta)
             code = LinearCode(code_from_ideal_spec(ctx, n, IdealSpec((Summand(kind), *blocks))))
             assert code.is_mds("dual") == mds(beta, n), (tag, s, beta)
+
+
+# (field, n) of the GRS oracle: prime fields, GF(13^2) and a 31-bit p
+GRS_CASES = tuple(
+    (make_field(p, mod), n)
+    for p, mod, n in ((61, [0, 1], 15), (211, [0, 1], 21), (13, [2, 0, 1], 21), (2**31 - 1, [0, 1], 9))
+)
+
+
+@pytest.mark.parametrize("case", GRS_CASES, ids=lambda c: f"q{c[0].q}-n{c[1]}")
+def test_2n_2_parity_check_columns_are_its_grs_points(case):
+    # the [2n, 2n-2] code's H has two rows, and its columns (x, y), read as the
+    # points y/x of PG(1, q), are -beta u^2 and -(beta u^2)^-1 for u = xi^(s i),
+    # i < n: the 2n distinct evaluation points of a GRS code of redundancy 2
+    # (MacWilliams-Sloane, ch. 10-11), compared as multisets, for every
+    # coprime s at the default beta
+    ctx, n = case
+    xi, beta = primitive_nth_root(ctx, n), ctx.generator()
+    for s in [s for s in range(1, (n + 1) // 2) if math.gcd(s, n) == 1]:
+        code = construct_code(ctx, n, CodeFamily("2n-2", s=s))
+        H = [ctx.form.elements(r) for r in code._parity_check()]
+        assert len(H) == 2
+        squares = [beta * xi ** (2 * s * i) for i in range(n)]
+        want = Counter([-b for b in squares] + [-b.inverse() for b in squares])
+        assert Counter(y / x for x, y in zip(*H)) == want
+        assert len(want) == 2 * n

@@ -29,6 +29,8 @@ from dihedralcodes.wedderburn import (
     IdealSpec,
     Summand,
     WedderburnTuple,
+    _constraint_rows,
+    _summand_forms,
     code_from_ideal_spec,
     full,
     minus_piece,
@@ -328,6 +330,31 @@ def test_spec_passes_a_canonical_row_summand_without_division(monkeypatch):
         IdealSpec((full(), hand_built))
     monkeypatch.undo()
     assert IdealSpec((full(), hand_built)).summands[1] == canonical[0]
+
+
+# n = 7 and 15 where n | q - 1; GF(7^3) has neither (q - 1 = 342), so 9 and 19
+@pytest.mark.parametrize(
+    "p, modulus, n",
+    [(61, [0, 1], 15), (61, [0, 1], 5), (13, [2, 0, 1], 7), (13, [2, 0, 1], 21),
+     (7, [1, 1, 0, 1], 9), (7, [1, 1, 0, 1], 19)],
+    ids=["GF61-15", "GF61-5", "GF169-7", "GF169-21", "GF343-9", "GF343-19"],
+)
+def test_row_block_rows_are_y_a11_minus_x_a12_and_y_a21_minus_x_a22(p, modulus, n):
+    # H of row(x, y) at block j, built from the powers of xi, against the same
+    # combinations of block j's four forms taken on FieldElements
+    ctx, rng = make_field(p, modulus), random.Random(n)
+    form, z, o = ctx.form, ctx.zero(), ctx.one()
+    rows = [row(z, o), row(o, z), row(o, o), row(o, -o)] + [row(o, ctx.random_element(rng)) for _ in range(2)]
+    for j in range(1, (n + 1) // 2):
+        a11, a12, a21, a22 = (form.elements(f) for f in _summand_forms(ctx, n, j))
+        for r in rows:
+            blocks = [full()] * ((n - 1) // 2)
+            blocks[j - 1] = r
+            got = _constraint_rows(ctx, n, IdealSpec((full(), *blocks)))
+            want = [[r.y * a - r.x * b for a, b in zip(a11, a12)],
+                    [r.y * a - r.x * b for a, b in zip(a21, a22)]]
+            assert [form.elements(g) for g in got] == want
+            assert got == [form.entries(w) for w in want]
 
 
 def test_spec_dims():
