@@ -13,10 +13,13 @@ it (s is the twist index, beta the twist scalar):
 
 Under P each family is the Wedderburn spec {position 0: full / minus /
 plus; block s: row(1, beta); other blocks: full}, the kernel of its 2 or 3
-closed-form constraint rows H.  construct_code keeps H
-(LinearCode._from_parity_check) and builds the RREF generator from it only
-on first use (linalg.kernel_rref); the public constructor, load_code and
-from_generator_rows reduce the generator they are given and take
+closed-form constraint rows H, built from its summands as they stand:
+row(1, beta) is canonical, so no IdealSpec checks it and nothing is
+divided.  construct_code keeps H (LinearCode._from_parity_check) and
+builds the RREF generator from it only on first use (linalg.kernel_rref);
+the public constructor, load_code and from_generator_rows reduce the
+generator they are given (a generator that elimination built, as
+code_from_ideal_spec's, knows its pivots and is not reduced again) and take
 H = [-A^T | I] off G = [I | A] (linalg.null_rows).  Either way H is the one
 parity check: contains tests H v^T = 0.  H, like every matrix, holds the
 field's entry form (FieldCtx.form): residues over GF(p), packed integers
@@ -29,11 +32,13 @@ Minimum distance is computed two independent ways, both exact, with no
 limit on q: exhaustive enumeration, in numpy, of every codeword up to a
 nonzero multiple, gated at q^k - 1 <= cap, which forms only the RREF
 generator's free columns, on their prime-field expansions (each row
-times x^j, on the entry form: _expansion_planes), and counts the pivot
-columns as the word's nonzero message coefficients: the span of rows
-2..k-1 is compared once against a table of q + 2 targets, one per kind of
-lead (row 0 with each coefficient of row 1, row 1, a row below), so
-q^(k-1) + 2 q^(k-2) words are formed; and the dual engine, the
+times x^j, on the entry form: _expansion_planes, which reach numpy as
+one flat list of ints, every row's multiples formed in one product
+before any fold), and counts the pivot columns as the word's nonzero
+message coefficients: the span of rows 2..k-1 is compared once against
+a table of q + 2 targets, one per kind of lead (row 0 with each
+coefficient of row 1, row 1, a row below), so q^(k-1) + 2 q^(k-2) words
+are formed; and the dual engine, the
 least number of dependent columns of H by one depth-first walk over
 independent column subsets (_min_dependent_columns), or, for a low-rate
 code, the most generator columns on one hyperplane (_hyperplane_distance),
@@ -80,13 +85,13 @@ from .errors import (
 from .gf import FieldCtx, FieldElement, _is_int, _xi_entries, element_order
 from .linalg import MatrixGF, kernel_rref, null_rows
 from .wedderburn import (
-    IdealSpec,
+    ROW,
+    Summand,
     _constraint_rows,
     _summand_forms,
     full,
     minus_piece,
     plus_piece,
-    row,
 )
 
 FAMILY_2N_MINUS_2 = "2n-2"
@@ -128,7 +133,8 @@ class LinearCode:
     generator (with its pivot columns, an information set), each derived
     from the other on first use.
 
-    LinearCode(G) reduces G; construct_code enters through
+    LinearCode(G) reduces G, at no cost when elimination built G (its
+    rref() returns it at once); construct_code enters through
     _from_parity_check with H, the spec's constraint rows, and k = 2n -
     rank H.  contains reads only H, and so does the dual engine unless the
     code's rate is low enough for the generator side (_dual_distance).
@@ -323,11 +329,11 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
             raise BetaIsNthRootError(
                 f"beta={beta.text()} satisfies beta^{n} = 1; need beta^n != 1"
             )
-    blocks = [full()] * ((n - 1) // 2)
-    blocks[s - 1] = row(ctx.one(), beta)
-    spec = IdealSpec((_POSITION0[family.tag](), *blocks))
+    # row(1, beta) is canonical as it stands: no division, and no IdealSpec to check it
+    summands = [_POSITION0[family.tag]()] + [full()] * ((n - 1) // 2)
+    summands[s] = Summand(ROW, ctx.one(), beta)
     prov = Provenance(ctx=ctx, n=n, tag=family.tag, s=s, beta=beta)
-    return LinearCode._from_parity_check(ctx, _constraint_rows(ctx, n, spec), prov)
+    return LinearCode._from_parity_check(ctx, _constraint_rows(ctx, n, summands), prov)
 
 
 def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> MatrixGF:
@@ -413,19 +419,21 @@ def _closed(basis, pivots, field, n: int) -> bool:
 # distance engines
 
 
-def _expansion_planes(ctx: FieldCtx, entries) -> list[list[list[int]]]:
-    """The m planes x^j * entries (0 <= j < m) over GF(p): plane j holds the
-    coefficient list of each entry times x^j.
+def _expansion_planes(ctx: FieldCtx, entries) -> list[int]:
+    """The m planes x^j * entries (0 <= j < m) over GF(p), as one flat list
+    of ints: plane j, then entry i, then coefficient t, at index
+    (j * len(entries) + i) * m + t, the coefficient t of entries[i] x^j.
 
     The entries are GF(q) entries in ctx's entry form (FieldCtx.form);
     plane j is form.canon of their native products by x^j, read out by
-    form.coeffs.  Vectors over GF(p^m) have rank r exactly when their
+    form.flat_coeffs, one path for every m (over GF(p), the residues
+    themselves).  Vectors over GF(p^m) have rank r exactly when their
     planes span a GF(p)-space of dimension m * r, so _exhaustive_distance
     enumerates codewords on these ints.
     """
     form = ctx.form
     xs = form.entries([ctx.from_index(ctx.p**j) for j in range(1, ctx.m)])
-    return [form.coeffs(entries)] + [form.coeffs(form.canon([x * e for e in entries])) for x in xs]
+    return form.flat_coeffs(list(entries) + form.canon([x * e for x in xs for e in entries]))
 
 
 def _exhaustive_distance(gen: MatrixGF, pivots: list[int]) -> int:
@@ -438,18 +446,22 @@ def _exhaustive_distance(gen: MatrixGF, pivots: list[int]) -> int:
     gen is in RREF with these pivot columns, so a word u gen is u itself
     on them and weighs wt(u) + wt(u A), A the free columns
     (MacWilliams-Sloane, ch. 1).  Only the free columns are formed, on
-    the rows' prime-field expansions, built on gen's entry form by one path
-    for every degree m (_expansion_planes).  The span of the expansions of
-    rows 2..k-1 is folded once, q^(k-2) words w, each with its count of
-    nonzero coefficients, and compared once against a table of q + 2
-    targets t: row 0 + c row 1, one per c in GF(q), for the words led by
-    row 0; row 1, for those led by row 1; and 0, for those led by a row
+    the rows' prime-field expansions, which reach numpy as one flat list of
+    ints, built on gen's entry form by one path for every degree m
+    (_expansion_planes).  The multiples s x^j row r, every s in GF(p), of
+    rows 1..k-1 are formed in one product before any fold, and a fold
+    adds one expansion's multiples to every word.  The span of the
+    expansions of rows 2..k-1 is folded once, q^(k-2) words w, each with
+    its count of nonzero coefficients, and compared once against a table
+    of q + 2 targets t, one fold of row 0 by row 1 with row 1 and the zero
+    word appended: row 0 + c row 1, one per c in GF(q), for the words led
+    by row 0; row 1, for those led by row 1; and 0, for those led by a row
     below, the zero word left out.  Against t, w stands for the codeword
     t - w, zero exactly where w equals t (the span is its own negative, and
     w and -w have one count), which weighs t's offset (1 + [c != 0], 1 or
     0) plus w's count plus its nonzero free entries.  So q^(k-1) + 2 q^(k-2)
     words are formed, for (q^k - 1)/(q - 1) lines, in a fixed number of
-    numpy calls plus one fold per expansion of rows 2..k-1.  With k = 1
+    numpy calls plus one fold per expansion of rows 1..k-1.  With k = 1
     there is no span: d is 1 plus row 0's nonzero free entries.
 
     numpy is imported here, on the first call, and nowhere else in the
@@ -467,35 +479,34 @@ def _exhaustive_distance(gen: MatrixGF, pivots: list[int]) -> int:
         return 1
     if k == 1:  # entries are canonical, so 0 is the only zero
         return 1 + sum(1 for c in free if gen.entries[0][c])
-    f, scalars = len(free), np.arange(p, dtype=np.int64)  # the multiples 0..p-1 of a vector
+    f = len(free)
     dtype = np.uint16 if p <= 2**15 else np.uint64  # holds a sum of two residues
     wtype = np.min_scalar_type(gen.cols)  # holds any weight
 
-    def fold(span, v):  # word w, multiple s of v -> word s * words + w
-        multiples = (v[:, None] * scalars % p).astype(dtype)
+    def fold(span, multiples):  # word w, multiple s of one expansion -> word s * words + w
         span = np.add(span[:, None, :], multiples[:, :, None]).reshape(m * f, -1)
         # a sum s of two residues is below 2p; unsigned, s - p wraps past s when s < p
         return np.minimum(span, span - dtype(p), out=span)
 
     # row r's expansion j, plane-major: entry t * f + c is coefficient t of x^j A[r][c]
-    planes = _expansion_planes(ctx, [row[c] for row in gen.entries for c in free])
-    flat = [c for plane in planes for coeffs in plane for c in coeffs]
-    expansions = np.array(flat).reshape(m, k, f, m).transpose(1, 0, 3, 2).reshape(k, m, m * f)
+    flat = _expansion_planes(ctx, [row[c] for row in gen.entries for c in free])
+    expansions = np.array(flat, dtype=np.int64).reshape(m, k, f, m).transpose(1, 0, 3, 2).reshape(k, m, m * f)
+    # multiples[r - 1, j, :, s] = s x^j row r, for rows 1..k-1, in one product:
+    # no int64 passes (p-1)^2 < 2^63
+    multiples = (expansions[1:, :, :, None] * np.arange(p, dtype=np.int64) % p).astype(dtype)
     # the GF(p)-span of rows 2..k-1's expansions, one word per column; cw counts
     # each word's nonzero row coefficients, its weight on the pivot columns
-    span, cw = np.zeros((m * f, 1), dtype=dtype), np.zeros(1, dtype=wtype)
-    for expansion in expansions[2:]:
-        for v in expansion:
-            span = fold(span, v)
+    span, cw, coefficient = np.zeros((m * f, 1), dtype=dtype), np.zeros(1, dtype=wtype), np.arange(q) != 0
+    for row in multiples[1:]:
+        for expansion in row:
+            span = fold(span, expansion)
         # combination 0 of a row's m expansions, and only it, is its coefficient 0
-        cw = np.add((np.arange(q) != 0)[:, None], cw, dtype=wtype).reshape(-1)
-    # targets: row 0 + c row 1 for each c (folded one product at a time, so no
-    # int64 passes (p-1)^2), then row 1, then 0
-    targets = np.zeros((m * f, q + 2), dtype=dtype)
+        cw = np.add(coefficient[:, None], cw, dtype=wtype).reshape(-1)
+    # targets: row 0 + c row 1 for each c, then row 1 and 0, its multiples 1 and 0
     led = expansions[0, 0][:, None].astype(dtype)
-    for v in expansions[1]:
-        led = fold(led, v)
-    targets[:, :q], targets[:, q] = led, expansions[1, 0]
+    for expansion in multiples[0]:
+        led = fold(led, expansion)
+    targets = np.concatenate((led, multiples[0, 0, :, 1::-1]), axis=1)
     offsets = np.full(q + 2, 2, dtype=wtype)  # rows 0 and 1's nonzero coefficients
     offsets[0] = offsets[q] = 1
     offsets[-1] = 0

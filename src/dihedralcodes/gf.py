@@ -485,7 +485,9 @@ def _inverses(xs, p: int) -> list[int]:
 class _Form:
     """An entry form's generic operations, elements, is_zero, point, reduce
     and the lead scan, written once on what each form supplies: entries,
-    coeffs, canon (a value built by + - * back to an entry), submul, points.
+    coeffs, flat_coeffs (the m coefficients of each entry in turn, in one
+    list of ints), canon (a value built by + - * back to an entry), submul,
+    points.
     Every form holds an element of GF(p) as its residue: 0 and 1 are the
     entries 0 and 1.
     """
@@ -515,12 +517,15 @@ class _Form:
 
     @staticmethod
     def _leads(vs) -> list[int]:
-        """Each v's first nonzero index, len(v) for v = 0."""
+        """Each v's first nonzero index, len(v) for v = 0.  The lead is
+        index 0 unless v[0] is 0, and only then is v scanned for it."""
         leads = []
         for v in vs:
             lead = 0
-            while lead < len(v) and not v[lead]:
-                lead += 1
+            if v and not v[0]:
+                lead = 1
+                while lead < len(v) and not v[lead]:
+                    lead += 1
             leads.append(lead)
         return leads
 
@@ -533,6 +538,9 @@ class _Residues(_Form):
 
     def coeffs(self, entries) -> list[list[int]]:  # as FieldElement.to_list gives them
         return [[a] for a in entries]
+
+    def flat_coeffs(self, entries) -> list[int]:
+        return entries
 
     def canon(self, values) -> list[int]:  # integers built from entries by + - *
         p = self.p
@@ -621,6 +629,10 @@ class _Packed(_Form):
         mask, shifts = self.mask, self.shifts
         return [[e >> s & mask for s in shifts] for e in entries]
 
+    def flat_coeffs(self, entries) -> list[int]:
+        mask, shifts = self.mask, self.shifts
+        return [e >> s & mask for e in entries for s in shifts]
+
     def canon(self, values) -> list[int]:
         p, f, mask, slots, shifts = self.p, self.ctx.modulus, self.mask, self.slots, self.shifts
         return [sum(c << s for c, s in zip(_pmod([(e >> s & mask) % p for s in slots], f, p), shifts))
@@ -670,7 +682,9 @@ class _Pairs(_Packed):
                 | ((a >> w) - f1 * (b & m) - g1 * (b >> w)) % p << w for a, b in zip(xs, ys)]
 
     def points(self, vs):
-        """The point of each v, by one batched inversion of their leads' norms."""
+        """The point of each v, by one batched inversion of their leads'
+        norms.  A key of 2 or 3 entries, as a column of a paper code's H
+        gives, is built as one tuple; longer keys entry by entry."""
         (c0, c1, _), p, w, m = self.ctx.modulus, self.p, self.w, self.mask
         leads, norms = self._leads(vs), []
         for v, lead in zip(vs, leads):
@@ -684,8 +698,19 @@ class _Pairs(_Packed):
             a0, a1 = v[lead] & m, v[lead] >> w
             f0, f1 = (a0 - a1 * c1) * n % p, -a1 * n % p  # 1/a, as submul multiplies
             g0, g1 = f1 * c0, f0 - f1 * c1
-            out.append((lead, *[(f0 * (b & m) - g0 * (b >> w)) % p
-                                | (f1 * (b & m) + g1 * (b >> w)) % p << w for b in v[lead + 1:]]))
+            k = len(v) - lead
+            if k == 3:
+                b, d = v[lead + 1], v[lead + 2]
+                b0, b1, d0, d1 = b & m, b >> w, d & m, d >> w
+                out.append((lead, (f0 * b0 - g0 * b1) % p | (f1 * b0 + g1 * b1) % p << w,
+                            (f0 * d0 - g0 * d1) % p | (f1 * d0 + g1 * d1) % p << w))
+            elif k == 2:
+                b = v[lead + 1]
+                b0, b1 = b & m, b >> w
+                out.append((lead, (f0 * b0 - g0 * b1) % p | (f1 * b0 + g1 * b1) % p << w))
+            else:
+                out.append((lead, *[(f0 * (b & m) - g0 * (b >> w)) % p
+                                    | (f1 * (b & m) + g1 * (b >> w)) % p << w for b in v[lead + 1:]]))
         return out
 
 

@@ -2,6 +2,9 @@
 
 Gaussian elimination with first-nonzero pivoting; no floating point, no
 sparsity.  Matrices are plain values: every operation returns a new matrix.
+A matrix that elimination built (rref, kernel_rref) is reduced and knows
+its pivots, so its own rref() returns it with no second elimination;
+every other matrix, whatever its constructor, is reduced when asked.
 A matrix holds its rows in its field's entry form (FieldCtx.form, one per
 field), the form the dual walk keeps its columns in too: integers always,
 residues over GF(p), and over GF(p^m), m >= 2, coefficients packed into
@@ -20,7 +23,7 @@ from .gf import FieldCtx, FieldElement, _is_int, parse_field_spec
 
 
 class MatrixGF:
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    __slots__ = ("ctx", "rows", "cols", "entries", "_pivots")
 
     def __init__(self, ctx: FieldCtx, data, cols: int | None = None):
         data = [list(row) for row in data]
@@ -33,13 +36,15 @@ class MatrixGF:
                 if not isinstance(e, FieldElement) or (e.ctx is not ctx and e.ctx != ctx):
                     raise MixedContextsError("entry from a different field")
         self.entries = [ctx.form.entries(row) for row in data]
+        self._pivots = None
 
     @classmethod
-    def _trusted(cls, ctx: FieldCtx, entries: list, cols: int) -> "MatrixGF":
+    def _trusted(cls, ctx: FieldCtx, entries: list, cols: int, pivots=None) -> "MatrixGF":
         """A matrix on rows as they are, unchecked: lists of cols entries
-        each, in ctx's entry form, as elimination and kernel_rref build them."""
+        each, in ctx's entry form, as elimination and kernel_rref build them.
+        pivots, a tuple, is given only for an RREF that elimination built."""
         m = cls.__new__(cls)
-        m.ctx, m.entries = ctx, entries
+        m.ctx, m.entries, m._pivots = ctx, entries, pivots
         m.rows, m.cols = len(entries), cols
         return m
 
@@ -69,33 +74,39 @@ class MatrixGF:
     def rref(self) -> tuple["MatrixGF", int, list[int]]:
         """Reduced row echelon form; returns (R, rank, pivot columns).
 
-        Rows are replaced, never changed in place, so they may be shared.
+        R knows its pivots, so R.rref() is (R, rank, pivots) at once, with
+        no elimination.  Rows are replaced, never changed in place, so they
+        may be shared.
         """
-        form, data = self.ctx.form, list(self.entries)
+        if self._pivots is not None:
+            return self, len(self._pivots), list(self._pivots)
+        form, data, rows = self.ctx.form, list(self.entries), self.rows
         pivots = []
         for c in range(self.cols):
-            r = len(pivots)
-            pr = next((i for i in range(r, self.rows) if data[i][c]), None)
-            if pr is None:
+            r = pr = len(pivots)
+            while pr < rows and not data[pr][c]:
+                pr += 1
+            if pr == rows:
                 continue
             data[r], data[pr] = data[pr], data[r]
             if data[r][c] != 1:  # scale it by its point: zero before c, so c is its lead
                 data[r] = data[r][:c] + [1, *form.point(data[r])[1:]]
             v = data[r]
-            for i in range(self.rows):
+            for i in range(rows):
                 f = data[i][c]
                 if i != r and f:
                     data[i] = form.submul(data[i], f, v)
             pivots.append(c)
-            if len(pivots) == self.rows:
+            if len(pivots) == rows:
                 break
-        return MatrixGF._trusted(self.ctx, data, self.cols), len(pivots), pivots
+        return MatrixGF._trusted(self.ctx, data, self.cols, tuple(pivots)), len(pivots), pivots
 
     def rank(self) -> int:
         return self.rref()[1]
 
     def nonzero_rows(self) -> "MatrixGF":
-        return MatrixGF._trusted(self.ctx, [r for r in self.entries if any(r)], self.cols)
+        """The nonzero rows; those of an RREF keep its pivots."""
+        return MatrixGF._trusted(self.ctx, [r for r in self.entries if any(r)], self.cols, self._pivots)
 
     # -- value semantics and encoding -------------------------------------------
 
@@ -184,12 +195,14 @@ def kernel_rref(ctx: FieldCtx, rows, cols: int) -> tuple[MatrixGF, list[int]]:
     The free columns of H with its columns reversed are the lex-first
     information set of ker H, so the kernel basis of reversed H, null_rows
     of its RREF, read back in reversed column and row order, is already
-    the unique RREF.  Its pivots are reversed H's free columns, read back.
+    the unique RREF.  Its pivots are reversed H's free columns, read back,
+    and the basis knows them, as rref's R does.
     """
     R, _, pivots = MatrixGF._trusted(ctx, [r[::-1] for r in rows], cols).rref()
     pivot_set = set(pivots)
-    basis = MatrixGF._trusted(ctx, [r[::-1] for r in reversed(null_rows(R, pivots))], cols)
-    return basis, [cols - 1 - f for f in reversed(range(cols)) if f not in pivot_set]
+    free = [cols - 1 - f for f in reversed(range(cols)) if f not in pivot_set]
+    basis = MatrixGF._trusted(ctx, [r[::-1] for r in reversed(null_rows(R, pivots))], cols, tuple(free))
+    return basis, free
 
 
 def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:

@@ -234,19 +234,22 @@ class IdealSpec(_Record):
         return len(self.summands)
 
 
-def _constraint_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
-    """Rows H (phi coordinates) with P^-1 of the chosen ideal = ker H, in
-    ctx's entry form (FieldCtx.form), whatever the field.
+def _constraint_rows(ctx: FieldCtx, n: int, summands) -> list[list]:
+    """Rows H (phi coordinates) with P^-1 of the ideal these summands
+    choose = ker H, in ctx's entry form (FieldCtx.form), whatever the field.
 
     Each summand keeps the forms of _summand_forms that vanish on it; a
-    row block's two are built from the powers of xi the field keeps
-    (gf._xi_entries), not from its four forms, and the forms of a full
-    block are never built.
+    row block's two, y a11 - x a12 and y a21 - x a22, are built from the
+    powers of xi the field keeps (gf._xi_entries), not from its four
+    forms, and the forms of a full block are never built.  A row summand
+    need not be canonical: (x, y) and any nonzero multiple of it give rows
+    with one span, so IdealSpec's validation is not needed here, and the
+    rows take no division.
     """
     g1, g2 = _summand_forms(ctx, n, 0)
-    out = {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2], FULL: []}[spec.summands[0].kind]
+    out = {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2], FULL: []}[summands[0].kind]
     form, xi_pows, zeros = ctx.form, _xi_entries(ctx, n), [0] * n
-    for j, s in enumerate(spec.summands[1:], 1):
+    for j, s in enumerate(summands[1:], 1):
         if s.kind == ZERO:
             out += _summand_forms(ctx, n, j)
         elif s.kind == ROW:  # y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
@@ -264,19 +267,21 @@ _COMPLEMENT = {FULL: ZERO, ZERO: FULL, PLUS_PIECE: MINUS_PIECE, MINUS_PIECE: PLU
 
 def _span_rows(ctx: FieldCtx, n: int, spec: IdealSpec) -> list[list]:
     """spec.dim() independent rows spanning P^-1 of the chosen ideal, in
-    ctx's entry form: the constraint rows of its complementary spec.
+    ctx's entry form: the constraint rows of its complementary summands.
 
     P^-1 sends the coordinates g1, g2, a11, a12, a21, a22 to the forms g1,
     g2, a22, a21, a12, a11 up to scalars (wedderburn_inverse), so each
     summand is spanned by the forms that cut out its complement: full and
     zero swap, plus and minus swap, and row(x, y) is spanned by
     x a22 + y a21 and x a12 + y a11, the constraint rows of row(-x, y).
+    The complement goes to _constraint_rows as it is, (-x, y) not
+    canonicalized, so no entry is divided.
     """
-    complement = tuple(
+    complement = [
         Summand(ROW, -s.x, s.y) if s.kind == ROW else Summand(_COMPLEMENT[s.kind])
         for s in spec.summands
-    )
-    return _constraint_rows(ctx, n, IdealSpec(complement))
+    ]
+    return _constraint_rows(ctx, n, complement)
 
 
 def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
@@ -301,7 +306,7 @@ def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
     DihedralAlgebra(ctx, n)  # raises CharDividesOrderError
     if dim <= n:
         return MatrixGF._trusted(ctx, _span_rows(ctx, n, spec), 2 * n).rref()[0]
-    return kernel_rref(ctx, _constraint_rows(ctx, n, spec), 2 * n)[0]
+    return kernel_rref(ctx, _constraint_rows(ctx, n, spec.summands), 2 * n)[0]
 
 
 def random_ideal_spec(ctx: FieldCtx, n: int, rng) -> IdealSpec:

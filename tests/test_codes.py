@@ -32,7 +32,7 @@ from dihedralcodes.errors import (
     UnsupportedStyleError,
     ZeroElementError,
 )
-from dihedralcodes.gf import _Packed, make_field
+from dihedralcodes.gf import FieldElement, _Packed, make_field
 from dihedralcodes.idempotents import cyclic_idempotent
 from dihedralcodes.linalg import MatrixGF
 from dihedralcodes.wedderburn import (
@@ -51,6 +51,8 @@ GF13 = make_field(13, [0, 1])
 GF9 = make_field(3, [1, 0, 1])
 GF25 = make_field(5, [2, 0, 1])
 GF8 = make_field(2, [1, 1, 0, 1])
+GF2, GF3, GF5 = (make_field(p, [0, 1]) for p in (2, 3, 5))
+GF4 = make_field(2, [1, 1, 1])
 
 
 def code_13_2n2():
@@ -467,18 +469,26 @@ def brute_force_lead_weights(code):
     return best
 
 
-@pytest.mark.parametrize("ctx", [GF13, GF9, GF25, GF8], ids=lambda ctx: f"GF({ctx.q})")
+@pytest.mark.parametrize("ctx", [GF13, GF9, GF25, GF8, GF2, GF3, GF4, GF5], ids=lambda ctx: f"GF({ctx.q})")
 def test_exhaustive_matches_brute_force(ctx):
+    # up to k = 5 where brute force is cheap (q <= 5): rows 2..k-1 are folded
+    # into the span, several expansions deep
     rng = random.Random(ctx.q)
-    gens = [[[ctx.random_element(rng) for _ in range(5)] for _ in range(k)] for k in (1, 2, 3)]
+    ks = (1, 2, 3, 4, 5) if ctx.q <= 5 else (1, 2, 3)
+    gens = []
+    for k in ks:
+        rows = None
+        while rows is None or MatrixGF(ctx, rows).rank() < k:  # k independent rows
+            rows = [[ctx.random_element(rng) for _ in range(5 if k <= 3 else 9)] for _ in range(k)]
+        gens.append(rows)
     gens.append([[1, 0, 2, 0, 1], [0, 1, 1, 0, 2]])  # column 3 is zero
     gens.append([[1, 0, 0, 2, 1], [0, 1, 0, 1, 0], [0, 0, 0, 3, 1]])  # column 2 is zero
-    ks = set()
+    found = set()
     for rows in gens:
         code = LinearCode.from_generator_rows(ctx, rows)
-        ks.add(code.k)
+        found.add(code.k)
         assert code.min_distance("exhaustive") == min(brute_force_lead_weights(code).values())
-    assert ks == {1, 2, 3}
+    assert found == set(ks)
 
 
 @pytest.mark.parametrize("ctx", [GF13, GF9, GF25], ids=lambda ctx: f"GF({ctx.q})")
@@ -602,10 +612,20 @@ def test_expansion_planes_match_element_ops():
         x = ctx.element([0, 1] if ctx.m > 1 else [1])
         vec = [ctx.random_element(rng) for _ in range(6)]
         m = MatrixGF(ctx, [vec])
-        planes = _expansion_planes(ctx, m.entries[0])
-        assert len(planes) == ctx.m
-        for j, plane in enumerate(planes):
-            assert plane == [(e * x**j).to_list() for e in vec]
+        flat, size = _expansion_planes(ctx, m.entries[0]), ctx.m * len(vec)
+        assert len(flat) == ctx.m * size
+        for j in range(ctx.m):  # plane j, then entry i, then coefficient t
+            plane = flat[j * size:(j + 1) * size]
+            assert [plane[i * ctx.m:(i + 1) * ctx.m] for i in range(len(vec))] == [(e * x**j).to_list() for e in vec]
+
+
+def expansion_rows(ctx, m):
+    """Each row of m as its ctx.m planes over GF(p), one list per plane."""
+    rows = []
+    for row in m.entries:
+        flat, size = _expansion_planes(ctx, row), ctx.m * len(row)
+        rows += [flat[j * size:(j + 1) * size] for j in range(ctx.m)]
+    return rows
 
 
 def test_expansion_planes_rank_is_m_times_rank():
@@ -620,8 +640,7 @@ def test_expansion_planes_rank_is_m_times_rank():
                 [sum((ctx.random_element(rng) * b[j] for b in basis), ctx.zero()) for j in range(cols)]
                 for _ in range(rows)
             ], cols=cols)
-            planes = [plane for row in m.entries for plane in _expansion_planes(ctx, row)]
-            expanded = MatrixGF.from_rows(prime, [sum(plane, []) for plane in planes])
+            expanded = MatrixGF.from_rows(prime, expansion_rows(ctx, m))
             assert expanded.rank() == ctx.m * m.rank()
 
 
@@ -1170,6 +1189,56 @@ def test_construct_code_reduces_once(monkeypatch):
     assert (calls, code.k) == ([], 27)
     assert (code.generator.rows, len(code.pivots)) == (27, 27)
     assert calls == [3]
+
+
+def test_ideal_spec_code_is_eliminated_once(monkeypatch):
+    # code_from_ideal_spec's RREF knows its pivots, so LinearCode takes it as
+    # it is: one elimination per code, of the dim span rows when dim <= n,
+    # else of the 2n - dim constraint rows (kernel_rref)
+    eliminated = []
+    rref = MatrixGF.rref
+
+    def spy(m):
+        out = rref(m)
+        if out[0] is not m:
+            eliminated.append(m.rows)
+        return out
+
+    F29, F27 = make_field(29, [0, 1]), make_field(3, [1, 2, 0, 1])
+    cases = [
+        (F29, 7, (plus_piece(), row(F29.one(), F29.element(5)), zero(), zero()), 3),
+        (F29, 7, (full(), row(F29.zero(), F29.one()), full(), full()), 2),
+        (GF25, 3, (minus_piece(), row(GF25.one(), GF25.element([1, 1]))), 3),
+        (GF25, 3, (zero(), full()), 2),
+        (F27, 13, (full(),) + (zero(),) * 5 + (row(F27.one(), F27.zero()),), 4),
+        (F27, 13, (minus_piece(),) + (full(),) * 6, 1),
+    ]
+    for ctx, n, summands, rows in cases:
+        spec = IdealSpec(summands)
+        want = LinearCode(MatrixGF(ctx, code_from_ideal_spec(ctx, n, spec).data))
+        monkeypatch.setattr(MatrixGF, "rref", spy)
+        eliminated.clear()
+        code = LinearCode(code_from_ideal_spec(ctx, n, spec))
+        assert eliminated == [rows] == [min(spec.dim(), 2 * n - spec.dim())]
+        monkeypatch.undo()
+        assert (code.k, code.generator, code.pivots) == (spec.dim(), want.generator, want.pivots)
+
+
+def test_construct_code_divides_nothing(monkeypatch):
+    # the family's block is row(1, beta) as it stands, canonical already, and
+    # its summands reach the row builder with no IdealSpec to check them
+    F27 = make_field(3, [1, 2, 0, 1])
+    cases = [(GF13, 3, tag) for tag in FAMILIES] + [(F27, 13, FAMILY_2N_MINUS_3_PLUS)]
+    want = [construct_code(ctx, n, CodeFamily(tag)).to_json() for ctx, n, tag in cases]
+
+    def refuse(self, other):
+        raise AssertionError("construct_code divided an element")
+
+    monkeypatch.setattr(FieldElement, "__truediv__", refuse)
+    monkeypatch.setattr(FieldElement, "__rtruediv__", refuse)
+    codes = [construct_code(ctx, n, CodeFamily(tag)) for ctx, n, tag in cases]
+    monkeypatch.undo()
+    assert [code.to_json() for code in codes] == want
 
 
 def test_public_constructor_still_reduces():

@@ -6,7 +6,7 @@ import pytest
 from dihedralcodes.codes import FAMILY_2N_MINUS_3_PLUS, CodeFamily, LinearCode, construct_code, load_code
 from dihedralcodes.errors import MixedContextsError
 from dihedralcodes.gf import FieldElement, _Form, _Packed, _Residues, make_field
-from dihedralcodes.linalg import MatrixGF, null_rows
+from dihedralcodes.linalg import MatrixGF, kernel_rref, null_rows
 from rank_oracle import DuplicateIndexError, columns_rank, identity, kernel_basis, row_space_contains, vstack
 
 GF13 = make_field(13, [0, 1])
@@ -34,32 +34,81 @@ def test_rref_identity():
     assert reduced == m
 
 
+def deficient_matrix(ctx, rng):
+    """A 5x7 matrix of rank at most 2 with a zero row: rows a, b, a + c b,
+    0 and c a, rows of a span of dimension 2."""
+    a, b = (random_matrix(ctx, 1, 7, rng).row(0) for _ in range(2))
+    c = ctx.random_element(rng)
+    return MatrixGF(ctx, [a, b, [x + c * y for x, y in zip(a, b)], [ctx.zero()] * 7, [c * x for x in a]])
+
+
 def test_rref_of_rref_inverts_nothing(monkeypatch):
     rng = random.Random(1)
-    reduced = [random_matrix(ctx, 4, 7, rng).rref()[0] for ctx in (GF13, GF25)]
+    matrices = [random_matrix(ctx, 4, 7, rng) for ctx in (GF13, GF25)]
+    matrices += [deficient_matrix(ctx, rng) for ctx in (GF13, GF25)]
+    reduced = [m.rref() for m in matrices]
+    assert [rank for _, rank, _ in reduced] == [4, 4, 2, 2]
 
     def refuse(self, *args):
         raise AssertionError("inverse called on a matrix already in RREF")
 
     # GF(13) rows are residues and GF(25) rows packed pairs, each scaled by
-    # its form's point, which inverts their lead
+    # its form's point, which inverts their lead.  An RREF that elimination
+    # built returns itself; a fresh copy of its rows, which does not know
+    # its pivots, is eliminated again, and needs no inverse either
     monkeypatch.setattr(FieldElement, "inverse", refuse)
     monkeypatch.setattr(_Residues, "point", refuse)
     monkeypatch.setattr(_Packed, "point", refuse)
-    for m in reduced:
-        assert m.rref()[0] == m
+    for m, rank, pivots in reduced:
+        assert m.rref() == (m, rank, pivots)
+        fresh = MatrixGF(m.ctx, m.data)
+        again = fresh.rref()
+        assert again[0] is not fresh
+        assert again == (m, rank, pivots)
 
 
 def test_rref_is_row_equivalent_and_idempotent():
     rng = random.Random(0)
-    for _ in range(10):
-        m = random_matrix(GF13, 4, 6, rng)
-        reduced, rank, _ = m.rref()
+    for i in range(12):
+        m = random_matrix(GF13, 4, 6, rng) if i < 10 else deficient_matrix(GF13, rng)
+        reduced, rank, pivots = m.rref()
         again, rank2, _ = reduced.rref()
         assert again == reduced
         assert rank == rank2
+        # a fresh copy of the rows is reduced by elimination, to the same RREF
+        assert MatrixGF(GF13, reduced.data).rref() == (reduced, rank, pivots)
         # same row space: stacking does not increase the rank
         assert vstack(m, reduced).rank() == rank
+
+
+def test_only_elimination_marks_a_matrix():
+    # rref and kernel_rref build matrices that know their pivots, and their
+    # rref() returns them as they are; a matrix from any constructor is
+    # reduced when asked, whether its rows are in RREF or not
+    rows = [[2, 4, 1], [1, 2, 0], [0, 0, 0]]
+    R, rank, pivots = MatrixGF.from_rows(GF13, rows).rref()
+    assert (rank, pivots) == (2, [0, 2])
+    for entries in (rows, [[e.coeffs[0] for e in r] for r in R.data]):
+        elements = [[GF13.element(e) for e in r] for r in entries]
+        doc = {"field": GF13.spec(), "rows": 3, "cols": 3, "entries": entries}
+        for m in (
+            MatrixGF(GF13, elements),
+            MatrixGF.from_rows(GF13, entries),
+            MatrixGF.from_json(doc),
+            MatrixGF._trusted(GF13, [list(r) for r in entries], 3),
+        ):
+            again = m.rref()
+            assert again[0] is not m
+            assert again == (R, rank, pivots)
+    zeros = MatrixGF.zeros(GF13, 2, 3)
+    assert zeros.rref()[0] is not zeros
+    assert zeros.rref() == (zeros, 0, [])
+    # what elimination built: the RREF, its nonzero rows, a kernel basis
+    basis, free = kernel_rref(GF13, R.entries[:rank], 3)
+    for m, pivots in ((R, pivots), (R.nonzero_rows(), pivots), (basis, free)):
+        again = m.rref()
+        assert again[0] is m
+        assert again == (m, len(pivots), pivots)
 
 
 def test_kernel_of_all_ones_row():

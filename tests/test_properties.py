@@ -19,7 +19,6 @@ from dihedralcodes.codes import (
     FAMILIES,
     CodeFamily,
     LinearCode,
-    _expansion_planes,
     _hyperplane_distance,
     _min_dependent_columns,
     _on_a_conic,
@@ -45,7 +44,7 @@ from dihedralcodes.wedderburn import (
     wedderburn_map,
 )
 from rank_oracle import closed_by_products, columns_rank, frobenius, kernel_basis, twisted, vstack
-from test_codes import swap_columns
+from test_codes import expansion_rows, swap_columns
 
 # prime fields and degree-2 extensions, small enough for exhaustive search
 FIELDS = (
@@ -86,6 +85,8 @@ def matrices(draw, max_rows, max_cols, fields=FIELDS):
 def test_rref_invariants(m):
     reduced, rank, pivots = m.rref()
     assert reduced.rref() == (reduced, rank, pivots)
+    # reduced knows its pivots; a fresh copy of its rows is eliminated again
+    assert MatrixGF(m.ctx, reduced.data, cols=m.cols).rref() == (reduced, rank, pivots)
     # same row space: neither matrix adds a dimension to the other
     assert vstack(m, reduced).rank() == reduced.nonzero_rows().rows == rank
     assert all(not any(reduced.row(i)) for i in range(rank, reduced.rows))
@@ -156,8 +157,7 @@ def test_rref_staircase_rank_and_null_rows_on_the_entry_store(ctx_rows):
 @given(matrices(max_rows=4, max_cols=5, fields=EXPANSION_FIELDS))
 def test_expansion_rank_is_m_times_rank(m):
     prime = make_field(m.ctx.p, [0, 1])
-    planes = [plane for row in m.entries for plane in _expansion_planes(m.ctx, row)]
-    expanded = MatrixGF.from_rows(prime, [sum(plane, []) for plane in planes])
+    expanded = MatrixGF.from_rows(prime, expansion_rows(m.ctx, m))
     assert expanded.rank() == m.ctx.m * m.rank()
 
 
@@ -547,7 +547,7 @@ def test_span_side_and_constraint_side_give_one_rref(alg_spec):
     span = _span_rows(ctx, n, spec)
     R, rank, _ = MatrixGF._trusted(ctx, span, 2 * n).rref()
     assert len(span) == rank == spec.dim()
-    assert R == kernel_rref(ctx, _constraint_rows(ctx, n, spec), 2 * n)[0]
+    assert R == kernel_rref(ctx, _constraint_rows(ctx, n, spec.summands), 2 * n)[0]
     assert code_from_ideal_spec(ctx, n, spec) == R
 
 
@@ -575,6 +575,20 @@ FORM_FIELDS = (
     + (make_field(3, [1, 0, 2, 0, 0, 0, 0, 1]), make_field(2, [1, 0, 0, 0, 1, 1, 1, 0, 1]))
     + (make_field(2**31 - 1, [5, 0, 0, 1]),)
 )
+
+
+@PROPERTY
+@given(matrices(max_rows=5, max_cols=6, fields=FORM_FIELDS))
+def test_rref_of_a_fresh_copy_is_the_rref(m):
+    # every entry form, rank-deficient matrices and zero rows among them: the
+    # RREF that elimination built returns itself, and a fresh copy of its
+    # rows, which does not know its pivots, is eliminated to the same RREF
+    reduced, rank, pivots = m.rref()
+    assert reduced.rref() == (reduced, rank, pivots)
+    fresh = MatrixGF(m.ctx, reduced.data, cols=m.cols)
+    again = fresh.rref()
+    assert again[0] is not fresh
+    assert again == (reduced, rank, pivots)
 
 
 def field_elements(ctx, size):

@@ -21,7 +21,7 @@ from dihedralcodes.idempotents import (
     cyclic_family,
     cyclic_idempotent,
 )
-from dihedralcodes.linalg import MatrixGF
+from dihedralcodes.linalg import MatrixGF, kernel_rref
 from dihedralcodes.wedderburn import (
     FULL,
     ROW,
@@ -30,6 +30,7 @@ from dihedralcodes.wedderburn import (
     Summand,
     WedderburnTuple,
     _constraint_rows,
+    _span_rows,
     _summand_forms,
     code_from_ideal_spec,
     full,
@@ -301,8 +302,9 @@ def test_spec_refuses_a_hand_built_row_summand(x, y, error, message):
 
 
 def test_hand_built_row_summand_gives_the_row_ideal_on_both_sides():
-    # the spec canonicalizes a hand-built row summand as row() does, and its
-    # complement on the span side, Summand(ROW, -x, y), is checked the same way
+    # the spec canonicalizes a hand-built row summand as row() does; its
+    # complement on the span side, Summand(ROW, -x, y), reaches the row builder
+    # as it stands, and spans the same rows
     alg = DihedralAlgebra(GF43, 7)
     for x, y in ((GF43.element(3), GF43.element(6)), (GF43.one(), 5), (GF43.zero(), 7)):
         for other in (zero(), full()):  # dim 2 and dim 12: the span and constraint sides
@@ -332,6 +334,32 @@ def test_spec_passes_a_canonical_row_summand_without_division(monkeypatch):
     assert IdealSpec((full(), hand_built)).summands[1] == canonical[0]
 
 
+@pytest.mark.parametrize(
+    "ctx, n", [(GF13, 3), (GF25, 3), (make_field(3, [1, 2, 0, 1]), 13)], ids=["GF13", "GF25", "GF27"]
+)
+def test_span_rows_take_no_division(ctx, n, monkeypatch):
+    # _span_rows hands the complement (-x, y) to _constraint_rows as it is,
+    # never canonicalized: no element is divided, for row(1, y), row(0, 1) and
+    # y = 0, and the rows span what the constraint side cuts out
+    y = ctx.element([2, 1] if ctx.m > 1 else 2)
+    rest = (zero(),) * ((n - 1) // 2 - 1)
+    specs = [IdealSpec((position0(), r) + rest)
+             for r in (row(ctx.one(), y), row(ctx.zero(), ctx.one()), row(ctx.one(), ctx.zero()))
+             for position0 in (zero, plus_piece, full)]
+
+    def refuse(*args):
+        raise AssertionError("an element was divided while building span rows")
+
+    monkeypatch.setattr(FieldElement, "__truediv__", refuse)
+    monkeypatch.setattr(FieldElement, "__rtruediv__", refuse)
+    spans = [_span_rows(ctx, n, spec) for spec in specs]
+    monkeypatch.undo()
+    for spec, span in zip(specs, spans):
+        R, rank, _ = MatrixGF._trusted(ctx, span, 2 * n).rref()
+        assert len(span) == rank == spec.dim()
+        assert R == kernel_rref(ctx, _constraint_rows(ctx, n, spec.summands), 2 * n)[0]
+
+
 # n = 7 and 15 where n | q - 1; GF(7^3) has neither (q - 1 = 342), so 9 and 19
 @pytest.mark.parametrize(
     "p, modulus, n",
@@ -350,7 +378,7 @@ def test_row_block_rows_are_y_a11_minus_x_a12_and_y_a21_minus_x_a22(p, modulus, 
         for r in rows:
             blocks = [full()] * ((n - 1) // 2)
             blocks[j - 1] = r
-            got = _constraint_rows(ctx, n, IdealSpec((full(), *blocks)))
+            got = _constraint_rows(ctx, n, (full(), *blocks))
             want = [[r.y * a - r.x * b for a, b in zip(a11, a12)],
                     [r.y * a - r.x * b for a, b in zip(a21, a22)]]
             assert [form.elements(g) for g in got] == want
