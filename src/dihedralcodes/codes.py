@@ -13,20 +13,19 @@ it (s is the twist index, beta the twist scalar):
 
 Under P each family is the Wedderburn spec {position 0: full / minus /
 plus; block s: row(1, beta); other blocks: full}, the kernel of its 2 or 3
-closed-form constraint rows H, built from its summands as they stand:
-row(1, beta) is canonical, so no IdealSpec checks it and nothing is
-divided.  construct_code keeps H (LinearCode._from_parity_check) and
-builds the RREF generator from it only on first use (linalg.kernel_rref);
-the public constructor, load_code and from_generator_rows reduce the
-generator they are given (a generator that elimination built, as
-code_from_ideal_spec's, knows its pivots and is not reduced again) and take
-H = [-A^T | I] off G = [I | A] (linalg.null_rows).  Either way H is the one
-parity check: contains tests H v^T = 0.  H, like every matrix, holds the
-field's entry form (FieldCtx.form): residues over GF(p), packed integers
-over GF(p^m), each a gf._Form with the same canon, is_zero, submul,
-point, points and reduce.  The paper-style presentation
-reads its rows, n e_j and n b e_j, off P's forms (wedderburn._summand_forms)
-on that form.
+closed-form constraint rows H, built with no division.  construct_code
+keeps H (LinearCode._from_parity_check), takes k = 2n - h from one
+determinant of H's leading h x h block (_rank), and builds the RREF
+generator from it only on first use (linalg.kernel_rref); the public
+constructor, load_code and from_generator_rows reduce the generator they
+are given (a generator that elimination built, as code_from_ideal_spec's,
+knows its pivots and is not reduced again) and take H = [-A^T | I] off
+G = [I | A] (linalg.null_rows).  Either way H is the one parity check:
+contains tests H v^T = 0.  H, like every matrix, holds the field's entry
+form (FieldCtx.form): residues over GF(p), packed integers over GF(p^m),
+each a gf._Form with the same canon, is_zero, submul, point, points and
+reduce.  The paper-style presentation reads its rows, n e_j and n b e_j,
+off P's forms (wedderburn._summand_forms) on that form.
 
 Minimum distance is computed two independent ways, both exact, with no
 limit on q: exhaustive enumeration, in numpy, of every codeword up to a
@@ -136,8 +135,9 @@ class LinearCode:
     LinearCode(G) reduces G, at no cost when elimination built G (its
     rref() returns it at once); construct_code enters through
     _from_parity_check with H, the spec's constraint rows, and k = 2n -
-    rank H.  contains reads only H, and so does the dual engine unless the
-    code's rate is low enough for the generator side (_dual_distance).
+    rank H, one determinant for its 2 or 3 rows (_rank).  contains reads
+    only H, as does the dual engine unless the code's rate is low enough
+    for the generator side (_dual_distance).
     """
 
     def __init__(self, generator: MatrixGF):
@@ -156,7 +156,7 @@ class LinearCode:
         self.ctx, self.length, self.provenance = ctx, length, provenance
         self._parity, self._reduced, self._left_ideal = rows, reduced, None
         self._distance: dict[str, int] = {}
-        # the generator's rank, else the length less H's, found on the walk's entries
+        # the generator's rank, else the length less H's
         self.k = len(reduced[1]) if reduced else length - _rank(self._parity_check(), ctx.form)
 
     def _rref(self) -> tuple[MatrixGF, list[int]]:
@@ -547,23 +547,23 @@ def _dual_distance(code: LinearCode, cap: int) -> int:
 
 
 def _rank(rows, field) -> int:
-    """Rank of the matrix with these rows, held in field's entry form, found
-    on its columns: each column, reduced modulo the independent ones before
-    it (field.reduce, which drops their leads), is independent when it has
-    a point (field.point).  The walk stops at as many as there are rows, so
-    a paper code's H, of 2 or 3 rows, takes a few columns.
+    """Rank of the matrix with these rows, held in field's entry form.  Two
+    or three rows whose leading square block has a nonzero determinant, one
+    expression of at most six cubic products (field.is_zero), are
+    independent; every paper code's H is such.  Any other matrix is
+    eliminated (MatrixGF.rref).
     """
-    basis = []
-    for v in zip(*rows):
-        if len(basis) == len(rows):
-            break
-        v = list(v)
-        for c in basis:
-            v = field.reduce(c, [v])[0]
-        c = field.point(v)
-        if c is not None:
-            basis.append(c)
-    return len(basis)
+    h, cols = len(rows), len(rows[0])
+    if h in (2, 3) and cols >= h:
+        if h == 3:
+            (a, b, c), (d, e, f), (g, i, j) = (r[:3] for r in rows)
+            det = a * (e * j - f * i) - b * (d * j - f * g) + c * (d * i - e * g)
+        else:
+            (a, b), (c, d) = (r[:2] for r in rows)
+            det = a * d - b * c
+        if not field.is_zero(det):
+            return h
+    return MatrixGF._trusted(field.ctx, rows, cols).rref()[1]
 
 
 def _subsets_over(ncols: int, depths, count: int) -> bool:
@@ -734,38 +734,38 @@ def _on_a_conic(cols, field) -> bool:
     must satisfy x0 (q00 x0 + q01 x1 + q02 x2) + x1 (q11 x1 + q12 x2) +
     q22 x2^2 = 0.  Two of the ten, l14(P5) and l23(P5), are taken on
     unreduced lines: six cubic products each, as in that test, the deepest
-    expressions the entry forms hold unreduced.  Only + - *, no division,
-    so it holds in every characteristic.  False is never wrong, only
-    slower: depth 1 then runs.
+    expressions the entry forms hold unreduced.  All of it is written out on
+    the points' coordinates, + - * alone, so it holds in every
+    characteristic.  False is never wrong, only slower: depth 1 then runs.
     """
     if len(cols) < 6:
         return False
     canon = field.canon
-
-    def line(u, v):  # Pi x Pj, unreduced
-        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-
-    def at(h, x):
-        return h[0] * x[0] + h[1] * x[1] + h[2] * x[2]
-
-    def times(h, g):  # h(x) g(x) on the monomials x_i x_j, i <= j
-        pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-        return [h[i] * g[i] if i == j else h[i] * g[j] + h[j] * g[i] for i, j in pairs]
-
-    p1, p2, p3, p4, p5 = cols[:5]
-    lines = canon(line(p1, p2) + line(p3, p4) + line(p1, p3) + line(p2, p4))
-    l12, l34, l13, l24 = lines[:3], lines[3:6], lines[6:9], lines[9:]
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4), (x5, y5, z5) = cols[:5]
+    a12, b12, c12, a34, b34, c34, a13, b13, c13, a24, b24, c24 = canon([  # l12, l34, l13, l24
+        y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2,
+        y3 * z4 - z3 * y4, z3 * x4 - x3 * z4, x3 * y4 - y3 * x4,
+        y1 * z3 - z1 * y3, z1 * x3 - x1 * z3, x1 * y3 - y1 * x3,
+        y2 * z4 - z2 * y4, z2 * x4 - x2 * z4, x2 * y4 - y2 * x4,
+    ])
     dets = canon([
-        at(l13, p5), at(l24, p5), at(l12, p5), at(l34, p5),  # 135, 245, 125, 345
-        at(l12, p3), at(l12, p4), at(l34, p1), at(l34, p2),  # 123, 124, 134, 234
-        at(line(p1, p4), p5), at(line(p2, p3), p5),  # 145, 235
+        a13 * x5 + b13 * y5 + c13 * z5, a24 * x5 + b24 * y5 + c24 * z5,  # 135, 245
+        a12 * x5 + b12 * y5 + c12 * z5, a34 * x5 + b34 * y5 + c34 * z5,  # 125, 345
+        a12 * x3 + b12 * y3 + c12 * z3, a12 * x4 + b12 * y4 + c12 * z4,  # 123, 124
+        a34 * x1 + b34 * y1 + c34 * z1, a34 * x2 + b34 * y2 + c34 * z2,  # 134, 234
+        (y1 * z4 - z1 * y4) * x5 + (z1 * x4 - x1 * z4) * y5 + (x1 * y4 - y1 * x4) * z5,  # 145
+        (y2 * z3 - z2 * y3) * x5 + (z2 * x3 - x2 * z3) * y5 + (x2 * y3 - y2 * x3) * z5,  # 235
     ])
     if not all(dets):
         return False
-    v13, v24, v12, v34 = dets[:4]
-    a, b = canon([v13 * v24, v12 * v34])
-    q00, q01, q02, q11, q12, q22 = canon(
-        [a * u - b * w for u, w in zip(times(l12, l34), times(l13, l24))]
-    )
+    a, b = canon([dets[0] * dets[1], dets[2] * dets[3]])  # l13 l24 and l12 l34 at P5
+    q00, q01, q02, q11, q12, q22 = canon([  # a l12 l34 - b l13 l24 on x_i x_j, i <= j
+        a * a12 * a34 - b * a13 * a24,
+        a * (a12 * b34 + b12 * a34) - b * (a13 * b24 + b13 * a24),
+        a * (a12 * c34 + c12 * a34) - b * (a13 * c24 + c13 * a24),
+        a * b12 * b34 - b * b13 * b24,
+        a * (b12 * c34 + c12 * b34) - b * (b13 * c24 + c13 * b24),
+        a * c12 * c34 - b * c13 * c24,
+    ])
     return not any(canon([x0 * (q00 * x0 + q01 * x1 + q02 * x2) + x1 * (q11 * x1 + q12 * x2)
                           + q22 * x2 * x2 for x0, x1, x2 in cols[5:]]))

@@ -608,9 +608,9 @@ class _Packed(_Form):
     + - * act on them as on polynomials in X, exact and unreduced until
     canon reads back slots 0..3m-3, each biased by a multiple of p near
     2^(w-1), reduces each mod p and folds them by the modulus (_pmod).
-    w holds the deepest expression the library forms, six cubic products
-    summed (_on_a_conic, slots under 6 m^2 p^3), and sums of under 2^32
-    products (slots under m p^2), with a sign bit to spare.
+    w holds the deepest expressions the library forms, six cubic products
+    summed (_on_a_conic, codes._rank; slots under 6 m^2 p^3), and sums of
+    under 2^32 products (slots under m p^2), with a sign bit to spare.
     """
 
     def __init__(self, ctx: FieldCtx):

@@ -1122,10 +1122,15 @@ def test_trusted_entry_matches_a_fresh_reduction(ctx, n):
             )
 
 
-@pytest.mark.parametrize("ctx", [GF13, GF25, make_field(257, [3, 0, 1])])
-def test_parity_check_rank_is_computed(ctx):
-    # k = length - rank H on hand-made H: dependent rows, a zero row, all zeros.
-    # One prime field, two extension fields: residues and FieldElements.
+@pytest.mark.parametrize(
+    "ctx", [GF13, GF25, make_field(257, [3, 0, 1]), make_field(3, [1, 2, 0, 1])]
+)
+def test_parity_check_rank_is_computed(ctx, monkeypatch):
+    # k = length - rank H on hand-made H whose leading h x h block has
+    # determinant 0, so elimination settles the rank, once: dependent rows, a
+    # zero row, all zeros, and 2 or 3 independent rows with a zero first
+    # column or proportional first two columns.  Residues, GF(p^2) pairs and
+    # packed GF(3^3) entries.
     rng = random.Random(ctx.q)
     r1, r2 = ([ctx.random_element(rng) for _ in range(6)] for _ in range(2))
     r1[0], r2[0], r2[1] = ctx.one(), ctx.zero(), ctx.one()  # independent rows
@@ -1137,9 +1142,22 @@ def test_parity_check_rank_is_computed(ctx):
         ([r1, zeros, r2], 4),
         ([zeros, zeros], 6),
     ]
+    for h in (2, 3):
+        for proportional in (False, True):
+            rows = [zeros]
+            while MatrixGF(ctx, rows).rank() < h:
+                rows = [[ctx.random_element(rng) for _ in range(6)] for _ in range(h)]
+                for r in rows:
+                    r[0] = r[1] * ctx.element(3) if proportional else ctx.zero()
+            cases.append((rows, 6 - h))
+    calls = []
+    rref = MatrixGF.rref
+    monkeypatch.setattr(MatrixGF, "rref", lambda m: calls.append(m.rows) or rref(m))
     for rows, k in cases:
         # the trusted entry takes H in the entry form, as _constraint_rows makes it
+        calls.clear()
         code = LinearCode._from_parity_check(ctx, [field.entries(r) for r in rows], None)
+        assert calls == [len(rows)]
         assert code.k == k == 6 - MatrixGF(ctx, rows).rank()
         public = LinearCode(code.generator)
         assert code.generator.rows == k and public.k == k
@@ -1147,6 +1165,33 @@ def test_parity_check_rank_is_computed(ctx):
         for g in code.generator.data:
             assert all(not sum((a * b for a, b in zip(h, g)), ctx.zero()) for h in rows)
         assert code.min_distance("dual") == public.min_distance("dual")
+
+
+def test_construct_code_never_eliminates(monkeypatch):
+    # every paper code's H has a leading block of nonzero determinant: the
+    # 2n-3 codes' first three columns are distinct points of one conic, and
+    # the 2n-2 codes' first two have determinant beta (xi^-s - xi^s), nonzero
+    # for odd n.  So k = 2n - h takes no elimination, at every coprime twist
+    calls = []
+    rref = MatrixGF.rref
+    monkeypatch.setattr(MatrixGF, "rref", lambda m: calls.append(m.rows) or rref(m))
+    points = [
+        (make_field(p, mod), n)
+        for p, mod, n in (
+            (13, [0, 1], 3), (43, [0, 1], 7), (61, [0, 1], 15), (211, [0, 1], 21),
+            (1009, [0, 1], 9), (13, [2, 0, 1], 21), (2**31 - 1, [0, 1], 9),
+            (5, [2, 0, 1], 3), (101, [2, 0, 1], 25), (31, [0, 1], 5), (607, [0, 1], 101),
+        )
+    ]
+    taken = 0
+    for ctx, n in points:
+        for tag in FAMILIES:
+            for s in range(1, (n + 1) // 2):
+                if math.gcd(s, n) == 1:
+                    code = construct_code(ctx, n, CodeFamily(tag, s=s))
+                    assert code.k == 2 * n - (2 if tag == FAMILY_2N_MINUS_2 else 3)
+                    taken += 1
+    assert taken == 267 and calls == []
 
 
 def test_dual_check_leaves_generator_unbuilt(monkeypatch):

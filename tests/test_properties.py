@@ -22,6 +22,7 @@ from dihedralcodes.codes import (
     _hyperplane_distance,
     _min_dependent_columns,
     _on_a_conic,
+    _rank,
     construct_code,
 )
 from dihedralcodes.dihedral import DihedralAlgebra
@@ -591,6 +592,39 @@ def test_rref_of_a_fresh_copy_is_the_rref(m):
     assert again == (reduced, rank, pivots)
 
 
+@st.composite
+def rank_rows(draw):
+    """A field of FORM_FIELDS and 1-4 rows of up to 6 FieldElements, drawn
+    often as 0 or as the element whose coefficients are all p - 1, the
+    largest the entry forms hold; a row may be a multiple of an earlier one
+    or the sum of two."""
+    ctx = draw(st.sampled_from(FORM_FIELDS))
+    edge = ctx.from_index(ctx.q - 1)
+    element = st.one_of(st.sampled_from([ctx.zero(), edge, -edge]), field_elements(ctx, 1).map(lambda v: v[0]))
+    cols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(["drawn", "drawn", "multiple", "sum"]) if rows else st.just("drawn"))
+        if how == "drawn":
+            rows.append(draw(st.lists(element, min_size=cols, max_size=cols)))
+        elif how == "multiple":
+            c = draw(element)
+            rows.append([c * a for a in draw(st.sampled_from(rows))])
+        else:
+            rows.append([a + b for a, b in zip(draw(st.sampled_from(rows)), draw(st.sampled_from(rows)))])
+    return ctx, rows
+
+
+@PROPERTY
+@given(rank_rows())
+def test_rank_of_constraint_rows_is_the_rank(case):
+    # codes._rank, by the leading block's determinant or else by elimination,
+    # against MatrixGF.rank and the rank oracle's column walk
+    ctx, rows = case
+    m = MatrixGF(ctx, rows)
+    assert _rank(m.entries, ctx.form) == m.rank() == columns_rank(m, range(m.cols))
+
+
 def field_elements(ctx, size):
     coeffs = st.lists(st.integers(0, ctx.p - 1), min_size=ctx.m, max_size=ctx.m)
     return st.lists(coeffs.map(ctx.element), min_size=size, max_size=size)
@@ -841,7 +875,44 @@ def test_conic_certificate_is_the_walk_and_the_conic_through_five(case, planted,
     assert _on_a_conic(entries, form) == (walk and all(map(on_the_conic, later)))
 
 
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("p, m", [(2003, 2), (3, 7), (2**31 - 1, 3)])
+def test_conic_certificate_at_the_budget_edge(p, m):
+    # entries whose coefficients are all p - 1 (E) put the unreduced lines,
+    # l14(P5), l23(P5) and each later column's cubic at the largest slots the
+    # entry forms hold.  Over every order of the first five columns,
+    # _on_a_conic answers as the five-point oracle (no three of the five
+    # dependent, by the rank oracle and by the walk) and the conic through
+    # them (each later column's quadratic monomials dependent on theirs) do:
+    # five points of y^2 = xz, later ones on it or off it, a collinear
+    # triple among five that every later column's conic test passes, and
+    # six columns (E, E, E)
+    ctx = next(f for f in FORM_FIELDS if (f.p, f.m) == (p, m))
+    form, zero, e = ctx.form, ctx.zero(), ctx.from_index(ctx.q - 1)
+    t = three_plus_t(ctx)
+    conic = [[e, zero, zero], [zero, zero, e], [e, e, e], [e, -e, e], [e, e * t, e * t * t]]
+    later = [[e, e, e], [e, e * t * t, e * t**4]]
+    cases = [
+        (conic, later, True),
+        (conic, later + [[e, e, zero]], False),
+        (conic, [[e, e, zero]] + later, False),
+        ([[e, e, e], [e, zero, zero], [zero, e, e], [zero, zero, e], [e, -e, e]], [[e, e, e]], False),
+        ([[e, e, e]] * 5, [[e, e, e]], False),
+    ]
+
+    def monomials(x):
+        return [x[0] * x[0], x[0] * x[1], x[0] * x[2], x[1] * x[1], x[1] * x[2], x[2] * x[2]]
+
+    for five, rest, verdict in cases:
+        m5 = MatrixGF(ctx, [list(r) for r in zip(*five)])
+        arc = all(columns_rank(m5, T) == 3 for T in itertools.combinations(range(5), 3))
+        on = [columns_rank(MatrixGF(ctx, [list(r) for r in zip(*map(monomials, five + [y]))]), range(6)) < 6
+              for y in rest]
+        assert (arc and all(on)) == verdict
+        for order in itertools.permutations(five):
+            entries = [form.entries(c) for c in list(order) + rest]
+            assert (_min_dependent_columns(entries[:5], form) == 4) == arc
+            assert _on_a_conic(entries, form) == verdict
+
 # the left-ideal certificate (a/b symmetry) against algebra products, and the
 # walk from column 0 it allows against the walk from every column
 
