@@ -23,6 +23,7 @@ from .codes import (
     generator_matrix_presentation,
     left_ideal_closure_ok,
     load_code,
+    presentation_rows,
     require_odd_n,
 )
 from .dihedral import DihedralAlgebra
@@ -150,10 +151,43 @@ def cmd_wedderburn(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _code_document(code: LinearCode, style: str) -> dict:
-    matrix = generator_matrix_presentation(code, style)
+# stands in a document for the matrix entries _write_document writes row by row
+_ENTRIES = "\0entries"
+
+
+def _write_document(fh, doc: dict, form, rows) -> None:
+    """Write json.dumps(doc, indent=2) and a newline to fh, where doc holds
+    _ENTRIES once, as a matrix's "entries", and rows, an iterable of the
+    matrix's rows in form (FieldCtx.form), gives them.
+
+    The text around the entries is json.dumps's own.  Each row is written
+    as one string, joined from its entries' texts, and the text of each
+    distinct value, its coefficient list at the entries' depth, is made
+    once, when a row first holds it.  So the writer never holds the
+    document string, the matrix or a per-entry list: a row, and a text per
+    distinct value, at most q.
+    """
+    head, tail = json.dumps(doc, indent=2).split(json.dumps(_ENTRIES))
+    key = head.rsplit("\n", 1)[1]
+    pad = key[:len(key) - len(key.lstrip())]  # the depth of "entries"; rows at pad + 2
+    row_start, between = f"{pad}  [\n{pad}    ", f",\n{pad}    "
+    texts, sep = {}, "[\n"
+    fh.write(head)
+    for row in rows:
+        new = list(set(row).difference(texts))
+        texts.update(zip(new, (json.dumps(c, indent=2).replace("\n", "\n" + pad + "    ")
+                               for c in form.coeffs(new))))
+        fh.write(sep + row_start + between.join(map(texts.__getitem__, row)) + f"\n{pad}  ]")
+        sep = ",\n"
+    fh.write(("[]" if sep == "[\n" else f"\n{pad}]") + tail + "\n")
+
+
+def _write_code(fh, code: LinearCode, style: str) -> None:
+    """Write a constructed code's document, its generator in this style,
+    as json.dumps(doc, indent=2) and a newline, row by row (_write_document)."""
+    rows = presentation_rows(code, style)
     prov = code.provenance
-    return {
+    doc = {
         "field": prov.ctx.spec(),
         "n": prov.n,
         "family": prov.tag,
@@ -162,22 +196,21 @@ def _code_document(code: LinearCode, style: str) -> dict:
         "style": style,
         "length": code.length,
         "k": code.k,
-        "generator": matrix.to_json(),
+        "generator": {"rows": code.k, "cols": code.length, "field": prov.ctx.spec(), "entries": _ENTRIES},
     }
+    _write_document(fh, doc, code.ctx.form, rows)
 
 
 def cmd_construct(args) -> int:
     ctx = parse_field_spec(args.field)
     beta = parse_element(ctx, args.beta) if args.beta is not None else None
     code = construct_code(ctx, args.n, CodeFamily(tag=args.family, s=args.s, beta=beta))
-    doc = _code_document(code, args.style)
-    payload = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+            _write_code(fh, code, args.style)
         print(f"wrote [{code.length},{code.k}] code to {args.out}")
     else:
-        print(payload)
+        _write_code(sys.stdout, code, args.style)
     return 0
 
 

@@ -15,22 +15,27 @@ Under P each family is the Wedderburn spec {position 0: full / minus /
 plus; block s: row(1, beta); other blocks: full}, the kernel of its 2 or 3
 closed-form constraint rows H, built with no division.  construct_code
 keeps H (LinearCode._from_parity_check), takes k = 2n - h from one
-determinant of H's leading h x h block (_rank), and builds the RREF
+determinant of H's leading h x h block (_rank), and finds the RREF
 generator from it only on first use (linalg.kernel_rref); the public
 constructor, load_code and from_generator_rows reduce the generator they
 are given (a generator that elimination built, as code_from_ideal_spec's,
 knows its pivots and is not reduced again) and take H = [-A^T | I] off
 G = [I | A] (linalg.null_rows).  Either way H is the one parity check:
-contains tests H v^T = 0.  H, like every matrix, holds the field's entry
-form (FieldCtx.form): residues over GF(p), packed integers over GF(p^m),
-each a gf._Form with the same canon, is_zero, submul, point, points and
-reduce.  The paper-style presentation reads its rows, n e_j and n b e_j,
-off P's forms (wedderburn._summand_forms) on that form.
+contains tests H v^T = 0.  The generator is held in systematic form,
+(pivots, A), A its rows' entries on the free columns: h of them per row
+for a paper code, against 2n dense.  Its rows are built one at a time
+where they are read (linalg.echelon_rows), and the dense matrix only for
+the public LinearCode.generator.  H, like every matrix, holds the
+field's entry form (FieldCtx.form): residues over GF(p), packed integers
+over GF(p^m), each a gf._Form with the same canon, is_zero, submul,
+point, points and reduce.  The paper-style presentation streams its
+rows, n e_j and n b e_j, off P's forms (wedderburn._summand_forms) on
+that form (presentation_rows).
 
 Minimum distance is computed two independent ways, both exact, with no
 limit on q: exhaustive enumeration, in numpy, of every codeword up to a
 nonzero multiple, gated at q^k - 1 <= cap, which forms only the RREF
-generator's free columns, on their prime-field expansions (each row
+generator's free columns, A, on their prime-field expansions (each row
 times x^j, on the entry form: _expansion_planes, which reach numpy as
 one flat list of ints, every row's multiples formed in one product
 before any fold), and counts the pivot columns as the word's nonzero
@@ -82,7 +87,7 @@ from .errors import (
     _Record,
 )
 from .gf import FieldCtx, FieldElement, _is_int, _xi_entries, element_order
-from .linalg import MatrixGF, kernel_rref, null_rows
+from .linalg import MatrixGF, echelon, echelon_rows, free_columns, kernel_rref, null_rows
 from .wedderburn import (
     ROW,
     Summand,
@@ -129,20 +134,27 @@ class Provenance(_Record):
 
 class LinearCode:
     """A linear code of length 2n, held by its parity check H and its RREF
-    generator (with its pivot columns, an information set), each derived
-    from the other on first use.
+    generator, each derived from the other on first use.  The generator is
+    held in systematic form (pivots, A) and nothing denser: its k pivot
+    columns, an information set, and A, each of its k rows' entries on the
+    2n - k free columns (linalg.kernel_rref).  For a paper code, with
+    h = 2 or 3 parity checks, A holds (2n - h) h entries, against
+    (2n - h) 2n for the dense rows.
 
     LinearCode(G) reduces G, at no cost when elimination built G (its
-    rref() returns it at once); construct_code enters through
-    _from_parity_check with H, the spec's constraint rows, and k = 2n -
-    rank H, one determinant for its 2 or 3 rows (_rank).  contains reads
-    only H, as does the dual engine unless the code's rate is low enough
-    for the generator side (_dual_distance).
+    rref() returns it at once), and keeps its (pivots, A);
+    construct_code enters through _from_parity_check with H, the spec's
+    constraint rows, and k = 2n - rank H, one determinant for its 2 or 3
+    rows (_rank).  contains reads only H, as does the dual engine unless
+    the code's rate is low enough for the generator side (_dual_distance).
+    The exhaustive engine reads A alone; the generator-side walk, _closed,
+    to_json and the CLI's document writer build rows or columns from
+    (pivots, A) as they go, and the public generator builds the dense
+    matrix each time it is read.
     """
 
     def __init__(self, generator: MatrixGF):
-        reduced, _, pivots = generator.rref()
-        self._start(generator.ctx, generator.cols, None, reduced=(reduced.nonzero_rows(), pivots))
+        self._start(generator.ctx, generator.cols, None, systematic=generator.systematic())
 
     @classmethod
     def _from_parity_check(cls, ctx: FieldCtx, rows, provenance) -> "LinearCode":
@@ -152,25 +164,30 @@ class LinearCode:
         code._start(ctx, len(rows[0]), provenance, rows=rows)
         return code
 
-    def _start(self, ctx: FieldCtx, length: int, provenance, rows=None, reduced=None):
+    def _start(self, ctx: FieldCtx, length: int, provenance, rows=None, systematic=None):
         self.ctx, self.length, self.provenance = ctx, length, provenance
-        self._parity, self._reduced, self._left_ideal = rows, reduced, None
+        self._parity, self._systematic_form, self._left_ideal = rows, systematic, None
         self._distance: dict[str, int] = {}
         # the generator's rank, else the length less H's
-        self.k = len(reduced[1]) if reduced else length - _rank(self._parity_check(), ctx.form)
+        self.k = len(systematic[0]) if systematic else length - _rank(self._parity_check(), ctx.form)
 
-    def _rref(self) -> tuple[MatrixGF, list[int]]:
-        if self._reduced is None:
-            self._reduced = kernel_rref(self.ctx, self._parity, self.length)
-        return self._reduced
+    def _systematic(self) -> tuple[list[int], list]:
+        """The RREF generator's (pivots, A), found once."""
+        if self._systematic_form is None:
+            self._systematic_form = kernel_rref(self.ctx, self._parity, self.length)
+        return self._systematic_form
 
     def _parity_check(self) -> list[list]:
         """H's rows in the field's entry form; H is built once.  It is a
         constructed code's constraint rows, else [-A^T | I] read off the
         RREF generator [I | A] (linalg.null_rows)."""
         if self._parity is None:
-            self._parity = null_rows(*self._rref())
+            self._parity = null_rows(self.ctx, *self._systematic(), self.length)
         return self._parity
+
+    def _generator_columns(self) -> list[tuple]:
+        """The RREF generator's columns, read off (pivots, A) row by row."""
+        return list(zip(*echelon_rows(*self._systematic(), self.length)))
 
     def _is_left_ideal(self) -> bool:
         """Whether left multiplication by a and by b maps the code to
@@ -179,22 +196,21 @@ class LinearCode:
         under a coordinate permutation exactly when its dual is)."""
         if self._left_ideal is None:
             if 2 * self.k > self.length:
-                R, rank, pivots = MatrixGF._trusted(self.ctx, self._parity_check(), self.length).rref()
-                basis = R.entries[:rank]
+                pivots, A = MatrixGF._trusted(self.ctx, self._parity_check(), self.length).systematic()
             else:
-                R, pivots = self._rref()
-                basis = R.entries
+                pivots, A = self._systematic()
             n, odd = divmod(self.length, 2)
-            self._left_ideal = not odd and _closed(basis, pivots, self.ctx.form, n)
+            self._left_ideal = not odd and _closed(pivots, A, self.ctx.form, n)
         return self._left_ideal
 
     @property
     def generator(self) -> MatrixGF:
-        return self._rref()[0]
+        """The dense RREF generator, built from (pivots, A) on each read."""
+        return echelon(self.ctx, *self._systematic(), self.length)
 
     @property
     def pivots(self) -> list[int]:
-        return self._rref()[1]
+        return list(self._systematic()[0])
 
     @property
     def singleton_bound(self) -> int:
@@ -233,7 +249,7 @@ class LinearCode:
                 raise CapExceededError(f"q^k - 1 = {count} exceeds cap = {cap}")
         if method not in self._distance:
             if method == "exhaustive":
-                self._distance[method] = _exhaustive_distance(self.generator, self.pivots)
+                self._distance[method] = _exhaustive_distance(self.ctx, self._systematic()[1], self.length)
             else:
                 self._distance[method] = _dual_distance(self, cap)
         return self._distance[method]
@@ -255,12 +271,19 @@ class LinearCode:
         return (self.length, self.k, self.min_distance(method, cap))
 
     def to_json(self) -> dict:
-        doc = {
-            "field": self.ctx.spec(),
-            "length": self.length,
-            "k": self.k,
-            "generator": self.generator.to_json(),
-        }
+        """The code's document, its generator the RREF's: the entries are
+        built row by row from (pivots, A) (linalg.echelon_rows), each the
+        coefficient list of its value.  One list is made per distinct value
+        per document and shared by every entry that holds it (json.dumps
+        reads a shared list as it reads equal ones), so a document makes at
+        most q lists, not one per entry, and no two documents share one."""
+        pivots, A = self._systematic()
+        values = list({0, 1}.union(*A))
+        lists = dict(zip(values, self.ctx.form.coeffs(values)))
+        A = [list(map(lists.__getitem__, a)) for a in A]
+        entries = list(echelon_rows(pivots, A, self.length, lists[0], lists[1]))
+        generator = {"rows": self.k, "cols": self.length, "field": self.ctx.spec(), "entries": entries}
+        doc = {"field": self.ctx.spec(), "length": self.length, "k": self.k, "generator": generator}
         if self.provenance is not None:
             doc["n"] = self.provenance.n
             doc["family"] = self.provenance.tag
@@ -337,40 +360,50 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
 
 
 def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> MatrixGF:
-    """Generator matrix in the requested style.
+    """Generator matrix in the requested style (presentation_rows); the
+    rref one knows its pivots, as code.generator does."""
+    pivots = tuple(code.pivots) if style == "rref" else None
+    return MatrixGF._trusted(code.ctx, list(presentation_rows(code, style)), code.length, pivots)
 
-    "rref" is the canonical reduced form.  "paper" lays out one row per
-    ideal generator orbit, n e_j and n b e_j, which are P's coordinate
-    forms (a22_j and a12_j for j <= (n-1)/2, a11_(n-j) and a21_(n-j)
-    above): the constant row(s) first, then the twisted pair
+
+def presentation_rows(code: LinearCode, style: str = "rref"):
+    """The generator's rows in the requested style, in the field's entry
+    form, each built as it is read; the style is checked at the call.
+
+    "rref" is the canonical reduced form, from (pivots, A).  "paper" lays
+    out one row per ideal generator orbit, n e_j and n b e_j, which are P's
+    coordinate forms (a22_j and a12_j for j <= (n-1)/2, a11_(n-j) and
+    a21_(n-j) above): the constant row(s) first, then the twisted pair
     n (e_s + beta b e_(n-s)) and n (b e_s + beta e_(n-s)), then the
     remaining orbits in ascending index order.  Only available for codes
     built by construct_code.
     """
     if style == "rref":
-        return code.generator
+        return echelon_rows(*code._systematic(), code.length)
     if style != "paper":
         raise UnsupportedStyleError(f"unknown style {style!r}")
-    prov = code.provenance
-    if prov is None:
+    if code.provenance is None:
         raise UnsupportedStyleError(
             "structured presentation requires a code built by construct_code"
         )
+    return _paper_rows(code.provenance)
+
+
+def _paper_rows(prov: Provenance):
     ctx, n, s = prov.ctx, prov.n, prov.s
     form = ctx.form
     if prov.tag == FAMILY_2N_MINUS_2:  # n e_0 = (1|0), n b e_0 = (0|1)
-        rows = [[1] * n + [0] * n, [0] * n + [1] * n]
+        yield from ([1] * n + [0] * n, [0] * n + [1] * n)
     else:  # n (1 -+ b) e_0
         g1, g2 = _summand_forms(ctx, n, 0)
-        rows = [g2 if prov.tag == FAMILY_2N_MINUS_3_MINUS else g1]
+        yield g2 if prov.tag == FAMILY_2N_MINUS_3_MINUS else g1
     a11, a12, a21, a22 = _summand_forms(ctx, n, s)
     minus_beta = form.entries([-prov.beta])[0]
-    rows += [form.submul(a22, minus_beta, a21), form.submul(a12, minus_beta, a11)]
+    yield from (form.submul(a22, minus_beta, a21), form.submul(a12, minus_beta, a11))
     for j in range(1, n):
         if j not in (s, n - s):
             a11, a12, a21, a22 = _summand_forms(ctx, n, min(j, n - j))
-            rows += [a22, a12] if j <= (n - 1) // 2 else [a11, a21]
-    return MatrixGF._trusted(ctx, rows, 2 * n)
+            yield from (a22, a12) if j <= (n - 1) // 2 else (a11, a21)
 
 
 def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = None) -> bool:
@@ -391,23 +424,22 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
     return code._is_left_ideal()
 
 
-def _closed(basis, pivots, field, n: int) -> bool:
-    """Whether the span of basis, vectors of length 2n in phi coordinates
-    held in field's entry form, echelon with 1 at their own pivot column
-    and 0 at the others', is closed under left multiplication by a and b.
+def _closed(pivots, A, field, n: int) -> bool:
+    """Whether the row space of the RREF (pivots, A), of length 2n in phi
+    coordinates held in field's entry form, is closed under left
+    multiplication by a and b.
 
     On phi coordinates a moves a^i to a^(i+1) and b a^j to b a^(j-1), and
-    b swaps the halves a^i and b a^i (dihedral.py).  Each row's two images
-    are reduced against the basis by their entries at its pivots; the span
-    is closed when every image leaves 0 on the free columns.
+    b swaps the halves a^i and b a^i (dihedral.py).  Each row, rebuilt from
+    (pivots, A), has its two images reduced against the rows by their
+    entries at the pivots, on the free columns, where the rows are A; the
+    span is closed when every image leaves 0 there.
     """
-    taken = set(pivots)
-    free = [j for j in range(2 * n) if j not in taken]
-    rest = [[r[j] for j in free] for r in basis]
-    for r in basis:
+    free = free_columns(pivots, 2 * n)
+    for r in echelon_rows(pivots, A, 2 * n):
         for v in (r[n - 1:n] + r[:n - 1] + r[n + 1:] + r[n:n + 1], r[n:] + r[:n]):  # a r, b r
             left = [v[j] for j in free]
-            for c, w in zip(pivots, rest):
+            for c, w in zip(pivots, A):
                 if v[c]:
                     left = [x - v[c] * y for x, y in zip(left, w)]
             if any(field.canon(left)):
@@ -436,18 +468,19 @@ def _expansion_planes(ctx: FieldCtx, entries) -> list[int]:
     return form.flat_coeffs(list(entries) + form.canon([x * e for x in xs for e in entries]))
 
 
-def _exhaustive_distance(gen: MatrixGF, pivots: list[int]) -> int:
+def _exhaustive_distance(ctx: FieldCtx, A, length: int) -> int:
     """Least weight over one nonzero codeword per GF(q)-line, in numpy.
 
     A codeword and its q - 1 nonzero multiples have one weight, so only
     the words whose first nonzero row coefficient is 1 need weighing.  The
     caller gates q^k - 1 <= cap (LinearCode.min_distance).
 
-    gen is in RREF with these pivot columns, so a word u gen is u itself
-    on them and weighs wt(u) + wt(u A), A the free columns
-    (MacWilliams-Sloane, ch. 1).  Only the free columns are formed, on
-    the rows' prime-field expansions, which reach numpy as one flat list of
-    ints, built on gen's entry form by one path for every degree m
+    A is the free block of an RREF generator of this length, held in
+    ctx's entry form (LinearCode._systematic), so a word u G is u itself
+    on the pivots and weighs wt(u) + wt(u A) (MacWilliams-Sloane, ch. 1).
+    Only the free columns are formed, on the prime-field expansions of A's
+    rows, which reach numpy as one flat list of ints, built on the entry
+    form by one path for every degree m
     (_expansion_planes).  The multiples s x^j row r, every s in GF(p), of
     rows 1..k-1 are formed in one product before any fold, and a fold
     adds one expansion's multiples to every word.  The span of the
@@ -469,19 +502,16 @@ def _exhaustive_distance(gen: MatrixGF, pivots: list[int]) -> int:
     """
     import numpy as np
 
-    ctx = gen.ctx
-    p, m, q, k = ctx.p, ctx.m, ctx.q, gen.rows
+    p, m, q, k = ctx.p, ctx.m, ctx.q, len(A)
     if (p - 1) ** 2 >= 2**63:
         raise CapExceededError(f"exhaustive search needs (p-1)^2 < 2^63, got p = {p}")
-    taken = set(pivots)
-    free = [c for c in range(gen.cols) if c not in taken]
-    if not free:  # k = length: the code is the whole space
+    f = length - k
+    if not f:  # k = length: the code is the whole space
         return 1
     if k == 1:  # entries are canonical, so 0 is the only zero
-        return 1 + sum(1 for c in free if gen.entries[0][c])
-    f = len(free)
+        return 1 + sum(1 for e in A[0] if e)
     dtype = np.uint16 if p <= 2**15 else np.uint64  # holds a sum of two residues
-    wtype = np.min_scalar_type(gen.cols)  # holds any weight
+    wtype = np.min_scalar_type(length)  # holds any weight
 
     def fold(span, multiples):  # word w, multiple s of one expansion -> word s * words + w
         span = np.add(span[:, None, :], multiples[:, :, None]).reshape(m * f, -1)
@@ -489,7 +519,7 @@ def _exhaustive_distance(gen: MatrixGF, pivots: list[int]) -> int:
         return np.minimum(span, span - dtype(p), out=span)
 
     # row r's expansion j, plane-major: entry t * f + c is coefficient t of x^j A[r][c]
-    flat = _expansion_planes(ctx, [row[c] for row in gen.entries for c in free])
+    flat = _expansion_planes(ctx, [e for row in A for e in row])
     expansions = np.array(flat, dtype=np.int64).reshape(m, k, f, m).transpose(1, 0, 3, 2).reshape(k, m, m * f)
     # multiples[r - 1, j, :, s] = s x^j row r, for rows 1..k-1, in one product:
     # no int64 passes (p-1)^2 < 2^63
@@ -518,7 +548,7 @@ def _exhaustive_distance(gen: MatrixGF, pivots: list[int]) -> int:
     weights = nonzero.sum(axis=0, dtype=wtype)
     weights += cw
     weights += offsets[:, None]
-    weights[-1, 0] = gen.cols  # the zero word, which no row leads
+    weights[-1, 0] = length  # the zero word, which no row leads
     return int(weights.min())
 
 
@@ -539,10 +569,10 @@ def _dual_distance(code: LinearCode, cap: int) -> int:
     ncols, k = code.length, code.k
     steps = math.comb(ncols + 1, max(k - 2, 0)) - 1
     if steps <= cap and _subsets_over(ncols, range(1, ncols - k - 1), steps):
-        columns = [list(c) for c in zip(*code.generator.entries)]
-        return _hyperplane_distance(columns, code.ctx.form, cap, code._is_left_ideal)
-    # zip drops every column of an H with no rows (k = length): those are empty
-    cols = [list(c) for c in zip(*code._parity_check())] or [[] for _ in range(code.length)]
+        return _hyperplane_distance(code._generator_columns(), code.ctx.form, cap, code._is_left_ideal)
+    # H's columns as zip gives them, tuples; zip drops every column of an H
+    # with no rows (k = length): those are empty
+    cols = list(zip(*code._parity_check())) or [()] * code.length
     return _min_dependent_columns(cols, code.ctx.form, cap, code)
 
 
@@ -703,8 +733,7 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
         if t == 2 and code is not None and _subsets_over(
             ncols, range(2, h - 1), math.comb(ncols, max(code.k - 2, 0)) - 1
         ):
-            gen = code.generator.entries
-            return _hyperplane_distance([list(c) for c in zip(*gen)], field, cap, symmetric)
+            return _hyperplane_distance(code._generator_columns(), field, cap, symmetric)
         walk = _independent_subsets(cols, field, t, budget if t > 1 else free, points, symmetric=symmetric)
         for _, keys in walk:
             if None in keys:

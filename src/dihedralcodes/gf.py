@@ -509,10 +509,10 @@ class _Form:
         return self.points([v])[0]
 
     def reduce(self, c, vs, keys=False):
-        """Each v less v[lead] c, off c's lead, for c given as its point; with
-        keys, their points."""
+        """Each v, a list or a tuple, less v[lead] c, off c's lead, as a
+        list, for c given as its point; with keys, their points."""
         (lead, *tail), submul = c, self.submul
-        out = [v[:lead] + submul(v[lead + 1:], v[lead], tail) for v in vs]
+        out = [[*v[:lead], *submul(v[lead + 1:], v[lead], tail)] for v in vs]
         return self.points(out) if keys else out
 
     @staticmethod

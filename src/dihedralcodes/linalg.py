@@ -2,9 +2,9 @@
 
 Gaussian elimination with first-nonzero pivoting; no floating point, no
 sparsity.  Matrices are plain values: every operation returns a new matrix.
-A matrix that elimination built (rref, kernel_rref) is reduced and knows
-its pivots, so its own rref() returns it with no second elimination;
-every other matrix, whatever its constructor, is reduced when asked.
+A matrix in RREF that the library built (rref, echelon) knows its pivots,
+so its own rref() returns it with no second elimination; every other
+matrix, whatever its constructor, is reduced when asked.
 A matrix holds its rows in its field's entry form (FieldCtx.form, one per
 field), the form the dual walk keeps its columns in too: integers always,
 residues over GF(p), and over GF(p^m), m >= 2, coefficients packed into
@@ -12,6 +12,13 @@ one integer.  Elimination is written once, on any form's submul and point.
 FieldElements are the API view: data, m[i, j], row(i), text() and to_json()
 build them on access, and the constructors take them, refusing entries
 from another field.
+
+An RREF of rank k is also held in systematic form (pivots, A): its pivot
+columns, and A, each row's entries on the other, free columns, in order
+(MacWilliams-Sloane, ch. 1: G = [I | A] up to a column permutation).
+kernel_rref gives a kernel in that form, null_rows reads [-A^T | I] off
+it, echelon_rows rebuilds its rows one at a time, and echelon the dense
+matrix.
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ class MatrixGF:
     @classmethod
     def _trusted(cls, ctx: FieldCtx, entries: list, cols: int, pivots=None) -> "MatrixGF":
         """A matrix on rows as they are, unchecked: lists of cols entries
-        each, in ctx's entry form, as elimination and kernel_rref build them.
-        pivots, a tuple, is given only for an RREF that elimination built."""
+        each, in ctx's entry form, as elimination and echelon build them.
+        pivots, a tuple, is given only for a matrix in RREF."""
         m = cls.__new__(cls)
         m.ctx, m.entries, m._pivots = ctx, entries, pivots
         m.rows, m.cols = len(entries), cols
@@ -135,6 +142,13 @@ class MatrixGF:
             "entries": [self.ctx.form.coeffs(row) for row in self.entries],
         }
 
+    def systematic(self) -> tuple[list[int], list[list]]:
+        """The systematic form (pivots, A) of this matrix's RREF, by rref:
+        at no cost past reading A for a matrix that elimination built."""
+        R, rank, pivots = self.rref()
+        free = free_columns(pivots, self.cols)
+        return pivots, [[row[f] for f in free] for row in R.entries[:rank]]
+
     @classmethod
     def from_json(cls, doc: dict) -> "MatrixGF":
         if not isinstance(doc, dict):
@@ -165,44 +179,71 @@ class MatrixGF:
         return f"MatrixGF({self.rows}x{self.cols} over GF({self.ctx.q}))\n{self.text()}"
 
 
-def null_rows(R: MatrixGF, pivots) -> list[list]:
-    """Basis of the right null space of an RREF matrix R with these pivot
-    columns, its rows in R's entry form.
+def free_columns(pivots, cols: int) -> list[int]:
+    """The columns 0..cols-1 that are not pivots, in order."""
+    taken = set(pivots)
+    return [c for c in range(cols) if c not in taken]
+
+
+def echelon_rows(pivots, A, cols: int, zero=0, one=1):
+    """The rows of the RREF (pivots, A), built one at a time as they are
+    read: one at the row's own pivot, zero at the other pivots, and its row
+    of A on the free columns.  zero and one are the entries 0 and 1, or
+    what stands for them where A's entries stand for theirs."""
+    free = free_columns(pivots, cols)
+    for c, a in zip(pivots, A):
+        row = [zero] * cols
+        row[c] = one
+        for f, e in zip(free, a):
+            row[f] = e
+        yield row
+
+
+def echelon(ctx: FieldCtx, pivots, A, cols: int) -> MatrixGF:
+    """The RREF (pivots, A) as a dense matrix, which knows its pivots."""
+    return MatrixGF._trusted(ctx, list(echelon_rows(pivots, A, cols)), cols, tuple(pivots))
+
+
+def null_rows(ctx: FieldCtx, pivots, A, cols: int) -> list[list]:
+    """Basis of the right null space of the RREF (pivots, A), its rows in
+    ctx's entry form.
 
     One row per free column: 1 there, 0 on the other free columns, and
-    minus that column of R on the pivot columns.  For R = [I | A] this is
-    the parity check [-A^T | I]; the rows are the identity on R's free
-    columns and are not otherwise reduced.
+    minus that column of A on the pivot columns.  With the pivots first
+    this is the parity check [-A^T | I] of [I | A]; the rows are the
+    identity on the free columns and are not otherwise reduced.
     """
-    pivot_set, r = set(pivots), len(pivots)
-    free = [f for f in range(R.cols) if f not in pivot_set]
-    # the free columns of R, negated by one submul: 0 - 1 R[i][f]
-    minus = R.ctx.form.submul([0] * (len(free) * r), 1, [row[f] for f in free for row in R.entries[:r]])
+    free, r = free_columns(pivots, cols), cols - len(pivots)
+    # A's entries negated by one submul, 0 - 1 A[i][j] at i * r + j
+    minus = ctx.form.submul([0] * (len(pivots) * r), 1, [e for a in A for e in a])
     rows = []
-    for i, f in enumerate(free):
-        v = [0] * R.cols
+    for j, f in enumerate(free):
+        v = [0] * cols
         v[f] = 1
-        for pc, e in zip(pivots, minus[i * r:(i + 1) * r]):
+        for pc, e in zip(pivots, minus[j::r]):
             v[pc] = e
         rows.append(v)
     return rows
 
 
-def kernel_rref(ctx: FieldCtx, rows, cols: int) -> tuple[MatrixGF, list[int]]:
+def kernel_rref(ctx: FieldCtx, rows, cols: int) -> tuple[list[int], list[tuple]]:
     """The RREF basis of {v : H v^T = 0}, H given by its rows in ctx's entry
-    form, and its pivots.
+    form, in systematic form (pivots, A), by one elimination, of H with its
+    columns reversed; no row of the basis is formed.
 
-    The free columns of H with its columns reversed are the lex-first
-    information set of ker H, so the kernel basis of reversed H, null_rows
-    of its RREF, read back in reversed column and row order, is already
-    the unique RREF.  Its pivots are reversed H's free columns, read back,
-    and the basis knows them, as rref's R does.
+    The free columns of reversed H are the lex-first information set of
+    ker H, so its null space basis, read back in reversed column and row
+    order (column f to cols - 1 - f), is already the unique RREF.  Read
+    back, reversed H's free columns, last first, are the basis's pivots in
+    order, and its pivot columns, last first, are the free columns.  So
+    the row of A for the pivot cols - 1 - f is column f of reversed H's
+    RREF R, negated, read from R's last nonzero row up.
     """
-    R, _, pivots = MatrixGF._trusted(ctx, [r[::-1] for r in rows], cols).rref()
-    pivot_set = set(pivots)
-    free = [cols - 1 - f for f in reversed(range(cols)) if f not in pivot_set]
-    basis = MatrixGF._trusted(ctx, [r[::-1] for r in reversed(null_rows(R, pivots))], cols, tuple(free))
-    return basis, free
+    R, rank, pivots = MatrixGF._trusted(ctx, [r[::-1] for r in rows], cols).rref()
+    free = free_columns(pivots, cols)[::-1]
+    minus = [ctx.form.submul([0] * cols, 1, r) for r in reversed(R.entries[:rank])]
+    columns = list(zip(*minus)) or [()] * cols  # H of rank 0: A has no columns
+    return [cols - 1 - f for f in free], [columns[f] for f in free]
 
 
 def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from .dihedral import AlgebraElement, DihedralAlgebra
 from .errors import EvenNError, InvalidRowSpecError, MixedContextsError, _Record
 from .gf import FieldCtx, FieldElement, _xi_entries
-from .linalg import MatrixGF, kernel_rref
+from .linalg import MatrixGF, echelon, kernel_rref
 
 
 class WedderburnTuple(_Record):
@@ -288,8 +288,9 @@ def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
     """RREF generator matrix (phi coordinates) of P^-1 of the chosen ideal,
     reduced from its smaller side: the RREF of its dim span rows
     (_span_rows) when dim <= n, else the kernel of its 2n - dim constraint
-    rows (_constraint_rows), by linalg.kernel_rref.  A row space has one
-    RREF, so both sides give the same matrix.
+    rows (_constraint_rows), by linalg.kernel_rref, built dense from its
+    (pivots, A) by linalg.echelon.  A row space has one RREF, so both sides
+    give the same matrix.
     """
     if n % 2 == 0:
         raise EvenNError(f"ideal specs are defined for odd n, got n={n}")
@@ -306,7 +307,7 @@ def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
     DihedralAlgebra(ctx, n)  # raises CharDividesOrderError
     if dim <= n:
         return MatrixGF._trusted(ctx, _span_rows(ctx, n, spec), 2 * n).rref()[0]
-    return kernel_rref(ctx, _constraint_rows(ctx, n, spec.summands), 2 * n)[0]
+    return echelon(ctx, *kernel_rref(ctx, _constraint_rows(ctx, n, spec.summands), 2 * n), 2 * n)
 
 
 def random_ideal_spec(ctx: FieldCtx, n: int, rng) -> IdealSpec:

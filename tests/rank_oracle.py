@@ -22,8 +22,7 @@ def vstack(m: MatrixGF, other: MatrixGF) -> MatrixGF:
 
 def kernel_basis(m: MatrixGF) -> MatrixGF:
     """Basis of the right null space {v : m v^T = 0}, null_rows of m's RREF."""
-    R, _, pivots = m.rref()
-    return MatrixGF._trusted(m.ctx, null_rows(R, pivots), m.cols)
+    return MatrixGF._trusted(m.ctx, null_rows(m.ctx, *m.systematic(), m.cols), m.cols)
 
 
 def twisted(m: MatrixGF, s: int, n: int) -> MatrixGF:

@@ -1,16 +1,26 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from dihedralcodes.cli import main
-from dihedralcodes.codes import CodeFamily, LinearCode, construct_code, left_ideal_closure_ok, load_code
+from dihedralcodes.cli import _ENTRIES, _write_code, _write_document, main
+from dihedralcodes.codes import (
+    CodeFamily,
+    LinearCode,
+    construct_code,
+    generator_matrix_presentation,
+    left_ideal_closure_ok,
+    load_code,
+)
 from dihedralcodes.dihedral import DihedralAlgebra
-from dihedralcodes.gf import make_field
+from dihedralcodes.gf import make_field, parse_field_spec
+from dihedralcodes.linalg import MatrixGF
 from dihedralcodes.wedderburn import IdealSpec, code_from_ideal_spec, plus_piece, row, zero
 
 
@@ -96,6 +106,75 @@ def test_construct_stdout_json(capsys):
     assert doc["length"] == 6
     assert doc["beta"] == [2]
     assert doc["generator"]["rows"] == 4
+
+
+def dense_code_document(code, style):
+    """construct's document by the dense route: the presentation matrix's
+    FieldElements, one coefficient list each."""
+    matrix, prov = generator_matrix_presentation(code, style), code.provenance
+    return {"field": prov.ctx.spec(), "n": prov.n, "family": prov.tag, "s": prov.s,
+            "beta": prov.beta.to_list(), "style": style, "length": code.length, "k": code.k,
+            "generator": {"rows": matrix.rows, "cols": matrix.cols, "field": prov.ctx.spec(),
+                          "entries": [[e.to_list() for e in r] for r in matrix.data]}}
+
+
+@pytest.mark.parametrize("field, n", [("p=43", 7), ("p=13;mod=[2,0,1]", 21), ("p=3;mod=[1,2,0,1]", 13)])
+@pytest.mark.parametrize("style", ["rref", "paper"])
+def test_construct_writes_the_bytes_of_json_dumps(tmp_path, capsys, field, n, style):
+    # the writer's rows give json.dumps(doc, indent=2)'s bytes, on stdout and in --out
+    for family in ("2n-2", "2n-3-minus", "2n-3-plus"):
+        args = ["construct", "--field", field, "--n", str(n), "--family", family, "--s", "2", "--style", style]
+        rc, out, err = run(capsys, *args)
+        if "error[BadOrder]" in err:  # over GF(27), beta = x has order 2n
+            assert field.endswith("0,1]") and family != "2n-3-plus"
+            continue
+        code = construct_code(parse_field_spec(field), n, CodeFamily(family, s=2))
+        assert rc == 0 and out == json.dumps(dense_code_document(code, style), indent=2) + "\n"
+        path = tmp_path / f"{family}.json"
+        assert run(capsys, *args, "--out", str(path))[0] == 0
+        assert path.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("p, modulus", [(13, [0, 1]), (5, [2, 0, 1]), (3, [1, 2, 0, 1])])
+def test_writer_matches_json_dumps_on_small_matrices(p, modulus):
+    # 0 to 3 rows, at two depths, with keys after the entries too
+    ctx = make_field(p, modulus)
+    for rows in range(4):
+        m = MatrixGF.from_rows(ctx, [[(3 * i + 5 * j + 1) % ctx.q for j in range(4)] for i in range(rows)])
+        matrix = m.to_json()
+        for wrap in (lambda g: g, lambda g: {"generator": g, "after": [1]}):
+            out = io.StringIO()
+            _write_document(out, wrap({**matrix, "entries": _ENTRIES}), ctx.form, m.entries)
+            assert out.getvalue() == json.dumps(wrap(matrix), indent=2) + "\n", rows
+
+
+class Digest:
+    """A file-like sink that keeps the sha256 and the size of what it is given."""
+
+    def __init__(self):
+        self.hash, self.size = hashlib.sha256(), 0
+
+    def write(self, text):
+        data = text.encode()
+        self.hash.update(data)
+        self.size += len(data)
+
+
+def test_writer_memory_stays_below_the_document(capsys):
+    # the (3011, 301) document is 11.9 MB; the writer holds a row and a text
+    # per distinct value.  The digest is json.dumps(doc, indent=2) + "\n" of
+    # the dense document, as construct --out wrote it
+    code = construct_code(make_field(3011, [0, 1]), 301, CodeFamily("2n-3-plus"))
+    sink = Digest()
+    tracemalloc.start()
+    try:
+        _write_code(sink, code, "rref")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 11_914_346
+    assert sink.hash.hexdigest() == "4bc8974630696af28db62654bc2b93654eae9672bb1346a98e72ad3a72151884"
+    assert peak < sink.size // 20, peak
 
 
 def test_construct_is_deterministic(capsys):

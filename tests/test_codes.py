@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 import random
 
@@ -6,6 +8,7 @@ import pytest
 from test_gf import within_one_second
 
 import dihedralcodes.codes as codes_module
+from dihedralcodes.cli import _write_code
 from dihedralcodes.codes import (
     FAMILIES,
     FAMILY_2N_MINUS_2,
@@ -928,6 +931,70 @@ def test_json_roundtrip():
     assert loaded.parameters() == code.parameters()
 
 
+def dense_document(code):
+    """The code's document by the dense route: its generator's FieldElements,
+    one coefficient list each."""
+    G = code.generator
+    doc = {"field": code.ctx.spec(), "length": code.length, "k": code.k,
+           "generator": {"rows": G.rows, "cols": G.cols, "field": code.ctx.spec(),
+                         "entries": [[e.to_list() for e in r] for r in G.data]}}
+    if code.provenance is not None:
+        prov = code.provenance
+        doc.update(n=prov.n, family=prov.tag, s=prov.s, beta=prov.beta.to_list())
+    return doc
+
+
+def systematic_codes():
+    """Every family and coprime twist at (61, 15), GF(13^2)/21 and GF(3^3)/13
+    that construct_code builds, and generators whose pivots do not lead."""
+    for ctx, n in ((make_field(61, [0, 1]), 15), (make_field(13, [2, 0, 1]), 21),
+                   (make_field(3, [1, 2, 0, 1]), 13)):
+        for tag in FAMILIES:
+            for s in range(1, (n + 1) // 2):
+                if math.gcd(s, n) == 1:
+                    try:
+                        yield construct_code(ctx, n, CodeFamily(tag, s=s))
+                    except BadOrderError:  # over GF(27), beta = x has order 2n
+                        assert ctx.m == 3 and tag != FAMILY_2N_MINUS_3_PLUS
+    for ctx, rows in (
+        (GF13, [[0, 1, 2, 0, 5], [0, 0, 0, 1, 3]]),  # a zero first column
+        (GF13, [[2, 4, 1, 7], [1, 2, 0, 3], [0, 0, 5, 5]]),  # not in RREF, pivots 0 and 2
+        (GF25, [[[0, 1], [1, 1], [3, 2]], [[2, 0], [0, 4], [1, 1]]]),
+        (GF13, [[0, 0, 0], [0, 0, 0]]),  # k = 0
+        (GF13, [[1, 2, 3], [0, 4, 5], [0, 0, 6]]),  # k = length
+    ):
+        yield LinearCode.from_generator_rows(ctx, rows)
+
+
+def test_systematic_form_writes_the_dense_routes_bytes():
+    # to_json builds each row from (pivots, A); the dense generator gives
+    # the same bytes, and a loaded document the same code
+    cases = list(systematic_codes())
+    assert len(cases) == 4 * 3 + 6 * 3 + 6 + 5
+    for code in cases:
+        doc = code.to_json()
+        assert json.dumps(doc) == json.dumps(dense_document(code)), code
+        loaded = load_code(doc)
+        assert (loaded.k, loaded.pivots, loaded.generator) == (code.k, code.pivots, code.generator)
+    pivots = [code.pivots for code in cases[-5:]]
+    assert pivots == [[1, 3], [0, 2], [0, 1], [], [0, 1, 2]]
+
+
+def test_documents_share_no_list():
+    # one list per distinct value within a document, none across two
+    code = construct_code(make_field(61, [0, 1]), 15, CodeFamily(FAMILY_2N_MINUS_3_PLUS))
+    docs = code.to_json(), code.to_json()
+
+    def lists(doc):
+        entries = doc["generator"]["entries"]
+        return [id(x) for x in [doc["beta"], doc["generator"], entries, *entries, *(e for r in entries for e in r)]]
+
+    first, second = map(lists, docs)
+    assert not set(first) & set(second)
+    entries = docs[0]["generator"]["entries"]
+    assert len({id(e) for r in entries for e in r}) == len({tuple(e) for r in entries for e in r})
+
+
 def test_gf27_matrices_and_dual_walk_hold_integers(monkeypatch):
     # m = 3 entries are packed integers (gf._Packed), in every matrix and
     # in the columns the dual engine walks
@@ -1217,11 +1284,25 @@ def test_dual_check_leaves_generator_unbuilt(monkeypatch):
         "exhaustive": (lambda c: c.min_distance("exhaustive"), [1]),
         "auto": (lambda c: c.min_distance("auto"), [1]),
     }
+    # none of them builds the dense generator: to_json, the CLI's writer and
+    # exhaustive search read (pivots, A) alone
+    dense = []
+    echelon = codes_module.echelon
+    monkeypatch.setattr(codes_module, "echelon", lambda *args: dense.append(1) or echelon(*args))
     for name, (use, expected) in uses.items():
         builds.clear()
         code = construct_code(GF13, 3, family)
         assert use(code) == use(public) == use(code), name
-        assert builds == expected, name
+        assert (builds, dense) == (expected, []), name
+    for ctx, n, tag in ((GF13, 3, FAMILY_2N_MINUS_3_PLUS), (make_field(43, [0, 1]), 7, FAMILY_2N_MINUS_2),
+                        (make_field(3, [1, 2, 0, 1]), 13, FAMILY_2N_MINUS_3_PLUS)):
+        for style in ("rref", "paper"):
+            builds.clear()
+            code = construct_code(ctx, n, CodeFamily(tag))
+            _write_code(io.StringIO(), code, style)
+            assert (builds, dense) == ([1] if style == "rref" else [], []), (ctx, style)
+    # the public generator is built on each read
+    assert code.generator == code.generator and dense == [1, 1]
 
 
 def test_construct_code_reduces_once(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from dihedralcodes.codes import FAMILY_2N_MINUS_3_PLUS, CodeFamily, LinearCode, construct_code, load_code
 from dihedralcodes.errors import MixedContextsError
 from dihedralcodes.gf import FieldElement, _Form, _Packed, _Residues, make_field
-from dihedralcodes.linalg import MatrixGF, kernel_rref, null_rows
+from dihedralcodes.linalg import MatrixGF, echelon, kernel_rref, null_rows
 from rank_oracle import DuplicateIndexError, columns_rank, identity, kernel_basis, row_space_contains, vstack
 
 GF13 = make_field(13, [0, 1])
@@ -82,7 +82,7 @@ def test_rref_is_row_equivalent_and_idempotent():
 
 
 def test_only_elimination_marks_a_matrix():
-    # rref and kernel_rref build matrices that know their pivots, and their
+    # rref and echelon build matrices that know their pivots, and their
     # rref() returns them as they are; a matrix from any constructor is
     # reduced when asked, whether its rows are in RREF or not
     rows = [[2, 4, 1], [1, 2, 0], [0, 0, 0]]
@@ -104,7 +104,8 @@ def test_only_elimination_marks_a_matrix():
     assert zeros.rref()[0] is not zeros
     assert zeros.rref() == (zeros, 0, [])
     # what elimination built: the RREF, its nonzero rows, a kernel basis
-    basis, free = kernel_rref(GF13, R.entries[:rank], 3)
+    free, A = kernel_rref(GF13, R.entries[:rank], 3)
+    basis = echelon(GF13, free, A, 3)
     for m, pivots in ((R, pivots), (R.nonzero_rows(), pivots), (basis, free)):
         again = m.rref()
         assert again[0] is m
@@ -197,15 +198,17 @@ def test_row_space_contains_needs_no_echelon_form():
 
 def test_null_rows_of_rref_is_the_parity_check():
     # R = [I | A] on its pivots gives [-A^T | I]; no reduction of its own
-    R, _, pivots = MatrixGF.from_rows(GF13, [[1, 0, 2, 5], [0, 1, 3, 7]]).rref()
-    assert null_rows(R, pivots) == MatrixGF.from_rows(
+    R = MatrixGF.from_rows(GF13, [[1, 0, 2, 5], [0, 1, 3, 7]])
+    assert R.systematic() == ([0, 1], [[2, 5], [3, 7]])
+    assert null_rows(GF13, *R.systematic(), 4) == MatrixGF.from_rows(
         GF13, [[-2, -3, 1, 0], [-5, -7, 0, 1]]
-    ).data
+    ).entries
     # pivots need not lead: free columns 0 and 2 carry the identity
-    R, _, pivots = MatrixGF.from_rows(GF13, [[0, 1, 4, 0], [0, 0, 0, 1]]).rref()
-    assert null_rows(R, pivots) == MatrixGF.from_rows(
+    R = MatrixGF.from_rows(GF13, [[0, 1, 4, 0], [0, 0, 0, 1]])
+    assert R.systematic() == ([1, 3], [[0, 4], [0, 0]])
+    assert null_rows(GF13, *R.systematic(), 4) == MatrixGF.from_rows(
         GF13, [[1, 0, 0, 0], [0, -4, 1, 0]]
-    ).data
+    ).entries
 
 
 def test_mixed_context_entries_rejected():

@@ -28,7 +28,7 @@ from dihedralcodes.codes import (
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.errors import CapExceededError, DihedralCodesError
 from dihedralcodes.gf import _Packed, _Pairs, make_field, primitive_nth_root
-from dihedralcodes.linalg import MatrixGF, kernel_rref, null_rows
+from dihedralcodes.linalg import MatrixGF, echelon, kernel_rref, null_rows
 from dihedralcodes.wedderburn import (
     FULL,
     MINUS_PIECE,
@@ -148,7 +148,10 @@ def test_rref_staircase_rank_and_null_rows_on_the_entry_store(ctx_rows):
         if i < rank:
             column = [R[r, lead] for r in range(R.rows)]
             assert column == [one if r == i else zero for r in range(R.rows)]
-    kernel = null_rows(R, pivots)
+    # the systematic form is R's pivots and its rows' free entries
+    assert m.systematic()[0] == pivots
+    assert echelon(ctx, *m.systematic(), m.cols) == R.nonzero_rows()
+    kernel = null_rows(ctx, *m.systematic(), m.cols)
     assert len(kernel) == m.cols - rank
     for v in MatrixGF._trusted(ctx, kernel, m.cols).data:
         assert all(sum((a * b for a, b in zip(r, v)), zero) == zero for r in rows)
@@ -232,7 +235,7 @@ def test_dual_cap_outcomes_on_low_rate_codes(m):
     d, k = code.min_distance("exhaustive"), code.k
     gen_subsets = math.comb(code.length, max(k - 2, 0))
     field = code.ctx.form
-    h_cols = [list(c) for c in zip(*null_rows(code.generator, code.pivots))]
+    h_cols = [list(c) for c in zip(*null_rows(code.ctx, *code.generator.systematic(), code.length))]
     for cap in (0, gen_subsets - 1, gen_subsets, DEFAULT_CAP):
         cap = max(cap, 0)
         try:
@@ -320,7 +323,7 @@ def test_engines_agree_on_random_high_rate_codes(code):
     # generator side where its subsets are fewer
     # null_rows gives H in the entry form already
     field = code.ctx.form
-    h_cols = [list(c) for c in zip(*null_rows(code.generator, code.pivots))]
+    h_cols = [list(c) for c in zip(*null_rows(code.ctx, *code.generator.systematic(), code.length))]
     assert _min_dependent_columns(h_cols, field) == d
 
 
@@ -332,7 +335,7 @@ def test_generator_side_matches_parity_check_side(m):
     code = LinearCode(m)
     assume(0 < code.k < code.length)
     G, field = code.generator, code.ctx.form
-    H = null_rows(G, code.pivots)
+    H = null_rows(code.ctx, *G.systematic(), code.length)
     g_cols = [field.entries(c) for c in zip(*G.data)]
     h_cols = [list(c) for c in zip(*H)]  # null_rows gives the entry form
     assert _hyperplane_distance(g_cols, field) == _min_dependent_columns(h_cols, field)
@@ -548,7 +551,7 @@ def test_span_side_and_constraint_side_give_one_rref(alg_spec):
     span = _span_rows(ctx, n, spec)
     R, rank, _ = MatrixGF._trusted(ctx, span, 2 * n).rref()
     assert len(span) == rank == spec.dim()
-    assert R == kernel_rref(ctx, _constraint_rows(ctx, n, spec.summands), 2 * n)[0]
+    assert R == echelon(ctx, *kernel_rref(ctx, _constraint_rows(ctx, n, spec.summands), 2 * n), 2 * n)
     assert code_from_ideal_spec(ctx, n, spec) == R
 
 
@@ -741,6 +744,9 @@ def test_entry_form_reduce_matches_field_elements(case, picks, length, shift):
     out = form.reduce(c, [form.entries(v) for v in vs])
     assert [form.elements(r) for r in out] == less
     keys = form.reduce(c, [form.entries(v) for v in vs], keys=True)
+    # columns as zip gives them, tuples, reduce to the same lists and keys
+    assert form.reduce(c, [tuple(form.entries(v)) for v in vs]) == out
+    assert form.reduce(c, [tuple(form.entries(v)) for v in vs], keys=True) == keys
     points = [form.point(form.entries(r)) for r in less]
     if length == 3 and type(form).__name__ == "_Residues":
         # two coordinates (x, y) left: the key is y/x, by one batched
