@@ -18,9 +18,9 @@ keeps H (LinearCode._from_parity_check), takes k = 2n - h from one
 determinant of H's leading h x h block (_rank), and finds the RREF
 generator from it only on first use (linalg.kernel_rref); the public
 constructor, load_code and from_generator_rows reduce the generator they
-are given (a generator that elimination built, as code_from_ideal_spec's,
-knows its pivots and is not reduced again) and take H = [-A^T | I] off
-G = [I | A] (linalg.null_rows).  Either way H is the one parity check:
+are given (one that elimination built, as code_from_ideal_spec's,
+carries its (pivots, A) and is taken as it is) and take H = [-A^T | I]
+off G = [I | A] (linalg.dual).  Either way H is the one parity check:
 contains tests H v^T = 0.  The generator is held in systematic form,
 (pivots, A), A its rows' entries on the free columns: h of them per row
 for a paper code, against 2n dense.  Its rows are built one at a time
@@ -61,11 +61,12 @@ permutes its 2n phi coordinates, and the group they generate acts
 regularly on them (Bernal, del Rio and Simon 2009): some minimum-weight
 word holds column 0, and some fullest hyperplane passes through it.  So
 once a code is certified a left ideal (LinearCode._is_left_ideal: each
-row's images under a and b reduce to 0 against the smaller echelon
-basis, _closed), each dual walk's top level stops after column 0
-(_independent_subsets).  The certificate is found when a top level is
-about to take column 1, so a walk settled at column 0, and a paper code,
-never pays for it; left_ideal_closure_ok answers from it too.
+row's images under a and b reduce to 0 against the smaller systematic
+basis, the generator's or its dual's, _closed), each dual walk's top
+level stops after column 0 (_independent_subsets).  The certificate is
+found when a top level is about to take column 1, so a walk settled at
+column 0, and a paper code, never pays for it; left_ideal_closure_ok
+answers from it too.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from .errors import (
     _Record,
 )
 from .gf import FieldCtx, FieldElement, _is_int, _xi_entries, element_order
-from .linalg import MatrixGF, echelon, echelon_rows, free_columns, kernel_rref, null_rows
+from .linalg import MatrixGF, dual, echelon, echelon_rows, free_columns, kernel_rref, null_rows
 from .wedderburn import (
     ROW,
     Summand,
@@ -141,8 +142,8 @@ class LinearCode:
     h = 2 or 3 parity checks, A holds (2n - h) h entries, against
     (2n - h) 2n for the dense rows.
 
-    LinearCode(G) reduces G, at no cost when elimination built G (its
-    rref() returns it at once), and keeps its (pivots, A);
+    LinearCode(G) shares the (pivots, A) that G's RREF carries, with no
+    elimination when elimination built G;
     construct_code enters through _from_parity_check with H, the spec's
     constraint rows, and k = 2n - rank H, one determinant for its 2 or 3
     rows (_rank).  contains reads only H, as does the dual engine unless
@@ -154,7 +155,7 @@ class LinearCode:
     """
 
     def __init__(self, generator: MatrixGF):
-        self._start(generator.ctx, generator.cols, None, systematic=generator.systematic())
+        self._start(generator.ctx, generator.cols, None, systematic=generator.rref()[0]._systematic)
 
     @classmethod
     def _from_parity_check(cls, ctx: FieldCtx, rows, provenance) -> "LinearCode":
@@ -191,14 +192,14 @@ class LinearCode:
 
     def _is_left_ideal(self) -> bool:
         """Whether left multiplication by a and by b maps the code to
-        itself (_closed), found once, on the smaller echelon basis: the RREF
-        generator, or the RREF of H when H has fewer rows (C is invariant
-        under a coordinate permutation exactly when its dual is)."""
+        itself (_closed), found once, on the smaller systematic basis: the
+        RREF generator's, or its dual's (linalg.dual) when that has fewer
+        rows (C is invariant under a coordinate permutation exactly when its
+        dual is)."""
         if self._left_ideal is None:
+            pivots, A = self._systematic()
             if 2 * self.k > self.length:
-                pivots, A = MatrixGF._trusted(self.ctx, self._parity_check(), self.length).systematic()
-            else:
-                pivots, A = self._systematic()
+                pivots, A = dual(self.ctx, pivots, A, self.length)
             n, odd = divmod(self.length, 2)
             self._left_ideal = not odd and _closed(pivots, A, self.ctx.form, n)
         return self._left_ideal
@@ -361,9 +362,10 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
 
 def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> MatrixGF:
     """Generator matrix in the requested style (presentation_rows); the
-    rref one knows its pivots, as code.generator does."""
-    pivots = tuple(code.pivots) if style == "rref" else None
-    return MatrixGF._trusted(code.ctx, list(presentation_rows(code, style)), code.length, pivots)
+    rref one is code.generator, which carries its systematic form."""
+    if style == "rref":
+        return code.generator
+    return MatrixGF._trusted(code.ctx, list(presentation_rows(code, style)), code.length)
 
 
 def presentation_rows(code: LinearCode, style: str = "rref"):
@@ -425,9 +427,9 @@ def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = No
 
 
 def _closed(pivots, A, field, n: int) -> bool:
-    """Whether the row space of the RREF (pivots, A), of length 2n in phi
-    coordinates held in field's entry form, is closed under left
-    multiplication by a and b.
+    """Whether the row space of the systematic form (pivots, A), an RREF
+    or its dual's, of length 2n in phi coordinates held in field's entry
+    form, is closed under left multiplication by a and b.
 
     On phi coordinates a moves a^i to a^(i+1) and b a^j to b a^(j-1), and
     b swaps the halves a^i and b a^i (dihedral.py).  Each row, rebuilt from

@@ -2,9 +2,9 @@
 
 Gaussian elimination with first-nonzero pivoting; no floating point, no
 sparsity.  Matrices are plain values: every operation returns a new matrix.
-A matrix in RREF that the library built (rref, echelon) knows its pivots,
-so its own rref() returns it with no second elimination; every other
-matrix, whatever its constructor, is reduced when asked.
+An RREF that the library built (rref, echelon) carries its systematic
+form, so its rref() and systematic() need no second elimination; every
+other matrix, whatever its constructor, is reduced when asked.
 A matrix holds its rows in its field's entry form (FieldCtx.form, one per
 field), the form the dual walk keeps its columns in too: integers always,
 residues over GF(p), and over GF(p^m), m >= 2, coefficients packed into
@@ -16,9 +16,9 @@ from another field.
 An RREF of rank k is also held in systematic form (pivots, A): its pivot
 columns, and A, each row's entries on the other, free columns, in order
 (MacWilliams-Sloane, ch. 1: G = [I | A] up to a column permutation).
-kernel_rref gives a kernel in that form, null_rows reads [-A^T | I] off
-it, echelon_rows rebuilds its rows one at a time, and echelon the dense
-matrix.
+dual gives the dual's form, (free columns, -A^T): null_rows builds its
+rows, and kernel_rref reads ker H off the dual of reversed H's form.
+echelon_rows rebuilds a form's rows one at a time, echelon the matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .gf import FieldCtx, FieldElement, _is_int, parse_field_spec
 
 
 class MatrixGF:
-    __slots__ = ("ctx", "rows", "cols", "entries", "_pivots")
+    __slots__ = ("ctx", "rows", "cols", "entries", "_systematic")
 
     def __init__(self, ctx: FieldCtx, data, cols: int | None = None):
         data = [list(row) for row in data]
@@ -43,15 +43,15 @@ class MatrixGF:
                 if not isinstance(e, FieldElement) or (e.ctx is not ctx and e.ctx != ctx):
                     raise MixedContextsError("entry from a different field")
         self.entries = [ctx.form.entries(row) for row in data]
-        self._pivots = None
+        self._systematic = None
 
     @classmethod
-    def _trusted(cls, ctx: FieldCtx, entries: list, cols: int, pivots=None) -> "MatrixGF":
+    def _trusted(cls, ctx: FieldCtx, entries: list, cols: int, systematic=None) -> "MatrixGF":
         """A matrix on rows as they are, unchecked: lists of cols entries
         each, in ctx's entry form, as elimination and echelon build them.
-        pivots, a tuple, is given only for a matrix in RREF."""
+        systematic, its (pivots, A), shared, is given only for an RREF."""
         m = cls.__new__(cls)
-        m.ctx, m.entries, m._pivots = ctx, entries, pivots
+        m.ctx, m.entries, m._systematic = ctx, entries, systematic
         m.rows, m.cols = len(entries), cols
         return m
 
@@ -81,12 +81,12 @@ class MatrixGF:
     def rref(self) -> tuple["MatrixGF", int, list[int]]:
         """Reduced row echelon form; returns (R, rank, pivot columns).
 
-        R knows its pivots, so R.rref() is (R, rank, pivots) at once, with
-        no elimination.  Rows are replaced, never changed in place, so they
-        may be shared.
+        R carries its systematic form (pivots, A), read off its rows here,
+        so R.rref() is (R, rank, pivots) at once, with no elimination.  Rows
+        are replaced, never changed in place, so they may be shared.
         """
-        if self._pivots is not None:
-            return self, len(self._pivots), list(self._pivots)
+        if self._systematic is not None:
+            return self, len(self._systematic[0]), list(self._systematic[0])
         form, data, rows = self.ctx.form, list(self.entries), self.rows
         pivots = []
         for c in range(self.cols):
@@ -106,14 +106,20 @@ class MatrixGF:
             pivots.append(c)
             if len(pivots) == rows:
                 break
-        return MatrixGF._trusted(self.ctx, data, self.cols, tuple(pivots)), len(pivots), pivots
+        rank = len(pivots)
+        if not pivots or pivots[-1] == rank - 1:  # pivots first: A is each row's tail
+            A = [row[rank:] for row in data[:rank]]
+        else:
+            free = free_columns(pivots, self.cols)
+            A = [[row[f] for f in free] for row in data[:rank]]
+        return MatrixGF._trusted(self.ctx, data, self.cols, (tuple(pivots), A)), rank, pivots
 
     def rank(self) -> int:
         return self.rref()[1]
 
     def nonzero_rows(self) -> "MatrixGF":
-        """The nonzero rows; those of an RREF keep its pivots."""
-        return MatrixGF._trusted(self.ctx, [r for r in self.entries if any(r)], self.cols, self._pivots)
+        """The nonzero rows; those of an RREF keep its systematic form."""
+        return MatrixGF._trusted(self.ctx, [r for r in self.entries if any(r)], self.cols, self._systematic)
 
     # -- value semantics and encoding -------------------------------------------
 
@@ -143,11 +149,10 @@ class MatrixGF:
         }
 
     def systematic(self) -> tuple[list[int], list[list]]:
-        """The systematic form (pivots, A) of this matrix's RREF, by rref:
-        at no cost past reading A for a matrix that elimination built."""
-        R, rank, pivots = self.rref()
-        free = free_columns(pivots, self.cols)
-        return pivots, [[row[f] for f in free] for row in R.entries[:rank]]
+        """The systematic form (pivots, A) that this matrix's RREF carries,
+        a read for a matrix that elimination built, as the caller's copies."""
+        pivots, A = self.rref()[0]._systematic
+        return list(pivots), [list(a) for a in A]
 
     @classmethod
     def from_json(cls, doc: dict) -> "MatrixGF":
@@ -186,10 +191,11 @@ def free_columns(pivots, cols: int) -> list[int]:
 
 
 def echelon_rows(pivots, A, cols: int, zero=0, one=1):
-    """The rows of the RREF (pivots, A), built one at a time as they are
-    read: one at the row's own pivot, zero at the other pivots, and its row
-    of A on the free columns.  zero and one are the entries 0 and 1, or
-    what stands for them where A's entries stand for theirs."""
+    """The rows of the systematic form (pivots, A), an RREF or a dual,
+    built one at a time as they are read: one at the row's own pivot, zero
+    at the other pivots, and its row of A on the free columns.  zero and
+    one are the entries 0 and 1, or what stands for them where A's entries
+    stand for theirs."""
     free = free_columns(pivots, cols)
     for c, a in zip(pivots, A):
         row = [zero] * cols
@@ -200,30 +206,26 @@ def echelon_rows(pivots, A, cols: int, zero=0, one=1):
 
 
 def echelon(ctx: FieldCtx, pivots, A, cols: int) -> MatrixGF:
-    """The RREF (pivots, A) as a dense matrix, which knows its pivots."""
-    return MatrixGF._trusted(ctx, list(echelon_rows(pivots, A, cols)), cols, tuple(pivots))
+    """The RREF (pivots, A) as a dense matrix, which carries that form."""
+    return MatrixGF._trusted(ctx, list(echelon_rows(pivots, A, cols)), cols, (tuple(pivots), A))
+
+
+def dual(ctx: FieldCtx, pivots, A, cols: int) -> tuple[list[int], list[tuple]]:
+    """The systematic form of the dual of the code (pivots, A): its free
+    columns and -A^T, each row minus a column of A on the pivots in the
+    order given.  With the pivots first this is [-A^T | I], the parity
+    check of [I | A] (MacWilliams-Sloane, ch. 1), not an RREF unless the
+    pivots are last; dual of the dual is (pivots, A) again."""
+    free = free_columns(pivots, cols)
+    minus = [ctx.form.submul([0] * len(a), 1, a) for a in A]
+    return free, list(zip(*minus)) or [()] * len(free)  # rank 0: -A^T has no columns
 
 
 def null_rows(ctx: FieldCtx, pivots, A, cols: int) -> list[list]:
-    """Basis of the right null space of the RREF (pivots, A), its rows in
-    ctx's entry form.
-
-    One row per free column: 1 there, 0 on the other free columns, and
-    minus that column of A on the pivot columns.  With the pivots first
-    this is the parity check [-A^T | I] of [I | A]; the rows are the
-    identity on the free columns and are not otherwise reduced.
-    """
-    free, r = free_columns(pivots, cols), cols - len(pivots)
-    # A's entries negated by one submul, 0 - 1 A[i][j] at i * r + j
-    minus = ctx.form.submul([0] * (len(pivots) * r), 1, [e for a in A for e in a])
-    rows = []
-    for j, f in enumerate(free):
-        v = [0] * cols
-        v[f] = 1
-        for pc, e in zip(pivots, minus[j::r]):
-            v[pc] = e
-        rows.append(v)
-    return rows
+    """Basis of the right null space of the code (pivots, A), its rows in
+    ctx's entry form: the rows of its dual, [-A^T | I] with the pivots
+    first, one per free column (echelon_rows of dual)."""
+    return list(echelon_rows(*dual(ctx, pivots, A, cols), cols))
 
 
 def kernel_rref(ctx: FieldCtx, rows, cols: int) -> tuple[list[int], list[tuple]]:
@@ -232,18 +234,13 @@ def kernel_rref(ctx: FieldCtx, rows, cols: int) -> tuple[list[int], list[tuple]]
     columns reversed; no row of the basis is formed.
 
     The free columns of reversed H are the lex-first information set of
-    ker H, so its null space basis, read back in reversed column and row
-    order (column f to cols - 1 - f), is already the unique RREF.  Read
-    back, reversed H's free columns, last first, are the basis's pivots in
-    order, and its pivot columns, last first, are the free columns.  So
-    the row of A for the pivot cols - 1 - f is column f of reversed H's
-    RREF R, negated, read from R's last nonzero row up.
+    ker H, so the dual of reversed H's carried form, read back (column f
+    to cols - 1 - f, its rows and each row's entries last first), is
+    already the unique RREF.
     """
-    R, rank, pivots = MatrixGF._trusted(ctx, [r[::-1] for r in rows], cols).rref()
-    free = free_columns(pivots, cols)[::-1]
-    minus = [ctx.form.submul([0] * cols, 1, r) for r in reversed(R.entries[:rank])]
-    columns = list(zip(*minus)) or [()] * cols  # H of rank 0: A has no columns
-    return [cols - 1 - f for f in free], [columns[f] for f in free]
+    pivots, A = MatrixGF._trusted(ctx, [r[::-1] for r in rows], cols).rref()[0]._systematic
+    free, minus = dual(ctx, pivots[::-1], A[::-1], cols)  # each row of -A^T comes out reversed
+    return [cols - 1 - f for f in reversed(free)], minus[::-1]
 
 
 def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:

@@ -290,7 +290,7 @@ def code_from_ideal_spec(ctx: FieldCtx, n: int, spec: IdealSpec) -> MatrixGF:
     (_span_rows) when dim <= n, else the kernel of its 2n - dim constraint
     rows (_constraint_rows), by linalg.kernel_rref, built dense from its
     (pivots, A) by linalg.echelon.  A row space has one RREF, so both sides
-    give the same matrix.
+    give the same matrix, which carries its (pivots, A).
     """
     if n % 2 == 0:
         raise EvenNError(f"ideal specs are defined for odd n, got n={n}")

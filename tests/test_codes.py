@@ -1318,9 +1318,11 @@ def test_construct_code_reduces_once(monkeypatch):
 
 
 def test_ideal_spec_code_is_eliminated_once(monkeypatch):
-    # code_from_ideal_spec's RREF knows its pivots, so LinearCode takes it as
-    # it is: one elimination per code, of the dim span rows when dim <= n,
-    # else of the 2n - dim constraint rows (kernel_rref)
+    # code_from_ideal_spec's RREF carries its systematic form, so LinearCode
+    # takes it as it is: one elimination per code, of the dim span rows when
+    # dim <= n, else of the 2n - dim constraint rows (kernel_rref).  Neither
+    # LinearCode nor its left-ideal certificate, on the generator's form or
+    # on its dual's (linalg.dual), eliminates again or reads a row of G
     eliminated = []
     rref = MatrixGF.rref
 
@@ -1344,10 +1346,50 @@ def test_ideal_spec_code_is_eliminated_once(monkeypatch):
         want = LinearCode(MatrixGF(ctx, code_from_ideal_spec(ctx, n, spec).data))
         monkeypatch.setattr(MatrixGF, "rref", spy)
         eliminated.clear()
-        code = LinearCode(code_from_ideal_spec(ctx, n, spec))
+        G = code_from_ideal_spec(ctx, n, spec)
         assert eliminated == [rows] == [min(spec.dim(), 2 * n - spec.dim())]
+        G.entries = None  # any read of G's rows fails
+        code = LinearCode(G)
+        assert code._is_left_ideal()
+        assert eliminated == [rows]
         monkeypatch.undo()
         assert (code.k, code.generator, code.pivots) == (spec.dim(), want.generator, want.pivots)
+    # a constructed code's certificate is taken on the dual of its generator,
+    # whose one elimination is kernel_rref's, of the h reversed constraint rows
+    for ctx, n, tag in ((GF13, 3, FAMILY_2N_MINUS_3_PLUS), (F29, 7, FAMILY_2N_MINUS_2),
+                        (F27, 13, FAMILY_2N_MINUS_3_PLUS)):
+        monkeypatch.setattr(MatrixGF, "rref", spy)
+        eliminated.clear()
+        code = construct_code(ctx, n, CodeFamily(tag))
+        assert left_ideal_closure_ok(code)
+        code.to_json()
+        assert eliminated == [2 * n - code.k]
+        monkeypatch.undo()
+        assert code.generator == LinearCode(MatrixGF(ctx, code.generator.data)).generator
+
+
+def test_systematic_hands_out_copies():
+    # a matrix's systematic() lists are its caller's: changing them changes
+    # neither the matrix's carried form nor a code that shares it
+    F27 = make_field(3, [1, 2, 0, 1])
+    spec = IdealSpec((plus_piece(), row(F27.one(), F27.element([0, 1]))) + (zero(),) * 5)
+    matrices = [
+        MatrixGF.from_rows(GF13, [[0, 2, 4, 1], [0, 1, 2, 0]]).rref()[0],
+        code_from_ideal_spec(F27, 13, spec),
+        construct_code(GF13, 3, CodeFamily(FAMILY_2N_MINUS_3_PLUS)).generator,
+    ]
+    for G in matrices:
+        want = G.systematic()
+        code = LinearCode(G)
+        doc = json.dumps(code.to_json())
+        pivots, A = G.systematic()
+        pivots.append(0)
+        A[0][0] = A[0][-1] = 1 - A[0][0]
+        A.append(A[0])
+        assert G.systematic() == want
+        assert (code.pivots, code.k) == (want[0], len(want[0]))
+        assert code.generator == G.rref()[0].nonzero_rows()
+        assert json.dumps(code.to_json()) == json.dumps(LinearCode(G).to_json()) == doc
 
 
 def test_construct_code_divides_nothing(monkeypatch):

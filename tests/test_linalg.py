@@ -6,7 +6,7 @@ import pytest
 from dihedralcodes.codes import FAMILY_2N_MINUS_3_PLUS, CodeFamily, LinearCode, construct_code, load_code
 from dihedralcodes.errors import MixedContextsError
 from dihedralcodes.gf import FieldElement, _Form, _Packed, _Residues, make_field
-from dihedralcodes.linalg import MatrixGF, echelon, kernel_rref, null_rows
+from dihedralcodes.linalg import MatrixGF, dual, echelon, kernel_rref, null_rows
 from rank_oracle import DuplicateIndexError, columns_rank, identity, kernel_basis, row_space_contains, vstack
 
 GF13 = make_field(13, [0, 1])
@@ -82,8 +82,8 @@ def test_rref_is_row_equivalent_and_idempotent():
 
 
 def test_only_elimination_marks_a_matrix():
-    # rref and echelon build matrices that know their pivots, and their
-    # rref() returns them as they are; a matrix from any constructor is
+    # rref and echelon build matrices that carry their systematic form, and
+    # their rref() returns them as they are; a matrix from any constructor is
     # reduced when asked, whether its rows are in RREF or not
     rows = [[2, 4, 1], [1, 2, 0], [0, 0, 0]]
     R, rank, pivots = MatrixGF.from_rows(GF13, rows).rref()
@@ -110,6 +110,12 @@ def test_only_elimination_marks_a_matrix():
         again = m.rref()
         assert again[0] is m
         assert again == (m, len(pivots), pivots)
+    # an echelon-built matrix's systematic() reads its carried (pivots, A),
+    # no row, and hands out copies
+    carried = echelon(GF13, free, A, 3)
+    carried.entries = None  # any read of a row fails
+    assert carried.systematic() == (free, [list(a) for a in A])
+    assert carried.systematic()[1][0] is not carried.systematic()[1][0]
 
 
 def test_kernel_of_all_ones_row():
@@ -200,6 +206,7 @@ def test_null_rows_of_rref_is_the_parity_check():
     # R = [I | A] on its pivots gives [-A^T | I]; no reduction of its own
     R = MatrixGF.from_rows(GF13, [[1, 0, 2, 5], [0, 1, 3, 7]])
     assert R.systematic() == ([0, 1], [[2, 5], [3, 7]])
+    assert dual(GF13, *R.systematic(), 4) == ([2, 3], [(11, 10), (8, 6)])
     assert null_rows(GF13, *R.systematic(), 4) == MatrixGF.from_rows(
         GF13, [[-2, -3, 1, 0], [-5, -7, 0, 1]]
     ).entries

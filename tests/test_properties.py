@@ -10,7 +10,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dihedralcodes.codes as codes_module
@@ -28,7 +28,7 @@ from dihedralcodes.codes import (
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.errors import CapExceededError, DihedralCodesError
 from dihedralcodes.gf import _Packed, _Pairs, make_field, primitive_nth_root
-from dihedralcodes.linalg import MatrixGF, echelon, kernel_rref, null_rows
+from dihedralcodes.linalg import MatrixGF, dual, echelon, echelon_rows, kernel_rref, null_rows
 from dihedralcodes.wedderburn import (
     FULL,
     MINUS_PIECE,
@@ -86,7 +86,7 @@ def matrices(draw, max_rows, max_cols, fields=FIELDS):
 def test_rref_invariants(m):
     reduced, rank, pivots = m.rref()
     assert reduced.rref() == (reduced, rank, pivots)
-    # reduced knows its pivots; a fresh copy of its rows is eliminated again
+    # reduced carries its systematic form; a fresh copy of its rows is eliminated again
     assert MatrixGF(m.ctx, reduced.data, cols=m.cols).rref() == (reduced, rank, pivots)
     # same row space: neither matrix adds a dimension to the other
     assert vstack(m, reduced).rank() == reduced.nonzero_rows().rows == rank
@@ -109,6 +109,28 @@ STORE_FIELDS = (
     make_field(2**31 - 1, [0, 1]),
     make_field(3, [1, 0, 1]),
     make_field(2, [1, 1, 0, 1]),
+)
+
+# the GF(p^2) fields, in closed form, and checked against the generic packed form
+PACKED_FIELDS = (
+    make_field(2, [1, 1, 1]),  # p = 2, and c1 != 0
+    make_field(3, [1, 0, 1]),
+    make_field(5, [2, 0, 1]),
+    make_field(7, [3, 1, 1]),  # a linear term
+    make_field(13, [2, 0, 1]),
+    make_field(2003, [1, 0, 1]),
+    make_field(2**31 - 1, [1, 0, 1]),
+)
+
+# residues at a small and a 31-bit p, the GF(p^2) fields, and the generic
+# packed form at m = 3, 7 and 8; at a 31-bit p and m = 3 the conic's cubic and
+# the long sums fill the widest slots
+FORM_FIELDS = (
+    (make_field(13, [0, 1]), make_field(2**31 - 1, [0, 1]))
+    + PACKED_FIELDS
+    + (make_field(2, [1, 1, 0, 1]), make_field(3, [1, 2, 0, 1]), make_field(7, [1, 1, 0, 1]))
+    + (make_field(3, [1, 0, 2, 0, 0, 0, 0, 1]), make_field(2, [1, 0, 0, 0, 1, 1, 1, 0, 1]))
+    + (make_field(2**31 - 1, [5, 0, 0, 1]),)
 )
 
 
@@ -155,6 +177,26 @@ def test_rref_staircase_rank_and_null_rows_on_the_entry_store(ctx_rows):
     assert len(kernel) == m.cols - rank
     for v in MatrixGF._trusted(ctx, kernel, m.cols).data:
         assert all(sum((a * b for a, b in zip(r, v)), zero) == zero for r in rows)
+
+
+@PROPERTY
+@given(matrices(max_rows=5, max_cols=6, fields=FORM_FIELDS))
+@example(MatrixGF.zeros(FORM_FIELDS[1], 2, 4))  # rank 0: A has no rows
+@example(MatrixGF.from_rows(FORM_FIELDS[-1], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]))  # full rank
+def test_dual_of_the_systematic_form(m):
+    # on every entry form: dual is an involution, its rows annihilate the
+    # code's, and the two ranks sum to the length
+    ctx, cols = m.ctx, m.cols
+    pivots, A = m.systematic()
+    free, minus = dual(ctx, pivots, A, cols)
+    assert len(pivots) + len(free) == cols == len(pivots) + len(minus)
+    again = dual(ctx, free, minus, cols)
+    assert (list(again[0]), [list(a) for a in again[1]]) == (pivots, A)
+    G = MatrixGF._trusted(ctx, list(echelon_rows(pivots, A, cols)), cols).data
+    H = MatrixGF._trusted(ctx, list(echelon_rows(free, minus, cols)), cols).data
+    zero = ctx.zero()
+    assert all(sum((a * b for a, b in zip(g, h)), zero) == zero for g in G for h in H)
+    assert null_rows(ctx, pivots, A, cols) == list(echelon_rows(free, minus, cols))
 
 
 @PROPERTY
@@ -559,34 +601,13 @@ def test_span_side_and_constraint_side_give_one_rref(alg_spec):
 # the entry forms against FieldElement arithmetic, and the GF(p^2) closed forms
 # against the generic packed form
 
-PACKED_FIELDS = (
-    make_field(2, [1, 1, 1]),  # p = 2, and c1 != 0
-    make_field(3, [1, 0, 1]),
-    make_field(5, [2, 0, 1]),
-    make_field(7, [3, 1, 1]),  # a linear term
-    make_field(13, [2, 0, 1]),
-    make_field(2003, [1, 0, 1]),
-    make_field(2**31 - 1, [1, 0, 1]),
-)
-
-# residues at a small and a 31-bit p, the GF(p^2) fields, and the generic
-# packed form at m = 3, 7 and 8; at a 31-bit p and m = 3 the conic's cubic and
-# the long sums fill the widest slots
-FORM_FIELDS = (
-    (make_field(13, [0, 1]), make_field(2**31 - 1, [0, 1]))
-    + PACKED_FIELDS
-    + (make_field(2, [1, 1, 0, 1]), make_field(3, [1, 2, 0, 1]), make_field(7, [1, 1, 0, 1]))
-    + (make_field(3, [1, 0, 2, 0, 0, 0, 0, 1]), make_field(2, [1, 0, 0, 0, 1, 1, 1, 0, 1]))
-    + (make_field(2**31 - 1, [5, 0, 0, 1]),)
-)
-
 
 @PROPERTY
 @given(matrices(max_rows=5, max_cols=6, fields=FORM_FIELDS))
 def test_rref_of_a_fresh_copy_is_the_rref(m):
     # every entry form, rank-deficient matrices and zero rows among them: the
     # RREF that elimination built returns itself, and a fresh copy of its
-    # rows, which does not know its pivots, is eliminated to the same RREF
+    # rows, which carries no systematic form, is eliminated to the same RREF
     reduced, rank, pivots = m.rref()
     assert reduced.rref() == (reduced, rank, pivots)
     fresh = MatrixGF(m.ctx, reduced.data, cols=m.cols)
