@@ -18,7 +18,8 @@ everywhere:
 Each FieldCtx builds one entry form, ctx.form, the integers every matrix
 and distance walk holds its entries as: residues over GF(p) (_Residues),
 and over GF(p^m), m >= 2, coefficients packed into one integer (_Packed),
-with closed forms at m = 2 (_Pairs).  Each is a _Form, written once on the
+reduced by one fold compiled per field from the rows t^j mod f, with the
+norm-map inverse at m = 2 (_Pairs).  Each is a _Form, written once on the
 closed forms a form supplies.  FieldElement's polynomial route is their
 reference.
 """
@@ -345,6 +346,9 @@ class FieldCtx:
     def __hash__(self):
         return hash((self.p, self.modulus))
 
+    def __reduce__(self):  # pickled and copied as (p, modulus): the copy compiles its own form
+        return FieldCtx, (self.p, self.modulus)
+
     def __repr__(self):
         return f"FieldCtx(GF({self.q}), {self.spec()})"
 
@@ -606,20 +610,46 @@ class _Packed(_Form):
     X = 2^w (Kronecker substitution), canonical with 0 <= c_i < p.
 
     + - * act on them as on polynomials in X, exact and unreduced until
-    canon reads back slots 0..3m-3, each biased by a multiple of p near
-    2^(w-1), reduces each mod p and folds them by the modulus (_pmod).
-    w holds the deepest expressions the library forms, six cubic products
-    summed (_on_a_conic, codes._rank; slots under 6 m^2 p^3), and sums of
-    under 2^32 products (slots under m p^2), with a sign bit to spare.
+    canon folds slots 0..3m-3 back to an entry, and submul a - f b, slots
+    0..2m-2, each by code compiled once per field (_fold).  w holds the
+    deepest expressions the library forms, six cubic products summed
+    (_on_a_conic, codes._rank; slots under 6 m^2 p^3), and sums of under
+    2^32 products (slots under m p^2), with a sign bit to spare.
     """
 
     def __init__(self, ctx: FieldCtx):
         super().__init__(ctx)
         m, b = ctx.m, ctx.p.bit_length()
         self.w = w = max(3 * b + (6 * m * m - 1).bit_length(), 2 * b + (m - 1).bit_length() + 32) + 2
-        self.slots = range(0, (3 * m - 2) * w, w)
-        self.mask, self.shifts = (1 << w) - 1, self.slots[:m]
-        self.bias = (1 << w - 1) // ctx.p * ctx.p * sum(1 << s for s in self.slots)
+        self.mask, self.shifts = (1 << w) - 1, range(0, m * w, w)
+        self.canon = self._fold("canon", "values", "e in values", "e", 3 * m - 3)
+        self.submul = self._fold("submul", "xs, f, ys", "a, b in zip(xs, ys)", "a - f * b", 2 * m - 2)
+
+    def _fold(self, name, params, loop, value, top):
+        """def name(params), reducing each value of loop, slots 0..top, to
+        its entry: the slots, each biased by a multiple of p near 2^(w-1),
+        are read back, slots m..top folded into 0..m-1 by the rows t^j mod f
+        (taken here by _pmod; a coefficient is written in -p/2..p/2 and left
+        out at 0) and each reduced mod p.  Straight-line code with the rows
+        as literals, as errors._Record compiles __init__, under a filename
+        that names the field, for profiles and tracebacks to show."""
+        p, m, w, mask = self.p, self.ctx.m, self.w, self.mask
+        bias = (1 << w - 1) // p * p * sum(1 << k * w for k in range(top + 1))
+        slots = [f"e & {mask}", *[f"e >> {k * w} & {mask}" for k in range(1, top)], f"e >> {top * w}"]
+        sums = [[f"({s})"] for s in slots[:m]]
+        for j in range(m, top + 1):
+            for k, c in enumerate(_pmod([0] * j + [1], self.ctx.modulus, p)):
+                c -= p if 2 * c > p else 0
+                if c:
+                    sums[k].append(f"{'-+'[c > 0]} {f'{abs(c)} * ' * (abs(c) > 1)}s{j}")
+        entry = " | ".join(f"({' '.join(s)}) % {p}" + f" << {k * w}" * (k > 0) for k, s in enumerate(sums))
+        src = "\n".join([f"def {name}({params}):", "    out = []", f"    for {loop}:",
+                         f"        e = {value} + {bias}",
+                         *[f"        s{j} = {slots[j]}" for j in range(m, top + 1)],
+                         f"        out.append({entry})", "    return out\n"])
+        namespace = {}
+        exec(compile(src, f"<{name} {self.ctx.spec()}>", "exec"), namespace)
+        return namespace[name]
 
     def entries(self, elements) -> list[int]:
         shifts = self.shifts
@@ -633,14 +663,6 @@ class _Packed(_Form):
         mask, shifts = self.mask, self.shifts
         return [e >> s & mask for e in entries for s in shifts]
 
-    def canon(self, values) -> list[int]:
-        p, f, mask, slots, shifts = self.p, self.ctx.modulus, self.mask, self.slots, self.shifts
-        return [sum(c << s for c, s in zip(_pmod([(e >> s & mask) % p for s in slots], f, p), shifts))
-                for e in map(self.bias.__add__, values)]  # each slot biased into [0, 2^w)
-
-    def submul(self, xs, f, ys) -> list[int]:
-        return self.canon([a - f * b for a, b in zip(xs, ys)])
-
     def points(self, vs):
         """The point of each v, its lead inverted as a FieldElement."""
         out = []
@@ -651,35 +673,9 @@ class _Packed(_Form):
 
 
 class _Pairs(_Packed):
-    """GF(p^2) entries a + b t, for the modulus t^2 + c1 t + c0, on _Packed's
-    layout, in closed form: canon folds t^2 = -c1 t - c0 and
-    t^3 = (c1^2 - c0) t + c0 c1 into the slots, and submul and points work
-    on the pairs, inverting by the norm map
-    (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0.
-    """
-
-    def coeffs(self, entries) -> list[list[int]]:
-        m, w = self.mask, self.w
-        return [[e & m, e >> w] if e else [0, 0] for e in entries]
-
-    def canon(self, values) -> list[int]:
-        (c0, c1, _), p, w, m, bias = self.ctx.modulus, self.p, self.w, self.mask, self.bias
-        c01, c11, w2 = c0 * c1, c1 * c1 - c0, 2 * w
-        out = []
-        for e in values:
-            e += bias
-            s2, s3 = e >> w2 & m, e >> w2 + w
-            out.append(((e & m) - c0 * s2 + c01 * s3) % p
-                       | ((e >> w & m) - c1 * s2 + c11 * s3) % p << w)
-        return out
-
-    def submul(self, xs, f, ys) -> list[int]:
-        # f b = (f0 b0 - g0 b1) + (f1 b0 + g1 b1) t, g0 = f1 c0, g1 = f0 - f1 c1
-        (c0, c1, _), p, w, m = self.ctx.modulus, self.p, self.w, self.mask
-        f0, f1 = f & m, f >> w
-        g0, g1 = f1 * c0, f0 - f1 * c1
-        return [((a & m) - f0 * (b & m) + g0 * (b >> w)) % p
-                | ((a >> w) - f1 * (b & m) - g1 * (b >> w)) % p << w for a, b in zip(xs, ys)]
+    """GF(p^2) entries a + b t, for the modulus t^2 + c1 t + c0, as _Packed
+    holds and folds them, with points in closed form on the pairs, inverting
+    by the norm map (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0."""
 
     def points(self, vs):
         """The point of each v, by one batched inversion of their leads'

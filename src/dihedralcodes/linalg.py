@@ -248,9 +248,8 @@ def _json_entry(ctx: FieldCtx, e, i: int, j: int) -> FieldElement:
     an element's text; a float, a bool or null is refused, not truncated,
     and so is a list holding one (by ctx.element)."""
     if not (_is_int(e) or isinstance(e, (str, list))):
-        raise ValueError(
-            f"matrix entry [{i}][{j}] is {json.dumps(e)}, not an integer or a list of integers"
-        )
+        raise ValueError(f"matrix entry [{i}][{j}] is {json.dumps(e)}, "
+                         "not an integer, a list of integers or an element's text")
     try:
         return ctx.element(e)
     except ValueError as exc:

@@ -291,7 +291,7 @@ def test_analyze_names_a_file_that_is_not_json(tmp_path, capsys):
 
 MALFORMED_ENTRIES = [
     # (entries of a 1 x 2 generator over GF(13), what the diagnostic names)
-    ([[1, 2.5]], "matrix entry [0][1] is 2.5,"),
+    ([[1, 2.5]], "matrix entry [0][1] is 2.5, not an integer, a list of integers or an element's text\n"),
     ([[None, 1]], "matrix entry [0][0] is null,"),
     ([[[2.5], 1]], "matrix entry [0][0] is [2.5],"),
     ([[True, 1]], "matrix entry [0][0] is true,"),

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 import signal
@@ -315,10 +317,10 @@ def test_inverse_in_prime_field():
     ids=["GF4", "GF9", "GF9-linear-term", "GF25", "GF169"],
 )
 def test_quadratic_extension_inverse_and_product(ctx):
-    # the GF(p^2) entry form's closed forms (_Pairs) against
-    # FieldElement's polynomial route: canon of packed products and submul
-    # for the first 30 elements, and the norm-map inverses of one batched
-    # points call for every nonzero x, as the point (0, 1/x) of (x, 1)
+    # the GF(p^2) entry form (_Pairs) against FieldElement's polynomial
+    # route: the compiled fold's canon of packed products and submul for the
+    # first 30 elements, and the norm-map inverses of one batched points
+    # call for every nonzero x, as the point (0, 1/x) of (x, 1)
     form = ctx.form
     assert type(form) is _Pairs
     els = list(ctx.elements())
@@ -511,6 +513,28 @@ def test_equal_fields_each_keep_their_own_roots():
     assert g._xi is None
     assert _xi_entries(g, 3) == _xi_entries(f, 3)
     assert g._xi == f._xi == (3, (1, 3, 9))
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [GF13, GF169, make_field(7, [2, 0, 0, 1]), make_field(3, [1, 0, 2, 0, 0, 0, 0, 1])],
+    ids=["m1", "m2", "m3", "m7"],
+)
+def test_a_field_pickles_and_copies_as_its_modulus(ctx):
+    # a packed form's canon and submul are compiled per field and do not
+    # pickle; the field is rebuilt from (p, modulus) and compiles its own
+    x, y = ctx.from_index(ctx.q - 2), ctx.generator()
+    a, b = ctx.form.entries([x, y])
+    for twin in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
+        assert twin == ctx and hash(twin) == hash(ctx) and twin is not ctx
+        assert twin.form.elements(twin.form.canon([a * b])) == [x * y]
+
+
+def test_compiled_folds_name_their_field():
+    for ctx in (GF169, make_field(7, [2, 0, 0, 1])):
+        for fold in (ctx.form.canon, ctx.form.submul):
+            assert fold.__code__.co_filename == f"<{fold.__name__} {ctx.spec()}>"
+    assert GF169.form.canon.__code__.co_filename == "<canon p=13;mod=[2,0,1]>"
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dihedralcodes.codes as codes_module
+import dihedralcodes.gf as gf_module
 from dihedralcodes.codes import (
     DEFAULT_CAP,
     FAMILIES,
@@ -27,7 +28,7 @@ from dihedralcodes.codes import (
 )
 from dihedralcodes.dihedral import DihedralAlgebra
 from dihedralcodes.errors import CapExceededError, DihedralCodesError
-from dihedralcodes.gf import _Packed, _Pairs, make_field, primitive_nth_root
+from dihedralcodes.gf import _Packed, _Pairs, _pmod, make_field, primitive_nth_root
 from dihedralcodes.linalg import MatrixGF, dual, echelon, echelon_rows, kernel_rref, null_rows
 from dihedralcodes.wedderburn import (
     FULL,
@@ -784,23 +785,47 @@ def test_entry_form_reduce_matches_field_elements(case, picks, length, shift):
 
 
 @PROPERTY
-@given(form_cases(9, PACKED_FIELDS), st.integers(0, len(EXPRESSIONS) - 1))
-def test_pair_closed_forms_match_the_generic_packed_form(case, k):
-    # _Pairs keeps closed forms of _Packed's canon, submul, points and coeffs
-    # at m = 2, on the same layout, whose slot width there is the closed
-    # forms' own: a cubic under 2^(3b + 5) and sums of under 2^32 products
+@given(form_cases(9, PACKED_FIELDS))
+def test_pair_closed_forms_match_the_generic_packed_form(case):
+    # _Pairs keeps one closed form at m = 2, points by the norm map, on
+    # _Packed's layout, whose slot width there is max(3b + 7, 2b + 35): a
+    # cubic under 2^(3b + 5) and sums of under 2^32 products
     ctx, pairs, els = case
     generic, b = _Packed(ctx), ctx.p.bit_length()
     assert type(pairs) is _Pairs and pairs.w == generic.w == max(3 * b + 7, 2 * b + 35)
+    assert [name for name in vars(_Pairs) if not name.startswith("__")] == ["points"]
     entries = generic.entries(els)
-    assert pairs.entries(els) == entries
-    assert pairs.coeffs(entries) == generic.coeffs(entries)
-    got = EXPRESSIONS[k](*entries)
-    assert pairs.canon([got, -got]) == generic.canon([got, -got])
-    f = entries[0]
-    assert pairs.submul(entries, f, entries[::-1]) == generic.submul(entries, f, entries[::-1])
     vs = [entries, entries[3:], [0, 0] + entries[:4], [0, 0], []]  # 0 is the packed zero
     assert pairs.points(vs) == generic.points(vs)
+
+
+@pytest.mark.parametrize("ctx", PACKED_FIELDS + tuple(ctx for ctx in FORM_FIELDS if ctx.m >= 3),
+                         ids=lambda ctx: ctx.spec())
+def test_compiled_fold_matches_pmod_at_the_edges_of_the_slot_budget(ctx, monkeypatch):
+    # _Packed.w holds six cubic products summed, slots up to 6 m^2 (p-1)^3,
+    # and sums of 2^32 products, slots up to 2^32 m (p-1)^2.  canon reads
+    # slots 0..3m-3, and submul's a - f b slots 0..2m-2, here with f b at its
+    # largest: every slot at either edge, in four sign patterns, folded by
+    # the compiled rows, with no call to _pmod, as by _pmod
+    p, m, form = ctx.p, ctx.m, ctx.form
+    f = form.entries([ctx.element([p - 1] * m)])[0]
+    fb = [(p - 1) ** 2 * (min(k, 2 * m - 2 - k) + 1) for k in range(2 * m - 1)]
+
+    def packed(slots):
+        return sum(c << k * form.w for k, c in enumerate(slots))
+
+    def by_pmod(slots):
+        return form.entries([ctx.element(_pmod([c % p for c in slots], ctx.modulus, p))])[0]
+
+    cases = [[edge * signs[k % 2] for k in range(3 * m - 2)]
+             for edge in (6 * m * m * (p - 1) ** 3, 2**32 * m * (p - 1) ** 2)
+             for signs in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+    want = [by_pmod(slots) for slots in cases]
+    want_submul = [by_pmod([c - d for c, d in zip(slots, fb)]) for slots in cases]
+    monkeypatch.setattr(gf_module, "_pmod", None)
+    assert form.canon([packed(slots) for slots in cases]) == want
+    for slots, w in zip(cases, want_submul):
+        assert form.submul([packed(slots[:2 * m - 1])], f, [f]) == [w]
 
 
 # ---------------------------------------------------------------------------
