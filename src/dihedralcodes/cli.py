@@ -2,8 +2,9 @@
 
 Subcommands: field-check, idempotents, wedderburn, construct, analyze,
 sweep, example.  Validation failures exit with status 2 and print a
-diagnostic naming the violated precondition; identical argument lists
-produce byte-identical output.
+diagnostic naming the violated precondition, as does a command that runs
+out of memory (error[OutOfMemory]); identical argument lists produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -423,6 +424,9 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"error[{_diag_code(exc)}]: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an in-domain n too large for this machine; the unwinding frees it
+        print(f"error[OutOfMemory]: {args.command} ran out of memory", file=sys.stderr)
         return 2
 
 

@@ -348,11 +348,8 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
         ord_beta = ctx.q - 1 if family.beta is None else element_order(beta)
         if ord_beta <= 2 * n:
             raise BadOrderError(f"ord(beta)={ord_beta} <= 2n={2 * n}")
-    else:
-        if beta**n == ctx.one():
-            raise BetaIsNthRootError(
-                f"beta={beta.text()} satisfies beta^{n} = 1; need beta^n != 1"
-            )
+    elif family.beta is not None and beta**n == ctx.one():  # q - 1 > n: the default is no n-th root
+        raise BetaIsNthRootError(f"beta={beta.text()} satisfies beta^{n} = 1; need beta^n != 1")
     # row(1, beta) is canonical as it stands: no division, and no IdealSpec to check it
     summands = [_POSITION0[family.tag]()] + [full()] * ((n - 1) // 2)
     summands[s] = Summand(ROW, ctx.one(), beta)
@@ -499,19 +496,21 @@ def _exhaustive_distance(ctx: FieldCtx, A, length: int) -> int:
     numpy calls plus one fold per expansion of rows 1..k-1.  With k = 1
     there is no span: d is 1 plus row 0's nonzero free entries.
 
-    numpy is imported here, on the first call, and nowhere else in the
-    library: construction and the dual engine run on Python ints alone.
+    k = 1 and k = length are answered before any word is formed, at any p.
+    numpy is imported only past them, when words are formed, and nowhere
+    else in the library: construction and the dual engine run on Python
+    ints alone.
     """
-    import numpy as np
-
     p, m, q, k = ctx.p, ctx.m, ctx.q, len(A)
-    if (p - 1) ** 2 >= 2**63:
-        raise CapExceededError(f"exhaustive search needs (p-1)^2 < 2^63, got p = {p}")
     f = length - k
     if not f:  # k = length: the code is the whole space
         return 1
     if k == 1:  # entries are canonical, so 0 is the only zero
         return 1 + sum(1 for e in A[0] if e)
+    if (p - 1) ** 2 >= 2**63:
+        raise CapExceededError(f"exhaustive search needs (p-1)^2 < 2^63, got p = {p}")
+    import numpy as np
+
     dtype = np.uint16 if p <= 2**15 else np.uint64  # holds a sum of two residues
     wtype = np.min_scalar_type(length)  # holds any weight
 

@@ -18,10 +18,10 @@ everywhere:
 Each FieldCtx builds one entry form, ctx.form, the integers every matrix
 and distance walk holds its entries as: residues over GF(p) (_Residues),
 and over GF(p^m), m >= 2, coefficients packed into one integer (_Packed),
-reduced by one fold compiled per field from the rows t^j mod f, with the
-norm-map inverse at m = 2 (_Pairs).  Each is a _Form, written once on the
-closed forms a form supplies.  FieldElement's polynomial route is their
-reference.
+reduced by one fold compiled per field from the rows t^j mod f.  Each is
+a _Form, written once on the closed forms a form supplies; every form
+inverts a call's leads once, the norm map's closed form at m = 2 (_Pairs).
+FieldElement's polynomial route is their reference.
 """
 
 from __future__ import annotations
@@ -520,18 +520,21 @@ class _Form:
         return self.points(out) if keys else out
 
     @staticmethod
-    def _leads(vs) -> list[int]:
-        """Each v's first nonzero index, len(v) for v = 0.  The lead is
-        index 0 unless v[0] is 0, and only then is v scanned for it."""
-        leads = []
+    def _leads(vs) -> tuple[list[int], list[int]]:
+        """Each v's lead (first nonzero index) and its entry there, 0 for
+        v = 0; v is scanned for its lead only when v[0] is 0."""
+        leads, xs = [], []
         for v in vs:
-            lead = 0
-            if v and not v[0]:
+            if v and v[0]:
+                leads.append(0)
+                xs.append(v[0])
+            else:
                 lead = 1
                 while lead < len(v) and not v[lead]:
                     lead += 1
-            leads.append(lead)
-        return leads
+                leads.append(lead)
+                xs.append(v[lead] if lead < len(v) else 0)
+        return leads, xs
 
 
 class _Residues(_Form):
@@ -564,21 +567,10 @@ class _Residues(_Form):
         return None
 
     def points(self, vs):
-        """The point of each v, by one batched inversion of their leads.
-        The lead is index 0 unless v[0] is 0, and only then is v scanned for
-        it.  A key of 2 or 3 entries, as a column of a paper code's H gives,
-        is built as one tuple; longer keys entry by entry."""
-        p, leads, xs = self.p, [], []
-        for v in vs:
-            if v and v[0]:
-                leads.append(0)
-                xs.append(v[0])
-            else:
-                lead = 1
-                while lead < len(v) and not v[lead]:
-                    lead += 1
-                leads.append(lead)
-                xs.append(v[lead] if lead < len(v) else 0)
+        """The point of each v, by one batched inversion of their leads.  A
+        key of 2 or 3 entries, as a column of a paper code's H gives, is
+        built as one tuple; longer keys entry by entry."""
+        p, (leads, xs) = self.p, self._leads(vs)
         out = []
         for v, lead, inv in zip(vs, leads, _inverses(xs, p)):
             k = len(v) - lead
@@ -664,11 +656,19 @@ class _Packed(_Form):
         return [e >> s & mask for e in entries for s in shifts]
 
     def points(self, vs):
-        """The point of each v, its lead inverted as a FieldElement."""
-        out = []
-        for v, lead in zip(vs, self._leads(vs)):
-            inv = self.entries([x.inverse() for x in self.elements(v[lead:lead + 1])])
-            out.append((lead, *self.canon([b * inv[0] for b in v[lead + 1:]])) if inv else None)
+        """The point of each v, by one inversion per call as _inverses, canon for mod p."""
+        canon, (leads, xs) = self.canon, self._leads(vs)
+        prefix, acc = [], 1
+        for x in xs:
+            prefix.append(acc)
+            if x:
+                (acc,) = canon([acc * x])
+        (inv,) = self.entries([self.elements([acc])[0].inverse()])
+        out = [None] * len(vs)
+        for k in range(len(vs) - 1, -1, -1):
+            if xs[k]:
+                f, inv = canon([inv * prefix[k], inv * xs[k]])
+                out[k] = (leads[k], *canon([b * f for b in vs[k][leads[k] + 1:]]))
         return out
 
 
@@ -682,16 +682,16 @@ class _Pairs(_Packed):
         norms.  A key of 2 or 3 entries, as a column of a paper code's H
         gives, is built as one tuple; longer keys entry by entry."""
         (c0, c1, _), p, w, m = self.ctx.modulus, self.p, self.w, self.mask
-        leads, norms = self._leads(vs), []
-        for v, lead in zip(vs, leads):
-            a0, a1 = (v[lead] & m, v[lead] >> w) if lead < len(v) else (0, 0)
+        (leads, xs), norms = self._leads(vs), []
+        for x in xs:
+            a0, a1 = x & m, x >> w
             norms.append((a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0) % p)
         out = []
-        for v, lead, n in zip(vs, leads, _inverses(norms, p)):
+        for v, lead, x, n in zip(vs, leads, xs, _inverses(norms, p)):
             if not n:
                 out.append(None)
                 continue
-            a0, a1 = v[lead] & m, v[lead] >> w
+            a0, a1 = x & m, x >> w
             f0, f1 = (a0 - a1 * c1) * n % p, -a1 * n % p  # 1/a, as submul multiplies
             g0, g1 = f1 * c0, f0 - f1 * c1
             k = len(v) - lead

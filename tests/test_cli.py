@@ -450,6 +450,30 @@ assert "numpy" in sys.modules
     assert '"d": 3,' in proc.stdout  # analyze's [14,12,3]
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_AS is set through resource in preexec_fn")
+def test_out_of_memory_is_a_named_refusal():
+    # (2^31 - 1, 2^30 - 1) is in the domain, but xi's powers do not fit in
+    # 256 MB of address space, set on the child alone: main names the
+    # MemoryError, with the command, and exits 2 with no traceback
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dihedralcodes.cli", "construct", "--field", "p=2147483647",
+         "--n", "1073741823", "--family", "2n-3-plus"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error[OutOfMemory]: construct ran out of memory\n"
+
+
 def test_sweep_text(capsys):
     rc, out, _ = run(capsys, "sweep", "--field", "p=31;mod=[0,1]", "--n", "5")
     assert rc == 0

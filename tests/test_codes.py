@@ -2,7 +2,11 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_gf import within_one_second
@@ -88,8 +92,25 @@ def test_bad_order_gate():
 
 
 def test_nth_root_gate_for_plus_family():
-    with pytest.raises(BetaIsNthRootError):
+    with pytest.raises(BetaIsNthRootError, match="^beta=3 satisfies beta\\^3 = 1; need beta\\^n != 1$"):
         construct_code(GF13, 3, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS, beta=3))
+
+
+def test_default_beta_takes_no_nth_root_power(monkeypatch):
+    # the default beta has order q - 1 >= 2n > n, so the 2n-3-plus gate
+    # beta^n = 1 is not tested for it; an explicit beta still is
+    ctx = make_field(13, [2, 0, 1])
+    family = CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS)
+    want = construct_code(ctx, 21, family).to_json()  # the generator and the powers of xi, cached
+    calls, power = [], FieldElement.__pow__
+    monkeypatch.setattr(FieldElement, "__pow__", lambda x, e: calls.append(e) or power(x, e))
+    assert construct_code(ctx, 21, family).to_json() == want
+    assert calls == []
+    beta = ctx.generator() ** 8  # of order 168 / 8 = 21
+    with pytest.raises(BetaIsNthRootError) as exc:
+        construct_code(ctx, 21, CodeFamily(tag=FAMILY_2N_MINUS_3_PLUS, beta=beta.to_list()))
+    assert str(exc.value) == "beta=x+12 satisfies beta^21 = 1; need beta^n != 1"
+    assert calls[-1] == 21
 
 
 def test_zero_beta_rejected():
@@ -399,10 +420,17 @@ def test_cap_exceeded():
     code = code_13_2n2()
     with pytest.raises(CapExceededError):
         code.min_distance("exhaustive", cap=100)
-    # above p ~ 3.0e9 the int64 products c * v could wrap: refused, whatever the cap
-    wide = LinearCode.from_generator_rows(make_field(4294967311, [0, 1]), [[1, 2, 3]])
-    with pytest.raises(CapExceededError):
-        wide.min_distance("exhaustive", cap=10**12)
+    # above p ~ 3.0e9 the int64 products c * v could wrap: a code whose
+    # words are formed is refused, whatever the cap.  k = 1 and k = length
+    # form no word, so they answer there
+    ctx, p = make_field(4294967311, [0, 1]), 4294967311
+    wide = LinearCode.from_generator_rows(ctx, [[1, 0, 5, 3], [0, 1, 7, 2]])
+    with pytest.raises(CapExceededError, match=f"needs \\(p-1\\)\\^2 < 2\\^63, got p = {p}$"):
+        wide.min_distance("exhaustive", cap=p**2)
+    line = LinearCode.from_generator_rows(ctx, [[1, 2, 0, 5]])
+    assert line.min_distance("exhaustive", cap=p) == 3 == line.min_distance("dual")
+    whole = LinearCode.from_generator_rows(ctx, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+    assert whole.min_distance("exhaustive", cap=p**3) == 1
 
 
 def test_negative_cap_is_refused():
@@ -603,6 +631,23 @@ def test_exhaustive_with_no_free_columns():
         code = LinearCode.from_generator_rows(ctx, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
         assert code.k == code.length == 3
         assert code.min_distance("exhaustive") == 1 == min(brute_force_lead_weights(code).values())
+
+
+def test_exhaustive_k1_never_imports_numpy():
+    # numpy loads only when words are formed: a k = 1 or k = length code
+    # in a fresh interpreter answers without it
+    script = """
+import sys
+from dihedralcodes import LinearCode, make_field
+F = make_field(13, [0, 1])
+assert LinearCode.from_generator_rows(F, [[1, 2, 0, 5]]).min_distance("exhaustive") == 3
+assert LinearCode.from_generator_rows(F, [[1, 2], [0, 1]]).min_distance("exhaustive") == 1
+assert "numpy" not in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # every entry form: residues, packed pairs (p = 5, 13) and elements (p = 2, 3)

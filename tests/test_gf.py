@@ -18,6 +18,7 @@ from dihedralcodes.errors import (
 )
 from dihedralcodes.gf import (
     PRIMALITY_LIMIT,
+    FieldElement,
     element_order,
     factorize,
     is_prime,
@@ -27,7 +28,7 @@ from dihedralcodes.gf import (
     poly_text,
     primitive_nth_root,
 )
-from dihedralcodes.gf import _Pairs, _pxgcd, _xi_entries
+from dihedralcodes.gf import _Packed, _Pairs, _pxgcd, _xi_entries
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -333,6 +334,36 @@ def test_quadratic_extension_inverse_and_product(ctx):
     assert all(x * x.inverse() == ctx.one() for x in els[1:])
     with pytest.raises(ZeroDivisionError):
         ctx.zero().inverse()
+
+
+@pytest.mark.parametrize("ctx", [make_field(3, [1, 2, 0, 1]), make_field(7, [1, 1, 0, 1]),
+                                 make_field(3, [1, 0, 2, 0, 0, 0, 0, 1])], ids=lambda ctx: ctx.spec())
+def test_packed_points_make_one_inversion_per_call(ctx, monkeypatch):
+    # m >= 3: points inverts the product of a call's leads once, as a
+    # FieldElement, and reads each lead's inverse off the prefix products;
+    # its keys are the per-lead FieldElement.inverse ones.  40 vectors of
+    # lengths 0..4 with zero vectors and zero leads among them, then an
+    # empty batch
+    form, rng = ctx.form, random.Random(ctx.q)
+    assert type(form) is _Packed
+    vs = [[ctx.random_element(rng) if rng.random() < 0.6 else ctx.zero() for _ in range(i % 5)]
+          for i in range(40)]
+    vs[7], vs[8] = [ctx.zero()] * 4, [ctx.zero(), ctx.zero(), ctx.one(), -ctx.one()]
+    want = []
+    for u in vs:
+        lead = next((i for i, e in enumerate(u) if e), None)
+        inv = None if lead is None else u[lead].inverse()
+        want.append(None if inv is None else (lead, *form.entries([e * inv for e in u[lead + 1:]])))
+    assert want.count(None) >= 10 and {key[0] for key in want if key} >= {0, 1, 2}
+    entries = [form.entries(u) for u in vs]
+    leads, xs = form._leads(entries)  # the one lead scan, with each lead's entry, 0 for v = 0
+    assert xs == [next((e for e in u if e), 0) for u in entries]
+    assert [lead for lead, key in zip(leads, want) if key] == [key[0] for key in want if key]
+    calls, inverse = [], FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse", lambda x: calls.append(x) or inverse(x))
+    assert form.points(entries) == want
+    assert len(calls) == 1
+    assert form.points([]) == [] and len(calls) == 2
 
 
 def test_pow_signs():
