@@ -1,6 +1,6 @@
 """Scale bench: the library's CLI at n in the hundreds and thousands.
 
-    python3 scripts/scale_bench.py --pr N [--slow]
+    python3 scripts/scale_bench.py --pr N
 
 Runs each row below one at a time, in a fresh temporary directory, as its
 own ``python -m dihedralcodes.cli`` processes with ``PYTHONPATH`` set to
@@ -13,8 +13,7 @@ of every file it wrote.  Nothing is checked: compare the digests of two
 files to see that output bytes did not move, and their times, taken in
 one session, to see a change in speed.
 
-The default rows take a minute or two on a 2-core container; ``--slow``
-adds the rows that take minutes or gigabytes.
+The rows take a minute or two on a 2-core container.
 """
 
 from __future__ import annotations
@@ -58,14 +57,6 @@ ROWS = [
     ("idempotents p=6007 n=1001", [["idempotents", "--field", "p=6007", "--n", "1001"]]),
 ]
 
-SLOW_ROWS = [
-    _document(2147483647, 2317),
-    ("wedderburn p=6007 n=1001", [["wedderburn", "--field", "p=6007", "--n", "1001", "--check", "2"]]),
-    ("idempotents --format json p=6007 n=1001",
-     [["idempotents", "--field", "p=6007", "--n", "1001", "--format", "json"]]),
-]
-
-
 def _md5(f) -> str:
     digest = hashlib.md5()
     for block in iter(lambda: f.read(1 << 20), b""):
@@ -103,15 +94,14 @@ def run_row(name, commands, src=ROOT / "src") -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="names the output, BENCH_<pr>.json")
-    parser.add_argument("--slow", action="store_true", help="add the rows that take minutes or GBs")
     args = parser.parse_args(argv)
     rows = []
-    for name, commands in ROWS + (SLOW_ROWS if args.slow else []):
+    for name, commands in ROWS:
         rows.append(run_row(name, commands))
         walls = ", ".join(f"{c['wall_s']:.2f} s {c['maxrss_mb']:.0f} MB exit {c['status']}"
                           for c in rows[-1]["commands"])
         print(f"{name}: {walls}", flush=True)
-    doc = {"pr": args.pr, "slow": args.slow, "python": platform.python_version(),
+    doc = {"pr": args.pr, "python": platform.python_version(),
            "machine": platform.machine(), "cpus": os.cpu_count(), "rows": rows}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")

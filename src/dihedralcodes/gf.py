@@ -656,7 +656,7 @@ class _Packed(_Form):
         return [e >> s & mask for e in entries for s in shifts]
 
     def points(self, vs):
-        """The point of each v, by one inversion per call as _inverses, canon for mod p."""
+        """Each v's point by _inverses' loop, mirrored: canon for % p, a FieldElement inverse for pow."""
         canon, (leads, xs) = self.canon, self._leads(vs)
         prefix, acc = [], 1
         for x in xs:

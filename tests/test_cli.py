@@ -450,7 +450,8 @@ assert "numpy" in sys.modules
     assert '"d": 3,' in proc.stdout  # analyze's [14,12,3]
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_AS is set through resource in preexec_fn")
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the probe needs an RLIMIT_AS the kernel enforces, as Linux does")
 def test_out_of_memory_is_a_named_refusal():
     # (2^31 - 1, 2^30 - 1) is in the domain, but xi's powers do not fit in
     # 256 MB of address space, set on the child alone: main names the

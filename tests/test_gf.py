@@ -28,7 +28,7 @@ from dihedralcodes.gf import (
     poly_text,
     primitive_nth_root,
 )
-from dihedralcodes.gf import _Packed, _Pairs, _pxgcd, _xi_entries
+from dihedralcodes.gf import _inverses, _Packed, _Pairs, _pxgcd, _xi_entries
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -355,6 +355,12 @@ def test_packed_points_make_one_inversion_per_call(ctx, monkeypatch):
         inv = None if lead is None else u[lead].inverse()
         want.append(None if inv is None else (lead, *form.entries([e * inv for e in u[lead + 1:]])))
     assert want.count(None) >= 10 and {key[0] for key in want if key} >= {0, 1, 2}
+    # _inverses' formula, which points mirrors: 1/x_k = (x_0 ... x_(k-1)) / (x_0 ... x_k)
+    keyed = [k for k, key in enumerate(want) if key]
+    prods = list(itertools.accumulate([vs[k][want[k][0]] for k in keyed], lambda a, b: a * b, initial=ctx.one()))
+    inverse = dict(zip(keyed, [a * b.inverse() for a, b in zip(prods, prods[1:])]))
+    assert want == [key and (key[0], *form.entries([e * inverse[k] for e in vs[k][key[0] + 1:]]))
+                    for k, key in enumerate(want)]
     entries = [form.entries(u) for u in vs]
     leads, xs = form._leads(entries)  # the one lead scan, with each lead's entry, 0 for v = 0
     assert xs == [next((e for e in u if e), 0) for u in entries]
@@ -364,6 +370,20 @@ def test_packed_points_make_one_inversion_per_call(ctx, monkeypatch):
     assert form.points(entries) == want
     assert len(calls) == 1
     assert form.points([]) == [] and len(calls) == 2
+
+
+@pytest.mark.parametrize("ctx", [GF25, GF169, make_field(2003, [1, 0, 1])], ids=lambda ctx: ctx.spec())
+def test_packed_points_agree_with_the_inverses_path(ctx):
+    # _Packed.points, run on GF(p^2) entries, keys a batch as _Pairs.points
+    # does through _inverses on the leads' norms: the two copies of
+    # Montgomery's loop give one answer.  Leads 0..2, zero vectors, lengths 0..4
+    form, rng = ctx.form, random.Random(ctx.q)
+    vs = [form.entries([ctx.random_element(rng) if rng.random() < 0.6 else ctx.zero() for _ in range(i % 5)])
+          for i in range(40)]
+    assert type(form) is _Pairs and None in form.points(vs)
+    assert _Packed.points(form, vs) == form.points(vs)
+    xs = [rng.randrange(ctx.p) for _ in range(30)] + [0]
+    assert _inverses(xs, ctx.p) == [pow(x, -1, ctx.p) if x else 0 for x in xs]
 
 
 def test_pow_signs():

@@ -37,7 +37,7 @@ def test_row_runner_measures_each_command_and_digests_its_output(tmp_path, monke
 
 
 def test_every_row_is_a_cli_command():
-    for name, commands in scale_bench.ROWS + scale_bench.SLOW_ROWS:
+    for name, commands in scale_bench.ROWS:
         assert name and commands
         for argv in commands:
             build_parser().parse_args(argv)
