@@ -55,6 +55,8 @@ ROWS = [
     _document(6007, 1001),
     ("wedderburn p=3011 n=301", [["wedderburn", "--field", "p=3011", "--n", "301", "--check", "2"]]),
     ("idempotents p=6007 n=1001", [["idempotents", "--field", "p=6007", "--n", "1001"]]),
+    ("idempotents --format json p=6007 n=1001",
+     [["idempotents", "--field", "p=6007", "--n", "1001", "--format", "json"]]),
 ]
 
 def _md5(f) -> str:

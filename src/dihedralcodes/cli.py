@@ -89,22 +89,25 @@ def cmd_field_check(args) -> int:
 
 
 def cmd_idempotents(args) -> int:
+    """Print both families; the text form prints each line as it is made,
+    and only --format json builds the document."""
     ctx = parse_field_spec(args.field)
     cyc = cyclic_family(ctx, args.n)
     central = central_primitive_idempotents(ctx, args.n)
-    doc = {
-        "field": ctx.spec(),
-        "n": args.n,
-        "xi": cyc.xi.to_list(),
-        "cyclic": [{**m.to_json(), "text": m.text()} for m in cyc],
-        "central": [{**m.to_json(), "text": m.text()} for m in central],
-    }
-    lines = [f"field {ctx.spec()}  n={args.n}  xi={cyc.xi.text()}"]
-    for i, m in enumerate(cyc):
-        lines.append(f"e_{i} = {m.text()}")
-    for i, m in enumerate(central):
-        lines.append(f"central_{i} = {m.text()}")
-    _emit(doc, args.format == "json", "\n".join(lines))
+    if args.format == "json":
+        doc = {
+            "field": ctx.spec(),
+            "n": args.n,
+            "xi": cyc.xi.to_list(),
+            "cyclic": [{**m.to_json(), "text": m.text()} for m in cyc],
+            "central": [{**m.to_json(), "text": m.text()} for m in central],
+        }
+        print(json.dumps(doc, indent=2))
+        return 0
+    print(f"field {ctx.spec()}  n={args.n}  xi={cyc.xi.text()}")
+    for name, family in (("e", cyc), ("central", central)):
+        for i, m in enumerate(family):
+            print(f"{name}_{i} = {m.text()}")
     return 0
 
 
@@ -124,11 +127,12 @@ def cmd_wedderburn(args) -> int:
             product_ok += 1
         if wedderburn_map(u + v) == pu + pv:
             sum_ok += 1
-    monos = algebra.monomials()
-    roundtrip_ok = sum(
-        1 for g in monos if wedderburn_inverse(wedderburn_map(g)) == g
-    )
-    failures = (trials - product_ok) + (trials - sum_ok) + (len(monos) - roundtrip_ok)
+    total, roundtrip_ok = 2 * args.n, 0  # the monomials, made one at a time
+    for reflected in (False, True):
+        for i in range(args.n):
+            g = algebra.monomial(reflected, i)
+            roundtrip_ok += wedderburn_inverse(wedderburn_map(g)) == g
+    failures = (trials - product_ok) + (trials - sum_ok) + (total - roundtrip_ok)
     doc = {
         "field": ctx.spec(),
         "n": args.n,
@@ -136,7 +140,7 @@ def cmd_wedderburn(args) -> int:
         "product_ok": product_ok,
         "sum_ok": sum_ok,
         "roundtrip_ok": roundtrip_ok,
-        "roundtrip_total": len(monos),
+        "roundtrip_total": total,
         "result": "PASS" if failures == 0 else "FAIL",
     }
     text = "\n".join(
@@ -144,7 +148,7 @@ def cmd_wedderburn(args) -> int:
             f"wedderburn check: field={ctx.spec()} n={args.n} trials={trials}",
             f"product: {product_ok}/{trials} ok",
             f"sum: {sum_ok}/{trials} ok",
-            f"roundtrip: {roundtrip_ok}/{len(monos)} ok",
+            f"roundtrip: {roundtrip_ok}/{total} ok",
             f"result: {doc['result']}",
         ]
     )
@@ -233,12 +237,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    ctx = parse_field_spec(args.field)
-    n = args.n
-    require_odd_n(n)  # one refusal, not one row per family
-    beta = ctx.generator()
-    rows = []
+def _sweep_rows(ctx, n: int):
+    """Yield sweep's row of each family at each coprime twist, as it is made."""
     for s in range(1, (n - 1) // 2 + 1):
         if math.gcd(s, n) != 1:
             continue
@@ -258,29 +258,32 @@ def cmd_sweep(args) -> int:
                 )
             except DihedralCodesError as exc:
                 entry.update({"status": _diag_code(exc), "detail": str(exc)})
-            rows.append(entry)
-    doc = {
-        "field": ctx.spec(),
-        "n": n,
-        "beta": beta.to_list(),
-        "beta_order": element_order(beta),
-        "rows": rows,
-    }
-    lines = [
-        f"sweep field={ctx.spec()} n={n} beta={beta.text()} (order {doc['beta_order']})",
-        f"{'family':<12} {'s':<3} {'length':<7} {'k':<3} {'d':<3} {'mds':<4} status",
-    ]
+            yield entry
+
+
+def cmd_sweep(args) -> int:
+    """The text form prints the header, then each row as it is made; --format
+    json collects every row, since its document holds them."""
+    ctx = parse_field_spec(args.field)
+    n = args.n
+    require_odd_n(n)  # one refusal, not one row per family
+    beta = ctx.generator()
+    beta_order = element_order(beta)
+    rows = _sweep_rows(ctx, n)
+    if args.format == "json":
+        doc = {"field": ctx.spec(), "n": n, "beta": beta.to_list(), "beta_order": beta_order, "rows": list(rows)}
+        print(json.dumps(doc, indent=2))
+        return 0
+    print(f"sweep field={ctx.spec()} n={n} beta={beta.text()} (order {beta_order})")
+    print(f"{'family':<12} {'s':<3} {'length':<7} {'k':<3} {'d':<3} {'mds':<4} status")
     for r in rows:
         if r["status"] == "ok":
-            lines.append(
+            print(
                 f"{r['family']:<12} {r['s']:<3} {r['length']:<7} {r['k']:<3} "
                 f"{r['d']:<3} {'yes' if r['mds'] else 'no':<4} ok"
             )
         else:
-            lines.append(
-                f"{r['family']:<12} {r['s']:<3} {'-':<7} {'-':<3} {'-':<3} {'-':<4} {r['status']}"
-            )
-    _emit(doc, args.format == "json", "\n".join(lines))
+            print(f"{r['family']:<12} {r['s']:<3} {'-':<7} {'-':<3} {'-':<3} {'-':<4} {r['status']}")
     return 0
 
 

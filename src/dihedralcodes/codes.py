@@ -81,7 +81,6 @@ from .errors import (
     BetaIsNthRootError,
     CapExceededError,
     EvenNError,
-    MixedContextsError,
     NotCoprimeError,
     UnsupportedStyleError,
     ZeroElementError,
@@ -405,21 +404,14 @@ def _paper_rows(prov: Provenance):
             yield from (a22, a12) if j <= (n - 1) // 2 else (a11, a21)
 
 
-def left_ideal_closure_ok(code: LinearCode, algebra: DihedralAlgebra | None = None) -> bool:
+def left_ideal_closure_ok(code: LinearCode) -> bool:
     """Check a * row and b * row stay in the row space for every generator row.
 
-    a and b generate D_2n, so a subspace closed under left multiplication
-    by both is closed under every group monomial: it is a left ideal.  The
-    answer is the dual engine's certificate (LinearCode._is_left_ideal).
+    a and b generate D_2n, so a subspace of F_q^2n in phi coordinates closed
+    under left multiplication by both is closed under every group monomial:
+    it is a left ideal.  The code alone gives the answer, the dual engine's
+    certificate (LinearCode._is_left_ideal); a code of odd length is none.
     """
-    if algebra is None:
-        if code.provenance is None:
-            raise ValueError("need an algebra context for a hand-supplied code")
-        algebra = DihedralAlgebra(code.provenance.ctx, code.provenance.n)
-    if code.length != 2 * algebra.n:
-        raise ValueError("code length does not match the algebra")
-    if algebra.ctx != code.ctx:
-        raise MixedContextsError("element belongs to a different field")
     return code._is_left_ideal()
 
 

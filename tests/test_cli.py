@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import dihedralcodes.cli as cli
 from dihedralcodes.cli import _ENTRIES, _write_code, _write_document, main
 from dihedralcodes.codes import (
+    FAMILIES,
     CodeFamily,
     LinearCode,
     construct_code,
@@ -18,7 +21,7 @@ from dihedralcodes.codes import (
     left_ideal_closure_ok,
     load_code,
 )
-from dihedralcodes.dihedral import DihedralAlgebra
+from dihedralcodes.dihedral import AlgebraElement
 from dihedralcodes.gf import make_field, parse_field_spec
 from dihedralcodes.linalg import MatrixGF
 from dihedralcodes.wedderburn import IdealSpec, code_from_ideal_spec, plus_piece, row, zero
@@ -93,6 +96,82 @@ def test_wedderburn_refuses_a_negative_check(capsys):
     rc, out, _ = run(capsys, *argv, "0")
     assert rc == 0
     assert "product: 0/0 ok" in out and "result: PASS" in out
+
+
+# sha256 of each command's stdout as it was when every command built both of
+# its output forms and wedderburn held all 2n monomials: the streamed text
+# and the forms built on demand keep these bytes
+STDOUT_SHA256 = [
+    ("idempotents", "p=13", 3, "text", "656120f5f8e72f9e9366ec2a2d255aeceb880005eed3fdddd752d4808eb9344f"),
+    ("idempotents", "p=13", 3, "json", "dfce5ab640d887db924237d26ed3ed88682437194edb7bbc432aa6c16db0a6f5"),
+    ("idempotents", "p=607", 101, "text", "ead364b13bf79ae5a41f91658098c843f1cf1e43e78f09fb3ddebfbe1ecd0feb"),
+    ("idempotents", "p=607", 101, "json", "55c0fba9545ca77db8a57b3aa323612f463ebd2f5837097beadb6c68ca896251"),
+    ("idempotents", "p=13;mod=[2,0,1]", 21, "text", "44e57e8c5de702feb41dcce6577708d9d4d15fd744e348c26916599d3447e83c"),
+    ("idempotents", "p=13;mod=[2,0,1]", 21, "json", "ccbf80fe48cdebe14fefe9af3baf339f8da94ae18bb1729b006f91e94d8dcb96"),
+    ("idempotents", "p=3;mod=[1,2,0,1]", 13, "text", "aaef13080c8fb39734bd7f5c2fb9e90aaba9a0b04c250ad9f4e289037b51ee08"),
+    ("idempotents", "p=3;mod=[1,2,0,1]", 13, "json", "1f6878f214ff17b09736d7ee3e716a8119a51b336f8b35f70bc0b9fad2837b1c"),
+    ("wedderburn", "p=13", 3, "text", "da537165bdf517f07bfec408a3c70a1e9c544215092e62b29706638e75634395"),
+    ("wedderburn", "p=13", 3, "json", "392f79a97576dea93f1d029522da711294bd16b5e637ab42ec9ced3b32910f7d"),
+    ("wedderburn", "p=607", 101, "text", "1deaa49b79636888cdf3338150c0f36874ac3c273958e4d4ed8259886b202f44"),
+    ("wedderburn", "p=607", 101, "json", "49be8401ae1fa072e7e81ed9aae8ac59a55aa15ed2dd1f472ae49e1526871df7"),
+    ("wedderburn", "p=13;mod=[2,0,1]", 21, "text", "fa8c0214b990b190d639a7b3e41c5d81648099ece296f5b2848b2d2225e151ae"),
+    ("wedderburn", "p=13;mod=[2,0,1]", 21, "json", "d1dbc1b6a85572ead0b715e7d29057a41ddd8d46801fb1f63570345a73010717"),
+    ("wedderburn", "p=3;mod=[1,2,0,1]", 13, "text", "ea6cb6b8b2df2bd1bab1a371ec58bb2a0d1e75063fa9f33df70f85352cd24d55"),
+    ("wedderburn", "p=3;mod=[1,2,0,1]", 13, "json", "054c9c0dacbbee46cdd89f475d9ac51e08ab78d1d152f07771051d6586c4cd80"),
+    ("sweep", "p=43", 7, "text", "5a729149a9407a5ca0a39efc1bf933d29e07ce85acac653290806c1888643ead"),
+    ("sweep", "p=43", 7, "json", "93e13f4ddde79b6409b2954d99085dc19ff4caece1db342cc6dbc72877daaded"),
+    ("sweep", "p=61", 15, "text", "0d9a916269d54f43cb034a992b428cd70523c6389a96731308d5934ca0773c13"),
+    ("sweep", "p=61", 15, "json", "6e39e404edcde48b41f5fb20f0586d38e9bb7dae2e2054b5398c6cf286d1088e"),
+    ("sweep", "p=3;mod=[1,2,0,0,0,1]", 121, "text", "d15c32531e3e4d74167bc1aba650ffe1df5479c32f038d101b678b3760050380"),
+    ("sweep", "p=3;mod=[1,2,0,0,0,1]", 121, "json", "6673930b8e8c170a8b1979083ca94c281492778e48bec8082899b452e99acfbb"),
+]
+
+
+@pytest.mark.parametrize("command, field, n, fmt, digest", STDOUT_SHA256)
+def test_stdout_bytes_are_unchanged(capsys, command, field, n, fmt, digest):
+    check = ("--check", "3") if command == "wedderburn" else ()
+    rc, out, _ = run(capsys, command, "--field", field, "--n", str(n), "--format", fmt, *check)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_idempotents_text_makes_each_member_text_once(capsys, monkeypatch):
+    # the text form builds no JSON document, and no member's text twice
+    made = []
+    text = AlgebraElement.text
+
+    def count(self):
+        made.append(id(self))
+        return text(self)
+
+    def refuse(self):
+        raise AssertionError("the text form built a JSON member")
+
+    monkeypatch.setattr(AlgebraElement, "text", count)
+    monkeypatch.setattr(AlgebraElement, "to_json", refuse)
+    rc, out, _ = run(capsys, "idempotents", "--field", "p=13;mod=[2,0,1]", "--n", "21")
+    assert rc == 0
+    assert len(made) == len(set(made)) == 21 + 2 + 10 == len(out.splitlines()) - 1
+
+
+def test_wedderburn_memory_grows_at_most_linearly_in_n(capsys):
+    # the round trip makes its 2n monomials one at a time: from n = 9 to n = 63
+    # the peak grows by about 12 KB, where a list of all 2n monomials, 2n
+    # tuples of 2n coordinates, grows it by about 130 KB
+    def peak(n):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rc, out, _ = run(capsys, "wedderburn", "--field", "p=631", "--n", str(n), "--check", "0")
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and f"roundtrip: {2 * n}/{2 * n} ok" in out
+        return top
+
+    run(capsys, "wedderburn", "--field", "p=631", "--n", "3", "--check", "0")  # warm caches
+    small, large = peak(9), peak(63)
+    assert large - small < 1024 * (63 - 9)
 
 
 def test_construct_stdout_json(capsys):
@@ -240,7 +319,7 @@ def test_analyze_cap_exceeded(tmp_path, capsys):
     ideal.write_text(json.dumps(doc))
     for r in doc["generator"]["entries"]:
         r[0], r[1] = r[1], r[0]
-    assert not left_ideal_closure_ok(load_code(doc), DihedralAlgebra(ctx, 7))
+    assert not left_ideal_closure_ok(load_code(doc))
     swapped.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "analyze", "--in", str(swapped), "--method", "dual", "--cap", "9")
     assert (rc, out) == (2, "")
@@ -481,6 +560,32 @@ def test_sweep_text(capsys):
     lines = [l for l in out.splitlines() if l.startswith("2n-")]
     assert len(lines) == 6  # s in {1, 2} x three families
     assert all(" yes " in l for l in lines)
+
+
+def test_sweep_skips_twists_not_coprime_to_n(capsys):
+    # n = 15: s runs over 1..7, and 3, 5 and 6 share a factor with 15
+    rc, out, _ = run(capsys, "sweep", "--field", "p=61", "--n", "15")
+    assert rc == 0
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert [(r[0], int(r[1])) for r in rows] == [(f, s) for s in (1, 2, 4, 7) for f in FAMILIES]
+    assert all(r[-2:] == ["yes", "ok"] for r in rows)
+
+
+def test_sweep_prints_each_row_as_it_is_made(capsys, monkeypatch):
+    # the header and every earlier row are written before the last code is built
+    seen = []
+    build = cli.construct_code
+
+    def spy(ctx, n, family):
+        seen.append(capsys.readouterr().out)
+        return build(ctx, n, family)
+
+    monkeypatch.setattr(cli, "construct_code", spy)
+    rc, out, _ = run(capsys, "sweep", "--field", "p=61", "--n", "15")
+    assert rc == 0
+    lines = "".join(seen + [out]).splitlines(keepends=True)
+    assert len(seen) == 12 and len(lines) == 14
+    assert ["".join(seen[: i + 1]) for i in range(12)] == ["".join(lines[: i + 2]) for i in range(12)]
 
 
 def test_sweep_json_boundary_field(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import io
 import itertools
 import json
@@ -33,7 +34,6 @@ from dihedralcodes.errors import (
     CapExceededError,
     CharDividesOrderError,
     EvenNError,
-    MixedContextsError,
     NotCoprimeError,
     RootUnavailableError,
     UnsupportedStyleError,
@@ -715,9 +715,8 @@ def test_dual_cap_names_the_side():
     # modulo 10 of the 14 before its bound stops it
     low = spec_29_7(plus_piece, 1, 0, 0)
     assert low.min_distance("dual", cap=1) == 10
-    alg = DihedralAlgebra(low.ctx, 7)
     swapped = swap_columns(spec_29_7(plus_piece, 1, 0, 0))
-    assert not left_ideal_closure_ok(swapped, alg)
+    assert not left_ideal_closure_ok(swapped)
     message = "dual engine, generator side: 10 column subsets > cap = 9"
     with pytest.raises(CapExceededError, match=message):
         swapped.min_distance("dual", cap=9)
@@ -735,7 +734,7 @@ def test_dual_cap_names_the_side():
         spec_29_7(full, 8, 19, 18).min_distance("dual", cap=108)
     assert spec_29_7(full, 8, 19, 18).min_distance("dual", cap=109) == 6
     swapped = swap_columns(spec_29_7(full, 8, 19, 18))
-    assert not left_ideal_closure_ok(swapped, alg)
+    assert not left_ideal_closure_ok(swapped)
     with pytest.raises(CapExceededError, match="parity-check side: 562 column subsets > cap = 561"):
         swapped.min_distance("dual", cap=561)
     assert swapped.min_distance("dual", cap=562) == 6
@@ -778,7 +777,7 @@ def test_low_rate_dual_distance_is_prompt():
     # the cap.  One short of it, the parity check's free depths 0 and 1 run
     # first, and the generator side still names itself past the cap
     swapped = swap_columns(LinearCode(code_from_ideal_spec(ctx, 11, spec)))
-    assert not left_ideal_closure_ok(swapped, DihedralAlgebra(ctx, 11))
+    assert not left_ideal_closure_ok(swapped)
     assert swapped.min_distance("dual", cap=18) == 18
     message = "dual engine, generator side: 18 column subsets > cap = 17"
     with pytest.raises(CapExceededError, match=message):
@@ -927,22 +926,35 @@ def test_closure_refuses_a_code_that_is_not_a_left_ideal():
     # span(phi(1)) does not contain phi(a * 1) = phi(a)
     alg = DihedralAlgebra(GF13, 3)
     code = LinearCode(MatrixGF(GF13, [alg.one().phi()]))
-    assert not left_ideal_closure_ok(code, alg)
+    assert not left_ideal_closure_ok(code)
     # closed under a but not under b: the cyclic part F_13 C_3
     code = LinearCode(MatrixGF(GF13, [alg.a(i).phi() for i in range(3)]))
-    assert not left_ideal_closure_ok(code, alg)
+    assert not left_ideal_closure_ok(code)
 
 
-def test_closure_refuses_a_code_it_cannot_place_in_an_algebra():
-    code = LinearCode(MatrixGF(GF13, [DihedralAlgebra(GF13, 3).one().phi()]))
-    with pytest.raises(ValueError, match="^need an algebra context for a hand-supplied code$"):
-        left_ideal_closure_ok(code)
-    with pytest.raises(ValueError, match="^code length does not match the algebra$"):
-        left_ideal_closure_ok(code, DihedralAlgebra(GF13, 5))
-    for ctx in (make_field(7, [0, 1]), make_field(13, [2, 0, 1])):
-        with pytest.raises(MixedContextsError, match="^element belongs to a different field$"):
-            left_ideal_closure_ok(code, DihedralAlgebra(ctx, 3))
-    assert not left_ideal_closure_ok(code, DihedralAlgebra(make_field(13, [0, 1]), 3))
+def test_closure_answers_a_code_without_an_algebra(monkeypatch):
+    # the certificate reads the code alone: a hand-supplied code, its load_code
+    # round trip and a code of odd length are answered, and no algebra is built
+    assert list(inspect.signature(left_ideal_closure_ok).parameters) == ["code"]
+    ctx = make_field(29, [0, 1])
+    spec = IdealSpec((plus_piece(), row(ctx.one(), ctx.one()), zero(), zero()))
+    ideal = LinearCode(code_from_ideal_spec(ctx, 7, spec))
+    codes = [
+        (ideal, True),
+        (load_code(ideal.to_json()), True),
+        (swap_columns(ideal), False),
+        (LinearCode(MatrixGF(GF13, [DihedralAlgebra(GF13, 3).one().phi()])), False),
+        (LinearCode.from_generator_rows(GF13, [[1, 1, 1]]), False),  # odd length
+        (LinearCode.from_generator_rows(GF13, [[1] * 6]), True),  # sum of the group, an ideal
+    ]
+
+    def refuse(*args):
+        raise AssertionError("left_ideal_closure_ok built an algebra")
+
+    monkeypatch.setattr(DihedralAlgebra, "__init__", refuse)
+    for code, closed in codes:
+        assert left_ideal_closure_ok(code) is closed
+        assert left_ideal_closure_ok(code) == code._is_left_ideal()
 
 
 def test_dual_distance_makes_no_row_reduction(monkeypatch):
@@ -959,11 +971,10 @@ def test_dual_distance_makes_no_row_reduction(monkeypatch):
 
 def test_random_ideal_codes_are_left_ideals():
     rng = random.Random(1)
-    alg = DihedralAlgebra(GF13, 3)
     for _ in range(10):
         spec = random_ideal_spec(GF13, 3, rng)
         code = LinearCode(code_from_ideal_spec(GF13, 3, spec))
-        assert left_ideal_closure_ok(code, alg)
+        assert left_ideal_closure_ok(code)
 
 
 def test_json_roundtrip():
@@ -1720,3 +1731,8 @@ def test_twists_are_coordinate_permutations_of_twist_one():
                     assert twisted(code.generator, s, n) == one.generator
                     if n == 7:
                         assert twisted(one.generator, s, n) != code.generator
+
+
+def test_repr_names_the_parameters_and_field():
+    assert repr(code_13_2n2()) == "LinearCode([6,4] over GF(13))"
+    assert repr(LinearCode.from_generator_rows(GF25, [[1, 0, 1]])) == "LinearCode([3,1] over GF(25))"

@@ -204,3 +204,24 @@ def test_scalar_multiplication():
     a = D6.a()
     assert a.scale(5) == 5 * a
     assert (2 * a + a) == a.scale(3)
+
+
+def test_refusals_and_operands_of_other_types():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        DihedralAlgebra(GF13, 0)
+    for alpha, beta in (([1, 2], None), ([1, 2, 3], [1, 2]), ([1, 2, 3, 4], [0, 0, 0])):
+        with pytest.raises(LengthMismatchError, match="^coefficient lists must have length 3$"):
+            D6.element(alpha, beta)
+    a = D6.a()
+    assert D6.__eq__(3) is NotImplemented and D6 != "D6"
+    assert a.__eq__(3) is NotImplemented and a != "a"
+    with pytest.raises(TypeError, match="^expected an AlgebraElement$"):
+        a + 1
+    # a scalar on either side is a scale; any other factor is refused
+    assert a * 5 == a * GF13.element(5) == 5 * a == a.scale(5)
+    assert a.__rmul__(2.5) is NotImplemented
+    with pytest.raises(TypeError):
+        2.5 * a
+    assert bool(a) and not D6.zero() and not a - a
+    with pytest.raises(MixedContextsError, match="^generators from different group algebras$"):
+        left_ideal_basis([D6.one(), DihedralAlgebra(GF13, 5).one()])

@@ -28,7 +28,7 @@ from dihedralcodes.gf import (
     poly_text,
     primitive_nth_root,
 )
-from dihedralcodes.gf import _inverses, _Packed, _Pairs, _pxgcd, _xi_entries
+from dihedralcodes.gf import _inverses, _Packed, _Pairs, _pdivmod, _pxgcd, _xi_entries
 
 GF13 = make_field(13, [0, 1])
 GF25 = make_field(5, [2, 0, 1])
@@ -681,3 +681,24 @@ def test_index_roundtrip():
             coeffs = ctx.from_index(i).coeffs
             assert sum(c * ctx.p**t for t, c in enumerate(coeffs)) == i
 
+
+def test_rare_refusals_and_reflected_operators():
+    # division by the zero polynomial, an index outside 0..q-1, blank element
+    # text; an int on the left of - and /; and a value that is no field
+    # element, which each operator hands back to Python as NotImplemented
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        _pdivmod([1, 2], [0, 0], 13)
+    for i in (-1, 25):
+        with pytest.raises(IndexError, match=f"^element index {i} out of range for q=25$"):
+            GF25.from_index(i)
+    with pytest.raises(ValueError, match="^empty element string$"):
+        parse_element(GF13, "  ")
+    x = GF25.element([0, 1])
+    assert 3 - x == GF25.element([3, 4]) == -(x - 3)
+    assert (1 / x) * x == GF25.one() and 1 / x == x.inverse()
+    assert GF13.__eq__(13) is NotImplemented and GF13 != "p=13"
+    for op in ("__sub__", "__rsub__", "__truediv__", "__rtruediv__"):
+        assert getattr(x, op)(2.5) is NotImplemented
+    for compute in (lambda: x - 2.5, lambda: 2.5 - x, lambda: x / 2.5, lambda: 2.5 / x):
+        with pytest.raises(TypeError):
+            compute()

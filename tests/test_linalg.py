@@ -326,3 +326,9 @@ def test_one_entry_form_per_field(ctx, monkeypatch):
     assert loaded.min_distance("exhaustive") == loaded.min_distance("dual") == d
     assert loaded.generator == code.generator and loaded.generator.ctx is loaded.ctx
     assert built == [loaded.ctx.form] and loaded.ctx.form.ctx is loaded.ctx
+
+
+def test_matrix_equality_with_other_types():
+    m = identity(GF13, 2)
+    assert m.__eq__([[1, 0], [0, 1]]) is NotImplemented
+    assert m != [[1, 0], [0, 1]] and m == identity(GF13, 2)

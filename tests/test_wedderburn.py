@@ -500,3 +500,11 @@ def test_records_take_defaults_and_refuse_wrong_fields():
             CodeFamily(*args, **kwargs)
     with pytest.raises(TypeError):
         Provenance(GF25, 3, "2n-2", 1)  # no default for beta
+
+
+def test_row_takes_its_field_from_either_entry():
+    # only y a FieldElement: x is read in y's field, and the pair is scaled to (1, y/x)
+    assert row(2, GF13.element(6)) == Summand(ROW, GF13.one(), GF13.element(3))
+    assert row(0, GF13.element(6)) == Summand(ROW, GF13.zero(), GF13.one())
+    with pytest.raises(InvalidRowSpecError, match="^empty ideal spec$"):
+        IdealSpec(())
