@@ -37,7 +37,7 @@ from .gf import (
     poly_text,
     primitive_nth_root,
 )
-from .idempotents import central_primitive_idempotents, cyclic_family
+from .idempotents import _central, cyclic_family
 from .wedderburn import wedderburn_inverse, wedderburn_map
 
 _BUILTIN_CODES = {
@@ -89,11 +89,11 @@ def cmd_field_check(args) -> int:
 
 
 def cmd_idempotents(args) -> int:
-    """Print both families; the text form prints each line as it is made,
-    and only --format json builds the document."""
+    """Print both families, the central one from the cyclic one; text prints
+    each line as it is made, and only --format json builds the document."""
     ctx = parse_field_spec(args.field)
     cyc = cyclic_family(ctx, args.n)
-    central = central_primitive_idempotents(ctx, args.n)
+    central = _central(cyc)
     if args.format == "json":
         doc = {
             "field": ctx.spec(),

@@ -4,9 +4,9 @@ Elements carry 2n coefficients in the monomial basis
 (a^0, ..., a^(n-1), b a^0, ..., b a^(n-1)), held as integers in the
 field's entry form (FieldCtx.form): + - * and scale work on them and
 each ends in one form.canon, and FieldElements are built only where
-alpha, beta, phi() or text() hand them out.  Multiplication follows the
-relations a^i a^j = a^(i+j), a^i (b a^j) = b a^(j-i), (b a^i) a^j = b a^(i+j),
-(b a^i)(b a^j) = a^(j-i), all exponents mod n.
+alpha, beta or phi() hand them out (text() reads the entries).  Multiplication
+follows the relations a^i a^j = a^(i+j), a^i (b a^j) = b a^(j-i),
+(b a^i) a^j = b a^(i+j), (b a^i)(b a^j) = a^(j-i), all exponents mod n.
 
 The coordinate map phi sends a^i to position i and b a^i to position n+i
 (zero-indexed), so coordinate weight equals support weight.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .errors import CharDividesOrderError, LengthMismatchError, MixedContextsError
-from .gf import FieldCtx, FieldElement
+from .gf import FieldCtx, FieldElement, poly_text
 from .linalg import MatrixGF
 
 
@@ -188,16 +188,16 @@ class AlgebraElement:
         return hash((self.algebra, self.coords))
 
     def text(self) -> str:
-        """Readable form "c0 + c1*a + ... + d0*b + d1*b*a + ..."."""
-        powers = ["a" * i if i < 2 else f"a^{i}" for i in range(self.n)]  # "", "a", "a^2", ...
-        names = powers + [f"b*{a}" if a else "b" for a in powers]
-        parts = []
-        for name, c in zip(names, self.phi()):
-            if c:
-                coef = c.text()
-                if "+" in coef:
-                    coef = f"({coef})"
-                parts.append(f"{coef}*{name}" if name else coef)
+        """Readable form "c0 + c1*a + ... + d0*b + d1*b*a + ...", from the entries."""
+        n, coords, parts = self.n, self.coords, []
+        support = [k for k, x in enumerate(coords) if x]
+        for k, cs in zip(support, self.ctx.form.coeffs([coords[k] for k in support])):
+            i, coef = k % n, poly_text(cs)
+            name = "a" * i if i < 2 else f"a^{i}"  # "", "a", "a^2", ...
+            if k >= n:
+                name = f"b*{name}" if name else "b"
+            coef = f"({coef})" if "+" in coef else coef
+            parts.append(f"{coef}*{name}" if name else coef)
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:

@@ -9,9 +9,9 @@ A matrix holds its rows in its field's entry form (FieldCtx.form, one per
 field), the form the dual walk keeps its columns in too: integers always,
 residues over GF(p), and over GF(p^m), m >= 2, coefficients packed into
 one integer.  Elimination is written once, on any form's submul and point.
-FieldElements are the API view: data, m[i, j], row(i), text() and to_json()
-build them on access, and the constructors take them, refusing entries
-from another field.
+FieldElements are the API view: data, m[i, j] and row(i) build them on
+access, text() and to_json() read the entries' coefficients, and the
+constructors take them, refusing entries from another field.
 
 An RREF of rank k is also held in systematic form (pivots, A): its pivot
 columns, and A, each row's entries on the other, free columns, in order
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .errors import MixedContextsError
-from .gf import FieldCtx, FieldElement, _is_int, parse_field_spec
+from .gf import FieldCtx, FieldElement, _is_int, parse_field_spec, poly_text
 
 
 class MatrixGF:
@@ -130,7 +130,7 @@ class MatrixGF:
         return same_shape and self.entries == other.entries
 
     def text(self) -> str:
-        cells = [[e.text() for e in row] for row in self.data]
+        cells = [[poly_text(cs) for cs in self.ctx.form.coeffs(row)] for row in self.entries]
         widths = [
             max((len(cells[i][j]) for i in range(self.rows)), default=1)
             for j in range(self.cols)

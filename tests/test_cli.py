@@ -154,6 +154,38 @@ def test_idempotents_text_makes_each_member_text_once(capsys, monkeypatch):
     assert len(made) == len(set(made)) == 21 + 2 + 10 == len(out.splitlines()) - 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_idempotents_builds_each_family_once(capsys, monkeypatch, fmt):
+    # the central family is placed from the cyclic one by coordinates: 21
+    # cyclic idempotents, one root and no group product for both families
+    import dihedralcodes.gf as gf
+    import dihedralcodes.idempotents as idempotents
+
+    calls = {"cyclic": 0, "root": 0}
+    cyclic, root = idempotents.cyclic_idempotent, gf.primitive_nth_root
+
+    def count_cyclic(*args):
+        calls["cyclic"] += 1
+        return cyclic(*args)
+
+    def count_root(*args):
+        calls["root"] += 1
+        return root(*args)
+
+    def refuse(self, other):
+        raise AssertionError("a group product was taken")
+
+    monkeypatch.setattr(idempotents, "cyclic_idempotent", count_cyclic)
+    for module in (gf, cli):
+        monkeypatch.setattr(module, "primitive_nth_root", count_root)
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    rc, out, _ = run(capsys, "idempotents", "--field", "p=13;mod=[2,0,1]", "--n", "21", "--format", fmt)
+    assert rc == 0
+    assert calls == {"cyclic": 21, "root": 1}
+    digests = {(c, f, n, fm): d for c, f, n, fm, d in STDOUT_SHA256}
+    assert hashlib.sha256(out.encode()).hexdigest() == digests["idempotents", "p=13;mod=[2,0,1]", 21, fmt]
+
+
 def test_wedderburn_memory_grows_at_most_linearly_in_n(capsys):
     # the round trip makes its 2n monomials one at a time: from n = 9 to n = 63
     # the peak grows by about 12 KB, where a list of all 2n monomials, 2n

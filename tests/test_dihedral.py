@@ -8,7 +8,7 @@ from dihedralcodes.errors import (
     LengthMismatchError,
     MixedContextsError,
 )
-from dihedralcodes.gf import make_field
+from dihedralcodes.gf import FieldElement, make_field
 from dihedralcodes.idempotents import cyclic_idempotent
 from dihedralcodes.linalg import MatrixGF
 from rank_oracle import identity
@@ -198,6 +198,24 @@ def test_text_and_json():
     assert doc == {"alpha": [[9], [9], [9]], "beta": [[0], [0], [0]]}
     rebuilt = D6.element(doc["alpha"], doc["beta"])
     assert rebuilt == e0
+
+
+def test_text_builds_no_field_element(monkeypatch):
+    # text() prints each nonzero entry's coefficients by poly_text, as
+    # FieldElement.text prints them, and builds no FieldElement
+    gf25 = make_field(5, [2, 0, 1])
+    alg = DihedralAlgebra(gf25, 4)
+    u = alg.element([0, 1, 0, [3, 1]], [1, 0, [0, 1], [2, 0]])
+    zero, one, b_a2 = alg.zero(), alg.one(), alg.b(2)
+
+    def refuse(self, ctx, coeffs):
+        raise AssertionError("text() built a FieldElement")
+
+    monkeypatch.setattr(FieldElement, "__init__", refuse)
+    assert zero.text() == "0"
+    assert one.text() == "1"
+    assert b_a2.text() == "1*b*a^2"
+    assert u.text() == "1*a + (x+3)*a^3 + 1*b + x*b*a^2 + 2*b*a^3"
 
 
 def test_scalar_multiplication():

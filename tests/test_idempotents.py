@@ -107,6 +107,30 @@ def test_central_family_even_n():
     assert total == alg.one()
 
 
+def _central_by_group_products(ctx, n):
+    """The central family by AlgebraElement products and sums: the reference
+    for the library's family, which places coordinates instead."""
+    alg = DihedralAlgebra(ctx, n)
+    one, b, half = alg.one(), alg.b(), ctx.element(2).inverse()
+    e = [cyclic_idempotent(ctx, n, i) for i in range(n)]
+    members = []
+    for i in (0, n // 2) if n % 2 == 0 else (0,):
+        members += [((one + b) * e[i]).scale(half), ((one - b) * e[i]).scale(half)]
+    pairs = range(1, n // 2) if n % 2 == 0 else range(1, (n - 1) // 2 + 1)
+    return members + [e[i] + e[n - i] for i in pairs]
+
+
+@pytest.mark.parametrize("ctx, n", [
+    (GF13, 3), (GF13, 4), (GF13, 6), (GF25, 4),
+    (make_field(13, [2, 0, 1]), 21), (make_field(3, [1, 2, 0, 1]), 13),
+])
+def test_central_family_equals_the_group_products(ctx, n):
+    fam = central_primitive_idempotents(ctx, n)
+    assert list(fam.members) == _central_by_group_products(ctx, n)
+    assert (fam.n, fam.ctx, fam.xi) == (n, ctx, primitive_nth_root(ctx, n))
+    assert cyclic_family(ctx, n).xi == fam.xi
+
+
 def test_dimension_of_principal_ideals():
     for ctx, n in ((GF13, 3), (GF25, 3)):
         for i in range(n):

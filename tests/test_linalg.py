@@ -236,6 +236,22 @@ def test_text_grid():
     assert m.text().splitlines() == ["1 10", "0  2"]
 
 
+def test_text_builds_no_field_element(monkeypatch):
+    # each cell is poly_text of its entry's coefficients, as FieldElement.text
+    # prints it, right-aligned to its column
+    m13 = MatrixGF.from_rows(GF13, [[0, 1, 12], [10, 0, 0]])
+    m25 = MatrixGF.from_rows(GF25, [[0, 1, [3, 1]], [[0, 1], [4, 0], 0]])
+    empty, no_cols = MatrixGF.zeros(GF13, 0, 3), MatrixGF.zeros(GF13, 2, 0)
+
+    def refuse(self, ctx, coeffs):
+        raise AssertionError("text() built a FieldElement")
+
+    monkeypatch.setattr(FieldElement, "__init__", refuse)
+    assert m13.text() == " 0 1 12\n10 0  0"
+    assert m25.text() == "0 1 x+3\nx 4   0"
+    assert (empty.text(), no_cols.text()) == ("", "\n")
+
+
 GF8 = make_field(2, [1, 1, 0, 1])
 
 
