@@ -13,12 +13,15 @@ it (s is the twist index, beta the twist scalar):
 
 Under P each family is the Wedderburn spec {position 0: full / minus /
 plus; block s: row(1, beta); other blocks: full}, the kernel of its 2 or 3
-closed-form constraint rows H, built with no division.  construct_code
-keeps H (LinearCode._from_parity_check), takes k = 2n - h from one
-determinant of H's leading h x h block (_rank), and finds the RREF
-generator from it only on first use (linalg.kernel_rref); the public
-constructor, load_code and from_generator_rows reduce the generator they
-are given (one that elimination built, as code_from_ideal_spec's,
+closed-form constraint rows H: none, g1 or g2 at position 0, and block
+s's two.  construct_code builds them straight from the family, with no
+Summand and no division, by the spec route's row builders
+(wedderburn._position0_rows, _row_rows), keeps H
+(LinearCode._from_parity_check), takes k = 2n - h from one determinant
+of H's leading h x h block (_rank), and finds the RREF generator from it
+only on first use (linalg.kernel_rref); the public constructor,
+load_code and from_generator_rows reduce the generator they are given
+(one that elimination built, as code_from_ideal_spec's,
 carries its (pivots, A) and is taken as it is) and take H = [-A^T | I]
 off G = [I | A] (linalg.dual).  Either way H is the one parity check:
 contains tests H v^T = 0.  The generator is held in systematic form,
@@ -88,15 +91,7 @@ from .errors import (
 )
 from .gf import FieldCtx, FieldElement, _is_int, _xi_entries, element_order
 from .linalg import MatrixGF, dual, echelon, echelon_rows, free_columns, kernel_rref, null_rows
-from .wedderburn import (
-    ROW,
-    Summand,
-    _constraint_rows,
-    _summand_forms,
-    full,
-    minus_piece,
-    plus_piece,
-)
+from .wedderburn import FULL, MINUS_PIECE, PLUS_PIECE, _position0_rows, _row_rows, _summand_forms
 
 FAMILY_2N_MINUS_2 = "2n-2"
 FAMILY_2N_MINUS_3_MINUS = "2n-3-minus"
@@ -105,11 +100,11 @@ FAMILIES = (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS, FAMILY_2N_MINUS_3_PLUS)
 
 DEFAULT_CAP = 10**6
 
-# position-0 summand of each family: the image of R e_0, R((1-b)/2 e_0), R((1+b)/2 e_0)
+# each family's position-0 summand, R e_0, R((1-b)/2 e_0), R((1+b)/2 e_0): H keeps none, g1, g2
 _POSITION0 = {
-    FAMILY_2N_MINUS_2: full,
-    FAMILY_2N_MINUS_3_MINUS: minus_piece,
-    FAMILY_2N_MINUS_3_PLUS: plus_piece,
+    FAMILY_2N_MINUS_2: FULL,
+    FAMILY_2N_MINUS_3_MINUS: MINUS_PIECE,
+    FAMILY_2N_MINUS_3_PLUS: PLUS_PIECE,
 }
 
 
@@ -143,7 +138,7 @@ class LinearCode:
 
     LinearCode(G) shares the (pivots, A) that G's RREF carries, with no
     elimination when elimination built G;
-    construct_code enters through _from_parity_check with H, the spec's
+    construct_code enters through _from_parity_check with H, the family's
     constraint rows, and k = 2n - rank H, one determinant for its 2 or 3
     rows (_rank).  contains reads only H, as does the dual engine unless
     the code's rate is low enough for the generator side (_dual_distance).
@@ -330,7 +325,8 @@ def require_odd_n(n: int) -> None:
 
 
 def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
-    """Build one of the three ideal families as a LinearCode of length 2n."""
+    """Build one of the three ideal families as a LinearCode of length 2n, held
+    by H: its position-0 row, if any, and block s's rows for (1, beta)."""
     require_odd_n(n)
     if family.tag not in FAMILIES:
         raise ValueError(f"unknown family tag {family.tag!r}")
@@ -340,7 +336,7 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
         raise NotCoprimeError(
             f"s={s} must satisfy 1 <= s <= (n-1)/2={(n - 1) // 2} and gcd(s, n) = 1"
         )
-    _xi_entries(ctx, n)  # the root check precedes the beta checks; ctx keeps the powers H reads
+    xi_pows = _xi_entries(ctx, n)  # the root check precedes the beta checks
     beta = _resolve_beta(ctx, family.beta)
     if family.tag in (FAMILY_2N_MINUS_2, FAMILY_2N_MINUS_3_MINUS):
         # the default beta is the canonical generator, of order q - 1
@@ -349,11 +345,11 @@ def construct_code(ctx: FieldCtx, n: int, family: CodeFamily) -> LinearCode:
             raise BadOrderError(f"ord(beta)={ord_beta} <= 2n={2 * n}")
     elif family.beta is not None and beta**n == ctx.one():  # q - 1 > n: the default is no n-th root
         raise BetaIsNthRootError(f"beta={beta.text()} satisfies beta^{n} = 1; need beta^n != 1")
-    # row(1, beta) is canonical as it stands: no division, and no IdealSpec to check it
-    summands = [_POSITION0[family.tag]()] + [full()] * ((n - 1) // 2)
-    summands[s] = Summand(ROW, ctx.one(), beta)
+    # block s is row(1, beta), canonical as it stands: no division, and no IdealSpec to check it
+    (y,) = ctx.form.entries([beta])
+    rows = _position0_rows(ctx, n, _POSITION0[family.tag]) + _row_rows(ctx.form, xi_pows, s, 1, y)
     prov = Provenance(ctx=ctx, n=n, tag=family.tag, s=s, beta=beta)
-    return LinearCode._from_parity_check(ctx, _constraint_rows(ctx, n, summands), prov)
+    return LinearCode._from_parity_check(ctx, rows, prov)
 
 
 def generator_matrix_presentation(code: LinearCode, style: str = "rref") -> MatrixGF:

@@ -21,7 +21,8 @@ class _Record:
         if "__init__" in cls.__dict__:
             return
         # compiled once per class, as dataclasses does: a generic *args __init__
-        # took 3x as long, and construct_code builds a record per summand
+        # took 3x as long, and each paper code takes a CodeFamily and a
+        # Provenance, each spec a Summand per block
         defaults = {f"_{f}": cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
         params = ", ".join(f"{f}=_{f}" if f"_{f}" in defaults else f for f in cls._fields)
         body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)

@@ -234,31 +234,44 @@ class IdealSpec(_Record):
         return len(self.summands)
 
 
+def _position0_rows(ctx: FieldCtx, n: int, kind: str) -> list[list]:
+    """The forms that vanish on position-0 summand kind, in ctx's entry
+    form: g1 and g2 for zero, g1 for minus, g2 for plus, none for full."""
+    if kind == FULL:
+        return []
+    g1, g2 = _summand_forms(ctx, n, 0)
+    return {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2]}[kind]
+
+
+def _row_rows(form, xi_pows, j: int, x, y) -> list[list]:
+    """Block j's two constraint rows for row(x, y), x and y entries of
+    form: y a11 - x a12 and y a21 - x a22, from xi^0 .. xi^(n-1)
+    (gf._xi_entries), not the four forms, with -y as submul's factor (any
+    + - * value).  A nonzero multiple of (x, y) spans the same; no division."""
+    n, zeros = len(xi_pows), [0] * len(xi_pows)
+    # a11 = (xi^(ij) | 0) and a12 = (0 | xi^(-ij)); a21, a22 swap the halves
+    plus = [xi_pows[k % n] for k in range(0, n * j, j)]  # k = ij, i = 0..n-1
+    minus = plus[:1] + plus[:0:-1]  # xi^(-ij) = xi^((n-i)j)
+    ya, xb = form.submul(zeros, -y, plus), form.submul(zeros, x, minus)
+    return [ya + xb, xb + ya]
+
+
 def _constraint_rows(ctx: FieldCtx, n: int, summands) -> list[list]:
     """Rows H (phi coordinates) with P^-1 of the ideal these summands
     choose = ker H, in ctx's entry form (FieldCtx.form), whatever the field.
 
-    Each summand keeps the forms of _summand_forms that vanish on it; a
-    row block's two, y a11 - x a12 and y a21 - x a22, are built from the
-    powers of xi the field keeps (gf._xi_entries), not from its four
-    forms, and the forms of a full block are never built.  A row summand
-    need not be canonical: (x, y) and any nonzero multiple of it give rows
-    with one span, so IdealSpec's validation is not needed here, and the
-    rows take no division.
+    Each summand keeps the forms of _summand_forms that vanish on it: at
+    position 0 _position0_rows, at a row block _row_rows, and none at a
+    full block, whose forms are never built.  A row summand need not be
+    canonical, so IdealSpec's validation is not needed here.
     """
-    g1, g2 = _summand_forms(ctx, n, 0)
-    out = {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2], FULL: []}[summands[0].kind]
-    form, xi_pows, zeros = ctx.form, _xi_entries(ctx, n), [0] * n
+    out = _position0_rows(ctx, n, summands[0].kind)
+    form, xi_pows = ctx.form, _xi_entries(ctx, n)  # RootUnavailableError unless n | q-1
     for j, s in enumerate(summands[1:], 1):
         if s.kind == ZERO:
             out += _summand_forms(ctx, n, j)
-        elif s.kind == ROW:  # y*a11 - x*a12 = 0 and y*a21 - x*a22 = 0
-            # a11 = (xi^(ij) | 0) and a12 = (0 | xi^(-ij)); a21, a22 swap the halves
-            plus = [xi_pows[i * j % n] for i in range(n)]
-            minus = plus[:1] + plus[:0:-1]  # xi^(-ij) = xi^((n-i)j)
-            minus_y, x = form.entries([-s.y, s.x])
-            ya, xb = form.submul(zeros, minus_y, plus), form.submul(zeros, x, minus)
-            out += [ya + xb, xb + ya]
+        elif s.kind == ROW:
+            out += _row_rows(form, xi_pows, j, *form.entries([s.x, s.y]))
     return out
 
 

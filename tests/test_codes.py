@@ -43,7 +43,10 @@ from dihedralcodes.gf import FieldElement, _Packed, make_field
 from dihedralcodes.idempotents import cyclic_idempotent
 from dihedralcodes.linalg import MatrixGF
 from dihedralcodes.wedderburn import (
+    ROW,
     IdealSpec,
+    Summand,
+    _constraint_rows,
     code_from_ideal_spec,
     full,
     minus_piece,
@@ -1461,6 +1464,50 @@ def test_construct_code_divides_nothing(monkeypatch):
     monkeypatch.setattr(FieldElement, "__truediv__", refuse)
     monkeypatch.setattr(FieldElement, "__rtruediv__", refuse)
     codes = [construct_code(ctx, n, CodeFamily(tag)) for ctx, n, tag in cases]
+    monkeypatch.undo()
+    assert [code.to_json() for code in codes] == want
+
+
+@pytest.mark.parametrize(
+    "ctx, n",
+    [(GF13, 3), (make_field(61, [0, 1]), 15), (make_field(13, [2, 0, 1]), 21),
+     (make_field(7, [1, 1, 0, 1]), 57)],
+    ids=["GF13-3", "GF61-15", "GF169-21", "GF343-57"],
+)
+def test_parity_rows_match_the_summand_route(ctx, n):
+    # construct_code builds H from the family itself; the spec route,
+    # _constraint_rows on the family's whole summand list, must give the same
+    # rows, entry for entry, at every coprime twist, for the default beta and
+    # for a primitive beta that construct_code passes through element_order
+    k = next(k for k in range(2, ctx.q) if math.gcd(k, ctx.q - 1) == 1)
+    checked = 0
+    for beta in (None, ctx.generator() ** k):
+        for tag in FAMILIES:
+            for s in range(1, (n + 1) // 2):
+                if math.gcd(s, n) != 1:
+                    continue
+                code = construct_code(ctx, n, CodeFamily(tag, s=s, beta=beta))
+                summands = [FAMILY_POSITION0[tag]()] + [full()] * ((n - 1) // 2)
+                summands[s] = Summand(ROW, ctx.one(), code.provenance.beta)
+                assert code._parity_check() == _constraint_rows(ctx, n, summands), (tag, s, beta)
+                checked += 1
+    assert checked == 6 * sum(math.gcd(s, n) == 1 for s in range(1, (n + 1) // 2))
+
+
+def test_construct_code_builds_no_summand(monkeypatch):
+    # H comes straight from the family: no Summand record, no summand list,
+    # and beta is negated on the entry form, not as a FieldElement
+    F27 = make_field(3, [1, 2, 0, 1])
+    cases = [(GF13, 3, tag, beta) for tag in FAMILIES for beta in (None, 6)]
+    cases.append((F27, 13, FAMILY_2N_MINUS_3_PLUS, None))
+    want = [construct_code(ctx, n, CodeFamily(tag, beta=beta)).to_json() for ctx, n, tag, beta in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct_code built a Summand or negated beta")
+
+    monkeypatch.setattr(Summand, "__init__", refuse)
+    monkeypatch.setattr(FieldElement, "__neg__", refuse)
+    codes = [construct_code(ctx, n, CodeFamily(tag, beta=beta)) for ctx, n, tag, beta in cases]
     monkeypatch.undo()
     assert [code.to_json() for code in codes] == want
 
