@@ -2,18 +2,21 @@
 
     python3 scripts/scale_bench.py --pr N
 
-Runs each row below one at a time, in a fresh temporary directory, as its
-own ``python -m dihedralcodes.cli`` processes with ``PYTHONPATH`` set to
-this checkout's ``src``, and writes ``BENCH_<N>.json`` at the repository
-root.  A row is one command, or a ``construct --out`` and the
-``analyze --in`` that reads its file, in one directory.  For each command
-the file records its argv, exit status, wall time, the peak RSS of that
+Runs each row below REPEATS times, one run at a time, each in a fresh
+temporary directory, as its own ``python -m dihedralcodes.cli`` processes
+with ``PYTHONPATH`` set to this checkout's ``src``, and writes
+``BENCH_<N>.json`` at the repository root.  A row is one command, or a
+``construct --out`` and the ``analyze --in`` that reads its file, in one
+directory.  For each command the file records its argv, exit status, the
+median wall time and all REPEATS walls, the largest peak RSS of that
 child alone (``ru_maxrss`` from ``os.wait4``), the md5 of its stdout and
-of every file it wrote.  Nothing is checked: compare the digests of two
-files to see that output bytes did not move, and their times, taken in
-one session, to see a change in speed.
+of every file it wrote, and whether every run gave the same status and
+md5s (``runs_agree``; a row whose runs differ is flagged as it prints).
+Nothing else is checked: compare the digests of two files to see that
+output bytes did not move, and their median times, taken in one session,
+to see a change in speed.
 
-The rows take about three minutes on a 2-core container, and the
+The rows take about seven minutes on a 2-core container, and the
 (2^31-1, 2317) pair needs about 3 GB of memory and 0.7 GB of disk.
 """
 
@@ -24,6 +27,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,10 @@ ROOT = Path(__file__).resolve().parents[1]
 GF2003_2 = "p=2003;mod=[1,0,1]"
 GF7_3 = "p=7;mod=[1,1,0,1]"
 GF3_7 = "p=3;mod=[1,0,2,0,0,0,0,1]"
+
+# runs of each row; one run cannot tell a change in speed from the
+# container's own swings, which reached 2x on one sweep
+REPEATS = 3
 
 
 def _sweep(field, n):
@@ -54,6 +62,9 @@ ROWS = [
     _sweep(GF3_7, 1093),
     _sweep("p=2147483647", 2317),
     _document(6007, 1001),
+    ("construct --style paper --out p=6007 n=1001",
+     [["construct", "--field", "p=6007", "--n", "1001", "--family", "2n-3-plus",
+       "--style", "paper", "--out", "code.json"]]),
     _document(2147483647, 2317),  # a 708 MB file; analyze --in takes about 50 s and 2.8 GB
     ("wedderburn p=3011 n=301", [["wedderburn", "--field", "p=3011", "--n", "301", "--check", "2"]]),
     ("idempotents p=6007 n=1001", [["idempotents", "--field", "p=6007", "--n", "1001"]]),
@@ -95,14 +106,30 @@ def run_row(name, commands, src=ROOT / "src") -> dict:
         return {"row": name, "commands": [run_command(argv, cwd, env) for argv in commands]}
 
 
+def repeat_row(name, commands, src=ROOT / "src") -> dict:
+    """Run a row REPEATS times (run_row), and keep for each command its
+    median wall time, every wall, its largest peak RSS, and whether every
+    run gave the same exit status and md5s."""
+    runs = [run_row(name, commands, src)["commands"] for _ in range(REPEATS)]
+    out = []
+    for cs in zip(*runs):
+        outputs = [(c["status"], c["stdout_md5"], c["files"]) for c in cs]
+        walls = [c["wall_s"] for c in cs]
+        out.append({**cs[0], "wall_s": statistics.median(walls), "walls_s": walls,
+                    "maxrss_mb": max(c["maxrss_mb"] for c in cs),
+                    "runs_agree": all(o == outputs[0] for o in outputs)})
+    return {"row": name, "commands": out}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="names the output, BENCH_<pr>.json")
     args = parser.parse_args(argv)
     rows = []
     for name, commands in ROWS:
-        rows.append(run_row(name, commands))
+        rows.append(repeat_row(name, commands))
         walls = ", ".join(f"{c['wall_s']:.2f} s {c['maxrss_mb']:.0f} MB exit {c['status']}"
+                          + ("" if c["runs_agree"] else " RUNS DIFFER")
                           for c in rows[-1]["commands"])
         print(f"{name}: {walls}", flush=True)
     doc = {"pr": args.pr, "python": platform.python_version(),

@@ -32,8 +32,8 @@ the public LinearCode.generator.  H, like every matrix, holds the
 field's entry form (FieldCtx.form): residues over GF(p), packed integers
 over GF(p^m), each a gf._Form with the same canon, is_zero, submul,
 point, points and reduce.  The paper-style presentation streams its
-rows, n e_j and n b e_j, off P's forms (wedderburn._summand_forms) on
-that form (presentation_rows).
+rows, n e_j and n b e_j, from the same two row builders on that form
+(presentation_rows).
 
 Minimum distance is computed two independent ways, both exact, with no
 limit on q: exhaustive enumeration, in numpy, of every codeword up to a
@@ -91,7 +91,7 @@ from .errors import (
 )
 from .gf import FieldCtx, FieldElement, _is_int, _xi_entries, element_order
 from .linalg import MatrixGF, dual, echelon, echelon_rows, free_columns, kernel_rref, null_rows
-from .wedderburn import FULL, MINUS_PIECE, PLUS_PIECE, _position0_rows, _row_rows, _summand_forms
+from .wedderburn import FULL, MINUS_PIECE, PLUS_PIECE, _position0_rows, _row_rows
 
 FAMILY_2N_MINUS_2 = "2n-2"
 FAMILY_2N_MINUS_3_MINUS = "2n-3-minus"
@@ -365,10 +365,11 @@ def presentation_rows(code: LinearCode, style: str = "rref"):
     form, each built as it is read; the style is checked at the call.
 
     "rref" is the canonical reduced form, from (pivots, A).  "paper" lays
-    out one row per ideal generator orbit, n e_j and n b e_j, which are P's
-    coordinate forms (a22_j and a12_j for j <= (n-1)/2, a11_(n-j) and
-    a21_(n-j) above): the constant row(s) first, then the twisted pair
-    n (e_s + beta b e_(n-s)) and n (b e_s + beta e_(n-s)), then the
+    out one row per ideal generator orbit, n e_j and n b e_j, P's forms
+    a22_j and a12_j, block j's rows of row(-1, 0) reversed (_row_rows):
+    the constant row(s) first (n e_0 and n b e_0, or the position-0 form of
+    the other piece), then the twisted pair n (e_s + beta b e_(n-s)) and
+    n (b e_s + beta e_(n-s)), row(-1, beta)'s at block s, then the
     remaining orbits in ascending index order.  Only available for codes
     built by construct_code.
     """
@@ -385,19 +386,17 @@ def presentation_rows(code: LinearCode, style: str = "rref"):
 
 def _paper_rows(prov: Provenance):
     ctx, n, s = prov.ctx, prov.n, prov.s
-    form = ctx.form
+    form, xi_pows = ctx.form, _xi_entries(ctx, n)
     if prov.tag == FAMILY_2N_MINUS_2:  # n e_0 = (1|0), n b e_0 = (0|1)
         yield from ([1] * n + [0] * n, [0] * n + [1] * n)
-    else:  # n (1 -+ b) e_0
-        g1, g2 = _summand_forms(ctx, n, 0)
-        yield g2 if prov.tag == FAMILY_2N_MINUS_3_MINUS else g1
-    a11, a12, a21, a22 = _summand_forms(ctx, n, s)
-    minus_beta = form.entries([-prov.beta])[0]
-    yield from (form.submul(a22, minus_beta, a21), form.submul(a12, minus_beta, a11))
+    else:  # n (1 -+ b) e_0, the form that vanishes on the other piece
+        other = PLUS_PIECE if prov.tag == FAMILY_2N_MINUS_3_MINUS else MINUS_PIECE
+        yield from _position0_rows(ctx, n, other)
+    (y,) = form.entries([prov.beta])
+    yield from reversed(_row_rows(form, xi_pows, s, -1, y))  # a22 + beta a21, a12 + beta a11
     for j in range(1, n):
         if j not in (s, n - s):
-            a11, a12, a21, a22 = _summand_forms(ctx, n, min(j, n - j))
-            yield from (a22, a12) if j <= (n - 1) // 2 else (a11, a21)
+            yield from reversed(_row_rows(form, xi_pows, j, -1, 0))  # a22_j, a12_j
 
 
 def left_ideal_closure_ok(code: LinearCode) -> bool:

@@ -14,14 +14,18 @@ half: with A and B the DFTs of the a-part and the b-part, gamma is
 A and B, as _BLOCK_LAYOUT lists them.  wedderburn_map computes the two
 DFTs on the field's entry form, and wedderburn_inverse fills the spectra
 back and takes the inverse DFTs.  Each coordinate is also a linear form
-in phi coordinates (_summand_forms), and the forms are orthogonal up to
-n.  P is an algebra isomorphism, so left ideals of F_q D_2n correspond
-exactly to direct sums of one ideal per summand; IdealSpec names such a
-choice.  Each summand is cut out by at most four of the forms and, by
-that orthogonality, spanned by the dual forms of the coordinates it
-keeps.  So code_from_ideal_spec pulls the ideal back from its smaller
-side, without inverting P: the RREF of its dim span rows when dim <= n,
-else the null space of its 2n - dim constraint rows.
+in phi coordinates, orthogonal up to n: g1 = (1..1 | 1..1), g2 =
+(1..1 | -1..-1), and block j's a11 = (xi^(ij) | 0), a12 = (0 | xi^(-ij)),
+a21 = (0 | xi^(ij)), a22 = (xi^(-ij) | 0).  P is an algebra isomorphism,
+so left ideals of F_q D_2n correspond exactly to direct sums of one
+ideal per summand; IdealSpec names such a choice.  A block's ideal is 0,
+all of M_2 or a row ideal M_2 [[x, y], [0, 0]], cut out by y a11 - x a12
+and y a21 - x a22 (_row_rows, which builds every block row); 0 is the
+meet of row(0, 1) and row(1, 0).  By the orthogonality each summand is
+spanned by the dual forms of the coordinates it keeps.  So
+code_from_ideal_spec pulls the ideal back from its smaller side, without
+inverting P: the RREF of its dim span rows when dim <= n, else the null
+space of its 2n - dim constraint rows.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class WedderburnTuple(_Record):
 
 # (half, sign) of each block coordinate a11, a12, a21, a22: block j's
 # coordinate is entry sign*j mod n of that half's DFT (0: a-part, 1:
-# b-part); as a form, xi^(sign*ij) on that half of the phi coordinates
+# b-part); as a form (_row_rows), xi^(sign*ij) on that half of phi coordinates
 _BLOCK_LAYOUT = ((0, 1), (1, -1), (1, 1), (0, -1))
 
 
@@ -86,26 +90,6 @@ def _dft(form, xi_pows, v, sign=1):
     """sum_i v_i xi^(sign*ik) for k = 0..n-1, on v's entry form."""
     n, support = len(xi_pows), [(i, x) for i, x in enumerate(v) if x]
     return form.canon([sum(x * xi_pows[sign * i * k % n] for i, x in support) for k in range(n)])
-
-
-def _summand_forms(ctx: FieldCtx, n: int, j: int):
-    """P's coordinates on summand j as linear forms on phi coordinates
-    (a-part | b-part), in ctx's entry form, where xi^i is the power the
-    field keeps (gf._xi_entries) and 1 and -1 are the residues 1 and p - 1
-    (RootUnavailableError unless n | q-1, at j = 0 too): at j = 0 the pair's
-
-      g1 = (1..1 | 1..1),  g2 = (1..1 | -1..-1),
-
-    else block j's, laid out by _BLOCK_LAYOUT:
-
-      a11 = (xi^(ij) | 0),  a12 = (0 | xi^(-ij)),
-      a21 = (0 | xi^(ij)),  a22 = (xi^(-ij) | 0).
-    """
-    xi_pows, zeros = _xi_entries(ctx, n), [0] * n
-    if j == 0:
-        return [1] * (2 * n), [1] * n + [ctx.p - 1] * n
-    pows = {sign: [xi_pows[(sign * i * j) % n] for i in range(n)] for sign in (1, -1)}
-    return tuple(zeros + pows[s] if h else pows[s] + zeros for h, s in _BLOCK_LAYOUT)
 
 
 def wedderburn_map(u: AlgebraElement) -> WedderburnTuple:
@@ -236,23 +220,26 @@ class IdealSpec(_Record):
 
 def _position0_rows(ctx: FieldCtx, n: int, kind: str) -> list[list]:
     """The forms that vanish on position-0 summand kind, in ctx's entry
-    form: g1 and g2 for zero, g1 for minus, g2 for plus, none for full."""
+    form, where -1 is the residue p - 1: g1 = (1..1 | 1..1) and
+    g2 = (1..1 | -1..-1) for zero, g1 for minus, g2 for plus, none for full."""
     if kind == FULL:
         return []
-    g1, g2 = _summand_forms(ctx, n, 0)
+    g1, g2 = [1] * (2 * n), [1] * n + [ctx.p - 1] * n
     return {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2]}[kind]
 
 
 def _row_rows(form, xi_pows, j: int, x, y) -> list[list]:
     """Block j's two constraint rows for row(x, y), x and y entries of
     form: y a11 - x a12 and y a21 - x a22, from xi^0 .. xi^(n-1)
-    (gf._xi_entries), not the four forms, with -y as submul's factor (any
-    + - * value).  A nonzero multiple of (x, y) spans the same; no division."""
+    (gf._xi_entries), with -y as submul's factor (any + - * value).  A
+    nonzero multiple of (x, y) spans the same; no division.  Every block
+    row comes from here: a zero block's, (0, 1) and (1, 0), and the
+    paper's n e_j, n b e_j, (-1, 0) reversed (codes._paper_rows)."""
     n, zeros = len(xi_pows), [0] * len(xi_pows)
-    # a11 = (xi^(ij) | 0) and a12 = (0 | xi^(-ij)); a21, a22 swap the halves
     plus = [xi_pows[k % n] for k in range(0, n * j, j)]  # k = ij, i = 0..n-1
     minus = plus[:1] + plus[:0:-1]  # xi^(-ij) = xi^((n-i)j)
-    ya, xb = form.submul(zeros, -y, plus), form.submul(zeros, x, minus)
+    ya = form.submul(zeros, -y, plus) if y else zeros  # a zero factor's half is zeros
+    xb = form.submul(zeros, x, minus) if x else zeros
     return [ya + xb, xb + ya]
 
 
@@ -260,16 +247,17 @@ def _constraint_rows(ctx: FieldCtx, n: int, summands) -> list[list]:
     """Rows H (phi coordinates) with P^-1 of the ideal these summands
     choose = ker H, in ctx's entry form (FieldCtx.form), whatever the field.
 
-    Each summand keeps the forms of _summand_forms that vanish on it: at
-    position 0 _position0_rows, at a row block _row_rows, and none at a
-    full block, whose forms are never built.  A row summand need not be
-    canonical, so IdealSpec's validation is not needed here.
+    Each summand keeps the forms that vanish on it: at position 0
+    _position0_rows, at a row block _row_rows, at a zero block the rows of
+    row(0, 1) and row(1, 0), a11, a21, -a12, -a22, and none at a full
+    block.  A row summand need not be canonical, so IdealSpec's validation
+    is not needed here.
     """
     out = _position0_rows(ctx, n, summands[0].kind)
     form, xi_pows = ctx.form, _xi_entries(ctx, n)  # RootUnavailableError unless n | q-1
     for j, s in enumerate(summands[1:], 1):
         if s.kind == ZERO:
-            out += _summand_forms(ctx, n, j)
+            out += _row_rows(form, xi_pows, j, 0, 1) + _row_rows(form, xi_pows, j, 1, 0)
         elif s.kind == ROW:
             out += _row_rows(form, xi_pows, j, *form.entries([s.x, s.y]))
     return out

@@ -355,21 +355,26 @@ def idempotent_presentation(code):
     return [g.phi() for g in gens]
 
 
+# GF(7^3) at n = 19 has 2n | q - 1 and packed entries
 @pytest.mark.parametrize(
     "ctx,n",
-    ACCEPTANCE_PAIRS + [(make_field(13, [2, 0, 1]), 21)],
-    ids=[f"q{ctx.q}-n{n}" for ctx, n in ACCEPTANCE_PAIRS] + ["q169-n21"],
+    ACCEPTANCE_PAIRS + [(make_field(13, [2, 0, 1]), 21), (make_field(7, [1, 1, 0, 1]), 19)],
+    ids=[f"q{ctx.q}-n{n}" for ctx, n in ACCEPTANCE_PAIRS] + ["q169-n21", "q343-n19"],
 )
 def test_paper_style_matches_idempotent_products(ctx, n):
-    for tag in FAMILY_TAGS:
-        for s in range(1, (n - 1) // 2 + 1):
-            if math.gcd(s, n) == 1:
-                code = construct_code(ctx, n, CodeFamily(tag=tag, s=s))
-                paper = generator_matrix_presentation(code, "paper")
-                expected = idempotent_presentation(code)
-                assert paper.rows == len(expected) == code.k
-                for i, r in enumerate(expected):
-                    assert paper.row(i) == r, (ctx.spec(), n, tag, s, i)
+    # the default beta and a primitive one passed in: generator^k, the least
+    # k > 1 coprime to q - 1
+    k = next(k for k in range(2, ctx.q) if math.gcd(k, ctx.q - 1) == 1)
+    for beta in (None, ctx.generator() ** k):
+        for tag in FAMILY_TAGS:
+            for s in range(1, (n - 1) // 2 + 1):
+                if math.gcd(s, n) == 1:
+                    code = construct_code(ctx, n, CodeFamily(tag=tag, s=s, beta=beta))
+                    paper = generator_matrix_presentation(code, "paper")
+                    expected = idempotent_presentation(code)
+                    assert paper.rows == len(expected) == code.k
+                    for i, r in enumerate(expected):
+                        assert paper.row(i) == r, (ctx.spec(), n, tag, s, beta, i)
 
 
 def test_paper_style_needs_provenance():

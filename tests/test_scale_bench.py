@@ -41,3 +41,33 @@ def test_every_row_is_a_cli_command():
         assert name and commands
         for argv in commands:
             build_parser().parse_args(argv)
+
+
+def test_a_row_is_repeated_in_fresh_directories():
+    # each of REPEATS runs writes code.json anew, so each ran in its own
+    # directory; the runs agree, and the kept wall is their median
+    commands = [["construct", "--field", "p=13", "--n", "3", "--family", "2n-3-plus", "--out", "code.json"]]
+    (construct,) = scale_bench.repeat_row("tiny", commands)["commands"]
+    assert len(construct["walls_s"]) == scale_bench.REPEATS == 3
+    assert construct["wall_s"] == sorted(construct["walls_s"])[1]
+    assert construct["runs_agree"] and list(construct["files"]) == ["code.json"]
+
+
+def test_a_repeated_row_flags_runs_that_differ(monkeypatch):
+    # the median wall, every wall and the largest peak RSS are kept; a
+    # status or a digest that moves between runs clears runs_agree
+    def runs(outputs):
+        it = iter(outputs)
+
+        def run_row(name, commands, src):
+            wall, rss, status, md5, files = next(it)
+            return {"row": name, "commands": [{"argv": commands[0], "status": status, "wall_s": wall,
+                                               "maxrss_mb": rss, "stdout_md5": md5, "files": files}]}
+        monkeypatch.setattr(scale_bench, "run_row", run_row)
+        return scale_bench.repeat_row("fake", [["sweep"]])["commands"][0]
+
+    same = runs([(3.0, 10.0, 0, "a", {"f": "b"}), (1.0, 30.0, 0, "a", {"f": "b"}), (2.0, 20.0, 0, "a", {"f": "b"})])
+    assert (same["wall_s"], same["walls_s"], same["maxrss_mb"]) == (2.0, [3.0, 1.0, 2.0], 30.0)
+    assert same["runs_agree"]
+    for moved in [(2.0, 20.0, 1, "a", {"f": "b"}), (2.0, 20.0, 0, "c", {"f": "b"}), (2.0, 20.0, 0, "a", {"f": "c"})]:
+        assert not runs([(1.0, 10.0, 0, "a", {"f": "b"}), (1.0, 10.0, 0, "a", {"f": "b"}), moved])["runs_agree"]

@@ -31,7 +31,6 @@ from dihedralcodes.wedderburn import (
     WedderburnTuple,
     _constraint_rows,
     _span_rows,
-    _summand_forms,
     code_from_ideal_spec,
     full,
     minus_piece,
@@ -369,20 +368,27 @@ def test_span_rows_take_no_division(ctx, n, monkeypatch):
 )
 def test_row_block_rows_are_y_a11_minus_x_a12_and_y_a21_minus_x_a22(p, modulus, n):
     # H of row(x, y) at block j, built from the powers of xi, against the same
-    # combinations of block j's four forms taken on FieldElements
+    # combinations of block j's four forms taken on FieldElements, each form
+    # read off P itself: its value at the 2n monomials by wedderburn_map, the
+    # DFT route.  A zero block's rows span exactly those four forms.
     ctx, rng = make_field(p, modulus), random.Random(n)
     form, z, o = ctx.form, ctx.zero(), ctx.one()
     rows = [row(z, o), row(o, z), row(o, o), row(o, -o)] + [row(o, ctx.random_element(rng)) for _ in range(2)]
+    images = [wedderburn_map(u).blocks for u in DihedralAlgebra(ctx, n).monomials()]
     for j in range(1, (n + 1) // 2):
-        a11, a12, a21, a22 = (form.elements(f) for f in _summand_forms(ctx, n, j))
+        a11, a12, a21, a22 = ([t[j - 1][r][c] for t in images] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        blocks = [full()] * ((n - 1) // 2)
         for r in rows:
-            blocks = [full()] * ((n - 1) // 2)
             blocks[j - 1] = r
             got = _constraint_rows(ctx, n, (full(), *blocks))
             want = [[r.y * a - r.x * b for a, b in zip(a11, a12)],
                     [r.y * a - r.x * b for a, b in zip(a21, a22)]]
             assert [form.elements(g) for g in got] == want
             assert got == [form.entries(w) for w in want]
+        blocks[j - 1] = zero()
+        got = MatrixGF._trusted(ctx, _constraint_rows(ctx, n, (full(), *blocks)), 2 * n).rref()
+        want = MatrixGF.from_rows(ctx, [a11, a12, a21, a22]).rref()
+        assert got[1] == 4 and got[0] == want[0]
 
 
 def test_spec_dims():
