@@ -674,7 +674,7 @@ def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP, symmetric=None) ->
     k, points = len(cols[0]), field.points(cols)
     if k == 1:
         return sum(point is not None for point in points)
-    if k == 3 and None not in points and len(set(points)) == len(points) and _on_a_conic(cols, field):
+    if k == 3 and None not in points and len(set(points)) == len(points) and _on_a_conic(points, field):
         return len(cols) - 2
     best = [0]
     budget = _budget(cap, "generator")
@@ -712,12 +712,16 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
     1 on only the S that start at column 0 are walked, on either side.
     """
     ncols, h = len(cols), len(cols[0])
+    points = field.points(cols)  # depth 0: every column's key, reused by each deeper first level
+    if None in points:
+        return 1
+    if len(set(points)) < ncols:
+        return 2
+    if h < 3 or h == 3 and _on_a_conic(points, field):  # an arc: no 3 columns dependent, any 4 are
+        return h + 1
     budget, free = _budget(cap, "parity-check"), itertools.repeat(None)
     symmetric = None if code is None else code._is_left_ideal
-    points = None  # every column's point: depth 0's keys, reused by each deeper first level
-    for t in range(max(h - 1, 1)):  # depth t finds w = t + 2
-        if t == 1 and h == 3 and _on_a_conic(cols, field):
-            return 4
+    for t in range(1, h - 1):  # depth t finds w = t + 2
         if t == 2 and code is not None and _subsets_over(
             ncols, range(2, h - 1), math.comb(ncols, max(code.k - 2, 0)) - 1
         ):
@@ -728,37 +732,44 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
                 return t + 1
             if len(set(keys)) < len(keys):
                 return t + 2
-            if t == 0:
-                points = keys
     return h + 1  # any h+1 vectors in F_q^h are dependent
 
 
-def _on_a_conic(cols, field) -> bool:
-    """Whether these columns of 3 entries, six or more and pairwise distinct
-    points, lie on one nondegenerate conic; then no three are collinear.
+def _on_a_conic(keys, field) -> bool:
+    """Whether the points with these keys, six or more, pairwise distinct
+    and none None, lie on one nondegenerate conic; then no three are
+    collinear.  The keys are depth 0's (gf._Form.points), which both
+    callers hold: (0, u, v), (1, w) and (2,) name the points (1, u, v),
+    (0, 1, w) and (0, 0, 1).
 
     A line meets a nondegenerate conic in at most 2 points (Segre 1955), so
-    such columns form an arc in PG(2, q): any 3 are independent, and the
+    such points form an arc in PG(2, q): any 3 are independent, and the
     least number of dependent ones is 4 (MacWilliams-Sloane, ch. 11).  With
     lij = Pi x Pj the line through Pi and Pj, det(Pi, Pj, Pk) = lij(Pk).
     The ten of the first five points P1..P5, i < j < k, are all nonzero
-    exactly when no column among them is zero, no two are proportional and
-    no three are collinear; then exactly one conic passes through them, and
-    it is not a line pair.  The conics through P1..P4 are the pencil spanned
-    by l12 l34 and l13 l24, and the one through P5 is Q = l13(P5) l24(P5)
-    l12 l34 - l12(P5) l34(P5) l13 l24, whose four values are four of the ten.
-    Its coefficients q_ij on x_i x_j are found once, and every other column
-    must satisfy x0 (q00 x0 + q01 x1 + q02 x2) + x1 (q11 x1 + q12 x2) +
-    q22 x2^2 = 0.  Two of the ten, l14(P5) and l23(P5), are taken on
-    unreduced lines: six cubic products each, as in that test, the deepest
-    expressions the entry forms hold unreduced.  All of it is written out on
-    the points' coordinates, + - * alone, so it holds in every
-    characteristic.  False is never wrong, only slower: depth 1 then runs.
+    exactly when no three of them are collinear; then exactly one conic
+    passes through them, and it is not a line pair.  The conics through
+    P1..P4 are the pencil spanned by l12 l34 and l13 l24, and the one
+    through P5 is Q = l13(P5) l24(P5) l12 l34 - l12(P5) l34(P5) l13 l24,
+    whose four values are four of the ten.  Its coefficients q_ij on
+    x_i x_j are found once, and every other point must satisfy
+    Q(1, u, v) = q00 + u (q01 + q11 u + q12 v) + v (q02 + q22 v) = 0,
+    or, off the affine plane, Q(0, 1, w) = q11 + w (q12 + q22 w) = 0 and
+    Q(0, 0, 1) = q22 = 0.  Two of the ten, l14(P5) and l23(P5), are taken
+    on unreduced lines: six cubic products each, as in that test, the
+    deepest expressions the entry forms hold unreduced.  All of it is
+    written out on the points' coordinates, + - * alone, so it holds in
+    every characteristic.  False is never wrong, only slower: depth 1 then
+    runs.
     """
-    if len(cols) < 6:
+    if len(keys) < 6:
         return False
     canon = field.canon
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4), (x5, y5, z5) = cols[:5]
+    try:  # the first five keys (0, u, v), read as they stand
+        (_, y1, z1), (_, y2, z2), (_, y3, z3), (_, y4, z4), (_, y5, z5) = keys[:5]
+        x1 = x2 = x3 = x4 = x5 = 1
+    except ValueError:  # some key (1, w) or (2,)
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4), (x5, y5, z5) = map(_coordinates, keys[:5])
     a12, b12, c12, a34, b34, c34, a13, b13, c13, a24, b24, c24 = canon([  # l12, l34, l13, l24
         y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2,
         y3 * z4 - z3 * y4, z3 * x4 - x3 * z4, x3 * y4 - y3 * x4,
@@ -784,5 +795,15 @@ def _on_a_conic(cols, field) -> bool:
         a * (b12 * c34 + c12 * b34) - b * (b13 * c24 + c13 * b24),
         a * c12 * c34 - b * c13 * c24,
     ])
-    return not any(canon([x0 * (q00 * x0 + q01 * x1 + q02 * x2) + x1 * (q11 * x1 + q12 * x2)
-                          + q22 * x2 * x2 for x0, x1, x2 in cols[5:]]))
+    try:  # every later key (0, u, v)
+        values = [q00 + u * (q01 + q11 * u + q12 * v) + v * (q02 + q22 * v) for _, u, v in keys[5:]]
+    except ValueError:  # some key (1, w) or (2,)
+        values = [x0 * (q00 * x0 + q01 * x1 + q02 * x2) + x1 * (q11 * x1 + q12 * x2) + q22 * x2 * x2
+                  for x0, x1, x2 in map(_coordinates, keys[5:])]
+    return not any(canon(values))
+
+
+def _coordinates(key) -> tuple:
+    """The point whose key (gf._Form.points) this is, of 3 coordinates:
+    (1, u, v), (0, 1, w) or (0, 0, 1) for (0, u, v), (1, w) or (2,)."""
+    return (0,) * key[0] + (1, *key[1:])

@@ -487,13 +487,14 @@ def _inverses(xs, p: int) -> list[int]:
 
 
 class _Form:
-    """An entry form's generic operations, elements, is_zero, point, reduce
-    and the lead scan, written once on what each form supplies: entries,
-    coeffs, flat_coeffs (the m coefficients of each entry in turn, in one
-    list of ints), canon (a value built by + - * back to an entry), submul,
-    points.
+    """An entry form's generic operations, elements, is_zero, point,
+    points, reduce, the lead scan and the keys of vectors led by 1 or -1,
+    written once on what each form supplies: entries, coeffs, flat_coeffs
+    (the m coefficients of each entry in turn, in one list of ints), canon
+    (a value built by + - * back to an entry), submul, and _points, the
+    batch path of points.
     Every form holds an element of GF(p) as its residue: 0 and 1 are the
-    entries 0 and 1.
+    entries 0 and 1, and -1 is p - 1.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -511,6 +512,34 @@ class _Form:
         """v's projective point: its lead (first nonzero index) and v/v[lead]
         past it; None for v = 0."""
         return self.points([v])[0]
+
+    def points(self, vs):
+        """The point of each v, its key.  When every v leads with 1 or -1,
+        each its own inverse, as every column of a paper 2n-3 code's H does
+        (row 0 is g1 or g2, wedderburn._position0_rows), the keys are
+        (0, *tail) and (0, *-tail), with no lead scan, no inversion and no
+        product (_unit_keys).  The first other lead, or an empty v, sends
+        the whole call to the batch path (_points), which inverts every
+        lead by one batched inversion."""
+        keys = self._unit_keys(vs)
+        return self._points(vs) if keys is None else keys
+
+    def _unit_keys(self, vs):
+        """Each v's key when its lead v[0] is 1 or p - 1, the tails of
+        those led by -1 negated in one submul; None at the first v that is
+        empty or led otherwise."""
+        minus_one, keys, minus = self.p - 1, [], []
+        for v in vs:
+            x = v[0] if v else 0
+            if x == 1:
+                keys.append((0, *v[1:]))
+            elif x == minus_one:
+                keys.append(len(v) - 1)  # a tail of this length, negated below
+                minus += v[1:]
+            else:
+                return None
+        negated = iter(self.submul([0] * len(minus), 1, minus))
+        return [key if type(key) is tuple else (0, *itertools.islice(negated, key)) for key in keys]
 
     def reduce(self, c, vs, keys=False):
         """Each v, a list or a tuple, less v[lead] c, off c's lead, as a
@@ -566,7 +595,26 @@ class _Residues(_Form):
                 return lead, *[b * inv % p for b in v[lead + 1:]]
         return None
 
-    def points(self, vs):
+    def _unit_keys(self, vs):
+        """As _Form._unit_keys, each tail negated entry by entry; the key of
+        3 entries, as a column of a paper 2n-3 code's H gives, built as one
+        tuple, and vectors of other lengths keyed by _Form's rule."""
+        if not vs or len(vs[0]) != 3:
+            return super()._unit_keys(vs)
+        p, keys = self.p, []
+        try:
+            for x, a, b in vs:
+                if x == 1:
+                    keys.append((0, a, b))
+                elif x == p - 1:
+                    keys.append((0, -a % p, -b % p))
+                else:
+                    return None
+        except ValueError:  # a later v of another length
+            return super()._unit_keys(vs)
+        return keys
+
+    def _points(self, vs):
         """The point of each v, by one batched inversion of their leads.  A
         key of 2 or 3 entries, as a column of a paper code's H gives, is
         built as one tuple; longer keys entry by entry."""
@@ -655,7 +703,7 @@ class _Packed(_Form):
         mask, shifts = self.mask, self.shifts
         return [e >> s & mask for e in entries for s in shifts]
 
-    def points(self, vs):
+    def _points(self, vs):
         """Each v's point by _inverses' loop, mirrored: canon for % p, a FieldElement inverse for pow."""
         canon, (leads, xs) = self.canon, self._leads(vs)
         prefix, acc = [], 1
@@ -677,7 +725,7 @@ class _Pairs(_Packed):
     holds and folds them, with points in closed form on the pairs, inverting
     by the norm map (a + b t)((a - b c1) - b t) = a^2 - a b c1 + b^2 c0."""
 
-    def points(self, vs):
+    def _points(self, vs):
         """The point of each v, by one batched inversion of their leads'
         norms.  A key of 2 or 3 entries, as a column of a paper code's H
         gives, is built as one tuple; longer keys entry by entry."""

@@ -825,20 +825,30 @@ def test_dual_check_of_a_202_4_ideal_is_prompt():
     assert within_one_second(lambda: code.min_distance("dual")) == 196
 
 
-def test_arc_certificate_needs_every_column_on_the_conic():
+def test_arc_certificate_needs_every_column_on_the_conic(monkeypatch):
     # the columns (1, t, t^2), t = 1..10, lie on the conic X0 X2 = X1^2: no
     # line holds three, so d = 10 - 2 with no subset visited.  Put in place of
     # one of them, among the certificate's first five or after, the point
-    # (2, 3, 5) = P1 + P2, on the line through P1 and P2 and off the conic; or
-    # after them a zero column or a second P1, which satisfy the conic's
-    # equation: a line then holds three columns, and d = 10 - 3, by the walk
-    field = GF13.form
+    # (2, 3, 5) = P1 + P2, on the line through P1 and P2 and off the conic:
+    # the certificate, on depth 0's keys, refuses it.  After them, a zero
+    # column or a second P1, which satisfy the conic's equation, are a key
+    # None or a repeated key at depth 0, and the certificate is not asked.
+    # Each time a line holds three columns, and d = 10 - 3, by the walk
+    field, asked = GF13.form, []
+    conic = codes_module._on_a_conic
+    monkeypatch.setattr(codes_module, "_on_a_conic", lambda keys, field: asked.append(keys) or conic(keys, field))
     on = [[1, t, t * t % 13] for t in range(1, 11)]
-    assert codes_module._hyperplane_distance(on, field, 0) == 8
+    assert codes_module._hyperplane_distance(on, field, 0) == 8 and asked == [field.points(on)]
     for at, col in ((2, [2, 3, 5]), (7, [2, 3, 5]), (7, [0, 0, 0]), (7, [3, 3, 3])):
         cols = on[:at] + [col] + on[at + 1:]
+        keys = field.points(cols)
         code = LinearCode.from_generator_rows(GF13, [list(r) for r in zip(*cols)])
+        del asked[:]
         assert codes_module._hyperplane_distance(cols, field) == 7 == code.min_distance("exhaustive")
+        if col == [2, 3, 5]:
+            assert asked == [keys] and not conic(keys, field)
+        else:  # depth 0's keys hold None, or P1's key twice
+            assert asked == [] and (keys[at] is None or keys.count(keys[at]) == 2)
         with pytest.raises(CapExceededError, match="generator side"):
             codes_module._hyperplane_distance(cols, field, 0)
 
@@ -1698,7 +1708,9 @@ def test_conic_certificate_matches_walk_and_subset_oracle(monkeypatch):
                     if w == 4 or any(columns_rank(m, c) < w for c in combinations(range(m.cols), w))
                 )
                 cols = [field.entries(c) for c in zip(*m.data)]
-                took = _on_a_conic(cols, field)
+                keys = field.points(cols)  # depth 0's keys: nonzero, pairwise distinct points
+                assert None not in keys and len(set(keys)) == len(keys)
+                took = _on_a_conic(keys, field)
                 assert took == (verdict and ctx.q > 4)
                 assert _min_dependent_columns(cols, field) == d
                 if kind == "lines":
@@ -1707,17 +1719,17 @@ def test_conic_certificate_matches_walk_and_subset_oracle(monkeypatch):
                     assert d == 4
                 taken.add((ctx.q, kind, took))
                 with monkeypatch.context() as patch:
-                    patch.setattr(codes_module, "_on_a_conic", lambda cols, field: False)
+                    patch.setattr(codes_module, "_on_a_conic", lambda keys, field: False)
                     assert _min_dependent_columns(cols, field) == d
     assert {(q, "conic", True) for q in (8, 9, 13, 25)} <= taken
     assert (4, "conic", False) in taken
 
 
 def test_conic_certificate_refuses_a_sixth_column_off_the_conic():
-    # five points (1, t, t^2) of the conic y^2 = xz fix it; a sixth column
+    # five points (1, t, t^2) of the conic y^2 = xz fix it; a sixth point
     # off it is refused, after the five or after a sixth on it, on every
     # entry form: residues, and packed integers over GF(5^2), GF(2^3),
-    # GF(13^2) and GF(2003^2)
+    # GF(13^2) and GF(2003^2).  The certificate reads the points' keys
     from dihedralcodes.codes import _on_a_conic
 
     for ctx in (GF13, GF25, GF8, make_field(13, [2, 0, 1]), make_field(2003, [1, 0, 1])):
@@ -1725,9 +1737,42 @@ def test_conic_certificate_refuses_a_sixth_column_off_the_conic():
         ts = [ctx.from_index(i) for i in range(1, 8)]
         on = [[ctx.one(), t, t * t] for t in ts]
         off = [ctx.one(), ts[0], ts[0] * ts[0] + ctx.one()]
-        assert _on_a_conic([field.entries(c) for c in on], field)
+        assert _on_a_conic(field.points([field.entries(c) for c in on]), field)
         for cols in (on[:5] + [off], on[:6] + [off], on[:5] + [off] + on[5:]):
-            assert not _on_a_conic([field.entries(c) for c in cols], field)
+            assert not _on_a_conic(field.points([field.entries(c) for c in cols]), field)
+
+
+def test_conic_certificate_on_generator_keys_off_the_affine_plane(monkeypatch):
+    from dihedralcodes.codes import _on_a_conic
+
+    # the [2n,3,2n-2] duals of paper 2n-3 codes, on the generator side: the
+    # RREF's pivot columns (1,0,0), (0,1,0), (0,0,1) are keyed (0,0,0), (1,0)
+    # and (2,), the points (1,0,0), (0,1,0) and (0,0,1).  They lie on the
+    # conic with the rest, among the first five or, the columns reversed,
+    # after them, and the certificate answers d = 2n - 2 with no walk.  The
+    # point (0,1,1) in place of (0,0,1) is off the conic through the rest,
+    # and a walk finds that code's d as exhaustive search does
+    walk, walked = codes_module._independent_subsets, []
+    monkeypatch.setattr(codes_module, "_independent_subsets",
+                        lambda *args, **options: walked.append(args[2]) or walk(*args, **options))
+    for ctx, n in ((GF13, 3), (make_field(43, [0, 1]), 7), (make_field(13, [2, 0, 1]), 7)):
+        field = ctx.form
+        for tag in (FAMILY_2N_MINUS_3_MINUS, FAMILY_2N_MINUS_3_PLUS):
+            rows = construct_code(ctx, n, CodeFamily(tag))._parity_check()
+            code = LinearCode.from_generator_rows(ctx, [field.elements(r) for r in rows])
+            cols = code._generator_columns()
+            assert code.pivots == [0, 1, 2] and cols[:3] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+            for order in (cols, cols[::-1]):
+                keys = field.points(order)
+                assert [key[0] for key in keys if key[0]] == ([1, 2] if order is cols else [2, 1])
+                assert _on_a_conic(keys, field)
+                del walked[:]
+                assert codes_module._hyperplane_distance(order, field, 0) == 2 * n - 2 and walked == []
+                moved = [(0, 1, 1) if c == (0, 0, 1) else c for c in order]
+                assert not _on_a_conic(field.points(moved), field)
+                other = LinearCode.from_generator_rows(ctx, [field.elements(r) for r in zip(*moved)])
+                d = codes_module._hyperplane_distance(moved, field)
+                assert walked and d == other.min_distance("exhaustive", cap=10**7)
 
 
 def test_paper_2n_minus_3_codes_take_the_conic_certificate(monkeypatch):
@@ -1760,7 +1805,7 @@ def test_paper_2n_minus_3_codes_take_the_conic_certificate(monkeypatch):
                 if math.gcd(s, n) == 1:
                     code = construct_code(ctx, n, CodeFamily(tag, s=s))
                     rows, field = code._parity_check(), ctx.form
-                    assert _on_a_conic([list(c) for c in zip(*rows)], field)
+                    assert _on_a_conic(field.points([list(c) for c in zip(*rows)]), field)
                     assert code.min_distance("dual") == 4
                     taken += 1
     assert taken == 178 and depth_1 == []

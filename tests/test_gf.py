@@ -342,8 +342,8 @@ def test_packed_points_make_one_inversion_per_call(ctx, monkeypatch):
     # m >= 3: points inverts the product of a call's leads once, as a
     # FieldElement, and reads each lead's inverse off the prefix products;
     # its keys are the per-lead FieldElement.inverse ones.  40 vectors of
-    # lengths 0..4 with zero vectors and zero leads among them, then an
-    # empty batch
+    # lengths 0..4 with zero vectors and zero leads among them; then an
+    # empty batch and a batch led by 1 and -1 alone, which invert nothing
     form, rng = ctx.form, random.Random(ctx.q)
     assert type(form) is _Packed
     vs = [[ctx.random_element(rng) if rng.random() < 0.6 else ctx.zero() for _ in range(i % 5)]
@@ -369,19 +369,22 @@ def test_packed_points_make_one_inversion_per_call(ctx, monkeypatch):
     monkeypatch.setattr(FieldElement, "inverse", lambda x: calls.append(x) or inverse(x))
     assert form.points(entries) == want
     assert len(calls) == 1
-    assert form.points([]) == [] and len(calls) == 2
+    assert form.points([]) == [] and len(calls) == 1
+    units = [[ctx.one(), *u[1:]] if i % 2 else [-ctx.one(), *u[1:]] for i, u in enumerate(vs) if u]
+    keys = [(0, *form.entries([e * u[0] for e in u[1:]])) for u in units]  # u[0] is its own inverse
+    assert form.points([form.entries(u) for u in units]) == keys and len(calls) == 1
 
 
 @pytest.mark.parametrize("ctx", [GF25, GF169, make_field(2003, [1, 0, 1])], ids=lambda ctx: ctx.spec())
 def test_packed_points_agree_with_the_inverses_path(ctx):
-    # _Packed.points, run on GF(p^2) entries, keys a batch as _Pairs.points
+    # _Packed._points, run on GF(p^2) entries, keys a batch as _Pairs._points
     # does through _inverses on the leads' norms: the two copies of
     # Montgomery's loop give one answer.  Leads 0..2, zero vectors, lengths 0..4
     form, rng = ctx.form, random.Random(ctx.q)
     vs = [form.entries([ctx.random_element(rng) if rng.random() < 0.6 else ctx.zero() for _ in range(i % 5)])
           for i in range(40)]
     assert type(form) is _Pairs and None in form.points(vs)
-    assert _Packed.points(form, vs) == form.points(vs)
+    assert _Packed._points(form, vs) == form.points(vs)
     xs = [rng.randrange(ctx.p) for _ in range(30)] + [0]
     assert _inverses(xs, ctx.p) == [pow(x, -1, ctx.p) if x else 0 for x in xs]
 

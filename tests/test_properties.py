@@ -741,6 +741,77 @@ def test_entry_form_points_of_batches_led_at_index_0(case):
         assert [form.point(u) for u in entries] == want
 
 
+def inversions(monkeypatch):
+    """A list that records each batched inversion (gf._inverses) and each
+    FieldElement.inverse from here on."""
+    calls, inverses, inverse = [], gf_module._inverses, gf_module.FieldElement.inverse
+    monkeypatch.setattr(gf_module, "_inverses", lambda xs, p: calls.append(xs) or inverses(xs, p))
+    monkeypatch.setattr(gf_module.FieldElement, "inverse", lambda x: calls.append(x) or inverse(x))
+    return calls
+
+
+@pytest.mark.parametrize("ctx", FORM_FIELDS, ids=lambda ctx: ctx.spec())
+def test_unit_led_keys_match_the_batch_path(ctx, monkeypatch):
+    # a call whose every vector leads with 1 or -1 (p - 1), each its own
+    # inverse, is keyed (0, *tail) or (0, *-tail) with no inversion: lengths
+    # 1 to 4 in calls of one length and mixed in one call, and the empty
+    # call.  One vector led otherwise, by 0 (a zero vector, or a lead further
+    # on) or by another value, or an empty vector, in the same call sends it
+    # to the batch path, one inversion; every key is the FieldElement one
+    form, rng = ctx.form, random.Random(ctx.q)
+    one, other = ctx.one(), three_plus_t(ctx)
+    assert form.entries([-one]) == [ctx.p - 1] and other not in (one, -one)
+
+    def drawn(length):
+        return [rng.choice([one, -one])] + [ctx.random_element(rng) if rng.random() < 0.8 else ctx.zero()
+                                            for _ in range(length - 1)]
+
+    calls = inversions(monkeypatch)
+    batches = [[drawn(length) for _ in range(9)] for length in range(1, 5)]
+    batches.append([drawn(1 + i % 4) for i in range(12)])
+    for unit in batches:
+        entries = [form.entries(u) for u in unit]
+        want = [field_point(form, u) for u in unit]
+        del calls[:]
+        assert form.points(entries) == want and calls == []
+        assert form._points(entries) == want and {key[0] for key in want} == {0}
+        length = len(unit[0])
+        for odd in ([other] + unit[0][1:], [ctx.zero()] * length, [ctx.zero(), *unit[0][:-1]], []):
+            vs = unit[:4] + [odd] + unit[4:]
+            entries = [form.entries(u) for u in vs]
+            want = [field_point(form, u) for u in vs]
+            del calls[:]
+            assert form.points(entries) == want and len(calls) == 1
+    del calls[:]
+    assert form.points([]) == [] and calls == []
+
+
+def test_paper_dual_checks_invert_once_for_2n_2_and_never_for_2n_3(monkeypatch):
+    # work counted, not timed: over every field of FORM_FIELDS with a paper
+    # code, at the least odd n >= 3 with 2n | q - 1, the twists 1 and the
+    # largest coprime one, each family the gate admits.  A 2n-3 code's H leads every column with
+    # 1 or -1 (row 0 is g1 or g2), so its dual check keys them with no
+    # inversion and the certificate answers d = 4; a 2n-2 code's columns are
+    # keyed by one batched inversion, and depth 0 answers d = 3
+    calls, checked = inversions(monkeypatch), Counter()
+    for ctx in FORM_FIELDS:
+        n = next((n for n in range(3, ctx.q, 2) if (ctx.q - 1) % (2 * n) == 0 and n % ctx.p), None)
+        if n is None:
+            continue
+        twists = [s for s in range(1, (n + 1) // 2) if math.gcd(s, n) == 1]
+        for tag in FAMILIES:
+            for s in {twists[0], twists[-1]}:
+                try:
+                    code = construct_code(ctx, n, CodeFamily(tag, s=s))
+                except DihedralCodesError:  # BadOrder where q - 1 = 2n
+                    continue
+                del calls[:]
+                assert code.min_distance("dual") == (3 if tag == "2n-2" else 4)
+                assert len(calls) == (tag == "2n-2"), (ctx.spec(), n, tag, s)
+                checked[tag] += 1
+    assert checked == {"2n-2": 9, "2n-3-minus": 9, "2n-3-plus": 13}
+
+
 @PROPERTY
 @given(form_cases(3), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6),
        st.integers(2, 4), st.integers(0, 2))
@@ -793,7 +864,7 @@ def test_pair_closed_forms_match_the_generic_packed_form(case):
     ctx, pairs, els = case
     generic, b = _Packed(ctx), ctx.p.bit_length()
     assert type(pairs) is _Pairs and pairs.w == generic.w == max(3 * b + 7, 2 * b + 35)
-    assert [name for name in vars(_Pairs) if not name.startswith("__")] == ["points"]
+    assert [name for name in vars(_Pairs) if not name.startswith("__")] == ["_points"]
     entries = generic.entries(els)
     vs = [entries, entries[3:], [0, 0] + entries[:4], [0, 0], []]  # 0 is the packed zero
     assert pairs.points(vs) == generic.points(vs)
@@ -878,12 +949,14 @@ PLANTS = [(None, 0)] + [(kind, i) for kind in ("zero", "repeat", "collinear") fo
 @settings(PROPERTY, max_examples=60)
 @given(conic_columns(), st.data())
 def test_five_point_test_matches_the_rank_oracle(case, data):
-    # the certificate's ten determinants of P1..P5 are all nonzero exactly
-    # when the rank oracle finds every three of them independent: with no
-    # plant, and with a zero column, a scaled repeat or a point on the line
-    # through two others planted at each of the five positions.  A sixth
-    # column P1 lies on every conic through P1..P5, so the verdict is the
-    # five-point test's; the walk on the five agrees with it.
+    # the certificate's ten determinants of P1..P5, on their keys, are all
+    # nonzero exactly when the rank oracle finds every three of them
+    # independent: with no plant, and with a scaled repeat or a point on the
+    # line through two others planted at each of the five positions.  A
+    # sixth key P1's lies on every conic through P1..P5, so the verdict is
+    # the five-point test's; the walk on the five agrees with it.  A zero
+    # column planted has no key: the walk answers 1 at depth 0, where its
+    # callers do, and the certificate is never asked
     ctx, form, cols = case
     for kind, i in PLANTS:
         five = plant(data, ctx, cols[:5], kind, i)
@@ -891,18 +964,23 @@ def test_five_point_test_matches_the_rank_oracle(case, data):
         arc = all(columns_rank(m, T) == 3 for T in itertools.combinations(range(5), 3))
         assert arc == (kind is None)
         entries = [form.entries(c) for c in five]
-        assert _on_a_conic(entries + entries[:1], form) == arc
+        keys = form.points(entries)
+        if kind == "zero":
+            assert keys[i] is None and _min_dependent_columns(entries, form) == 1
+            continue
+        assert _on_a_conic(keys + keys[:1], form) == arc
         assert (_min_dependent_columns(entries, form) == 4) == arc
 
 
 @PROPERTY
 @given(conic_columns(), st.sampled_from(PLANTS), st.data())
 def test_conic_certificate_is_the_walk_and_the_conic_through_five(case, planted, data):
-    # _on_a_conic holds exactly when the walk finds no three of the first
-    # five columns dependent and every later column lies on the conic
-    # through them, that is, the six points' quadratic monomials are
-    # dependent (rank oracle).  Later columns are kept on the conic, moved
-    # to a drawn column, or zero (on every conic).
+    # _on_a_conic, on the columns' keys, holds exactly when the walk finds
+    # no three of the first five columns dependent and every later column
+    # lies on the conic through them, that is, the six points' quadratic
+    # monomials are dependent (rank oracle).  Later columns are kept on the
+    # conic, moved to a drawn column, or zero, which has no key: the walk
+    # answers 1 at depth 0, and the certificate is not asked.
     ctx, form, cols = case
     five = plant(data, ctx, cols[:5], *planted)
     later = []
@@ -924,20 +1002,26 @@ def test_conic_certificate_is_the_walk_and_the_conic_through_five(case, planted,
 
     walk = _min_dependent_columns(entries[:5], form) == 4
     assert walk == (planted[0] is None)
-    assert _on_a_conic(entries, form) == (walk and all(map(on_the_conic, later)))
+    keys = form.points(entries)
+    if None in keys:
+        assert _min_dependent_columns(entries, form) == 1
+    else:
+        assert _on_a_conic(keys, form) == (walk and all(map(on_the_conic, later)))
 
 
 @pytest.mark.parametrize("p, m", [(2003, 2), (3, 7), (2**31 - 1, 3)])
 def test_conic_certificate_at_the_budget_edge(p, m):
-    # entries whose coefficients are all p - 1 (E) put the unreduced lines,
-    # l14(P5), l23(P5) and each later column's cubic at the largest slots the
-    # entry forms hold.  Over every order of the first five columns,
-    # _on_a_conic answers as the five-point oracle (no three of the five
-    # dependent, by the rank oracle and by the walk) and the conic through
-    # them (each later column's quadratic monomials dependent on theirs) do:
-    # five points of y^2 = xz, later ones on it or off it, a collinear
-    # triple among five that every later column's conic test passes, and
-    # six columns (E, E, E)
+    # Over every order of the first five columns, _on_a_conic on their keys
+    # answers as the five-point oracle (no three of the five dependent, by
+    # the rank oracle and by the walk) and the conic through them (each
+    # later column's quadratic monomials dependent on theirs) do: five
+    # points of y^2 = xz, later ones on it or off it, a collinear triple
+    # among five that every later column's conic test passes, and six
+    # columns (E, E, E), E the entry whose coefficients are all p - 1.
+    # Then keys (0, u, v) whose u and v have every coefficient near p - 1
+    # put the lines, l14(P5), l23(P5) and each later key's cubic at the
+    # largest slots keys reach: five in general position, each again after
+    # them (on their conic, so each cubic cancels exactly) and one more
     ctx = next(f for f in FORM_FIELDS if (f.p, f.m) == (p, m))
     form, zero, e = ctx.form, ctx.zero(), ctx.from_index(ctx.q - 1)
     t = three_plus_t(ctx)
@@ -963,7 +1047,21 @@ def test_conic_certificate_at_the_budget_edge(p, m):
         for order in itertools.permutations(five):
             entries = [form.entries(c) for c in list(order) + rest]
             assert (_min_dependent_columns(entries[:5], form) == 4) == arc
-            assert _on_a_conic(entries, form) == verdict
+            assert _on_a_conic(form.points(entries), form) == verdict
+    deltas = [ctx.element([a, b]) for a in range(2) for b in range(2)]  # 0, t, 1, 1 + t
+    near = [[ctx.one(), e - a, e - b] for a in deltas for b in deltas]
+    five = []
+    for y in near:
+        if all(columns_rank(MatrixGF(ctx, [list(r) for r in zip(*T, y)]), range(3)) == 3
+               for T in itertools.combinations(five, 2)):
+            five.append(y)
+    five, sixth = five[:5], near[-1]
+    keys = form.points([form.entries(c) for c in five + [sixth]])
+    assert len(five) == 5 and [key[1:] for key in keys] == [tuple(form.entries(c[1:])) for c in five + [sixth]]
+    on = columns_rank(MatrixGF(ctx, [list(r) for r in zip(*map(monomials, five + [sixth]))]), range(6)) < 6
+    for order in itertools.permutations(keys[:5]):
+        assert _on_a_conic(list(order) + keys[:5], form)
+        assert _on_a_conic(list(order) + keys[:5] + keys[5:], form) == on
 
 # the left-ideal certificate (a/b symmetry) against algebra products, and the
 # walk from column 0 it allows against the walk from every column
