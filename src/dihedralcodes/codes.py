@@ -53,9 +53,10 @@ each hyperplane counted once, from its index-first basis, the side chosen
 before depth 0 (_dual_distance).  The paper's codes have 2 or 3 parity
 checks, so depths 0 and 1 settle them and never build the generator; the
 2n-3 codes' columns lie on one conic, an arc, so d = 4 with no depth-1
-walk: ten 3x3 determinants show no three of the first five collinear,
-and every other column lies on the conic through those five
-(_on_a_conic).  Their duals, [2n,3,2n-2] ideals, are arcs on the
+walk: on depth 0's keys, which every column's lead of 1 or -1 gives
+with no inversion, ten 3x3 determinants show no three of the first five
+points collinear, and every other point lies on the conic through those
+five (_on_a_conic).  Their duals, [2n,3,2n-2] ideals, are arcs on the
 generator side in turn: d = 2n - 2 with no walk.  numpy is imported on
 the first exhaustive call only.
 
@@ -674,8 +675,10 @@ def _hyperplane_distance(cols, field, cap: int = DEFAULT_CAP, symmetric=None) ->
     k, points = len(cols[0]), field.points(cols)
     if k == 1:
         return sum(point is not None for point in points)
-    if k == 3 and None not in points and len(set(points)) == len(points) and _on_a_conic(points, field):
-        return len(cols) - 2
+    if k == 3:
+        distinct = set(points)
+        if None not in distinct and len(distinct) == len(points) and _on_a_conic(points, field):
+            return len(cols) - 2
     best = [0]
     budget = _budget(cap, "generator")
     for held, keys in _independent_subsets(cols, field, k - 2, budget, points, best=best, symmetric=symmetric):
@@ -694,11 +697,13 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
     span(S, j) = span(S, l).  So iterative deepening walks the independent
     subsets S at depth t = w - 2 and keys each later column modulo span(S)
     (_independent_subsets): a repeat is w dependent columns, and the key
-    None, met only at depth 0, is a zero column (w = 1).  Depths 0 and 1
-    (w <= 3) take O(ncols^2) keys and no budget; if they find nothing and
-    h <= 3, any h + 1 columns are dependent, so the paper's codes (h = 2
-    or 3) need no deeper walk.  With h = 3, a conic through the columns
-    (_on_a_conic) answers 4 in place of depth 1; without one, depth 1 runs.
+    None, met only at depth 0, is a zero column (w = 1).  Depth 0 is the
+    columns' own keys (field.points), which a deeper walk's first level
+    reuses.  Depths 0 and 1 (w <= 3) take O(ncols^2) keys and no budget;
+    if they find nothing and h <= 3, any h + 1 columns are dependent, so
+    the paper's codes (h = 2 or 3) need no deeper walk.  With h = 3, a
+    conic through depth 0's keys (_on_a_conic) answers 4 in place of
+    depth 1; without one, depth 1 runs.
 
     From depth 2 on, each subset reached takes one step of the cap, on the
     side with fewer subsets: code, if given, is the null space of these
@@ -713,9 +718,10 @@ def _min_dependent_columns(cols, field, cap: int = DEFAULT_CAP, code: LinearCode
     """
     ncols, h = len(cols), len(cols[0])
     points = field.points(cols)  # depth 0: every column's key, reused by each deeper first level
-    if None in points:
+    distinct = set(points)
+    if None in distinct:
         return 1
-    if len(set(points)) < ncols:
+    if len(distinct) < ncols:
         return 2
     if h < 3 or h == 3 and _on_a_conic(points, field):  # an arc: no 3 columns dependent, any 4 are
         return h + 1
@@ -764,12 +770,12 @@ def _on_a_conic(keys, field) -> bool:
     """
     if len(keys) < 6:
         return False
-    canon = field.canon
-    try:  # the first five keys (0, u, v), read as they stand
-        (_, y1, z1), (_, y2, z2), (_, y3, z3), (_, y4, z4), (_, y5, z5) = keys[:5]
+    canon, first = field.canon, keys[:5]
+    if any(key[0] for key in first):  # some key (1, w) or (2,)
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4), (x5, y5, z5) = _coordinates(first)
+    else:  # five keys (0, u, v), read as they stand
+        (_, y1, z1), (_, y2, z2), (_, y3, z3), (_, y4, z4), (_, y5, z5) = first
         x1 = x2 = x3 = x4 = x5 = 1
-    except ValueError:  # some key (1, w) or (2,)
-        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4), (x5, y5, z5) = map(_coordinates, keys[:5])
     a12, b12, c12, a34, b34, c34, a13, b13, c13, a24, b24, c24 = canon([  # l12, l34, l13, l24
         y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2,
         y3 * z4 - z3 * y4, z3 * x4 - x3 * z4, x3 * y4 - y3 * x4,
@@ -799,11 +805,11 @@ def _on_a_conic(keys, field) -> bool:
         values = [q00 + u * (q01 + q11 * u + q12 * v) + v * (q02 + q22 * v) for _, u, v in keys[5:]]
     except ValueError:  # some key (1, w) or (2,)
         values = [x0 * (q00 * x0 + q01 * x1 + q02 * x2) + x1 * (q11 * x1 + q12 * x2) + q22 * x2 * x2
-                  for x0, x1, x2 in map(_coordinates, keys[5:])]
+                  for x0, x1, x2 in _coordinates(keys[5:])]
     return not any(canon(values))
 
 
-def _coordinates(key) -> tuple:
-    """The point whose key (gf._Form.points) this is, of 3 coordinates:
+def _coordinates(keys) -> list[tuple]:
+    """The points whose keys (gf._Form.points) these are, of 3 coordinates:
     (1, u, v), (0, 1, w) or (0, 0, 1) for (0, u, v), (1, w) or (2,)."""
-    return (0,) * key[0] + (1, *key[1:])
+    return [(0,) * key[0] + (1, *key[1:]) for key in keys]

@@ -20,8 +20,9 @@ and distance walk holds its entries as: residues over GF(p) (_Residues),
 and over GF(p^m), m >= 2, coefficients packed into one integer (_Packed),
 reduced by one fold compiled per field from the rows t^j mod f.  Each is
 a _Form, written once on the closed forms a form supplies; every form
-inverts a call's leads once, the norm map's closed form at m = 2 (_Pairs).
-FieldElement's polynomial route is their reference.
+keys a call whose vectors all lead with 1 or -1 with no inversion, and
+inverts any other call's leads once, the norm map's closed form at m = 2
+(_Pairs).  FieldElement's polynomial route is their reference.
 """
 
 from __future__ import annotations
@@ -491,8 +492,8 @@ class _Form:
     points, reduce, the lead scan and the keys of vectors led by 1 or -1,
     written once on what each form supplies: entries, coeffs, flat_coeffs
     (the m coefficients of each entry in turn, in one list of ints), canon
-    (a value built by + - * back to an entry), submul, and _points, the
-    batch path of points.
+    (a value built by + - * back to an entry), submul, scale and _points,
+    the batch path of points.
     Every form holds an element of GF(p) as its residue: 0 and 1 are the
     entries 0 and 1, and -1 is p - 1.
     """
@@ -526,20 +527,14 @@ class _Form:
 
     def _unit_keys(self, vs):
         """Each v's key when its lead v[0] is 1 or p - 1, the tails of
-        those led by -1 negated in one submul; None at the first v that is
-        empty or led otherwise."""
-        minus_one, keys, minus = self.p - 1, [], []
+        those led by -1 negated in one scale; None at the first v that is
+        empty or led otherwise, found before any key is built."""
+        minus_one = self.p - 1
         for v in vs:
-            x = v[0] if v else 0
-            if x == 1:
-                keys.append((0, *v[1:]))
-            elif x == minus_one:
-                keys.append(len(v) - 1)  # a tail of this length, negated below
-                minus += v[1:]
-            else:
+            if not v or v[0] != 1 and v[0] != minus_one:
                 return None
-        negated = iter(self.submul([0] * len(minus), 1, minus))
-        return [key if type(key) is tuple else (0, *itertools.islice(negated, key)) for key in keys]
+        negated = iter(self.scale(-1, [b for v in vs if v[0] != 1 for b in v[1:]]))
+        return [(0, *v[1:]) if v[0] == 1 else (0, *itertools.islice(negated, len(v) - 1)) for v in vs]
 
     def reduce(self, c, vs, keys=False):
         """Each v, a list or a tuple, less v[lead] c, off c's lead, as a
@@ -587,6 +582,11 @@ class _Residues(_Form):
         p = self.p
         return [(a - f * b) % p for a, b in zip(xs, ys)]
 
+    def scale(self, f, ys) -> list[int]:
+        """f ys, entrywise."""
+        p = self.p
+        return [f * b % p for b in ys]
+
     def point(self, v):  # one pow, no batch
         p = self.p
         for lead, a in enumerate(v):
@@ -602,12 +602,13 @@ class _Residues(_Form):
         if not vs or len(vs[0]) != 3:
             return super()._unit_keys(vs)
         p, keys = self.p, []
+        minus_one = p - 1
         try:
             for x, a, b in vs:
                 if x == 1:
                     keys.append((0, a, b))
-                elif x == p - 1:
-                    keys.append((0, -a % p, -b % p))
+                elif x == minus_one:
+                    keys.append((0, p - a if a else 0, p - b if b else 0))
                 else:
                     return None
         except ValueError:  # a later v of another length
@@ -615,9 +616,34 @@ class _Residues(_Form):
         return keys
 
     def _points(self, vs):
-        """The point of each v, by one batched inversion of their leads.  A
-        key of 2 or 3 entries, as a column of a paper code's H gives, is
-        built as one tuple; longer keys entry by entry."""
+        """The point of each v, by one batched inversion of their leads.
+        When every v leads at index 0, as every column of a paper 2n-2
+        code's H does, one pass takes the leads' prefix products, and the
+        keys are built in the pass back that inverts them; the first v that
+        is empty or has v[0] = 0 sends the call to the path that scans for
+        the leads (_scanned_points).  A key of 2 or 3 entries, as a column
+        of a paper code's H gives, is built as one tuple; longer keys entry
+        by entry."""
+        p, prefix, acc = self.p, [], 1
+        for v in vs:
+            if not (v and v[0]):  # v is 0 or leads past index 0
+                return self._scanned_points(vs)
+            prefix.append(acc)
+            acc = acc * v[0] % p
+        inv, out = pow(acc, -1, p), [None] * len(vs)
+        for k in range(len(vs) - 1, -1, -1):  # inv * prefix[k] = 1/v[0]
+            v = vs[k]
+            if len(v) == 2:
+                out[k] = (0, v[1] * inv * prefix[k] % p)
+            else:
+                f = inv * prefix[k] % p
+                out[k] = (0, v[1] * f % p, v[2] * f % p) if len(v) == 3 else (0, *[b * f % p for b in v[1:]])
+            inv = inv * v[0] % p
+        return out
+
+    def _scanned_points(self, vs):
+        """_points for vectors whose leads are scanned for (_leads), each
+        inverted by _inverses."""
         p, (leads, xs) = self.p, self._leads(vs)
         out = []
         for v, lead, inv in zip(vs, leads, _inverses(xs, p)):
@@ -650,8 +676,8 @@ class _Packed(_Form):
     X = 2^w (Kronecker substitution), canonical with 0 <= c_i < p.
 
     + - * act on them as on polynomials in X, exact and unreduced until
-    canon folds slots 0..3m-3 back to an entry, and submul a - f b, slots
-    0..2m-2, each by code compiled once per field (_fold).  w holds the
+    canon folds slots 0..3m-3 back to an entry, and submul a - f b and
+    scale f b, slots 0..2m-2, each by code compiled once per field (_fold).  w holds the
     deepest expressions the library forms, six cubic products summed
     (_on_a_conic, codes._rank; slots under 6 m^2 p^3), and sums of under
     2^32 products (slots under m p^2), with a sign bit to spare.
@@ -664,6 +690,7 @@ class _Packed(_Form):
         self.mask, self.shifts = (1 << w) - 1, range(0, m * w, w)
         self.canon = self._fold("canon", "values", "e in values", "e", 3 * m - 3)
         self.submul = self._fold("submul", "xs, f, ys", "a, b in zip(xs, ys)", "a - f * b", 2 * m - 2)
+        self.scale = self._fold("scale", "f, ys", "b in ys", "f * b", 2 * m - 2)
 
     def _fold(self, name, params, loop, value, top):
         """def name(params), reducing each value of loop, slots 0..top, to

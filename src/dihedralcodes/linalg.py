@@ -217,7 +217,7 @@ def dual(ctx: FieldCtx, pivots, A, cols: int) -> tuple[list[int], list[tuple]]:
     check of [I | A] (MacWilliams-Sloane, ch. 1), not an RREF unless the
     pivots are last; dual of the dual is (pivots, A) again."""
     free = free_columns(pivots, cols)
-    minus = [ctx.form.submul([0] * len(a), 1, a) for a in A]
+    minus = [ctx.form.scale(-1, a) for a in A]
     return free, list(zip(*minus)) or [()] * len(free)  # rank 0: -A^T has no columns
 
 

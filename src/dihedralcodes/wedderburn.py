@@ -222,24 +222,26 @@ def _position0_rows(ctx: FieldCtx, n: int, kind: str) -> list[list]:
     """The forms that vanish on position-0 summand kind, in ctx's entry
     form, where -1 is the residue p - 1: g1 = (1..1 | 1..1) and
     g2 = (1..1 | -1..-1) for zero, g1 for minus, g2 for plus, none for full."""
-    if kind == FULL:
-        return []
-    g1, g2 = [1] * (2 * n), [1] * n + [ctx.p - 1] * n
-    return {ZERO: [g1, g2], MINUS_PIECE: [g1], PLUS_PIECE: [g2]}[kind]
+    rows = []
+    if kind in (ZERO, MINUS_PIECE):
+        rows.append([1] * (2 * n))  # g1
+    if kind in (ZERO, PLUS_PIECE):
+        rows.append([1] * n + [ctx.p - 1] * n)  # g2
+    return rows
 
 
 def _row_rows(form, xi_pows, j: int, x, y) -> list[list]:
     """Block j's two constraint rows for row(x, y), x and y entries of
     form: y a11 - x a12 and y a21 - x a22, from xi^0 .. xi^(n-1)
-    (gf._xi_entries), with -y as submul's factor (any + - * value).  A
+    (gf._xi_entries), with -x as scale's factor (any + - * value).  A
     nonzero multiple of (x, y) spans the same; no division.  Every block
     row comes from here: a zero block's, (0, 1) and (1, 0), and the
     paper's n e_j, n b e_j, (-1, 0) reversed (codes._paper_rows)."""
-    n, zeros = len(xi_pows), [0] * len(xi_pows)
+    n = len(xi_pows)
     plus = [xi_pows[k % n] for k in range(0, n * j, j)]  # k = ij, i = 0..n-1
     minus = plus[:1] + plus[:0:-1]  # xi^(-ij) = xi^((n-i)j)
-    ya = form.submul(zeros, -y, plus) if y else zeros  # a zero factor's half is zeros
-    xb = form.submul(zeros, x, minus) if x else zeros
+    ya = form.scale(y, plus) if y else [0] * n  # a zero factor's half is zeros
+    xb = form.scale(-x, minus) if x else [0] * n
     return [ya + xb, xb + ya]
 
 

@@ -742,10 +742,17 @@ def test_entry_form_points_of_batches_led_at_index_0(case):
 
 
 def inversions(monkeypatch):
-    """A list that records each batched inversion (gf._inverses) and each
-    FieldElement.inverse from here on."""
-    calls, inverses, inverse = [], gf_module._inverses, gf_module.FieldElement.inverse
-    monkeypatch.setattr(gf_module, "_inverses", lambda xs, p: calls.append(xs) or inverses(xs, p))
+    """A list that records each inversion in gf from here on: each
+    pow(x, -1, p), the one a batched inversion makes (gf._inverses, or the
+    leads' product in _Residues._points), and each FieldElement.inverse."""
+    calls, inverse = [], gf_module.FieldElement.inverse
+
+    def counted_pow(x, e, *mod):
+        if e == -1:
+            calls.append(x)
+        return pow(x, e, *mod)
+
+    monkeypatch.setattr(gf_module, "pow", counted_pow, raising=False)  # gf's globals shadow the builtin
     monkeypatch.setattr(gf_module.FieldElement, "inverse", lambda x: calls.append(x) or inverse(x))
     return calls
 
@@ -784,6 +791,44 @@ def test_unit_led_keys_match_the_batch_path(ctx, monkeypatch):
             assert form.points(entries) == want and len(calls) == 1
     del calls[:]
     assert form.points([]) == [] and calls == []
+
+
+@pytest.mark.parametrize("ctx", FORM_FIELDS, ids=lambda ctx: ctx.spec())
+def test_lead_zero_keys_match_the_scanned_path(ctx, monkeypatch):
+    # a call whose every vector leads at index 0, some lead not 1 or -1, as
+    # a paper 2n-2 code's columns do, makes one inversion: lengths 1 to 4
+    # in calls of one length and mixed in one call.  Over GF(p) its keys are
+    # built as the leads' product is inverted, and the scanned path
+    # (_Residues._scanned_points) gives the same.  A zero vector, a lead
+    # further on or an empty vector in the same call sends it there, also
+    # one inversion; every key is the FieldElement one
+    form, rng = ctx.form, random.Random(ctx.q + 1)
+    units = [ctx.one(), -ctx.one()]
+
+    def drawn(length):
+        lead = rng.choice(units) if rng.random() < 0.3 else three_plus_t(ctx) * ctx.random_element(rng)
+        return [lead if lead else ctx.one()] + [ctx.random_element(rng) if rng.random() < 0.8 else ctx.zero()
+                                                for _ in range(length - 1)]
+
+    calls = inversions(monkeypatch)
+    batches = [[drawn(length) for _ in range(9)] for length in range(1, 5)]
+    batches.append([drawn(1 + i % 4) for i in range(12)])
+    for unit in batches:
+        unit[3][0] = three_plus_t(ctx)  # a lead other than 1 and -1
+        entries = [form.entries(u) for u in unit]
+        want = [field_point(form, u) for u in unit]
+        assert {key[0] for key in want} == {0}
+        del calls[:]
+        assert form.points(entries) == want and len(calls) == 1
+        if ctx.m == 1:
+            assert form._scanned_points(entries) == want
+        length = len(unit[0])
+        for odd in ([ctx.zero()] * length, [ctx.zero(), *unit[0][:-1]], []):
+            vs = unit[:4] + [odd] + unit[4:]
+            entries = [form.entries(u) for u in vs]
+            want = [field_point(form, u) for u in vs]
+            del calls[:]
+            assert form.points(entries) == want and len(calls) == 1
 
 
 def test_paper_dual_checks_invert_once_for_2n_2_and_never_for_2n_3(monkeypatch):
