@@ -240,8 +240,9 @@ def _row_rows(form, xi_pows, j: int, x, y) -> list[list]:
     n = len(xi_pows)
     plus = [xi_pows[k % n] for k in range(0, n * j, j)]  # k = ij, i = 0..n-1
     minus = plus[:1] + plus[:0:-1]  # xi^(-ij) = xi^((n-i)j)
-    ya = form.scale(y, plus) if y else [0] * n  # a zero factor's half is zeros
-    xb = form.scale(-x, minus) if x else [0] * n
+    # a zero factor's half is zeros, and -x = 1's (the paper rows') is minus
+    ya = form.scale(y, plus) if y else [0] * n
+    xb = minus if x == -1 else form.scale(-x, minus) if x else [0] * n
     return [ya + xb, xb + ya]
 
 

@@ -586,7 +586,7 @@ def test_a_field_pickles_and_copies_as_its_modulus(ctx):
 
 def test_compiled_folds_name_their_field():
     for ctx in (GF169, make_field(7, [2, 0, 0, 1])):
-        for fold in (ctx.form.canon, ctx.form.submul):
+        for fold in (ctx.form.canon, ctx.form.submul, ctx.form.scale):
             assert fold.__code__.co_filename == f"<{fold.__name__} {ctx.spec()}>"
     assert GF169.form.canon.__code__.co_filename == "<canon p=13;mod=[2,0,1]>"
 

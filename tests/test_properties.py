@@ -698,9 +698,12 @@ def test_entry_form_canon_and_is_zero_match_field_elements(case, k):
     assert form.elements(form.canon([got])) == [want]
     assert form.is_zero(got) == (not want)
     assert form.is_zero(got - form.canon([got])[0])
-    # submul, each form's closed form of a - f b
+    # submul and scale, each form's closed forms of a - f b and f b, f an
+    # entry or -1
     a, f, b = entries[:3]
     assert form.elements(form.submul([a], f, [b])) == [els[0] - els[1] * els[2]]
+    assert form.elements(form.scale(f, [a, b])) == [els[1] * els[0], els[1] * els[2]]
+    assert form.elements(form.scale(-1, [a, b])) == [-els[0], -els[2]]
 
 
 def field_point(form, u):
@@ -834,10 +837,11 @@ def test_lead_zero_keys_match_the_scanned_path(ctx, monkeypatch):
 def test_paper_dual_checks_invert_once_for_2n_2_and_never_for_2n_3(monkeypatch):
     # work counted, not timed: over every field of FORM_FIELDS with a paper
     # code, at the least odd n >= 3 with 2n | q - 1, the twists 1 and the
-    # largest coprime one, each family the gate admits.  A 2n-3 code's H leads every column with
-    # 1 or -1 (row 0 is g1 or g2), so its dual check keys them with no
-    # inversion and the certificate answers d = 4; a 2n-2 code's columns are
-    # keyed by one batched inversion, and depth 0 answers d = 3
+    # largest coprime one, each family the gate admits.  A 2n-3 code's H
+    # leads every column with 1 or -1 (row 0 is g1 or g2), so its dual check
+    # keys them with no inversion and the certificate answers d = 4; a 2n-2
+    # code's columns are keyed by one batched inversion, and depth 0 answers
+    # d = 3
     calls, checked = inversions(monkeypatch), Counter()
     for ctx in FORM_FIELDS:
         n = next((n for n in range(3, ctx.q, 2) if (ctx.q - 1) % (2 * n) == 0 and n % ctx.p), None)
@@ -922,7 +926,8 @@ def test_compiled_fold_matches_pmod_at_the_edges_of_the_slot_budget(ctx, monkeyp
     # and sums of 2^32 products, slots up to 2^32 m (p-1)^2.  canon reads
     # slots 0..3m-3, and submul's a - f b slots 0..2m-2, here with f b at its
     # largest: every slot at either edge, in four sign patterns, folded by
-    # the compiled rows, with no call to _pmod, as by _pmod
+    # the compiled rows, with no call to _pmod, as by _pmod; and scale's
+    # f b and -f b there
     p, m, form = ctx.p, ctx.m, ctx.form
     f = form.entries([ctx.element([p - 1] * m)])[0]
     fb = [(p - 1) ** 2 * (min(k, 2 * m - 2 - k) + 1) for k in range(2 * m - 1)]
@@ -938,10 +943,12 @@ def test_compiled_fold_matches_pmod_at_the_edges_of_the_slot_budget(ctx, monkeyp
              for signs in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
     want = [by_pmod(slots) for slots in cases]
     want_submul = [by_pmod([c - d for c, d in zip(slots, fb)]) for slots in cases]
+    want_scale = [by_pmod(fb), by_pmod([-c for c in fb])]
     monkeypatch.setattr(gf_module, "_pmod", None)
     assert form.canon([packed(slots) for slots in cases]) == want
     for slots, w in zip(cases, want_submul):
         assert form.submul([packed(slots[:2 * m - 1])], f, [f]) == [w]
+    assert form.scale(f, [f]) + form.scale(-f, [f]) == want_scale
 
 
 # ---------------------------------------------------------------------------
