@@ -677,10 +677,11 @@ class _Packed(_Form):
 
     + - * act on them as on polynomials in X, exact and unreduced until
     canon folds slots 0..3m-3 back to an entry, and submul a - f b and
-    scale f b, slots 0..2m-2, each by code compiled once per field (_fold).  w holds the
-    deepest expressions the library forms, six cubic products summed
-    (_on_a_conic, codes._rank; slots under 6 m^2 p^3), and sums of under
-    2^32 products (slots under m p^2), with a sign bit to spare.
+    scale f b, slots 0..2m-2, each by code compiled once per field
+    (_fold).  w holds the deepest expressions the library forms, six cubic
+    products summed (_on_a_conic, codes._rank; slots under 6 m^2 p^3), and
+    sums of under 2^32 products (slots under m p^2), with a sign bit to
+    spare.
     """
 
     def __init__(self, ctx: FieldCtx):
